@@ -133,29 +133,18 @@ CellEpochResult ReaderCell::run_epoch(
   std::bernoulli_distribution poll_success(
       config_.aloha.slot_success_probability);
 
-  // Per-tag retry state (fault path only): a per-destination failure
-  // ledger, earliest next attempt (exponential backoff), and an
-  // epoch-local quarantined flag mirroring the cross-epoch quarantine_
-  // map.
-  resil::RetryLedger retries;
+  // Per-tag retry state (fault path only): consecutive failures, earliest
+  // next attempt (exponential backoff), and an epoch-local quarantined
+  // flag mirroring the cross-epoch quarantine_ map.
+  std::vector<int> failures;
   std::vector<double> retry_at;
   std::vector<std::uint8_t> benched;
   if (faults != nullptr) {
-    retries = resil::RetryLedger(n);
+    failures.assign(n, 0);
     retry_at.assign(n, 0.0);
     benched.assign(n, 0);
   }
   const fault::RecoveryConfig& recovery = config_.recovery;
-  // Effective poll retry policy: fields the caller left at their inherit
-  // defaults fall back to the legacy RecoveryConfig constants, and the
-  // resulting delay ladder (ldexp(base, fails-1) == base * 2^(fails-1),
-  // exact in binary) keeps the frozen fleet fingerprints bit-identical.
-  resil::RetryPolicy poll_policy = config_.poll_retry;
-  if (!poll_policy.backs_off()) {
-    poll_policy.base_s = recovery.poll_backoff_base_s;
-  }
-  const int poll_budget =
-      poll_policy.effective_budget(recovery.poll_retry_budget);
 
   std::function<void()> run_polling = [&] {
     if (discovered.empty()) return;
@@ -234,7 +223,7 @@ CellEpochResult ReaderCell::run_epoch(
     }
     if (responded) {
       if (faults != nullptr) {
-        retries.reset(k);
+        failures[k] = 0;
         retry_at[k] = 0.0;
       }
       if (poll_success(rng)) {
@@ -245,14 +234,16 @@ CellEpochResult ReaderCell::run_epoch(
       // the retry budget park the tag in quarantine so a dead link stops
       // taxing everyone else's airtime.
       ++result.polls_timed_out;
-      const int fails = retries.charge(k);
-      if (poll_budget > 0 && poll_policy.exhausted(fails - 1, poll_budget)) {
+      const int fails = ++failures[k];
+      if (recovery.poll_retry_budget > 0 &&
+          fails - 1 >= recovery.poll_retry_budget) {
         benched[k] = 1;
         quarantine_[service.tag_id] = recovery.quarantine_epochs;
         ++result.quarantines;
       } else {
+        // base * 2^(fails-1), exact in binary.
         retry_at[k] = queue.now() + cost_s +
-                      poll_policy.delay_s(fails, service.tag_id);
+                      std::ldexp(recovery.poll_backoff_base_s, fails - 1);
       }
     }
     queue.schedule_in(cost_s, run_polling);

@@ -25,7 +25,6 @@
 #include "src/mac/aloha.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
-#include "src/resil/retry.hpp"
 
 namespace mmtag::deploy {
 
@@ -46,12 +45,6 @@ struct CellConfig {
   /// Poll-level retry/backoff/quarantine knobs; consulted only when a
   /// fault context is attached to the epoch.
   fault::RecoveryConfig recovery;
-  /// Shared retry policy overriding the RecoveryConfig constants
-  /// (DESIGN.md Sec. 15): budget <= 0 inherits recovery.poll_retry_budget,
-  /// base_s == 0 inherits recovery.poll_backoff_base_s. The default policy
-  /// reproduces the legacy uncapped doubling ladder bit for bit; setting
-  /// cap_s/jitter tempers retry storms after correlated outages.
-  resil::RetryPolicy poll_retry{};
 };
 
 /// Per-epoch fault state handed to run_epoch by the fleet simulator. Tag

@@ -100,19 +100,17 @@ PollingResult PollingScheduler::run_round(
         poll_us_metric().record(
             static_cast<std::uint64_t>(record.time_s * 1e6));
       }
-    } else if (config_.retry.effective_budget(config_.retry_budget) > 0) {
+    } else if (config_.retry_budget > 0) {
       // No answer: the original poll plus every retry burns a timeout.
-      // Backoff gaps (the policy's delay ladder) are spent polling other
-      // tags, so only the timeouts hold the channel. The budget exhausted,
-      // the tag is quarantined and stops taxing subsequent rounds.
-      const int budget = config_.retry.effective_budget(config_.retry_budget);
-      resil::RetryPolicy backoff = config_.retry;
-      if (!backoff.backs_off()) backoff.base_s = config_.backoff_base_s;
-      record.attempts = 1 + budget;
+      // Backoff gaps (base * 2^(j-1) before retry j) are spent polling
+      // other tags, so only the timeouts hold the channel. The budget
+      // exhausted, the tag is quarantined and stops taxing subsequent
+      // rounds.
+      record.attempts = 1 + config_.retry_budget;
       record.time_s =
           static_cast<double>(record.attempts) * config_.poll_timeout_s;
-      for (int j = 1; j <= budget; ++j) {
-        record.backoff_s += backoff.delay_s(j, tag.id());
+      for (int j = 1; j <= config_.retry_budget; ++j) {
+        record.backoff_s += std::ldexp(config_.backoff_base_s, j - 1);
       }
       if (std::abs(bearing - previous_bearing) > phys::deg_to_rad(1.0)) {
         record.time_s += config_.beam_switch_overhead_s;

@@ -19,7 +19,6 @@
 #include "src/core/tag.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
-#include "src/resil/retry.hpp"
 
 namespace mmtag::mac {
 
@@ -42,12 +41,6 @@ struct PollingConfig {
   double poll_timeout_s = 50e-6;
   /// Rounds a quarantined tag sits out before being re-tried.
   int quarantine_rounds = 1;
-  /// Shared retry policy (DESIGN.md Sec. 15). The retry count routes
-  /// through `retry.effective_budget(retry_budget)` and the backoff gaps
-  /// through `retry.delay_s` (base inherited from backoff_base_s when the
-  /// policy leaves it 0), so the default policy reproduces the legacy
-  /// fixed schedule exactly.
-  resil::RetryPolicy retry{};
 };
 
 struct PollRecord {

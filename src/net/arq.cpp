@@ -24,8 +24,7 @@ ArqStats run_stop_and_wait(int frame_count,
     bool delivered = false;
     bool exhausted = false;
     int requery_budget = config.max_requeries_per_frame;
-    for (int attempt = 0;
-         !config.retry.exhausted(attempt, config.max_attempts_per_frame);
+    for (int attempt = 0; attempt < config.max_attempts_per_frame;
          ++attempt) {
       if (attempt > 0) {
         // Each retry is preceded by a re-query; a lost one never reached

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <random>
+#include <stdexcept>
 #include <utility>
 
 #include "src/channel/geometry.hpp"
@@ -137,11 +138,26 @@ sim::Table traffic_report_table(const TrafficReport& report) {
   return table;
 }
 
+void TrafficConfig::validate() const {
+  if (flows < 0) {
+    throw std::invalid_argument("TrafficConfig::flows must be >= 0");
+  }
+  if (packets_per_flow < 0) {
+    throw std::invalid_argument(
+        "TrafficConfig::packets_per_flow must be >= 0");
+  }
+  if (!(horizon_s > 0.0)) {
+    throw std::invalid_argument("TrafficConfig::horizon_s must be > 0");
+  }
+  if (pool_packets < 1) {
+    throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
+  }
+  arq.validate();
+}
+
 TrafficEngine::TrafficEngine(TrafficConfig config)
     : config_(std::move(config)) {
-  assert(config_.flows >= 0 && config_.packets_per_flow >= 0);
-  assert(config_.horizon_s > 0.0);
-  assert(config_.pool_packets >= 1);
+  config_.validate();
 }
 
 TrafficReport TrafficEngine::run() {

@@ -85,6 +85,10 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
   /// Worker threads (<= 0 selects sim::default_thread_count()).
   int threads = 0;
+
+  /// Throws std::invalid_argument naming the first out-of-range field
+  /// (including those of `arq`).
+  void validate() const;
 };
 
 /// One flow's outcome.
@@ -146,6 +150,7 @@ struct TrafficReport {
 
 class TrafficEngine {
  public:
+  /// Throws std::invalid_argument when `config` fails validate().
   explicit TrafficEngine(TrafficConfig config);
 
   /// Deterministic in `config.seed`; independent of `config.threads`.

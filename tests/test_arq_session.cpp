@@ -3,10 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mac/event_queue.hpp"
 #include "src/net/arq.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/net/arq_session.hpp"
 #include "src/net/session.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
@@ -107,169 +104,6 @@ TEST(Arq, RequeryExhaustionTerminatesAndIsCounted) {
   EXPECT_DOUBLE_EQ(stats.efficiency(), 0.0);
 }
 
-TEST(ArqSession, PerfectChannelElapsedIsExact) {
-  auto rng = sim::make_rng(148);
-  const ArqTiming timing;
-  ArqSession session(ArqConfig{}, timing);
-  const ArqSessionResult result = session.run(50, 1.0, rng);
-  EXPECT_EQ(result.stats.frames_delivered, 50);
-  EXPECT_NEAR(result.elapsed_s,
-              50.0 * (timing.query_time_s + timing.frame_time_s), 1e-12);
-  EXPECT_GT(result.goodput_bps(96), 0.0);
-}
-
-TEST(ArqSession, StatsMatchRunStopAndWaitDrawForDraw) {
-  // Same RNG stream, same coin order: the timed session must agree with
-  // the untimed reference event for event, not just statistically.
-  ArqConfig config;
-  config.query_loss_probability = 0.3;
-  auto rng_a = sim::make_rng(149);
-  auto rng_b = sim::make_rng(149);
-  const ArqStats reference = run_stop_and_wait(2000, 0.6, config, rng_a);
-  ArqSession session(config, ArqTiming{});
-  const ArqSessionResult timed = session.run(2000, 0.6, rng_b);
-  EXPECT_EQ(timed.stats.frames_offered, reference.frames_offered);
-  EXPECT_EQ(timed.stats.frames_delivered, reference.frames_delivered);
-  EXPECT_EQ(timed.stats.transmissions, reference.transmissions);
-  EXPECT_EQ(timed.stats.query_failures, reference.query_failures);
-  EXPECT_EQ(timed.stats.frames_failed, reference.frames_failed);
-  EXPECT_EQ(timed.stats.requery_exhausted, reference.requery_exhausted);
-}
-
-TEST(ArqSession, ElapsedDecomposesIntoTransmissionsAndTimeouts) {
-  ArqConfig config;
-  config.query_loss_probability = 0.4;
-  ArqTiming timing;
-  timing.frame_time_s = 8e-6;
-  timing.query_time_s = 1e-6;
-  timing.query_timeout_s = 4e-6;
-  auto rng = sim::make_rng(150);
-  ArqSession session(config, timing);
-  const ArqSessionResult result = session.run(500, 0.5, rng);
-  const double predicted =
-      static_cast<double>(result.stats.transmissions) *
-          (timing.query_time_s + timing.frame_time_s) +
-      static_cast<double>(result.stats.query_failures) *
-          (timing.query_time_s + timing.query_timeout_s);
-  EXPECT_GT(result.stats.query_failures, 0);
-  EXPECT_NEAR(result.elapsed_s, predicted, predicted * 1e-9);
-}
-
-TEST(ArqSession, LostRequeriesConsumeWallClock) {
-  // Dead tag, dead queries: the transfer delivers nothing but still
-  // consumes precisely the scripted amount of airtime.
-  ArqConfig config;
-  config.query_loss_probability = 1.0;
-  const ArqTiming timing;
-  auto rng = sim::make_rng(151);
-  ArqSession session(config, timing);
-  const ArqSessionResult result = session.run(10, 0.0, rng);
-  const double per_frame =
-      (timing.query_time_s + timing.frame_time_s) +
-      static_cast<double>(config.max_requeries_per_frame) *
-          (timing.query_time_s + timing.query_timeout_s);
-  EXPECT_NEAR(result.elapsed_s, 10.0 * per_frame, 1e-12);
-  EXPECT_EQ(result.stats.requery_exhausted, 10);
-  EXPECT_DOUBLE_EQ(result.goodput_bps(96), 0.0);
-}
-
-TEST(ArqSession, LateReplyRoundsAreBookedExactlyOnce) {
-  // With late replies enabled, a round whose re-query the loss coin wrote
-  // off can still produce a replay inside the listen window. That round
-  // must appear as ONE late transmission — never as a query failure too —
-  // and the elapsed decomposition must stay exact under the interleaving.
-  ArqConfig config;
-  config.query_loss_probability = 0.5;
-  ArqTiming timing;
-  timing.frame_time_s = 8e-6;
-  timing.query_time_s = 1e-6;
-  timing.query_timeout_s = 4e-6;
-  timing.late_reply_probability = 0.6;
-  timing.late_reply_fraction = 0.25;
-  auto rng = sim::make_rng(154);
-  ArqSession session(config, timing);
-  const ArqSessionResult result = session.run(1000, 0.5, rng);
-  EXPECT_GT(result.late_replies, 0);
-  EXPECT_GT(result.stats.query_failures, 0);
-  EXPECT_LE(result.late_replies, result.stats.transmissions);
-  const double predicted =
-      static_cast<double>(result.stats.transmissions - result.late_replies) *
-          (timing.query_time_s + timing.frame_time_s) +
-      static_cast<double>(result.stats.query_failures) *
-          (timing.query_time_s + timing.query_timeout_s) +
-      static_cast<double>(result.late_replies) *
-          (timing.query_time_s +
-           timing.late_reply_fraction * timing.query_timeout_s +
-           timing.frame_time_s);
-  EXPECT_NEAR(result.elapsed_s, predicted, predicted * 1e-9);
-}
-
-TEST(ArqSession, CertainLateRepliesNeverCountAsQueryFailures) {
-  // Every re-query "lost", every one of them actually a late replay: the
-  // session must book zero query failures and burn zero re-query budget.
-  // A dead channel (p = 0) forces every frame through all retry rounds.
-  ArqConfig config;
-  config.query_loss_probability = 1.0;
-  ArqTiming timing;
-  timing.late_reply_probability = 1.0;
-  auto rng = sim::make_rng(155);
-  ArqSession session(config, timing);
-  const ArqSessionResult result = session.run(10, 0.0, rng);
-  EXPECT_EQ(result.stats.query_failures, 0);
-  EXPECT_EQ(result.stats.requery_exhausted, 0);
-  EXPECT_EQ(result.stats.frames_failed, 10);
-  // Attempt budget: 1 on-time first attempt + 15 late rounds per frame.
-  EXPECT_EQ(result.stats.transmissions,
-            10L * config.max_attempts_per_frame);
-  EXPECT_EQ(result.late_replies,
-            10L * (config.max_attempts_per_frame - 1));
-  const double per_frame =
-      (timing.query_time_s + timing.frame_time_s) +
-      static_cast<double>(config.max_attempts_per_frame - 1) *
-          (timing.query_time_s +
-           timing.late_reply_fraction * timing.query_timeout_s +
-           timing.frame_time_s);
-  EXPECT_NEAR(result.elapsed_s, 10.0 * per_frame, 1e-12);
-}
-
-TEST(ArqSession, DisabledLateRepliesKeepDrawParity) {
-  // late_reply_probability = 0 must not consume a single extra RNG draw:
-  // the timed session stays draw-for-draw identical to run_stop_and_wait.
-  ArqConfig config;
-  config.query_loss_probability = 0.4;
-  auto rng_a = sim::make_rng(156);
-  auto rng_b = sim::make_rng(156);
-  const ArqStats reference = run_stop_and_wait(1500, 0.5, config, rng_a);
-  ArqSession session(config, ArqTiming{});
-  const ArqSessionResult timed = session.run(1500, 0.5, rng_b);
-  EXPECT_EQ(timed.stats.transmissions, reference.transmissions);
-  EXPECT_EQ(timed.stats.query_failures, reference.query_failures);
-  EXPECT_EQ(timed.stats.frames_delivered, reference.frames_delivered);
-  EXPECT_EQ(timed.late_replies, 0);
-}
-
-TEST(ArqSession, InterleavesOnASharedEventQueue) {
-  mac::EventQueue queue;
-  auto rng_a = sim::make_rng(152);
-  auto rng_b = sim::make_rng(153);
-  const ArqTiming timing;
-  ArqSession session(ArqConfig{}, timing);
-  ArqSessionResult a;
-  ArqSessionResult b;
-  session.start(queue, 20, 1.0, rng_a,
-                [&a](const ArqSessionResult& r) { a = r; });
-  session.start(queue, 10, 1.0, rng_b,
-                [&b](const ArqSessionResult& r) { b = r; });
-  queue.run();
-  EXPECT_EQ(a.stats.frames_delivered, 20);
-  EXPECT_EQ(b.stats.frames_delivered, 10);
-  // Each transfer's elapsed time covers its own on-air steps only.
-  EXPECT_NEAR(a.elapsed_s,
-              20.0 * (timing.query_time_s + timing.frame_time_s), 1e-12);
-  EXPECT_NEAR(b.elapsed_s,
-              10.0 * (timing.query_time_s + timing.frame_time_s), 1e-12);
-}
-
 reader::LinkReport link_with_power(double dbm) {
   reader::LinkReport link;
   link.received_power_dbm = dbm;
@@ -342,27 +176,6 @@ TEST_P(SessionMonotoneTest, GoodputMonotone) {
 INSTANTIATE_TEST_SUITE_P(Powers, SessionMonotoneTest,
                          ::testing::Values(-95.0, -88.0, -80.0, -72.0,
                                            -68.0, -60.0));
-
-TEST(ArqSession, ExhaustionIsMirroredToTheSwObsCounter) {
-  // DESIGN.md Sec. 15: stop-and-wait exhaustion gets its own registry
-  // counter ("net.arq.exhausted.sw"), distinct from the SR session's, so
-  // bench JSON can attribute give-ups to the right retry loop.
-  auto& counter =
-      obs::Registry::instance().counter("net.arq.exhausted.sw");
-  const std::uint64_t before = counter.value();
-  ArqConfig config;
-  config.query_loss_probability = 1.0;  // Every re-query dies: exhaustion.
-  auto rng = sim::make_rng(156);
-  ArqSession session(config, ArqTiming{});
-  const ArqSessionResult result = session.run(10, 0.0, rng);
-  EXPECT_EQ(result.stats.frames_failed, 10);
-  EXPECT_EQ(result.stats.requery_exhausted, 10);
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(counter.value(), before + 10);
-  } else {
-    EXPECT_EQ(counter.value(), before);
-  }
-}
 
 }  // namespace
 }  // namespace mmtag::net

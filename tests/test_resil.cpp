@@ -1,6 +1,6 @@
-// Resilience control plane units (DESIGN.md Sec. 15): retry policy and
-// ledger, circuit breakers, phi-accrual health monitoring (including the
-// cross-thread record path), admission control, and fault domains.
+// Resilience control plane units (DESIGN.md Sec. 15): circuit breakers,
+// phi-accrual health monitoring (including the cross-thread record
+// path), admission control, and fault domains.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,83 +12,9 @@
 #include "src/resil/breaker.hpp"
 #include "src/resil/domain.hpp"
 #include "src/resil/health.hpp"
-#include "src/resil/retry.hpp"
 
 namespace mmtag::resil {
 namespace {
-
-// --- RetryPolicy ---------------------------------------------------------
-
-TEST(RetryPolicy, DefaultPolicyInheritsTheLegacyBudget) {
-  const RetryPolicy policy;  // budget 0: inherit.
-  EXPECT_EQ(policy.effective_budget(3), 3);
-  EXPECT_FALSE(policy.exhausted(2, 3));
-  EXPECT_TRUE(policy.exhausted(3, 3));
-  EXPECT_TRUE(policy.exhausted(4, 3));
-}
-
-TEST(RetryPolicy, ExplicitBudgetOverridesTheFallback) {
-  RetryPolicy policy;
-  policy.budget = 5;
-  EXPECT_EQ(policy.effective_budget(3), 5);
-  EXPECT_FALSE(policy.exhausted(4, 3));
-  EXPECT_TRUE(policy.exhausted(5, 3));
-}
-
-TEST(RetryPolicy, LegacyZeroBaseNeverDelays) {
-  const RetryPolicy policy;  // base_s 0: the legacy fixed schedule.
-  EXPECT_FALSE(policy.backs_off());
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    EXPECT_EQ(policy.delay_s(attempt, 42), 0.0);
-  }
-}
-
-TEST(RetryPolicy, BackoffLadderDoublesExactlyAndCaps) {
-  RetryPolicy policy;
-  policy.base_s = 1e-3;
-  policy.cap_s = 5e-3;
-  EXPECT_TRUE(policy.backs_off());
-  // ldexp keeps the uncapped rungs exact in binary.
-  EXPECT_EQ(policy.delay_s(1, 0), 1e-3);
-  EXPECT_EQ(policy.delay_s(2, 0), 2e-3);
-  EXPECT_EQ(policy.delay_s(3, 0), 4e-3);
-  EXPECT_EQ(policy.delay_s(4, 0), 5e-3);  // 8e-3 clamped to the cap.
-  EXPECT_EQ(policy.delay_s(9, 0), 5e-3);
-}
-
-TEST(RetryPolicy, JitterIsDeterministicBoundedAndKeyDecorrelated) {
-  RetryPolicy policy;
-  policy.base_s = 1e-3;
-  policy.jitter = 0.5;
-  policy.jitter_seed = 0xabcd;
-  const double d2 = std::ldexp(policy.base_s, 1);
-  const double once = policy.delay_s(2, 7);
-  // Pure hash: same (attempt, key) -> bit-identical delay, no engine.
-  EXPECT_EQ(policy.delay_s(2, 7), once);
-  // Scale factor lives in (1 - jitter, 1].
-  EXPECT_GT(once, d2 * (1.0 - policy.jitter));
-  EXPECT_LE(once, d2);
-  // Different destinations decorrelate.
-  EXPECT_NE(policy.delay_s(2, 8), once);
-}
-
-// --- RetryLedger ---------------------------------------------------------
-
-TEST(RetryLedger, ChargesPerDestinationAndResetsIndependently) {
-  RetryLedger ledger(3);
-  const RetryPolicy policy;  // Inherit fallback budget.
-  EXPECT_EQ(ledger.charge(1), 1);
-  EXPECT_EQ(ledger.charge(1), 2);
-  EXPECT_EQ(ledger.charge(2), 1);
-  EXPECT_EQ(ledger.failures(0), 0);
-  EXPECT_FALSE(ledger.exhausted(1, policy, 3));
-  EXPECT_EQ(ledger.charge(1), 3);
-  EXPECT_TRUE(ledger.exhausted(1, policy, 3));
-  ledger.reset(1);
-  EXPECT_EQ(ledger.failures(1), 0);
-  EXPECT_FALSE(ledger.exhausted(1, policy, 3));
-  EXPECT_EQ(ledger.failures(2), 1);  // Untouched by the reset.
-}
 
 // --- CircuitBreaker ------------------------------------------------------
 

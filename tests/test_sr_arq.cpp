@@ -1,12 +1,15 @@
 // Selective-repeat ARQ: window/block-ACK mechanics, retry budgets, pool
-// backpressure, exact timing decomposition, determinism.
+// backpressure, exact timing decomposition, determinism, the window-1
+// analytic oracle, and input validation.
 #include "src/net/sr_arq.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <stdexcept>
 
-#include "src/mac/event_queue.hpp"
+#include "src/net/arq.hpp"
 #include "src/net/packet.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/rng.hpp"
@@ -54,8 +57,7 @@ TEST(SrArq, ElapsedDecompositionIsExact) {
   const double expected =
       static_cast<double>(result.transmissions) * timing.packet_time_s +
       static_cast<double>(result.acks_received) * timing.ack_time_s +
-      static_cast<double>(result.acks_lost + result.pool_waits) *
-          timing.ack_timeout_s;
+      static_cast<double>(result.acks_lost) * timing.ack_timeout_s;
   EXPECT_NEAR(result.elapsed_s, expected, 1e-9 * expected);
 }
 
@@ -179,30 +181,89 @@ TEST(SrArq, AdapterRetunesTimingBetweenRounds) {
   EXPECT_DOUBLE_EQ(result.elapsed_s, 2.0 + 4.0);
 }
 
-TEST(SrArq, EventDrivenSessionsInterleaveOnOneQueue) {
-  mac::EventQueue queue;
+TEST(SrArq, WindowOneMatchesTheAnalyticOracle) {
+  // Window 1, unbounded budget: a packet needs Geometric(p) transmissions
+  // to arrive, and every lost block-ACK after that costs one duplicate,
+  // so E[transmissions per delivered packet] = 1/p + q/(1-q) with
+  // variance (1-p)/p^2 + q/(1-q)^2. At q = 0 this is stop-and-wait's
+  // closed form. Bound: z = 5 on the seeded sample mean.
+  const double p = 0.6;
+  const int packets = 20000;
+  for (const double q : {0.0, 0.2}) {
+    SrArqConfig config;
+    config.window = 1;
+    config.max_attempts_per_packet = 1 << 30;
+    config.ack_loss_probability = q;
+    SrArqSession session(config, {});
+    std::mt19937_64 rng = sim::make_rng(77);
+    const SrArqResult result = session.run(packets, p, rng);
+    ASSERT_EQ(result.packets_delivered, packets);
+    const double mean = static_cast<double>(result.transmissions) / packets;
+    const double variance = (1.0 - p) / (p * p) + q / ((1.0 - q) * (1.0 - q));
+    const double bound = 5.0 * std::sqrt(variance / packets);
+    EXPECT_NEAR(mean, 1.0 / p + q / (1.0 - q), bound) << "q = " << q;
+    if (q == 0.0) {
+      ArqConfig stop_and_wait;
+      stop_and_wait.query_loss_probability = 0.0;
+      EXPECT_NEAR(mean, expected_transmissions_per_frame(p, stop_and_wait),
+                  bound);
+    }
+  }
+}
+
+TEST(SrArq, RejectsAWindowOutsideOneToSixtyFour) {
+  for (const int window : {0, -1, 65}) {
+    EXPECT_THROW(SrArqSession(clean_config(window), {}),
+                 std::invalid_argument)
+        << "window = " << window;
+  }
+}
+
+TEST(SrArq, RejectsAnAttemptBudgetBelowOne) {
+  SrArqConfig config;
+  config.max_attempts_per_packet = 0;
+  EXPECT_THROW(SrArqSession(config, {}), std::invalid_argument);
+}
+
+TEST(SrArq, RejectsProbabilitiesOutsideTheUnitInterval) {
+  for (const double q : {-0.1, 1.5, std::nan("")}) {
+    SrArqConfig config;
+    config.ack_loss_probability = q;
+    EXPECT_THROW(SrArqSession(config, {}), std::invalid_argument);
+  }
   SrArqSession session(clean_config(4), {});
-  std::mt19937_64 rng_a = sim::make_rng(100);
-  std::mt19937_64 rng_b = sim::make_rng(200);
-  SrArqResult a;
-  SrArqResult b;
-  int done = 0;
-  session.start(
-      queue, 16, [](double) { return 1.0; }, rng_a, nullptr,
-      [&](const SrArqResult& r) {
-        a = r;
-        ++done;
-      });
-  session.start(
-      queue, 16, [](double) { return 1.0; }, rng_b, nullptr,
-      [&](const SrArqResult& r) {
-        b = r;
-        ++done;
-      });
-  queue.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(a.packets_delivered, 16);
-  EXPECT_EQ(b.packets_delivered, 16);
+  std::mt19937_64 rng = sim::make_rng(1);
+  EXPECT_THROW((void)session.run(4, 1.5, rng), std::invalid_argument);
+}
+
+TEST(SrArq, RejectsNegativeTimesAndCounts) {
+  SrArqTiming packet;
+  packet.packet_time_s = -1e-6;
+  SrArqTiming ack;
+  ack.ack_time_s = -1e-6;
+  SrArqTiming timeout;
+  timeout.ack_timeout_s = -1e-6;
+  for (const SrArqTiming& timing : {packet, ack, timeout}) {
+    EXPECT_THROW(SrArqSession(clean_config(4), timing),
+                 std::invalid_argument);
+  }
+  SrArqSession session(clean_config(4), {});
+  std::mt19937_64 rng = sim::make_rng(1);
+  EXPECT_THROW((void)session.run(-1, 1.0, rng), std::invalid_argument);
+}
+
+TEST(SrArq, RejectsAPoolWithNoFreeSlot) {
+  // Nothing can free a slot while the session runs, so a dry pool at
+  // entry could never move the base packet.
+  SrArqSession session(clean_config(4), {});
+  std::mt19937_64 rng = sim::make_rng(1);
+  PacketPool pool(1, 32, kSrHeaderBytes);
+  Packet held = pool.alloc();
+  ASSERT_TRUE(held.valid());
+  EXPECT_THROW((void)session.run(4, 1.0, rng, &pool), std::invalid_argument);
+  EXPECT_EQ(session.run(0, 1.0, rng, &pool).packets_offered, 0);
+  held.release();
+  EXPECT_EQ(session.run(4, 1.0, rng, &pool).packets_delivered, 4);
 }
 
 TEST(SrArq, DropsAreMirroredToTheSrObsCounter) {

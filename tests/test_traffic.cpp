@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/net/rate_control.hpp"
@@ -198,6 +199,35 @@ TEST(TrafficEngine, SeedMovesTheReport) {
   config.seed = 34;
   const TrafficReport b = TrafficEngine(config).run();
   EXPECT_NE(fingerprint(a), fingerprint(b));
+}
+
+TEST(TrafficEngine, RejectsNegativeFlowCount) {
+  TrafficConfig config = small_config();
+  config.flows = -1;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+}
+
+TEST(TrafficEngine, RejectsNegativePacketsPerFlow) {
+  TrafficConfig config = small_config();
+  config.packets_per_flow = -1;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+}
+
+TEST(TrafficEngine, RejectsANonPositiveHorizonAndAnEmptyPool) {
+  TrafficConfig config = small_config();
+  config.horizon_s = 0.0;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+  config = small_config();
+  config.pool_packets = 0;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+}
+
+TEST(TrafficEngine, RejectsAnInvalidArqConfig) {
+  // Checked even in stop-and-wait mode, which overrides the window.
+  TrafficConfig config = small_config();
+  config.mode = ArqMode::kStopAndWait;
+  config.arq.window = 0;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
 }
 
 TEST(TrafficEngine, ZeroFlowsYieldEmptyReport) {
