@@ -13,7 +13,6 @@
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E.
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -45,12 +44,6 @@ deploy::FleetConfig fleet_config(int readers, int tags, double width_m,
   return config;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
-
 std::string ms(double seconds) {
   return sim::Table::fmt(seconds * 1e3, 2);
 }
@@ -78,12 +71,7 @@ int main(int argc, char** argv) {
   // Grid {1, 2, 4, hw} clipped to the machine (a 1-core container runs
   // just {1}); aggregates must fingerprint-identically at every count.
   const int hw = sim::default_thread_count();
-  std::vector<int> grid;
-  for (const int t : {1, 2, 4, hw}) {
-    if (t >= 1 && t <= hw) grid.push_back(t);
-  }
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  const std::vector<int> grid = bench::thread_grid({1, 2, 4, hw}, true);
 
   // Room sized for 4x4 m cells at the requested reader count.
   const double side = 4.0 * std::max(1.0, std::sqrt(readers));
@@ -98,33 +86,26 @@ int main(int argc, char** argv) {
 
   harness.add("thread_scaling", [&](bench::CaseContext& ctx) {
     scaling = sim::Table(scaling_headers);
-    std::uint64_t reference = 0;
     double sim_reads = 0.0;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto run = [&](int threads) -> std::vector<std::uint64_t> {
       deploy::FleetConfig config = headline;
-      config.threads = grid[i];
+      config.threads = threads;
       deploy::FleetResult result = deploy::FleetSimulator(config).run();
       const std::uint64_t print = deploy::fingerprint(result.stats);
-      if (i == 0) {
-        reference = print;
-      } else if (print != reference) {
-        std::fprintf(stderr,
-                     "FAIL: fingerprint diverged at threads=%d "
-                     "(%s vs %s)\n",
-                     grid[i], hex64(print).c_str(),
-                     hex64(reference).c_str());
-        fail = true;
-      }
-      scaling.add_row({std::to_string(grid[i]),
+      scaling.add_row({std::to_string(threads),
                        sim::Table::fmt(result.sweep.wall_s, 3),
                        sim::Table::fmt(result.sweep.units_per_s(), 0),
                        std::to_string(result.stats.tags_read),
                        sim::Table::fmt(result.stats.coverage(), 3),
                        ms(result.stats.latency_p95_s),
                        sim::Table::fmt(result.stats.jain, 3),
-                       hex64(print)});
+                       bench::hex64(print)});
       sim_reads += static_cast<double>(result.sweep.units);
-      if (i + 1 == grid.size()) headline_result = std::move(result);
+      headline_result = std::move(result);  // The last run is the headline.
+      return {print};
+    };
+    if (!bench::check_thread_invariance("fleet fingerprint", grid, run)) {
+      fail = true;
     }
     ctx.set_units(sim_reads, "sim reads");
   });
@@ -157,12 +138,12 @@ int main(int argc, char** argv) {
                          std::to_string(cached.stats.raytrace_evals),
                          sim::Table::fmt(cached.stats.cache_hit_rate(), 3),
                          sim::Table::fmt(cached.sweep.wall_s, 3),
-                         hex64(deploy::fingerprint(cached.stats))});
+                         bench::hex64(deploy::fingerprint(cached.stats))});
     cache_table.add_row(
         {"uncached", std::to_string(uncached.stats.raytrace_evals),
          sim::Table::fmt(uncached.stats.cache_hit_rate(), 3),
          sim::Table::fmt(uncached.sweep.wall_s, 3),
-         hex64(deploy::fingerprint(uncached.stats))});
+         bench::hex64(deploy::fingerprint(uncached.stats))});
     reduction =
         cached.stats.raytrace_evals > 0
             ? static_cast<double>(uncached.stats.raytrace_evals) /

@@ -18,7 +18,6 @@
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E.
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -62,12 +61,6 @@ fault::ReaderOutageModel ten_percent_outages(double epoch_s) {
   return outages;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,12 +80,7 @@ int main(int argc, char** argv) {
 
   // --- 1. Chaos determinism across thread counts ------------------------
   const int hw = sim::default_thread_count();
-  std::vector<int> grid;
-  for (const int t : {1, 4, hw}) {
-    if (t >= 1 && t <= hw) grid.push_back(t);
-  }
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  const std::vector<int> grid = bench::thread_grid({1, 4, hw}, true);
 
   const std::vector<std::string> det_headers = {
       "threads", "wall_s", "coverage", "avail", "outages", "fleet_fp",
@@ -101,36 +89,27 @@ int main(int argc, char** argv) {
 
   harness.add("chaos_determinism", [&](bench::CaseContext& ctx) {
     det_table = sim::Table(det_headers);
-    std::uint64_t fleet_ref = 0;
-    std::uint64_t fault_ref = 0;
     double sim_reads = 0.0;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto run = [&](int threads) -> std::vector<std::uint64_t> {
       deploy::FleetConfig config = fleet_config(readers, tags, seed, epochs);
       config.faults = fault::FaultSchedule::chaos(0.5);
-      config.threads = grid[i];
+      config.threads = threads;
       const deploy::FleetResult result =
           deploy::FleetSimulator(config).run();
       const std::uint64_t fleet_fp = deploy::fingerprint(result.stats);
       const std::uint64_t fault_fp = fault::fingerprint(result.fault);
-      if (i == 0) {
-        fleet_ref = fleet_fp;
-        fault_ref = fault_fp;
-      } else if (fleet_fp != fleet_ref || fault_fp != fault_ref) {
-        std::fprintf(stderr,
-                     "FAIL: chaos run diverged at threads=%d "
-                     "(fleet %s vs %s, fault %s vs %s)\n",
-                     grid[i], hex64(fleet_fp).c_str(),
-                     hex64(fleet_ref).c_str(), hex64(fault_fp).c_str(),
-                     hex64(fault_ref).c_str());
-        fail = true;
-      }
-      det_table.add_row({std::to_string(grid[i]),
+      det_table.add_row({std::to_string(threads),
                          sim::Table::fmt(result.sweep.wall_s, 3),
                          sim::Table::fmt(result.stats.coverage(), 3),
                          sim::Table::fmt(result.fault.availability, 4),
                          std::to_string(result.fault.reader_outages),
-                         hex64(fleet_fp), hex64(fault_fp)});
+                         bench::hex64(fleet_fp), bench::hex64(fault_fp)});
       sim_reads += static_cast<double>(result.sweep.units);
+      return {fleet_fp, fault_fp};
+    };
+    if (!bench::check_thread_invariance("chaos run (fleet, fault)", grid,
+                                        run)) {
+      fail = true;
     }
     ctx.set_units(sim_reads, "sim reads");
   });

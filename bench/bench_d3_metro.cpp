@@ -17,9 +17,7 @@
 //
 // Standard harness flags plus --tags N, --margin-tags N, --epochs E,
 // --grid G (G x G readers).
-#include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,12 +42,6 @@ scale::MetroConfig metro_config(std::size_t tags, int grid,
   config.index_cell_m = 5.0;
   config.seed = seed;
   return config;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
 }
 
 }  // namespace
@@ -82,10 +74,7 @@ int main(int argc, char** argv) {
   // Oversubscription is deliberate: on a small machine threads=4 still
   // exercises the sharded epoch, and determinism must hold regardless.
   const int hw = sim::default_thread_count();
-  std::vector<int> thread_grid{1, 4, hw};
-  std::sort(thread_grid.begin(), thread_grid.end());
-  thread_grid.erase(std::unique(thread_grid.begin(), thread_grid.end()),
-                    thread_grid.end());
+  const std::vector<int> thread_grid = bench::thread_grid({1, 4, hw}, false);
 
   const std::vector<std::string> scaling_headers = {
       "threads", "wall_s", "tag_epochs/s", "reads", "delivered_mbit",
@@ -94,12 +83,11 @@ int main(int argc, char** argv) {
 
   harness.add("thread_scaling", [&](bench::CaseContext& ctx) {
     scaling = sim::Table(scaling_headers);
-    std::uint64_t reference = 0;
     double tag_epochs = 0.0;
-    for (std::size_t i = 0; i < thread_grid.size(); ++i) {
+    const auto run = [&](int threads) -> std::vector<std::uint64_t> {
       scale::MetroWorld world(
           metro_config(static_cast<std::size_t>(tags), grid, seed));
-      sim::ThreadPool pool(thread_grid[i]);
+      sim::ThreadPool pool(threads);
       sim::SweepStats sweep;
       sweep.threads = pool.size();
       const auto t0 = std::chrono::steady_clock::now();
@@ -109,23 +97,19 @@ int main(int argc, char** argv) {
                          .count();
       const std::uint64_t state = world.state_fingerprint();
       const scale::MetroStats stats = world.stats();
-      if (i == 0) {
-        reference = state;
-      } else if (state != reference) {
-        std::fprintf(stderr,
-                     "FAIL: state fingerprint diverged at threads=%d "
-                     "(%s vs %s)\n",
-                     thread_grid[i], hex64(state).c_str(),
-                     hex64(reference).c_str());
-        fail = true;
-      }
       const double te = static_cast<double>(tags) * epochs;
       scaling.add_row(
-          {std::to_string(thread_grid[i]), sim::Table::fmt(sweep.wall_s, 3),
+          {std::to_string(threads), sim::Table::fmt(sweep.wall_s, 3),
            sim::Table::fmt(sweep.wall_s > 0.0 ? te / sweep.wall_s : 0.0, 0),
            std::to_string(stats.tags_read),
-           sim::Table::fmt(stats.delivered_bits / 1e6, 2), hex64(state)});
+           sim::Table::fmt(stats.delivered_bits / 1e6, 2),
+           bench::hex64(state)});
       tag_epochs += te;
+      return {state};
+    };
+    if (!bench::check_thread_invariance("state fingerprint", thread_grid,
+                                        run)) {
+      fail = true;
     }
     ctx.set_units(tag_epochs, "tag epochs");
   });
@@ -169,14 +153,16 @@ int main(int argc, char** argv) {
     margin_table.add_row(
         {"indexed", std::to_string(indexed_cands),
          std::to_string(indexed.index().cost().cells_visited),
-         sim::Table::fmt(indexed_s, 3), hex64(fp_indexed)});
+         sim::Table::fmt(indexed_s, 3), bench::hex64(fp_indexed)});
     margin_table.add_row({"linear", std::to_string(linear_cands), "-",
-                          sim::Table::fmt(linear_s, 3), hex64(fp_linear)});
+                          sim::Table::fmt(linear_s, 3),
+                          bench::hex64(fp_linear)});
 
     if (fp_indexed != fp_linear) {
       std::fprintf(stderr,
                    "FAIL: index changed the simulation (%s vs %s)\n",
-                   hex64(fp_indexed).c_str(), hex64(fp_linear).c_str());
+                   bench::hex64(fp_indexed).c_str(),
+                   bench::hex64(fp_linear).c_str());
       fail = true;
     }
     if (indexed.stats().fingerprint() != linear.stats().fingerprint()) {

@@ -11,6 +11,7 @@
 //   * the all-on sweep is bit-identical under scalar and auto kern
 //     backends.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -96,19 +97,18 @@ int check_determinism(std::uint64_t seed) {
       link_params(impair::ImpairmentConfig::cmos_24ghz(), 10'000)};
   const std::vector<double> snrs = sim::linspace(4.0, 12.0, 3);
 
-  std::vector<std::size_t> reference;
-  for (const int threads : {1, 4, sim::default_thread_count()}) {
+  const auto run = [&](int threads) {
     sim::ThreadPool pool(threads);
     const auto sweep = link.measure_ber_sweep(snrs, seed + 29, pool);
-    std::vector<std::size_t> errors;
+    std::vector<std::uint64_t> errors;
     for (const auto& p : sweep.points) errors.push_back(p.bit_errors);
-    if (reference.empty()) {
-      reference = errors;
-    } else if (errors != reference) {
-      std::fprintf(stderr, "FAIL: impaired sweep differs at %d threads\n",
-                   threads);
-      return 1;
-    }
+    return errors;
+  };
+  if (!bench::check_thread_invariance(
+          "impaired sweep (bit errors)",
+          bench::thread_grid({1, 4, sim::default_thread_count()}, false),
+          run)) {
+    return 1;
   }
   std::printf("check: impaired sweep identical for {1, 4, %d} threads\n",
               sim::default_thread_count());

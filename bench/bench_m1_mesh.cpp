@@ -19,7 +19,6 @@
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E.
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -80,12 +79,6 @@ mesh::BackhaulConfig backhaul_config(int readers, int tags,
   return config;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,12 +98,7 @@ int main(int argc, char** argv) {
 
   // --- 1. Mesh determinism across thread counts -------------------------
   const int hw = sim::default_thread_count();
-  std::vector<int> grid;
-  for (const int t : {1, 4, hw}) {
-    if (t >= 1 && t <= hw) grid.push_back(t);
-  }
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  const std::vector<int> grid = bench::thread_grid({1, 4, hw}, true);
 
   const std::vector<std::string> det_headers = {
       "threads", "wall_s", "frames", "delivery", "reroutes", "backhaul_fp"};
@@ -118,30 +106,25 @@ int main(int argc, char** argv) {
 
   harness.add("mesh_determinism", [&](bench::CaseContext& ctx) {
     det_table = sim::Table(det_headers);
-    std::uint64_t ref = 0;
     double frames = 0.0;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto run = [&](int threads) -> std::vector<std::uint64_t> {
       mesh::BackhaulConfig config =
           backhaul_config(readers, tags, seed, epochs);
-      config.fleet.threads = grid[i];
+      config.fleet.threads = threads;
       const mesh::BackhaulReport report =
           mesh::BackhaulSimulator(config).run();
       const std::uint64_t fp = mesh::fingerprint(report);
-      if (i == 0) {
-        ref = fp;
-      } else if (fp != ref) {
-        std::fprintf(stderr,
-                     "FAIL: backhaul run diverged at threads=%d (%s vs %s)\n",
-                     grid[i], hex64(fp).c_str(), hex64(ref).c_str());
-        fail = true;
-      }
-      det_table.add_row({std::to_string(grid[i]),
+      det_table.add_row({std::to_string(threads),
                          sim::Table::fmt(report.fleet.sweep.wall_s, 3),
                          std::to_string(report.mesh.offered),
                          sim::Table::fmt(report.mesh.delivery_ratio(), 4),
                          std::to_string(report.mesh.reroutes),
-                         hex64(fp)});
+                         bench::hex64(fp)});
       frames += static_cast<double>(report.mesh.offered);
+      return {fp};
+    };
+    if (!bench::check_thread_invariance("backhaul run", grid, run)) {
+      fail = true;
     }
     ctx.set_units(frames, "mesh frames");
   });
