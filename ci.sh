@@ -1,14 +1,13 @@
 #!/usr/bin/env sh
 # CI entry point: tier-1 verify in Release and Debug with warnings as
-# errors (test suite run twice: forced-scalar and auto SIMD dispatch), a
-# bench-smoke stage that exercises the JSON/compare pipeline plus the
-# kernel-backend determinism gate, an ASan+UBSan pass, chaos, traffic,
-# mesh, scale, resil and impair smoke stages driving the fault, net,
-# backhaul, metro, control-plane and impairment benches under the
-# sanitizers (plus a full-size
-# bench_d1_fleet compare gate for the SoA service rewire), a TSan pass
-# over the test suite for the health monitor's cross-thread record path,
-# and a docs stage (skipped with a notice when doxygen is absent).
+# errors (test suite run twice: forced-scalar and auto SIMD dispatch), the
+# kernel-backend determinism gate, an ASan+UBSan pass over the test
+# suite, a bench-smoke stage whose one table-driven loop writes and
+# self-compares nine BENCH_*.json reports (the fault, net, backhaul,
+# metro, control-plane and impairment benches under the sanitizers, plus
+# a full-size bench_d1_fleet compare gate), a TSan pass over the test
+# suite for the health monitor's cross-thread record path, and a docs
+# stage (skipped with a notice when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -28,27 +27,10 @@ for config in Release Debug; do
   done
 done
 
-echo "=== Bench smoke (JSON schema + self-compare + kern determinism) ==="
-# Reduced-size runs through the full harness path: write a
-# schema-validated BENCH_*.json, then self-compare (exit 1 on
-# regression, 2 on schema error). Reports are archived in bench-out/,
-# including the per-backend kernel report CI publishes for speedup
-# tracking.
-bench_dir="build-ci-release/bench"
-out_dir="bench-out"
-mkdir -p "${out_dir}"
-"${bench_dir}/bench_kernels" --csv --warmup 1 --repeat 3 \
-  --json "${out_dir}/BENCH_kernels.json" > /dev/null
-"${bench_dir}/bench_kernels" --csv --warmup 1 --repeat 3 \
-  --compare "${out_dir}/BENCH_kernels.json" --threshold 1.0 > /dev/null
-"${bench_dir}/bench_e4_ber" --check-kern
-"${bench_dir}/bench_d1_fleet" --csv --readers 4 --tags 100 --epochs 4 \
-  --json "${out_dir}/BENCH_d1_fleet.json" > /dev/null
-"${bench_dir}/bench_d1_fleet" --csv --readers 4 --tags 100 --epochs 4 \
-  --compare "${out_dir}/BENCH_d1_fleet.json" --threshold 1.0 > /dev/null
-echo "bench smoke OK: $(ls ${out_dir}/BENCH_*.json | tr '\n' ' ')"
+echo "=== Kernel-backend determinism gate ==="
+"build-ci-release/bench/bench_e4_ber" --check-kern
 
-echo "=== ASan+UBSan build (test suite + one instrumented bench) ==="
+echo "=== ASan+UBSan build (test suite + instrumented benches) ==="
 build_dir="build-ci-asan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -68,95 +50,40 @@ done
 "${build_dir}/bench/bench_d1_fleet" --csv --readers 2 --tags 50 --epochs 2 \
   --warmup 0 --repeat 1 > /dev/null
 
-echo "=== Chaos smoke (fault injection under ASan, obs metrics on) ==="
-# The chaos bench self-checks determinism across thread counts and the
-# recovery-beats-none margin (exit 1 on violation); MMTAG_OBS defaults ON,
-# so the JSON report embeds the fault.* metrics. Self-compare closes the
-# loop through the mmtag.bench.v1 schema + threshold gate.
-"${build_dir}/bench/bench_d2_chaos" --csv --readers 4 --tags 100 \
-  --epochs 3 --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_d2_chaos.json" > /dev/null
-"${build_dir}/bench/bench_d2_chaos" --csv --readers 4 --tags 100 \
-  --epochs 3 --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_d2_chaos.json" --threshold 1.0 > /dev/null
-echo "chaos smoke OK: ${out_dir}/BENCH_d2_chaos.json"
-
-echo "=== Traffic smoke (net stack under ASan, JSON self-compare) ==="
-# The traffic bench self-checks report-fingerprint determinism across
-# thread counts and the SR-beats-stop-and-wait goodput margin under a 10%
-# outage schedule (exit 1 on violation). Reduced size: the pool-backed
-# SR-ARQ path, rate adaptation and the fleet admission pass all run under
-# the sanitizers.
-"${build_dir}/bench/bench_n1_traffic" --csv --readers 2 --tags 50 \
-  --flows 100 --packets 16 --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_n1_traffic.json" > /dev/null
-"${build_dir}/bench/bench_n1_traffic" --csv --readers 2 --tags 50 \
-  --flows 100 --packets 16 --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_n1_traffic.json" --threshold 1.0 > /dev/null
-echo "traffic smoke OK: ${out_dir}/BENCH_n1_traffic.json"
-
-echo "=== Mesh smoke (reader backhaul under ASan, JSON self-compare) ==="
-# The mesh bench self-checks backhaul-fingerprint determinism across
-# thread counts and the failover-beats-frozen-tables delivery margin under
-# a 10% reader-outage schedule (exit 1 on violation). Reduced size: the
-# link-state flood, Yen alternates, the zero-copy forwarding plane and the
-# mesh-aware orphan re-handoff all run under the sanitizers.
-"${build_dir}/bench/bench_m1_mesh" --csv --readers 16 --tags 200 \
-  --epochs 3 --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_m1_mesh.json" > /dev/null
-"${build_dir}/bench/bench_m1_mesh" --csv --readers 16 --tags 200 \
-  --epochs 3 --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_m1_mesh.json" --threshold 1.0 > /dev/null
-echo "mesh smoke OK: ${out_dir}/BENCH_m1_mesh.json"
-
-echo "=== Scale smoke (metro world under ASan, JSON self-compare) ==="
-# A 50k-tag slice of the metro bench self-checks the scale layer's two
-# hard claims — bit-identical state fingerprints across {1,4,hw}-thread
-# epochs, and the >= 10x indexed-vs-linear candidate margin — with the
-# SoA gather/slab paths and the grid index running under the sanitizers.
-"${build_dir}/bench/bench_d3_metro" --csv --tags 50000 --margin-tags 50000 \
-  --epochs 2 --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_d3_metro.json" > /dev/null
-"${build_dir}/bench/bench_d3_metro" --csv --tags 50000 --margin-tags 50000 \
-  --epochs 2 --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_d3_metro.json" --threshold 1.0 > /dev/null
-# The fleet now accumulates per-tag service through the SoA bridge
-# (scale::FleetTagBridge); gate the full 16-reader / 2000-tag baseline
-# through the compare pipeline to prove the rewire regressed nothing.
-"${bench_dir}/bench_d1_fleet" --csv --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_d1_fleet_baseline.json" > /dev/null
-"${bench_dir}/bench_d1_fleet" --csv --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_d1_fleet_baseline.json" --threshold 1.0 \
-  > /dev/null
-echo "scale smoke OK: ${out_dir}/BENCH_d3_metro.json"
-
-echo "=== Resil smoke (control plane under ASan, JSON self-compare) ==="
-# bench_r1_resil hard-gates the resilience control plane's four claims —
-# thread-count-invariant detection fingerprints, <= 2-epoch detection
-# lag under chaos(0.5), a strict goodput margin for control-plane-on
-# under a correlated-domain incident, and bit-identity with the legacy
-# world when the plumbing is dormant — here with the monitor's
-# cross-thread record path and the adoption remap running under the
-# sanitizers.
-"${build_dir}/bench/bench_r1_resil" --csv --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_r1_resil.json" > /dev/null
-"${build_dir}/bench/bench_r1_resil" --csv --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_r1_resil.json" --threshold 1.0 > /dev/null
-echo "resil smoke OK: ${out_dir}/BENCH_r1_resil.json"
-
-echo "=== Impair smoke (impairment pipeline under ASan, JSON self-compare) ==="
-# bench_i1_impair front-loads the suite's three hard contracts — bypass
-# bit-identical to the legacy chain, and the all-stages-on sweep
-# bit-identical across {1,4,hw} threads and across the scalar/auto kern
-# backends (exit 1 on violation) — then measures the per-stage
-# BER/goodput deltas. Running it under the sanitizers exercises the four
-# new SIMD kernels' loadu/storeu edges and the per-stage derived-stream
-# draws; the JSON self-compare closes the mmtag.bench.v1 loop.
-"${build_dir}/bench/bench_i1_impair" --csv --warmup 0 --repeat 1 \
-  --json "${out_dir}/BENCH_i1_impair.json" > /dev/null
-"${build_dir}/bench/bench_i1_impair" --csv --warmup 0 --repeat 1 \
-  --compare "${out_dir}/BENCH_i1_impair.json" --threshold 1.0 > /dev/null
-echo "impair smoke OK: ${out_dir}/BENCH_i1_impair.json"
+echo "=== Bench smoke (BENCH_*.json write + self-compare) ==="
+# One row per report: name, binary, arguments. Each row writes
+# bench-out/BENCH_<name>.json through the mmtag.bench.v1 schema, then
+# compares a second run against it (exit 1 on regression, 2 on schema
+# error). Every bench also hard-gates its own claims (exit 1): fingerprint
+# identity across thread counts, and the margins named in EXPERIMENTS.md
+# (recovery beats none, SR beats stop-and-wait, failover beats frozen
+# tables, >= 10x index and cache savings, control-plane goodput, impairment
+# bypass identity). The ASan rows run the fault, net, mesh, metro,
+# control-plane and impairment paths under the sanitizers; the full-size
+# d1_fleet_baseline row gates the fleet's SoA service accounting.
+out_dir="bench-out"
+mkdir -p "${out_dir}"
+release="build-ci-release/bench"
+asan="build-ci-asan/bench"
+while read -r name binary args; do
+  echo "--- ${name}: ${binary} ${args} ---"
+  # ${args} stays unquoted: it is a word list.
+  "${binary}" ${args} --json "${out_dir}/BENCH_${name}.json" \
+    < /dev/null > /dev/null
+  "${binary}" ${args} --compare "${out_dir}/BENCH_${name}.json" \
+    --threshold 1.0 < /dev/null > /dev/null
+done <<EOF
+kernels ${release}/bench_kernels --csv --warmup 1 --repeat 3
+d1_fleet ${release}/bench_d1_fleet --csv --readers 4 --tags 100 --epochs 4
+d2_chaos ${asan}/bench_d2_chaos --csv --readers 4 --tags 100 --epochs 3 --warmup 0 --repeat 1
+n1_traffic ${asan}/bench_n1_traffic --csv --readers 2 --tags 50 --flows 100 --packets 16 --warmup 0 --repeat 1
+m1_mesh ${asan}/bench_m1_mesh --csv --readers 16 --tags 200 --epochs 3 --warmup 0 --repeat 1
+d3_metro ${asan}/bench_d3_metro --csv --tags 50000 --margin-tags 50000 --epochs 2 --warmup 0 --repeat 1
+d1_fleet_baseline ${release}/bench_d1_fleet --csv --warmup 0 --repeat 1
+r1_resil ${asan}/bench_r1_resil --csv --warmup 0 --repeat 1
+i1_impair ${asan}/bench_i1_impair --csv --warmup 0 --repeat 1
+EOF
+echo "bench smoke OK: $(ls ${out_dir}/BENCH_*.json | tr '\n' ' ')"
 
 echo "=== TSan build (monitor cross-thread snapshot path) ==="
 # HealthMonitor::record is the one API meant to be hit from parallel
@@ -183,4 +110,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="
+echo "=== CI OK: Release + Debug (-Werror, scalar+auto), kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
