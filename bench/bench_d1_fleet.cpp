@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,18 @@ int main(int argc, char** argv) {
   bench::add_kern_flag(parser, &kern_name);
   if (!parser.parse(argc, argv)) return parser.exit_code();
   if (!bench::apply_kern_flag(kern_name)) return 2;
-  bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
+  // Room sized for 4x4 m cells at the requested reader count.
+  const double side = 4.0 * std::max(1.0, std::sqrt(readers));
+  const deploy::FleetConfig headline =
+      fleet_config(readers, tags, side, side, seed, epochs);
+  try {
+    headline.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  bench::Harness harness(parser.options());
   bool fail = false;
 
   // --- 1. Thread scaling on the headline 16-reader / 2000-tag scenario --
@@ -72,11 +83,6 @@ int main(int argc, char** argv) {
   // just {1}); aggregates must fingerprint-identically at every count.
   const int hw = sim::default_thread_count();
   const std::vector<int> grid = bench::thread_grid({1, 2, 4, hw}, true);
-
-  // Room sized for 4x4 m cells at the requested reader count.
-  const double side = 4.0 * std::max(1.0, std::sqrt(readers));
-  const deploy::FleetConfig headline =
-      fleet_config(readers, tags, side, side, seed, epochs);
 
   const std::vector<std::string> scaling_headers = {
       "threads", "wall_s", "sim_reads/s", "tags_read", "coverage",

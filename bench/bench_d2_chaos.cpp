@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,14 @@ int main(int argc, char** argv) {
   parser.add_int("--tags", &tags, "tag count");
   parser.add_int("--epochs", &epochs, "epochs per fleet run");
   if (!parser.parse(argc, argv)) return parser.exit_code();
-  bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
+  try {
+    fleet_config(readers, tags, seed, epochs).validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  bench::Harness harness(parser.options());
   bool fail = false;
 
   // --- 1. Chaos determinism across thread counts ------------------------

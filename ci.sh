@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# CI entry point: tier-1 verify in Release and Debug with warnings as
-# errors (test suite run twice: forced-scalar and auto SIMD dispatch), the
+# CI entry point: a check that docs/ARCHITECTURE.md's lines-per-subsystem
+# total matches the tree, tier-1 verify in Release and Debug with warnings
+# as errors (test suite run twice: forced-scalar and auto SIMD dispatch), the
 # kernel-backend determinism gate, an ASan+UBSan pass over the test
 # suite, a bench-smoke stage whose one table-driven loop writes and
 # self-compares nine BENCH_*.json reports (the fault, net, backhaul,
@@ -10,6 +11,20 @@
 # stage (skipped with a notice when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
+
+echo "=== Lines per subsystem (docs/ARCHITECTURE.md) ==="
+# Re-run the table's documented one-liner and compare its sum with the
+# table's total row, so the table cannot drift from the code it counts.
+counted=$(for d in src/*/; do echo "$d $(cat $d*.hpp $d*.cpp | wc -l)"; done |
+  awk '{ total += $2 } END { print total }')
+documented=$(sed -n 's/^| \*\*total\*\* | \*\*\([0-9,]*\)\*\* |$/\1/p' \
+  docs/ARCHITECTURE.md | tr -d ,)
+if [ "${counted}" != "${documented}" ]; then
+  echo "FAIL: src/ has ${counted} lines, docs/ARCHITECTURE.md says" \
+    "${documented:-nothing}" >&2
+  exit 1
+fi
+echo "lines per subsystem OK: ${counted}"
 
 for config in Release Debug; do
   echo "=== ${config} build (-Wall -Wextra -Werror) ==="
@@ -60,7 +75,8 @@ echo "=== Bench smoke (BENCH_*.json write + self-compare) ==="
 # tables, >= 10x index and cache savings, control-plane goodput, impairment
 # bypass identity). The ASan rows run the fault, net, mesh, metro,
 # control-plane and impairment paths under the sanitizers; the full-size
-# d1_fleet_baseline row gates the fleet's SoA service accounting.
+# d1_fleet_baseline row runs the default 16-reader fleet, whose thread
+# invariance and cache savings the bench gates.
 out_dir="bench-out"
 mkdir -p "${out_dir}"
 release="build-ci-release/bench"
@@ -110,4 +126,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: Release + Debug (-Werror, scalar+auto), kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line table, Release + Debug (-Werror, scalar+auto), kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="

@@ -1,7 +1,6 @@
 #include "src/deploy/cell.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -29,10 +28,11 @@ obs::Histogram& poll_cost_us_metric() {
 ReaderCell::ReaderCell(int index, reader::MmWaveReader reader,
                        const channel::Environment* env,
                        const phy::RateTable* rates, CellConfig config,
-                       bool use_cache)
+                       fault::RecoveryConfig recovery, bool use_cache)
     : index_(index),
       rates_(rates),
       config_(config),
+      recovery_(recovery),
       cache_(std::move(reader), env, rates, use_cache, index,
              config.link_cache_tag_capacity) {
   const double facing = cache_.reader().pose().orientation_rad;
@@ -44,15 +44,22 @@ ReaderCell::ReaderCell(int index, reader::MmWaveReader reader,
 CellEpochResult ReaderCell::run_epoch(
     const std::vector<core::MmTag>& tags,
     const std::vector<std::size_t>& tag_indices, const CellPlan& plan,
-    double start_s, double duration_s, std::mt19937_64& rng,
-    const CellFaultContext* faults) {
+    double start_s, double duration_s, const fault::EpochFaults& faults,
+    std::mt19937_64& rng) {
   CellEpochResult result;
   result.cell_index = index_;
   result.tags_assigned = static_cast<int>(tag_indices.size());
   result.service.resize(tag_indices.size());
 
-  const double budget_s = duration_s * plan.airtime_share *
-                          (faults != nullptr ? faults->budget_scale : 1.0);
+  // Budget left after the outage and the drift guard time, as a fraction
+  // of the cell's granted airtime; 0 = reader down for the whole epoch.
+  const auto self = static_cast<std::size_t>(index_);
+  const double granted_s = duration_s * plan.airtime_share;
+  const double avail_s =
+      faults.reader_up[self] * granted_s - faults.reader_skew_loss_s[self];
+  const double budget_scale =
+      granted_s > 0.0 ? std::clamp(avail_s / granted_s, 0.0, 1.0) : 0.0;
+  const double budget_s = granted_s * budget_scale;
   if (budget_s <= 0.0) {
     // Reader down for the whole epoch: identify the roster, serve nobody.
     for (std::size_t k = 0; k < tag_indices.size(); ++k) {
@@ -73,20 +80,15 @@ CellEpochResult ReaderCell::run_epoch(
     const std::size_t gi = tag_indices[k];
     const core::MmTag& tag = tags[gi];
     result.service[k].tag_id = tag.id();
-    if (faults != nullptr) {
-      // A browned-out tag has no charge to answer with, and a quarantined
-      // tag is deliberately left alone — neither contends in discovery.
-      // Sentences are epoch-granular: each skipped epoch ticks the count
-      // down, and the tag re-enters discovery once it reaches zero.
-      // Fault-free runs never populate the map (one empty() check here).
-      if ((*faults->tag_brownout)[gi] != 0) continue;
-      if (!quarantine_.empty()) {
-        const auto sentence = quarantine_.find(tag.id());
-        if (sentence != quarantine_.end()) {
-          if (--sentence->second <= 0) quarantine_.erase(sentence);
-          continue;
-        }
-      }
+    // A browned-out tag has no charge to answer with, and a quarantined
+    // tag is deliberately left alone — neither contends in discovery.
+    // Sentences are epoch-granular: each skipped epoch ticks the count
+    // down, and the tag re-enters discovery once it reaches zero.
+    if (faults.tag_brownout[gi] != 0) continue;
+    const auto sentence = quarantine_.find(tag.id());
+    if (sentence != quarantine_.end()) {
+      if (--sentence->second <= 0) quarantine_.erase(sentence);
+      continue;
     }
     const double bearing = channel::bearing_rad(
         cache_.reader().pose().position, tag.pose().position);
@@ -104,10 +106,9 @@ CellEpochResult ReaderCell::run_epoch(
     const reader::LinkReport& link =
         cache_.link(tag, best, codebook_[static_cast<std::size_t>(best)]
                                    .boresight_rad);
-    double power_dbm = link.received_power_dbm;
-    if (faults != nullptr) power_dbm -= (*faults->tag_loss_db)[gi];
     const double rate = reader::sinr_limited_rate_bps(
-        power_dbm, plan.interference_dbm, *rates_);
+        link.received_power_dbm - faults.tag_loss_db[gi],
+        plan.interference_dbm, *rates_);
     if (rate <= 0.0) continue;
     tag_beam[k] = best;
     beam_members[static_cast<std::size_t>(best)].push_back(k);
@@ -128,59 +129,45 @@ CellEpochResult ReaderCell::run_epoch(
   std::vector<std::size_t> discovered;  // Local ks, in read order.
   std::size_t beams_scanned = 0;
   std::size_t poll_cursor = 0;
-  std::size_t dead_polls = 0;  // Consecutive skips; all-dead ends the epoch.
   int poll_beam = -1;
   std::bernoulli_distribution poll_success(
       config_.aloha.slot_success_probability);
 
-  // Per-tag retry state (fault path only): consecutive failures, earliest
-  // next attempt (exponential backoff), and an epoch-local quarantined
-  // flag mirroring the cross-epoch quarantine_ map.
-  std::vector<int> failures;
-  std::vector<double> retry_at;
-  std::vector<std::uint8_t> benched;
-  if (faults != nullptr) {
-    failures.assign(n, 0);
-    retry_at.assign(n, 0.0);
-    benched.assign(n, 0);
-  }
-  const fault::RecoveryConfig& recovery = config_.recovery;
+  // Per-tag retry state: consecutive failures, earliest next attempt
+  // (exponential backoff), and an epoch-local quarantined flag mirroring
+  // the cross-epoch quarantine_ map.
+  std::vector<int> failures(n, 0);
+  std::vector<double> retry_at(n, 0.0);
+  std::vector<std::uint8_t> benched(n, 0);
 
   std::function<void()> run_polling = [&] {
     if (discovered.empty()) return;
-    std::size_t k;
-    if (faults == nullptr) {
-      k = discovered[poll_cursor % discovered.size()];
-      ++poll_cursor;
-    } else {
-      // Round-robin over tags that are eligible now; tags backing off are
-      // revisited when their retry timer lands, quarantined tags never.
-      std::size_t probes = 0;
-      std::size_t chosen = n;
-      double next_retry = std::numeric_limits<double>::infinity();
-      while (probes < discovered.size()) {
-        const std::size_t cand =
-            discovered[(poll_cursor + probes) % discovered.size()];
-        ++probes;
-        if (benched[cand] != 0) continue;
-        if (retry_at[cand] > queue.now()) {
-          next_retry = std::min(next_retry, retry_at[cand]);
-          continue;
-        }
-        chosen = cand;
-        break;
+    // Round-robin over tags that are eligible now; tags backing off are
+    // revisited when their retry timer lands, quarantined tags never.
+    std::size_t probes = 0;
+    std::size_t k = n;
+    double next_retry = std::numeric_limits<double>::infinity();
+    while (probes < discovered.size()) {
+      const std::size_t cand =
+          discovered[(poll_cursor + probes) % discovered.size()];
+      ++probes;
+      if (benched[cand] != 0) continue;
+      if (retry_at[cand] > queue.now()) {
+        next_retry = std::min(next_retry, retry_at[cand]);
+        continue;
       }
-      if (chosen == n) {
-        // Everyone is waiting out a backoff (or quarantined): idle until
-        // the earliest retry instead of busy-spinning the event queue.
-        if (std::isfinite(next_retry) && next_retry <= budget_s) {
-          queue.schedule(next_retry, run_polling);
-        }
-        return;
-      }
-      poll_cursor += probes;
-      k = chosen;
+      k = cand;
+      break;
     }
+    if (k == n) {
+      // Everyone is waiting out a backoff (or quarantined): idle until
+      // the earliest retry instead of busy-spinning the event queue.
+      if (std::isfinite(next_retry) && next_retry <= budget_s) {
+        queue.schedule(next_retry, run_polling);
+      }
+      return;
+    }
+    poll_cursor += probes;
     const std::size_t gi = tag_indices[k];
     // Every poll re-checks the link budget (the tag may have moved since
     // discovery) — this is the fleet hot loop the LinkCache exists for:
@@ -188,28 +175,17 @@ CellEpochResult ReaderCell::run_epoch(
     const auto beam = static_cast<std::size_t>(tag_beam[k]);
     const reader::LinkReport& link = cache_.link(
         tags[gi], tag_beam[k], codebook_[beam].boresight_rad);
-    double power_dbm = link.received_power_dbm;
-    if (faults != nullptr) power_dbm -= (*faults->tag_loss_db)[gi];
     const double rate = reader::sinr_limited_rate_bps(
-        power_dbm, plan.interference_dbm, *rates_);
+        link.received_power_dbm - faults.tag_loss_db[gi],
+        plan.interference_dbm, *rates_);
     // A blocked link swallows individual queries outright; a dead link
-    // (blockage/stuck attenuation pushed it below the rate floor) answers
-    // nothing either. Both consume a timeout in the fault path.
+    // answers nothing either. Both consume a timeout.
     bool responded = rate > 0.0;
-    if (faults != nullptr && responded && (*faults->tag_blocked)[gi] != 0) {
+    if (responded && faults.tag_blocked[gi] != 0) {
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
-      responded = uniform(rng) >= faults->block_probability;
+      responded = uniform(rng) >= faults.block_probability;
     }
-    if (rate <= 0.0 && faults == nullptr) {
-      // Link lost since discovery: skip this tag (fault-free semantics).
-      if (++dead_polls < discovered.size()) {
-        queue.schedule_in(0.0, run_polling);
-      }
-      return;
-    }
-    dead_polls = 0;
-    double cost_s =
-        responded ? poll_bits / rate : recovery.poll_timeout_s;
+    double cost_s = responded ? poll_bits / rate : recovery_.poll_timeout_s;
     if (tag_beam[k] != poll_beam) {
       cost_s += config_.beam_switch_overhead_s;
       poll_beam = tag_beam[k];
@@ -222,10 +198,8 @@ CellEpochResult ReaderCell::run_epoch(
           static_cast<std::uint64_t>(cost_s * 1e6));
     }
     if (responded) {
-      if (faults != nullptr) {
-        failures[k] = 0;
-        retry_at[k] = 0.0;
-      }
+      failures[k] = 0;
+      retry_at[k] = 0.0;
       if (poll_success(rng)) {
         service.delivered_bits += static_cast<double>(config_.payload_bits);
       }
@@ -235,15 +209,15 @@ CellEpochResult ReaderCell::run_epoch(
       // taxing everyone else's airtime.
       ++result.polls_timed_out;
       const int fails = ++failures[k];
-      if (recovery.poll_retry_budget > 0 &&
-          fails - 1 >= recovery.poll_retry_budget) {
+      if (recovery_.poll_retry_budget > 0 &&
+          fails - 1 >= recovery_.poll_retry_budget) {
         benched[k] = 1;
-        quarantine_[service.tag_id] = recovery.quarantine_epochs;
+        quarantine_[service.tag_id] = recovery_.quarantine_epochs;
         ++result.quarantines;
       } else {
         // base * 2^(fails-1), exact in binary.
         retry_at[k] = queue.now() + cost_s +
-                      std::ldexp(recovery.poll_backoff_base_s, fails - 1);
+                      std::ldexp(recovery_.poll_backoff_base_s, fails - 1);
       }
     }
     queue.schedule_in(cost_s, run_polling);

@@ -8,7 +8,11 @@
 // coordinator's CellPlan scales the cell's airtime share (TDM) and loads
 // its receiver with cross-cell interference, which converts cached link
 // budgets into SINR-limited rates at lookup time (so cached entries stay
-// valid when the coordination policy changes).
+// valid when the coordination policy changes). The epoch's realized fault
+// state shrinks the airtime budget, silences browned-out and blocked tags
+// and attenuates links; unanswered polls run the retry/backoff/quarantine
+// machine of fault::RecoveryConfig. A fault-free epoch is simply one whose
+// EpochFaults are all up, lossless and unblocked.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +25,7 @@
 #include "src/core/tag.hpp"
 #include "src/deploy/fleet_stats.hpp"
 #include "src/deploy/link_cache.hpp"
-#include "src/fault/schedule.hpp"
+#include "src/fault/engine.hpp"
 #include "src/mac/aloha.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
@@ -42,24 +46,6 @@ struct CellConfig {
   /// Link-cache memory bound: memoized tags per reader (0 = unbounded).
   /// Overflow evicts the least-recently-used tag (LinkCache docs).
   std::size_t link_cache_tag_capacity = LinkCache::kDefaultTagCapacity;
-  /// Poll-level retry/backoff/quarantine knobs; consulted only when a
-  /// fault context is attached to the epoch.
-  fault::RecoveryConfig recovery;
-};
-
-/// Per-epoch fault state handed to run_epoch by the fleet simulator. Tag
-/// vectors are indexed by GLOBAL tag index (the values in `tag_indices`),
-/// shared read-only across all concurrently running cells. A null context
-/// pointer is the fault-free fast path — the cell touches none of this.
-struct CellFaultContext {
-  /// Scales the epoch airtime budget (partial reader outage + clock-skew
-  /// guard time). 0 = reader fully down this epoch.
-  double budget_scale = 1.0;
-  const std::vector<std::uint8_t>* tag_brownout = nullptr;
-  const std::vector<double>* tag_loss_db = nullptr;
-  const std::vector<std::uint8_t>* tag_blocked = nullptr;
-  /// P(one poll of a blocked tag gets no response at all).
-  double block_probability = 0.0;
 };
 
 /// What the coordinator grants a cell for one epoch.
@@ -87,23 +73,25 @@ class ReaderCell {
  public:
   /// `env` and `rates` must outlive the cell. The reader is steered by the
   /// cell; its scan codebook covers ±sector_half_angle about the pose
-  /// orientation. `use_cache == false` re-traces on every lookup (bench
+  /// orientation. `recovery` supplies the poll retry/backoff/quarantine
+  /// knobs. `use_cache == false` re-traces on every lookup (bench
   /// baseline).
   ReaderCell(int index, reader::MmWaveReader reader,
              const channel::Environment* env, const phy::RateTable* rates,
-             CellConfig config, bool use_cache = true);
+             CellConfig config, fault::RecoveryConfig recovery,
+             bool use_cache = true);
 
   /// Run one epoch of `duration_s` wall time starting at absolute fleet
   /// time `start_s`. `tag_indices` select this cell's tags from the shared
-  /// `tags` vector; `rng` must be a cell-private stream. Touches only
-  /// cell-owned state, so distinct cells may run concurrently. `faults`
-  /// (optional) attaches this epoch's fault state; null keeps the exact
-  /// fault-free code path, including its RNG draw sequence.
+  /// `tags` vector; `faults` is the epoch's realized fault state (reader
+  /// vectors indexed by cell index, tag vectors by global tag index) and
+  /// `rng` a cell-private stream. Touches only cell-owned state, so
+  /// distinct cells may run concurrently.
   [[nodiscard]] CellEpochResult run_epoch(
       const std::vector<core::MmTag>& tags,
       const std::vector<std::size_t>& tag_indices, const CellPlan& plan,
-      double start_s, double duration_s, std::mt19937_64& rng,
-      const CellFaultContext* faults = nullptr);
+      double start_s, double duration_s, const fault::EpochFaults& faults,
+      std::mt19937_64& rng);
 
   /// Forward a tag move to the cache.
   void on_tag_moved(std::uint32_t tag_id) { cache_.invalidate_tag(tag_id); }
@@ -131,15 +119,14 @@ class ReaderCell {
   int index_;
   const phy::RateTable* rates_;
   CellConfig config_;
+  fault::RecoveryConfig recovery_;
   LinkCache cache_;
   std::vector<antenna::Beam> codebook_;
   /// Where the next epoch's scan resumes. A tight airtime budget (TDM with
   /// many cells) can truncate a scan mid-sector; resuming instead of
   /// restarting guarantees every beam is eventually visited.
   std::size_t scan_cursor_ = 0;
-  /// Tags sitting out a quarantine, tag_id -> epochs remaining. Populated
-  /// only when epochs run with a fault context; empty-map checks keep the
-  /// fault-free path allocation- and hash-free.
+  /// Tags sitting out a quarantine, tag_id -> epochs remaining.
   std::unordered_map<std::uint32_t, int> quarantine_;
 };
 

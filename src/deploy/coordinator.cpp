@@ -71,35 +71,8 @@ std::vector<int> FleetCoordinator::initial_assignment(
 int FleetCoordinator::reassign(const std::vector<core::MmTag>& tags,
                                const std::vector<reader::MmWaveReader>& readers,
                                std::vector<int>& tag_cell) {
-  assert(!readers.empty());
-  assert(tag_cell.size() == tags.size());
-  int handoffs = 0;
-  for (std::size_t t = 0; t < tags.size(); ++t) {
-    const channel::Vec2 pos = tags[t].pose().position;
-    int best = 0;
-    double best_d =
-        channel::distance(readers[0].pose().position, pos);
-    for (std::size_t r = 1; r < readers.size(); ++r) {
-      const double d =
-          channel::distance(readers[r].pose().position, pos);
-      if (d < best_d) {
-        best_d = d;
-        best = static_cast<int>(r);
-      }
-    }
-    if (tag_cell[t] != best) {
-      tag_cell[t] = best;
-      ++handoffs;
-    }
-  }
-  return handoffs;
-}
-
-int FleetCoordinator::reassign_orphans(
-    const std::vector<core::MmTag>& tags,
-    const std::vector<reader::MmWaveReader>& readers,
-    const std::vector<std::uint8_t>& live, std::vector<int>& tag_cell) {
-  return reassign_orphans(tags, readers, live, {}, tag_cell);
+  const std::vector<std::uint8_t> everyone(readers.size(), 1);
+  return reassign_orphans(tags, readers, everyone, {}, tag_cell);
 }
 
 int FleetCoordinator::reassign_orphans(

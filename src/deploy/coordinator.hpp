@@ -68,32 +68,25 @@ class FleetCoordinator {
       const std::vector<reader::MmWaveReader>& readers);
 
   /// Re-evaluate membership after mobility: a tag whose nearest reader
-  /// changed hands off to it. Updates `tag_cell` in place and returns the
-  /// number of handoffs performed.
+  /// changed hands off to it (reassign_orphans with every reader
+  /// serviceable). Updates `tag_cell` in place and returns the number of
+  /// handoffs performed.
   [[nodiscard]] static int reassign(
       const std::vector<core::MmTag>& tags,
       const std::vector<reader::MmWaveReader>& readers,
       std::vector<int>& tag_cell);
 
-  /// Outage-aware reassignment: every tag goes to its nearest *live*
-  /// reader (`live[r]` = reader r serves this epoch), which both evacuates
-  /// tags orphaned by an outage and returns them once their home reader
-  /// restarts. With every reader live this is exactly reassign(); with
-  /// every reader dead membership is left untouched (nowhere to go).
-  /// Returns the number of handoffs performed.
-  [[nodiscard]] static int reassign_orphans(
-      const std::vector<core::MmTag>& tags,
-      const std::vector<reader::MmWaveReader>& readers,
-      const std::vector<std::uint8_t>& live, std::vector<int>& tag_cell);
-
-  /// Mesh-aware variant: a reader only receives tags when it is BOTH
-  /// radio-live and backhaul-reachable (`reachable[r]`, from
+  /// Outage-aware reassignment: every tag goes to its nearest serviceable
+  /// reader, which both evacuates tags orphaned by an outage and returns
+  /// them once their home reader restarts. A reader is serviceable when it
+  /// is BOTH radio-live (`live[r]` = reader r serves this epoch) and
+  /// backhaul-reachable (`reachable[r]`, from
   /// mesh::MeshTopology::gateway_reachable) — a live reader partitioned
   /// from every gateway can read tags but can never drain their inventory,
   /// so handing it orphans silently loses traffic. An empty `reachable`
-  /// means no mesh is deployed and every live reader qualifies (exactly
-  /// the overload above). With no reader serviceable, membership is left
-  /// untouched. Returns the number of handoffs performed.
+  /// means no mesh is deployed and every live reader qualifies. Ties go to
+  /// the lowest reader index. With no reader serviceable, membership is
+  /// left untouched. Returns the number of handoffs performed.
   [[nodiscard]] static int reassign_orphans(
       const std::vector<core::MmTag>& tags,
       const std::vector<reader::MmWaveReader>& readers,

@@ -7,7 +7,10 @@
 // each (epoch, cell) pair gets a private RNG stream via
 // sim::derive_seed(seed, epoch * M + cell), and per-cell results merge in
 // cell order, so fleet aggregates are bit-identical at any thread count —
-// the same discipline as the sweep engine (DESIGN.md Sec. 7).
+// the same discipline as the sweep engine (DESIGN.md Sec. 7). Every run
+// goes through the fault engine; an empty schedule realizes every reader
+// up and every tag lossless, so a fault-free fleet is just its no-fault
+// case.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +46,12 @@ struct FleetConfig {
   /// Disable to measure the uncached baseline (every link lookup
   /// re-traces; see bench_d1_fleet).
   bool use_link_cache = true;
-  /// Fault injection (chaos testing). A default-constructed schedule is
-  /// inactive: no engine is built and the run takes the exact fault-free
-  /// code path, RNG draw for RNG draw.
+  /// Fault injection (chaos testing). A default-constructed schedule
+  /// injects nothing.
   fault::FaultSchedule faults;
-  /// How the fleet fights back when `faults` is active (orphan re-handoff,
-  /// restart cache invalidation; poll retry knobs live in cell.recovery).
+  /// How the fleet fights back: orphan re-handoff at epoch boundaries and
+  /// the cells' poll retry/backoff/quarantine knobs. A restarted reader
+  /// always drops its link cache and quarantine list.
   fault::RecoveryConfig recovery;
   /// Front-end impairment decomposition (DESIGN.md Sec. 16): with any
   /// stage enabled, every reader's opaque implementation_loss_db is
@@ -59,7 +62,8 @@ struct FleetConfig {
   impair::ImpairmentConfig impairments{};
   /// Backhaul reachability hook (installed by mesh::BackhaulSimulator):
   /// maps this epoch's radio-live mask to the readers that can still reach
-  /// a mesh gateway. Orphan re-handoff then avoids live-but-partitioned
+  /// a mesh gateway. Consulted every epoch, with or without a fault
+  /// schedule. Orphan re-handoff then avoids live-but-partitioned
   /// readers, and tags stuck on one count as orphaned (their inventory
   /// cannot leave the cell). Null = every live reader is serviceable.
   std::function<std::vector<std::uint8_t>(
@@ -73,13 +77,17 @@ struct FleetConfig {
   std::function<void(int epoch, const std::vector<CellEpochResult>& cells,
                      const std::vector<std::uint8_t>& live)>
       epoch_observer;
+
+  /// Throws std::invalid_argument naming the first out-of-range field
+  /// (including those of `layout`).
+  void validate() const;
 };
 
 struct FleetResult {
   FleetStats stats;
-  /// What broke and how recovery coped (all-zero/availability-1 when no
-  /// schedule was attached). Digest via fault::fingerprint — kept separate
-  /// from the pinned FleetStats fingerprint.
+  /// What broke and how recovery coped (equal to FaultReport{} when
+  /// nothing failed). Digest via fault::fingerprint — kept separate from
+  /// the pinned FleetStats fingerprint.
   fault::FaultReport fault;
   /// Per-tag service merged over every epoch, tag order (who was ever
   /// read, first-read instant, delivered bits). The discovery roster the
@@ -95,6 +103,7 @@ struct FleetResult {
 
 class FleetSimulator {
  public:
+  /// Throws std::invalid_argument when `config` fails validate().
   explicit FleetSimulator(FleetConfig config);
 
   /// Run the configured number of epochs and aggregate. Deterministic in

@@ -19,10 +19,8 @@ double jain_fairness(const std::vector<double>& values) {
   return obs::jain_fairness(values);
 }
 
-namespace {
-
-// One streaming pass shared by both overloads. Replicates the historical
-// materializing implementation bit-for-bit:
+// One streaming pass that replicates the historical materializing
+// implementation bit-for-bit:
 //   * the Jain accumulators run over read tags' goodputs in tag order —
 //     the exact element order obs::jain_fairness saw, with the same
 //     sum / sum_sq recurrence and the same empty/all-zero guards;
@@ -30,26 +28,24 @@ namespace {
 //     obs::percentile_sorted, which is what obs::percentile does to its
 //     private copy — same sorted sequence, same interpolation.
 // test_fleet_stats pins the resulting digests.
-template <typename ReadFn, typename FirstReadFn, typename DeliveredFn>
-FleetStats summarize_streaming(std::size_t count, double duration_s,
-                               ReadFn&& is_read, FirstReadFn&& first_read_s,
-                               DeliveredFn&& delivered_bits) {
+FleetStats summarize_service(const std::vector<TagService>& service,
+                             double duration_s) {
   FleetStats stats;
-  stats.tags_total = static_cast<int>(count);
+  stats.tags_total = static_cast<int>(service.size());
   stats.duration_s = duration_s;
 
   std::vector<double> latencies;
-  latencies.reserve(count);
+  latencies.reserve(service.size());
   double read_goodput_sum = 0.0;
   double jain_sum = 0.0;
   double jain_sum_sq = 0.0;
-  for (std::size_t t = 0; t < count; ++t) {
+  for (const TagService& tag : service) {
     const double goodput =
-        duration_s > 0.0 ? delivered_bits(t) / duration_s : 0.0;
+        duration_s > 0.0 ? tag.delivered_bits / duration_s : 0.0;
     stats.goodput_total_bps += goodput;
-    if (!is_read(t)) continue;
+    if (!tag.read) continue;
     ++stats.tags_read;
-    latencies.push_back(first_read_s(t));
+    latencies.push_back(tag.first_read_s);
     read_goodput_sum += goodput;
     jain_sum += goodput;
     jain_sum_sq += goodput * goodput;
@@ -67,26 +63,6 @@ FleetStats summarize_streaming(std::size_t count, double duration_s,
                    : jain_sum * jain_sum /
                          (static_cast<double>(stats.tags_read) * jain_sum_sq);
   return stats;
-}
-
-}  // namespace
-
-FleetStats summarize_service(const std::vector<TagService>& service,
-                             double duration_s) {
-  return summarize_streaming(
-      service.size(), duration_s,
-      [&](std::size_t t) { return service[t].read; },
-      [&](std::size_t t) { return service[t].first_read_s; },
-      [&](std::size_t t) { return service[t].delivered_bits; });
-}
-
-FleetStats summarize_service(const ServiceColumns& service,
-                             double duration_s) {
-  return summarize_streaming(
-      service.count, duration_s,
-      [&](std::size_t t) { return service.read[t] != 0; },
-      [&](std::size_t t) { return service.first_read_s[t]; },
-      [&](std::size_t t) { return service.delivered_bits[t]; });
 }
 
 std::uint64_t fingerprint(const FleetStats& stats) {

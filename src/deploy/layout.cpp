@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 
 #include "src/channel/geometry.hpp"
 #include "src/sim/rng.hpp"
@@ -40,10 +41,28 @@ channel::Vec2 grid_point(const GridShape& shape, int index, double x0,
 
 }  // namespace
 
+void LayoutConfig::validate() const {
+  if (readers < 1) {
+    throw std::invalid_argument("LayoutConfig::readers must be >= 1");
+  }
+  if (tags < 0) {
+    throw std::invalid_argument("LayoutConfig::tags must be >= 0");
+  }
+  if (!(margin_m >= 0.0)) {
+    throw std::invalid_argument("LayoutConfig::margin_m must be >= 0");
+  }
+  if (!(width_m > 2.0 * margin_m)) {
+    throw std::invalid_argument(
+        "LayoutConfig::width_m must be > 2 * margin_m");
+  }
+  if (!(height_m > 2.0 * margin_m)) {
+    throw std::invalid_argument(
+        "LayoutConfig::height_m must be > 2 * margin_m");
+  }
+}
+
 FleetLayout make_layout(const LayoutConfig& config) {
-  assert(config.readers > 0 && config.tags >= 0);
-  assert(config.width_m > 2.0 * config.margin_m &&
-         config.height_m > 2.0 * config.margin_m);
+  config.validate();
 
   FleetLayout layout;
   layout.width_m = config.width_m;

@@ -34,6 +34,11 @@ struct LayoutConfig {
   double margin_m = 0.5;
   /// Roughness of the perimeter walls (see channel::Wall).
   double wall_roughness = 0.5;
+
+  /// Throws std::invalid_argument naming the first out-of-range field:
+  /// readers >= 1, tags >= 0, margin_m >= 0, and a floor wider and
+  /// deeper than the two margins.
+  void validate() const;
 };
 
 struct FleetLayout {
@@ -49,7 +54,8 @@ struct FleetLayout {
 /// tag population; tags face their nearest reader (badge-like mounting —
 /// retrodirectivity covers the residual misalignment). Tag ids start at
 /// 1000 + index. Deterministic: the same config always yields the same
-/// layout, bit for bit.
+/// layout, bit for bit. Throws std::invalid_argument when `config` fails
+/// validate().
 [[nodiscard]] FleetLayout make_layout(const LayoutConfig& config);
 
 /// Index of the reader pose closest (Euclidean) to `position`; ties go to

@@ -28,7 +28,7 @@ struct EpochFaults {
   /// outage covers the whole epoch and the reader's tags are orphaned).
   std::vector<double> reader_up;
   /// Reader recovered this epoch from a full-epoch outage (restart edge —
-  /// triggers cache invalidation when RecoveryConfig asks for it).
+  /// the fleet drops the reader's link cache and quarantine list).
   std::vector<std::uint8_t> reader_restarted;
   /// Airtime lost to TDM slot misalignment from clock drift [s].
   std::vector<double> reader_skew_loss_s;

@@ -10,8 +10,10 @@
 // derive_seed stream discipline, so every chaos run is bit-reproducible at
 // any thread count.
 //
-// A default-constructed schedule is inactive: no model armed, no engine
-// constructed, and the fleet hot path stays exactly the fault-free code.
+// A default-constructed schedule arms no model: the engine realizes it as
+// every reader up with zero skew and every tag lossless, never browned out
+// and never blocked, so a fault-free fleet runs the same code as a chaos
+// run.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +109,7 @@ struct ClockDriftModel {
 inline constexpr double kDeadLinkDb = 300.0;
 
 /// The full fault description attached to a FleetSimulator run. Each model
-/// is independent; a default-constructed schedule is inactive and costs the
-/// simulator nothing.
+/// is independent; a default-constructed schedule injects nothing.
 struct FaultSchedule {
   ReaderOutageModel outages;
   BrownoutModel brownouts;
@@ -116,15 +117,10 @@ struct FaultSchedule {
   BlockageModel blockage;
   ClockDriftModel drift;
 
-  [[nodiscard]] bool active() const {
-    return outages.active() || brownouts.active() || stuck.active() ||
-           blockage.active() || drift.active();
-  }
-
   /// A representative chaos mix scaled by `intensity` in [0, 1]: reader
   /// outages (~0.4*i arrivals per reader-second, 0.5 s mean), 20%*i
   /// energy-constrained tags, 10%*i stuck-switch tags, blockage bursts and
-  /// 100*i ppm clock drift. intensity <= 0 returns an inactive schedule.
+  /// 100*i ppm clock drift. intensity <= 0 returns an empty schedule.
   [[nodiscard]] static FaultSchedule chaos(double intensity);
 };
 
@@ -135,8 +131,6 @@ struct RecoveryConfig {
   /// Hand tags orphaned by a full-epoch reader outage to the nearest live
   /// reader at the next epoch boundary (and back after the restart).
   bool reassign_orphans = true;
-  /// A restarted reader re-calibrates: drop its memoized link state.
-  bool invalidate_cache_on_restart = true;
   /// Consecutive no-response polls of one tag before it is quarantined.
   int poll_retry_budget = 2;
   /// First retry waits this long; doubles per further consecutive failure.

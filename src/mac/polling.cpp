@@ -37,8 +37,7 @@ PollingScheduler::PollingScheduler(reader::MmWaveReader reader,
       config_(config) {}
 
 PollingResult PollingScheduler::run_round(
-    const std::vector<core::MmTag>& tags, const channel::Environment& env,
-    const std::vector<std::uint8_t>* responsive) {
+    const std::vector<core::MmTag>& tags, const channel::Environment& env) {
   PollingResult result;
   result.polls.reserve(tags.size());
 
@@ -54,23 +53,6 @@ PollingResult PollingScheduler::run_round(
   double previous_bearing = 1e9;  // Force a switch on the first poll.
   for (const std::size_t index : order) {
     const core::MmTag& tag = tags[index];
-
-    // A quarantined tag sits the round out; the sentence ticks down each
-    // round it is skipped and expires once it reaches zero. retry_budget 0
-    // never populates the map, so the legacy path pays one empty() check.
-    if (!quarantine_.empty()) {
-      const auto sentence = quarantine_.find(tag.id());
-      if (sentence != quarantine_.end()) {
-        PollRecord record;
-        record.tag_id = tag.id();
-        record.attempts = 0;
-        record.quarantined = true;
-        result.polls.push_back(record);
-        if (--sentence->second <= 0) quarantine_.erase(sentence);
-        continue;
-      }
-    }
-
     const double bearing =
         channel::bearing_rad(origin, tag.pose().position);
     reader_.steer_to_world(bearing);
@@ -80,10 +62,7 @@ PollingResult PollingScheduler::run_round(
     record.tag_id = tag.id();
     record.rate_bps = link.achievable_rate_bps;
     record.reachable = link.achievable_rate_bps > 0.0;
-    const bool answers =
-        record.reachable &&
-        (responsive == nullptr || (*responsive)[index] != 0);
-    if (answers) {
+    if (record.reachable) {
       // Manchester doubles the on-air chips, matching SdmInventory.
       const double on_air_bits = 2.0 * static_cast<double>(
           phy::TagFrame::frame_bits(config_.payload_bits) +
@@ -100,26 +79,6 @@ PollingResult PollingScheduler::run_round(
         poll_us_metric().record(
             static_cast<std::uint64_t>(record.time_s * 1e6));
       }
-    } else if (config_.retry_budget > 0) {
-      // No answer: the original poll plus every retry burns a timeout.
-      // Backoff gaps (base * 2^(j-1) before retry j) are spent polling
-      // other tags, so only the timeouts hold the channel. The budget
-      // exhausted, the tag is quarantined and stops taxing subsequent
-      // rounds.
-      record.attempts = 1 + config_.retry_budget;
-      record.time_s =
-          static_cast<double>(record.attempts) * config_.poll_timeout_s;
-      for (int j = 1; j <= config_.retry_budget; ++j) {
-        record.backoff_s += std::ldexp(config_.backoff_base_s, j - 1);
-      }
-      if (std::abs(bearing - previous_bearing) > phys::deg_to_rad(1.0)) {
-        record.time_s += config_.beam_switch_overhead_s;
-      }
-      previous_bearing = bearing;
-      result.polls_timed_out += record.attempts;
-      result.total_time_s += record.time_s;
-      quarantine_[tag.id()] = config_.quarantine_rounds;
-      ++result.quarantines;
     }
     result.polls.push_back(record);
   }

@@ -80,7 +80,6 @@
 #include "src/mac/inventory.hpp"
 #include "src/mac/mimo_reader.hpp"
 #include "src/mac/polling.hpp"
-#include "src/mac/tdma.hpp"
 #include "src/net/arq.hpp"
 #include "src/net/fragmentation.hpp"
 #include "src/net/session.hpp"

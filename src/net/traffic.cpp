@@ -152,6 +152,7 @@ void TrafficConfig::validate() const {
   if (pool_packets < 1) {
     throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
   }
+  layout.validate();
   arq.validate();
 }
 

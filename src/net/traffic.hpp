@@ -87,7 +87,7 @@ struct TrafficConfig {
   int threads = 0;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `arq`).
+  /// (including those of `layout` and `arq`).
   void validate() const;
 };
 

@@ -6,9 +6,7 @@
 // touch two doubles. TagStore transposes the population into parallel
 // contiguous columns (pose, energy, MAC/session state), so the scale
 // layer's epoch batcher can hand slabs of x/y straight to the kern SIMD
-// kernels and the stats layer can stream over service columns without
-// materializing per-tag temporaries (deploy::summarize_service span
-// overload).
+// kernels and MetroWorld's service accounting streams over columns.
 //
 // Slots are stable for a tag's lifetime and recycled through a free-list:
 // destroying a tag never moves another tag's state, so spatial-index

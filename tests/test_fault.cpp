@@ -30,11 +30,16 @@ TEST(StuckSwitch, PenaltyMatchesApertureRatio) {
 }
 
 TEST(Schedule, DefaultAndChaosZeroAreInactive) {
-  EXPECT_FALSE(FaultSchedule{}.active());
-  EXPECT_FALSE(FaultSchedule::chaos(0.0).active());
-  EXPECT_FALSE(FaultSchedule::chaos(-2.0).active());
+  for (const FaultSchedule& off :
+       {FaultSchedule{}, FaultSchedule::chaos(0.0),
+        FaultSchedule::chaos(-2.0)}) {
+    EXPECT_FALSE(off.outages.active());
+    EXPECT_FALSE(off.brownouts.active());
+    EXPECT_FALSE(off.stuck.active());
+    EXPECT_FALSE(off.blockage.active());
+    EXPECT_FALSE(off.drift.active());
+  }
   const FaultSchedule mid = FaultSchedule::chaos(0.5);
-  EXPECT_TRUE(mid.active());
   EXPECT_TRUE(mid.outages.active());
   EXPECT_TRUE(mid.brownouts.active());
   EXPECT_TRUE(mid.stuck.active());

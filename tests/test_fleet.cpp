@@ -1,13 +1,21 @@
 // Fleet simulator (src/deploy): layout determinism, end-to-end service,
-// thread-count invariance of the aggregates, mobility/handoff, and the
-// cache's raytrace savings on static scenarios.
+// thread-count invariance of the aggregates, mobility/handoff, the
+// cache's raytrace savings on static scenarios, the cell's poll retry
+// machine, and config validation.
 #include "src/deploy/fleet.hpp"
+
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/deploy/cell.hpp"
 #include "src/deploy/layout.hpp"
+#include "src/fault/engine.hpp"
 #include "src/fault/schedule.hpp"
+#include "src/phys/constants.hpp"
 #include "src/sim/parallel.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::deploy {
 namespace {
@@ -213,6 +221,206 @@ TEST(FleetFaults, TotalBlackoutHasNowhereToEvacuate) {
   EXPECT_NEAR(result.fault.availability, 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(result.fault.orphaned_tag_s, 60.0 * 0.02, 1e-9);
   EXPECT_EQ(result.fault.reader_outages, 4);
+}
+
+TEST(FleetFaults, BackhaulHookRunsWithoutASchedule) {
+  // No fault schedule, but reader 3 cannot reach a gateway: its tags
+  // re-home to live, reachable readers before the first epoch.
+  FleetConfig config = small_fleet();
+  int calls = 0;
+  config.backhaul_reachable = [&calls](int /*epoch*/,
+                                       const std::vector<std::uint8_t>& live) {
+    ++calls;
+    std::vector<std::uint8_t> reachable = live;
+    reachable[3] = 0;
+    return reachable;
+  };
+  const FleetResult result = FleetSimulator(config).run();
+  EXPECT_EQ(calls, config.epochs);
+  ASSERT_EQ(result.last_epoch.size(), 4u);
+  EXPECT_EQ(result.last_epoch[3].tags_assigned, 0);
+  EXPECT_GT(result.fault.orphan_handoffs, 0);
+  EXPECT_DOUBLE_EQ(result.fault.availability, 1.0);
+  EXPECT_EQ(result.fault.reader_outages, 0);
+}
+
+// --- ReaderCell poll retry machine ---------------------------------------
+// One reader at the origin and one tag a metre in front of it, with the
+// epoch's fault state built by hand so each test says exactly what fails.
+
+class CellRetryTest : public ::testing::Test {
+ protected:
+  CellRetryTest() {
+    tags_.push_back(core::MmTag::prototype_at(
+        core::Pose{{1.0, 0.0}, phys::kPi}, 7));
+    recovery_.quarantine_epochs = 2;
+  }
+
+  ReaderCell make_cell() const {
+    CellConfig config;
+    config.aloha.slot_success_probability = 1.0;  // Discovery never misses.
+    return ReaderCell(
+        0, reader::MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0}),
+        &env_, &rates_, config, recovery_);
+  }
+
+  /// Everything up and lossless; the tag blocked with `block_probability`.
+  static fault::EpochFaults blocked(double block_probability) {
+    fault::EpochFaults faults;
+    faults.reader_up = {1.0};
+    faults.reader_restarted = {0};
+    faults.reader_skew_loss_s = {0.0};
+    faults.tag_brownout = {0};
+    faults.tag_loss_db = {0.0};
+    faults.tag_blocked = {static_cast<std::uint8_t>(
+        block_probability > 0.0 ? 1 : 0)};
+    faults.block_probability = block_probability;
+    return faults;
+  }
+
+  CellEpochResult run(ReaderCell& cell, int epoch,
+                      const fault::EpochFaults& faults) {
+    std::mt19937_64 rng = sim::make_rng(
+        sim::derive_seed(11, static_cast<std::uint64_t>(epoch)));
+    return cell.run_epoch(tags_, roster_, CellPlan{}, epoch * kEpochS,
+                          kEpochS, faults, rng);
+  }
+
+  static constexpr double kEpochS = 0.01;
+  channel::Environment env_;
+  phy::RateTable rates_ = phy::RateTable::mmtag_standard();
+  std::vector<core::MmTag> tags_;
+  std::vector<std::size_t> roster_ = {0};
+  fault::RecoveryConfig recovery_;
+};
+
+TEST_F(CellRetryTest, SilentTagBurnsTheBudgetThenIsQuarantinedOnce) {
+  ReaderCell cell = make_cell();
+  const CellEpochResult result = run(cell, 0, blocked(1.0));
+  EXPECT_EQ(result.tags_discovered, 1);
+  EXPECT_EQ(result.polls_timed_out, recovery_.poll_retry_budget + 1);
+  EXPECT_EQ(result.quarantines, 1);
+  EXPECT_EQ(result.service[0].polls, recovery_.poll_retry_budget + 1);
+  EXPECT_DOUBLE_EQ(result.service[0].delivered_bits, 0.0);
+}
+
+TEST_F(CellRetryTest, QuarantinedTagSitsOutItsSentenceThenIsPolledAgain) {
+  ReaderCell cell = make_cell();
+  ASSERT_EQ(run(cell, 0, blocked(1.0)).quarantines, 1);
+  for (int e = 1; e <= recovery_.quarantine_epochs; ++e) {
+    const CellEpochResult benched = run(cell, e, blocked(0.0));
+    EXPECT_EQ(benched.tags_discovered, 0) << "epoch " << e;
+    EXPECT_FALSE(benched.service[0].read) << "epoch " << e;
+    EXPECT_EQ(benched.service[0].polls, 0) << "epoch " << e;
+  }
+  const CellEpochResult back =
+      run(cell, recovery_.quarantine_epochs + 1, blocked(0.0));
+  EXPECT_EQ(back.tags_discovered, 1);
+  EXPECT_GT(back.service[0].polls, 0);
+  EXPECT_GT(back.service[0].delivered_bits, 0.0);
+  EXPECT_EQ(back.polls_timed_out, 0);
+}
+
+TEST_F(CellRetryTest, AResponseResetsTheFailureCount) {
+  // Each poll is lost with probability 0.25. Without the reset the tag
+  // would be quarantined at its (budget + 1)-th timeout; with it, only
+  // budget + 1 consecutive timeouts bench the tag.
+  ReaderCell cell = make_cell();
+  const CellEpochResult result = run(cell, 0, blocked(0.25));
+  EXPECT_GT(result.polls_timed_out, recovery_.poll_retry_budget + 1);
+  EXPECT_GT(result.service[0].polls, result.polls_timed_out);
+  EXPECT_LE(result.quarantines, 1);
+}
+
+TEST_F(CellRetryTest, RestartClearsTheSentence) {
+  ReaderCell restarted = make_cell();
+  ReaderCell untouched = make_cell();
+  ASSERT_EQ(run(restarted, 0, blocked(1.0)).quarantines, 1);
+  ASSERT_EQ(run(untouched, 0, blocked(1.0)).quarantines, 1);
+  (void)restarted.on_reader_restarted();
+  const CellEpochResult fresh = run(restarted, 1, blocked(0.0));
+  EXPECT_EQ(fresh.tags_discovered, 1);
+  EXPECT_GT(fresh.service[0].polls, 0);
+  EXPECT_EQ(run(untouched, 1, blocked(0.0)).tags_discovered, 0);
+}
+
+// --- Config validation ---------------------------------------------------
+
+/// The simulator must refuse `config` with an error naming `field`.
+void ExpectRejected(const FleetConfig& config, const std::string& field) {
+  try {
+    const FleetSimulator fleet(config);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(FleetValidate, AcceptsDefaultsAndAnEmptyFloor) {
+  EXPECT_NO_THROW(FleetConfig{}.validate());
+  FleetConfig empty = small_fleet();
+  empty.layout.tags = 0;
+  EXPECT_NO_THROW(FleetSimulator{empty});
+}
+
+TEST(FleetValidate, RejectsNoReaders) {
+  FleetConfig config = small_fleet();
+  config.layout.readers = 0;
+  ExpectRejected(config, "LayoutConfig::readers");
+  EXPECT_THROW((void)make_layout(config.layout), std::invalid_argument);
+}
+
+TEST(FleetValidate, RejectsNegativeTagCount) {
+  FleetConfig config = small_fleet();
+  config.layout.tags = -5;
+  ExpectRejected(config, "LayoutConfig::tags");
+}
+
+TEST(FleetValidate, RejectsAFloorNoWiderThanTheMargins) {
+  FleetConfig config = small_fleet();
+  config.layout.width_m = 2.0 * config.layout.margin_m;
+  ExpectRejected(config, "LayoutConfig::width_m");
+}
+
+TEST(FleetValidate, RejectsAFloorNoDeeperThanTheMargins) {
+  FleetConfig config = small_fleet();
+  config.layout.height_m = 0.5 * config.layout.margin_m;
+  ExpectRejected(config, "LayoutConfig::height_m");
+}
+
+TEST(FleetValidate, RejectsANegativeMargin) {
+  FleetConfig config = small_fleet();
+  config.layout.margin_m = -0.1;
+  ExpectRejected(config, "LayoutConfig::margin_m");
+}
+
+TEST(FleetValidate, RejectsZeroEpochs) {
+  FleetConfig config = small_fleet();
+  config.epochs = 0;
+  ExpectRejected(config, "FleetConfig::epochs");
+}
+
+TEST(FleetValidate, RejectsANonPositiveEpochDuration) {
+  FleetConfig config = small_fleet();
+  config.epoch_duration_s = 0.0;
+  ExpectRejected(config, "FleetConfig::epoch_duration_s");
+  config.epoch_duration_s = -0.02;
+  ExpectRejected(config, "FleetConfig::epoch_duration_s");
+}
+
+TEST(FleetValidate, RejectsAMobileFractionOutsideTheUnitInterval) {
+  FleetConfig config = small_fleet();
+  config.mobile_fraction = -0.1;
+  ExpectRejected(config, "FleetConfig::mobile_fraction");
+  config.mobile_fraction = 1.5;
+  ExpectRejected(config, "FleetConfig::mobile_fraction");
+}
+
+TEST(FleetValidate, RejectsANegativeMobileSpeed) {
+  FleetConfig config = small_fleet();
+  config.mobile_speed_mps = -1.0;
+  ExpectRejected(config, "FleetConfig::mobile_speed_mps");
 }
 
 TEST(FleetFaults, FaultedAggregatesBitIdenticalAcrossThreadCounts) {

@@ -139,69 +139,35 @@ TEST(Percentile, PinnedInterpolationBits) {
   EXPECT_DOUBLE_EQ(percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
 }
 
-// --- SoA column overload -------------------------------------------------
-// The streaming summarize_service(ServiceColumns) must agree bit-for-bit
-// with the AoS overload on equal state; the pinned digests above already
-// hold the arithmetic itself fixed.
-
-TEST(SummarizeService, ColumnOverloadMatchesVectorOverloadBitForBit) {
-  constexpr std::size_t n = 257;  // Odd size: percentile ranks interpolate.
-  std::vector<TagService> service(n);
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t % 3 == 0) continue;  // A third never read.
-    service[t].read = true;
-    service[t].first_read_s = 0.001 * static_cast<double>((t * 97) % 251);
-    service[t].delivered_bits = static_cast<double>((t * 31) % 1000);
-    read[t] = 1;
-    first[t] = service[t].first_read_s;
-    bits[t] = service[t].delivered_bits;
-  }
-  const FleetStats from_vec = summarize_service(service, 0.75);
-  const FleetStats from_cols = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 0.75);
-  EXPECT_EQ(fingerprint(from_vec), fingerprint(from_cols));
-  EXPECT_EQ(from_vec.tags_read, from_cols.tags_read);
-  EXPECT_DOUBLE_EQ(from_vec.latency_p95_s, from_cols.latency_p95_s);
-  EXPECT_DOUBLE_EQ(from_vec.jain, from_cols.jain);
-}
+// --- Streaming implementation -------------------------------------------
+// Frozen inputs -> frozen digests for the single-pass summarize_service.
 
 TEST(SummarizeService, ColumnOverloadPinnedDigest) {
-  // Frozen input -> frozen digest: pins the streaming implementation's
-  // arithmetic (single sort + percentile_sorted, inline Jain recurrence)
-  // to the historical materializing behaviour.
+  // Pins the streaming implementation's arithmetic (single sort +
+  // percentile_sorted, inline Jain recurrence) to the historical
+  // materializing behaviour.
   constexpr std::size_t n = 16;
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
+  std::vector<TagService> service(n);
   for (std::size_t t = 0; t < n; ++t) {
     if (t % 4 == 3) continue;
-    read[t] = 1;
-    first[t] = 0.25 + 0.125 * static_cast<double>(t);
-    bits[t] = 64.0 * static_cast<double>(t + 1);
+    service[t].read = true;
+    service[t].first_read_s = 0.25 + 0.125 * static_cast<double>(t);
+    service[t].delivered_bits = 64.0 * static_cast<double>(t + 1);
   }
-  const FleetStats stats = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 2.0);
+  const FleetStats stats = summarize_service(service, 2.0);
   EXPECT_EQ(fingerprint(stats), 0x7a0154437371d9c2ull);
 }
 
 TEST(SummarizeService, ColumnOverloadEmptyAndUnreadCases) {
-  const FleetStats empty = summarize_service(ServiceColumns{}, 1.0);
+  const FleetStats empty = summarize_service({}, 1.0);
   EXPECT_EQ(empty.tags_total, 0);
   EXPECT_TRUE(std::isnan(empty.latency_p50_s));
   EXPECT_DOUBLE_EQ(empty.jain, 0.0);
 
-  // All-unread columns reproduce the canonical-NaN pinned digest of the
-  // AoS overload (same stats block, same hash).
-  constexpr std::size_t n = 4;
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
-  const FleetStats unread = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 1.0);
-  EXPECT_EQ(fingerprint(unread), 0x575c01476ca203a9ull);
+  // All-unread tags reproduce the canonical-NaN pinned digest.
+  const std::vector<TagService> unread(4);
+  EXPECT_EQ(fingerprint(summarize_service(unread, 1.0)),
+            0x575c01476ca203a9ull);
 }
 
 TEST(FleetStatsTable, RendersOneRow) {

@@ -129,107 +129,6 @@ TEST(Polling, EmptyPopulation) {
   EXPECT_DOUBLE_EQ(result.aggregate_throughput_bps(96), 0.0);
 }
 
-TEST(Polling, UnresponsiveTagBurnsTimeoutsAndIsQuarantined) {
-  PollingConfig config;
-  config.retry_budget = 2;
-  config.beam_switch_overhead_s = 0.0;
-  auto scheduler = make_scheduler(config);
-  const auto tags = arc_tags(4, phys::feet_to_m(4.0));
-  std::vector<std::uint8_t> responsive(4, 1);
-  responsive[1] = 0;  // Blocked tag: reachable but silent.
-
-  const PollingResult round1 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(round1.tags_read, 3);
-  EXPECT_EQ(round1.polls_timed_out, 1 + config.retry_budget);
-  EXPECT_EQ(round1.quarantines, 1);
-  EXPECT_EQ(scheduler.quarantined_count(), 1u);
-  bool found = false;
-  for (const PollRecord& record : round1.polls) {
-    if (record.tag_id != tags[1].id()) continue;
-    found = true;
-    EXPECT_TRUE(record.reachable);
-    EXPECT_FALSE(record.quarantined);
-    EXPECT_EQ(record.attempts, 1 + config.retry_budget);
-    // Every unanswered poll holds the channel for one listen window.
-    EXPECT_NEAR(record.time_s,
-                static_cast<double>(record.attempts) * config.poll_timeout_s,
-                1e-12);
-  }
-  EXPECT_TRUE(found);
-
-  // Round 2: the tag serves its one-round sentence — skipped for free.
-  const PollingResult round2 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(round2.tags_read, 3);
-  EXPECT_EQ(round2.polls_timed_out, 0);
-  EXPECT_EQ(round2.quarantines, 0);
-  int skipped = 0;
-  for (const PollRecord& record : round2.polls) {
-    if (!record.quarantined) continue;
-    ++skipped;
-    EXPECT_EQ(record.tag_id, tags[1].id());
-    EXPECT_EQ(record.attempts, 0);
-    EXPECT_DOUBLE_EQ(record.time_s, 0.0);
-  }
-  EXPECT_EQ(skipped, 1);
-  EXPECT_EQ(scheduler.quarantined_count(), 0u);  // Sentence served.
-
-  // Round 3: re-tried, still dark — timeouts and the sentence return.
-  const PollingResult round3 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(round3.polls_timed_out, 1 + config.retry_budget);
-  EXPECT_EQ(round3.quarantines, 1);
-
-  // Once the blockage lifts the tag reads normally again.
-  responsive[1] = 1;
-  (void)scheduler.run_round(tags, {}, &responsive);  // Serves sentence.
-  const PollingResult healed = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(healed.tags_read, 4);
-  EXPECT_EQ(healed.polls_timed_out, 0);
-  EXPECT_EQ(scheduler.quarantined_count(), 0u);
-}
-
-TEST(Polling, LongerSentenceSitsOutMultipleRounds) {
-  PollingConfig config;
-  config.retry_budget = 1;
-  config.quarantine_rounds = 2;
-  auto scheduler = make_scheduler(config);
-  const auto tags = arc_tags(2, phys::feet_to_m(4.0));
-  const std::vector<std::uint8_t> responsive = {1, 0};
-  const PollingResult r1 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(r1.quarantines, 1);
-  EXPECT_EQ(scheduler.quarantined_count(), 1u);
-  const PollingResult r2 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(r2.polls_timed_out, 0);
-  EXPECT_EQ(scheduler.quarantined_count(), 1u);  // One round left.
-  const PollingResult r3 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(r3.polls_timed_out, 0);
-  EXPECT_EQ(scheduler.quarantined_count(), 0u);
-  const PollingResult r4 = scheduler.run_round(tags, {}, &responsive);
-  EXPECT_EQ(r4.polls_timed_out, 1 + config.retry_budget);  // Re-tried.
-}
-
-TEST(Polling, ZeroRetryBudgetKeepsTheLegacyFreeSkip) {
-  PollingConfig config;  // retry_budget = 0: retry machinery disabled.
-  auto scheduler = make_scheduler(config);
-  const auto tags = arc_tags(3, phys::feet_to_m(4.0));
-  const std::vector<std::uint8_t> nobody(3, 0);
-  const PollingResult result = scheduler.run_round(tags, {}, &nobody);
-  EXPECT_EQ(result.tags_read, 0);
-  EXPECT_EQ(result.polls_timed_out, 0);
-  EXPECT_EQ(result.quarantines, 0);
-  EXPECT_DOUBLE_EQ(result.total_time_s, 0.0);
-  EXPECT_EQ(scheduler.quarantined_count(), 0u);
-
-  // An all-answering mask is indistinguishable from no mask at all.
-  const std::vector<std::uint8_t> everybody(3, 1);
-  auto masked_scheduler = make_scheduler(config);
-  auto plain_scheduler = make_scheduler(config);
-  const PollingResult masked =
-      masked_scheduler.run_round(tags, {}, &everybody);
-  const PollingResult plain = plain_scheduler.run_round(tags, {});
-  EXPECT_EQ(masked.tags_read, plain.tags_read);
-  EXPECT_DOUBLE_EQ(masked.total_time_s, plain.total_time_s);
-}
-
 // Property: total time equals the sum of per-poll times.
 class PollingAccountingTest : public ::testing::TestWithParam<int> {};
 

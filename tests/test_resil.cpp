@@ -254,7 +254,9 @@ TEST(Admission, ShedsToTheLowWatermarkLowestPriorityFirst) {
   EXPECT_EQ(plan.admitted[2], 1);
   // Classes 0 and 1 ride through untouched.
   for (std::size_t f = 0; f < 30; ++f) {
-    if (f % 4 <= 1) EXPECT_EQ(plan.admitted[f], 1) << "flow " << f;
+    if (f % 4 <= 1) {
+      EXPECT_EQ(plan.admitted[f], 1) << "flow " << f;
+    }
   }
   if constexpr (obs::kObsEnabled) {
     EXPECT_EQ(obs::Registry::instance().counter("resil.shed.flows").value(),

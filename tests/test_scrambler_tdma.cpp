@@ -1,7 +1,6 @@
-// Scrambler and TDMA-coordinator tests (src/phy/scrambler, src/mac/tdma).
+// Scrambler tests (src/phy/scrambler).
 #include <gtest/gtest.h>
 
-#include "src/mac/tdma.hpp"
 #include "src/phy/scrambler.hpp"
 #include "src/sim/rng.hpp"
 
@@ -70,57 +69,6 @@ TEST(Scrambler, LongestRunHelper) {
   EXPECT_EQ(Scrambler::longest_run({true}), 1u);
   EXPECT_EQ(Scrambler::longest_run({true, true, false, false, false, true}),
             3u);
-}
-
-TEST(Tdma, SharesFollowWeights) {
-  const mac::TdmaCoordinator coordinator(1.0, 0.0);
-  const std::vector<mac::TdmaReaderDemand> demands = {
-      {"a", 1e9, 1.0}, {"b", 1e9, 3.0}};
-  const mac::TdmaSchedule schedule = coordinator.build(demands);
-  ASSERT_EQ(schedule.slots.size(), 2u);
-  EXPECT_NEAR(schedule.share(0), 0.25, 1e-12);
-  EXPECT_NEAR(schedule.share(1), 0.75, 1e-12);
-}
-
-TEST(Tdma, SlotsAreContiguousAndOrdered) {
-  const mac::TdmaCoordinator coordinator(2.0, 0.01);
-  const std::vector<mac::TdmaReaderDemand> demands = {
-      {"a", 1e9, 1.0}, {"b", 1e9, 1.0}, {"c", 1e9, 1.0}};
-  const mac::TdmaSchedule schedule = coordinator.build(demands);
-  double cursor = 0.0;
-  for (const auto& slot : schedule.slots) {
-    EXPECT_GE(slot.start_s, cursor);
-    cursor = slot.start_s + slot.duration_s;
-  }
-  EXPECT_LE(cursor, 2.0 + 1e-12);
-}
-
-TEST(Tdma, GuardTimeReducesAirtime) {
-  const std::vector<mac::TdmaReaderDemand> demands = {
-      {"a", 1e9, 1.0}, {"b", 1e9, 1.0}};
-  const mac::TdmaSchedule no_guard =
-      mac::TdmaCoordinator(1.0, 0.0).build(demands);
-  const mac::TdmaSchedule guarded =
-      mac::TdmaCoordinator(1.0, 0.05).build(demands);
-  EXPECT_LT(guarded.share(0), no_guard.share(0));
-}
-
-TEST(Tdma, EffectiveRateMatchesE6Column) {
-  // 4 equal readers at 1 Gbps solo -> 250 Mbps each, matching the E6
-  // bench's TDM column (with zero guard).
-  const mac::TdmaCoordinator coordinator(1.0, 0.0);
-  const std::vector<mac::TdmaReaderDemand> demands(
-      4, mac::TdmaReaderDemand{"r", 1e9, 1.0});
-  const mac::TdmaSchedule schedule = coordinator.build(demands);
-  EXPECT_NEAR(
-      mac::TdmaCoordinator::effective_rate_bps(schedule, demands[0], 0),
-      250e6, 1.0);
-}
-
-TEST(Tdma, EmptyDemandsProduceEmptySchedule) {
-  const mac::TdmaCoordinator coordinator(1.0, 0.01);
-  const mac::TdmaSchedule schedule = coordinator.build({});
-  EXPECT_TRUE(schedule.slots.empty());
 }
 
 }  // namespace

@@ -230,6 +230,15 @@ TEST(TrafficEngine, RejectsAnInvalidArqConfig) {
   EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
 }
 
+TEST(TrafficEngine, RejectsAnInvalidLayout) {
+  TrafficConfig config = small_config();
+  config.layout.readers = 0;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+  config = small_config();
+  config.layout.tags = -5;
+  EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+}
+
 TEST(TrafficEngine, ZeroFlowsYieldEmptyReport) {
   TrafficConfig config = small_config();
   config.flows = 0;
