@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # CI entry point: a check that docs/ARCHITECTURE.md's lines-per-subsystem
 # total matches the tree, tier-1 verify in Release and Debug with warnings
-# as errors (test suite run twice: forced-scalar and auto SIMD dispatch), the
-# kernel-backend determinism gate, an ASan+UBSan pass over the test
+# as errors (test suite run twice: forced-scalar and auto SIMD dispatch), a
+# Release -Werror build with MMTAG_OBS=OFF that runs the pinned digests, the
+# traffic suite and the metric tests, the kernel-backend determinism gate,
+# an ASan+UBSan pass over the test
 # suite, a bench-smoke stage whose one table-driven loop writes and
 # self-compares nine BENCH_*.json reports (the fault, net, backhaul,
 # metro, control-plane and impairment benches under the sanitizers, plus
@@ -41,6 +43,20 @@ for config in Release Debug; do
     (cd "${build_dir}" && MMTAG_KERN="${kern}" ctest --output-on-failure -j "$@")
   done
 done
+
+echo "=== MMTAG_OBS=OFF Release build (-Werror) ==="
+# Instrumentation compiled out: no pinned digest or traffic result may
+# depend on the if-constexpr obs branches (the traffic engine publishes its
+# histograms in one); the obs tests skip rather than fail.
+build_dir="build-ci-noobs"
+cmake -B "${build_dir}" -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="-Werror" \
+  -DMMTAG_OBS=OFF
+cmake --build "${build_dir}" -j --target test_pinned_digests test_traffic \
+  test_obs_metrics
+(cd "${build_dir}" && ctest --output-on-failure \
+  -R '^(test_pinned_digests|test_traffic|test_obs_metrics)$' -j "$@")
 
 echo "=== Kernel-backend determinism gate ==="
 "build-ci-release/bench/bench_e4_ber" --check-kern
@@ -126,4 +142,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line table, Release + Debug (-Werror, scalar+auto), kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line table, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="

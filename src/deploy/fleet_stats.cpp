@@ -1,6 +1,5 @@
 #include "src/deploy/fleet_stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/obs/stats.hpp"
@@ -11,8 +10,8 @@ namespace mmtag::deploy {
 // bench harness and the fleet layer share one definition of a percentile.
 // Outputs are pinned bit-identical to the pre-refactor private copies by
 // test_fleet_stats regression values.
-double percentile(std::vector<double> values, double pct) {
-  return obs::percentile(std::move(values), pct);
+double percentile(const std::vector<double>& values, double pct) {
+  return obs::percentile(values, pct);
 }
 
 double jain_fairness(const std::vector<double>& values) {
@@ -24,9 +23,9 @@ double jain_fairness(const std::vector<double>& values) {
 //   * the Jain accumulators run over read tags' goodputs in tag order —
 //     the exact element order obs::jain_fairness saw, with the same
 //     sum / sum_sq recurrence and the same empty/all-zero guards;
-//   * the latency sample is sorted once and interrogated through
-//     obs::percentile_sorted, which is what obs::percentile does to its
-//     private copy — same sorted sequence, same interpolation.
+//   * the latency sample goes through obs::percentiles once for all
+//     three ranks — the same order statistics and interpolation a sort
+//     plus obs::percentile_sorted produced.
 // test_fleet_stats pins the resulting digests.
 FleetStats summarize_service(const std::vector<TagService>& service,
                              double duration_s) {
@@ -50,10 +49,11 @@ FleetStats summarize_service(const std::vector<TagService>& service,
     jain_sum += goodput;
     jain_sum_sq += goodput * goodput;
   }
-  std::sort(latencies.begin(), latencies.end());
-  stats.latency_p50_s = obs::percentile_sorted(latencies, 50.0);
-  stats.latency_p95_s = obs::percentile_sorted(latencies, 95.0);
-  stats.latency_p99_s = obs::percentile_sorted(latencies, 99.0);
+  const std::vector<double> latency =
+      obs::percentiles({latencies}, {50.0, 95.0, 99.0});
+  stats.latency_p50_s = latency[0];
+  stats.latency_p95_s = latency[1];
+  stats.latency_p99_s = latency[2];
   stats.goodput_mean_bps =
       stats.tags_read == 0
           ? 0.0

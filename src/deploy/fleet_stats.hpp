@@ -17,10 +17,11 @@
 namespace mmtag::deploy {
 
 /// Linear-interpolation percentile (pct in [0, 100]) of `values`.
-/// The input need not be sorted; a copy is sorted internally.
-/// Empty input returns NaN. Delegates to obs::percentile (the canonical
-/// implementation shared with the bench harness).
-[[nodiscard]] double percentile(std::vector<double> values, double pct);
+/// The input need not be sorted. Empty input returns NaN. Delegates to
+/// obs::percentile (the canonical implementation shared with the bench
+/// harness).
+[[nodiscard]] double percentile(const std::vector<double>& values,
+                                double pct);
 
 /// Jain fairness index (sum x)^2 / (n * sum x^2) in (0, 1]; 1 means all
 /// shares equal. Empty or all-zero input returns 0. Delegates to
@@ -82,8 +83,8 @@ struct FleetStats {
 ///
 /// Streams: goodput sums and the Jain accumulators are carried inline in
 /// tag order (no per-tag goodput vector), and the one irreducible buffer —
-/// the read tags' latency sample, which exact percentiles must sort — is
-/// filled once and sorted once instead of copied per percentile call.
+/// the read tags' latency sample — is filled once and handed to
+/// obs::percentiles for all three ranks.
 /// Outputs are pinned bit-identical to the pre-streaming implementation by
 /// test_fleet_stats digests.
 [[nodiscard]] FleetStats summarize_service(

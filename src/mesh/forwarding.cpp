@@ -454,15 +454,13 @@ MeshStats MeshNetwork::finish(double horizon_s) {
     stats_.breakers_open_end =
         static_cast<std::uint64_t>(breakers_.open_count());
   }
-  stats_.latency_p50_s = latencies_s_.empty()
-                             ? 0.0
-                             : obs::percentile(latencies_s_, 50.0);
-  stats_.latency_p95_s = latencies_s_.empty()
-                             ? 0.0
-                             : obs::percentile(latencies_s_, 95.0);
-  stats_.latency_p99_s = latencies_s_.empty()
-                             ? 0.0
-                             : obs::percentile(latencies_s_, 99.0);
+  const std::vector<double> latency =
+      latencies_s_.empty()
+          ? std::vector<double>(3, 0.0)
+          : obs::percentiles({latencies_s_}, {50.0, 95.0, 99.0});
+  stats_.latency_p50_s = latency[0];
+  stats_.latency_p95_s = latency[1];
+  stats_.latency_p99_s = latency[2];
   if (!stretches_.empty()) {
     double sum = 0.0;
     double max = 1.0;

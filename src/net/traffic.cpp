@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -151,6 +154,29 @@ void TrafficConfig::validate() const {
   }
   if (pool_packets < 1) {
     throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
+  }
+  if (!(ack_bits >= 0.0)) {
+    throw std::invalid_argument("TrafficConfig::ack_bits must be >= 0");
+  }
+  if (discovery_epochs < 0) {
+    throw std::invalid_argument(
+        "TrafficConfig::discovery_epochs must be >= 0");
+  }
+  if (!(epoch_duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "TrafficConfig::epoch_duration_s must be > 0");
+  }
+  if (!(rate.history_alpha > 0.0 && rate.history_alpha <= 1.0)) {
+    throw std::invalid_argument(
+        "TrafficConfig::rate.history_alpha must be in (0, 1]");
+  }
+  if (!(rate.down_threshold <= rate.up_threshold)) {
+    throw std::invalid_argument(
+        "TrafficConfig::rate.down_threshold must be <= rate.up_threshold");
+  }
+  if (rate.up_dwell_rounds < 1) {
+    throw std::invalid_argument(
+        "TrafficConfig::rate.up_dwell_rounds must be >= 1");
   }
   layout.validate();
   arq.validate();
@@ -315,16 +341,29 @@ TrafficReport TrafficEngine::run() {
             config_.faults.blockage, config_.horizon_s, rng);
         const std::vector<fault::Outage>& downtime = outages[r];
 
+        // Outside an outage the success probability depends only on the
+        // tier and on whether a blockage burst is up, so the closed form
+        // runs once per (tier, blocked) pair instead of per transmission.
+        std::vector<double> success_memo(
+            2 * rates.tiers().size(),
+            std::numeric_limits<double>::quiet_NaN());
         const ChannelFn channel = [&](double now_s) {
           if (in_outage(downtime, now_s)) return 0.0;
-          double rx_dbm = power_dbm;
-          double scale = 1.0;
-          if (in_outage(bursts, now_s)) {
-            rx_dbm -= config_.faults.blockage.attenuation_db;
-            scale = 1.0 - config_.faults.blockage.block_probability;
+          const bool blocked = in_outage(bursts, now_s);
+          double& success =
+              success_memo[2 * controller.tier_index() + (blocked ? 1 : 0)];
+          if (std::isnan(success)) {
+            double rx_dbm = power_dbm;
+            double scale = 1.0;
+            if (blocked) {
+              rx_dbm -= config_.faults.blockage.attenuation_db;
+              scale = 1.0 - config_.faults.blockage.block_probability;
+            }
+            success = scale * packet_success_probability(
+                                  rates, controller.tier(), rx_dbm,
+                                  packet_chips);
           }
-          return scale * packet_success_probability(
-                             rates, controller.tier(), rx_dbm, packet_chips);
+          return success;
         };
         AdaptFn adapt;
         if (config_.adapt_rate) {
@@ -349,11 +388,12 @@ TrafficReport TrafficEngine::run() {
       &report.sweep);
 
   // --- Aggregation, flow order. ------------------------------------------
+  // Latency percentiles select over the flows' own latency vectors: no
+  // pooled copy, no sort.
   std::vector<double> goodputs;
   goodputs.reserve(flow_count);
-  std::vector<double> latencies;
-  latencies.reserve(flow_count *
-                    static_cast<std::size_t>(config_.packets_per_flow));
+  std::vector<std::span<const double>> latencies;
+  latencies.reserve(flow_count);
   for (const FlowResult& flow : report.per_flow) {
     if (flow.shed) continue;  // Never offered; excluded from fairness too.
     report.packets_offered += flow.arq.packets_offered;
@@ -367,8 +407,7 @@ TrafficReport TrafficEngine::run() {
     report.goodput_total_bps += flow.goodput_bps;
     report.elapsed_max_s = std::max(report.elapsed_max_s, flow.arq.elapsed_s);
     goodputs.push_back(flow.goodput_bps);
-    latencies.insert(latencies.end(), flow.arq.delivery_latency_s.begin(),
-                     flow.arq.delivery_latency_s.end());
+    latencies.emplace_back(flow.arq.delivery_latency_s);
   }
   report.goodput_mean_bps =
       report.flows_admitted > 0
@@ -376,11 +415,12 @@ TrafficReport TrafficEngine::run() {
                 static_cast<double>(report.flows_admitted)
           : 0.0;
   report.jain = obs::jain_fairness(goodputs);
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    report.latency_p50_s = obs::percentile_sorted(latencies, 50.0);
-    report.latency_p95_s = obs::percentile_sorted(latencies, 95.0);
-    report.latency_p99_s = obs::percentile_sorted(latencies, 99.0);
+  if (report.packets_delivered > 0) {  // One latency per delivery.
+    const std::vector<double> latency =
+        obs::percentiles(latencies, {50.0, 95.0, 99.0});
+    report.latency_p50_s = latency[0];
+    report.latency_p95_s = latency[1];
+    report.latency_p99_s = latency[2];
   }
   report.sweep.units = static_cast<std::uint64_t>(report.transmissions);
 
@@ -396,14 +436,19 @@ TrafficReport TrafficEngine::run() {
           static_cast<std::uint64_t>(report.flows_shed) *
           static_cast<std::uint64_t>(config_.packets_per_flow));
     }
+    // Histograms fill locally and publish once: one atomic add per
+    // touched bucket instead of three per recorded value.
+    obs::Histogram::Snapshot goodput_kbps;
+    obs::Histogram::Snapshot latency_us;
     for (const FlowResult& flow : report.per_flow) {
       if (flow.shed) continue;
-      goodput_metric().record(
-          static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
+      goodput_kbps.record(static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
+      for (const double latency_s : flow.arq.delivery_latency_s) {
+        latency_us.record(static_cast<std::uint64_t>(latency_s * 1e6));
+      }
     }
-    for (const double latency_s : latencies) {
-      latency_metric().record(static_cast<std::uint64_t>(latency_s * 1e6));
-    }
+    goodput_metric().add(goodput_kbps);
+    latency_metric().add(latency_us);
   }
   return report;
 }

@@ -282,17 +282,18 @@ int Harness::run() {
       report.units = ctx.units();
       report.unit_name = ctx.unit_name();
     }
-    std::sort(wall_ns.begin(), wall_ns.end());
-    std::sort(cpu_ns.begin(), cpu_ns.end());
-    report.wall_min_ns = wall_ns.front();
-    report.wall_max_ns = wall_ns.back();
-    report.wall_median_ns = obs::percentile_sorted(wall_ns, 50.0);
-    report.wall_p90_ns = obs::percentile_sorted(wall_ns, 90.0);
+    const std::vector<double> wall =
+        obs::percentiles({wall_ns}, {0.0, 50.0, 90.0, 100.0});
+    report.wall_min_ns = wall[0];
+    report.wall_median_ns = wall[1];
+    report.wall_p90_ns = wall[2];
+    report.wall_max_ns = wall[3];
     double total = 0.0;
     for (const double v : wall_ns) total += v;
     report.wall_mean_ns = total / static_cast<double>(wall_ns.size());
-    report.cpu_median_ns = obs::percentile_sorted(cpu_ns, 50.0);
-    report.cpu_p90_ns = obs::percentile_sorted(cpu_ns, 90.0);
+    const std::vector<double> cpu = obs::percentiles({cpu_ns}, {50.0, 90.0});
+    report.cpu_median_ns = cpu[0];
+    report.cpu_p90_ns = cpu[1];
     case_reports_.push_back(std::move(report));
   }
 

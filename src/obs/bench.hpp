@@ -18,8 +18,8 @@
 // default configuration and masquerade as a measurement.
 //
 // Timing uses the steady clock for wall time and the process CPU clock
-// for cpu time; summaries (median/p90/min/max/mean) come from
-// obs::percentile so the bench layer and the fleet layer agree on what a
+// for cpu time; summaries (median/p90/min/max, plus the mean) come from
+// obs::percentiles so the bench layer and the fleet layer agree on what a
 // percentile is. Case bodies report their work through
 // CaseContext::set_units, which turns medians into throughput.
 #pragma once

@@ -99,6 +99,21 @@ std::uint64_t Histogram::Snapshot::fingerprint() const noexcept {
   return hash;
 }
 
+void Histogram::add(const Snapshot& snap) noexcept {
+  if constexpr (!kObsEnabled) {
+    (void)snap;
+    return;
+  }
+  for (std::size_t b = 0; b < snap.buckets.size(); ++b) {
+    if (snap.buckets[b] != 0) {
+      buckets_[b].fetch_add(snap.buckets[b], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(snap.count, std::memory_order_relaxed);
+  sum_.fetch_add(snap.sum, std::memory_order_relaxed);
+  rejected_.fetch_add(snap.rejected, std::memory_order_relaxed);
+}
+
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot snap;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {

@@ -5,6 +5,8 @@
 //   * Recording is wait-free. A Counter spreads adds over cache-line-padded
 //     shards indexed by a per-thread round-robin slot; a Histogram does one
 //     relaxed fetch_add on the value's bucket. No locks, no allocation.
+//     A loop that records many values can fill a plain Histogram::Snapshot
+//     instead and publish it with one add() per bucket it touched.
 //   * Aggregation is deterministic. Reads (value(), snapshot()) walk the
 //     shards/buckets in fixed index order, and every accumulated quantity
 //     is an unsigned integer, so the total is bit-identical no matter how
@@ -142,12 +144,20 @@ class Histogram {
 
   void reset() noexcept;
 
-  /// Plain copy of the bucket state for merging and fingerprinting.
+  /// Plain copy of the bucket state for merging and fingerprinting; also
+  /// a thread-local builder that add() publishes in one shot.
   struct Snapshot {
     std::array<std::uint64_t, kBuckets + 1> buckets{};
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t rejected = 0;
+
+    /// Non-atomic twin of Histogram::record(std::uint64_t).
+    void record(std::uint64_t value) noexcept {
+      ++buckets[bucket_index(value)];
+      ++count;
+      sum += value;
+    }
 
     /// Fixed-order elementwise add: merging per-thread snapshots in any
     /// grouping yields identical totals.
@@ -158,6 +168,11 @@ class Histogram {
   };
 
   [[nodiscard]] Snapshot snapshot() const noexcept;
+
+  /// Publish a locally built snapshot: one relaxed add per non-empty
+  /// bucket plus the totals. Leaves the same state as calling record()
+  /// once per value the snapshot holds.
+  void add(const Snapshot& snap) noexcept;
 
   /// Bucket index for a value (kOverflowBucket never returned here: all
   /// uint64 values map into the finite layout).

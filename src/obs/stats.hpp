@@ -10,14 +10,30 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mmtag::obs {
 
-/// Linear-interpolation percentile (pct in [0, 100]) of `values`. The
-/// input need not be sorted; a copy is sorted internally. Empty input
-/// returns NaN.
-[[nodiscard]] double percentile(std::vector<double> values, double pct);
+/// Exact linear-interpolation percentiles (each pct in [0, 100], clamped)
+/// of the union of `parts`, one result per entry of `pcts`, in order.
+/// Bit-identical to concatenating the parts, sorting, and calling
+/// percentile_sorted once per pct — without the concatenated copy or the
+/// sort: one pass counts every value by the top bits of an
+/// order-preserving key (up to 16, fewer for small samples), a second
+/// gathers only the buckets that hold a needed rank, and nth_element
+/// selects inside those. Parts may be empty and in any order. The input
+/// must be NaN-free (NaN has no rank). An empty union returns NaN for
+/// every pct.
+[[nodiscard]] std::vector<double> percentiles(
+    const std::vector<std::span<const double>>& parts,
+    const std::vector<double>& pcts);
+
+/// Linear-interpolation percentile (pct in [0, 100]) of `values`, which
+/// need not be sorted: the one-part, one-pct case of percentiles(). Empty
+/// input returns NaN.
+[[nodiscard]] double percentile(const std::vector<double>& values,
+                                double pct);
 
 /// Percentile over an already-sorted sample (no copy, no sort).
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,

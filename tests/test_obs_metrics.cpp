@@ -174,6 +174,35 @@ TEST(HistogramSnapshot, MergeAddsCountsAndChangesFingerprint) {
   EXPECT_NE(merged.fingerprint(), before);
 }
 
+TEST(Histogram, AddingALocalSnapshotEqualsRecordingEachValue) {
+  MMTAG_SKIP_IF_OBS_DISABLED();
+  std::vector<std::uint64_t> values = {
+      0, 1, 15, 16, 17, 1000, 1000, 123'456'789,
+      std::numeric_limits<std::uint64_t>::max()};
+  for (std::uint64_t i = 0; i < 5000; ++i) values.push_back(i * i % 70'001);
+
+  Histogram per_value;
+  Histogram batched;
+  // Both start from the same non-empty state: add() accumulates.
+  per_value.record(static_cast<std::uint64_t>(42));
+  batched.record(static_cast<std::uint64_t>(42));
+  Histogram::Snapshot local;
+  for (const std::uint64_t v : values) {
+    per_value.record(v);
+    local.record(v);
+  }
+  batched.add(local);
+
+  const Histogram::Snapshot want = per_value.snapshot();
+  const Histogram::Snapshot got = batched.snapshot();
+  EXPECT_EQ(got.fingerprint(), want.fingerprint());
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  // An empty snapshot publishes nothing.
+  batched.add(Histogram::Snapshot{});
+  EXPECT_EQ(batched.snapshot().fingerprint(), want.fingerprint());
+}
+
 TEST(Registry, ReturnsStableReferencesByName) {
   Registry& registry = Registry::instance();
   Counter& a = registry.counter("test.registry.counter");

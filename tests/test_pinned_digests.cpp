@@ -166,5 +166,18 @@ TEST(PinnedDigests, LossySrArqSession) {
   EXPECT_EQ(digest(result), 0x5b6bff244b87c131ull);
 }
 
+TEST(PinnedDigests, N1PerFlowArqResults) {
+  // net::fingerprint covers the aggregates; this pins every flow's own
+  // SR-ARQ result, its delivery latencies in order included.
+  net::TrafficConfig config = n1_config();
+  config.faults = fault::FaultSchedule::chaos(0.5);
+  const net::TrafficReport report = net::TrafficEngine(config).run();
+  obs::Fnv1a hasher;
+  for (const net::FlowResult& flow : report.per_flow) {
+    hasher.mix_u64(digest(flow.arq));
+  }
+  EXPECT_EQ(hasher.digest(), 0x5d80f42afd1a1a81ull);
+}
+
 }  // namespace
 }  // namespace mmtag

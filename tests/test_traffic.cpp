@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/net/rate_control.hpp"
+#include "src/obs/gate.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/stats.hpp"
 #include "src/phy/rate_table.hpp"
 
 namespace mmtag::net {
@@ -237,6 +244,119 @@ TEST(TrafficEngine, RejectsAnInvalidLayout) {
   config = small_config();
   config.layout.tags = -5;
   EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+}
+
+/// Expects construction to throw std::invalid_argument naming `field`.
+void expect_rejected(const TrafficConfig& config, const std::string& field) {
+  try {
+    const TrafficEngine engine(config);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(TrafficEngine, RejectsAHistoryAlphaOutsideTheUnitInterval) {
+  for (const double alpha : {0.0, -0.25, 1.5, kNaN}) {
+    TrafficConfig config = small_config();
+    config.rate.history_alpha = alpha;
+    expect_rejected(config, "rate.history_alpha");
+  }
+  TrafficConfig config = small_config();
+  config.rate.history_alpha = 1.0;
+  EXPECT_NO_THROW(TrafficEngine{config});
+}
+
+TEST(TrafficEngine, RejectsADownThresholdAboveTheUpThreshold) {
+  TrafficConfig config = small_config();
+  config.rate.down_threshold = 0.95;
+  config.rate.up_threshold = 0.9;
+  expect_rejected(config, "rate.down_threshold");
+  config.rate.down_threshold = 0.9;
+  EXPECT_NO_THROW(TrafficEngine{config});
+}
+
+TEST(TrafficEngine, RejectsAnUpDwellBelowOneRound) {
+  TrafficConfig config = small_config();
+  config.rate.up_dwell_rounds = 0;
+  expect_rejected(config, "rate.up_dwell_rounds");
+}
+
+TEST(TrafficEngine, RejectsNegativeDiscoveryEpochs) {
+  TrafficConfig config = small_config();
+  config.discovery_epochs = -1;
+  expect_rejected(config, "discovery_epochs");
+}
+
+TEST(TrafficEngine, RejectsANonPositiveEpochDuration) {
+  for (const double duration : {0.0, -0.05, kNaN}) {
+    TrafficConfig config = small_config();
+    config.epoch_duration_s = duration;
+    expect_rejected(config, "epoch_duration_s");
+  }
+}
+
+TEST(TrafficEngine, RejectsNegativeOrNaNAckBits) {
+  for (const double bits : {-1.0, kNaN}) {
+    TrafficConfig config = small_config();
+    config.ack_bits = bits;
+    expect_rejected(config, "ack_bits");
+  }
+  TrafficConfig config = small_config();
+  config.ack_bits = 0.0;
+  EXPECT_NO_THROW(TrafficEngine{config});
+}
+
+TEST(TrafficEngine, LatencyPercentilesEqualTheSortedPool) {
+  TrafficConfig config = small_config();
+  config.faults = fault::FaultSchedule::chaos(0.5);
+  const TrafficReport report = TrafficEngine(config).run();
+  std::vector<double> pooled;
+  for (const FlowResult& flow : report.per_flow) {
+    pooled.insert(pooled.end(), flow.arq.delivery_latency_s.begin(),
+                  flow.arq.delivery_latency_s.end());
+  }
+  ASSERT_FALSE(pooled.empty());
+  std::sort(pooled.begin(), pooled.end());
+  EXPECT_EQ(report.latency_p50_s, obs::percentile_sorted(pooled, 50.0));
+  EXPECT_EQ(report.latency_p95_s, obs::percentile_sorted(pooled, 95.0));
+  EXPECT_EQ(report.latency_p99_s, obs::percentile_sorted(pooled, 99.0));
+}
+
+TEST(TrafficEngine, LatencyHistogramEqualsRecordingEveryLatency) {
+  if constexpr (!obs::kObsEnabled) {
+    GTEST_SKIP() << "MMTAG_OBS=0: recording compiled to no-op";
+  }
+  obs::Histogram& published =
+      obs::Registry::instance().histogram("net.traffic.latency_us");
+  TrafficConfig config = small_config();
+  config.faults = fault::FaultSchedule::chaos(0.5);
+  const obs::Histogram::Snapshot before = published.snapshot();
+  const TrafficReport report = TrafficEngine(config).run();
+  const obs::Histogram::Snapshot after = published.snapshot();
+
+  obs::Histogram::Snapshot delta;
+  for (std::size_t b = 0; b < delta.buckets.size(); ++b) {
+    delta.buckets[b] = after.buckets[b] - before.buckets[b];
+  }
+  delta.count = after.count - before.count;
+  delta.sum = after.sum - before.sum;
+  delta.rejected = after.rejected - before.rejected;
+
+  obs::Histogram one_by_one;
+  for (const FlowResult& flow : report.per_flow) {
+    for (const double latency_s : flow.arq.delivery_latency_s) {
+      one_by_one.record(static_cast<std::uint64_t>(latency_s * 1e6));
+    }
+  }
+  const obs::Histogram::Snapshot want = one_by_one.snapshot();
+  EXPECT_GT(want.count, 0u);
+  EXPECT_EQ(delta.count, want.count);
+  EXPECT_EQ(delta.sum, want.sum);
+  EXPECT_EQ(delta.fingerprint(), want.fingerprint());
 }
 
 TEST(TrafficEngine, ZeroFlowsYieldEmptyReport) {
