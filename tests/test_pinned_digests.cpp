@@ -8,13 +8,19 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 
 #include "src/deploy/fleet.hpp"
 #include "src/fault/engine.hpp"
+#include "src/mesh/backhaul.hpp"
 #include "src/net/packet.hpp"
 #include "src/net/sr_arq.hpp"
 #include "src/net/traffic.hpp"
 #include "src/obs/stats.hpp"
+#include "src/phy/rate_table.hpp"
+#include "src/resil/domain.hpp"
+#include "src/scale/world.hpp"
+#include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag {
@@ -177,6 +183,93 @@ TEST(PinnedDigests, N1PerFlowArqResults) {
     hasher.mix_u64(digest(flow.arq));
   }
   EXPECT_EQ(hasher.digest(), 0x5d80f42afd1a1a81ull);
+}
+
+// bench_m1_mesh's backhaul_config: ~10% reader outages plus a scripted
+// incident on the gateway's two nearest transit readers for epochs 1-2.
+mesh::BackhaulConfig m1_config(int readers, int tags) {
+  mesh::BackhaulConfig config;
+  const double side = 4.0 * std::max(1.0, std::sqrt(readers));
+  config.fleet.layout.width_m = side;
+  config.fleet.layout.height_m = side;
+  config.fleet.layout.readers = readers;
+  config.fleet.layout.tags = tags;
+  config.fleet.layout.seed = 1;
+  config.fleet.epochs = 3;
+  config.fleet.epoch_duration_s = 0.4;
+  config.fleet.seed = 1;
+  fault::ReaderOutageModel& outages = config.fleet.faults.outages;
+  outages.rate_hz = 0.25;
+  outages.mean_duration_s = 0.4;
+  const double epoch_s = config.fleet.epoch_duration_s;
+  const int cols =
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(readers))));
+  for (const int transit : {1, cols}) {
+    outages.scripted.push_back(
+        fault::ScriptedOutage{transit, epoch_s, 2.0 * epoch_s + 0.01});
+  }
+  config.topology.gateways = {0, readers - 1};
+  config.topology.link.max_range_m = 6.0;
+  return config;
+}
+
+TEST(PinnedDigests, M1MeshCiSize) {
+  // bench_m1_mesh --readers 16 --tags 200 --epochs 3 (the CI smoke size).
+  const mesh::BackhaulReport report =
+      mesh::BackhaulSimulator(m1_config(16, 200)).run();
+  EXPECT_EQ(mesh::fingerprint(report), 0xeeaa979e0f41cd7bull);
+}
+
+TEST(PinnedDigests, M1MeshDefault) {
+  const mesh::BackhaulReport report =
+      mesh::BackhaulSimulator(m1_config(64, 1024)).run();
+  EXPECT_EQ(mesh::fingerprint(report), 0x2600362dde8d9cddull);
+}
+
+// bench_r1_resil's resil_metro_config at --grid 4 --metro-tags 3000.
+scale::MetroConfig r1_config() {
+  scale::MetroConfig config;
+  const scale::BatchLinkModel model = scale::BatchLinkModel::from_budget(
+      config.budget, phy::RateTable::mmtag_standard());
+  const double spacing = 0.6 * std::sqrt(model.tier_r2_m2.front());
+  config.readers_x = 4;
+  config.readers_y = 4;
+  config.width_m = spacing * 4;
+  config.height_m = spacing * 4;
+  config.index_cell_m = std::max(0.5, spacing / 4.0);
+  config.tags = 3000;
+  config.polls_per_reader = 512;
+  config.health.probe_interval_epochs = 4;
+  config.seed = 1;
+  return config;
+}
+
+/// State and monitor digests (0 without a control plane) after R1's 12
+/// metro epochs.
+std::pair<std::uint64_t, std::uint64_t> run_r1(
+    const scale::MetroConfig& config) {
+  scale::MetroWorld world(config);
+  sim::ThreadPool pool(2);
+  for (int e = 0; e < 12; ++e) (void)world.run_epoch(pool);
+  return {world.state_fingerprint(),
+          world.monitor() != nullptr ? world.monitor()->fingerprint() : 0};
+}
+
+TEST(PinnedDigests, R1ControlPlaneDefault) {
+  // The 2x2 incident over epochs [2, 10) with the monitor steering.
+  scale::MetroConfig config = r1_config();
+  config.domains.domains.push_back(resil::OutageDomain{0, 0, 1, 1, 2, 10});
+  config.control_plane = true;
+  const auto [state, monitor] = run_r1(config);
+  EXPECT_EQ(state, 0x4ec95e25322f0dfcull);
+  EXPECT_EQ(monitor, 0xe9ee56837482ec49ull);
+}
+
+TEST(PinnedDigests, R1LegacyAndDormantDefault) {
+  scale::MetroConfig dormant = r1_config();
+  dormant.domains.domains.push_back(resil::OutageDomain{0, 0, 0, 0, 0, 0});
+  EXPECT_EQ(run_r1(r1_config()).first, 0xbf747d083333ccdbull);
+  EXPECT_EQ(run_r1(dormant).first, 0xbf747d083333ccdbull);
 }
 
 }  // namespace
