@@ -16,9 +16,11 @@
 //      occupancy) claim.
 //
 // Standard harness flags plus --tags N, --margin-tags N, --epochs E,
-// --grid G (G x G readers).
+// --grid G (G x G readers). Out-of-range --tags, --margin-tags or --grid
+// print the MetroConfig validation error and exit 2.
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,8 +65,16 @@ int main(int argc, char** argv) {
   bench::add_kern_flag(parser, &kern_name);
   if (!parser.parse(argc, argv)) return parser.exit_code();
   if (!bench::apply_kern_flag(kern_name)) return 2;
-  bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
+  try {
+    metro_config(static_cast<std::size_t>(tags), grid, seed).validate();
+    metro_config(static_cast<std::size_t>(margin_tags), grid, seed)
+        .validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  bench::Harness harness(parser.options());
   bool fail = false;
 
   // --- 1. Thread scaling + hard determinism check -----------------------

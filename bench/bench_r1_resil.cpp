@@ -1,9 +1,8 @@
 // Resilience R1: the control plane under fire (DESIGN.md Sec. 15).
 //
-// PR 9's tentpole is a deterministic resilience control plane: phi-accrual
-// failure detection from observed outcomes only, circuit breakers,
-// admission control, and degraded-mode service under grid-correlated
-// outage domains. This bench hard-gates its four
+// The deterministic resilience control plane: phi-accrual failure
+// detection from observed outcomes only, and degraded-mode service under
+// grid-correlated outage domains. This bench hard-gates its four
 // load-bearing claims:
 //   1. control-plane determinism — a metro run with a scripted outage
 //      domain AND the monitor steering service produces bit-identical
@@ -25,12 +24,14 @@
 //      the resilience plumbing costs nothing when unused.
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E (fleet),
-// --metro-tags N, --metro-epochs E, --grid G, --margin F.
+// --metro-tags N, --metro-epochs E, --grid G, --margin F. Out-of-range
+// fleet or metro settings print the validation error and exit 2.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -111,14 +112,25 @@ int main(int argc, char** argv) {
   parser.add_double("--margin", &margin,
                     "required on/off delivered-bits ratio");
   if (!parser.parse(argc, argv)) return parser.exit_code();
-  bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
-  bool fail = false;
 
   // The scripted incident every metro case shares: the lower-left 2x2
   // block of the reader grid (a quarter of a 4x4 deployment — one power
   // feeder) down for epochs [2, 10).
   const resil::OutageDomain incident{0, 0, 1, 1, 2, 10};
+
+  try {
+    scale::MetroConfig metro = resil_metro_config(
+        grid, static_cast<std::size_t>(metro_tags), seed);
+    metro.domains.domains.push_back(incident);
+    metro.validate();
+    fleet_config(readers, tags, seed, fleet_epochs).validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  bench::Harness harness(parser.options());
+  bool fail = false;
 
   const int hw = sim::default_thread_count();
   const std::vector<int> thread_grid = bench::thread_grid({1, 4, hw}, false);

@@ -1,16 +1,16 @@
 #!/usr/bin/env sh
-# CI entry point: a check that docs/ARCHITECTURE.md's lines-per-subsystem
-# total matches the tree, tier-1 verify in Release and Debug with warnings
-# as errors (test suite run twice: forced-scalar and auto SIMD dispatch), a
-# Release -Werror build with MMTAG_OBS=OFF that runs the pinned digests, the
-# traffic suite and the metric tests, the kernel-backend determinism gate,
-# an ASan+UBSan pass over the test
-# suite, a bench-smoke stage whose one table-driven loop writes and
-# self-compares nine BENCH_*.json reports (the fault, net, backhaul,
-# metro, control-plane and impairment benches under the sanitizers, plus
-# a full-size bench_d1_fleet compare gate), a TSan pass over the test
-# suite for the health monitor's cross-thread record path, and a docs
-# stage (skipped with a notice when doxygen is absent).
+# CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
+# total and dependency-edge table match the tree, tier-1 verify in Release
+# and Debug with warnings as errors (test suite run twice: forced-scalar and
+# auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
+# the pinned digests, the traffic suite and the metric tests, the
+# kernel-backend determinism gate, an ASan+UBSan pass over the test suite, a
+# bench-smoke stage whose one table-driven loop writes and self-compares
+# nine BENCH_*.json reports (the fault, net, backhaul, metro, control-plane
+# and impairment benches under the sanitizers, plus a full-size
+# bench_d1_fleet compare gate), a TSan pass over the test suite for the
+# health monitor's cross-thread record path, and a docs stage (skipped with
+# a notice when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -27,6 +27,46 @@ if [ "${counted}" != "${documented}" ]; then
   exit 1
 fi
 echo "lines per subsystem OK: ${counted}"
+
+echo "=== Dependency edges (docs/ARCHITECTURE.md) ==="
+# Re-derive each library's links from src/*/CMakeLists.txt (add_library
+# names it; target_link_libraries lists its links, minus Threads::Threads;
+# no such line means it links nothing, "—") and compare the (library, link)
+# pairs, as sets, with the table's rows.
+derived=$(for f in src/*/CMakeLists.txt; do
+  awk '
+    /^[[:space:]]*#/ { next }
+    { gsub(/[()]/, " & "); for (i = 1; i <= NF; i++) tok[++n] = $i }
+    END {
+      for (i = 1; i <= n; i++) {
+        if (tok[i] == "add_library") lib = tok[i + 2]
+        if (tok[i] != "target_link_libraries") continue
+        for (j = i + 3; j <= n && tok[j] != ")"; j++) {
+          if (tok[j] ~ /^(PUBLIC|PRIVATE|INTERFACE|Threads::Threads)$/) continue
+          print lib, tok[j]
+          linked = 1
+        }
+      }
+      if (!linked) print lib, "—"
+    }' "$f"
+done | sed 's/mmtag_//g' | sort -u)
+documented=$(sed -n 's/^| `mmtag_\([a-z]*\)` | \(.*\) |$/\1 \2/p' \
+  docs/ARCHITECTURE.md |
+  awk '{ lib = $1; sub(/^[^ ]* /, ""); n = split($0, deps, /, */)
+         for (i = 1; i <= n; i++) print lib, deps[i] }' | sort -u)
+if [ "${derived}" != "${documented}" ]; then
+  # One copy of a side plus two of the other: the pairs seen once are
+  # exactly those missing from the other side.
+  echo "FAIL: dependency edges differ from docs/ARCHITECTURE.md" >&2
+  echo "only in CMake:" >&2
+  printf '%s\n%s\n%s\n' "${derived}" "${documented}" "${documented}" |
+    sort | uniq -u >&2
+  echo "only in the table:" >&2
+  printf '%s\n%s\n%s\n' "${documented}" "${derived}" "${derived}" |
+    sort | uniq -u >&2
+  exit 1
+fi
+echo "dependency edges OK: $(echo "${derived}" | wc -l) pairs"
 
 for config in Release Debug; do
   echo "=== ${config} build (-Wall -Wextra -Werror) ==="
@@ -142,4 +182,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line table, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line and edge tables, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="

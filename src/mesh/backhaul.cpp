@@ -67,14 +67,12 @@ BackhaulReport BackhaulSimulator::run() {
   const double frame_bits = static_cast<double>(config_.payload_bytes) * 8.0;
 
   deploy::FleetConfig fleet_config = config_.fleet;
-  if (config_.mesh_aware_recovery) {
-    fleet_config.backhaul_reachable =
-        [&topology](int /*epoch*/, const std::vector<std::uint8_t>& live) {
-          return topology.gateway_reachable(live);
-        };
-  } else {
-    fleet_config.backhaul_reachable = nullptr;
-  }
+  // Orphan re-handoff consults mesh reachability, so no tag is parked on
+  // a live but partitioned reader.
+  fleet_config.backhaul_reachable =
+      [&topology](int /*epoch*/, const std::vector<std::uint8_t>& live) {
+        return topology.gateway_reachable(live);
+      };
   fleet_config.epoch_observer =
       [&](int epoch, const std::vector<deploy::CellEpochResult>& cells,
           const std::vector<std::uint8_t>& live) {

@@ -44,10 +44,6 @@ struct BackhaulConfig {
   /// the cap is a drop-nothing clamp — inventory bits above it still count
   /// as offered load in the last frame).
   int max_frames_per_cell_epoch = 32;
-  /// Consult mesh reachability in orphan re-handoff. Off reproduces the
-  /// pre-mesh behavior where a partitioned live reader still collects
-  /// orphans (the regression the coordinator fix closes).
-  bool mesh_aware_recovery = true;
 };
 
 struct BackhaulReport {

@@ -34,7 +34,6 @@
 #include "src/mesh/routing.hpp"
 #include "src/mesh/topology.hpp"
 #include "src/net/packet.hpp"
-#include "src/resil/breaker.hpp"
 
 namespace mmtag::mesh {
 
@@ -77,13 +76,6 @@ struct ForwardingConfig {
   /// epoch's convergence. Off freezes the tables built at construction
   /// (the static-routing strawman benches compare against).
   bool reconverge = true;
-  /// Per-directed-link circuit breakers (DESIGN.md Sec. 15): forwarding
-  /// outcomes open/close breakers, route selection skips open links, and
-  /// table rebuilds scale an open link's believed cost by
-  /// breaker.open_cost_penalty so reconverged paths steer around links
-  /// that keep eating frames. Off = the legacy plane, bit for bit.
-  bool breakers = false;
-  resil::BreakerConfig breaker{};
 };
 
 /// Aggregate forwarding observables; all totals over the network lifetime.
@@ -101,9 +93,6 @@ struct MeshStats {
   int topology_epochs = 0;
   int convergence_rounds = 0;         ///< Summed link-state flood rounds.
   std::uint64_t lsa_transmissions = 0;
-  std::uint64_t breakers_opened = 0;   ///< Circuit-breaker trips (lifetime).
-  std::uint64_t breakers_reclosed = 0; ///< HalfOpen -> Closed recoveries.
-  std::uint64_t breakers_open_end = 0; ///< Links still open at finish().
 
   double latency_p50_s = 0.0;  ///< Delivery latency percentiles (pooled).
   double latency_p95_s = 0.0;
@@ -173,10 +162,6 @@ class MeshNetwork {
   }
   /// In-flight frames (0 once the epoch's queue drained).
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
-  /// The per-link breaker bank (zero links unless config().breakers).
-  [[nodiscard]] const resil::BreakerBank& breakers() const {
-    return breakers_;
-  }
 
  private:
   struct InFlight {
@@ -196,11 +181,6 @@ class MeshNetwork {
   void refresh_oracle();
   /// Global index of directed link from -> to in topology links() order.
   [[nodiscard]] std::size_t link_index(int from, int to) const;
-  /// Breaker verdict for the directed link from -> to (true when breakers
-  /// are off).
-  [[nodiscard]] bool breaker_allows(int from, int to) const;
-  /// Record the observed outcome of the hop that landed this frame.
-  void record_hop_outcome(int came_from, int node, bool success);
   /// Process the frame keyed `id` arriving at its current node at `at_s`.
   void arrive(mac::EventQueue& queue, std::uint32_t id, double at_s);
   /// Pick the next hop at `node` toward `header.dst`; -1 = no usable hop.
@@ -220,8 +200,6 @@ class MeshNetwork {
   /// Prefix sum of out-degrees: neighbors(v)[j] is directed link
   /// link_offset_[v] + j in topology links() order.
   std::vector<std::size_t> link_offset_;
-  /// One breaker per directed link; empty unless config_.breakers.
-  resil::BreakerBank breakers_;
   /// Oracle shortest cost node -> nearest live gateway (path-stretch
   /// denominator); < 0 when unreachable.
   std::vector<double> oracle_cost_;

@@ -121,26 +121,10 @@ class PacketPool {
   /// (counted in stats().exhaustions — the caller's backpressure signal).
   [[nodiscard]] Packet alloc();
 
-  /// Non-mutating admission probe: true when `packets` further allocs
-  /// would succeed right now; `headroom_out` (optional) receives the free
-  /// slot count either way. Unlike a failed alloc(), a probe never counts
-  /// an exhaustion — the admission layer (resil::AdmissionController)
-  /// checks before committing, while only real alloc refusals are graceful
-  /// drops (they keep counting in `net.pool.exhausted`).
-  [[nodiscard]] bool try_acquire(std::size_t packets,
-                                 std::size_t* headroom_out = nullptr) const {
-    if (headroom_out != nullptr) *headroom_out = free_.size();
-    return free_.size() >= packets;
-  }
-
   [[nodiscard]] std::size_t capacity() const { return slots_; }
   [[nodiscard]] std::size_t available() const { return free_.size(); }
   [[nodiscard]] std::size_t in_use() const {
     return slots_ - free_.size();
-  }
-  /// Live-slot fraction in [0, 1] — the admission watermark signal.
-  [[nodiscard]] double occupancy() const {
-    return static_cast<double>(in_use()) / static_cast<double>(slots_);
   }
   /// High-watermark occupancy fraction over the pool's lifetime.
   [[nodiscard]] double peak_occupancy() const {

@@ -19,10 +19,10 @@
 
 namespace mmtag::net {
 
+/// Frames go on the air Manchester-coded: two chips per frame bit.
 struct SessionConfig {
   std::size_t mtu_payload_bits = 256;  ///< Frame payload budget (w/ header).
   ArqConfig arq;
-  bool manchester = true;
 };
 
 /// Everything known about a prospective transfer over one link state.

@@ -28,7 +28,6 @@
 #include "src/fault/schedule.hpp"
 #include "src/net/rate_control.hpp"
 #include "src/net/sr_arq.hpp"
-#include "src/resil/admission.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/table.hpp"
 
@@ -66,22 +65,12 @@ struct TrafficConfig {
   fault::FaultSchedule faults;
   /// Traffic-phase window the outage timelines are drawn over [s].
   double horizon_s = 1.0;
-  /// Block-ACK on-air payload [bits] (timing only).
+  /// Block-ACK on-air payload [bits] (timing only). Every bit goes on
+  /// the air as two Manchester chips, as in the phy.
   double ack_bits = 64.0;
-  /// Manchester chip coding on the air (2 chips/bit), as in the phy.
-  bool manchester = true;
   /// Buffer slots backing each flow's in-flight window; fewer slots than
   /// the window throttles it (pool backpressure).
   std::size_t pool_packets = 48;
-  /// Watermark admission control (DESIGN.md Sec. 15): when the projected
-  /// buffer demand of all flows — min(window, pool_packets) slots each —
-  /// would push the configured packet budget past the high watermark, the
-  /// lowest-priority flows (class = flow % priority_classes, highest
-  /// class index first) are shed down to the low watermark BEFORE they
-  /// contend for airtime, and surface in flows_shed plus the
-  /// `resil.shed.*` obs counters. Disabled by default: every report is
-  /// then bit-identical to the pre-admission engine.
-  resil::AdmissionConfig admission{};
   std::uint64_t seed = 1;
   /// Worker threads (<= 0 selects sim::default_thread_count()).
   int threads = 0;
@@ -102,15 +91,15 @@ struct FlowResult {
   int rate_switches = 0;
   SrArqResult arq;
   double goodput_bps = 0.0;
-  /// Load-shed by admission control before transmitting anything.
-  bool shed = false;
 };
 
 /// Aggregate report, merged in flow order.
 struct TrafficReport {
   int flows_offered = 0;
-  int flows_admitted = 0;  ///< Mapped to a discovered tag and not shed.
-  int flows_shed = 0;      ///< Load-shed by admission control.
+  int flows_admitted = 0;  ///< Mapped to a discovered tag.
+  /// Always 0: the engine sheds no flows. Kept because perfbench reports
+  /// it as net.flows_shed and net::fingerprint mixes it.
+  int flows_shed = 0;
   int flows_served = 0;    ///< Delivered at least one packet.
   double discovery_coverage = 1.0;
   long packets_offered = 0;

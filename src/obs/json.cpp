@@ -142,7 +142,7 @@ class Parser {
   std::optional<JsonValue> run() {
     skip_ws();
     JsonValue value;
-    if (!parse_value(value)) return std::nullopt;
+    if (!parse_value(value, 0)) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing characters after document");
@@ -152,9 +152,9 @@ class Parser {
   }
 
  private:
-  void fail(const char* message) {
+  void fail(const std::string& message) {
     if (error_ != nullptr && error_->empty()) {
-      *error_ = std::string(message) + " at offset " + std::to_string(pos_);
+      *error_ = message + " at offset " + std::to_string(pos_);
     }
   }
 
@@ -277,12 +277,19 @@ class Parser {
     return true;
   }
 
-  bool parse_value(JsonValue& out) {
+  /// `depth` counts the arrays and objects enclosing this value.
+  bool parse_value(JsonValue& out, int depth) {
     if (pos_ >= text_.size()) {
       fail("unexpected end of input");
       return false;
     }
-    switch (text_[pos_]) {
+    const char c = text_[pos_];
+    if ((c == '[' || c == '{') && depth >= JsonValue::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) +
+           " levels");
+      return false;
+    }
+    switch (c) {
       case 'n':
         if (!parse_literal("null")) return false;
         out = JsonValue();
@@ -309,7 +316,7 @@ class Parser {
         while (true) {
           JsonValue element;
           skip_ws();
-          if (!parse_value(element)) return false;
+          if (!parse_value(element, depth + 1)) return false;
           out.push_back(std::move(element));
           skip_ws();
           if (consume(']')) return true;
@@ -335,7 +342,7 @@ class Parser {
           }
           skip_ws();
           JsonValue member;
-          if (!parse_value(member)) return false;
+          if (!parse_value(member, depth + 1)) return false;
           out.set(std::move(key), std::move(member));
           skip_ws();
           if (consume('}')) return true;

@@ -79,6 +79,11 @@ class JsonValue {
   /// emit null (JSON has no inf/nan).
   [[nodiscard]] std::string dump(int indent = -1) const;
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so the cap keeps hostile input (a file of '[')
+  /// a parse error instead of a stack overflow; bench reports are 4 deep.
+  static constexpr int kMaxDepth = 256;
+
   /// Parse one JSON document. On failure returns nullopt and, when
   /// `error` is non-null, a human-readable reason with offset.
   [[nodiscard]] static std::optional<JsonValue> parse(std::string_view text,

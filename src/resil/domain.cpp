@@ -2,8 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace mmtag::resil {
+
+void DomainSchedule::validate() const {
+  for (const OutageDomain& d : domains) {
+    if (d.x0 > d.x1) {
+      throw std::invalid_argument("OutageDomain::x0 must be <= x1");
+    }
+    if (d.y0 > d.y1) {
+      throw std::invalid_argument("OutageDomain::y0 must be <= y1");
+    }
+    if (d.start_epoch > d.end_epoch) {
+      throw std::invalid_argument(
+          "OutageDomain::start_epoch must be <= end_epoch");
+    }
+  }
+}
 
 void DomainSchedule::apply(std::uint64_t epoch, int readers_x, int readers_y,
                            std::vector<std::uint8_t>* up) const {

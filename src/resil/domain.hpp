@@ -42,6 +42,11 @@ struct DomainSchedule {
 
   [[nodiscard]] bool active() const { return !domains.empty(); }
 
+  /// Throws std::invalid_argument when a domain is inverted (x0 > x1,
+  /// y0 > y1 or start_epoch > end_epoch). Corners outside the grid are
+  /// legal (they clamp), and so is the empty interval start == end.
+  void validate() const;
+
   /// Write the epoch's up/down mask for a readers_x * readers_y grid
   /// (row-major, reader r at grid (r % readers_x, r / readers_x)).
   /// `up` is resized and starts all-1; domains covering the epoch zero

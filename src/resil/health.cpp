@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/stats.hpp"
@@ -24,14 +25,32 @@ obs::Counter& cleared_metric() {
 
 }  // namespace
 
+void HealthConfig::validate() const {
+  if (!(phi_suspect > 0.0)) {
+    throw std::invalid_argument("HealthConfig::phi_suspect must be > 0");
+  }
+  if (!(min_miss_probability > 0.0)) {
+    throw std::invalid_argument(
+        "HealthConfig::min_miss_probability must be > 0");
+  }
+  if (!(max_miss_probability >= min_miss_probability &&
+        max_miss_probability < 1.0)) {
+    throw std::invalid_argument(
+        "HealthConfig::max_miss_probability must be in "
+        "[min_miss_probability, 1)");
+  }
+  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
+    throw std::invalid_argument("HealthConfig::ewma_alpha must be in (0, 1]");
+  }
+  if (probe_interval_epochs < 1) {
+    throw std::invalid_argument(
+        "HealthConfig::probe_interval_epochs must be >= 1");
+  }
+}
+
 HealthMonitor::HealthMonitor(std::size_t entities, HealthConfig config)
     : config_(config), accum_(entities), state_(entities) {
-  assert(config_.phi_suspect > 0.0);
-  assert(config_.min_miss_probability > 0.0 &&
-         config_.min_miss_probability <= config_.max_miss_probability &&
-         config_.max_miss_probability < 1.0);
-  assert(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
-  assert(config_.probe_interval_epochs >= 1);
+  config_.validate();
 }
 
 void HealthMonitor::record(std::size_t entity, std::uint64_t attempts,
@@ -47,37 +66,34 @@ void HealthMonitor::end_epoch() {
   suspected_count_ = 0;
   for (std::size_t e = 0; e < state_.size(); ++e) {
     Accumulator& a = accum_[e];
-    const std::uint64_t attempts =
-        a.attempts.exchange(0, std::memory_order_relaxed);
+    // Only successes are evidence of health: zero successes against
+    // nonzero attempts and silence (no report at all) are both misses.
+    a.attempts.store(0, std::memory_order_relaxed);
     const std::uint64_t successes =
         a.successes.exchange(0, std::memory_order_relaxed);
     EntityState& s = state_[e];
 
-    const bool evidence = attempts > 0 || config_.silence_is_miss;
-    if (evidence) {
-      const bool miss = successes == 0;
-      if (miss) {
-        // Suspicion accrues against the *pre-miss* healthy model: the
-        // clamped EWMA is read first, so a clean-history entity pays the
-        // full floor improbability (>= 1.3 decades) on its first miss.
-        const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
-                                    config_.max_miss_probability);
-        const double per_miss = -std::log10(p);
-        ++s.miss_streak;
-        s.phi = static_cast<double>(s.miss_streak) * per_miss;
-        // Only the streak's first miss is healthy-model evidence; the
-        // rest is the failure in progress, which must not teach the
-        // detector that being down is normal.
-        if (!s.last_was_miss) {
-          s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
-        }
-        s.last_was_miss = true;
-      } else {
-        s.ewma_miss *= 1.0 - config_.ewma_alpha;
-        s.miss_streak = 0;
-        s.phi = 0.0;
-        s.last_was_miss = false;
+    if (successes == 0) {
+      // Suspicion accrues against the *pre-miss* healthy model: the
+      // clamped EWMA is read first, so a clean-history entity pays the
+      // full floor improbability (>= 1.3 decades) on its first miss.
+      const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
+                                  config_.max_miss_probability);
+      const double per_miss = -std::log10(p);
+      ++s.miss_streak;
+      s.phi = static_cast<double>(s.miss_streak) * per_miss;
+      // Only the streak's first miss is healthy-model evidence; the rest
+      // is the failure in progress, which must not teach the detector
+      // that being down is normal.
+      if (!s.last_was_miss) {
+        s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
       }
+      s.last_was_miss = true;
+    } else {
+      s.ewma_miss *= 1.0 - config_.ewma_alpha;
+      s.miss_streak = 0;
+      s.phi = 0.0;
+      s.last_was_miss = false;
     }
 
     const bool suspect = s.phi >= config_.phi_suspect;

@@ -55,13 +55,14 @@ struct HealthConfig {
   /// one serving epoch; a success clears suspicion, silence re-confirms
   /// it). Must be >= 1.
   int probe_interval_epochs = 2;
-  /// When true (default) an epoch with zero recorded attempts counts as a
-  /// miss — the right reading for entities that are polled every epoch.
-  bool silence_is_miss = true;
+
+  /// Throws std::invalid_argument naming the first out-of-range field.
+  void validate() const;
 };
 
 class HealthMonitor {
  public:
+  /// Throws std::invalid_argument when `config` fails validate().
   explicit HealthMonitor(std::size_t entities, HealthConfig config = {});
 
   /// Report one epoch's outcomes for `entity`. Wait-free; callable from

@@ -1,9 +1,10 @@
 #include "src/scale/world.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/impair/loss.hpp"
@@ -20,7 +21,45 @@ inline double unit_double(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
 
+void require(bool ok, const char* field, const char* rule) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("MetroConfig::") + field +
+                                " must be " + rule);
+  }
+}
+
+const MetroConfig& validated(const MetroConfig& config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
+
+void MetroConfig::validate() const {
+  require(width_m > 0.0, "width_m", "> 0");
+  require(height_m > 0.0, "height_m", "> 0");
+  require(readers_x >= 1, "readers_x", ">= 1");
+  require(readers_y >= 1, "readers_y", ">= 1");
+  // TagStore ids are 32-bit.
+  require(tags <= std::numeric_limits<std::uint32_t>::max(), "tags",
+          "<= 2^32 - 1");
+  require(index_cell_m > 0.0, "index_cell_m", "> 0");
+  require(epoch_duration_s > 0.0, "epoch_duration_s", "> 0");
+  require(polls_per_reader >= 0, "polls_per_reader", ">= 0");
+  require(poll_success_prob >= 0.0 && poll_success_prob <= 1.0,
+          "poll_success_prob", "in [0, 1]");
+  require(payload_bits >= 0.0, "payload_bits", ">= 0");
+  require(interference_radius_m >= 0.0, "interference_radius_m", ">= 0");
+  require(initial_energy_j >= 0.0, "initial_energy_j", ">= 0");
+  require(harvest_j_per_epoch >= 0.0, "harvest_j_per_epoch", ">= 0");
+  require(respond_cost_j >= 0.0, "respond_cost_j", ">= 0");
+  require(energy_cap_j >= 0.0, "energy_cap_j", ">= 0");
+  require(move_fraction >= 0.0 && move_fraction <= 1.0, "move_fraction",
+          "in [0, 1]");
+  require(speed_mps >= 0.0, "speed_mps", ">= 0");
+  health.validate();
+  domains.validate();
+}
 
 std::uint64_t MetroStats::fingerprint() const {
   obs::Fnv1a h;
@@ -51,12 +90,11 @@ struct MetroWorld::ReaderResult {
 };
 
 MetroWorld::MetroWorld(const MetroConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       index_(config.width_m, config.height_m, config.index_cell_m),
       model_(BatchLinkModel::from_budget(
           impair::impaired_budget(config.budget, config.impairments),
           phy::RateTable::mmtag_standard())) {
-  assert(config.readers_x > 0 && config.readers_y > 0);
   detect_range_m_ = std::sqrt(model_.detect_r2_m2);
   gather_radius_m_ = std::max(detect_range_m_, config.interference_radius_m);
   poll_base_ = sim::derive_seed(config.seed, 0x706F6C6CULL);  // "poll"
@@ -278,10 +316,10 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
 
   // Feed the monitor what a metro coordinator actually observes: each
   // reader's per-epoch report. A reader whose shard did not run reports
-  // nothing — zero attempts — which HealthConfig::silence_is_miss turns
-  // into the miss evidence suspicion accrues on. Serial, post-merge, on
-  // the coordinating thread; end_epoch() draws the next epoch's serve
-  // decisions in fixed reader order.
+  // nothing — zero successes — which is the miss evidence suspicion
+  // accrues on. Serial, post-merge, on the coordinating thread;
+  // end_epoch() draws the next epoch's serve decisions in fixed reader
+  // order.
   if (monitor_) {
     for (std::size_t r = 0; r < results.size(); ++r) {
       monitor_->record(r, results[r].polls, results[r].successes);

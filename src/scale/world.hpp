@@ -91,6 +91,10 @@ struct MetroConfig {
   resil::HealthConfig health{};
 
   std::uint64_t seed = 1234;
+
+  /// Throws std::invalid_argument naming the first out-of-range field
+  /// (including those of `health` and `domains`).
+  void validate() const;
 };
 
 /// One epoch's aggregate, merged over readers in fixed order.
@@ -139,6 +143,7 @@ struct MetroStats {
 
 class MetroWorld {
  public:
+  /// Throws std::invalid_argument when `config` fails validate().
   explicit MetroWorld(const MetroConfig& config);
 
   /// Advance one epoch (discovery, polling, harvest, mobility) on `pool`.

@@ -1,11 +1,16 @@
 // Metro world model (src/scale/world): batched link evaluation against
 // the scalar reference, thread-count invariance, indexed-vs-linear query
-// path equivalence, energy duty cycling, and mobility/handoff accounting.
+// path equivalence, energy duty cycling, mobility/handoff accounting, and
+// config validation.
 #include "src/scale/world.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/phy/rate_table.hpp"
 #include "src/scale/epoch_batch.hpp"
@@ -302,6 +307,147 @@ TEST(MetroWorld, ControlPlaneEpochsAreThreadCountInvariant) {
     EXPECT_EQ(world.monitor()->fingerprint(), ref_monitor)
         << "threads=" << threads;
   }
+}
+
+// --- Config validation ---------------------------------------------------
+
+MetroConfig tiny_config() {
+  MetroConfig cfg = small_config();
+  cfg.tags = 100;
+  return cfg;
+}
+
+/// The world must refuse `config` with an error naming `field`.
+void ExpectRejected(const MetroConfig& config, const std::string& field) {
+  try {
+    const MetroWorld world(config);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(MetroValidate, AcceptsDefaultsEmptyIntervalsAndOutOfGridCorners) {
+  EXPECT_NO_THROW(MetroConfig{}.validate());
+  MetroConfig cfg = tiny_config();
+  cfg.domains.domains.push_back(resil::OutageDomain{0, 0, 0, 0, 0, 0});
+  cfg.domains.domains.push_back(resil::OutageDomain{-5, -5, 10, 10, 0, 1});
+  EXPECT_NO_THROW(MetroWorld{cfg});
+}
+
+TEST(MetroValidate, RejectsANonPositiveArea) {
+  MetroConfig cfg = tiny_config();
+  cfg.width_m = 0.0;
+  ExpectRejected(cfg, "MetroConfig::width_m");
+  cfg = tiny_config();
+  cfg.height_m = -1.0;
+  ExpectRejected(cfg, "MetroConfig::height_m");
+}
+
+TEST(MetroValidate, RejectsAnEmptyReaderGrid) {
+  MetroConfig cfg = tiny_config();
+  cfg.readers_x = 0;
+  ExpectRejected(cfg, "MetroConfig::readers_x");
+  cfg = tiny_config();
+  cfg.readers_y = -2;
+  ExpectRejected(cfg, "MetroConfig::readers_y");
+}
+
+TEST(MetroValidate, RejectsTagCountsBeyondThirtyTwoBits) {
+  MetroConfig cfg = tiny_config();
+  cfg.tags = static_cast<std::size_t>(-5);  // What --tags -5 arrives as.
+  ExpectRejected(cfg, "MetroConfig::tags");
+  cfg.tags = std::size_t{1} << 32;
+  ExpectRejected(cfg, "MetroConfig::tags");
+  cfg.tags = (std::size_t{1} << 32) - 1;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(MetroValidate, RejectsANonPositiveIndexCell) {
+  MetroConfig cfg = tiny_config();
+  cfg.index_cell_m = 0.0;
+  ExpectRejected(cfg, "MetroConfig::index_cell_m");
+}
+
+TEST(MetroValidate, RejectsANonPositiveEpochDuration) {
+  MetroConfig cfg = tiny_config();
+  cfg.epoch_duration_s = 0.0;
+  ExpectRejected(cfg, "MetroConfig::epoch_duration_s");
+}
+
+TEST(MetroValidate, RejectsNegativePolls) {
+  MetroConfig cfg = tiny_config();
+  cfg.polls_per_reader = -1;
+  ExpectRejected(cfg, "MetroConfig::polls_per_reader");
+}
+
+TEST(MetroValidate, RejectsANegativePayload) {
+  MetroConfig cfg = tiny_config();
+  cfg.payload_bits = -96.0;
+  ExpectRejected(cfg, "MetroConfig::payload_bits");
+}
+
+TEST(MetroValidate, RejectsANegativeInterferenceRadius) {
+  MetroConfig cfg = tiny_config();
+  cfg.interference_radius_m = -8.0;
+  ExpectRejected(cfg, "MetroConfig::interference_radius_m");
+}
+
+TEST(MetroValidate, RejectsNegativeEnergyFields) {
+  const std::pair<double MetroConfig::*, const char*> fields[] = {
+      {&MetroConfig::initial_energy_j, "MetroConfig::initial_energy_j"},
+      {&MetroConfig::harvest_j_per_epoch, "MetroConfig::harvest_j_per_epoch"},
+      {&MetroConfig::respond_cost_j, "MetroConfig::respond_cost_j"},
+      {&MetroConfig::energy_cap_j, "MetroConfig::energy_cap_j"}};
+  for (const auto& [field, name] : fields) {
+    MetroConfig cfg = tiny_config();
+    cfg.*field = -1e-6;
+    ExpectRejected(cfg, name);
+  }
+}
+
+TEST(MetroValidate, RejectsANegativeSpeed) {
+  MetroConfig cfg = tiny_config();
+  cfg.speed_mps = -1.5;
+  ExpectRejected(cfg, "MetroConfig::speed_mps");
+}
+
+TEST(MetroValidate, RejectsAPollSuccessProbabilityOutsideTheUnitInterval) {
+  for (const double p : {-0.1, 1.1, std::nan("")}) {
+    MetroConfig cfg = tiny_config();
+    cfg.poll_success_prob = p;
+    ExpectRejected(cfg, "MetroConfig::poll_success_prob");
+  }
+}
+
+TEST(MetroValidate, RejectsAMoveFractionOutsideTheUnitInterval) {
+  for (const double f : {-0.05, 1.5}) {
+    MetroConfig cfg = tiny_config();
+    cfg.move_fraction = f;
+    ExpectRejected(cfg, "MetroConfig::move_fraction");
+  }
+}
+
+TEST(MetroValidate, RejectsAnOutOfRangeHealthConfig) {
+  MetroConfig cfg = tiny_config();
+  cfg.health.probe_interval_epochs = 0;
+  ExpectRejected(cfg, "HealthConfig::probe_interval_epochs");
+  cfg = tiny_config();
+  cfg.health.ewma_alpha = 0.0;
+  ExpectRejected(cfg, "HealthConfig::ewma_alpha");
+}
+
+TEST(MetroValidate, RejectsAnInvertedOutageDomain) {
+  MetroConfig cfg = tiny_config();
+  cfg.domains.domains.push_back(resil::OutageDomain{2, 0, 1, 0, 0, 1});
+  ExpectRejected(cfg, "OutageDomain::x0");
+  cfg = tiny_config();
+  cfg.domains.domains.push_back(resil::OutageDomain{0, 2, 0, 1, 0, 1});
+  ExpectRejected(cfg, "OutageDomain::y0");
+  cfg = tiny_config();
+  cfg.domains.domains.push_back(resil::OutageDomain{0, 0, 0, 0, 5, 4});
+  ExpectRejected(cfg, "OutageDomain::start_epoch");
 }
 
 }  // namespace

@@ -146,48 +146,19 @@ TEST(PacketPool, ExhaustionIsMirroredToTheObsCounter) {
   }
 }
 
-TEST(PacketPool, TryAcquireProbesWithoutCountingExhaustion) {
-  // The admission layer checks headroom before committing flows; a probe
-  // must never mutate the pool or masquerade as a graceful drop
-  // (DESIGN.md Sec. 15). Only real alloc() refusals count.
-  auto& counter = obs::Registry::instance().counter("net.pool.exhausted");
-  const std::uint64_t before = counter.value();
-  PacketPool pool(2, 16, 0);
-  std::size_t headroom = 0;
-  EXPECT_TRUE(pool.try_acquire(2, &headroom));
-  EXPECT_EQ(headroom, 2u);
-  EXPECT_FALSE(pool.try_acquire(3, &headroom));
-  EXPECT_EQ(headroom, 2u);
-  Packet one = pool.alloc();
-  EXPECT_TRUE(pool.try_acquire(1));
-  EXPECT_FALSE(pool.try_acquire(2));
-  // No probe allocated, no probe counted — locally or in the registry.
-  EXPECT_EQ(pool.available(), 1u);
-  EXPECT_EQ(pool.stats().exhaustions, 0u);
-  EXPECT_EQ(counter.value(), before);
-  // Regression: a real refusal still counts after any number of probes.
-  Packet two = pool.alloc();
-  Packet dry = pool.alloc();
-  EXPECT_FALSE(dry.valid());
-  EXPECT_EQ(pool.stats().exhaustions, 1u);
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(counter.value(), before + 1);
-  }
-}
-
 TEST(PacketPool, OccupancyAndPeakTrackTheHighWaterMark) {
   PacketPool pool(4, 16, 0);
-  EXPECT_DOUBLE_EQ(pool.occupancy(), 0.0);
+  EXPECT_EQ(pool.in_use(), 0u);
   EXPECT_DOUBLE_EQ(pool.peak_occupancy(), 0.0);
   Packet a = pool.alloc();
   Packet b = pool.alloc();
   Packet c = pool.alloc();
-  EXPECT_DOUBLE_EQ(pool.occupancy(), 0.75);
+  EXPECT_EQ(pool.in_use(), 3u);
   EXPECT_DOUBLE_EQ(pool.peak_occupancy(), 0.75);
   b.release();
   c.release();
   // Occupancy falls with releases; the high-water mark is sticky.
-  EXPECT_DOUBLE_EQ(pool.occupancy(), 0.25);
+  EXPECT_EQ(pool.in_use(), 1u);
   EXPECT_DOUBLE_EQ(pool.peak_occupancy(), 0.75);
   EXPECT_EQ(pool.stats().peak_in_use, 3u);
 }

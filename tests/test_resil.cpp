@@ -1,90 +1,19 @@
-// Resilience control plane units (DESIGN.md Sec. 15): circuit breakers,
-// phi-accrual health monitoring (including the cross-thread record
-// path), admission control, and fault domains.
+// Resilience control plane units (DESIGN.md Sec. 15): phi-accrual
+// health monitoring (including the cross-thread record path) and fault
+// domains.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
-#include "src/resil/admission.hpp"
-#include "src/resil/breaker.hpp"
 #include "src/resil/domain.hpp"
 #include "src/resil/health.hpp"
 
 namespace mmtag::resil {
 namespace {
-
-// --- CircuitBreaker ------------------------------------------------------
-
-BreakerConfig breaker_config(int threshold, int open_epochs) {
-  BreakerConfig config;
-  config.failure_threshold = threshold;
-  config.open_epochs = open_epochs;
-  return config;
-}
-
-TEST(CircuitBreaker, OpensAtThresholdAndRefusesTraffic) {
-  CircuitBreaker breaker(breaker_config(2, 1));
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.allow());
-}
-
-TEST(CircuitBreaker, SuccessResetsTheClosedFailureCount) {
-  CircuitBreaker breaker(breaker_config(2, 1));
-  breaker.record_failure();
-  breaker.record_success();
-  breaker.record_failure();
-  // Non-consecutive failures never accumulate to the threshold.
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 1);
-}
-
-TEST(CircuitBreaker, HalfOpenProbeDecidesRecloseOrFreshSentence) {
-  CircuitBreaker breaker(breaker_config(1, 2));
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.tick_epoch();  // open_epochs = 2: still serving the sentence.
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.tick_epoch();
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.allow());  // The probe.
-  breaker.record_failure();      // Probe fails: fresh sentence.
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.tick_epoch();
-  breaker.tick_epoch();
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.record_success();      // Probe succeeds: reclose, clean slate.
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-}
-
-TEST(BreakerBank, CountsTripsAndRecoveriesPerBank) {
-  BreakerBank bank(3, breaker_config(1, 1));
-  const std::uint64_t before = bank.fingerprint();
-  bank.record_failure(0);
-  bank.record_failure(2);
-  EXPECT_EQ(bank.stats().opened, 2u);
-  EXPECT_EQ(bank.open_count(), 2u);
-  EXPECT_FALSE(bank.allow(0));
-  EXPECT_TRUE(bank.allow(1));
-  EXPECT_NE(bank.fingerprint(), before);
-  bank.tick_epoch();
-  EXPECT_EQ(bank.stats().half_opened, 2u);
-  bank.record_success(0);  // Probe succeeds on link 0 only.
-  bank.record_failure(2);
-  EXPECT_EQ(bank.stats().reclosed, 1u);
-  EXPECT_EQ(bank.stats().opened, 3u);
-  EXPECT_EQ(bank.open_count(), 1u);
-  EXPECT_TRUE(bank.allow(0));
-  EXPECT_FALSE(bank.allow(2));
-}
 
 // --- HealthMonitor -------------------------------------------------------
 
@@ -158,13 +87,20 @@ TEST(HealthMonitor, NoisyEntityStillSuspectedWithinTwoMisses) {
   EXPECT_NEAR(monitor.phi(0), 2.0 * -std::log10(0.3), 1e-12);
 }
 
-TEST(HealthMonitor, SilenceCanBeHealthyWhenConfiguredOff) {
-  HealthConfig config;
-  config.silence_is_miss = false;
-  HealthMonitor monitor(1, config);
-  monitor.end_epoch();  // No attempts recorded: no evidence either way.
-  EXPECT_FALSE(monitor.suspected(0));
-  EXPECT_TRUE(monitor.should_serve(0));
+TEST(HealthMonitor, RejectsOutOfRangeConfigs) {
+  const auto rejected = [](void (*mutate)(HealthConfig&)) {
+    HealthConfig config;
+    mutate(config);
+    EXPECT_THROW(HealthMonitor(1, config), std::invalid_argument);
+  };
+  rejected([](HealthConfig& c) { c.phi_suspect = 0.0; });
+  rejected([](HealthConfig& c) { c.min_miss_probability = 0.0; });
+  rejected([](HealthConfig& c) { c.max_miss_probability = 0.01; });
+  rejected([](HealthConfig& c) { c.max_miss_probability = 1.0; });
+  rejected([](HealthConfig& c) { c.ewma_alpha = 0.0; });
+  rejected([](HealthConfig& c) { c.ewma_alpha = 1.5; });
+  rejected([](HealthConfig& c) { c.probe_interval_epochs = 0; });
+  EXPECT_NO_THROW(HealthMonitor(1, HealthConfig{}));
 }
 
 TEST(HealthMonitor, CrossThreadRecordsMatchTheSerialFingerprint) {
@@ -202,75 +138,6 @@ TEST(HealthMonitor, CrossThreadRecordsMatchTheSerialFingerprint) {
   EXPECT_EQ(parallel_monitor.fingerprint(), serial_monitor.fingerprint());
   EXPECT_TRUE(parallel_monitor.suspected(5));
   EXPECT_FALSE(parallel_monitor.suspected(0));
-}
-
-// --- AdmissionController -------------------------------------------------
-
-AdmissionConfig admission_config() {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.pool_budget_packets = 100;
-  config.high_watermark = 0.85;
-  config.low_watermark = 0.70;
-  config.priority_classes = 4;
-  return config;
-}
-
-TEST(Admission, DisabledControllerAdmitsEverything) {
-  AdmissionConfig config = admission_config();
-  config.enabled = false;
-  const AdmissionController controller(config);
-  const AdmissionPlan plan = controller.plan_shedding(30, 4);
-  EXPECT_EQ(plan.admitted_flows, 30u);
-  EXPECT_EQ(plan.shed_flows, 0u);
-}
-
-TEST(Admission, UnderTheHighWatermarkNothingSheds) {
-  const AdmissionController controller(admission_config());
-  // 21 flows * 4 packets = 84 <= 85: fits.
-  const AdmissionPlan plan = controller.plan_shedding(21, 4);
-  EXPECT_EQ(plan.admitted_flows, 21u);
-  EXPECT_EQ(plan.shed_flows, 0u);
-  EXPECT_EQ(plan.projected_packets, 84u);
-}
-
-TEST(Admission, ShedsToTheLowWatermarkLowestPriorityFirst) {
-  std::uint64_t shed_before = 0;
-  if constexpr (obs::kObsEnabled) {
-    shed_before =
-        obs::Registry::instance().counter("resil.shed.flows").value();
-  }
-  const AdmissionController controller(admission_config());
-  // 30 flows * 4 = 120 > 85: shed down to floor(70 / 4) = 17 admitted.
-  const AdmissionPlan plan = controller.plan_shedding(30, 4);
-  EXPECT_EQ(plan.admitted_flows, 17u);
-  EXPECT_EQ(plan.shed_flows, 13u);
-  EXPECT_EQ(plan.projected_packets, 68u);
-  // All seven class-3 flows (f % 4 == 3) shed first...
-  for (std::size_t f = 3; f < 30; f += 4) EXPECT_EQ(plan.admitted[f], 0);
-  // ...then class 2 from the highest flow index down; flow 2 survives.
-  EXPECT_EQ(plan.admitted[26], 0);
-  EXPECT_EQ(plan.admitted[6], 0);
-  EXPECT_EQ(plan.admitted[2], 1);
-  // Classes 0 and 1 ride through untouched.
-  for (std::size_t f = 0; f < 30; ++f) {
-    if (f % 4 <= 1) {
-      EXPECT_EQ(plan.admitted[f], 1) << "flow " << f;
-    }
-  }
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(obs::Registry::instance().counter("resil.shed.flows").value(),
-              shed_before + 13);
-  }
-}
-
-TEST(Admission, PressureCheckIsStrictlyAboveTheHighWatermark) {
-  const AdmissionController controller(admission_config());
-  EXPECT_FALSE(controller.under_pressure(85, 100));  // Exactly at: fine.
-  EXPECT_TRUE(controller.under_pressure(86, 100));
-  AdmissionConfig off = admission_config();
-  off.enabled = false;
-  EXPECT_FALSE(AdmissionController(off).under_pressure(99, 100));
 }
 
 // --- DomainSchedule ------------------------------------------------------
