@@ -17,7 +17,8 @@
 //
 // Standard harness flags plus --tags N, --margin-tags N, --epochs E,
 // --grid G (G x G readers). Out-of-range --tags, --margin-tags or --grid
-// print the MetroConfig validation error and exit 2.
+// print the MetroConfig validation error and exit 2, as does --epochs
+// below 1.
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -66,6 +67,10 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return parser.exit_code();
   if (!bench::apply_kern_flag(kern_name)) return 2;
   const std::uint64_t seed = parser.options().seed;
+  if (epochs < 1) {
+    std::fprintf(stderr, "error: --epochs must be >= 1 (got %d)\n", epochs);
+    return 2;
+  }
   try {
     metro_config(static_cast<std::size_t>(tags), grid, seed).validate();
     metro_config(static_cast<std::size_t>(margin_tags), grid, seed)

@@ -146,9 +146,8 @@ void add_aloha_case(bench::Harness& harness, int tags, int iters) {
 
 std::vector<kern::Backend> bench_backends() {
   std::vector<kern::Backend> backends = {kern::Backend::kScalar};
-  for (const kern::Backend b : {kern::Backend::kSse42, kern::Backend::kAvx2,
-                                kern::Backend::kNeon}) {
-    if (kern::available(b)) backends.push_back(b);
+  if (kern::available(kern::Backend::kAvx2)) {
+    backends.push_back(kern::Backend::kAvx2);
   }
   return backends;
 }
@@ -169,18 +168,10 @@ std::vector<phy::Complex> bench_complex(std::size_t n, std::uint64_t seed) {
   return values;
 }
 
-std::string backend_suffix(kern::Backend backend) {
-  std::string name(kern::backend_name(backend));
-  for (char& c : name) {
-    if (c == '.') c = '_';  // "sse4.2" -> "sse4_2" keeps case names flat.
-  }
-  return name;
-}
-
 void add_backend_cases(bench::Harness& harness) {
   for (const kern::Backend backend : bench_backends()) {
     const kern::Kernels& k = kern::table(backend);
-    const std::string suffix = backend_suffix(backend);
+    const std::string suffix(kern::backend_name(backend));
 
     // Sync correlation inner loop: windowed mean removal + dot + energy,
     // the per-offset work of sync.cpp's score_window.
@@ -308,7 +299,8 @@ void print_speedup_table(const bench::Harness& harness) {
     const double scalar_ns = medians[kernel + "_scalar"];
     std::vector<std::string> row = {kernel, bench::format_ns(scalar_ns)};
     for (const kern::Backend b : accel) {
-      const double accel_ns = medians[kernel + "_" + backend_suffix(b)];
+      const double accel_ns =
+          medians[kernel + "_" + std::string(kern::backend_name(b))];
       row.push_back(accel_ns > 0.0
                         ? sim::Table::fmt(scalar_ns / accel_ns, 2) + "x"
                         : "n/a");

@@ -18,9 +18,11 @@
 // "metrics".
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E.
+// Out-of-range fleet settings print the validation error and exit 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,8 +94,14 @@ int main(int argc, char** argv) {
   parser.add_int("--tags", &tags, "tag count");
   parser.add_int("--epochs", &epochs, "epochs per run");
   if (!parser.parse(argc, argv)) return parser.exit_code();
-  bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
+  try {
+    backhaul_config(readers, tags, seed, epochs).fleet.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  bench::Harness harness(parser.options());
   bool fail = false;
 
   // --- 1. Mesh determinism across thread counts -------------------------

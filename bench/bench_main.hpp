@@ -94,7 +94,7 @@ template <typename Run>
 /// and must outlive parse(); pass it to apply_kern_flag afterwards.
 inline void add_kern_flag(Parser& parser, std::string* value) {
   parser.add_string("--kern", value,
-                    "force SIMD backend: scalar|sse4.2|avx2|neon|auto "
+                    "force SIMD backend: scalar|avx2|auto "
                     "(default: auto / $MMTAG_KERN)");
 }
 

@@ -25,7 +25,9 @@
 //
 // Standard harness flags plus --readers M, --tags N, --epochs E (fleet),
 // --metro-tags N, --metro-epochs E, --grid G, --margin F. Out-of-range
-// fleet or metro settings print the validation error and exit 2.
+// fleet or metro settings print the validation error and exit 2, as do a
+// --margin that is not finite and positive, and --metro-epochs up to the
+// incident's end epoch (the re-admission gate needs an epoch after it).
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -119,6 +121,19 @@ int main(int argc, char** argv) {
   // feeder) down for epochs [2, 10).
   const resil::OutageDomain incident{0, 0, 1, 1, 2, 10};
 
+  if (!(std::isfinite(margin) && margin > 0.0)) {
+    std::fprintf(stderr, "error: --margin must be finite and > 0 (got %g)\n",
+                 margin);
+    return 2;
+  }
+  if (metro_epochs <= static_cast<int>(incident.end_epoch)) {
+    std::fprintf(stderr,
+                 "error: --metro-epochs must be > %" PRIu64
+                 " (the incident ends at epoch %" PRIu64
+                 "; re-admission needs an epoch after it), got %d\n",
+                 incident.end_epoch, incident.end_epoch, metro_epochs);
+    return 2;
+  }
   try {
     scale::MetroConfig metro = resil_metro_config(
         grid, static_cast<std::size_t>(metro_tags), seed);
@@ -197,8 +212,8 @@ int main(int argc, char** argv) {
     const std::size_t m = static_cast<std::size_t>(readers);
 
     // The monitor rides the epoch observer: it sees each reader's
-    // (assigned, discovered) report — the evidence a real coordinator
-    // has — and nothing else.
+    // discovered-tag report — the evidence a real coordinator has — and
+    // nothing else.
     resil::HealthMonitor monitor(m);
     std::vector<std::vector<std::uint8_t>> suspected(
         static_cast<std::size_t>(fleet_epochs),
@@ -207,9 +222,8 @@ int main(int argc, char** argv) {
         [&](int e, const std::vector<deploy::CellEpochResult>& cells,
             const std::vector<std::uint8_t>&) {
           for (std::size_t c = 0; c < cells.size(); ++c) {
-            monitor.record(c,
-                           static_cast<std::uint64_t>(cells[c].tags_assigned),
-                           static_cast<std::uint64_t>(cells[c].tags_discovered));
+            monitor.record(
+                c, static_cast<std::uint64_t>(cells[c].tags_discovered));
           }
           monitor.end_epoch();
           for (std::size_t r = 0; r < m; ++r) {

@@ -4,7 +4,8 @@
 # and Debug with warnings as errors (test suite run twice: forced-scalar and
 # auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
 # the pinned digests, the traffic suite and the metric tests, the
-# kernel-backend determinism gate, an ASan+UBSan pass over the test suite, a
+# kernel-backend determinism gate (which must compare scalar with AVX2 on
+# an AVX2 host), an ASan+UBSan pass over the test suite, a
 # bench-smoke stage whose one table-driven loop writes and self-compares
 # nine BENCH_*.json reports (the fault, net, backhaul, metro, control-plane
 # and impairment benches under the sanitizers, plus a full-size
@@ -99,7 +100,25 @@ cmake --build "${build_dir}" -j --target test_pinned_digests test_traffic \
   -R '^(test_pinned_digests|test_traffic|test_obs_metrics)$' -j "$@")
 
 echo "=== Kernel-backend determinism gate ==="
-"build-ci-release/bench/bench_e4_ber" --check-kern
+# The gate compares the scalar reference with the auto-dispatched table.
+# On an AVX2 host that table must be AVX2: "scalar == scalar" there means
+# no SIMD kernel was compared (avx2.cpp built without -mavx2, or
+# MMTAG_KERN forcing scalar), so the stage fails.
+gate=$("build-ci-release/bench/bench_e4_ber" --check-kern)
+echo "${gate}"
+if grep -qw avx2 /proc/cpuinfo 2> /dev/null; then
+  case "${gate}" in
+    *"scalar == avx2"*) ;;
+    *)
+      echo "FAIL: the host has AVX2 but the kern gate did not compare" \
+        "scalar with avx2" >&2
+      exit 1
+      ;;
+  esac
+else
+  echo "kern gate NOTICE: no AVX2 on this host; auto dispatch is scalar," \
+    "so the gate compared scalar with itself"
+fi
 
 echo "=== ASan+UBSan build (test suite + instrumented benches) ==="
 build_dir="build-ci-asan"

@@ -15,7 +15,7 @@
 //     kern::dispatch() kernels restricted to exactly-rounded IEEE ops;
 //     transcendental evaluation (cos/sin for phase-noise coefficients)
 //     happens in scalar stage code outside the kernels. Output is
-//     bit-identical across scalar/SSE4.2/AVX2 backends.
+//     bit-identical across the scalar and AVX2 backends.
 #pragma once
 
 #include <cstdint>

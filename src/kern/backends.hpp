@@ -13,9 +13,7 @@ namespace mmtag::kern::detail {
 // Full reference table; never nullptr.
 [[nodiscard]] const Kernels* scalar_table();
 // nullptr when the compiler could not target the ISA.
-[[nodiscard]] const Kernels* sse42_table();
 [[nodiscard]] const Kernels* avx2_table();
-[[nodiscard]] const Kernels* neon_table();
 
 // Scalar kernels, reusable by partial SIMD backends.
 namespace scalar {
@@ -52,8 +50,8 @@ std::uint32_t fm0_decode_bytes(const std::uint8_t* chips, std::size_t nbits,
 std::uint16_t crc16_bits(const std::uint8_t* bytes, std::size_t nbits);
 }  // namespace scalar
 
-// Shared by the SSE4.2 and AVX2 backends: slicing-by-8 CRC-16/CCITT over
-// whole bytes plus a bitwise tail. Bit-exact with scalar::crc16_bits.
+// The AVX2 backend's CRC: slicing-by-8 CRC-16/CCITT over whole bytes
+// plus a bitwise tail. Bit-exact with scalar::crc16_bits.
 std::uint16_t crc16_bits_sliced(const std::uint8_t* bytes, std::size_t nbits);
 
 }  // namespace mmtag::kern::detail

@@ -2,9 +2,9 @@
 // MSB-first). Table k holds, for every byte value b, the CRC state
 // contribution of b followed by k zero bytes; eight stream bytes then
 // fold into the running state with eight table lookups and XORs instead
-// of 64 bit-steps. Shared by the SSE4.2 and AVX2 backends (the kernel is
-// table-driven, not SIMD, but it lives behind the same dispatch so the
-// scalar reference stays the bitwise original).
+// of 64 bit-steps. Used by crc16_bits_sliced, the AVX2 backend's CRC (the
+// kernel is table-driven, not SIMD, but it lives behind the same dispatch
+// so the scalar reference stays the bitwise original).
 #pragma once
 
 #include <array>

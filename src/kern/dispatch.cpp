@@ -20,33 +20,20 @@ bool cpu_supports(Backend backend) {
     case Backend::kScalar:
     case Backend::kAuto:
       return true;
-    case Backend::kSse42:
-#if defined(__x86_64__) || defined(__i386__)
-      return detail::sse42_table() != nullptr &&
-             __builtin_cpu_supports("sse4.2");
-#else
-      return false;
-#endif
     case Backend::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return detail::avx2_table() != nullptr && __builtin_cpu_supports("avx2");
 #else
       return false;
 #endif
-    case Backend::kNeon:
-      return detail::neon_table() != nullptr;
   }
   return false;
 }
 
 const Kernels* concrete_table(Backend backend) {
   switch (backend) {
-    case Backend::kSse42:
-      return detail::sse42_table();
     case Backend::kAvx2:
       return detail::avx2_table();
-    case Backend::kNeon:
-      return detail::neon_table();
     case Backend::kScalar:
     case Backend::kAuto:
       break;
@@ -63,7 +50,7 @@ const Kernels* resolve_auto() {
     } else {
       std::fprintf(stderr,
                    "mmtag: ignoring unknown MMTAG_KERN=\"%s\" "
-                   "(want scalar|sse4.2|avx2|neon|auto)\n",
+                   "(want scalar|avx2|auto)\n",
                    env);
     }
   }
@@ -101,8 +88,6 @@ bool available(Backend backend) { return cpu_supports(backend); }
 
 Backend best_available() {
   if (cpu_supports(Backend::kAvx2)) return Backend::kAvx2;
-  if (cpu_supports(Backend::kSse42)) return Backend::kSse42;
-  if (cpu_supports(Backend::kNeon)) return Backend::kNeon;
   return Backend::kScalar;
 }
 
@@ -119,18 +104,12 @@ bool set_backend(Backend backend) {
 Backend active_backend() {
   const Kernels& active = dispatch();
   if (&active == detail::avx2_table()) return Backend::kAvx2;
-  if (&active == detail::sse42_table()) return Backend::kSse42;
-  if (&active == detail::neon_table()) return Backend::kNeon;
   return Backend::kScalar;
 }
 
 std::optional<Backend> parse_backend(std::string_view name) {
   if (name == "scalar") return Backend::kScalar;
-  if (name == "sse4.2" || name == "sse42" || name == "sse4") {
-    return Backend::kSse42;
-  }
   if (name == "avx2") return Backend::kAvx2;
-  if (name == "neon") return Backend::kNeon;
   if (name == "auto") return Backend::kAuto;
   return std::nullopt;
 }
@@ -139,12 +118,8 @@ std::string_view backend_name(Backend backend) {
   switch (backend) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSse42:
-      return "sse4.2";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
     case Backend::kAuto:
       return "auto";
   }

@@ -4,9 +4,9 @@
 /// Every sample-rate hot loop in the PHY (correlation, FFT butterflies,
 /// FIR shaping, CRC, FM0/OOK demod) funnels through the function-pointer
 /// table returned by kern::dispatch(). The table is resolved once at
-/// startup from the host CPU (scalar / SSE4.2 / AVX2; NEON is a stub that
-/// currently aliases scalar) and can be forced with the MMTAG_KERN
-/// environment variable or kern::set_backend() (the `--kern` bench flag).
+/// startup from the host CPU (AVX2 when the host has it, else scalar)
+/// and can be forced with the MMTAG_KERN environment variable or
+/// kern::set_backend() (the `--kern` bench flag).
 ///
 /// **Equivalence discipline.** Backends are not "close": for the same
 /// inputs every backend must produce the *same bits*. Reductions are
@@ -33,10 +33,8 @@ namespace mmtag::kern {
 /// preference: higher enumerators win when available.
 enum class Backend : int {
   kScalar = 0,  ///< Portable reference implementation (always available).
-  kSse42 = 1,   ///< x86-64 SSE4.2 (128-bit lanes).
-  kAvx2 = 2,    ///< x86-64 AVX2 (256-bit lanes, no FMA by design).
-  kNeon = 3,    ///< AArch64 NEON. Stub: dispatches to scalar kernels.
-  kAuto = 4,    ///< Resolve to the best backend the host supports.
+  kAvx2 = 1,    ///< x86-64 AVX2 (256-bit lanes, no FMA by design).
+  kAuto = 2,    ///< Resolve to the best backend the host supports.
 };
 
 /// The kernel function-pointer table. One instance exists per backend;
@@ -48,7 +46,7 @@ enum class Backend : int {
 /// re/im), which the SIMD backends reinterpret as double pairs as
 /// guaranteed by [complex.numbers.general].
 struct Kernels {
-  /// Human-readable backend name ("scalar", "sse4.2", "avx2", "neon").
+  /// Human-readable backend name ("scalar", "avx2").
   const char* name;
 
   // --- Reductions (fixed 4-lane tree; see file comment). ---
@@ -179,9 +177,9 @@ struct Kernels {
 };
 
 /// The active kernel table. First use resolves the MMTAG_KERN
-/// environment variable ("scalar", "sse4.2", "avx2", "neon", "auto";
-/// unset or invalid means "auto") against the host CPU; later calls are
-/// a single atomic load. Thread-safe.
+/// environment variable ("scalar", "avx2", "auto"; unset or invalid
+/// means "auto") against the host CPU; later calls are a single atomic
+/// load. Thread-safe.
 [[nodiscard]] const Kernels& dispatch();
 
 /// The table for a specific backend (kAuto resolves to
@@ -191,7 +189,7 @@ struct Kernels {
 [[nodiscard]] const Kernels& table(Backend backend);
 
 /// True when the host CPU can execute `backend` (kScalar and kAuto are
-/// always true; kNeon is the scalar stub on AArch64 only).
+/// always true).
 [[nodiscard]] bool available(Backend backend);
 
 /// The strongest available backend on this host.
@@ -206,8 +204,7 @@ bool set_backend(Backend backend);
 [[nodiscard]] Backend active_backend();
 
 /// Parse a backend name as accepted by MMTAG_KERN / --kern. Accepts
-/// "scalar", "sse4.2"/"sse42"/"sse4", "avx2", "neon", "auto"; returns
-/// nullopt otherwise.
+/// "scalar", "avx2", "auto"; returns nullopt otherwise.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 
 /// Canonical name for `backend` ("auto" for kAuto).

@@ -53,24 +53,20 @@ HealthMonitor::HealthMonitor(std::size_t entities, HealthConfig config)
   config_.validate();
 }
 
-void HealthMonitor::record(std::size_t entity, std::uint64_t attempts,
+void HealthMonitor::record(std::size_t entity,
                            std::uint64_t successes) noexcept {
   assert(entity < accum_.size());
-  Accumulator& a = accum_[entity];
-  a.attempts.fetch_add(attempts, std::memory_order_relaxed);
-  a.successes.fetch_add(successes, std::memory_order_relaxed);
+  accum_[entity].successes.fetch_add(successes, std::memory_order_relaxed);
 }
 
 void HealthMonitor::end_epoch() {
   ++epochs_;
   suspected_count_ = 0;
   for (std::size_t e = 0; e < state_.size(); ++e) {
-    Accumulator& a = accum_[e];
-    // Only successes are evidence of health: zero successes against
-    // nonzero attempts and silence (no report at all) are both misses.
-    a.attempts.store(0, std::memory_order_relaxed);
+    // Only successes are evidence of health: a report of zero successes
+    // and silence (no report at all) are both misses.
     const std::uint64_t successes =
-        a.successes.exchange(0, std::memory_order_relaxed);
+        accum_[e].successes.exchange(0, std::memory_order_relaxed);
     EntityState& s = state_[e];
 
     if (successes == 0) {

@@ -2,12 +2,12 @@
 //
 // The monitor watches entities (readers, backhaul links) through the only
 // evidence a deployed control plane actually has: per-epoch counts of
-// attempts and successes reported by the data path. It never reads the
-// FaultSchedule — detection is inference, not oracle lookup.
+// successes reported by the data path. It never reads the FaultSchedule —
+// detection is inference, not oracle lookup.
 //
-// Model: an epoch is a *miss* when the entity produced no success (zero
-// successes against nonzero attempts, or silence — a down reader reports
-// nothing at all). Healthy miss probability is tracked per entity with an
+// Model: an epoch is a *miss* when the entity produced no success (a
+// report of zero successes, or silence — a down reader reports nothing at
+// all). Healthy miss probability is tracked per entity with an
 // EWMA learned only from non-streak evidence (a success epoch, or the
 // first miss after a success) so a long outage cannot poison its own
 // detector. The suspicion level is the phi-accrual statistic
@@ -65,10 +65,9 @@ class HealthMonitor {
   /// Throws std::invalid_argument when `config` fails validate().
   explicit HealthMonitor(std::size_t entities, HealthConfig config = {});
 
-  /// Report one epoch's outcomes for `entity`. Wait-free; callable from
-  /// parallel workers while the epoch runs.
-  void record(std::size_t entity, std::uint64_t attempts,
-              std::uint64_t successes) noexcept;
+  /// Report `successes` for `entity` in the current epoch. Wait-free;
+  /// callable from parallel workers while the epoch runs.
+  void record(std::size_t entity, std::uint64_t successes) noexcept;
 
   /// Snapshot every entity's reported counts, update the suspicion state,
   /// and zero the accumulators for the next epoch. Coordinating thread
@@ -107,7 +106,6 @@ class HealthMonitor {
 
  private:
   struct alignas(64) Accumulator {
-    std::atomic<std::uint64_t> attempts{0};
     std::atomic<std::uint64_t> successes{0};
   };
   struct EntityState {

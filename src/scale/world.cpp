@@ -322,7 +322,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   // order.
   if (monitor_) {
     for (std::size_t r = 0; r < results.size(); ++r) {
-      monitor_->record(r, results[r].polls, results[r].successes);
+      monitor_->record(r, results[r].successes);
     }
     monitor_->end_epoch();
   }

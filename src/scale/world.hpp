@@ -82,7 +82,7 @@ struct MetroConfig {
   resil::DomainSchedule domains{};
   /// Attach the resilience control plane: a HealthMonitor infers each
   /// reader's health from the only evidence a coordinator has — the
-  /// per-epoch (polls, successes) report, where a down reader is silence.
+  /// per-epoch success count it reports, where a down reader is silence.
   /// Suspected readers are skipped outside their probe epochs and their
   /// tags are re-homed to the nearest serving reader (which can actually
   /// reach them only if the grid spacing is inside detect range). Off

@@ -19,7 +19,7 @@ namespace {
 
 TEST(HealthMonitor, CleanHistoryEntitySuspectedAfterOneSilentEpoch) {
   HealthMonitor monitor(2);
-  monitor.record(0, 10, 8);  // Entity 1 is silent: no report at all.
+  monitor.record(0, 8);  // Entity 1 is silent: no report at all.
   monitor.end_epoch();
   EXPECT_FALSE(monitor.suspected(0));
   EXPECT_TRUE(monitor.suspected(1));
@@ -31,7 +31,7 @@ TEST(HealthMonitor, CleanHistoryEntitySuspectedAfterOneSilentEpoch) {
 
 TEST(HealthMonitor, ZeroSuccessesAgainstAttemptsIsAMissToo) {
   HealthMonitor monitor(1);
-  monitor.record(0, 16, 0);
+  monitor.record(0, 0);
   monitor.end_epoch();
   EXPECT_TRUE(monitor.suspected(0));
 }
@@ -59,7 +59,7 @@ TEST(HealthMonitor, SuccessOnTheProbeClearsSuspicion) {
   HealthMonitor monitor(1);
   monitor.end_epoch();       // Suspected.
   ASSERT_TRUE(monitor.suspected(0));
-  monitor.record(0, 4, 3);   // Recovery observed.
+  monitor.record(0, 3);      // Recovery observed.
   monitor.end_epoch();
   EXPECT_FALSE(monitor.suspected(0));
   EXPECT_TRUE(monitor.should_serve(0));
@@ -76,7 +76,7 @@ TEST(HealthMonitor, NoisyEntityStillSuspectedWithinTwoMisses) {
   HealthMonitor monitor(1);
   // Teach the detector a lossy-but-alive history: miss, then success.
   monitor.end_epoch();       // Miss: ewma 0 -> 0.2 (first of streak).
-  monitor.record(0, 8, 5);
+  monitor.record(0, 5);
   monitor.end_epoch();       // Success: ewma 0.2 -> 0.16, cleared.
   EXPECT_FALSE(monitor.suspected(0));
   monitor.end_epoch();       // Miss 1: phi = -log10(0.16) ~ 0.80 < 1.
@@ -121,7 +121,7 @@ TEST(HealthMonitor, CrossThreadRecordsMatchTheSerialFingerprint) {
           for (std::size_t e = 0; e < kEntities; ++e) {
             // Entity 5 goes dark from epoch 1 onward.
             const bool down = e == 5 && epoch >= 1;
-            parallel_monitor.record(e, 2, down ? 0 : 1);
+            parallel_monitor.record(e, down ? 0 : 1);
           }
         }
       });
@@ -129,8 +129,7 @@ TEST(HealthMonitor, CrossThreadRecordsMatchTheSerialFingerprint) {
     for (std::thread& w : workers) w.join();
     for (std::size_t e = 0; e < kEntities; ++e) {
       const bool down = e == 5 && epoch >= 1;
-      serial_monitor.record(e, 2ull * kThreads * kRounds,
-                            down ? 0 : 1ull * kThreads * kRounds);
+      serial_monitor.record(e, down ? 0 : 1ull * kThreads * kRounds);
     }
     parallel_monitor.end_epoch();
     serial_monitor.end_epoch();
