@@ -43,9 +43,6 @@ struct CellConfig {
   /// paper's bench prototype horn.
   double sector_half_angle_rad = 3.141592653589793;
   double beamwidth_deg = 17.0;
-  /// Link-cache memory bound: memoized tags per reader (0 = unbounded).
-  /// Overflow evicts the least-recently-used tag (LinkCache docs).
-  std::size_t link_cache_tag_capacity = LinkCache::kDefaultTagCapacity;
 };
 
 /// What the coordinator grants a cell for one epoch.
@@ -102,7 +99,7 @@ class ReaderCell {
   /// Returns the number of cache entries evicted.
   std::uint64_t on_reader_restarted() {
     quarantine_.clear();
-    return cache_.invalidate_reader(index_);
+    return cache_.invalidate_all();
   }
 
   [[nodiscard]] int index() const { return index_; }

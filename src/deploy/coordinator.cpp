@@ -31,10 +31,7 @@ std::vector<CellPlan> FleetCoordinator::plan(
   }
 
   for (std::size_t v = 0; v < m; ++v) {
-    plans[v].channel =
-        config_.policy == CoordinationPolicy::kChannelized
-            ? static_cast<int>(v) % config_.channels
-            : 0;
+    plans[v].channel = static_cast<int>(v) % config_.channels;
   }
   for (std::size_t v = 0; v < m; ++v) {
     double load_w = 0.0;

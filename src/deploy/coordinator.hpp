@@ -4,9 +4,10 @@
 // room scale — wall bounces deliver carrier-level interference against
 // microwatt tag responses. The coordinator turns that finding into policy:
 // it hands every cell an airtime share and an interference load
-// (CellPlan) under one of three regimes — simultaneous (raw SINR),
-// channelized (round-robin channels, adjacent-channel rejection at the
-// victim's filter), or TDM (1/M airtime, no interference) — and it owns
+// (CellPlan) under one of two regimes — channelized (round-robin
+// channels, adjacent-channel rejection at the victim's filter; one
+// channel is raw same-channel SINR) or TDM (1/M airtime, no
+// interference) — and it owns
 // tag↔cell membership, re-assigning mobile tags to their strongest reader
 // and counting the handoffs.
 //
@@ -27,9 +28,8 @@
 namespace mmtag::deploy {
 
 enum class CoordinationPolicy {
-  kSimultaneous,  ///< Everyone on the same channel, all the time.
-  kChannelized,   ///< channel = cell % channels; ACR protects neighbours.
-  kTdm,           ///< Cells take turns: 1/M airtime, zero interference.
+  kChannelized,  ///< channel = cell % channels; ACR protects neighbours.
+  kTdm,          ///< Cells take turns: 1/M airtime, zero interference.
 };
 
 struct CoordinatorConfig {

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "src/channel/geometry.hpp"
-#include "src/impair/loss.hpp"
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -124,22 +123,13 @@ FleetResult FleetSimulator::run() {
   const std::size_t m = layout.reader_poses.size();
   const std::size_t n = layout.tags.size();
 
-  // With impairments enabled, the fleet's readers swap their opaque
-  // implementation-loss scalar for the decomposed stage total; all-off
-  // keeps the exact prototype parameters (bypass contract).
-  reader::MmWaveReader::Params reader_params{};
-  if (config_.impairments.any_enabled()) {
-    const impair::LossReport loss = impair::decompose(config_.impairments);
-    impair::record(loss);
-    reader_params.implementation_loss_db = loss.total_db;
-  }
-
   std::vector<reader::MmWaveReader> readers;
   readers.reserve(m);
   std::vector<ReaderCell> cells;
   cells.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    readers.emplace_back(layout.reader_poses[i], reader_params);
+    readers.push_back(
+        reader::MmWaveReader::prototype_at(layout.reader_poses[i]));
     cells.emplace_back(static_cast<int>(i), readers.back(),
                        &layout.environment, &rates, config_.cell,
                        config_.recovery, config_.use_link_cache);

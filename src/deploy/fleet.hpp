@@ -19,7 +19,6 @@
 
 #include "src/deploy/cell.hpp"
 #include "src/deploy/coordinator.hpp"
-#include "src/impair/config.hpp"
 #include "src/deploy/fleet_stats.hpp"
 #include "src/deploy/layout.hpp"
 #include "src/fault/engine.hpp"
@@ -53,13 +52,6 @@ struct FleetConfig {
   /// the cells' poll retry/backoff/quarantine knobs. A restarted reader
   /// always drops its link cache and quarantine list.
   fault::RecoveryConfig recovery;
-  /// Front-end impairment decomposition (DESIGN.md Sec. 16): with any
-  /// stage enabled, every reader's opaque implementation_loss_db is
-  /// replaced by impair::decompose(impairments).total_db — calibrate
-  /// residual_db against the reader's 18 dB scalar (docs/IMPAIRMENTS.md,
-  /// worked example 2). All-off (default) builds the exact prototype
-  /// readers of the legacy fleet.
-  impair::ImpairmentConfig impairments{};
   /// Backhaul reachability hook (installed by mesh::BackhaulSimulator):
   /// maps this epoch's radio-live mask to the readers that can still reach
   /// a mesh gateway. Consulted every epoch, with or without a fault

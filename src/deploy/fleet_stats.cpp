@@ -6,18 +6,6 @@
 
 namespace mmtag::deploy {
 
-// Thin delegates: the canonical implementations moved to obs::stats so the
-// bench harness and the fleet layer share one definition of a percentile.
-// Outputs are pinned bit-identical to the pre-refactor private copies by
-// test_fleet_stats regression values.
-double percentile(const std::vector<double>& values, double pct) {
-  return obs::percentile(values, pct);
-}
-
-double jain_fairness(const std::vector<double>& values) {
-  return obs::jain_fairness(values);
-}
-
 // One streaming pass that replicates the historical materializing
 // implementation bit-for-bit:
 //   * the Jain accumulators run over read tags' goodputs in tag order —

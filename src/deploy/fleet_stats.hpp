@@ -16,18 +16,6 @@
 
 namespace mmtag::deploy {
 
-/// Linear-interpolation percentile (pct in [0, 100]) of `values`.
-/// The input need not be sorted. Empty input returns NaN. Delegates to
-/// obs::percentile (the canonical implementation shared with the bench
-/// harness).
-[[nodiscard]] double percentile(const std::vector<double>& values,
-                                double pct);
-
-/// Jain fairness index (sum x)^2 / (n * sum x^2) in (0, 1]; 1 means all
-/// shares equal. Empty or all-zero input returns 0. Delegates to
-/// obs::jain_fairness.
-[[nodiscard]] double jain_fairness(const std::vector<double>& values);
-
 /// One tag's service over a whole fleet run, merged across epochs.
 struct TagService {
   std::uint32_t tag_id = 0;

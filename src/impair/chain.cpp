@@ -33,12 +33,17 @@ void record_stage(const ImpairmentStage& stage, std::size_t samples) {
   }
 }
 
+const ImpairmentConfig& validated(const ImpairmentConfig& config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
 
 ImpairmentChain::ImpairmentChain() : ImpairmentChain(ImpairmentConfig::off()) {}
 
 ImpairmentChain::ImpairmentChain(const ImpairmentConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       pa_(config.pa),
       phase_noise_(config.phase_noise),
       iq_(config.iq),

@@ -28,7 +28,8 @@ class ImpairmentChain {
   /// Bypass chain (ImpairmentConfig::off()).
   ImpairmentChain();
   /// Chain with the given stage parameters; derived constants are
-  /// precomputed once here.
+  /// precomputed once here. Throws std::invalid_argument when `config`
+  /// fails ImpairmentConfig::validate().
   explicit ImpairmentChain(const ImpairmentConfig& config);
 
   /// The configuration the chain was built from.

@@ -115,6 +115,10 @@ struct ImpairmentConfig {
 
   /// True when at least one stage's `enabled` bit is set.
   [[nodiscard]] bool any_enabled() const;
+
+  /// Throws std::invalid_argument naming the first out-of-range field,
+  /// enabled stage or not (ImpairmentChain's constructor calls it).
+  void validate() const;
 };
 
 }  // namespace mmtag::impair

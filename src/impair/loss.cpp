@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/impair/chain.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace mmtag::impair {
 
@@ -52,57 +51,6 @@ LossReport decompose(const ImpairmentConfig& config, double required_snr_db) {
   report.modelled_db = stage_loss_db(evm_total, required_snr_db);
   report.total_db = report.modelled_db + report.residual_db;
   return report;
-}
-
-void record(const LossReport& report) {
-  if constexpr (obs::kObsEnabled) {
-    auto& registry = obs::Registry::instance();
-    static obs::Counter& reports = registry.counter("impair.loss.reports");
-    reports.add();
-    for (const StageLoss& entry : report.stages) {
-      if (!entry.enabled) {
-        continue;
-      }
-      obs::Histogram* hist = nullptr;
-      if (entry.stage == "pa") {
-        static obs::Histogram& h = registry.histogram("impair.loss_mdb.pa");
-        hist = &h;
-      } else if (entry.stage == "phase_noise") {
-        static obs::Histogram& h =
-            registry.histogram("impair.loss_mdb.phase_noise");
-        hist = &h;
-      } else if (entry.stage == "iq") {
-        static obs::Histogram& h = registry.histogram("impair.loss_mdb.iq");
-        hist = &h;
-      } else {
-        static obs::Histogram& h = registry.histogram("impair.loss_mdb.adc");
-        hist = &h;
-      }
-      hist->record(entry.loss_db * 1000.0);
-    }
-    static obs::Histogram& modelled =
-        registry.histogram("impair.loss_mdb.modelled");
-    modelled.record(report.modelled_db * 1000.0);
-    static obs::Histogram& total = registry.histogram("impair.loss_mdb.total");
-    total.record(report.total_db * 1000.0);
-  } else {
-    (void)report;
-  }
-}
-
-phys::BackscatterLinkBudget impaired_budget(
-    const phys::BackscatterLinkBudget& base, const ImpairmentConfig& config,
-    double required_snr_db) {
-  // Bypass contract: an all-off config with no residual changes nothing
-  // and records nothing.
-  if (!config.any_enabled() && config.residual_db == 0.0) {
-    return base;
-  }
-  const LossReport report = decompose(config, required_snr_db);
-  record(report);
-  phys::BackscatterLinkBudget budget = base;
-  budget.implementation_loss_db = report.total_db;
-  return budget;
 }
 
 }  // namespace mmtag::impair

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/impair/config.hpp"
-#include "src/phys/link_budget.hpp"
 
 namespace mmtag::impair {
 
@@ -68,20 +67,9 @@ struct LossReport {
 
 /// Decompose `config` into per-stage and total losses at
 /// `required_snr_db` (default: the 7 dB the paper's ASK detector needs
-/// for BER 1e-3). Pure — records nothing; pair with record().
+/// for BER 1e-3). Pure. Throws std::invalid_argument when `config` fails
+/// ImpairmentConfig::validate().
 [[nodiscard]] LossReport decompose(const ImpairmentConfig& config,
                                    double required_snr_db = 7.0);
-
-/// Export `report` to obs: per-stage and total loss histograms in
-/// milli-dB (impair.loss_mdb.*) plus an impair.loss.reports counter.
-void record(const LossReport& report);
-
-/// Copy of `base` with `implementation_loss_db` replaced by the
-/// decomposed total of `config` (and the report exported via record()).
-/// With config.any_enabled() false and residual_db 0 the budget is
-/// returned unchanged — the bypass contract.
-[[nodiscard]] phys::BackscatterLinkBudget impaired_budget(
-    const phys::BackscatterLinkBudget& base, const ImpairmentConfig& config,
-    double required_snr_db = 7.0);
 
 }  // namespace mmtag::impair

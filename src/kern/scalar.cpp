@@ -24,8 +24,6 @@ inline Complexd cmul(Complexd a, Complexd b) {
                   a.imag() * b.real() + a.real() * b.imag());
 }
 
-}  // namespace
-
 double sum(const double* x, std::size_t n) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t n4 = n & ~std::size_t{3};
@@ -267,6 +265,7 @@ std::uint16_t crc16_bits(const std::uint8_t* bytes, std::size_t nbits) {
   return crc;
 }
 
+}  // namespace
 }  // namespace mmtag::kern::detail::scalar
 
 namespace mmtag::kern::detail {

@@ -69,7 +69,6 @@ class MmWaveReader {
       const phy::RateTable& rates) const;
 
   [[nodiscard]] const core::Pose& pose() const { return pose_; }
-  void set_pose(core::Pose pose) { pose_ = pose; }
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:

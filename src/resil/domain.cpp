@@ -43,13 +43,4 @@ void DomainSchedule::apply(std::uint64_t epoch, int readers_x, int readers_y,
   }
 }
 
-std::size_t DomainSchedule::down_count(std::uint64_t epoch, int readers_x,
-                                       int readers_y) const {
-  std::vector<std::uint8_t> up;
-  apply(epoch, readers_x, readers_y, &up);
-  std::size_t down = 0;
-  for (const std::uint8_t u : up) down += u == 0 ? 1 : 0;
-  return down;
-}
-
 }  // namespace mmtag::resil

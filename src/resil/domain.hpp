@@ -53,10 +53,6 @@ struct DomainSchedule {
   /// their rectangles.
   void apply(std::uint64_t epoch, int readers_x, int readers_y,
              std::vector<std::uint8_t>* up) const;
-
-  /// Readers down at `epoch` (no mask materialization).
-  [[nodiscard]] std::size_t down_count(std::uint64_t epoch, int readers_x,
-                                       int readers_y) const;
 };
 
 }  // namespace mmtag::resil

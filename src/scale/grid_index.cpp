@@ -38,15 +38,6 @@ void GridIndex::insert(TagSlot slot, double x, double y) {
   ++occupancy_;
 }
 
-void GridIndex::remove(TagSlot slot, double x, double y) {
-  std::vector<TagSlot>& bucket = cells_[cell_of(x, y)];
-  const auto it = std::lower_bound(bucket.begin(), bucket.end(), slot);
-  if (it != bucket.end() && *it == slot) {
-    bucket.erase(it);
-    --occupancy_;
-  }
-}
-
 bool GridIndex::move(TagSlot slot, double old_x, double old_y, double new_x,
                      double new_y) {
   const std::size_t from = cell_of(old_x, old_y);
@@ -60,33 +51,6 @@ bool GridIndex::move(TagSlot slot, double old_x, double old_y, double new_x,
   return true;
 }
 
-void GridIndex::gather_rect(double x0, double y0, double x1, double y1,
-                            std::vector<TagSlot>& out) const {
-  const int c0 = col_of(std::min(x0, x1));
-  const int c1 = col_of(std::max(x0, x1));
-  const int r0 = row_of(std::min(y0, y1));
-  const int r1 = row_of(std::max(y0, y1));
-  // Queries run concurrently from epoch shards: tally this query's cost
-  // locally and publish once with relaxed adds (deltas commute, so the
-  // totals are exact whatever the interleaving).
-  std::uint64_t visited = 0;
-  std::uint64_t candidates = 0;
-  for (int r = r0; r <= r1; ++r) {
-    for (int c = c0; c <= c1; ++c) {
-      const std::vector<TagSlot>& bucket =
-          cells_[static_cast<std::size_t>(r) *
-                     static_cast<std::size_t>(cols_) +
-                 static_cast<std::size_t>(c)];
-      ++visited;
-      candidates += bucket.size();
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
-  }
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  cells_visited_.fetch_add(visited, std::memory_order_relaxed);
-  candidates_.fetch_add(candidates, std::memory_order_relaxed);
-}
-
 void GridIndex::gather_disc(double cx, double cy, double radius_m,
                             std::vector<TagSlot>& out) const {
   const int c0 = col_of(cx - radius_m);
@@ -97,6 +61,9 @@ void GridIndex::gather_disc(double cx, double cy, double radius_m,
   // (cheap integer-geometry cull); the rest are coarse candidates.
   const double r2 = radius_m * radius_m;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Queries run concurrently from epoch shards: tally this query's cost
+  // locally and publish once with relaxed adds (deltas commute, so the
+  // totals are exact whatever the interleaving).
   std::uint64_t visited = 0;
   std::uint64_t candidates = 0;
   for (int r = r0; r <= r1; ++r) {

@@ -54,7 +54,6 @@ class GridIndex {
   GridIndex(double width_m, double height_m, double cell_m);
 
   void insert(TagSlot slot, double x, double y);
-  void remove(TagSlot slot, double x, double y);
 
   /// Rebucket `slot` after a move from (old_x, old_y) to (new_x, new_y).
   /// Returns true when the slot actually changed cells (the caller's old
@@ -67,11 +66,6 @@ class GridIndex {
   /// order within a cell. Coarse: slots up to one cell diagonal outside
   /// the disc are included; exact filtering is the batcher's job.
   void gather_disc(double cx, double cy, double radius_m,
-                   std::vector<TagSlot>& out) const;
-
-  /// Append every slot whose cell intersects the axis-aligned rectangle
-  /// [x0, x1] x [y0, y1], same order convention as gather_disc.
-  void gather_rect(double x0, double y0, double x1, double y1,
                    std::vector<TagSlot>& out) const;
 
   [[nodiscard]] QueryCost cost() const {

@@ -4,70 +4,29 @@
 
 namespace mmtag::scale {
 
-namespace {
-constexpr double kNeverRead = std::numeric_limits<double>::infinity();
-}  // namespace
-
 void TagStore::reserve(std::size_t tags) {
   x_.reserve(tags);
   y_.reserve(tags);
   orientation_.reserve(tags);
   energy_.reserve(tags);
-  id_.reserve(tags);
   read_.reserve(tags);
   first_read_s_.reserve(tags);
   delivered_bits_.reserve(tags);
   polls_.reserve(tags);
-  alive_.reserve(tags);
 }
 
-TagSlot TagStore::create(std::uint32_t id, double x, double y,
-                         double orientation_rad, double energy_j) {
-  TagSlot slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    x_[slot] = x;
-    y_[slot] = y;
-    orientation_[slot] = orientation_rad;
-    energy_[slot] = energy_j;
-    id_[slot] = id;
-    read_[slot] = 0;
-    first_read_s_[slot] = kNeverRead;
-    delivered_bits_[slot] = 0.0;
-    polls_[slot] = 0;
-    alive_[slot] = 1;
-  } else {
-    slot = static_cast<TagSlot>(x_.size());
-    x_.push_back(x);
-    y_.push_back(y);
-    orientation_.push_back(orientation_rad);
-    energy_.push_back(energy_j);
-    id_.push_back(id);
-    read_.push_back(0);
-    first_read_s_.push_back(kNeverRead);
-    delivered_bits_.push_back(0.0);
-    polls_.push_back(0);
-    alive_.push_back(1);
-  }
-  ++live_;
+TagSlot TagStore::create(double x, double y, double orientation_rad,
+                         double energy_j) {
+  const auto slot = static_cast<TagSlot>(x_.size());
+  x_.push_back(x);
+  y_.push_back(y);
+  orientation_.push_back(orientation_rad);
+  energy_.push_back(energy_j);
+  read_.push_back(0);
+  first_read_s_.push_back(std::numeric_limits<double>::infinity());
+  delivered_bits_.push_back(0.0);
+  polls_.push_back(0);
   return slot;
-}
-
-void TagStore::destroy(TagSlot slot) {
-  if (!alive(slot)) return;
-  alive_[slot] = 0;
-  free_.push_back(slot);
-  --live_;
-}
-
-void TagStore::reset_service() {
-  for (std::size_t i = 0; i < read_.size(); ++i) {
-    read_[i] = 0;
-    first_read_s_[i] = kNeverRead;
-    delivered_bits_[i] = 0.0;
-    polls_[i] = 0;
-  }
 }
 
 }  // namespace mmtag::scale

@@ -8,11 +8,9 @@
 // layer's epoch batcher can hand slabs of x/y straight to the kern SIMD
 // kernels and MetroWorld's service accounting streams over columns.
 //
-// Slots are stable for a tag's lifetime and recycled through a free-list:
-// destroying a tag never moves another tag's state, so spatial-index
-// entries and cross-references stay valid. Populations built without
-// destroy() are dense (slot == creation index), which is the layout every
-// bench uses.
+// The population is dense and append-only: the t-th create() returns
+// slot t, and a slot keeps its tag for the store's lifetime, so
+// spatial-index entries and cross-references stay valid.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +18,8 @@
 
 namespace mmtag::scale {
 
-/// Index into the store's columns; stable until destroy(), then recycled.
+/// Index into the store's columns: the tag's creation index.
 using TagSlot = std::uint32_t;
-
-inline constexpr TagSlot kInvalidSlot = 0xFFFFFFFFu;
 
 class TagStore {
  public:
@@ -33,27 +29,13 @@ class TagStore {
   /// million-tag populations).
   void reserve(std::size_t tags);
 
-  /// Add a tag; returns its slot (recycled from the free-list when one is
-  /// available, else appended). Service state starts zeroed.
-  TagSlot create(std::uint32_t id, double x, double y,
-                 double orientation_rad, double energy_j = 0.0);
+  /// Append a tag; returns its slot (the number of tags created before
+  /// it). Service state starts zeroed.
+  TagSlot create(double x, double y, double orientation_rad,
+                 double energy_j = 0.0);
 
-  /// Recycle `slot`. The columns keep their size; the slot goes on the
-  /// free-list and alive(slot) turns false.
-  void destroy(TagSlot slot);
-
-  [[nodiscard]] bool alive(TagSlot slot) const {
-    return slot < alive_.size() && alive_[slot] != 0;
-  }
-  /// Live tags.
-  [[nodiscard]] std::size_t size() const { return live_; }
-  /// Column length (live + free slots). Dense populations: slots == size.
-  [[nodiscard]] std::size_t slots() const { return alive_.size(); }
-
-  /// Zero the MAC/session columns (read flags, first-read instants,
-  /// delivered bits, polls) without touching poses or energy — the
-  /// between-runs reset.
-  void reset_service();
+  /// Tags created (every slot in [0, size()) holds one).
+  [[nodiscard]] std::size_t size() const { return x_.size(); }
 
   // --- Pose columns -----------------------------------------------------
   [[nodiscard]] const double* xs() const { return x_.data(); }
@@ -65,16 +47,10 @@ class TagStore {
     x_[slot] = x;
     y_[slot] = y;
   }
-  void set_orientation(TagSlot slot, double orientation_rad) {
-    orientation_[slot] = orientation_rad;
-  }
 
   // --- Energy column ----------------------------------------------------
   [[nodiscard]] const double* energies() const { return energy_.data(); }
   [[nodiscard]] double* energies() { return energy_.data(); }
-
-  // --- Identity column --------------------------------------------------
-  [[nodiscard]] const std::uint32_t* ids() const { return id_.data(); }
 
   // --- MAC/session columns (one writer per slot at a time) --------------
   [[nodiscard]] const std::uint8_t* read_flags() const {
@@ -97,14 +73,10 @@ class TagStore {
   std::vector<double> y_;
   std::vector<double> orientation_;
   std::vector<double> energy_;
-  std::vector<std::uint32_t> id_;
   std::vector<std::uint8_t> read_;
   std::vector<double> first_read_s_;
   std::vector<double> delivered_bits_;
   std::vector<long> polls_;
-  std::vector<std::uint8_t> alive_;
-  std::vector<TagSlot> free_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace mmtag::scale

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/impair/loss.hpp"
 #include "src/obs/stats.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/sim/rng.hpp"
@@ -40,7 +40,7 @@ void MetroConfig::validate() const {
   require(height_m > 0.0, "height_m", "> 0");
   require(readers_x >= 1, "readers_x", ">= 1");
   require(readers_y >= 1, "readers_y", ">= 1");
-  // TagStore ids are 32-bit.
+  // TagStore slots are 32-bit.
   require(tags <= std::numeric_limits<std::uint32_t>::max(), "tags",
           "<= 2^32 - 1");
   require(index_cell_m > 0.0, "index_cell_m", "> 0");
@@ -92,9 +92,8 @@ struct MetroWorld::ReaderResult {
 MetroWorld::MetroWorld(const MetroConfig& config)
     : config_(validated(config)),
       index_(config.width_m, config.height_m, config.index_cell_m),
-      model_(BatchLinkModel::from_budget(
-          impair::impaired_budget(config.budget, config.impairments),
-          phy::RateTable::mmtag_standard())) {
+      model_(BatchLinkModel::from_budget(config.budget,
+                                         phy::RateTable::mmtag_standard())) {
   detect_range_m_ = std::sqrt(model_.detect_r2_m2);
   gather_radius_m_ = std::max(detect_range_m_, config.interference_radius_m);
   poll_base_ = sim::derive_seed(config.seed, 0x706F6C6CULL);  // "poll"
@@ -111,8 +110,7 @@ MetroWorld::MetroWorld(const MetroConfig& config)
         static_cast<double>(bits >> 32) * 0x1.0p-32 * config.height_m;
     const double orient =
         unit_double(sim::derive_seed(bits, 1)) * 6.283185307179586;
-    const TagSlot slot = store_.create(static_cast<std::uint32_t>(t), x, y,
-                                       orient, config.initial_energy_j);
+    const TagSlot slot = store_.create(x, y, orient, config.initial_energy_j);
     index_.insert(slot, x, y);
   }
   if (config.control_plane) {
@@ -142,7 +140,7 @@ int MetroWorld::owner_of(double x, double y) const {
 
 MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   const int n_readers = readers();
-  const std::size_t n_slots = store_.slots();
+  const std::size_t n_slots = store_.size();
   const double t_now = static_cast<double>(epochs_run_) * config_.epoch_duration_s;
   const double intf_r2 =
       config_.interference_radius_m * config_.interference_radius_m;
@@ -236,12 +234,8 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       // consumption) is a pure function of the candidate *set*.
       std::sort(cands.begin(), cands.end());
     } else {
-      cands.reserve(n_slots);
-      for (std::size_t s = 0; s < n_slots; ++s) {
-        if (store_.alive(static_cast<TagSlot>(s))) {
-          cands.push_back(static_cast<TagSlot>(s));
-        }
-      }
+      cands.resize(n_slots);
+      std::iota(cands.begin(), cands.end(), TagSlot{0});
     }
     out.candidates = cands.size();
 
@@ -350,7 +344,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     const std::size_t hi = std::min(lo + kChunk, n_slots);
     for (std::size_t s = lo; s < hi; ++s) {
       const TagSlot slot = static_cast<TagSlot>(s);
-      if (!store_.alive(slot)) continue;
       const std::uint64_t bits = sim::derive_seed(
           move_base_, epochs_run_ * static_cast<std::uint64_t>(n_slots) + s);
       if (unit_double(bits) >= config_.move_fraction) continue;
@@ -405,9 +398,7 @@ MetroStats MetroWorld::stats() const {
   s.interference_pairs = interference_total_;
   s.moved = moved_total_;
   s.handoffs = handoffs_total_;
-  const std::size_t n = store_.slots();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store_.alive(static_cast<TagSlot>(i))) continue;
+  for (std::size_t i = 0; i < s.tags; ++i) {
     s.tags_read += store_.read_flags()[i];
     s.delivered_bits += store_.delivered_bits()[i];
     s.energy_j += store_.energies()[i];
@@ -417,12 +408,11 @@ MetroStats MetroWorld::stats() const {
 
 std::uint64_t MetroWorld::state_fingerprint() const {
   obs::Fnv1a h;
-  const std::size_t n = store_.slots();
+  const std::size_t n = store_.size();
   h.mix_u64(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const TagSlot slot = static_cast<TagSlot>(i);
-    h.mix_u64(store_.alive(slot) ? 1 : 0);
-    if (!store_.alive(slot)) continue;
+    // Every slot holds a live tag; the 1 keeps the pinned digests' bytes.
+    h.mix_u64(1);
     h.mix_double(store_.xs()[i]);
     h.mix_double(store_.ys()[i]);
     h.mix_double(store_.orientations()[i]);

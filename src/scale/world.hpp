@@ -29,7 +29,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/impair/config.hpp"
 #include "src/phys/link_budget.hpp"
 #include "src/resil/domain.hpp"
 #include "src/resil/health.hpp"
@@ -53,12 +52,6 @@ struct MetroConfig {
   // --- Link / MAC -------------------------------------------------------
   phys::BackscatterLinkBudget budget =
       phys::BackscatterLinkBudget::mmtag_prototype();
-  /// Hardware-impairment decomposition (DESIGN.md Sec. 16): with any
-  /// stage enabled, the budget's opaque implementation_loss_db is
-  /// replaced by the audited total from impair::decompose() before the
-  /// batch link model is built. All-off with residual 0 (the default)
-  /// leaves the budget untouched — bit-identical to the legacy world.
-  impair::ImpairmentConfig impairments{};
   double epoch_duration_s = 0.25;
   int polls_per_reader = 256;      ///< Poll budget per reader per epoch.
   double poll_success_prob = 0.9;  ///< Per-poll MAC success probability.

@@ -168,7 +168,9 @@ TEST(FleetCoordinator, TdmSharesAirtimeWithoutInterference) {
 
 TEST(FleetCoordinator, ChannelizationReducesInterferenceLoad) {
   FleetConfig same = small_fleet();
-  same.coordination.policy = CoordinationPolicy::kSimultaneous;
+  // One channel: every cell shares channel 0 at raw same-channel SINR.
+  same.coordination.policy = CoordinationPolicy::kChannelized;
+  same.coordination.channels = 1;
   FleetConfig channelized = small_fleet();
   channelized.coordination.policy = CoordinationPolicy::kChannelized;
   channelized.coordination.channels = 4;

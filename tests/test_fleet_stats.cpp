@@ -1,61 +1,65 @@
-// Fleet statistics helpers (src/deploy/fleet_stats).
+// Fleet statistics helpers (src/deploy/fleet_stats) and the obs
+// percentile and Jain rules they are built on.
 #include "src/deploy/fleet_stats.hpp"
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "src/obs/stats.hpp"
+
 namespace mmtag::deploy {
 namespace {
 
 TEST(Percentile, MedianOfOddCount) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
 }
 
 TEST(Percentile, InterpolatesBetweenRanks) {
   // Ranks 0..3; p50 falls exactly between 2.0 and 3.0.
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
 }
 
 TEST(Percentile, ExtremesAreMinAndMax) {
   const std::vector<double> xs{5.0, -1.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), -1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 0.0), -1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 100.0), 5.0);
 }
 
 TEST(Percentile, SingleValueIsEveryPercentile) {
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 1.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 99.0), 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 1.0), 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 99.0), 7.0);
 }
 
 TEST(Percentile, EmptyIsNaN) {
-  EXPECT_TRUE(std::isnan(percentile({}, 50.0)));
+  EXPECT_TRUE(std::isnan(obs::percentile({}, 50.0)));
 }
 
 TEST(Percentile, OutOfRangePctClamps) {
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0}, -10.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0}, 140.0), 2.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, -10.0), 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, 140.0), 2.0);
 }
 
 TEST(JainFairness, EqualSharesAreUnity) {
-  EXPECT_DOUBLE_EQ(jain_fairness({4.0, 4.0, 4.0, 4.0}), 1.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({4.0, 4.0, 4.0, 4.0}), 1.0);
 }
 
 TEST(JainFairness, OneHogOfNGivesOneOverN) {
   // A single non-zero share among n users scores exactly 1/n.
-  EXPECT_DOUBLE_EQ(jain_fairness({10.0, 0.0, 0.0, 0.0, 0.0}), 1.0 / 5.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({10.0, 0.0, 0.0, 0.0, 0.0}),
+                   1.0 / 5.0);
 }
 
 TEST(JainFairness, DegenerateInputsAreZero) {
-  EXPECT_DOUBLE_EQ(jain_fairness({}), 0.0);
-  EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({}), 0.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({0.0, 0.0}), 0.0);
 }
 
 TEST(JainFairness, ScaleInvariant) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(jain_fairness(a), jain_fairness(b));
+  EXPECT_DOUBLE_EQ(obs::jain_fairness(a), obs::jain_fairness(b));
 }
 
 TEST(SummarizeService, CountsReadsAndLatencies) {
@@ -101,8 +105,8 @@ TEST(Fingerprint, StableWhenNothingWasRead) {
 }
 
 // --- Pinned regression values -------------------------------------------
-// fleet_stats delegates percentile/jain/fingerprint to obs::stats (PR 4);
-// these exact values were produced by the pre-refactor private copies and
+// fleet_stats builds on obs::stats' percentile and Jain rules; these
+// exact values were produced by the pre-refactor private copies and
 // must never drift — they are what makes fleet fingerprints comparable
 // across repo versions.
 
@@ -135,8 +139,8 @@ TEST(Percentile, PinnedInterpolationBits) {
   // algorithm change (nearest-rank, exclusive interpolation, ...) breaks
   // these bits and with them every stored fleet fingerprint.
   const std::vector<double> xs{0.1, 0.2, 0.4, 0.8, 1.6};
-  EXPECT_DOUBLE_EQ(percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
-  EXPECT_DOUBLE_EQ(percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
 }
 
 // --- Streaming implementation -------------------------------------------

@@ -114,25 +114,13 @@ TEST(GridIndex, IterationOrderIsPureFunctionOfPopulation) {
   EXPECT_EQ(a, b);
 }
 
-TEST(GridIndex, RemoveDropsSlot) {
-  GridIndex index(30.0, 30.0, 5.0);
-  index.insert(1, 8.0, 8.0);
-  index.insert(2, 8.5, 8.5);
-  index.remove(1, 8.0, 8.0);
-  std::vector<TagSlot> out;
-  index.gather_disc(8.0, 8.0, 2.0, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 2u);
-  EXPECT_EQ(index.occupancy(), 1u);
-}
-
 TEST(GridIndex, QueryCostCountsCellsAndCandidates) {
   GridIndex index(100.0, 100.0, 10.0);
   for (TagSlot s = 0; s < 10; ++s) {
     index.insert(s, 5.0 + static_cast<double>(s) * 0.1, 5.0);
   }
   std::vector<TagSlot> out;
-  index.gather_rect(0.0, 0.0, 9.0, 9.0, out);
+  index.gather_disc(5.0, 5.0, 4.0, out);
   const GridIndex::QueryCost& cost = index.cost();
   EXPECT_EQ(cost.queries, 1u);
   EXPECT_EQ(cost.cells_visited, 1u);

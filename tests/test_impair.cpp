@@ -1,22 +1,24 @@
 // Hardware-impairment suite (src/impair): bypass bit-identity against
 // the legacy chain, stage composition and RNG-stream discipline,
 // scalar/auto backend and thread-count invariance with impairments
-// enabled, and the decomposed implementation-loss budget (DESIGN.md
-// Sec. 16, docs/IMPAIRMENTS.md).
+// enabled, the decomposed implementation-loss budget (DESIGN.md Sec. 16,
+// docs/IMPAIRMENTS.md) and config validation.
 #include "src/impair/chain.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "src/deploy/fleet.hpp"
 #include "src/impair/loss.hpp"
 #include "src/kern/kern.hpp"
 #include "src/phy/frame.hpp"
-#include "src/phy/rate_table.hpp"
+#include "src/phys/link_budget.hpp"
 #include "src/reader/receive_chain.hpp"
-#include "src/scale/epoch_batch.hpp"
 #include "src/sim/link_sim.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
@@ -87,33 +89,6 @@ TEST(ImpairBypass, ReceiveImpairedEqualsReceive) {
   EXPECT_EQ(plain.crc_ok, impaired.crc_ok);
   EXPECT_EQ(plain.demodulated_bits, impaired.demodulated_bits);
 }
-
-TEST(ImpairBypass, FleetFingerprintMatchesLegacy) {
-  deploy::FleetConfig legacy;
-  legacy.layout.width_m = 10.0;
-  legacy.layout.height_m = 6.0;
-  legacy.layout.readers = 4;
-  legacy.layout.tags = 40;
-  legacy.layout.seed = 42;
-  legacy.epochs = 2;
-  legacy.seed = 42;
-  legacy.threads = 1;
-
-  deploy::FleetConfig off = legacy;
-  off.impairments = ImpairmentConfig::off();
-  EXPECT_EQ(deploy::fingerprint(deploy::FleetSimulator(legacy).run().stats),
-            deploy::fingerprint(deploy::FleetSimulator(off).run().stats));
-
-  // Enabled with extra residual loss must change the realization (smaller
-  // detect range -> different service).
-  deploy::FleetConfig on = legacy;
-  on.impairments = ImpairmentConfig::cmos_24ghz();
-  on.impairments.residual_db += 20.0;
-  EXPECT_NE(deploy::fingerprint(deploy::FleetSimulator(legacy).run().stats),
-            deploy::fingerprint(deploy::FleetSimulator(on).run().stats));
-}
-
-// --- Stage composition and RNG-stream discipline ---------------------------
 
 TEST(ImpairStages, ChainAppliesRxStagesInFixedOrder) {
   ImpairmentConfig config = ImpairmentConfig::cmos_24ghz();
@@ -328,31 +303,9 @@ TEST(ImpairLoss, Cmos24GhzReproducesTheLegacyBudget) {
   // The calibrated budget therefore preserves the legacy link ranges.
   const phys::BackscatterLinkBudget legacy =
       phys::BackscatterLinkBudget::mmtag_prototype();
-  const phys::BackscatterLinkBudget swapped = impaired_budget(legacy, config);
+  phys::BackscatterLinkBudget swapped = legacy;
+  swapped.implementation_loss_db = report.total_db;
   EXPECT_NEAR(swapped.max_range_m(-60.0), legacy.max_range_m(-60.0), 1e-9);
-}
-
-TEST(ImpairLoss, ImpairedBudgetBypassReturnsBaseUnchanged) {
-  const phys::BackscatterLinkBudget base =
-      phys::BackscatterLinkBudget::mmtag_prototype();
-  const phys::BackscatterLinkBudget same =
-      impaired_budget(base, ImpairmentConfig::off());
-  EXPECT_EQ(same.implementation_loss_db, base.implementation_loss_db);
-  EXPECT_EQ(same.fixed_gains_db(), base.fixed_gains_db());
-
-  // Enabled: the scalar is replaced by the decomposed total.
-  ImpairmentConfig config = ImpairmentConfig::cmos_24ghz();
-  config.residual_db += 3.0;
-  const phys::BackscatterLinkBudget more = impaired_budget(base, config);
-  EXPECT_NEAR(more.implementation_loss_db, 17.0, 1e-9);
-
-  // The scale layer's batch model sees the swapped budget: +3 dB loss
-  // shrinks the detect radius.
-  const auto legacy_model = scale::BatchLinkModel::from_budget(
-      base, phy::RateTable::mmtag_standard());
-  const auto impaired_model = scale::BatchLinkModel::from_budget(
-      more, phy::RateTable::mmtag_standard());
-  EXPECT_LT(impaired_model.detect_r2_m2, legacy_model.detect_r2_m2);
 }
 
 TEST(ImpairLoss, FloorLimitedFlagTripsOnExtremeImpairments) {
@@ -362,6 +315,63 @@ TEST(ImpairLoss, FloorLimitedFlagTripsOnExtremeImpairments) {
   const LossReport report = decompose(config, 7.0);
   EXPECT_TRUE(report.floor_limited);
   EXPECT_DOUBLE_EQ(report.modelled_db, kFloorLossDb);
+}
+
+// --- Config validation -----------------------------------------------------
+
+TEST(ImpairConfig, EveryOutOfRangeFieldIsRejectedByName) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Config = ImpairmentConfig;
+  // One bad value per rule, each applied alone to the calibrated profile.
+  const std::vector<std::pair<std::string, std::function<void(Config&)>>>
+      cases = {
+          {"phase_noise.linewidth_hz",
+           [](Config& c) { c.phase_noise.linewidth_hz = kNan; }},
+          {"phase_noise.white_phase_deg_rms",
+           [](Config& c) { c.phase_noise.white_phase_deg_rms = -0.1; }},
+          {"phase_noise.sample_rate_hz",
+           [](Config& c) { c.phase_noise.sample_rate_hz = 0.0; }},
+          {"phase_noise.coherence_samples",
+           [](Config& c) { c.phase_noise.coherence_samples = 0; }},
+          {"pa.backoff_db", [](Config& c) { c.pa.backoff_db = kNan; }},
+          {"pa.am_pm_deg_at_sat",
+           [](Config& c) { c.pa.am_pm_deg_at_sat = 180.0; }},
+          {"iq.gain_mismatch_db",
+           [](Config& c) { c.iq.gain_mismatch_db = kInf; }},
+          {"iq.phase_mismatch_deg",
+           [](Config& c) { c.iq.phase_mismatch_deg = kNan; }},
+          {"adc.bits", [](Config& c) { c.adc.bits = 0; }},
+          {"adc.bits", [](Config& c) { c.adc.bits = 1100; }},
+          {"adc.full_scale", [](Config& c) { c.adc.full_scale = -1.0; }},
+          {"adc.jitter_ps_rms", [](Config& c) { c.adc.jitter_ps_rms = kNan; }},
+          {"adc.sample_rate_hz",
+           [](Config& c) { c.adc.sample_rate_hz = kInf; }},
+          {"residual_db", [](Config& c) { c.residual_db = kNan; }},
+      };
+  const auto expect_rejected = [](const std::string& field,
+                                  const std::function<void()>& build) {
+    try {
+      build();
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+
+  EXPECT_NO_THROW(Config::off().validate());
+  EXPECT_NO_THROW(Config::cmos_24ghz().validate());
+  for (const auto& [field, corrupt] : cases) {
+    Config config = Config::cmos_24ghz();
+    corrupt(config);
+    expect_rejected(field, [&] { config.validate(); });
+    // Every consumer of a config builds a chain, so each one rejects it.
+    expect_rejected(field, [&] { (void)decompose(config); });
+    sim::MonteCarloLink::Params params = small_link_params();
+    params.impairments = config;
+    expect_rejected(field, [&] { (void)sim::MonteCarloLink{params}; });
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Link-budget cache (src/deploy/link_cache): memoization, counters, and
-// dirty invalidation when entities move.
+// Link-budget cache (src/deploy/link_cache): memoization, counters, dirty
+// invalidation when a tag moves, and the bulk flush of a reader restart.
 #include "src/deploy/link_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -104,16 +104,6 @@ TEST_F(LinkCacheTest, InvalidateIsPerTag) {
   EXPECT_EQ(cache.stats().raytrace_evals, 3u);
 }
 
-TEST_F(LinkCacheTest, MoveReaderDropsEverything) {
-  LinkCache cache = make_cache();
-  (void)cache.link(tag_, 0, 0.0);
-  cache.move_reader(core::Pose{{0.5, 1.0}, 0.0});
-  (void)cache.link(tag_, 0, 0.0);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().raytrace_evals, 2u);
-  EXPECT_DOUBLE_EQ(cache.reader().pose().position.x, 0.5);
-}
-
 TEST_F(LinkCacheTest, InvalidateTagCountsEvictions) {
   LinkCache cache = make_cache();
   (void)cache.link(tag_, 0, 0.0);
@@ -125,22 +115,16 @@ TEST_F(LinkCacheTest, InvalidateTagCountsEvictions) {
   EXPECT_EQ(cache.stats().evictions, 3u);
 }
 
-TEST_F(LinkCacheTest, InvalidateReaderBulkEvictsOnlyOnMatch) {
-  LinkCache cache(
-      reader::MmWaveReader::prototype_at(core::Pose{{0.0, 1.0}, 0.0}),
-      &env_, &rates_, /*enabled=*/true, /*reader_id=*/5);
+TEST_F(LinkCacheTest, InvalidateAllBulkEvictsAndCounts) {
+  LinkCache cache = make_cache();
   const core::MmTag other =
       core::MmTag::prototype_at(core::Pose{{2.5, 1.5}, 3.0}, /*id=*/8);
   (void)cache.link(tag_, 0, 0.0);
   (void)cache.link(tag_, 1, 0.3);
   (void)cache.link(other, 0, 0.0);
 
-  // Another reader's restart broadcast is a no-op here.
-  EXPECT_EQ(cache.invalidate_reader(3), 0u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // A match drops everything: (2 reports + paths) + (1 report + paths).
-  EXPECT_EQ(cache.invalidate_reader(5), 5u);
+  // A restart drops everything: (2 reports + paths) + (1 report + paths).
+  EXPECT_EQ(cache.invalidate_all(), 5u);
   EXPECT_EQ(cache.stats().evictions, 5u);
 
   // Cold again: the next lookup re-traces...
@@ -148,112 +132,7 @@ TEST_F(LinkCacheTest, InvalidateReaderBulkEvictsOnlyOnMatch) {
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().raytrace_evals, 3u);
   // ...and a second restart evicts exactly the rebuilt entries.
-  EXPECT_EQ(cache.invalidate_reader(5), 2u);
-}
-
-TEST_F(LinkCacheTest, UnidentifiedReaderIgnoresBulkInvalidation) {
-  LinkCache cache = make_cache();  // Default identity: -1 (none).
-  (void)cache.link(tag_, 0, 0.0);
-  EXPECT_EQ(cache.invalidate_reader(-1), 0u);  // Negative never matches...
-  EXPECT_EQ(cache.invalidate_reader(0), 0u);   // ...and neither does 0.
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  (void)cache.link(tag_, 0, 0.0);
-  EXPECT_EQ(cache.stats().hits, 1u);  // Still warm.
-}
-
-TEST_F(LinkCacheTest, CapacityBoundEvictsLeastRecentlyUsed) {
-  LinkCache cache(
-      reader::MmWaveReader::prototype_at(core::Pose{{0.0, 1.0}, 0.0}),
-      &env_, &rates_, /*enabled=*/true, /*reader_id=*/-1,
-      /*tag_capacity=*/2);
-  const core::MmTag t1 =
-      core::MmTag::prototype_at(core::Pose{{2.0, 1.0}, 3.14}, /*id=*/1);
-  const core::MmTag t2 =
-      core::MmTag::prototype_at(core::Pose{{2.5, 1.5}, 3.0}, /*id=*/2);
-  const core::MmTag t3 =
-      core::MmTag::prototype_at(core::Pose{{3.0, 0.5}, 3.0}, /*id=*/3);
-
-  (void)cache.link(t1, 0, 0.0);
-  (void)cache.link(t2, 0, 0.0);
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  (void)cache.link(t1, 0, 0.0);  // Refresh t1: t2 is now the LRU victim.
-  (void)cache.link(t3, 0, 0.0);  // Overflow: t2 evicted, not t1.
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  EXPECT_EQ(cache.stats().lru_evictions, 1u);
-  // t2's report + path set were dropped.
-  EXPECT_EQ(cache.stats().evictions, 2u);
-
-  // t1 survived (hit); t2 must re-trace.
-  const std::uint64_t traces = cache.stats().raytrace_evals;
-  (void)cache.link(t1, 0, 0.0);
-  EXPECT_EQ(cache.stats().raytrace_evals, traces);
-  (void)cache.link(t2, 0, 0.0);
-  EXPECT_EQ(cache.stats().raytrace_evals, traces + 1);
-}
-
-TEST_F(LinkCacheTest, CapacityZeroIsUnbounded) {
-  LinkCache cache(
-      reader::MmWaveReader::prototype_at(core::Pose{{0.0, 1.0}, 0.0}),
-      &env_, &rates_, /*enabled=*/true, /*reader_id=*/-1,
-      /*tag_capacity=*/0);
-  for (std::uint32_t id = 1; id <= 16; ++id) {
-    const core::MmTag tag = core::MmTag::prototype_at(
-        core::Pose{{2.0 + 0.1 * id, 1.0}, 3.14}, id);
-    (void)cache.link(tag, 0, 0.0);
-  }
-  EXPECT_EQ(cache.resident_tags(), 16u);
-  EXPECT_EQ(cache.stats().lru_evictions, 0u);
-}
-
-TEST_F(LinkCacheTest, DefaultCapacityCoversFleetWorkingSets) {
-  LinkCache cache = make_cache();
-  EXPECT_EQ(cache.tag_capacity(), LinkCache::kDefaultTagCapacity);
-  EXPECT_GE(LinkCache::kDefaultTagCapacity, 4000u);
-}
-
-TEST_F(LinkCacheTest, InvalidateReaderComposesWithTheLruBound) {
-  // Fleet-wide identity invalidation (resilience path: a suspected reader
-  // flushes its memoized links) must compose with the PR-8 capacity
-  // bound: a flush is never booked as an LRU eviction, and the cache
-  // refills and evicts correctly afterwards.
-  LinkCache cache(
-      reader::MmWaveReader::prototype_at(core::Pose{{0.0, 1.0}, 0.0}),
-      &env_, &rates_, /*enabled=*/true, /*reader_id=*/3,
-      /*tag_capacity=*/2);
-  const auto tag_at = [](std::uint32_t id) {
-    return core::MmTag::prototype_at(
-        core::Pose{{2.0 + 0.1 * id, 1.0}, 3.14}, id);
-  };
-  (void)cache.link(tag_at(1), 0, 0.0);
-  (void)cache.link(tag_at(2), 0, 0.0);
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  (void)cache.link(tag_at(3), 0, 0.0);  // Overflow: tag 1 is the victim.
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  EXPECT_EQ(cache.stats().lru_evictions, 1u);
-  const std::uint64_t evictions_after_lru = cache.stats().evictions;
-
-  // Wrong identity: a no-op, nothing dropped, nothing counted.
-  EXPECT_EQ(cache.invalidate_reader(2), 0u);
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  EXPECT_EQ(cache.stats().evictions, evictions_after_lru);
-
-  // Matching identity: both resident tags flushed, counted as plain
-  // evictions only — the LRU counter must not move.
-  const std::uint64_t flushed = cache.invalidate_reader(3);
-  EXPECT_GT(flushed, 0u);
-  EXPECT_EQ(cache.resident_tags(), 0u);
-  EXPECT_EQ(cache.stats().evictions, evictions_after_lru + flushed);
-  EXPECT_EQ(cache.stats().lru_evictions, 1u);
-
-  // The flushed cache is healthy: it refills, serves hits, and the
-  // capacity bound still evicts (exactly one more LRU victim).
-  (void)cache.link(tag_at(4), 0, 0.0);
-  (void)cache.link(tag_at(5), 0, 0.0);
-  (void)cache.link(tag_at(5), 0, 0.0);
-  EXPECT_GE(cache.stats().hits, 1u);
-  (void)cache.link(tag_at(6), 0, 0.0);
-  EXPECT_EQ(cache.resident_tags(), 2u);
-  EXPECT_EQ(cache.stats().lru_evictions, 2u);
+  EXPECT_EQ(cache.invalidate_all(), 2u);
 }
 
 TEST_F(LinkCacheTest, DisabledCacheRetracesEveryLookup) {

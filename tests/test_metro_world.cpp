@@ -141,7 +141,7 @@ TEST(MetroWorld, ServesTagsAndDutyCyclesEnergy) {
 
   // Energy stays within [0, cap] for every tag.
   const MetroConfig& cfg = world.config();
-  for (std::size_t i = 0; i < world.store().slots(); ++i) {
+  for (std::size_t i = 0; i < world.store().size(); ++i) {
     EXPECT_GE(world.store().energies()[i], 0.0);
     EXPECT_LE(world.store().energies()[i], cfg.energy_cap_j);
   }
