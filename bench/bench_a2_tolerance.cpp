@@ -20,7 +20,7 @@
 namespace {
 
 mmtag::core::VanAttaArray array_with_length_errors(double sigma_m,
-                                                   std::mt19937_64& rng) {
+                                                   mmtag::sim::Rng& rng) {
   using namespace mmtag;
   core::VanAttaArray::Config config;
   config.elements = 6;

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
-# total and dependency-edge table match the tree, tier-1 verify in Release
+# total and dependency-edge table match the tree and that src/ names no
+# engine but sim::Rng and no std::normal_distribution in phy or impair,
+# tier-1 verify in Release
 # and Debug with warnings as errors (test suite run twice: forced-scalar and
 # auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
 # the pinned digests, the traffic suite and the metric tests, the
@@ -68,6 +70,21 @@ if [ "${derived}" != "${documented}" ]; then
   exit 1
 fi
 echo "dependency edges OK: $(echo "${derived}" | wc -l) pairs"
+
+echo "=== One engine in the library ==="
+# sim::Rng is the library's engine (std::mt19937_64 appears only in its
+# header, for the conversion), and phy and impair draw Gaussians through
+# phy::normal_pairs only. Comment lines do not count.
+code_lines() { grep -rn "$1" $2 | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; }
+if code_lines 'std::mt19937_64' src | grep -v '^src/sim/rng\.hpp:'; then
+  echo "FAIL: std::mt19937_64 under src/ outside src/sim/rng.hpp" >&2
+  exit 1
+fi
+if code_lines 'std::normal_distribution' 'src/phy src/impair'; then
+  echo "FAIL: std::normal_distribution under src/phy or src/impair" >&2
+  exit 1
+fi
+echo "one engine OK"
 
 for config in Release Debug; do
   echo "=== ${config} build (-Wall -Wextra -Werror) ==="

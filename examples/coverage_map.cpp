@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const std::size_t cells = feet.size() * degrees.size();
   const auto grid = sim::parallel_monte_carlo(
       pool, cells, base_seed,
-      [&](std::mt19937_64& rng, std::size_t index) {
+      [&](sim::Rng& rng, std::size_t index) {
         const double d = phys::feet_to_m(feet[index / degrees.size()]);
         const double bearing =
             phys::deg_to_rad(degrees[index % degrees.size()]);

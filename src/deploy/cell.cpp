@@ -44,7 +44,7 @@ CellEpochResult ReaderCell::run_epoch(
     const std::vector<core::MmTag>& tags,
     const std::vector<std::size_t>& tag_indices, const CellPlan& plan,
     double start_s, double duration_s, const fault::EpochFaults& faults,
-    std::mt19937_64& rng) {
+    sim::Rng& rng) {
   CellEpochResult result;
   result.cell_index = index_;
   result.tags_assigned = static_cast<int>(tag_indices.size());

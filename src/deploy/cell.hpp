@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "src/mac/aloha.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::deploy {
 
@@ -88,7 +88,7 @@ class ReaderCell {
       const std::vector<core::MmTag>& tags,
       const std::vector<std::size_t>& tag_indices, const CellPlan& plan,
       double start_s, double duration_s, const fault::EpochFaults& faults,
-      std::mt19937_64& rng);
+      sim::Rng& rng);
 
   /// Forward a tag move to the cache.
   void on_tag_moved(std::uint32_t tag_id) { cache_.invalidate_tag(tag_id); }

@@ -211,7 +211,7 @@ FleetResult FleetSimulator::run() {
     const double start_s = e * config_.epoch_duration_s;
     pool.parallel_for(m, [&](std::size_t c) {
       // Cell-private stream: scheduling order can never leak into results.
-      std::mt19937_64 rng = sim::make_rng(sim::derive_seed(
+      sim::Rng rng = sim::make_rng(sim::derive_seed(
           cell_base, static_cast<std::uint64_t>(e) * m + c));
       std::uint64_t cell_start_ns = 0;
       if constexpr (obs::kObsEnabled) {
@@ -261,7 +261,7 @@ FleetResult FleetSimulator::run() {
           config_.mobile_speed_mps * config_.epoch_duration_s;
       const double margin = config_.layout.margin_m;
       for (std::size_t t = 0; t < movers && t < n; ++t) {
-        std::mt19937_64 rng = sim::make_rng(sim::derive_seed(
+        sim::Rng rng = sim::make_rng(sim::derive_seed(
             move_base, static_cast<std::uint64_t>(e) * n + t));
         std::uniform_real_distribution<double> heading(0.0, phys::kTwoPi);
         const double dir = heading(rng);

@@ -62,7 +62,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
     brownout_probability_ = std::clamp(
         1.0 - harvester.duty_cycle(schedule_.brownouts.burst_load_w), 0.0,
         1.0);
-    std::mt19937_64 rng =
+    sim::Rng rng =
         sim::make_rng(sim::derive_seed(seed_, kBrownPopStream));
     std::bernoulli_distribution affected(
         std::clamp(schedule_.brownouts.affected_fraction, 0.0, 1.0));
@@ -74,7 +74,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
   tag_stuck_.assign(tags_, 0);
   if (schedule_.stuck.active()) {
     stuck_penalty_db_ = schedule_.stuck.penalty_db();
-    std::mt19937_64 rng = sim::make_rng(sim::derive_seed(seed_, kStuckStream));
+    sim::Rng rng = sim::make_rng(sim::derive_seed(seed_, kStuckStream));
     std::bernoulli_distribution affected(
         std::clamp(schedule_.stuck.affected_fraction, 0.0, 1.0));
     for (std::size_t t = 0; t < tags_; ++t) {
@@ -88,7 +88,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
 
   reader_drift_ppm_.assign(readers_, 0.0);
   if (schedule_.drift.active()) {
-    std::mt19937_64 rng = sim::make_rng(sim::derive_seed(seed_, kDriftStream));
+    sim::Rng rng = sim::make_rng(sim::derive_seed(seed_, kDriftStream));
     std::normal_distribution<double> drift(0.0, schedule_.drift.sigma_ppm);
     for (std::size_t r = 0; r < readers_; ++r) {
       reader_drift_ppm_[r] = drift(rng);
@@ -126,7 +126,7 @@ const EpochFaults& FaultEngine::begin_epoch(int epoch) {
   }
 
   if (schedule_.brownouts.active()) {
-    std::mt19937_64 rng = sim::make_rng(sim::derive_seed(
+    sim::Rng rng = sim::make_rng(sim::derive_seed(
         sim::derive_seed(seed_, kBrownEpochStream),
         static_cast<std::uint64_t>(epoch)));
     std::bernoulli_distribution browned(brownout_probability_);
@@ -141,7 +141,7 @@ const EpochFaults& FaultEngine::begin_epoch(int epoch) {
         1.0 - std::exp(-schedule_.blockage.enter_rate_hz * epoch_duration_s_);
     const double p_exit =
         1.0 - std::exp(-epoch_duration_s_ / schedule_.blockage.mean_burst_s);
-    std::mt19937_64 rng = sim::make_rng(
+    sim::Rng rng = sim::make_rng(
         sim::derive_seed(sim::derive_seed(seed_, kBlockStream),
                          static_cast<std::uint64_t>(epoch)));
     std::uniform_real_distribution<double> uniform(0.0, 1.0);

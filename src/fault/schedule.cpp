@@ -68,7 +68,7 @@ std::vector<std::vector<Outage>> build_outage_timelines(
     for (std::size_t r = 0; r < readers; ++r) {
       // Reader-private stream: adding a reader never shifts another's
       // timeline (same property the layout generator guarantees for tags).
-      std::mt19937_64 rng = sim::make_rng(sim::derive_seed(seed, r));
+      sim::Rng rng = sim::make_rng(sim::derive_seed(seed, r));
       double t = inter_arrival(rng);
       while (t < duration_s) {
         const double d = length(rng);

@@ -5,8 +5,9 @@
 //
 //   * Fixed stream ordinals. Every stage owns a compile-time ordinal
 //     (PA = 0, phase noise = 1, IQ = 2, ADC = 3) and draws randomness
-//     only from mt19937_64(sim::derive_seed(seed, ordinal)). Toggling a
-//     stage on or off therefore never shifts another stage's stream.
+//     only from sim::Rng(sim::derive_seed(seed, ordinal)), in
+//     phy::normal_pairs pairs. Toggling a stage on or off therefore
+//     never shifts another stage's stream.
 //   * Seed-pure application. apply() is const and uses no state other
 //     than the ctor parameters and the passed seed, so the same
 //     (waveform, seed) pair always yields the same bits regardless of

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <numbers>
-#include <random>
 #include <vector>
 
 #include "src/kern/kern.hpp"
+#include "src/phy/normal.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::impair {
@@ -93,19 +93,19 @@ void PhaseNoiseStage::apply(phy::Waveform& samples,
   }
   // Coefficient generation is scalar (cos/sin are not exactly-rounded
   // and never enter kernels); the Hadamard product is kernel-exact.
-  std::mt19937_64 rng =
-      sim::make_rng(sim::derive_seed(seed, stream_ordinal()));
-  std::normal_distribution<double> unit(0.0, 1.0);
+  sim::Rng rng(sim::derive_seed(seed, stream_ordinal()));
   std::vector<phy::Complex> coeff(samples.size());
   double phi = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    // Two draws per sample in fixed order (walk increment, white floor)
-    // so the stream layout never depends on the parameter values.
-    phi += wiener_sigma_ * unit(rng);
-    const double psi = white_sigma_ * unit(rng);
-    const double total = phi + psi;
-    coeff[i] = phy::Complex(std::cos(total), std::sin(total));
-  }
+  // One unit pair per sample in fixed order (walk increment, white floor)
+  // so the stream layout never depends on the parameter values.
+  phy::for_each_normal_pair(
+      rng, 0.0, 1.0, samples.size(),
+      [&](std::size_t i, double walk, double white) {
+        phi += wiener_sigma_ * walk;
+        const double psi = white_sigma_ * white;
+        const double total = phi + psi;
+        coeff[i] = phy::Complex(std::cos(total), std::sin(total));
+      });
   kern::dispatch().mul_complex(samples.data(), coeff.data(), samples.size());
 }
 
@@ -160,15 +160,16 @@ void AdcStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
     return;
   }
   if (jitter_sigma_ > 0.0) {
-    std::mt19937_64 rng =
-        sim::make_rng(sim::derive_seed(seed, stream_ordinal()));
-    std::normal_distribution<double> unit(0.0, 1.0);
-    for (phy::Complex& sample : samples) {
-      // Fixed draw order: I rail then Q rail.
-      const double ni = jitter_sigma_ * unit(rng);
-      const double nq = jitter_sigma_ * unit(rng);
-      sample = phy::Complex(sample.real() + ni, sample.imag() + nq);
-    }
+    sim::Rng rng(sim::derive_seed(seed, stream_ordinal()));
+    // Fixed draw order: one unit pair per sample, I rail then Q rail.
+    phy::for_each_normal_pair(
+        rng, 0.0, 1.0, samples.size(),
+        [&](std::size_t i, double unit_i, double unit_q) {
+          const double ni = jitter_sigma_ * unit_i;
+          const double nq = jitter_sigma_ * unit_q;
+          samples[i] =
+              phy::Complex(samples[i].real() + ni, samples[i].imag() + nq);
+        });
   }
   kern::dispatch().adc_quantize(samples.data(), samples.size(),
                                 params_.full_scale, step_, inv_step_);

@@ -22,7 +22,7 @@ int clamp_q(double q) {
 }  // namespace
 
 AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
-                            std::mt19937_64& rng) {
+                            sim::Rng& rng) {
   assert(tag_count >= 0);
   AlohaStats stats;
   stats.tags_total = tag_count;

@@ -8,7 +8,7 @@
 // Three Q policies are provided, from dumb to EPC-grade.
 #pragma once
 
-#include <random>
+#include "src/sim/rng.hpp"
 
 namespace mmtag::mac {
 
@@ -46,6 +46,6 @@ struct AlohaStats {
 /// `config.max_rounds` frames elapse.
 [[nodiscard]] AlohaStats run_framed_aloha(int tag_count,
                                           const AlohaConfig& config,
-                                          std::mt19937_64& rng);
+                                          sim::Rng& rng);
 
 }  // namespace mmtag::mac

@@ -28,7 +28,7 @@ SdmInventory::SdmInventory(reader::MmWaveReader reader, phy::RateTable rates,
 InventoryResult SdmInventory::run(const std::vector<antenna::Beam>& codebook,
                                   const std::vector<core::MmTag>& tags,
                                   const channel::Environment& env,
-                                  std::mt19937_64& rng) {
+                                  sim::Rng& rng) {
   InventoryResult result;
   result.tags_total = static_cast<int>(tags.size());
   result.beams.reserve(codebook.size());

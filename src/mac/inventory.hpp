@@ -12,7 +12,6 @@
 // per-tag read latencies are exact.
 #pragma once
 
-#include <random>
 #include <vector>
 
 #include "src/antenna/codebook.hpp"
@@ -21,6 +20,7 @@
 #include "src/mac/aloha.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::mac {
 
@@ -62,7 +62,7 @@ class SdmInventory {
   [[nodiscard]] InventoryResult run(const std::vector<antenna::Beam>& codebook,
                                     const std::vector<core::MmTag>& tags,
                                     const channel::Environment& env,
-                                    std::mt19937_64& rng);
+                                    sim::Rng& rng);
 
   [[nodiscard]] const InventoryConfig& config() const { return config_; }
 

@@ -18,7 +18,7 @@ MimoInventory::MimoInventory(reader::MmWaveReader reader,
 MimoInventoryResult MimoInventory::run(
     const std::vector<antenna::Beam>& codebook,
     const std::vector<core::MmTag>& tags, const channel::Environment& env,
-    std::mt19937_64& rng) {
+    sim::Rng& rng) {
   MimoInventoryResult result;
   result.tags_total = static_cast<int>(tags.size());
 

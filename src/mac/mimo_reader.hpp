@@ -10,6 +10,7 @@
 #pragma once
 
 #include "src/mac/inventory.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::mac {
 
@@ -32,7 +33,7 @@ class MimoInventory {
   [[nodiscard]] MimoInventoryResult run(
       const std::vector<antenna::Beam>& codebook,
       const std::vector<core::MmTag>& tags,
-      const channel::Environment& env, std::mt19937_64& rng);
+      const channel::Environment& env, sim::Rng& rng);
 
   [[nodiscard]] int chains() const { return chains_; }
 

@@ -12,7 +12,7 @@ double ArqStats::efficiency() const {
 
 ArqStats run_stop_and_wait(int frame_count,
                            double frame_success_probability,
-                           const ArqConfig& config, std::mt19937_64& rng) {
+                           const ArqConfig& config, sim::Rng& rng) {
   assert(frame_count >= 0);
   assert(frame_success_probability >= 0.0 &&
          frame_success_probability <= 1.0);

@@ -23,7 +23,7 @@
 // Monte-Carlo reference.
 #pragma once
 
-#include <random>
+#include "src/sim/rng.hpp"
 
 namespace mmtag::net {
 
@@ -57,7 +57,7 @@ struct ArqStats {
 [[nodiscard]] ArqStats run_stop_and_wait(int frame_count,
                                          double frame_success_probability,
                                          const ArqConfig& config,
-                                         std::mt19937_64& rng);
+                                         sim::Rng& rng);
 
 /// Closed form: expected transmissions per delivered frame for success
 /// probability `p` (geometric mean 1/p), query losses folded in.

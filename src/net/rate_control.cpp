@@ -1,7 +1,8 @@
 #include "src/net/rate_control.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/phy/ber.hpp"
 
@@ -11,10 +12,11 @@ AckRateController::AckRateController(const phy::RateTable* table,
                                      Params params,
                                      double received_power_dbm)
     : table_(table), params_(params), power_dbm_(received_power_dbm) {
-  assert(table_ != nullptr && !table_->tiers().empty());
-  assert(params_.history_alpha > 0.0 && params_.history_alpha <= 1.0);
-  assert(params_.down_threshold <= params_.up_threshold);
-  assert(params_.up_dwell_rounds >= 1);
+  if (table_ == nullptr || table_->tiers().empty()) {
+    throw std::invalid_argument(
+        "AckRateController::table must hold at least one tier");
+  }
+  params_.validate();
   // Open-loop start: fastest tier the link budget clears, else the
   // slowest one (tiers are sorted by descending bit rate).
   const std::size_t tiers = table_->tiers().size();
@@ -25,6 +27,19 @@ AckRateController::AckRateController(const phy::RateTable* table,
       break;
     }
   }
+}
+
+void AckRateController::Params::validate(std::string_view owner) const {
+  const auto reject = [owner](const char* rule) {
+    throw std::invalid_argument(std::string(owner) + rule);
+  };
+  if (!(history_alpha > 0.0 && history_alpha <= 1.0)) {
+    reject("history_alpha must be in (0, 1]");
+  }
+  if (!(down_threshold <= up_threshold)) {
+    reject("down_threshold must be <= up_threshold");
+  }
+  if (up_dwell_rounds < 1) reject("up_dwell_rounds must be >= 1");
 }
 
 const phy::RateTier& AckRateController::tier() const {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 #include "src/phy/rate_table.hpp"
 
@@ -34,12 +35,18 @@ class AckRateController {
     /// Link margin above the faster tier's power threshold required to
     /// upshift into it [dB].
     double snr_margin_db = 3.0;
+
+    /// Throws std::invalid_argument naming the first bad field, prefixed
+    /// by `owner` (TrafficConfig::validate passes "TrafficConfig::rate.").
+    void validate(std::string_view owner = "AckRateController::") const;
   };
 
   /// `table` tiers are consulted in their canonical descending-rate
   /// order. The controller starts at the best SNR-feasible tier for
   /// `received_power_dbm` (the open-loop pick), or the slowest tier when
-  /// even that is out of reach (the ACK loop will keep it there).
+  /// even that is out of reach (the ACK loop will keep it there). Throws
+  /// std::invalid_argument when `table` is null or has no tier, or when
+  /// `params` fails Params::validate().
   AckRateController(const phy::RateTable* table, Params params,
                     double received_power_dbm);
 

@@ -66,7 +66,7 @@ SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
 }
 
 SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
-                              std::mt19937_64& rng, PacketPool* pool,
+                              sim::Rng& rng, PacketPool* pool,
                               const AdaptFn& adapt) {
   if (packet_count < 0) reject("packet_count", "must be >= 0");
   // The session is the pool's only user while it runs, so the slots it
@@ -215,7 +215,7 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
 
 SrArqResult SrArqSession::run(int packet_count,
                               double packet_success_probability,
-                              std::mt19937_64& rng, PacketPool* pool) {
+                              sim::Rng& rng, PacketPool* pool) {
   if (!is_probability(packet_success_probability)) {
     reject("packet_success_probability", "must be in [0, 1]");
   }

@@ -26,10 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <vector>
 
 #include "src/net/packet.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::net {
 
@@ -111,14 +111,14 @@ class SrArqSession {
   /// buffers; pass nullptr to skip.
   [[nodiscard]] SrArqResult run(int packet_count,
                                 double packet_success_probability,
-                                std::mt19937_64& rng,
+                                sim::Rng& rng,
                                 PacketPool* pool = nullptr);
 
   /// Run the transfer over a time-varying channel with an optional rate
   /// adapter. Throws std::invalid_argument when `packet_count` is
   /// negative or a non-empty transfer gets a `pool` with no free slot.
   [[nodiscard]] SrArqResult run(int packet_count, const ChannelFn& channel,
-                                std::mt19937_64& rng,
+                                sim::Rng& rng,
                                 PacketPool* pool = nullptr,
                                 const AdaptFn& adapt = nullptr);
 

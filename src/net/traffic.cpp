@@ -69,7 +69,7 @@ bool in_outage(const std::vector<fault::Outage>& outages, double t_s) {
 /// ARQ session interleaves.
 std::vector<fault::Outage> draw_blockage_bursts(
     const fault::BlockageModel& model, double horizon_s,
-    std::mt19937_64& rng) {
+    sim::Rng& rng) {
   std::vector<fault::Outage> bursts;
   if (!model.active()) return bursts;
   std::exponential_distribution<double> good(model.enter_rate_hz);
@@ -161,18 +161,7 @@ void TrafficConfig::validate() const {
     throw std::invalid_argument(
         "TrafficConfig::epoch_duration_s must be > 0");
   }
-  if (!(rate.history_alpha > 0.0 && rate.history_alpha <= 1.0)) {
-    throw std::invalid_argument(
-        "TrafficConfig::rate.history_alpha must be in (0, 1]");
-  }
-  if (!(rate.down_threshold <= rate.up_threshold)) {
-    throw std::invalid_argument(
-        "TrafficConfig::rate.down_threshold must be <= rate.up_threshold");
-  }
-  if (rate.up_dwell_rounds < 1) {
-    throw std::invalid_argument(
-        "TrafficConfig::rate.up_dwell_rounds must be >= 1");
-  }
+  rate.validate("TrafficConfig::rate.");
   layout.validate();
   arq.validate();
 }
@@ -277,7 +266,7 @@ TrafficReport TrafficEngine::run() {
   // --- The flows. --------------------------------------------------------
   report.per_flow = sim::parallel_monte_carlo(
       pool, flow_count, flow_base,
-      [&](std::mt19937_64& rng, std::size_t f) {
+      [&](sim::Rng& rng, std::size_t f) {
         FlowResult flow;
         flow.flow = static_cast<int>(f);
         flow.tag = flow_tag[f];

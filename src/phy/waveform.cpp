@@ -26,15 +26,6 @@ void apply_channel(Waveform& samples, Complex coefficient) {
                                  samples.size());
 }
 
-void add_awgn(Waveform& samples, double noise_power, std::mt19937_64& rng) {
-  assert(noise_power >= 0.0);
-  if (noise_power == 0.0) return;
-  std::normal_distribution<double> gauss(0.0, std::sqrt(noise_power / 2.0));
-  for (Complex& x : samples) {
-    x += Complex(gauss(rng), gauss(rng));
-  }
-}
-
 double noise_power_for_snr(double signal_power, double snr_db) {
   assert(signal_power > 0.0);
   return signal_power / phys::db_to_ratio(snr_db);

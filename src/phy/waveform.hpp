@@ -6,10 +6,13 @@
 // complex samples at the symbol-processing rate.
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <complex>
-#include <random>
 #include <span>
 #include <vector>
+
+#include "src/phy/normal.hpp"
 
 namespace mmtag::phy {
 
@@ -26,8 +29,20 @@ void scale(Waveform& samples, double gain);
 void apply_channel(Waveform& samples, Complex coefficient);
 
 /// Add circularly-symmetric complex Gaussian noise of total power
-/// `noise_power` (variance split evenly over I and Q) in place.
-void add_awgn(Waveform& samples, double noise_power, std::mt19937_64& rng);
+/// `noise_power` (variance split evenly over I and Q) in place, one
+/// normal_pairs pair per sample: I takes the pair's second value and Q
+/// its first, the order in which GCC evaluated the former
+/// Complex(gauss(rng), gauss(rng)). `rng` is any engine normal_pairs takes.
+template <typename Engine>
+void add_awgn(Waveform& samples, double noise_power, Engine& rng) {
+  assert(noise_power >= 0.0);
+  if (noise_power == 0.0) return;
+  for_each_normal_pair(rng, 0.0, std::sqrt(noise_power / 2.0),
+                       samples.size(),
+                       [&](std::size_t i, double first, double second) {
+                         samples[i] += Complex(second, first);
+                       });
+}
 
 /// Noise power that yields `snr_db` against a signal of power
 /// `signal_power`.

@@ -23,7 +23,7 @@ double PowerDetector::noise_floor_dbm() const {
 }
 
 double PowerDetector::measure_dbm(double true_power_dbm,
-                                  std::mt19937_64& rng) const {
+                                  sim::Rng& rng) const {
   const double signal_w = phys::dbm_to_watts(true_power_dbm);
   const double noise_w = noise_.power_w(params_.bandwidth_hz);
   // Averaged power estimate: mean of K exponential (chi-squared_2) noise

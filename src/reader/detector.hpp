@@ -8,9 +8,8 @@
 // a margin.
 #pragma once
 
-#include <random>
-
 #include "src/phys/noise.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::reader {
 
@@ -34,7 +33,7 @@ class PowerDetector {
   /// thermal floor and chi-squared estimation jitter (scaled by 1/sqrt(K)
   /// for K averages) [dBm].
   [[nodiscard]] double measure_dbm(double true_power_dbm,
-                                   std::mt19937_64& rng) const;
+                                   sim::Rng& rng) const;
 
   /// Tag-present decision from measured reflect/absorb powers: true when
   /// the modulation excursion exceeds the floor by the detection margin.

@@ -14,7 +14,7 @@ BeamProbe BeamScanner::probe_beam(const antenna::Beam& beam,
                                   const core::MmTag& tag,
                                   const channel::Environment& env,
                                   const phy::RateTable& rates,
-                                  std::mt19937_64& rng) {
+                                  sim::Rng& rng) {
   reader_.steer_to_world(beam.boresight_rad);
   const LinkReport link = reader_.evaluate_link(tag, env, rates);
 
@@ -37,7 +37,7 @@ ScanResult BeamScanner::scan(const std::vector<antenna::Beam>& codebook,
                              const core::MmTag& tag,
                              const channel::Environment& env,
                              const phy::RateTable& rates,
-                             std::mt19937_64& rng) {
+                             sim::Rng& rng) {
   ScanResult result;
   result.probes.reserve(codebook.size());
   double best_excursion_w = 0.0;
@@ -61,7 +61,7 @@ ScanResult BeamScanner::scan(const std::vector<antenna::Beam>& codebook,
 ScanResult BeamScanner::hierarchical_scan(
     const std::vector<std::vector<antenna::Beam>>& stages,
     const core::MmTag& tag, const channel::Environment& env,
-    const phy::RateTable& rates, std::mt19937_64& rng) {
+    const phy::RateTable& rates, sim::Rng& rng) {
   assert(!stages.empty());
   ScanResult result;
   // Stage 0: probe everything; later stages: only the previous winner's

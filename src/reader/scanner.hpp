@@ -8,12 +8,12 @@
 // the search — exactly the paper's point.
 #pragma once
 
-#include <random>
 #include <vector>
 
 #include "src/antenna/codebook.hpp"
 #include "src/reader/detector.hpp"
 #include "src/reader/reader.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::reader {
 
@@ -46,7 +46,7 @@ class BeamScanner {
                                 const core::MmTag& tag,
                                 const channel::Environment& env,
                                 const phy::RateTable& rates,
-                                std::mt19937_64& rng);
+                                sim::Rng& rng);
 
   /// Two-stage hierarchical scan: probe the coarse stage fully, then only
   /// the winner's children in each finer stage. Far fewer probes for the
@@ -54,7 +54,7 @@ class BeamScanner {
   [[nodiscard]] ScanResult hierarchical_scan(
       const std::vector<std::vector<antenna::Beam>>& stages,
       const core::MmTag& tag, const channel::Environment& env,
-      const phy::RateTable& rates, std::mt19937_64& rng);
+      const phy::RateTable& rates, sim::Rng& rng);
 
   [[nodiscard]] MmWaveReader& reader() { return reader_; }
   [[nodiscard]] const MmWaveReader& reader() const { return reader_; }
@@ -65,7 +65,7 @@ class BeamScanner {
                                      const core::MmTag& tag,
                                      const channel::Environment& env,
                                      const phy::RateTable& rates,
-                                     std::mt19937_64& rng);
+                                     sim::Rng& rng);
 
   MmWaveReader reader_;
   PowerDetector detector_;

@@ -26,7 +26,7 @@ std::optional<LinkReport> BeamTracker::probe(double bearing_rad,
                                              const core::MmTag& tag,
                                              const channel::Environment& env,
                                              const phy::RateTable& rates,
-                                             std::mt19937_64& /*rng*/) {
+                                             sim::Rng& /*rng*/) {
   ++probes_;
   scanner_.reader().steer_to_world(bearing_rad);
   const LinkReport link = scanner_.reader().evaluate_link(tag, env, rates);
@@ -49,7 +49,7 @@ void BeamTracker::update_filter(double t_s, double measured_bearing_rad) {
 LinkReport BeamTracker::step(double t_s, const core::MmTag& tag,
                              const channel::Environment& env,
                              const phy::RateTable& rates,
-                             std::mt19937_64& rng) {
+                             sim::Rng& rng) {
   if (locked_ && misses_ < params_.miss_budget) {
     // Cheap mode: predicted beam and its two neighbours, best wins.
     const double predicted = predicted_bearing_rad(t_s);

@@ -12,9 +12,9 @@
 // alignment-free (Van Atta), and the reader side needs only this much work.
 #pragma once
 
-#include <random>
 
 #include "src/reader/scanner.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::reader {
 
@@ -37,7 +37,7 @@ class BeamTracker {
   /// with rate 0 when even re-acquisition fails.
   LinkReport step(double t_s, const core::MmTag& tag,
                   const channel::Environment& env,
-                  const phy::RateTable& rates, std::mt19937_64& rng);
+                  const phy::RateTable& rates, sim::Rng& rng);
 
   /// Predicted bearing at time `t_s` [rad].
   [[nodiscard]] double predicted_bearing_rad(double t_s) const;
@@ -52,7 +52,7 @@ class BeamTracker {
                                                 const core::MmTag& tag,
                                                 const channel::Environment& env,
                                                 const phy::RateTable& rates,
-                                                std::mt19937_64& rng);
+                                                sim::Rng& rng);
 
   void update_filter(double t_s, double measured_bearing_rad);
 

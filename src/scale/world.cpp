@@ -242,7 +242,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     EpochBatcher batcher;
     const BatchResult& batch = batcher.evaluate(store_, cands, rx, ry, model_);
 
-    std::mt19937_64 rng = sim::make_rng(sim::derive_seed(
+    sim::Rng rng = sim::make_rng(sim::derive_seed(
         poll_base_, epochs_run_ * static_cast<std::uint64_t>(n_readers) +
                         static_cast<std::uint64_t>(r)));
     std::uniform_real_distribution<double> uni(0.0, 1.0);

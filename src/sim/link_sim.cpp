@@ -40,7 +40,7 @@ std::size_t MonteCarloLink::effective_max_bits() const {
 }
 
 BerMeasurement MonteCarloLink::measure_ber(double snr_db,
-                                           std::mt19937_64& rng) const {
+                                           Rng& rng) const {
   const phy::OokModulator mod(params_.samples_per_symbol,
                               params_.modulation_depth_db);
   const phy::OokDemodulator demod(params_.samples_per_symbol);
@@ -91,13 +91,13 @@ BerMeasurement MonteCarloLink::measure_ber(double snr_db,
 
 BerMeasurement MonteCarloLink::measure_ber_point(double snr_db,
                                                  std::uint64_t seed) const {
-  std::mt19937_64 rng = make_rng(seed);
+  Rng rng = make_rng(seed);
   return measure_ber(snr_db, rng);
 }
 
 FerMeasurement MonteCarloLink::run_fer(double snr_db, int frames,
                                        std::size_t payload_bits,
-                                       std::mt19937_64& rng) const {
+                                       Rng& rng) const {
   assert(frames >= 1);
   const reader::ReceiveChain chain(
       reader::ReceiveChain::Params{params_.samples_per_symbol, true});
@@ -135,14 +135,14 @@ FerMeasurement MonteCarloLink::run_fer(double snr_db, int frames,
 
 double MonteCarloLink::measure_fer(double snr_db, int frames,
                                    std::size_t payload_bits,
-                                   std::mt19937_64& rng) const {
+                                   Rng& rng) const {
   return run_fer(snr_db, frames, payload_bits, rng).fer();
 }
 
 FerMeasurement MonteCarloLink::measure_fer_point(double snr_db, int frames,
                                                  std::size_t payload_bits,
                                                  std::uint64_t seed) const {
-  std::mt19937_64 rng = make_rng(seed);
+  Rng rng = make_rng(seed);
   return run_fer(snr_db, frames, payload_bits, rng);
 }
 
@@ -153,7 +153,7 @@ BerSweepResult MonteCarloLink::measure_ber_sweep(
   BerSweepResult result;
   result.points = parallel_monte_carlo(
       pool, snr_db.size(), base_seed,
-      [&](std::mt19937_64& rng, std::size_t i) {
+      [&](Rng& rng, std::size_t i) {
         return measure_ber(snr_db[i], rng);
       },
       &result.stats);
@@ -181,7 +181,7 @@ FerSweepResult MonteCarloLink::measure_fer_sweep(
   FerSweepResult result;
   result.points = parallel_monte_carlo(
       pool, snr_db.size(), base_seed,
-      [&](std::mt19937_64& rng, std::size_t i) {
+      [&](Rng& rng, std::size_t i) {
         return run_fer(snr_db[i], frames, payload_bits, rng);
       },
       &result.stats);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "src/phy/ook.hpp"
 #include "src/reader/receive_chain.hpp"
 #include "src/sim/parallel.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::sim {
 
@@ -91,7 +91,7 @@ class MonteCarloLink {
   /// Sequential entry point; sweeps must use measure_ber_sweep so each
   /// point gets its own RNG stream.
   [[nodiscard]] BerMeasurement measure_ber(double snr_db,
-                                           std::mt19937_64& rng) const;
+                                           Rng& rng) const;
 
   /// Self-seeded single point: the unit of work behind the sweeps.
   [[nodiscard]] BerMeasurement measure_ber_point(double snr_db,
@@ -101,7 +101,7 @@ class MonteCarloLink {
   /// `frames` frames of `payload_bits` random payload each.
   [[nodiscard]] double measure_fer(double snr_db, int frames,
                                    std::size_t payload_bits,
-                                   std::mt19937_64& rng) const;
+                                   Rng& rng) const;
 
   /// Self-seeded single FER point.
   [[nodiscard]] FerMeasurement measure_fer_point(double snr_db, int frames,
@@ -143,7 +143,7 @@ class MonteCarloLink {
   /// Exact frame loop behind every FER entry point.
   [[nodiscard]] FerMeasurement run_fer(double snr_db, int frames,
                                        std::size_t payload_bits,
-                                       std::mt19937_64& rng) const;
+                                       Rng& rng) const;
 
   Params params_;
   impair::ImpairmentChain chain_;

@@ -7,10 +7,10 @@
 //
 //   parallel_sweep(pool, n, fn)            — fn(i) -> Result, any grid
 //   parallel_monte_carlo(pool, n, seed, fn) — fn(rng, i) -> Result, where
-//       each task gets its OWN engine seeded with derive_seed(seed, i)
+//       each task gets its OWN sim::Rng seeded with derive_seed(seed, i)
 //
 // The RNG discipline is the load-bearing part: a task never touches a
-// shared std::mt19937_64&. Seeding each point from (base_seed, index)
+// shared sim::Rng&. Seeding each point from (base_seed, index)
 // makes every sweep bit-identical regardless of thread count or scheduling
 // order, so "run it on more cores" can never change a result. Shared-rng&
 // single-point APIs remain for sequential callers but are deprecated for
@@ -142,18 +142,17 @@ auto parallel_sweep(ThreadPool& pool, std::size_t count, Fn&& fn,
 }
 
 /// Monte-Carlo variant: `fn(rng, index) -> Result` where `rng` is a fresh
-/// engine seeded with derive_seed(base_seed, index). Results are
+/// Rng seeded with derive_seed(base_seed, index). Results are
 /// bit-identical for any thread count.
 template <typename Fn>
 auto parallel_monte_carlo(ThreadPool& pool, std::size_t count,
                           std::uint64_t base_seed, Fn&& fn,
                           SweepStats* stats = nullptr)
-    -> std::vector<decltype(fn(std::declval<std::mt19937_64&>(),
-                               std::size_t{}))> {
+    -> std::vector<decltype(fn(std::declval<Rng&>(), std::size_t{}))> {
   return parallel_sweep(
       pool, count,
       [&](std::size_t i) {
-        std::mt19937_64 rng = make_rng(derive_seed(base_seed, i));
+        Rng rng = make_rng(derive_seed(base_seed, i));
         return fn(rng, i);
       },
       stats);

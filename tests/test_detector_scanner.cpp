@@ -63,7 +63,7 @@ class ScannerFixture : public ::testing::Test {
   channel::Environment env_;
   BeamScanner scanner_;
   phy::RateTable rates_;
-  std::mt19937_64 rng_;
+  sim::Rng rng_;
 };
 
 TEST_F(ScannerFixture, ExhaustiveScanFindsTheTagBeam) {

@@ -282,7 +282,7 @@ class CellRetryTest : public ::testing::Test {
 
   CellEpochResult run(ReaderCell& cell, int epoch,
                       const fault::EpochFaults& faults) {
-    std::mt19937_64 rng = sim::make_rng(
+    sim::Rng rng = sim::make_rng(
         sim::derive_seed(11, static_cast<std::uint64_t>(epoch)));
     return cell.run_epoch(tags_, roster_, CellPlan{}, epoch * kEpochS,
                           kEpochS, faults, rng);

@@ -10,7 +10,7 @@
 namespace mmtag::net {
 namespace {
 
-phy::BitVector random_payload(std::size_t bits, std::mt19937_64& rng) {
+phy::BitVector random_payload(std::size_t bits, sim::Rng& rng) {
   std::bernoulli_distribution coin(0.5);
   phy::BitVector payload(bits);
   for (std::size_t i = 0; i < bits; ++i) payload[i] = coin(rng);

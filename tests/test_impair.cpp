@@ -28,10 +28,15 @@ namespace mmtag::impair {
 namespace {
 
 phy::Waveform test_wave(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng = sim::make_rng(seed);
+  sim::Rng rng = sim::make_rng(seed);
   std::uniform_real_distribution<double> uniform(-1.0, 1.0);
   phy::Waveform wave(n);
-  for (auto& s : wave) s = phy::Complex(uniform(rng), uniform(rng));
+  for (auto& s : wave) {
+    // Imaginary part first: the order GCC gave the two-call constructor.
+    const double im = uniform(rng);
+    const double re = uniform(rng);
+    s = phy::Complex(re, im);
+  }
   return wave;
 }
 

@@ -46,7 +46,7 @@ class InventoryFixture : public ::testing::Test {
   phy::RateTable rates_;
   channel::Environment env_;
   std::vector<antenna::Beam> codebook_;
-  std::mt19937_64 rng_;
+  sim::Rng rng_;
 };
 
 TEST_F(InventoryFixture, ReadsEveryReachableTag) {

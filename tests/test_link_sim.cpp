@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "src/phy/ber.hpp"
+#include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
+#include "src/sim/sweep.hpp"
 
 namespace mmtag::sim {
 namespace {
@@ -104,6 +110,42 @@ INSTANTIATE_TEST_SUITE_P(
     ThresholdRegion, BerAgreementTest,
     ::testing::Values(BerPoint{2.0, 1.4}, BerPoint{4.0, 1.4},
                       BerPoint{6.0, 1.5}, BerPoint{8.0, 1.8}));
+
+/// Wilson score interval of `k` errors in `n` trials at two-sided `z`.
+std::pair<double, double> wilson_interval(std::size_t k, std::size_t n,
+                                          double z) {
+  const double nn = static_cast<double>(n);
+  const double phat = static_cast<double>(k) / nn;
+  const double z2 = z * z;
+  const double centre = (phat + z2 / (2 * nn)) / (1 + z2 / nn);
+  const double half = z / (1 + z2 / nn) *
+                      std::sqrt(phat * (1 - phat) / nn + z2 / (4 * nn * nn));
+  return {centre - half, centre + half};
+}
+
+// The closed form as an oracle across the whole 0-12 dB grid, not just the
+// threshold region: at 100k bits per point every measured count must
+// admit ook_coherent_ber inside its z = 5 Wilson interval. The seed is the
+// one perfbench's link gate derives at --seed 1.
+TEST(MonteCarloLink, BerSweepInsideWilsonIntervalOfClosedForm) {
+  MonteCarloLink::Params params;
+  params.min_bits = 100'000;
+  params.max_bits = 100'000;
+  const MonteCarloLink link{params};
+  const std::vector<double> snrs = linspace(0.0, 12.0, 7);
+  ThreadPool pool(4);
+  const BerSweepResult sweep =
+      link.measure_ber_sweep(snrs, derive_seed(1, 0x626572), pool);
+  ASSERT_EQ(sweep.points.size(), snrs.size());
+  for (std::size_t i = 0; i < snrs.size(); ++i) {
+    const BerMeasurement& m = sweep.points[i];
+    EXPECT_EQ(m.bits_sent, params.max_bits);
+    const auto [low, high] = wilson_interval(m.bit_errors, m.bits_sent, 5.0);
+    const double analytic = phy::ook_coherent_ber(snrs[i]);
+    EXPECT_GE(analytic, low) << snrs[i] << " dB, " << m.bit_errors;
+    EXPECT_LE(analytic, high) << snrs[i] << " dB, " << m.bit_errors;
+  }
+}
 
 }  // namespace
 }  // namespace mmtag::sim

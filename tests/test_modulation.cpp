@@ -100,7 +100,12 @@ TEST(Modulation, GrayMappingLimitsBitErrorsPerSymbolError) {
       0.0, std::sqrt(std::pow(10.0, -snr_db / 10.0) / 2.0));
   std::size_t symbol_errors = 0;
   std::vector<Complex> noisy = symbols;
-  for (Complex& s : noisy) s += Complex(gauss(rng), gauss(rng));
+  for (Complex& s : noisy) {
+    // Imaginary part first: the order GCC gave the two-call constructor.
+    const double im = gauss(rng);
+    const double re = gauss(rng);
+    s += Complex(re, im);
+  }
   const BitVector decoded = demap_symbols(Scheme::kAsk4, noisy);
   const auto clean_again = demap_symbols(Scheme::kAsk4, symbols);
   for (std::size_t k = 0; k < symbols.size(); ++k) {
@@ -133,7 +138,12 @@ TEST_P(SchemeBerTest, MatchesClosedForm) {
   auto symbols = map_symbols(point.scheme, bits);
   std::normal_distribution<double> gauss(
       0.0, std::sqrt(std::pow(10.0, -point.snr_db / 10.0) / 2.0));
-  for (Complex& s : symbols) s += Complex(gauss(rng), gauss(rng));
+  for (Complex& s : symbols) {
+    // Imaginary part first: the order GCC gave the two-call constructor.
+    const double im = gauss(rng);
+    const double re = gauss(rng);
+    s += Complex(re, im);
+  }
   const BitVector decoded = demap_symbols(point.scheme, symbols);
   const double measured =
       static_cast<double>(hamming_distance(bits, decoded)) /

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/rng.hpp"
+
 namespace mmtag::obs {
 namespace {
 
@@ -81,7 +83,7 @@ const char* const kSeeds[] = {
 /// Bytes that steer mutants toward the grammar's decision points.
 constexpr char kTokens[] = "[]{}\",:\\/-+.eE0123456789 \tnultrfasu";
 
-std::string mutate(std::string text, std::mt19937_64& rng) {
+std::string mutate(std::string text, sim::Rng& rng) {
   const auto below = [&rng](std::size_t n) {
     return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
   };
@@ -116,7 +118,7 @@ std::string mutate(std::string text, std::mt19937_64& rng) {
 }
 
 TEST(JsonFuzz, MutantsNeverCrashAndParsedDocumentsRoundTrip) {
-  std::mt19937_64 rng(0x6A736F6E);  // "json"
+  sim::Rng rng(0x6A736F6E);  // "json"
   constexpr int kMutants = 20000;
   int parsed = 0;
   for (int i = 0; i < kMutants; ++i) {

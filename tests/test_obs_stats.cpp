@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/rng.hpp"
+
 namespace mmtag::obs {
 namespace {
 
@@ -56,7 +58,7 @@ const std::vector<double> kPcts = {0.0,  0.1,  1.0,  25.0, 50.0, 75.0,
 /// Splits `values` into `count` parts at random cut points (parts may be
 /// empty).
 Parts split(const std::vector<double>& values, std::size_t count,
-            std::mt19937_64& rng) {
+            sim::Rng& rng) {
   std::uniform_int_distribution<std::size_t> cut(0, values.size());
   std::vector<std::size_t> cuts(count - 1);
   for (std::size_t& c : cuts) c = cut(rng);
@@ -110,7 +112,7 @@ TEST(Percentiles, ExtremesAreMinAndMax) {
 }
 
 TEST(Percentiles, SeededRandomMultiPartInputsMatchSortBitForBit) {
-  std::mt19937_64 rng(0x70637473);  // "pcts"
+  sim::Rng rng(0x70637473);  // "pcts"
   std::lognormal_distribution<double> latency(-7.0, 1.5);
   std::uniform_int_distribution<std::size_t> size(0, 3000);
   std::uniform_int_distribution<std::size_t> part_count(1, 9);
@@ -126,7 +128,7 @@ TEST(Percentiles, SeededRandomMultiPartInputsMatchSortBitForBit) {
 
 TEST(Percentiles, LargeSampleMatchesSortBitForBit) {
   // ~1e5 delivery-latency-like values over a few hundred flows.
-  std::mt19937_64 rng(0x6C617267);  // "larg"
+  sim::Rng rng(0x6C617267);  // "larg"
   std::exponential_distribution<double> latency(2e3);
   std::vector<double> values(100'003);
   for (double& v : values) v = latency(rng);
@@ -134,7 +136,7 @@ TEST(Percentiles, LargeSampleMatchesSortBitForBit) {
 }
 
 TEST(Percentiles, HeavyDuplicatesMatchSortBitForBit) {
-  std::mt19937_64 rng(0x64757073);  // "dups"
+  sim::Rng rng(0x64757073);  // "dups"
   std::uniform_int_distribution<int> pick(0, 3);
   const double levels[] = {1e-4, 2.5e-4, 2.5e-4, 1.0};
   std::vector<double> values(20'000);
@@ -147,7 +149,7 @@ TEST(Percentiles, EveryValueInOneKeyBucketMatchesSortBitForBit) {
   // [1, 1 + 1/16) shares sign, exponent and the leading four mantissa
   // bits: at 50,000 values the key is 16 bits wide, and one bucket holds
   // the whole sample.
-  std::mt19937_64 rng(0x6275636B);  // "buck"
+  sim::Rng rng(0x6275636B);  // "buck"
   std::uniform_real_distribution<double> within(1.0, 1.0 + 1.0 / 32.0);
   std::vector<double> values(50'000);
   for (double& v : values) v = within(rng);
@@ -155,7 +157,7 @@ TEST(Percentiles, EveryValueInOneKeyBucketMatchesSortBitForBit) {
 }
 
 TEST(Percentiles, NegativeValuesAndSignedZerosMatchSortBitForBit) {
-  std::mt19937_64 rng(0x6E656773);  // "negs"
+  sim::Rng rng(0x6E656773);  // "negs"
   std::normal_distribution<double> centered(0.0, 3.0);
   std::vector<double> values(30'000);
   for (double& v : values) v = centered(rng);

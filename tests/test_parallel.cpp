@@ -81,9 +81,9 @@ TEST(ParallelMonteCarlo, StreamsMatchDeriveSeedContract) {
   const std::uint64_t base = 7777;
   const auto draws = parallel_monte_carlo(
       pool, 64, base,
-      [](std::mt19937_64& rng, std::size_t) { return rng(); });
+      [](sim::Rng& rng, std::size_t) { return rng(); });
   for (std::size_t i = 0; i < draws.size(); ++i) {
-    std::mt19937_64 expected = make_rng(derive_seed(base, i));
+    sim::Rng expected = make_rng(derive_seed(base, i));
     EXPECT_EQ(draws[i], expected());
   }
 }
@@ -91,7 +91,7 @@ TEST(ParallelMonteCarlo, StreamsMatchDeriveSeedContract) {
 TEST(ParallelMonteCarlo, DistinctIndicesGetDistinctStreams) {
   ThreadPool pool(2);
   const auto draws = parallel_monte_carlo(
-      pool, 32, 5, [](std::mt19937_64& rng, std::size_t) { return rng(); });
+      pool, 32, 5, [](sim::Rng& rng, std::size_t) { return rng(); });
   for (std::size_t a = 0; a < draws.size(); ++a) {
     for (std::size_t b = a + 1; b < draws.size(); ++b) {
       EXPECT_NE(draws[a], draws[b]);

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <random>
 #include <utility>
+#include <vector>
 
 #include "src/deploy/fleet.hpp"
 #include "src/fault/engine.hpp"
+#include "src/impair/chain.hpp"
 #include "src/mesh/backhaul.hpp"
 #include "src/net/packet.hpp"
 #include "src/net/sr_arq.hpp"
@@ -19,9 +21,12 @@
 #include "src/obs/stats.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/resil/domain.hpp"
+#include "src/phy/waveform.hpp"
 #include "src/scale/world.hpp"
+#include "src/sim/link_sim.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
+#include "src/sim/sweep.hpp"
 
 namespace mmtag {
 namespace {
@@ -152,7 +157,7 @@ TEST(PinnedDigests, LossySrArqSession) {
   const net::SrArqTiming timing;
   net::SrArqSession session(config, timing);
   net::PacketPool pool(8, config.payload_bytes, net::kSrHeaderBytes);
-  std::mt19937_64 rng = sim::make_rng(2024);
+  sim::Rng rng = sim::make_rng(2024);
   const net::ChannelFn channel = [](double now_s) {
     return now_s < 1e-3 ? 0.8 : 0.5;
   };
@@ -270,6 +275,73 @@ TEST(PinnedDigests, R1LegacyAndDormantDefault) {
   dormant.domains.domains.push_back(resil::OutageDomain{0, 0, 0, 0, 0, 0});
   EXPECT_EQ(run_r1(r1_config()).first, 0xbf747d083333ccdbull);
   EXPECT_EQ(run_r1(dormant).first, 0xbf747d083333ccdbull);
+}
+
+// The link path's noise: nothing above draws a Gaussian, and the link
+// tests check BER against tolerances, so these pin the samples themselves.
+
+void mix_waveform(obs::Fnv1a& hasher, const phy::Waveform& wave) {
+  for (const phy::Complex& x : wave) {
+    hasher.mix_double(x.real());
+    hasher.mix_double(x.imag());
+  }
+}
+
+TEST(PinnedDigests, LinkBerFerSweeps) {
+  // bench_e4_ber's clean BER sweep and bench_i1_impair's cmos_24ghz FER
+  // sweep on the 0-12 dB grid, at a CI-sized budget per point.
+  sim::MonteCarloLink::Params clean;
+  clean.min_bits = 20'000;
+  clean.max_bits = 20'000;
+  sim::MonteCarloLink::Params impaired;
+  impaired.impairments = impair::ImpairmentConfig::cmos_24ghz();
+  const std::vector<double> snrs = sim::linspace(0.0, 12.0, 7);
+  sim::ThreadPool pool(2);
+  const sim::BerSweepResult ber =
+      sim::MonteCarloLink(clean).measure_ber_sweep(snrs, 1, pool);
+  const sim::FerSweepResult fer =
+      sim::MonteCarloLink(impaired).measure_fer_sweep(snrs, 16, 96, 1, pool);
+  obs::Fnv1a hasher;
+  for (const sim::BerMeasurement& m : ber.points) {
+    hasher.mix_u64(m.bits_sent);
+    hasher.mix_u64(m.bit_errors);
+  }
+  for (const sim::FerMeasurement& m : fer.points) {
+    hasher.mix_u64(static_cast<std::uint64_t>(m.frames));
+    hasher.mix_u64(static_cast<std::uint64_t>(m.failures));
+  }
+  EXPECT_EQ(hasher.digest(), 0x32b9c131de08951aull);
+}
+
+TEST(PinnedDigests, AddAwgnSamples) {
+  // Lengths around a 256-pair batch, drawn in turn from one engine, then
+  // the engine's next raw draw: the noise and the stream position both.
+  auto rng = sim::make_rng(7);
+  obs::Fnv1a hasher;
+  for (const std::size_t length : {1u, 255u, 256u, 257u, 8000u}) {
+    phy::Waveform wave(length);
+    for (std::size_t i = 0; i < length; ++i) {
+      wave[i] = phy::Complex(i % 2 == 0 ? 1.0 : 0.0, 0.25);
+    }
+    phy::add_awgn(wave, 0.5, rng);
+    mix_waveform(hasher, wave);
+  }
+  hasher.mix_u64(rng());
+  EXPECT_EQ(hasher.digest(), 0xdabb4069e1f53276ull);
+}
+
+TEST(PinnedDigests, CmosImpairedReceive) {
+  // The receive-side stages: the phase-noise walk with its white floor,
+  // IQ imbalance, and the ADC's I/Q jitter before quantization.
+  const impair::ImpairmentChain chain(impair::ImpairmentConfig::cmos_24ghz());
+  phy::Waveform wave(4096);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    wave[i] = phy::Complex((i / 8) % 2 == 0 ? 0.9 : 0.1, 0.05);
+  }
+  chain.apply_rx(wave, 2024);
+  obs::Fnv1a hasher;
+  mix_waveform(hasher, wave);
+  EXPECT_EQ(hasher.digest(), 0x7acb16d1afe7680full);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@ namespace mmtag::reader {
 namespace {
 
 phy::TagFrame make_frame(std::uint32_t id, std::size_t payload_bits,
-                         std::mt19937_64& rng) {
+                         sim::Rng& rng) {
   std::bernoulli_distribution coin(0.5);
   phy::TagFrame frame;
   frame.tag_id = id;

@@ -26,7 +26,7 @@ SrArqConfig clean_config(int window) {
 
 TEST(SrArq, PerfectChannelTakesOneRoundPerWindow) {
   SrArqSession session(clean_config(8), {});
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   const SrArqResult result = session.run(32, 1.0, rng);
   EXPECT_EQ(result.packets_offered, 32);
   EXPECT_EQ(result.packets_delivered, 32);
@@ -50,7 +50,7 @@ TEST(SrArq, ElapsedDecompositionIsExact) {
   config.window = 16;
   config.ack_loss_probability = 0.1;
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(7);
+  sim::Rng rng = sim::make_rng(7);
   const SrArqResult result = session.run(300, 0.7, rng);
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 300);
   const SrArqTiming& timing = session.timing();
@@ -69,7 +69,7 @@ TEST(SrArq, SelectiveRepeatNeverReplaysDeliveredPackets) {
   SrArqConfig config = clean_config(16);
   config.max_attempts_per_packet = 64;
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(21);
+  sim::Rng rng = sim::make_rng(21);
   const SrArqResult result = session.run(200, 0.5, rng);
   EXPECT_EQ(result.packets_delivered, 200);
   EXPECT_EQ(result.duplicate_receives, 0);
@@ -81,7 +81,7 @@ TEST(SrArq, LostAcksReplayTheWindowButDeliverOnce) {
   config.window = 8;
   config.ack_loss_probability = 0.5;
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(3);
+  sim::Rng rng = sim::make_rng(3);
   const SrArqResult result = session.run(64, 1.0, rng);
   // Replayed bursts reach a receiver that already has the packets:
   // discarded there, so delivery stays exactly-once.
@@ -96,7 +96,7 @@ TEST(SrArq, RetryBudgetBoundsTransmissionsAndDropsTheRest) {
   SrArqConfig config = clean_config(4);
   config.max_attempts_per_packet = 2;
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(11);
+  sim::Rng rng = sim::make_rng(11);
   const SrArqResult result = session.run(50, 0.05, rng);
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 50);
   EXPECT_GT(result.packets_dropped, 0);
@@ -106,7 +106,7 @@ TEST(SrArq, RetryBudgetBoundsTransmissionsAndDropsTheRest) {
 TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
   SrArqConfig config = clean_config(16);
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(5);
+  sim::Rng rng = sim::make_rng(5);
   PacketPool pool(4, config.payload_bytes, kSrHeaderBytes);
   const SrArqResult result = session.run(64, 1.0, rng, &pool);
   // Four slots cap the effective window at 4 packets in flight; the
@@ -121,7 +121,7 @@ TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
 
 TEST(SrArq, WindowOneDegeneratesToStopAndWait) {
   SrArqSession session(clean_config(1), {});
-  std::mt19937_64 rng = sim::make_rng(9);
+  sim::Rng rng = sim::make_rng(9);
   const SrArqResult result = session.run(40, 0.8, rng);
   EXPECT_EQ(result.packets_delivered, 40);
   // One packet per round, one ACK per round: exactly the S&W cadence.
@@ -134,8 +134,8 @@ TEST(SrArq, SeededRunsAreBitIdentical) {
   config.window = 16;
   config.ack_loss_probability = 0.05;
   SrArqSession session(config, {});
-  std::mt19937_64 rng_a = sim::make_rng(42);
-  std::mt19937_64 rng_b = sim::make_rng(42);
+  sim::Rng rng_a = sim::make_rng(42);
+  sim::Rng rng_b = sim::make_rng(42);
   const SrArqResult a = session.run(128, 0.6, rng_a);
   const SrArqResult b = session.run(128, 0.6, rng_b);
   EXPECT_EQ(a.transmissions, b.transmissions);
@@ -150,7 +150,7 @@ TEST(SrArq, SeededRunsAreBitIdentical) {
 
 TEST(SrArq, ZeroPacketsFinishImmediately) {
   SrArqSession session(clean_config(8), {});
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   const SrArqResult result = session.run(0, 1.0, rng);
   EXPECT_EQ(result.packets_offered, 0);
   EXPECT_EQ(result.rounds, 0);
@@ -164,7 +164,7 @@ TEST(SrArq, AdapterRetunesTimingBetweenRounds) {
   timing.ack_time_s = 0.0;
   timing.ack_timeout_s = 0.0;
   SrArqSession session(config, timing);
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   int feedback_rounds = 0;
   const SrArqResult result = session.run(
       4, [](double) { return 1.0; }, rng, nullptr,
@@ -195,7 +195,7 @@ TEST(SrArq, WindowOneMatchesTheAnalyticOracle) {
     config.max_attempts_per_packet = 1 << 30;
     config.ack_loss_probability = q;
     SrArqSession session(config, {});
-    std::mt19937_64 rng = sim::make_rng(77);
+    sim::Rng rng = sim::make_rng(77);
     const SrArqResult result = session.run(packets, p, rng);
     ASSERT_EQ(result.packets_delivered, packets);
     const double mean = static_cast<double>(result.transmissions) / packets;
@@ -232,7 +232,7 @@ TEST(SrArq, RejectsProbabilitiesOutsideTheUnitInterval) {
     EXPECT_THROW(SrArqSession(config, {}), std::invalid_argument);
   }
   SrArqSession session(clean_config(4), {});
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   EXPECT_THROW((void)session.run(4, 1.5, rng), std::invalid_argument);
 }
 
@@ -248,7 +248,7 @@ TEST(SrArq, RejectsNegativeTimesAndCounts) {
                  std::invalid_argument);
   }
   SrArqSession session(clean_config(4), {});
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   EXPECT_THROW((void)session.run(-1, 1.0, rng), std::invalid_argument);
 }
 
@@ -256,7 +256,7 @@ TEST(SrArq, RejectsAPoolWithNoFreeSlot) {
   // Nothing can free a slot while the session runs, so a dry pool at
   // entry could never move the base packet.
   SrArqSession session(clean_config(4), {});
-  std::mt19937_64 rng = sim::make_rng(1);
+  sim::Rng rng = sim::make_rng(1);
   PacketPool pool(1, 32, kSrHeaderBytes);
   Packet held = pool.alloc();
   ASSERT_TRUE(held.valid());
@@ -276,7 +276,7 @@ TEST(SrArq, DropsAreMirroredToTheSrObsCounter) {
   SrArqConfig config = clean_config(4);
   config.max_attempts_per_packet = 2;
   SrArqSession session(config, {});
-  std::mt19937_64 rng = sim::make_rng(12);
+  sim::Rng rng = sim::make_rng(12);
   const SrArqResult result = session.run(20, 0.0, rng);  // Dead channel.
   EXPECT_EQ(result.packets_delivered, 0);
   EXPECT_EQ(result.packets_dropped, 20);

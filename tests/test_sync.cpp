@@ -15,7 +15,7 @@ namespace {
 Waveform stream_with_frame(const reader::ReceiveChain& chain,
                            const TagFrame& frame, std::size_t offset,
                            std::size_t tail, double snr_db,
-                           std::mt19937_64& rng) {
+                           sim::Rng& rng) {
   const Waveform body = chain.encode(frame);
   Waveform stream(offset, Complex(0.0, 0.0));
   stream.insert(stream.end(), body.begin(), body.end());
@@ -24,7 +24,7 @@ Waveform stream_with_frame(const reader::ReceiveChain& chain,
   return stream;
 }
 
-TagFrame make_frame(std::uint32_t id, std::mt19937_64& rng) {
+TagFrame make_frame(std::uint32_t id, sim::Rng& rng) {
   std::bernoulli_distribution coin(0.5);
   TagFrame frame;
   frame.tag_id = id;

@@ -9,7 +9,7 @@
 namespace mmtag::phy {
 namespace {
 
-BitVector random_bits(std::size_t n, std::mt19937_64& rng) {
+BitVector random_bits(std::size_t n, sim::Rng& rng) {
   std::bernoulli_distribution coin(0.5);
   BitVector bits(n);
   for (std::size_t i = 0; i < n; ++i) bits[i] = coin(rng);

@@ -38,7 +38,7 @@ class TrackerFixture : public ::testing::Test {
   BeamTracker tracker_;
   channel::Environment env_;
   phy::RateTable rates_;
-  std::mt19937_64 rng_;
+  sim::Rng rng_;
 };
 
 TEST_F(TrackerFixture, AcquiresOnFirstStep) {

@@ -77,6 +77,54 @@ TEST(AckRateController, UpshiftNeedsDwellAndLinkMargin) {
   EXPECT_EQ(controller.tier_index(), slowest - 1);
 }
 
+/// Expects the controller to throw std::invalid_argument naming `field`.
+void expect_controller_rejects(const phy::RateTable* table,
+                               const AckRateController::Params& params,
+                               const std::string& field) {
+  try {
+    const AckRateController controller(table, params, 0.0);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("AckRateController::" + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AckRateController, RejectsAMissingRateTable) {
+  expect_controller_rejects(nullptr, {}, "table");
+}
+
+TEST(AckRateController, RejectsAHistoryAlphaOutsideTheUnitInterval) {
+  const phy::RateTable table = phy::RateTable::mmtag_standard();
+  for (const double alpha : {0.0, -0.25, 1.5,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    AckRateController::Params params;
+    params.history_alpha = alpha;
+    expect_controller_rejects(&table, params, "history_alpha");
+  }
+  AckRateController::Params params;
+  params.history_alpha = 1.0;
+  EXPECT_NO_THROW(AckRateController(&table, params, 0.0));
+}
+
+TEST(AckRateController, RejectsADownThresholdAboveTheUpThreshold) {
+  const phy::RateTable table = phy::RateTable::mmtag_standard();
+  AckRateController::Params params;
+  params.down_threshold = 0.95;
+  params.up_threshold = 0.9;
+  expect_controller_rejects(&table, params, "down_threshold");
+  params.down_threshold = std::numeric_limits<double>::quiet_NaN();
+  expect_controller_rejects(&table, params, "down_threshold");
+}
+
+TEST(AckRateController, RejectsAnUpDwellBelowOneRound) {
+  const phy::RateTable table = phy::RateTable::mmtag_standard();
+  AckRateController::Params params;
+  params.up_dwell_rounds = 0;
+  expect_controller_rejects(&table, params, "up_dwell_rounds");
+}
+
 TEST(AckRateController, PacketSuccessProbabilityTracksPowerAndLength) {
   const phy::RateTable table = phy::RateTable::mmtag_standard();
   const phy::RateTier& tier = table.tiers()[0];
