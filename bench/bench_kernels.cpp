@@ -14,14 +14,18 @@
 
 #include "bench/bench_main.hpp"
 #include "src/antenna/ula.hpp"
+#include "src/channel/geometry.hpp"
 #include "src/channel/raytrace.hpp"
+#include "src/core/tag.hpp"
 #include "src/core/van_atta.hpp"
 #include "src/kern/kern.hpp"
 #include "src/mac/aloha.hpp"
 #include "src/phy/fft.hpp"
 #include "src/phy/ook.hpp"
 #include "src/phy/waveform.hpp"
+#include "src/phy/rate_table.hpp"
 #include "src/phys/constants.hpp"
+#include "src/reader/reader.hpp"
 #include "src/sim/link_sim.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
@@ -60,6 +64,42 @@ void add_van_atta_case(bench::Harness& harness, int n) {
                 }
                 ctx.set_units(kIters, "evals");
               });
+}
+
+void add_link_cases(bench::Harness& harness) {
+  harness.add("van_atta_state_gains_6", [](bench::CaseContext& ctx) {
+    // Both data-bit states toward one direction, as every link budget
+    // asks for them.
+    constexpr int kIters = 2'000;
+    const auto array = core::VanAttaArray::mmtag_prototype();
+    double theta = -0.5;
+    for (int i = 0; i < kIters; ++i) {
+      bench::do_not_optimize(array.monostatic_state_gains_db(theta));
+      theta += 1e-4;
+    }
+    ctx.set_units(kIters, "evals");
+  });
+  harness.add("reader_evaluate_path", [](bench::CaseContext& ctx) {
+    // One path's link budget, the unit of every fleet link evaluation:
+    // the office room's paths from a prototype reader steered at a
+    // prototype tag that faces it, in turn.
+    constexpr int kIters = 2'000;
+    const channel::Vec2 reader_at{1.0, 1.0};
+    const channel::Vec2 tag_at{4.0, 3.0};
+    auto reader =
+        reader::MmWaveReader::prototype_at(core::Pose{reader_at, 0.0});
+    reader.steer_to_world(channel::bearing_rad(reader_at, tag_at));
+    const auto tag = core::MmTag::prototype_at(
+        core::Pose{tag_at, channel::bearing_rad(tag_at, reader_at)});
+    const auto rates = phy::RateTable::mmtag_standard();
+    const std::vector<channel::Path> paths = channel::trace_paths(
+        channel::Environment::office_room(), reader_at, tag_at);
+    for (int i = 0; i < kIters; ++i) {
+      bench::do_not_optimize(reader.evaluate_path(
+          tag, paths[static_cast<std::size_t>(i) % paths.size()], rates));
+    }
+    ctx.set_units(kIters, "paths");
+  });
 }
 
 void add_ook_modem_case(bench::Harness& harness, std::size_t bits_count) {
@@ -327,6 +367,7 @@ int main(int argc, char** argv) {
 
   for (const int n : {6, 16, 64}) add_array_factor_case(harness, n);
   for (const int n : {6, 16, 64}) add_van_atta_case(harness, n);
+  add_link_cases(harness);
 
   harness.add("retro_peak_search", [](bench::CaseContext& ctx) {
     constexpr int kIters = 200;

@@ -13,7 +13,7 @@
 # and impairment benches under the sanitizers, plus a full-size
 # bench_d1_fleet compare gate), a TSan pass over the test suite for the
 # health monitor's cross-thread record path, and a docs stage (skipped with
-# a notice when doxygen is absent).
+# a notice when doxygen is absent). Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -92,7 +92,7 @@ for config in Release Debug; do
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE="${config}" \
     -DCMAKE_CXX_FLAGS="-Werror"
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
   # Whole suite under both dispatch modes: the scalar run proves the
   # reference implementations, the auto run proves the SIMD backends the
   # host supports (they must be bit-identical — see tests/test_kern.cpp).
@@ -111,8 +111,8 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-Werror" \
   -DMMTAG_OBS=OFF
-cmake --build "${build_dir}" -j --target test_pinned_digests test_traffic \
-  test_obs_metrics
+cmake --build "${build_dir}" -j "$(nproc)" --target test_pinned_digests \
+  test_traffic test_obs_metrics
 (cd "${build_dir}" && ctest --output-on-failure \
   -R '^(test_pinned_digests|test_traffic|test_obs_metrics)$' -j "$@")
 
@@ -143,9 +143,9 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "${build_dir}" -j --target mmtag_tests bench_d1_fleet \
-  bench_d2_chaos bench_n1_traffic bench_m1_mesh bench_d3_metro \
-  bench_r1_resil bench_i1_impair
+cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests \
+  bench_d1_fleet bench_d2_chaos bench_n1_traffic bench_m1_mesh \
+  bench_d3_metro bench_r1_resil bench_i1_impair
 # Both dispatch modes under the sanitizers: the SIMD loadu/storeu edge
 # handling is exactly where ASan earns its keep.
 for kern in scalar auto; do
@@ -203,7 +203,7 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "${build_dir}" -j --target mmtag_tests
+cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests
 (cd "${build_dir}" && ctest --output-on-failure -j "$@")
 echo "TSan OK"
 

@@ -35,15 +35,13 @@ Complex MmTag::reflection_field(double world_in_rad,
                                  pose_.to_local(world_out_rad));
 }
 
+StateGainsDb MmTag::monostatic_state_gains_db(double world_bearing_rad) const {
+  return array_.monostatic_state_gains_db(pose_.to_local(world_bearing_rad));
+}
+
 double MmTag::modulation_depth_db(double world_bearing_rad) const {
-  // Evaluate both switch states without disturbing the caller-visible bit.
-  VanAttaArray probe = array_;
-  probe.set_all_switches(em::SwitchState::kOff);
-  const double local = pose_.to_local(world_bearing_rad);
-  const double off_db = probe.monostatic_gain_db(local);
-  probe.set_all_switches(em::SwitchState::kOn);
-  const double on_db = probe.monostatic_gain_db(local);
-  return off_db - on_db;
+  const StateGainsDb gains = monostatic_state_gains_db(world_bearing_rad);
+  return gains.off_db - gains.on_db;
 }
 
 }  // namespace mmtag::core

@@ -47,6 +47,12 @@ class MmTag {
   [[nodiscard]] Complex reflection_field(double world_in_rad,
                                          double world_out_rad) const;
 
+  /// Monostatic gains toward `world_bearing_rad` with the data line at
+  /// bit 0 (off_db) and at bit 1 (on_db), whatever bit is set now
+  /// (VanAttaArray::monostatic_state_gains_db in the local frame).
+  [[nodiscard]] StateGainsDb monostatic_state_gains_db(
+      double world_bearing_rad) const;
+
   /// OOK modulation depth at the reader: gain difference between bit 0 and
   /// bit 1 states toward `world_bearing_rad` [dB].
   [[nodiscard]] double modulation_depth_db(double world_bearing_rad) const;

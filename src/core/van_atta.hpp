@@ -14,6 +14,7 @@
 #pragma once
 
 #include <complex>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -26,6 +27,13 @@
 namespace mmtag::core {
 
 using Complex = std::complex<double>;
+
+/// Monostatic gains of the two data-bit states toward one direction [dB
+/// relative to an ideal isotropic scatterer].
+struct StateGainsDb {
+  double off_db = 0.0;  ///< Every switch off: bit '0', reflective.
+  double on_db = 0.0;   ///< Every switch on: bit '1', absorptive.
+};
 
 class VanAttaArray {
  public:
@@ -45,7 +53,8 @@ class VanAttaArray {
                std::vector<em::TransmissionLine> pair_lines);
 
   /// The fabricated prototype: 6 elements at 24 GHz, half-wavelength
-  /// spacing, equal-length (one guided wavelength) interconnects.
+  /// spacing, equal-length (one guided wavelength) interconnects. Every
+  /// call returns a copy of one array built once.
   [[nodiscard]] static VanAttaArray mmtag_prototype();
 
   /// Same as the prototype but with `elements` patches — the knob behind
@@ -80,6 +89,9 @@ class VanAttaArray {
   /// from `theta_in`, observed at `theta_out`, at carrier `frequency_hz`
   /// (angles relative to the array boresight). Normalized so that a single
   /// ideal isotropic, lossless, perfectly-matched scatterer would give 1.
+  /// At the design carrier the feed couplings and line transfers come from
+  /// the block computed at construction; at any other frequency the same
+  /// calls compute them here (DESIGN.md Sec. 8).
   [[nodiscard]] Complex reradiated_field(double theta_in_rad,
                                          double theta_out_rad,
                                          double frequency_hz) const;
@@ -91,6 +103,12 @@ class VanAttaArray {
   /// Monostatic (reader-sees-its-own-reflection) power gain at the design
   /// carrier [dB relative to an ideal isotropic scatterer].
   [[nodiscard]] double monostatic_gain_db(double theta_rad) const;
+
+  /// Monostatic gains toward `theta_rad` at the design carrier with every
+  /// switch off and with every switch on, whatever the switches are set
+  /// to now: bit for bit what a copy gives after set_all_switches and
+  /// monostatic_gain_db, from one set of steering phasors.
+  [[nodiscard]] StateGainsDb monostatic_state_gains_db(double theta_rad) const;
 
   /// Bistatic power gain [dB] for arbitrary in/out directions.
   [[nodiscard]] double bistatic_gain_db(double theta_in_rad,
@@ -119,6 +137,9 @@ class VanAttaArray {
   }
 
  private:
+  /// The signal flow's frequency-only factors at the design carrier.
+  struct CarrierTerms;
+
   Config config_;
   em::PatchElement element_model_;
   std::vector<em::TransmissionLine> pair_lines_;
@@ -126,6 +147,9 @@ class VanAttaArray {
   antenna::PatchPattern element_pattern_;
   std::vector<em::SwitchState> switch_states_;
   std::optional<antenna::CouplingMatrix> coupling_;
+  /// Immutable, so every copy shares it: nothing it depends on (element
+  /// model, pair lines, carrier) can change after construction.
+  std::shared_ptr<const CarrierTerms> carrier_;
 };
 
 }  // namespace mmtag::core

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "src/channel/geometry.hpp"
 #include "src/obs/gate.hpp"
@@ -116,9 +117,24 @@ FleetSimulator::FleetSimulator(FleetConfig config)
   config_.validate();
 }
 
-FleetResult FleetSimulator::run() {
+FleetResult FleetSimulator::run() { return run(make_layout(config_.layout)); }
+
+FleetResult FleetSimulator::run(FleetLayout layout) {
+  const LayoutConfig& expected = config_.layout;
+  const auto reject = [](const char* field) {
+    throw std::invalid_argument(std::string("FleetSimulator::run: layout ") +
+                                field + " differs from FleetConfig::layout");
+  };
+  if (layout.width_m != expected.width_m) reject("width_m");
+  if (layout.height_m != expected.height_m) reject("height_m");
+  if (layout.reader_poses.size() !=
+      static_cast<std::size_t>(expected.readers)) {
+    reject("reader count");
+  }
+  if (layout.tags.size() != static_cast<std::size_t>(expected.tags)) {
+    reject("tag count");
+  }
   MMTAG_OBS_SPAN("deploy.fleet.run");
-  FleetLayout layout = make_layout(config_.layout);
   const phy::RateTable rates = phy::RateTable::mmtag_standard();
   const std::size_t m = layout.reader_poses.size();
   const std::size_t n = layout.tags.size();

@@ -99,8 +99,16 @@ class FleetSimulator {
   explicit FleetSimulator(FleetConfig config);
 
   /// Run the configured number of epochs and aggregate. Deterministic in
-  /// `config.seed`; independent of `config.threads`.
+  /// `config.seed`; independent of `config.threads`. Equal to
+  /// run(make_layout(config.layout)).
   [[nodiscard]] FleetResult run();
+
+  /// Run over `layout`, which the run consumes (mobility moves its tags).
+  /// A caller that already holds make_layout(config.layout) passes it here
+  /// instead of having the run build it again. Throws
+  /// std::invalid_argument when the layout's width, height, reader count
+  /// or tag count differs from config.layout.
+  [[nodiscard]] FleetResult run(FleetLayout layout);
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
 

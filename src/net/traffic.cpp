@@ -176,7 +176,7 @@ TrafficReport TrafficEngine::run() {
   report.flows_offered = config_.flows;
 
   // --- Admission: geometry, link budgets, discovery roster. -------------
-  const deploy::FleetLayout layout = deploy::make_layout(config_.layout);
+  deploy::FleetLayout layout = deploy::make_layout(config_.layout);
   const phy::RateTable rates = phy::RateTable::mmtag_standard();
   const std::size_t m = layout.reader_poses.size();
   const std::size_t n = layout.tags.size();
@@ -207,7 +207,8 @@ TrafficReport TrafficEngine::run() {
       });
 
   // Discovery pass: the fleet inventories the layout (under the same
-  // fault schedule) and flows are admitted only to tags it read.
+  // fault schedule) and flows are admitted only to tags it read. The
+  // layout moves into it: nothing below reads the layout again.
   std::vector<std::uint8_t> eligible_mask(n, 1);
   if (config_.discovery_epochs > 0) {
     deploy::FleetConfig fleet_config;
@@ -218,7 +219,7 @@ TrafficReport TrafficEngine::run() {
     fleet_config.threads = config_.threads;
     fleet_config.faults = config_.faults;
     const deploy::FleetResult discovery =
-        deploy::FleetSimulator(fleet_config).run();
+        deploy::FleetSimulator(fleet_config).run(std::move(layout));
     report.discovery_coverage = discovery.stats.coverage();
     for (std::size_t t = 0; t < n; ++t) {
       eligible_mask[t] = discovery.service[t].read ? 1 : 0;

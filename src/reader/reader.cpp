@@ -39,19 +39,15 @@ LinkReport MmWaveReader::evaluate_path(const core::MmTag& tag,
   const double reader_tx = gain_dbi(path.departure_rad);
   const double reader_rx = gain_dbi(path.departure_rad);
 
-  // Evaluate the tag in its reflective (bit '0') state for signal power and
-  // in the absorptive state for modulation depth, without mutating the
-  // caller's tag.
-  core::MmTag probe = tag;
-  probe.set_data_bit(false);
-  const double tag_reflect_db = probe.monostatic_gain_db(path.arrival_rad);
-  probe.set_data_bit(true);
-  const double tag_absorb_db = probe.monostatic_gain_db(path.arrival_rad);
+  // The tag's reflective (bit '0') state gives the signal power and its
+  // absorptive state the modulation depth, whatever bit it holds now.
+  const core::StateGainsDb tag_db =
+      tag.monostatic_state_gains_db(path.arrival_rad);
 
   report.received_power_dbm = params_.tx_power_dbm + reader_tx + reader_rx +
-                              tag_reflect_db - 2.0 * one_way_loss_db -
+                              tag_db.off_db - 2.0 * one_way_loss_db -
                               params_.implementation_loss_db;
-  report.modulation_depth_db = tag_reflect_db - tag_absorb_db;
+  report.modulation_depth_db = tag_db.off_db - tag_db.on_db;
   report.achievable_rate_bps =
       rates.achievable_rate_bps(report.received_power_dbm);
   return report;

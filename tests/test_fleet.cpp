@@ -114,6 +114,32 @@ TEST(FleetSimulator, AggregatesAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(FleetSimulator, RunOverTheConfiguredLayoutMatchesRun) {
+  FleetConfig config = small_fleet();
+  config.mobile_fraction = 0.2;  // The run moves the layout's tags.
+  FleetSimulator fleet(config);
+  const FleetResult built = fleet.run();
+  const FleetResult given = fleet.run(make_layout(config.layout));
+  EXPECT_EQ(fingerprint(given.stats), fingerprint(built.stats));
+  EXPECT_EQ(fault::fingerprint(given.fault), fault::fingerprint(built.fault));
+}
+
+TEST(FleetSimulator, RunRejectsALayoutOfAnotherShape) {
+  FleetSimulator fleet(small_fleet());
+  const LayoutConfig config = small_fleet().layout;
+  LayoutConfig wider = config;
+  wider.width_m += 1.0;
+  LayoutConfig deeper = config;
+  deeper.height_m += 1.0;
+  LayoutConfig fewer_readers = config;
+  fewer_readers.readers -= 1;
+  LayoutConfig more_tags = config;
+  more_tags.tags += 1;
+  for (const LayoutConfig& other : {wider, deeper, fewer_readers, more_tags}) {
+    EXPECT_THROW((void)fleet.run(make_layout(other)), std::invalid_argument);
+  }
+}
+
 TEST(FleetSimulator, SeedChangesTheRealization) {
   FleetConfig a = small_fleet();
   FleetConfig b = small_fleet();

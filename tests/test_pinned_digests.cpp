@@ -11,7 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/antenna/mutual_coupling.hpp"
+#include "src/channel/geometry.hpp"
+#include "src/core/van_atta.hpp"
+#include "src/deploy/coordinator.hpp"
 #include "src/deploy/fleet.hpp"
+#include "src/deploy/layout.hpp"
 #include "src/fault/engine.hpp"
 #include "src/impair/chain.hpp"
 #include "src/mesh/backhaul.hpp"
@@ -20,6 +25,8 @@
 #include "src/net/traffic.hpp"
 #include "src/obs/stats.hpp"
 #include "src/phy/rate_table.hpp"
+#include "src/phys/units.hpp"
+#include "src/reader/reader.hpp"
 #include "src/resil/domain.hpp"
 #include "src/phy/waveform.hpp"
 #include "src/scale/world.hpp"
@@ -275,6 +282,75 @@ TEST(PinnedDigests, R1LegacyAndDormantDefault) {
   dormant.domains.domains.push_back(resil::OutageDomain{0, 0, 0, 0, 0, 0});
   EXPECT_EQ(run_r1(r1_config()).first, 0xbf747d083333ccdbull);
   EXPECT_EQ(run_r1(dormant).first, 0xbf747d083333ccdbull);
+}
+
+// The tag's signal flow and the link budgets built on it: the fleet
+// digests above see a link only through the rate tier it clears, so these
+// pin the doubles themselves.
+
+TEST(PinnedDigests, FleetTrafficLinkReports) {
+  // perfbench fleet_traffic's admission pass at seed 1: every tag's link
+  // from its serving reader, the beam steered at the tag.
+  deploy::LayoutConfig config;
+  config.width_m = 32.0;
+  config.height_m = 20.0;
+  config.readers = 16;
+  config.tags = 2000;
+  config.seed = sim::derive_seed(1, 0x6C61796FULL);  // "layo"
+  const deploy::FleetLayout layout = deploy::make_layout(config);
+  const phy::RateTable rates = phy::RateTable::mmtag_standard();
+  std::vector<reader::MmWaveReader> readers;
+  for (const core::Pose& pose : layout.reader_poses) {
+    readers.push_back(reader::MmWaveReader::prototype_at(pose));
+  }
+  const std::vector<int> tag_cell =
+      deploy::FleetCoordinator::initial_assignment(layout.tags, readers);
+  obs::Fnv1a hasher;
+  for (std::size_t t = 0; t < layout.tags.size(); ++t) {
+    reader::MmWaveReader reader =
+        readers[static_cast<std::size_t>(tag_cell[t])];
+    reader.steer_to_world(channel::bearing_rad(
+        reader.pose().position, layout.tags[t].pose().position));
+    const reader::LinkReport link =
+        reader.evaluate_link(layout.tags[t], layout.environment, rates);
+    hasher.mix_double(link.received_power_dbm);
+    hasher.mix_double(link.modulation_depth_db);
+    hasher.mix_double(link.achievable_rate_bps);
+    hasher.mix_u64(static_cast<std::uint64_t>(link.path.kind));
+    hasher.mix_double(link.path.length_m);
+  }
+  EXPECT_EQ(hasher.digest(), 0xa63fa638a3b9f0e8ull);
+}
+
+TEST(PinnedDigests, VanAttaFieldGrid) {
+  // reradiated_field on a 5-degree (in, out) grid over [-100, 100]
+  // degrees, past the ground plane on both sides, at the carrier and
+  // either side of it: plain, coupled, one stuck switch and all switches
+  // on, for element counts from the self-paired single patch to 40.
+  obs::Fnv1a hasher;
+  for (const int n : {1, 5, 6, 24, 40}) {
+    std::vector<core::VanAttaArray> arrays(
+        4, core::VanAttaArray::with_elements(n));
+    arrays[1].set_mutual_coupling(antenna::CouplingMatrix::typical_patch(n));
+    arrays[2].set_switch(n / 2, em::SwitchState::kOn);
+    arrays[3].set_all_switches(em::SwitchState::kOn);
+    for (const core::VanAttaArray& array : arrays) {
+      for (int i = -20; i <= 20; ++i) {
+        const double theta_in = phys::deg_to_rad(5.0 * i);
+        for (int o = -20; o <= 20; ++o) {
+          const double theta_out = phys::deg_to_rad(5.0 * o);
+          for (const core::Complex field :
+               {array.reradiated_field(theta_in, theta_out),
+                array.reradiated_field(theta_in, theta_out, 23.9e9),
+                array.reradiated_field(theta_in, theta_out, 24.3e9)}) {
+            hasher.mix_double(field.real());
+            hasher.mix_double(field.imag());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hasher.digest(), 0x0def40ec47afd011ull);
 }
 
 // The link path's noise: nothing above draws a Gaussian, and the link

@@ -51,6 +51,21 @@ TEST(MmTag, ModulationDepthDoesNotDisturbState) {
   EXPECT_TRUE(tag.data_bit());  // Probe must not flip the live state.
 }
 
+TEST(MmTag, ModulationDepthIsTheStateGainDifference) {
+  const MmTag tag = MmTag::prototype_at(Pose{{0, 0}, phys::deg_to_rad(20.0)});
+  for (int deg = -80; deg <= 80; deg += 20) {
+    const double bearing = phys::deg_to_rad(deg);
+    const StateGainsDb gains = tag.monostatic_state_gains_db(bearing);
+    EXPECT_EQ(tag.modulation_depth_db(bearing), gains.off_db - gains.on_db)
+        << deg;
+    // In the tag's local frame, as the array sees it.
+    const StateGainsDb local = tag.array().monostatic_state_gains_db(
+        tag.pose().to_local(bearing));
+    EXPECT_EQ(gains.off_db, local.off_db) << deg;
+    EXPECT_EQ(gains.on_db, local.on_db) << deg;
+  }
+}
+
 TEST(MmTag, OrientationRotatesTheResponse) {
   // A tag turned 30 degrees sees a boresight reader at local -30 degrees;
   // its response must match the unrotated tag probed at -30.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/antenna/mutual_coupling.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 
@@ -146,6 +147,66 @@ TEST(VanAtta, CommonExtraLinePhaseIsHarmless) {
     EXPECT_NEAR(a.monostatic_gain_db(theta), b.monostatic_gain_db(theta),
                 1e-6);
   }
+}
+
+// monostatic_state_gains_db must be exactly the copy-and-toggle it
+// replaces: the same factors multiplied in the same order.
+void expect_state_gains_match_toggled_copy(const VanAttaArray& array) {
+  for (int deg = -100; deg <= 100; deg += 5) {
+    const double theta = phys::deg_to_rad(deg);
+    const StateGainsDb gains = array.monostatic_state_gains_db(theta);
+    VanAttaArray probe = array;
+    probe.set_all_switches(em::SwitchState::kOff);
+    EXPECT_EQ(gains.off_db, probe.monostatic_gain_db(theta)) << deg;
+    probe.set_all_switches(em::SwitchState::kOn);
+    EXPECT_EQ(gains.on_db, probe.monostatic_gain_db(theta)) << deg;
+  }
+}
+
+TEST(VanAtta, StateGainsEqualToggledCopyBitForBit) {
+  // 40 elements run past the stack buffers onto the heap.
+  for (const int n : {1, 5, 6, 40}) {
+    SCOPED_TRACE(n);
+    const VanAttaArray plain = VanAttaArray::with_elements(n);
+    expect_state_gains_match_toggled_copy(plain);
+    VanAttaArray coupled = plain;
+    coupled.set_mutual_coupling(antenna::CouplingMatrix::typical_patch(n));
+    expect_state_gains_match_toggled_copy(coupled);
+    VanAttaArray stuck = plain;
+    stuck.set_switch(n / 2, em::SwitchState::kOn);
+    expect_state_gains_match_toggled_copy(stuck);
+    VanAttaArray absorbing = plain;
+    absorbing.set_all_switches(em::SwitchState::kOn);
+    expect_state_gains_match_toggled_copy(absorbing);
+  }
+}
+
+TEST(VanAtta, CopiesEvaluateIdenticallyToTheirSource) {
+  // mmtag_prototype() hands out copies of one array, which share its
+  // carrier terms; given their own switches and coupling they evaluate as
+  // a freshly built array given the same, and leave the next copy as
+  // built.
+  VanAttaArray fresh =
+      VanAttaArray::with_elements(phys::kMmTagPrototypeElements);
+  VanAttaArray copy = VanAttaArray::mmtag_prototype();
+  for (VanAttaArray* array : {&fresh, &copy}) {
+    array->set_switch(1, em::SwitchState::kOn);
+    array->set_mutual_coupling(antenna::CouplingMatrix::typical_patch(6));
+  }
+  for (const double frequency_hz : {phys::kMmTagCarrierHz, 23.9e9}) {
+    for (int deg = -60; deg <= 60; deg += 15) {
+      const double theta = phys::deg_to_rad(deg);
+      const Complex a = fresh.reradiated_field(theta, -theta, frequency_hz);
+      const Complex b = copy.reradiated_field(theta, -theta, frequency_hz);
+      EXPECT_EQ(a.real(), b.real()) << deg;
+      EXPECT_EQ(a.imag(), b.imag()) << deg;
+    }
+  }
+  const VanAttaArray next = VanAttaArray::mmtag_prototype();
+  EXPECT_EQ(next.switch_state(1), em::SwitchState::kOff);
+  EXPECT_EQ(next.monostatic_gain_db(0.2),
+            VanAttaArray::with_elements(phys::kMmTagPrototypeElements)
+                .monostatic_gain_db(0.2));
 }
 
 TEST(VanAtta, LinkSideGainMatchesElementPlusArray) {
