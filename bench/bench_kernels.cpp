@@ -181,8 +181,8 @@ void add_aloha_case(bench::Harness& harness, int tags, int iters) {
 // "<kernel>_<backend>", all doing the identical work via that backend's
 // table (no global dispatch switch, so the surrounding cases are
 // unaffected). After the harness run, main() prints a speedup table of
-// scalar-median / backend-median per kernel — the number the ISSUE's
-// ">= 2x on correlation and FFT" acceptance bar reads off.
+// scalar-median / backend-median per kernel — the number EXPERIMENTS.md
+// K1's ">= 2x on the FFT" bar reads off.
 
 std::vector<kern::Backend> bench_backends() {
   std::vector<kern::Backend> backends = {kern::Backend::kScalar};
@@ -217,25 +217,6 @@ void add_backend_cases(bench::Harness& harness) {
   for (const kern::Backend backend : bench_backends()) {
     const kern::Kernels& k = kern::table(backend);
     const std::string suffix(kern::backend_name(backend));
-
-    // Sync correlation inner loop: windowed mean removal + dot + energy,
-    // the per-offset work of sync.cpp's score_window.
-    harness.add("corr_dot_4096_" + suffix, [&k](bench::CaseContext& ctx) {
-      constexpr int kIters = 4'000;
-      constexpr std::size_t kN = 4096;
-      const auto x = bench_doubles(kN, ctx.seed() + 11);
-      const auto t = bench_doubles(kN, ctx.seed() + 13);
-      double sink = 0.0;
-      for (int i = 0; i < kIters; ++i) {
-        const double mean = k.sum(x.data(), kN) / static_cast<double>(kN);
-        double dot = 0.0;
-        double energy = 0.0;
-        k.centered_dot_energy(x.data(), t.data(), mean, kN, &dot, &energy);
-        sink += dot + energy;
-      }
-      bench::do_not_optimize(sink);
-      ctx.set_units(static_cast<double>(kIters) * kN, "samples");
-    });
 
     // One full FFT (all butterfly stages) through the backend's
     // butterfly_pass, twiddles cached outside the timed loop the way
@@ -295,38 +276,14 @@ void add_backend_cases(bench::Harness& harness) {
       bench::do_not_optimize(sink);
       ctx.set_units(static_cast<double>(kIters) * kBits, "bits");
     });
-
-    // FM0 line-code decode of an 8192-bit frame.
-    harness.add("fm0_decode_8192_" + suffix, [&k](bench::CaseContext& ctx) {
-      constexpr int kIters = 10'000;
-      constexpr std::size_t kBits = 8192;
-      sim::Rng rng(ctx.seed() + 31);
-      std::bernoulli_distribution coin(0.5);
-      std::vector<std::uint8_t> chips(2 * kBits);
-      std::uint8_t prev = 1;
-      for (std::size_t i = 0; i < kBits; ++i) {
-        const std::uint8_t bit = coin(rng) ? 1 : 0;
-        chips[2 * i] = prev ^ 1u;
-        chips[2 * i + 1] = static_cast<std::uint8_t>(chips[2 * i] ^ bit ^ 1u);
-        prev = chips[2 * i + 1];
-      }
-      std::vector<std::uint8_t> bits(kBits);
-      std::uint32_t sink = 0;
-      for (int i = 0; i < kIters; ++i) {
-        sink += k.fm0_decode_bytes(chips.data(), kBits, bits.data());
-      }
-      bench::do_not_optimize(sink);
-      ctx.set_units(static_cast<double>(kIters) * kBits, "bits");
-    });
   }
 }
 
 // Speedup table: for every "<kernel>_<backend>" case, median scalar wall
 // time over median backend wall time.
 void print_speedup_table(const bench::Harness& harness) {
-  const std::vector<std::string> kernels = {"corr_dot_4096", "fft_1024",
-                                            "fir_4096_t33", "crc16_4096b",
-                                            "fm0_decode_8192"};
+  const std::vector<std::string> kernels = {"fft_1024", "fir_4096_t33",
+                                            "crc16_4096b"};
   std::map<std::string, double> medians;
   for (const auto& report : harness.case_reports()) {
     medians[report.name] = report.wall_median_ns;

@@ -2,7 +2,8 @@
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
 # total and dependency-edge table match the tree and that src/ names no
 # engine but sim::Rng and no std::normal_distribution in phy or impair,
-# tier-1 verify in Release
+# that every src/*/*.hpp has a user outside tests, its own .cpp and
+# src/mmtag.hpp, tier-1 verify in Release
 # and Debug with warnings as errors (test suite run twice: forced-scalar and
 # auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
 # the pinned digests, the traffic suite and the metric tests, the
@@ -85,6 +86,22 @@ if code_lines 'std::normal_distribution' 'src/phy src/impair'; then
   exit 1
 fi
 echo "one engine OK"
+
+echo "=== No test-only module ==="
+# A header that only its own .cpp, the umbrella src/mmtag.hpp and tests
+# include is code no bench, example or perfbench workload can run.
+orphans=""
+for h in src/*/*.hpp; do
+  users=$(grep -rlF "#include \"${h}\"" src bench examples perfbench |
+    grep -v -e "^${h%.hpp}\.cpp\$" -e '^src/mmtag\.hpp$' || true)
+  [ -n "${users}" ] || orphans="${orphans} ${h}"
+done
+if [ -n "${orphans}" ]; then
+  echo "FAIL: included only by tests, their own .cpp or" \
+    "src/mmtag.hpp:${orphans}" >&2
+  exit 1
+fi
+echo "no test-only module OK"
 
 for config in Release Debug; do
   echo "=== ${config} build (-Wall -Wextra -Werror) ==="
@@ -218,4 +235,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line and edge tables, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line and edge tables, no test-only module, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="

@@ -27,41 +27,4 @@ std::vector<Beam> uniform_codebook(double sector_min_rad,
   return beams;
 }
 
-std::vector<std::vector<Beam>> hierarchical_codebook(double sector_min_rad,
-                                                     double sector_max_rad,
-                                                     int levels,
-                                                     int refinement) {
-  assert(levels >= 1);
-  assert(refinement >= 2);
-  std::vector<std::vector<Beam>> stages;
-  stages.reserve(static_cast<std::size_t>(levels));
-  const double sector_deg =
-      phys::rad_to_deg(sector_max_rad - sector_min_rad);
-  double beams_this_level = refinement;
-  for (int level = 0; level < levels; ++level) {
-    const double width_deg = sector_deg / beams_this_level;
-    stages.push_back(
-        uniform_codebook(sector_min_rad, sector_max_rad, width_deg));
-    beams_this_level *= refinement;
-  }
-  return stages;
-}
-
-int exhaustive_probe_count(const std::vector<Beam>& codebook) {
-  return static_cast<int>(codebook.size());
-}
-
-int hierarchical_probe_count(const std::vector<std::vector<Beam>>& stages) {
-  if (stages.empty()) return 0;
-  // Probe every beam of the first stage, then `refinement` children per
-  // later stage. Children per stage = size ratio between adjacent stages.
-  int probes = static_cast<int>(stages.front().size());
-  for (std::size_t i = 1; i < stages.size(); ++i) {
-    const int ratio = static_cast<int>(
-        stages[i].size() / std::max<std::size_t>(1, stages[i - 1].size()));
-    probes += std::max(1, ratio);
-  }
-  return probes;
-}
-
 }  // namespace mmtag::antenna

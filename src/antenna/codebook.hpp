@@ -1,10 +1,8 @@
 // Beam codebooks: the discrete set of directions a reader scans.
 //
 // The mmTag reader "scans the space by steering its beam" (paper Fig. 2).
-// A codebook enumerates those beam positions. Exhaustive linear scanning is
-// what the evaluation uses; the hierarchical (coarse-to-fine) codebook
-// implements the standard two-stage search from the beam-alignment
-// literature the paper cites, so benches can compare scan costs.
+// A codebook enumerates those beam positions; the reader probes every one
+// of them in turn (exhaustive linear scanning, as the evaluation does).
 #pragma once
 
 #include <vector>
@@ -22,20 +20,5 @@ struct Beam {
 [[nodiscard]] std::vector<Beam> uniform_codebook(double sector_min_rad,
                                                  double sector_max_rad,
                                                  double beamwidth_deg);
-
-/// Hierarchical codebook: `levels` stages, each narrowing the previous
-/// stage's best beam by `refinement` (e.g. 4 wide beams, then 4 children of
-/// the winner, ...). Returns the stage layouts from coarse to fine across
-/// the given sector.
-[[nodiscard]] std::vector<std::vector<Beam>> hierarchical_codebook(
-    double sector_min_rad, double sector_max_rad, int levels, int refinement);
-
-/// Number of probes an exhaustive scan of `codebook` performs.
-[[nodiscard]] int exhaustive_probe_count(const std::vector<Beam>& codebook);
-
-/// Number of probes a hierarchical search over `stages` performs
-/// (first stage fully, then `refinement`-sized stages once each).
-[[nodiscard]] int hierarchical_probe_count(
-    const std::vector<std::vector<Beam>>& stages);
 
 }  // namespace mmtag::antenna

@@ -110,6 +110,18 @@ void FleetConfig::validate() const {
   if (!(mobile_speed_mps >= 0.0)) {
     throw std::invalid_argument("FleetConfig::mobile_speed_mps must be >= 0");
   }
+  if (coordination.channels < 1) {
+    throw std::invalid_argument(
+        "FleetConfig::coordination.channels must be >= 1");
+  }
+  if (!(cell.beamwidth_deg > 0.0)) {
+    throw std::invalid_argument("FleetConfig::cell.beamwidth_deg must be > 0");
+  }
+  if (!(cell.sector_half_angle_rad > 0.0 &&
+        cell.sector_half_angle_rad <= phys::kPi)) {
+    throw std::invalid_argument(
+        "FleetConfig::cell.sector_half_angle_rad must be in (0, pi]");
+  }
 }
 
 FleetSimulator::FleetSimulator(FleetConfig config)

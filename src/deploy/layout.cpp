@@ -30,13 +30,13 @@ GridShape near_square_grid(int count, double width, double height) {
   return shape;
 }
 
-channel::Vec2 grid_point(const GridShape& shape, int index, double x0,
-                         double y0, double width, double height) {
+channel::Vec2 grid_point(const GridShape& shape, int index, double width,
+                         double height) {
   const int col = index % shape.cols;
   const int row = index / shape.cols;
   // Cell centres: the k-th of n cells along a span sits at (k + 0.5) / n.
-  return {x0 + width * (col + 0.5) / shape.cols,
-          y0 + height * (row + 0.5) / shape.rows};
+  return {width * (col + 0.5) / shape.cols,
+          height * (row + 0.5) / shape.rows};
 }
 
 }  // namespace
@@ -84,7 +84,7 @@ FleetLayout make_layout(const LayoutConfig& config) {
   layout.reader_poses.reserve(static_cast<std::size_t>(config.readers));
   for (int i = 0; i < config.readers; ++i) {
     const channel::Vec2 pos =
-        grid_point(reader_grid, i, 0.0, 0.0, config.width_m, config.height_m);
+        grid_point(reader_grid, i, config.width_m, config.height_m);
     // Face the room centre; a reader that lands exactly there faces +x.
     const double facing = (channel::distance(pos, center) > 1e-9)
                               ? channel::bearing_rad(pos, center)
@@ -94,23 +94,15 @@ FleetLayout make_layout(const LayoutConfig& config) {
 
   const double usable_w = config.width_m - 2.0 * config.margin_m;
   const double usable_h = config.height_m - 2.0 * config.margin_m;
-  const GridShape tag_grid =
-      near_square_grid(config.tags > 0 ? config.tags : 1, usable_w, usable_h);
   layout.tags.reserve(static_cast<std::size_t>(config.tags));
   for (int i = 0; i < config.tags; ++i) {
-    channel::Vec2 pos;
-    if (config.placement == TagPlacement::kGrid) {
-      pos = grid_point(tag_grid, i, config.margin_m, config.margin_m,
-                       usable_w, usable_h);
-    } else {
-      auto rng = sim::make_rng(
-          sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
-      std::uniform_real_distribution<double> ux(config.margin_m,
-                                                config.margin_m + usable_w);
-      std::uniform_real_distribution<double> uy(config.margin_m,
-                                                config.margin_m + usable_h);
-      pos = {ux(rng), uy(rng)};
-    }
+    auto rng = sim::make_rng(
+        sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
+    std::uniform_real_distribution<double> ux(config.margin_m,
+                                              config.margin_m + usable_w);
+    std::uniform_real_distribution<double> uy(config.margin_m,
+                                              config.margin_m + usable_h);
+    const channel::Vec2 pos{ux(rng), uy(rng)};
     const std::size_t owner = nearest_reader(layout.reader_poses, pos);
     const double facing =
         channel::bearing_rad(pos, layout.reader_poses[owner].position);

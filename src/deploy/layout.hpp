@@ -3,9 +3,9 @@
 // The deployment scenarios of paper Sec. 9 (warehouses, AR rooms) start
 // from a geometry: readers mounted around a rectangular hall, tags spread
 // over its floor area. This module generates those layouts reproducibly —
-// reader poses on a near-square grid facing the room centre, tags either
-// on a grid or uniform-random via sim::derive_seed streams — plus the
-// perimeter-wall channel::Environment every cell shares.
+// reader poses on a near-square grid facing the room centre, tags
+// uniform-random via sim::derive_seed streams — plus the perimeter-wall
+// channel::Environment every cell shares.
 #pragma once
 
 #include <cstdint>
@@ -16,19 +16,14 @@
 
 namespace mmtag::deploy {
 
-enum class TagPlacement {
-  kGrid,           ///< Near-square grid over the usable floor area.
-  kUniformRandom,  ///< i.i.d. uniform over the usable floor area.
-};
-
 struct LayoutConfig {
   double width_m = 20.0;
   double height_m = 12.0;
   int readers = 4;
   int tags = 200;
-  TagPlacement placement = TagPlacement::kUniformRandom;
-  /// Base seed for the placement streams (tags use
-  /// derive_seed(seed, tag_index), so adding a tag never moves another).
+  /// Base seed for the tag placement streams: tag i lands i.i.d. uniform
+  /// over the usable floor under derive_seed(seed, i), so adding a tag
+  /// never moves another.
   std::uint64_t seed = 1;
   /// Keep-out margin between any entity and the perimeter walls [m].
   double margin_m = 0.5;

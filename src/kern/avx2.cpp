@@ -42,17 +42,6 @@ inline __m256d cmul2(__m256d a, __m256d b) {
                           _mm256_mul_pd(a_swap, bi));
 }
 
-double sum_avx2(const double* x, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  double total = hsum_tree(acc);
-  for (std::size_t i = n4; i < n; ++i) total += x[i];
-  return total;
-}
-
 double dot_avx2(const double* a, const double* b, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
   const std::size_t n4 = n & ~std::size_t{3};
@@ -63,32 +52,6 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
   double total = hsum_tree(acc);
   for (std::size_t i = n4; i < n; ++i) total += a[i] * b[i];
   return total;
-}
-
-void centered_dot_energy_avx2(const double* x, const double* t, double mean,
-                              std::size_t n, double* dot_out,
-                              double* energy_out) {
-  const __m256d mean_v = _mm256_set1_pd(mean);
-  __m256d acc_dot = _mm256_setzero_pd();
-  __m256d acc_energy = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d centered =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i), mean_v);
-    acc_dot = _mm256_add_pd(
-        acc_dot, _mm256_mul_pd(centered, _mm256_loadu_pd(t + i)));
-    acc_energy =
-        _mm256_add_pd(acc_energy, _mm256_mul_pd(centered, centered));
-  }
-  double total_dot = hsum_tree(acc_dot);
-  double total_energy = hsum_tree(acc_energy);
-  for (std::size_t i = n4; i < n; ++i) {
-    const double centered = x[i] - mean;
-    total_dot += centered * t[i];
-    total_energy += centered * centered;
-  }
-  *dot_out = total_dot;
-  *energy_out = total_energy;
 }
 
 void abs_complex_avx2(const Complexd* x, double* out, std::size_t n) {
@@ -119,20 +82,6 @@ void scale_real_avx2(Complexd* x, double gain, std::size_t n) {
     _mm256_storeu_pd(p + i, _mm256_mul_pd(_mm256_loadu_pd(p + i), g));
   }
   for (std::size_t i = d4; i < d; ++i) p[i] *= gain;
-}
-
-void scale_complex_avx2(Complexd* x, Complexd c, std::size_t n) {
-  double* p = as_doubles(x);
-  const __m256d cv = _mm256_setr_pd(c.real(), c.imag(), c.real(), c.imag());
-  const std::size_t n2 = n & ~std::size_t{1};
-  for (std::size_t i = 0; i < n2; i += 2) {
-    _mm256_storeu_pd(p + 2 * i, cmul2(_mm256_loadu_pd(p + 2 * i), cv));
-  }
-  if (n2 != n) {
-    const Complexd a = x[n - 1];
-    x[n - 1] = Complexd(a.real() * c.real() - a.imag() * c.imag(),
-                        a.imag() * c.real() + a.real() * c.imag());
-  }
 }
 
 void fir_complex_avx2(const Complexd* x, std::size_t n, const double* taps,
@@ -404,61 +353,14 @@ void adc_quantize_avx2(Complexd* x, std::size_t n, double clip, double step,
   }
 }
 
-std::uint32_t fm0_decode_bytes_avx2(const std::uint8_t* chips,
-                                    std::size_t nbits, std::uint8_t* bits) {
-  // 32 chips (16 bits) per iteration: deinterleave first/second chips,
-  // xor for the bit values, and check every first chip inverts the
-  // previous second chip (the carry crosses iterations).
-  const __m128i deinterleave = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14,  //
-                                             1, 3, 5, 7, 9, 11, 13, 15);
-  const __m128i ones = _mm_set1_epi8(1);
-  __m128i ok = ones;
-  std::uint8_t prev = 1;
-  std::size_t i = 0;
-  const std::size_t n16 = nbits & ~std::size_t{15};
-  for (; i < n16; i += 16) {
-    const __m256i raw = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(chips + 2 * i));
-    const __m256i shuf = _mm256_shuffle_epi8(
-        raw, _mm256_broadcastsi128_si256(deinterleave));
-    // Per 128-bit lane: low 8 bytes = first chips, high 8 = second
-    // chips. Regroup into one 16-byte vector of firsts and one of
-    // seconds.
-    const __m256i grouped = _mm256_permute4x64_epi64(shuf, 0xD8);
-    const __m128i firsts = _mm256_castsi256_si128(grouped);
-    const __m128i seconds = _mm256_extracti128_si256(grouped, 1);
-    const __m128i bitv =
-        _mm_xor_si128(_mm_xor_si128(firsts, seconds), ones);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(bits + i), bitv);
-    const __m128i prevs = _mm_insert_epi8(_mm_slli_si128(seconds, 1),
-                                          static_cast<char>(prev), 0);
-    ok = _mm_and_si128(ok, _mm_xor_si128(firsts, prevs));
-    prev = static_cast<std::uint8_t>(_mm_extract_epi8(seconds, 15));
-  }
-  std::uint8_t ok_tail = 1;
-  for (; i < nbits; ++i) {
-    const std::uint8_t first = chips[2 * i];
-    const std::uint8_t second = chips[2 * i + 1];
-    ok_tail = static_cast<std::uint8_t>(ok_tail & (first ^ prev));
-    bits[i] = static_cast<std::uint8_t>((first ^ second) ^ 1u);
-    prev = second;
-  }
-  const bool vec_ok =
-      _mm_movemask_epi8(_mm_cmpeq_epi8(ok, ones)) == 0xFFFF;
-  return (vec_ok && ok_tail != 0) ? 1u : 0u;
-}
-
 }  // namespace
 
 const Kernels* avx2_table() {
   static const Kernels kTable = {
       "avx2",
-      &sum_avx2,
       &dot_avx2,
-      &centered_dot_energy_avx2,
       &abs_complex_avx2,
       &scale_real_avx2,
-      &scale_complex_avx2,
       &fir_complex_avx2,
       &butterfly_pass_avx2,
       &block_sum_complex_avx2,
@@ -469,7 +371,6 @@ const Kernels* avx2_table() {
       &iq_imbalance_avx2,
       &pa_rapp_avx2,
       &adc_quantize_avx2,
-      &fm0_decode_bytes_avx2,
       &crc16_bits_sliced,
   };
   return &kTable;

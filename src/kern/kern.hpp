@@ -1,9 +1,10 @@
 /// \file
 /// \brief Vectorized DSP kernel layer with runtime CPU dispatch.
 ///
-/// Every sample-rate hot loop in the PHY (correlation, FFT butterflies,
-/// FIR shaping, CRC, FM0/OOK demod) funnels through the function-pointer
-/// table returned by kern::dispatch(). The table is resolved once at
+/// Every sample-rate hot loop in the PHY (waveform energy, OOK
+/// integrate-and-dump and slicing, FFT butterflies, FIR shaping, CRC),
+/// the impairment stages and the scale layer's distance slabs funnel
+/// through the function-pointer table returned by kern::dispatch(). The table is resolved once at
 /// startup from the host CPU (AVX2 when the host has it, else scalar)
 /// and can be forced with the MMTAG_KERN environment variable or
 /// kern::set_backend() (the `--kern` bench flag).
@@ -51,18 +52,9 @@ struct Kernels {
 
   // --- Reductions (fixed 4-lane tree; see file comment). ---
 
-  /// Sum of `x[0..n)`.
-  double (*sum)(const double* x, std::size_t n);
-
   /// Dot product sum of `a[i] * b[i]`. With `a == b` this is a sum of
   /// squares (used for waveform energy via the re/im-interleaved view).
   double (*dot)(const double* a, const double* b, std::size_t n);
-
-  /// Correlation inner step: writes `sum((x[i]-mean) * t[i])` to
-  /// `*dot_out` and `sum((x[i]-mean)^2)` to `*energy_out` in one pass.
-  void (*centered_dot_energy)(const double* x, const double* t, double mean,
-                              std::size_t n, double* dot_out,
-                              double* energy_out);
 
   // --- Elementwise maps (no reduction; order per element). ---
 
@@ -73,10 +65,6 @@ struct Kernels {
 
   /// In-place `x[i] *= gain` (both components).
   void (*scale_real)(std::complex<double>* x, double gain, std::size_t n);
-
-  /// In-place `x[i] *= c` with the specified complex-multiply formula.
-  void (*scale_complex)(std::complex<double>* x, std::complex<double> c,
-                        std::size_t n);
 
   // --- Filtering / transforms. ---
 
@@ -160,13 +148,6 @@ struct Kernels {
   /// finite baseband samples (no NaN contract).
   void (*adc_quantize)(std::complex<double>* x, std::size_t n, double clip,
                        double step, double inv_step);
-
-  /// Branch-free FM0 decode of `2*nbits` chip bytes (0/1 each) into
-  /// `nbits` bit bytes. Returns 1 when the chip stream is a valid FM0
-  /// sequence from the idle-high convention (every bit boundary
-  /// inverts), else 0 (the bit output is then meaningless).
-  std::uint32_t (*fm0_decode_bytes)(const std::uint8_t* chips,
-                                    std::size_t nbits, std::uint8_t* bits);
 
   // --- Integer. ---
 

@@ -24,20 +24,6 @@ inline Complexd cmul(Complexd a, Complexd b) {
                   a.imag() * b.real() + a.real() * b.imag());
 }
 
-double sum(const double* x, std::size_t n) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc[0] += x[i];
-    acc[1] += x[i + 1];
-    acc[2] += x[i + 2];
-    acc[3] += x[i + 3];
-  }
-  double total = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-  for (std::size_t i = n4; i < n; ++i) total += x[i];
-  return total;
-}
-
 double dot(const double* a, const double* b, std::size_t n) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t n4 = n & ~std::size_t{3};
@@ -52,31 +38,6 @@ double dot(const double* a, const double* b, std::size_t n) {
   return total;
 }
 
-void centered_dot_energy(const double* x, const double* t, double mean,
-                         std::size_t n, double* dot_out,
-                         double* energy_out) {
-  double acc_dot[4] = {0.0, 0.0, 0.0, 0.0};
-  double acc_energy[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double centered = x[i + j] - mean;
-      acc_dot[j] += centered * t[i + j];
-      acc_energy[j] += centered * centered;
-    }
-  }
-  double total_dot = (acc_dot[0] + acc_dot[2]) + (acc_dot[1] + acc_dot[3]);
-  double total_energy =
-      (acc_energy[0] + acc_energy[2]) + (acc_energy[1] + acc_energy[3]);
-  for (std::size_t i = n4; i < n; ++i) {
-    const double centered = x[i] - mean;
-    total_dot += centered * t[i];
-    total_energy += centered * centered;
-  }
-  *dot_out = total_dot;
-  *energy_out = total_energy;
-}
-
 void abs_complex(const Complexd* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double re = x[i].real();
@@ -89,10 +50,6 @@ void scale_real(Complexd* x, double gain, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = Complexd(x[i].real() * gain, x[i].imag() * gain);
   }
-}
-
-void scale_complex(Complexd* x, Complexd c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = cmul(x[i], c);
 }
 
 void fir_complex(const Complexd* x, std::size_t n, const double* taps,
@@ -240,20 +197,6 @@ void adc_quantize(Complexd* x, std::size_t n, double clip, double step,
   }
 }
 
-std::uint32_t fm0_decode_bytes(const std::uint8_t* chips, std::size_t nbits,
-                               std::uint8_t* bits) {
-  std::uint8_t ok = 1;
-  std::uint8_t prev = 1;  // Idle-high convention before the first bit.
-  for (std::size_t i = 0; i < nbits; ++i) {
-    const std::uint8_t first = chips[2 * i];
-    const std::uint8_t second = chips[2 * i + 1];
-    ok = static_cast<std::uint8_t>(ok & (first ^ prev));
-    bits[i] = static_cast<std::uint8_t>((first ^ second) ^ 1u);
-    prev = second;
-  }
-  return ok;
-}
-
 std::uint16_t crc16_bits(const std::uint8_t* bytes, std::size_t nbits) {
   std::uint16_t crc = 0xFFFF;
   for (std::size_t i = 0; i < nbits; ++i) {
@@ -302,12 +245,9 @@ std::uint16_t crc16_bits_sliced(const std::uint8_t* bytes,
 const Kernels* scalar_table() {
   static const Kernels kTable = {
       "scalar",
-      &scalar::sum,
       &scalar::dot,
-      &scalar::centered_dot_energy,
       &scalar::abs_complex,
       &scalar::scale_real,
-      &scalar::scale_complex,
       &scalar::fir_complex,
       &scalar::butterfly_pass,
       &scalar::block_sum_complex,
@@ -318,7 +258,6 @@ const Kernels* scalar_table() {
       &scalar::iq_imbalance,
       &scalar::pa_rapp,
       &scalar::adc_quantize,
-      &scalar::fm0_decode_bytes,
       &scalar::crc16_bits,
   };
   return &kTable;

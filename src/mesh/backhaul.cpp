@@ -1,8 +1,9 @@
 #include "src/mesh/backhaul.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/deploy/layout.hpp"
 #include "src/mac/event_queue.hpp"
@@ -48,9 +49,15 @@ sim::Table backhaul_table(const BackhaulReport& report) {
 
 BackhaulSimulator::BackhaulSimulator(BackhaulConfig config)
     : config_(std::move(config)) {
-  assert(config_.payload_bytes >= 8);
-  assert(config_.pool_packets > 0);
-  assert(config_.max_frames_per_cell_epoch > 0);
+  config_.fleet.validate();
+  const auto reject = [](const char* rule) {
+    throw std::invalid_argument(std::string("BackhaulConfig::") + rule);
+  };
+  if (config_.payload_bytes < 8) reject("payload_bytes must be >= 8");
+  if (config_.pool_packets == 0) reject("pool_packets must be > 0");
+  if (config_.max_frames_per_cell_epoch < 1) {
+    reject("max_frames_per_cell_epoch must be > 0");
+  }
 }
 
 BackhaulReport BackhaulSimulator::run() {

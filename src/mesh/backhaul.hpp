@@ -66,6 +66,9 @@ struct BackhaulReport {
 
 class BackhaulSimulator {
  public:
+  /// Throws std::invalid_argument naming the first out-of-range field:
+  /// those of FleetConfig::validate(), then payload_bytes >= 8,
+  /// pool_packets > 0 and max_frames_per_cell_epoch > 0.
   explicit BackhaulSimulator(BackhaulConfig config);
 
   /// Run the fleet with the mesh attached. Deterministic in the config

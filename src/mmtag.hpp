@@ -13,7 +13,6 @@
 
 // Circuit-level EM substrate.
 #include "src/em/impedance.hpp"
-#include "src/em/matching.hpp"
 #include "src/em/patch_element.hpp"
 #include "src/em/resonator.hpp"
 #include "src/em/switch_model.hpp"
@@ -31,7 +30,6 @@
 #include "src/channel/geometry.hpp"
 #include "src/channel/mobility.hpp"
 #include "src/channel/doppler.hpp"
-#include "src/channel/multipath.hpp"
 #include "src/channel/propagation.hpp"
 #include "src/channel/raytrace.hpp"
 
@@ -54,8 +52,6 @@
 #include "src/phy/rate_adaptation.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/phy/scrambler.hpp"
-#include "src/phy/sync.hpp"
-#include "src/phy/timing.hpp"
 #include "src/phy/waveform.hpp"
 
 // Reader.
@@ -81,7 +77,6 @@
 #include "src/mac/mimo_reader.hpp"
 #include "src/mac/polling.hpp"
 #include "src/net/arq.hpp"
-#include "src/net/fragmentation.hpp"
 #include "src/net/session.hpp"
 
 // Reader-backhaul mesh.

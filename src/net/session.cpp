@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/net/fragmentation.hpp"
 #include "src/phy/ber.hpp"
 #include "src/phy/frame.hpp"
 

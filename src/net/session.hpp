@@ -19,6 +19,10 @@
 
 namespace mmtag::net {
 
+/// Bits of sequencing header (12-bit fragment index, 12-bit fragment
+/// count) inside each frame payload of a fragmented transfer.
+inline constexpr std::size_t kFragmentHeaderBits = 24;
+
 /// Frames go on the air Manchester-coded: two chips per frame bit.
 struct SessionConfig {
   std::size_t mtu_payload_bits = 256;  ///< Frame payload budget (w/ header).

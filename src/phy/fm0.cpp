@@ -1,9 +1,6 @@
 #include "src/phy/fm0.hpp"
 
 #include <cstdint>
-#include <vector>
-
-#include "src/kern/kern.hpp"
 
 namespace mmtag::phy {
 
@@ -22,27 +19,6 @@ BitVector fm0_encode(const BitVector& bits) {
     prev = c1;
   }
   return chips;
-}
-
-std::optional<BitVector> fm0_decode(const BitVector& chips) {
-  if (chips.size() % 2 != 0) return std::nullopt;
-  const std::size_t nbits = chips.size() / 2;
-  if (nbits == 0) return BitVector{};
-  // Unpack to bytes for the branch-free kernel: bit i is the XNOR of its
-  // chip pair, and validity is one parallel check that every first chip
-  // inverts the preceding level.
-  std::vector<std::uint8_t> chip_bytes(chips.size());
-  for (std::size_t i = 0; i < chips.size(); ++i) {
-    chip_bytes[i] = chips[i] ? 1 : 0;
-  }
-  std::vector<std::uint8_t> bit_bytes(nbits);
-  if (kern::dispatch().fm0_decode_bytes(chip_bytes.data(), nbits,
-                                        bit_bytes.data()) == 0) {
-    return std::nullopt;
-  }
-  BitVector bits(nbits);
-  for (std::size_t i = 0; i < nbits; ++i) bits[i] = bit_bytes[i] != 0;
-  return bits;
 }
 
 }  // namespace mmtag::phy

@@ -1,16 +1,13 @@
 // FM0 (bi-phase space) line coding — the encoding EPC Gen2 RFID tags use.
 //
-// Implemented so the RFID baseline (src/baselines) runs the same encoding
-// the real protocol does, and so the energy model can compare Manchester's
-// one-edge-per-bit against FM0's denser edge statistics.
+// Encode-only: ablation A5 (bench_a5_linecode) compares the run lengths
+// of FM0 chips against Manchester and scrambled NRZ; the receive chain
+// itself decodes Manchester.
 //
 // FM0 rules: the level always inverts at every bit boundary; a '0' bit adds
 // an extra inversion mid-bit, a '1' does not. Each bit therefore occupies
-// two half-bit chips, and decoding needs the level at the end of the
-// previous bit (tracked internally; the stream starts from logic high).
+// two half-bit chips; the stream starts from logic high.
 #pragma once
-
-#include <optional>
 
 #include "src/phy/ook.hpp"
 
@@ -19,11 +16,6 @@ namespace mmtag::phy {
 /// Encode `bits` into FM0 half-bit chips (2 chips per bit). The encoder
 /// starts from level high (true) and inverts per the FM0 rules.
 [[nodiscard]] BitVector fm0_encode(const BitVector& bits);
-
-/// Decode FM0 chips back to bits. Returns nullopt when the chip count is
-/// odd or the mandatory boundary inversion is violated anywhere (which
-/// flags corruption, like a Manchester violation does).
-[[nodiscard]] std::optional<BitVector> fm0_decode(const BitVector& chips);
 
 /// Expected level transitions per data bit for equiprobable bits:
 /// every bit has the boundary inversion, '0' bits add one more => 1.5.

@@ -12,17 +12,6 @@ BitVector manchester_encode(const BitVector& bits) {
   return chips;
 }
 
-std::optional<BitVector> manchester_decode(const BitVector& chips) {
-  if (chips.size() % 2 != 0) return std::nullopt;
-  BitVector bits;
-  bits.reserve(chips.size() / 2);
-  for (std::size_t i = 0; i < chips.size(); i += 2) {
-    if (chips[i] == chips[i + 1]) return std::nullopt;
-    bits.push_back(chips[i]);
-  }
-  return bits;
-}
-
 BitVector manchester_decode_lenient(const BitVector& chips,
                                     std::size_t& invalid_pairs) {
   invalid_pairs = 0;

@@ -9,8 +9,6 @@
 // one-edge-per-bit property.
 #pragma once
 
-#include <optional>
-
 #include "src/phy/ook.hpp"
 
 namespace mmtag::phy {
@@ -19,14 +17,10 @@ namespace mmtag::phy {
 /// convention).
 [[nodiscard]] BitVector manchester_encode(const BitVector& bits);
 
-/// Decode chip pairs back to bits. Returns nullopt when the chip count is
-/// odd or any pair is invalid ({0,0} or {1,1}), which signals corruption.
-[[nodiscard]] std::optional<BitVector> manchester_decode(
-    const BitVector& chips);
-
-/// Decode leniently: invalid pairs resolve to the first chip's value and
-/// are counted in `invalid_pairs`. Used to keep a link limping at low SNR
-/// while still reporting quality.
+/// Decode chip pairs back to bits, leniently: an invalid pair ({0,0} or
+/// {1,1}, which signals corruption) resolves to its first chip's value and
+/// is counted in `invalid_pairs`, as is a trailing odd chip. Keeps a link
+/// limping at low SNR while still reporting quality.
 [[nodiscard]] BitVector manchester_decode_lenient(const BitVector& chips,
                                                   std::size_t& invalid_pairs);
 

@@ -63,20 +63,6 @@ std::vector<double> OokDemodulator::symbol_statistics(
   return stats;
 }
 
-namespace {
-
-// Branch-free hard slicer shared by the two demodulate entry points.
-BitVector slice_below(const std::vector<double>& stats, double threshold) {
-  std::vector<std::uint8_t> hard(stats.size());
-  kern::dispatch().threshold_below(stats.data(), stats.size(), threshold,
-                                   hard.data());
-  BitVector bits(stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) bits[i] = hard[i] != 0;
-  return bits;
-}
-
-}  // namespace
-
 BitVector OokDemodulator::demodulate(std::span<const Complex> samples) const {
   const std::vector<double> stats = symbol_statistics(samples);
   if (stats.empty()) return {};
@@ -93,12 +79,13 @@ BitVector OokDemodulator::demodulate(std::span<const Complex> samples) const {
       std::accumulate(sorted.begin() + half, sorted.end(), 0.0) /
       std::max<std::size_t>(1, sorted.size() - half);
   const double threshold = (low_mean + high_mean) / 2.0;
-  return slice_below(stats, threshold);
-}
-
-BitVector OokDemodulator::demodulate_with_threshold(
-    std::span<const Complex> samples, double threshold) const {
-  return slice_below(symbol_statistics(samples), threshold);
+  // Branch-free hard slicer.
+  std::vector<std::uint8_t> hard(stats.size());
+  kern::dispatch().threshold_below(stats.data(), stats.size(), threshold,
+                                   hard.data());
+  BitVector bits(stats.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) bits[i] = hard[i] != 0;
+  return bits;
 }
 
 std::size_t hamming_distance(const BitVector& a, const BitVector& b) {

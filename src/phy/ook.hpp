@@ -3,9 +3,9 @@
 // Tag side: bit '0' = reflect (carrier present at the reader), bit '1' =
 // absorb (no carrier). The modulator emits `samples_per_symbol` samples per
 // bit; the demodulator is an integrate-and-dump matched filter followed by
-// a threshold, with the threshold either fixed or estimated from the
-// received waveform (the reader has no pilot — it splits the observed
-// amplitude clusters, as a spectrum-analyzer-based reader would).
+// a threshold estimated from the received waveform (the reader has no
+// pilot — it splits the observed amplitude clusters, as a
+// spectrum-analyzer-based reader would).
 //
 // NOTE on polarity: the paper maps '0' -> reflect; `OokModulator` follows
 // that convention via `kReflectAmplitudeForZero`.
@@ -54,14 +54,11 @@ class OokDemodulator {
                           OokDetection detection = OokDetection::kCoherent);
 
   /// Demodulate `samples` into bits. The decision statistic per symbol is
-  /// the magnitude of the integrate-and-dump output; the threshold is the
-  /// midpoint between the means of the upper and lower halves of the
-  /// statistics (blind two-cluster split).
+  /// the integrate-and-dump output reduced by detection(): its real part
+  /// (kCoherent, the default) or its magnitude (kEnvelope). The threshold
+  /// is the midpoint between the means of the upper and lower halves of
+  /// the statistics (blind two-cluster split).
   [[nodiscard]] BitVector demodulate(std::span<const Complex> samples) const;
-
-  /// Demodulate with a caller-supplied amplitude threshold.
-  [[nodiscard]] BitVector demodulate_with_threshold(
-      std::span<const Complex> samples, double threshold) const;
 
   [[nodiscard]] int samples_per_symbol() const { return samples_per_symbol_; }
   [[nodiscard]] OokDetection detection() const { return detection_; }

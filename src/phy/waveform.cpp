@@ -17,15 +17,6 @@ double mean_power(std::span<const Complex> samples) {
   return sum / static_cast<double>(samples.size());
 }
 
-void scale(Waveform& samples, double gain) {
-  kern::dispatch().scale_real(samples.data(), gain, samples.size());
-}
-
-void apply_channel(Waveform& samples, Complex coefficient) {
-  kern::dispatch().scale_complex(samples.data(), coefficient,
-                                 samples.size());
-}
-
 double noise_power_for_snr(double signal_power, double snr_db) {
   assert(signal_power > 0.0);
   return signal_power / phys::db_to_ratio(snr_db);

@@ -8,13 +8,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "src/impair/chain.hpp"
 #include "src/phy/frame.hpp"
 #include "src/phy/line_code.hpp"
 #include "src/phy/ook.hpp"
-#include "src/phy/sync.hpp"
 
 namespace mmtag::reader {
 
@@ -48,13 +46,6 @@ class ReceiveChain {
   [[nodiscard]] ReceiveResult receive_impaired(
       std::span<const phy::Complex> samples,
       const impair::ImpairmentChain& chain, std::uint64_t seed) const;
-
-  /// Locate and decode every frame in an unaligned sample stream using
-  /// preamble correlation (src/phy/sync). Returns one result per detected
-  /// preamble, in stream order; results whose CRC failed keep
-  /// frame == nullopt but are still reported.
-  [[nodiscard]] std::vector<ReceiveResult> receive_stream(
-      std::span<const phy::Complex> stream) const;
 
   /// The matching transmit-side encoding for tests/examples: frame ->
   /// (optional Manchester) -> OOK samples.

@@ -48,14 +48,6 @@ class BeamScanner {
                                 const phy::RateTable& rates,
                                 sim::Rng& rng);
 
-  /// Two-stage hierarchical scan: probe the coarse stage fully, then only
-  /// the winner's children in each finer stage. Far fewer probes for the
-  /// same final beam (paper Sec. 3's "speed up the beam searching" lineage).
-  [[nodiscard]] ScanResult hierarchical_scan(
-      const std::vector<std::vector<antenna::Beam>>& stages,
-      const core::MmTag& tag, const channel::Environment& env,
-      const phy::RateTable& rates, sim::Rng& rng);
-
   [[nodiscard]] MmWaveReader& reader() { return reader_; }
   [[nodiscard]] const MmWaveReader& reader() const { return reader_; }
 

@@ -133,12 +133,6 @@ FerMeasurement MonteCarloLink::run_fer(double snr_db, int frames,
   return FerMeasurement{frames, failures};
 }
 
-double MonteCarloLink::measure_fer(double snr_db, int frames,
-                                   std::size_t payload_bits,
-                                   Rng& rng) const {
-  return run_fer(snr_db, frames, payload_bits, rng).fer();
-}
-
 FerMeasurement MonteCarloLink::measure_fer_point(double snr_db, int frames,
                                                  std::size_t payload_bits,
                                                  std::uint64_t seed) const {
@@ -168,12 +162,6 @@ BerSweepResult MonteCarloLink::measure_ber_sweep(
   return result;
 }
 
-BerSweepResult MonteCarloLink::measure_ber_sweep(
-    std::span<const double> snr_db, std::uint64_t base_seed) const {
-  ThreadPool pool;
-  return measure_ber_sweep(snr_db, base_seed, pool);
-}
-
 FerSweepResult MonteCarloLink::measure_fer_sweep(
     std::span<const double> snr_db, int frames, std::size_t payload_bits,
     std::uint64_t base_seed, ThreadPool& pool) const {
@@ -190,13 +178,6 @@ FerSweepResult MonteCarloLink::measure_fer_sweep(
     link_frames_metric().add(result.stats.units);
   }
   return result;
-}
-
-FerSweepResult MonteCarloLink::measure_fer_sweep(
-    std::span<const double> snr_db, int frames, std::size_t payload_bits,
-    std::uint64_t base_seed) const {
-  ThreadPool pool;
-  return measure_fer_sweep(snr_db, frames, payload_bits, base_seed, pool);
 }
 
 }  // namespace mmtag::sim

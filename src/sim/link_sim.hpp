@@ -8,10 +8,12 @@
 // frame error rates through the full receive chain (Manchester + CRC).
 //
 // Sweeps (the hot path of every bench) run through the parallel engine:
-// measure_ber_sweep / measure_fer_sweep shard the SNR grid across a
-// ThreadPool with one deterministic RNG stream per point, so a sweep is
-// bit-identical for any thread count. The shared-rng& single-point entry
-// points remain for sequential callers; do not use them to build sweeps.
+// measure_ber_sweep / measure_fer_sweep shard the SNR grid across the
+// caller's ThreadPool with one deterministic RNG stream per point, so a
+// sweep is bit-identical for any thread count. The self-seeded
+// measure_*_point calls are the same unit of work for one point;
+// measure_ber on a caller's engine is the BER loop itself, which a sweep
+// runs once per point.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +99,8 @@ class MonteCarloLink {
   [[nodiscard]] BerMeasurement measure_ber_point(double snr_db,
                                                  std::uint64_t seed) const;
 
-  /// Frame error rate through the full receive chain at `snr_db`:
-  /// `frames` frames of `payload_bits` random payload each.
-  [[nodiscard]] double measure_fer(double snr_db, int frames,
-                                   std::size_t payload_bits,
-                                   Rng& rng) const;
-
-  /// Self-seeded single FER point.
+  /// Self-seeded frame error rate through the full receive chain at
+  /// `snr_db`: `frames` frames of `payload_bits` random payload each.
   [[nodiscard]] FerMeasurement measure_fer_point(double snr_db, int frames,
                                                  std::size_t payload_bits,
                                                  std::uint64_t seed) const;
@@ -115,19 +112,10 @@ class MonteCarloLink {
       std::span<const double> snr_db, std::uint64_t base_seed,
       ThreadPool& pool) const;
 
-  /// Convenience overload on a default-sized pool (MMTAG_THREADS or
-  /// hardware concurrency).
-  [[nodiscard]] BerSweepResult measure_ber_sweep(
-      std::span<const double> snr_db, std::uint64_t base_seed) const;
-
   /// Frame-error-rate sweep with the same seeding discipline.
   [[nodiscard]] FerSweepResult measure_fer_sweep(
       std::span<const double> snr_db, int frames, std::size_t payload_bits,
       std::uint64_t base_seed, ThreadPool& pool) const;
-
-  [[nodiscard]] FerSweepResult measure_fer_sweep(
-      std::span<const double> snr_db, int frames, std::size_t payload_bits,
-      std::uint64_t base_seed) const;
 
   [[nodiscard]] const Params& params() const { return params_; }
 
@@ -140,7 +128,7 @@ class MonteCarloLink {
   [[nodiscard]] std::size_t effective_max_bits() const;
 
  private:
-  /// Exact frame loop behind every FER entry point.
+  /// Exact frame loop behind both FER entry points.
   [[nodiscard]] FerMeasurement run_fer(double snr_db, int frames,
                                        std::size_t payload_bits,
                                        Rng& rng) const;

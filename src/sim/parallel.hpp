@@ -12,9 +12,8 @@
 // The RNG discipline is the load-bearing part: a task never touches a
 // shared sim::Rng&. Seeding each point from (base_seed, index)
 // makes every sweep bit-identical regardless of thread count or scheduling
-// order, so "run it on more cores" can never change a result. Shared-rng&
-// single-point APIs remain for sequential callers but are deprecated for
-// sweeps (see DESIGN.md Sec. 7).
+// order, so "run it on more cores" can never change a result (see
+// DESIGN.md Sec. 7).
 #pragma once
 
 #include <chrono>

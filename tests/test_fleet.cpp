@@ -4,8 +4,12 @@
 // machine, and config validation.
 #include "src/deploy/fleet.hpp"
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,23 +60,6 @@ TEST(Layout, IsDeterministicAndInBounds) {
     EXPECT_GE(pa.y, config.margin_m);
     EXPECT_LE(pa.y, config.height_m - config.margin_m);
   }
-}
-
-TEST(Layout, GridPlacementCoversTheFloor) {
-  LayoutConfig config;
-  config.width_m = 10.0;
-  config.height_m = 6.0;
-  config.readers = 2;
-  config.tags = 12;
-  config.placement = TagPlacement::kGrid;
-  const FleetLayout layout = make_layout(config);
-  // Grid tags spread across both halves of the room.
-  int left = 0;
-  for (const auto& tag : layout.tags) {
-    if (tag.pose().position.x < config.width_m / 2.0) ++left;
-  }
-  EXPECT_GT(left, 2);
-  EXPECT_LT(left, 10);
 }
 
 TEST(FleetSimulator, ReadsMostTagsAndProducesSaneStats) {
@@ -392,63 +379,76 @@ TEST(FleetValidate, AcceptsDefaultsAndAnEmptyFloor) {
   EXPECT_NO_THROW(FleetSimulator{empty});
 }
 
-TEST(FleetValidate, RejectsNoReaders) {
-  FleetConfig config = small_fleet();
-  config.layout.readers = 0;
-  ExpectRejected(config, "LayoutConfig::readers");
-  EXPECT_THROW((void)make_layout(config.layout), std::invalid_argument);
-}
-
-TEST(FleetValidate, RejectsNegativeTagCount) {
-  FleetConfig config = small_fleet();
-  config.layout.tags = -5;
-  ExpectRejected(config, "LayoutConfig::tags");
-}
-
-TEST(FleetValidate, RejectsAFloorNoWiderThanTheMargins) {
-  FleetConfig config = small_fleet();
-  config.layout.width_m = 2.0 * config.layout.margin_m;
-  ExpectRejected(config, "LayoutConfig::width_m");
-}
-
-TEST(FleetValidate, RejectsAFloorNoDeeperThanTheMargins) {
-  FleetConfig config = small_fleet();
-  config.layout.height_m = 0.5 * config.layout.margin_m;
-  ExpectRejected(config, "LayoutConfig::height_m");
-}
-
-TEST(FleetValidate, RejectsANegativeMargin) {
-  FleetConfig config = small_fleet();
-  config.layout.margin_m = -0.1;
-  ExpectRejected(config, "LayoutConfig::margin_m");
-}
-
-TEST(FleetValidate, RejectsZeroEpochs) {
-  FleetConfig config = small_fleet();
-  config.epochs = 0;
-  ExpectRejected(config, "FleetConfig::epochs");
-}
-
-TEST(FleetValidate, RejectsANonPositiveEpochDuration) {
-  FleetConfig config = small_fleet();
-  config.epoch_duration_s = 0.0;
-  ExpectRejected(config, "FleetConfig::epoch_duration_s");
-  config.epoch_duration_s = -0.02;
-  ExpectRejected(config, "FleetConfig::epoch_duration_s");
-}
-
-TEST(FleetValidate, RejectsAMobileFractionOutsideTheUnitInterval) {
-  FleetConfig config = small_fleet();
-  config.mobile_fraction = -0.1;
-  ExpectRejected(config, "FleetConfig::mobile_fraction");
-  config.mobile_fraction = 1.5;
-  ExpectRejected(config, "FleetConfig::mobile_fraction");
-}
-
-TEST(FleetValidate, RejectsANegativeMobileSpeed) {
-  FleetConfig config = small_fleet();
-  config.mobile_speed_mps = -1.0;
-  ExpectRejected(config, "FleetConfig::mobile_speed_mps");
+TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  // One bad value per rule, each applied alone to a valid fleet. Zero
+  // channels would divide by zero in the channelized coordinator, and a
+  // beamwidth or sector that is not positive leaves no usable codebook.
+  const std::vector<std::pair<std::string, std::function<void(FleetConfig&)>>>
+      cases = {
+          {"LayoutConfig::readers", [](FleetConfig& c) { c.layout.readers = 0; }},
+          {"LayoutConfig::tags", [](FleetConfig& c) { c.layout.tags = -5; }},
+          {"LayoutConfig::margin_m",
+           [](FleetConfig& c) { c.layout.margin_m = -0.1; }},
+          {"LayoutConfig::margin_m",
+           [](FleetConfig& c) { c.layout.margin_m = kNan; }},
+          {"LayoutConfig::width_m",
+           [](FleetConfig& c) { c.layout.width_m = 2.0 * c.layout.margin_m; }},
+          {"LayoutConfig::height_m",
+           [](FleetConfig& c) { c.layout.height_m = 0.5 * c.layout.margin_m; }},
+          {"LayoutConfig::height_m",
+           [](FleetConfig& c) { c.layout.height_m = kNan; }},
+          {"FleetConfig::epochs", [](FleetConfig& c) { c.epochs = 0; }},
+          {"FleetConfig::epoch_duration_s",
+           [](FleetConfig& c) { c.epoch_duration_s = 0.0; }},
+          {"FleetConfig::epoch_duration_s",
+           [](FleetConfig& c) { c.epoch_duration_s = -0.02; }},
+          {"FleetConfig::epoch_duration_s",
+           [](FleetConfig& c) { c.epoch_duration_s = kNan; }},
+          {"FleetConfig::mobile_fraction",
+           [](FleetConfig& c) { c.mobile_fraction = -0.1; }},
+          {"FleetConfig::mobile_fraction",
+           [](FleetConfig& c) { c.mobile_fraction = 1.5; }},
+          {"FleetConfig::mobile_fraction",
+           [](FleetConfig& c) { c.mobile_fraction = kNan; }},
+          {"FleetConfig::mobile_speed_mps",
+           [](FleetConfig& c) { c.mobile_speed_mps = -1.0; }},
+          {"FleetConfig::mobile_speed_mps",
+           [](FleetConfig& c) { c.mobile_speed_mps = kNan; }},
+          {"FleetConfig::coordination.channels",
+           [](FleetConfig& c) {
+             c.coordination.policy = CoordinationPolicy::kChannelized;
+             c.coordination.channels = 0;
+           }},
+          {"FleetConfig::coordination.channels",
+           [](FleetConfig& c) { c.coordination.channels = -2; }},
+          {"FleetConfig::cell.beamwidth_deg",
+           [](FleetConfig& c) { c.cell.beamwidth_deg = 0.0; }},
+          {"FleetConfig::cell.beamwidth_deg",
+           [](FleetConfig& c) { c.cell.beamwidth_deg = kNan; }},
+          {"FleetConfig::cell.sector_half_angle_rad",
+           [](FleetConfig& c) { c.cell.sector_half_angle_rad = 0.0; }},
+          {"FleetConfig::cell.sector_half_angle_rad",
+           [](FleetConfig& c) {
+             c.cell.sector_half_angle_rad = phys::kPi + 1e-9;
+           }},
+          {"FleetConfig::cell.sector_half_angle_rad",
+           [](FleetConfig& c) { c.cell.sector_half_angle_rad = kNan; }},
+      };
+  FleetConfig edge = small_fleet();
+  edge.coordination.channels = 1;
+  edge.cell.sector_half_angle_rad = phys::kPi;
+  EXPECT_NO_THROW(edge.validate());
+  for (const auto& [field, corrupt] : cases) {
+    FleetConfig config = small_fleet();
+    corrupt(config);
+    EXPECT_THROW(config.validate(), std::invalid_argument) << field;
+    ExpectRejected(config, field);
+    if (field.starts_with("LayoutConfig::")) {
+      EXPECT_THROW((void)make_layout(config.layout), std::invalid_argument)
+          << field;
+    }
+  }
 }
 
 TEST(FleetFaults, FaultedAggregatesBitIdenticalAcrossThreadCounts) {

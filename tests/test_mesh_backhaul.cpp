@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/deploy/coordinator.hpp"
@@ -174,6 +178,44 @@ TEST(BackhaulSimulator, RepeatedRunsAreBitIdentical) {
   const BackhaulReport a = BackhaulSimulator(config).run();
   const BackhaulReport b = BackhaulSimulator(config).run();
   EXPECT_EQ(fingerprint(a), fingerprint(b));
+}
+
+TEST(BackhaulValidate, EveryOutOfRangeFieldIsRejectedByName) {
+  // One bad value per rule, each applied alone to a valid config; the
+  // fleet's own rules come first.
+  const std::vector<
+      std::pair<std::string, std::function<void(BackhaulConfig&)>>>
+      cases = {
+          {"FleetConfig::epochs", [](BackhaulConfig& c) { c.fleet.epochs = 0; }},
+          {"FleetConfig::coordination.channels",
+           [](BackhaulConfig& c) { c.fleet.coordination.channels = 0; }},
+          {"BackhaulConfig::payload_bytes",
+           [](BackhaulConfig& c) { c.payload_bytes = 0; }},
+          {"BackhaulConfig::payload_bytes",
+           [](BackhaulConfig& c) { c.payload_bytes = 7; }},
+          {"BackhaulConfig::pool_packets",
+           [](BackhaulConfig& c) { c.pool_packets = 0; }},
+          {"BackhaulConfig::max_frames_per_cell_epoch",
+           [](BackhaulConfig& c) { c.max_frames_per_cell_epoch = 0; }},
+          {"BackhaulConfig::max_frames_per_cell_epoch",
+           [](BackhaulConfig& c) { c.max_frames_per_cell_epoch = -1; }},
+      };
+  BackhaulConfig edge = small_backhaul();
+  edge.payload_bytes = 8;
+  edge.pool_packets = 1;
+  edge.max_frames_per_cell_epoch = 1;
+  EXPECT_NO_THROW(BackhaulSimulator{edge});
+  for (const auto& [field, corrupt] : cases) {
+    BackhaulConfig config = small_backhaul();
+    corrupt(config);
+    try {
+      const BackhaulSimulator simulator(config);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

@@ -66,14 +66,6 @@ TEST(OokRoundTrip, LowSnrProducesErrorsButNotGarbage) {
   EXPECT_LT(errors, bits.size() / 3);  // Far better than guessing.
 }
 
-TEST(OokDemodulator, ExplicitThreshold) {
-  const OokModulator mod(4);
-  const OokDemodulator demod(4);
-  const Waveform wave = mod.modulate({false, true, false});
-  const BitVector bits = demod.demodulate_with_threshold(wave, 0.5);
-  EXPECT_EQ(bits, (BitVector{false, true, false}));
-}
-
 TEST(OokDemodulator, IgnoresTrailingPartialSymbol) {
   const OokDemodulator demod(8);
   const Waveform partial(12, Complex(1.0, 0.0));  // 1.5 symbols.
@@ -86,19 +78,12 @@ TEST(Hamming, CountsMismatchesAndLengthDelta) {
   EXPECT_EQ(hamming_distance({1, 0}, {1, 0, 1, 1}), 2u);
 }
 
-TEST(Waveform, MeanPowerAndScale) {
-  Waveform wave = {{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
+TEST(Waveform, MeanPower) {
+  const Waveform wave = {{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
   EXPECT_NEAR(mean_power(wave), (1.0 + 1.0 + 2.0) / 3.0, 1e-12);
-  scale(wave, 2.0);
-  EXPECT_NEAR(mean_power(wave), 4.0 * 4.0 / 3.0, 1e-12);
+  const Waveform doubled = {{2.0, 0.0}, {0.0, 2.0}, {2.0, 2.0}};
+  EXPECT_NEAR(mean_power(doubled), 4.0 * 4.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(mean_power(Waveform{}), 0.0);
-}
-
-TEST(Waveform, ApplyChannelRotatesAndScales) {
-  Waveform wave = {{1.0, 0.0}};
-  apply_channel(wave, std::polar(0.5, 1.0));
-  EXPECT_NEAR(std::abs(wave[0]), 0.5, 1e-12);
-  EXPECT_NEAR(std::arg(wave[0]), 1.0, 1e-12);
 }
 
 TEST(Waveform, AwgnPowerIsCalibrated) {
