@@ -8,7 +8,8 @@
 # auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
 # the pinned digests, the traffic suite and the metric tests, the
 # kernel-backend determinism gate (which must compare scalar with AVX2 on
-# an AVX2 host), an ASan+UBSan pass over the test suite, a
+# an AVX2 host), an ASan+UBSan pass over the test suite (UBSan with
+# float-cast-overflow, which GCC's -fsanitize=undefined leaves out), a
 # bench-smoke stage whose one table-driven loop writes and self-compares
 # nine BENCH_*.json reports (the fault, net, backhaul, metro, control-plane
 # and impairment benches under the sanitizers, plus a full-size
@@ -158,8 +159,8 @@ echo "=== ASan+UBSan build (test suite + instrumented benches) ==="
 build_dir="build-ci-asan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests \
   bench_d1_fleet bench_d2_chaos bench_n1_traffic bench_m1_mesh \
   bench_d3_metro bench_r1_resil bench_i1_impair

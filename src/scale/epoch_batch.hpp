@@ -52,6 +52,8 @@ struct BatchLinkModel {
 /// evaluate() on the same batcher.
 struct BatchResult {
   std::size_t count = 0;           ///< Slab length (candidates evaluated).
+  const double* x = nullptr;       ///< Gathered positions, in `slots` order.
+  const double* y = nullptr;
   const double* d2 = nullptr;      ///< Squared distance to the reader.
   const double* rate_bps = nullptr;///< Achievable rate (0 = undetected).
   const std::uint8_t* detected = nullptr;  ///< 1 where d² < detect range².

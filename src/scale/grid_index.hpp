@@ -20,17 +20,37 @@
 //     domain. The index never touches a coordinate, so it cannot
 //     introduce floating-point divergence.
 //
-// Mobility is incremental: move() rebuckets a slot only when its cell
-// actually changed (the common case at realistic speeds is a no-op).
+// Mobility is batched: the caller computes each mover's cell before and
+// after its step with cell_of() and hands the records whose cell changed
+// to rebucket(), which applies them in parallel over at most 64 ranges of
+// consecutive cells (fixed by the grid, not by the pool). Buckets are
+// sorted sets, so the result cannot depend on the order in which the
+// moves are applied.
+//
+// sort_slots() is the canonical candidate order: gather_disc() returns
+// cells in row-major order, and callers that need the candidates as a set
+// (the metro poll sequence) sort them ascending with it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "src/scale/tag_store.hpp"
 
+namespace mmtag::sim {
+class ThreadPool;
+}
+
 namespace mmtag::scale {
+
+/// Sort `slots` ascending; the same result as std::sort. An LSD radix sort
+/// over three 11-bit digits that skips a digit every key shares (slots
+/// below 2^22 cost two passes). Slot ids are distinct, so ascending order
+/// is unique.
+void sort_slots(std::vector<TagSlot>& slots);
 
 class GridIndex {
  public:
@@ -47,19 +67,31 @@ class GridIndex {
     std::uint64_t candidates = 0;
   };
 
+  /// One slot's move between cells, both as cell_of() computed them.
+  struct CellMove {
+    TagSlot slot;
+    std::size_t from;
+    std::size_t to;
+  };
+
   /// A `width_m` x `height_m` world bucketed into square cells of
   /// `cell_m` (the last row/column absorbs the remainder). Positions
   /// outside the rectangle clamp to the border cells, so a slightly
-  /// out-of-bounds mover never corrupts the index.
+  /// out-of-bounds mover never corrupts the index. Throws
+  /// std::invalid_argument unless all three are > 0 and the grid has
+  /// fewer than 2^31 columns and rows.
   GridIndex(double width_m, double height_m, double cell_m);
 
   void insert(TagSlot slot, double x, double y);
 
-  /// Rebucket `slot` after a move from (old_x, old_y) to (new_x, new_y).
-  /// Returns true when the slot actually changed cells (the caller's old
-  /// coordinates must be the ones insert()/move() last saw).
-  bool move(TagSlot slot, double old_x, double old_y, double new_x,
-            double new_y);
+  /// Move every record's slot from cell `from` to cell `to`; a record
+  /// whose cells are equal is a no-op. `from` must be the cell the slot is
+  /// in, and a slot may appear in at most one record. Each side of a
+  /// record is scattered to its range of consecutive cells (at most 64
+  /// ranges), and the ranges apply their removals and insertions on
+  /// `pool`. Returns the number of records whose cell changed.
+  std::size_t rebucket(const std::vector<CellMove>& moves,
+                       sim::ThreadPool& pool);
 
   /// Append every slot whose cell intersects the closed disc of
   /// `radius_m` about (cx, cy), in cell row-major order, ascending slot
@@ -84,12 +116,24 @@ class GridIndex {
   [[nodiscard]] double cell_m() const { return cell_m_; }
   [[nodiscard]] std::size_t occupancy() const { return occupancy_; }
 
-  /// Bucket holding (x, y) — exposed for tests and occupancy stats.
-  [[nodiscard]] std::size_t cell_of(double x, double y) const;
+  /// Bucket holding (x, y); inline for the mobility loop.
+  [[nodiscard]] std::size_t cell_of(double x, double y) const {
+    return static_cast<std::size_t>(row_of(y)) *
+               static_cast<std::size_t>(cols_) +
+           static_cast<std::size_t>(col_of(x));
+  }
 
  private:
-  [[nodiscard]] int col_of(double x) const;
-  [[nodiscard]] int row_of(double y) const;
+  // Clamped in the double domain, so any finite coordinate maps to a
+  // border cell without an out-of-range conversion.
+  [[nodiscard]] int col_of(double x) const {
+    return static_cast<int>(std::clamp(std::floor(x / cell_m_), 0.0,
+                                       static_cast<double>(cols_ - 1)));
+  }
+  [[nodiscard]] int row_of(double y) const {
+    return static_cast<int>(std::clamp(std::floor(y / cell_m_), 0.0,
+                                       static_cast<double>(rows_ - 1)));
+  }
 
   double cell_m_;
   int cols_;

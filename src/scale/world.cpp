@@ -40,10 +40,17 @@ void MetroConfig::validate() const {
   require(height_m > 0.0, "height_m", "> 0");
   require(readers_x >= 1, "readers_x", ">= 1");
   require(readers_y >= 1, "readers_y", ">= 1");
+  // Reader ids are ints.
+  require(readers_x <= std::numeric_limits<int>::max() / readers_y,
+          "readers_x", "such that readers_x * readers_y <= 2^31 - 1");
   // TagStore slots are 32-bit.
   require(tags <= std::numeric_limits<std::uint32_t>::max(), "tags",
           "<= 2^32 - 1");
   require(index_cell_m > 0.0, "index_cell_m", "> 0");
+  // GridIndex columns and rows are ints.
+  require(width_m / index_cell_m < 0x1.0p31 &&
+              height_m / index_cell_m < 0x1.0p31,
+          "index_cell_m", "> width_m / 2^31 and > height_m / 2^31");
   require(epoch_duration_s > 0.0, "epoch_duration_s", "> 0");
   require(polls_per_reader >= 0, "polls_per_reader", ">= 0");
   require(poll_success_prob >= 0.0 && poll_success_prob <= 1.0,
@@ -93,7 +100,9 @@ MetroWorld::MetroWorld(const MetroConfig& config)
     : config_(validated(config)),
       index_(config.width_m, config.height_m, config.index_cell_m),
       model_(BatchLinkModel::from_budget(config.budget,
-                                         phy::RateTable::mmtag_standard())) {
+                                         phy::RateTable::mmtag_standard())),
+      reader_dx_(config.width_m / config.readers_x),
+      reader_dy_(config.height_m / config.readers_y) {
   detect_range_m_ = std::sqrt(model_.detect_r2_m2);
   gather_radius_m_ = std::max(detect_range_m_, config.interference_radius_m);
   poll_base_ = sim::derive_seed(config.seed, 0x706F6C6CULL);  // "poll"
@@ -119,23 +128,11 @@ MetroWorld::MetroWorld(const MetroConfig& config)
 }
 
 double MetroWorld::reader_x(int r) const {
-  const double spacing = config_.width_m / config_.readers_x;
-  return (static_cast<double>(r % config_.readers_x) + 0.5) * spacing;
+  return (static_cast<double>(r % config_.readers_x) + 0.5) * reader_dx_;
 }
 
 double MetroWorld::reader_y(int r) const {
-  const double spacing = config_.height_m / config_.readers_y;
-  return (static_cast<double>(r / config_.readers_x) + 0.5) * spacing;
-}
-
-int MetroWorld::owner_of(double x, double y) const {
-  const double sx = config_.width_m / config_.readers_x;
-  const double sy = config_.height_m / config_.readers_y;
-  const int col = std::clamp(static_cast<int>(std::floor(x / sx)), 0,
-                             config_.readers_x - 1);
-  const int row = std::clamp(static_cast<int>(std::floor(y / sy)), 0,
-                             config_.readers_y - 1);
-  return row * config_.readers_x + col;
+  return (static_cast<double>(r / config_.readers_x) + 0.5) * reader_dy_;
 }
 
 MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
@@ -185,6 +182,13 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       serving[ri] = (is_up && serve) ? 1 : 0;
     }
     if (any_skip) {
+      // Ascending, so a tie still goes to the lower id.
+      std::vector<int> servers;
+      for (int a = 0; a < n_readers; ++a) {
+        if (monitor_->should_serve(static_cast<std::size_t>(a))) {
+          servers.push_back(a);
+        }
+      }
       adopter.resize(static_cast<std::size_t>(n_readers));
       for (int o = 0; o < n_readers; ++o) {
         if (monitor_->should_serve(static_cast<std::size_t>(o))) {
@@ -194,12 +198,11 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
         const int ox = o % config_.readers_x;
         const int oy = o / config_.readers_x;
         int best = o;  // Nobody serving: keep self (tags go unserved).
-        int best_d2 = std::numeric_limits<int>::max();
-        for (int a = 0; a < n_readers; ++a) {
-          if (!monitor_->should_serve(static_cast<std::size_t>(a))) continue;
-          const int dx = a % config_.readers_x - ox;
-          const int dy = a / config_.readers_x - oy;
-          const int d2 = dx * dx + dy * dy;
+        std::int64_t best_d2 = std::numeric_limits<std::int64_t>::max();
+        for (const int a : servers) {
+          const std::int64_t dx = a % config_.readers_x - ox;
+          const std::int64_t dy = a / config_.readers_x - oy;
+          const std::int64_t d2 = dx * dx + dy * dy;
           if (d2 < best_d2) {
             best_d2 = d2;
             best = a;
@@ -232,7 +235,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       // Cell buckets arrive in row-major cell order; canonicalize to
       // ascending slot order so the poll sequence (and therefore the RNG
       // consumption) is a pure function of the candidate *set*.
-      std::sort(cands.begin(), cands.end());
+      sort_slots(cands);
     } else {
       cands.resize(n_slots);
       std::iota(cands.begin(), cands.end(), TagSlot{0});
@@ -247,8 +250,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
                         static_cast<std::uint64_t>(r)));
     std::uniform_real_distribution<double> uni(0.0, 1.0);
 
-    const double* xs = store_.xs();
-    const double* ys = store_.ys();
     double* energy = store_.energies();
     std::uint8_t* read = store_.read_flags();
     double* first_read = store_.first_read_s();
@@ -257,8 +258,11 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
 
     int budget_left = config_.polls_per_reader;
     for (std::size_t i = 0; i < batch.count; ++i) {
+      // Outside the beam and the contention radius a tag changes nothing
+      // under either branch below, whoever owns it.
+      if (!batch.detected[i] && !(batch.d2[i] < intf_r2)) continue;
       const TagSlot slot = cands[i];
-      const int owner = owner_of(xs[slot], ys[slot]);
+      const int owner = owner_of(batch.x[i], batch.y[i]);
       // The tag belongs to whoever the control plane re-homed its owner
       // to (identity when no reader is skipped) — the remap is a pure
       // owner -> reader function, so store writes stay disjoint.
@@ -322,60 +326,60 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   }
 
   // --- Mobility phase: fixed-size chunks (thread-count independent),
-  // per-slot derived bits, disjoint position writes. Index rebucketing is
-  // applied serially afterwards; bucket sort order makes the final index
-  // state independent of application order anyway.
-  struct MoveRec {
-    TagSlot slot;
-    double old_x, old_y;
-  };
+  // per-slot derived bits, disjoint position writes. Each chunk records
+  // its cell changes; the index applies them as one batch afterwards,
+  // and bucket sort order makes the final index state independent of
+  // application order anyway.
   struct ChunkResult {
-    std::vector<MoveRec> moves;
+    std::vector<GridIndex::CellMove> moves;
     std::uint64_t moved = 0;
     std::uint64_t handoffs = 0;
   };
   constexpr std::size_t kChunk = 4096;
   const std::size_t n_chunks = (n_slots + kChunk - 1) / kChunk;
   std::vector<ChunkResult> chunks(n_chunks);
+  const std::uint64_t move_base = move_base_;
+  const std::uint64_t first_stream =
+      epochs_run_ * static_cast<std::uint64_t>(n_slots);
+  const double move_fraction = config_.move_fraction;
   const double step_scale = config_.speed_mps * config_.epoch_duration_s;
+  const double width_m = config_.width_m;
+  const double height_m = config_.height_m;
+  const double* xs = store_.xs();
+  const double* ys = store_.ys();
   pool.parallel_for(n_chunks, [&](std::size_t ci) {
     ChunkResult& out = chunks[ci];
     const std::size_t lo = ci * kChunk;
     const std::size_t hi = std::min(lo + kChunk, n_slots);
     for (std::size_t s = lo; s < hi; ++s) {
+      const std::uint64_t bits = sim::derive_seed(move_base, first_stream + s);
+      if (unit_double(bits) >= move_fraction) continue;
       const TagSlot slot = static_cast<TagSlot>(s);
-      const std::uint64_t bits = sim::derive_seed(
-          move_base_, epochs_run_ * static_cast<std::uint64_t>(n_slots) + s);
-      if (unit_double(bits) >= config_.move_fraction) continue;
       const std::uint64_t step_bits = sim::derive_seed(bits, 0x6D76ULL);
       const double u1 =
           static_cast<double>(step_bits & 0xFFFFFFFFULL) * 0x1.0p-32;
       const double u2 = static_cast<double>(step_bits >> 32) * 0x1.0p-32;
-      const double old_x = store_.xs()[slot];
-      const double old_y = store_.ys()[slot];
-      const double new_x = std::clamp(old_x + (2.0 * u1 - 1.0) * step_scale,
-                                      0.0, config_.width_m);
-      const double new_y = std::clamp(old_y + (2.0 * u2 - 1.0) * step_scale,
-                                      0.0, config_.height_m);
+      const double old_x = xs[slot];
+      const double old_y = ys[slot];
+      const double new_x =
+          std::clamp(old_x + (2.0 * u1 - 1.0) * step_scale, 0.0, width_m);
+      const double new_y =
+          std::clamp(old_y + (2.0 * u2 - 1.0) * step_scale, 0.0, height_m);
       store_.set_position(slot, new_x, new_y);
       ++out.moved;
       if (owner_of(old_x, old_y) != owner_of(new_x, new_y)) ++out.handoffs;
-      if (index_.cell_of(old_x, old_y) != index_.cell_of(new_x, new_y)) {
-        out.moves.push_back({slot, old_x, old_y});
-      }
+      const std::size_t from = index_.cell_of(old_x, old_y);
+      const std::size_t to = index_.cell_of(new_x, new_y);
+      if (from != to) out.moves.push_back({slot, from, to});
     }
   });
+  std::vector<GridIndex::CellMove> moves;
   for (const ChunkResult& c : chunks) {
     epoch.moved += c.moved;
     epoch.handoffs += c.handoffs;
-    for (const MoveRec& m : c.moves) {
-      const TagSlot slot = m.slot;
-      if (index_.move(slot, m.old_x, m.old_y, store_.xs()[slot],
-                      store_.ys()[slot])) {
-        ++epoch.rebuckets;
-      }
-    }
+    moves.insert(moves.end(), c.moves.begin(), c.moves.end());
   }
+  epoch.rebuckets = index_.rebucket(moves, pool);
 
   ++epochs_run_;
   detected_total_ += epoch.detected;

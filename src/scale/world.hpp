@@ -18,6 +18,15 @@
 //     partition), and per-reader results merge in fixed reader order —
 //     so aggregates are bit-identical at any thread count.
 //
+// Each reader's candidates are put in ascending slot order with
+// scale::sort_slots, so its poll sequence is a function of the candidate
+// set. The poll loop skips a candidate outside both the beam and the
+// contention radius before working out its owner: such a tag changes no
+// counter and no column whoever owns it. Ownership and index cells are
+// inline closed forms over spacings computed once per world, and the
+// epoch's cell changes reach the index as one parallel
+// GridIndex::rebucket batch.
+//
 // The same epoch can also run with the index disabled (`use_index =
 // false`): the query path degrades to a linear scan over every slot but
 // the exact filter — and therefore every byte of simulation state — is
@@ -25,6 +34,8 @@
 // the two paths and the candidate-count margin the index buys.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -86,7 +97,8 @@ struct MetroConfig {
   std::uint64_t seed = 1234;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `health` and `domains`).
+  /// (including those of `health` and `domains`). Grids whose reader
+  /// count or index columns/rows would not fit an int are out of range.
   void validate() const;
 };
 
@@ -171,8 +183,14 @@ class MetroWorld {
   [[nodiscard]] double reader_x(int r) const;
   [[nodiscard]] double reader_y(int r) const;
   /// Closed-form nearest reader for a position (regular grid: the reader
-  /// whose rectangle contains it).
-  [[nodiscard]] int owner_of(double x, double y) const;
+  /// whose rectangle contains it); inline for the poll and mobility loops.
+  [[nodiscard]] int owner_of(double x, double y) const {
+    const int col = std::clamp(static_cast<int>(std::floor(x / reader_dx_)),
+                               0, config_.readers_x - 1);
+    const int row = std::clamp(static_cast<int>(std::floor(y / reader_dy_)),
+                               0, config_.readers_y - 1);
+    return row * config_.readers_x + col;
+  }
 
  private:
   struct ReaderResult;
@@ -181,6 +199,8 @@ class MetroWorld {
   TagStore store_;
   GridIndex index_;
   BatchLinkModel model_;
+  double reader_dx_ = 0.0;  ///< Reader grid spacing, width_m / readers_x.
+  double reader_dy_ = 0.0;  ///< height_m / readers_y.
   double detect_range_m_ = 0.0;
   double gather_radius_m_ = 0.0;
   std::uint64_t poll_base_ = 0;

@@ -39,11 +39,11 @@ namespace mmtag::sim {
 /// A fixed-size pool of std::thread workers executing index ranges.
 ///
 /// There is deliberately no work stealing and no futures: sweep items are
-/// claimed one index at a time from an atomic cursor, which balances load
-/// across points of unequal cost (low-SNR points terminate early, clean
-/// points run to max_bits) without any ordering dependence. The calling
-/// thread participates, so ThreadPool(1) runs the body inline with zero
-/// synchronisation overhead.
+/// claimed one index at a time from a shared cursor, each claim under the
+/// pool mutex, which balances load across points of unequal cost (low-SNR
+/// points terminate early, clean points run to max_bits) without any
+/// ordering dependence. The calling thread participates, so ThreadPool(1)
+/// runs the body inline with zero synchronisation overhead.
 class ThreadPool {
  public:
   /// `threads <= 0` selects default_thread_count().

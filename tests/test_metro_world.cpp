@@ -1,7 +1,7 @@
 // Metro world model (src/scale/world): batched link evaluation against
 // the scalar reference, thread-count invariance, indexed-vs-linear query
-// path equivalence, energy duty cycling, mobility/handoff accounting, and
-// config validation.
+// path equivalence, energy duty cycling, mobility/handoff accounting, the
+// index after batched rebucketing, and config validation.
 #include "src/scale/world.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/phy/rate_table.hpp"
 #include "src/scale/epoch_batch.hpp"
@@ -189,6 +190,32 @@ TEST(MetroWorld, MobilityMovesRebucketsAndHandsOff) {
   EXPECT_EQ(world.index().occupancy(), cfg.tags);
 }
 
+TEST(MetroWorld, IndexAfterMobilityEqualsAFreshBuild) {
+  // Ten epochs of batched rebucketing at 20% movers leave the index a
+  // fresh GridIndex of the final positions has, query for query.
+  MetroConfig cfg = small_config();
+  cfg.move_fraction = 0.2;
+  cfg.speed_mps = 8.0;  // Steps of up to 2 m across 4 m cells.
+  MetroWorld world(cfg);
+  sim::ThreadPool pool(4);
+  std::uint64_t rebuckets = 0;
+  for (int e = 0; e < 10; ++e) rebuckets += world.run_epoch(pool).rebuckets;
+  ASSERT_GT(rebuckets, 0u);
+  GridIndex fresh(cfg.width_m, cfg.height_m, cfg.index_cell_m);
+  const TagStore& store = world.store();
+  for (std::size_t s = 0; s < store.size(); ++s) {
+    fresh.insert(static_cast<TagSlot>(s), store.xs()[s], store.ys()[s]);
+  }
+  for (double cy = 0.0; cy <= cfg.height_m; cy += 7.5) {
+    for (double cx = 0.0; cx <= cfg.width_m; cx += 7.5) {
+      std::vector<TagSlot> a, b;
+      fresh.gather_disc(cx, cy, 6.0, a);
+      world.index().gather_disc(cx, cy, 6.0, b);
+      EXPECT_EQ(a, b) << "disc at " << cx << ", " << cy;
+    }
+  }
+}
+
 TEST(MetroWorld, OwnerPartitionIsNearestReader) {
   MetroWorld world(small_config());
   // Centre of reader 4's rectangle (middle of 3x3).
@@ -287,6 +314,47 @@ TEST(MetroWorld, SuspectedReadersTagsAreAdoptedByNeighbors) {
   EXPECT_GT(second.tags_adopted, 0u);
 }
 
+TEST(MetroWorld, AdoptionAcrossAGridTooWideForIntSquaredDistances) {
+  // 46,342 readers 1 m apart in a strip: reader 0 and reader 46,341 are
+  // 46,341 columns apart, whose square overflows an int.
+  MetroConfig cfg;
+  cfg.readers_x = 46342;
+  cfg.readers_y = 1;
+  cfg.width_m = 46342.0;
+  cfg.height_m = 1.0;
+  cfg.index_cell_m = 4.0;
+  cfg.tags = 16;
+  cfg.poll_success_prob = 1.0;
+  cfg.harvest_j_per_epoch = cfg.respond_cost_j;
+  // A step far longer than the strip clamps every mover to an end, so
+  // from epoch 1 on each tag is reader 0's (x = 0) or reader 46,341's.
+  cfg.move_fraction = 1.0;
+  cfg.speed_mps = 1e9;
+  cfg.control_plane = true;
+  cfg.health.phi_suspect = 0.5;  // One miss suspects.
+  // Readers without tags are suspected after epoch 0 and probe on even
+  // epochs; reader 0, down from epoch 3, sits out epoch 4.
+  cfg.domains.domains.push_back(
+      resil::OutageDomain{0, 0, 0, 0, /*start=*/3, /*end=*/100});
+  MetroWorld world(cfg);
+  sim::ThreadPool pool(2);
+  for (int e = 0; e < 4; ++e) (void)world.run_epoch(pool);
+  const resil::HealthMonitor& monitor = *world.monitor();
+  ASSERT_FALSE(monitor.should_serve(0));
+  ASSERT_TRUE(monitor.should_serve(1));
+  ASSERT_TRUE(monitor.should_serve(46341));
+  std::uint64_t reader0_tags = 0;
+  for (std::size_t t = 0; t < world.store().size(); ++t) {
+    if (world.owner_of(world.store().xs()[t], world.store().ys()[t]) == 0) {
+      ++reader0_tags;
+    }
+  }
+  ASSERT_GT(reader0_tags, 0u);
+  // Reader 1, 1 m away, reads every one of them; reader 46,341 could
+  // read none.
+  EXPECT_EQ(world.run_epoch(pool).tags_adopted, reader0_tags);
+}
+
 TEST(MetroWorld, ControlPlaneEpochsAreThreadCountInvariant) {
   MetroConfig cfg = dense_config();
   cfg.control_plane = true;
@@ -352,6 +420,31 @@ TEST(MetroValidate, RejectsAnEmptyReaderGrid) {
   cfg = tiny_config();
   cfg.readers_y = -2;
   ExpectRejected(cfg, "MetroConfig::readers_y");
+}
+
+TEST(MetroValidate, RejectsAReaderGridBeyondAnInt) {
+  MetroConfig cfg = tiny_config();
+  cfg.readers_x = 50000;
+  cfg.readers_y = 50000;
+  ExpectRejected(cfg, "MetroConfig::readers_x");
+  cfg.readers_x = 65536;
+  cfg.readers_y = 32768;  // Exactly 2^31.
+  ExpectRejected(cfg, "MetroConfig::readers_x");
+  cfg.readers_y = 32767;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(MetroValidate, RejectsAnIndexGridBeyondAnInt) {
+  MetroConfig cfg = tiny_config();
+  cfg.width_m = 1e10;
+  cfg.index_cell_m = 1.0;
+  ExpectRejected(cfg, "MetroConfig::index_cell_m");
+  cfg = tiny_config();
+  cfg.height_m = 0x1.0p31;
+  cfg.index_cell_m = 1.0;
+  ExpectRejected(cfg, "MetroConfig::index_cell_m");
+  cfg.height_m = 0x1.0p31 - 1.0;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(MetroValidate, RejectsTagCountsBeyondThirtyTwoBits) {

@@ -284,6 +284,36 @@ TEST(PinnedDigests, R1LegacyAndDormantDefault) {
   EXPECT_EQ(run_r1(dormant).first, 0xbf747d083333ccdbull);
 }
 
+// A dense reader grid: 4x4 readers 10 m apart, so the 8 m contention
+// radius reaches across reader boundaries and the poll loop's foreign-tag
+// branch runs (every bench geometry reads 0 interference pairs).
+TEST(PinnedDigests, MetroDenseReaderInterference) {
+  scale::MetroConfig config;
+  config.width_m = 40.0;
+  config.height_m = 40.0;
+  config.readers_x = 4;
+  config.readers_y = 4;
+  config.tags = 20000;
+  config.index_cell_m = 2.5;
+  config.move_fraction = 0.2;
+  config.seed = 7;
+  scale::MetroConfig linear = config;
+  linear.use_index = false;
+  const std::pair<const scale::MetroConfig*, int> runs[] = {
+      {&config, 1}, {&config, 4}, {&linear, 1}};
+  for (const auto& [run_config, threads] : runs) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads << " use_index "
+                                    << run_config->use_index);
+    scale::MetroWorld world(*run_config);
+    sim::ThreadPool pool(threads);
+    for (int e = 0; e < 6; ++e) (void)world.run_epoch(pool);
+    const scale::MetroStats stats = world.stats();
+    EXPECT_EQ(stats.interference_pairs, 89504u);
+    EXPECT_EQ(stats.fingerprint(), 0xb52171d73e99b960ull);
+    EXPECT_EQ(world.state_fingerprint(), 0x110fcf825533a0d7ull);
+  }
+}
+
 // The tag's signal flow and the link budgets built on it: the fleet
 // digests above see a link only through the rate tier it clears, so these
 // pin the doubles themselves.
