@@ -2,8 +2,8 @@
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
 # total and dependency-edge table match the tree and that src/ names no
 # engine but sim::Rng and no std::normal_distribution in phy or impair,
-# that every src/*/*.hpp has a user outside tests, its own .cpp and
-# src/mmtag.hpp, tier-1 verify in Release
+# that every src/*/*.hpp has a user outside tests and its own .cpp, tier-1
+# verify in Release (whose ctest count must equal the total README.md states)
 # and Debug with warnings as errors (test suite run twice: forced-scalar and
 # auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
 # the pinned digests, the traffic suite and the metric tests, the
@@ -89,17 +89,16 @@ fi
 echo "one engine OK"
 
 echo "=== No test-only module ==="
-# A header that only its own .cpp, the umbrella src/mmtag.hpp and tests
-# include is code no bench, example or perfbench workload can run.
+# A header that only its own .cpp and tests include is code no bench,
+# example or perfbench workload can run.
 orphans=""
 for h in src/*/*.hpp; do
   users=$(grep -rlF "#include \"${h}\"" src bench examples perfbench |
-    grep -v -e "^${h%.hpp}\.cpp\$" -e '^src/mmtag\.hpp$' || true)
+    grep -v "^${h%.hpp}\.cpp\$" || true)
   [ -n "${users}" ] || orphans="${orphans} ${h}"
 done
 if [ -n "${orphans}" ]; then
-  echo "FAIL: included only by tests, their own .cpp or" \
-    "src/mmtag.hpp:${orphans}" >&2
+  echo "FAIL: included only by tests or their own .cpp:${orphans}" >&2
   exit 1
 fi
 echo "no test-only module OK"
@@ -111,6 +110,20 @@ for config in Release Debug; do
     -DCMAKE_BUILD_TYPE="${config}" \
     -DCMAKE_CXX_FLAGS="-Werror"
   cmake --build "${build_dir}" -j "$(nproc)"
+  if [ "${config}" = Release ]; then
+    # README.md states the suite's size; ctest -N counts it, so the two
+    # cannot drift apart.
+    listed=$(cd "${build_dir}" && ctest -N |
+      sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')
+    stated=$(sed -n 's/^ctest --test-dir build *# \([0-9]*\) tests: .*/\1/p' \
+      README.md)
+    if [ "${listed}" != "${stated}" ]; then
+      echo "FAIL: ctest lists ${listed:-nothing} tests, README.md says" \
+        "${stated:-nothing}" >&2
+      exit 1
+    fi
+    echo "README test count OK: ${listed}"
+  fi
   # Whole suite under both dispatch modes: the scalar run proves the
   # reference implementations, the auto run proves the SIMD backends the
   # host supports (they must be bit-identical — see tests/test_kern.cpp).
@@ -236,4 +249,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line and edge tables, no test-only module, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="

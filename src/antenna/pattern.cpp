@@ -14,8 +14,6 @@ double Pattern::amplitude(double angle_rad) const {
   return phys::db_to_amplitude_ratio(gain_dbi(angle_rad));
 }
 
-double IsotropicPattern::gain_dbi(double /*angle_rad*/) const { return 0.0; }
-
 PatchPattern::PatchPattern(double boresight_gain_dbi, double exponent)
     : boresight_dbi_(boresight_gain_dbi),
       exponent_(exponent),
@@ -56,16 +54,6 @@ double HornPattern::gain_dbi(double angle_rad) const {
   const double rolloff_db = 12.0 * std::pow(wrapped_deg / hpbw_deg_, 2.0);
   const double gain = boresight_dbi_ - rolloff_db;
   return gain > floor_dbi_ ? gain : floor_dbi_;
-}
-
-SteeredPattern::SteeredPattern(std::shared_ptr<const Pattern> base,
-                               double boresight_rad)
-    : base_(std::move(base)), boresight_rad_(boresight_rad) {
-  assert(base_ != nullptr);
-}
-
-double SteeredPattern::gain_dbi(double angle_rad) const {
-  return base_->gain_dbi(angle_rad - boresight_rad_);
 }
 
 }  // namespace mmtag::antenna

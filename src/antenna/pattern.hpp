@@ -7,8 +7,6 @@
 // folded into the boresight gain figure.
 #pragma once
 
-#include <memory>
-
 namespace mmtag::antenna {
 
 /// Interface: azimuth power-gain pattern of a single radiator.
@@ -22,12 +20,6 @@ class Pattern {
   /// Linear *amplitude* (field) gain at `angle_rad`: sqrt of linear power
   /// gain. Convenience used by array superposition.
   [[nodiscard]] double amplitude(double angle_rad) const;
-};
-
-/// Isotropic radiator (0 dBi everywhere). Reference for tests.
-class IsotropicPattern final : public Pattern {
- public:
-  [[nodiscard]] double gain_dbi(double /*angle_rad*/) const override;
 };
 
 /// Single microstrip patch: broadside beam with a cos^q(theta) power shape,
@@ -67,20 +59,6 @@ class HornPattern final : public Pattern {
   double boresight_dbi_;
   double hpbw_deg_;
   double floor_dbi_;
-};
-
-/// A pattern rotated so its boresight points at `boresight_rad`.
-class SteeredPattern final : public Pattern {
- public:
-  SteeredPattern(std::shared_ptr<const Pattern> base, double boresight_rad);
-
-  [[nodiscard]] double gain_dbi(double angle_rad) const override;
-
-  [[nodiscard]] double boresight_rad() const { return boresight_rad_; }
-
- private:
-  std::shared_ptr<const Pattern> base_;
-  double boresight_rad_;
 };
 
 }  // namespace mmtag::antenna

@@ -27,24 +27,6 @@ double UniformLinearArray::element_phase_rad(double angle_rad) const {
   return k0 * spacing_m_ * std::sin(angle_rad);
 }
 
-std::vector<Complex> UniformLinearArray::steering_vector(
-    double angle_rad) const {
-  const double psi = element_phase_rad(angle_rad);
-  std::vector<Complex> a(static_cast<std::size_t>(elements_));
-  for (int n = 0; n < elements_; ++n) {
-    a[static_cast<std::size_t>(n)] = std::polar(1.0, -psi * n);
-  }
-  return a;
-}
-
-std::vector<Complex> UniformLinearArray::steering_weights(
-    double angle_rad) const {
-  std::vector<Complex> w = steering_vector(angle_rad);
-  const double norm = 1.0 / std::sqrt(static_cast<double>(elements_));
-  for (Complex& wn : w) wn = std::conj(wn) * norm;
-  return w;
-}
-
 Complex UniformLinearArray::array_factor(std::span<const Complex> weights,
                                          double angle_rad) const {
   assert(static_cast<int>(weights.size()) == elements_);
@@ -54,14 +36,6 @@ Complex UniformLinearArray::array_factor(std::span<const Complex> weights,
     af += weights[static_cast<std::size_t>(n)] * std::polar(1.0, -psi * n);
   }
   return af;
-}
-
-double UniformLinearArray::array_gain_db(std::span<const Complex> weights,
-                                         double angle_rad) const {
-  const double power = std::norm(array_factor(weights, angle_rad));
-  constexpr double kFloorDb = -100.0;
-  if (power <= 1e-10) return kFloorDb;
-  return phys::ratio_to_db(power);
 }
 
 double UniformLinearArray::directivity_db(

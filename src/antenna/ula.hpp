@@ -1,4 +1,4 @@
-// Uniform linear arrays: steering vectors, array factor, beamwidth.
+// Uniform linear arrays: array factor, directivity, beamwidth.
 //
 // This implements Sec. 5.1 of the paper verbatim. For an N-element array
 // with spacing d, the signal received by the n-th element from azimuth
@@ -9,7 +9,9 @@
 // which for the conventional d = lambda/2 reduces to Eq. (2),
 // x_n = x_0 * exp(-j * pi * n * sin(theta)). Transmitting toward theta
 // requires the conjugate phases (Eq. 3). The Van Atta model in src/core
-// builds directly on these steering vectors.
+// takes its element geometry from this class and computes those phasors
+// itself (steering_phasors in van_atta.cpp); the fixed-beam baseline and
+// the tests use the array factor below.
 #pragma once
 
 #include <complex>
@@ -37,20 +39,8 @@ class UniformLinearArray {
   /// half-wavelength spacing.
   [[nodiscard]] double element_phase_rad(double angle_rad) const;
 
-  /// Receive steering vector a(theta): a_n = exp(-j * n * psi(theta))
-  /// (paper Eqs. 1-2).
-  [[nodiscard]] std::vector<Complex> steering_vector(double angle_rad) const;
-
-  /// Transmit weights that focus toward theta: conjugate of the receive
-  /// steering vector, normalized to unit total power (paper Eq. 3).
-  [[nodiscard]] std::vector<Complex> steering_weights(double angle_rad) const;
-
   /// Complex array factor AF(theta) = sum_n w_n * exp(-j * n * psi(theta)).
   [[nodiscard]] Complex array_factor(std::span<const Complex> weights,
-                                     double angle_rad) const;
-
-  /// |AF(theta)|^2 in dB relative to a single element.
-  [[nodiscard]] double array_gain_db(std::span<const Complex> weights,
                                      double angle_rad) const;
 
   /// Azimuth-plane directivity of the weighted array [dB]: peak power over

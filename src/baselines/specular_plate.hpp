@@ -24,10 +24,6 @@ class SpecularPlate {
   /// peaking at normal incidence and collapsing off-normal.
   [[nodiscard]] double monostatic_gain_db(double theta_rad) const;
 
-  /// Direction a plane wave from `theta_in` is reflected toward (the mirror
-  /// angle -theta_in) — the reason a plate cannot serve a moving reader.
-  [[nodiscard]] static double reflection_direction_rad(double theta_in_rad);
-
  private:
   double width_m_;
   double frequency_hz_;

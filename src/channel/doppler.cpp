@@ -8,20 +8,6 @@
 
 namespace mmtag::channel {
 
-double backscatter_doppler_hz(double radial_velocity_m_per_s,
-                              double frequency_hz) {
-  return 2.0 * radial_velocity_m_per_s / phys::wavelength_m(frequency_hz);
-}
-
-double radial_velocity_m_per_s(const Mobility& path, Vec2 observer,
-                               double t_s, double dt_s) {
-  assert(dt_s > 0.0);
-  const double before = distance(path.position(t_s - dt_s), observer);
-  const double after = distance(path.position(t_s + dt_s), observer);
-  // Closing = range decreasing.
-  return (before - after) / (2.0 * dt_s);
-}
-
 std::vector<double> backscatter_phase_series(const Mobility& path,
                                              Vec2 observer,
                                              double frequency_hz,

@@ -15,17 +15,6 @@
 
 namespace mmtag::channel {
 
-/// Two-way (backscatter) Doppler shift of a reflector with radial velocity
-/// `radial_velocity_m_per_s` toward the reader [Hz]. Positive = closing.
-[[nodiscard]] double backscatter_doppler_hz(double radial_velocity_m_per_s,
-                                            double frequency_hz);
-
-/// Radial velocity of `path` toward `observer` at time `t_s` (central
-/// difference over `dt_s`). Positive = closing.
-[[nodiscard]] double radial_velocity_m_per_s(const Mobility& path,
-                                             Vec2 observer, double t_s,
-                                             double dt_s = 1e-3);
-
 /// Two-way carrier phase of a reflection from the moving point at each
 /// sample time: phi(t) = -2 k0 d(t) [rad], the signal a vibration sensor
 /// reads.

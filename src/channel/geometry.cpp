@@ -21,11 +21,6 @@ double bearing_rad(Vec2 from, Vec2 to) {
   return std::atan2(d.y, d.x);
 }
 
-Vec2 Segment::normal() const {
-  const Vec2 d = direction();
-  return {-d.y, d.x};
-}
-
 std::optional<Vec2> intersect(const Segment& p, const Segment& q) {
   const Vec2 r = p.b - p.a;
   const Vec2 s = q.b - q.a;

@@ -38,8 +38,6 @@ struct Segment {
   [[nodiscard]] double length() const { return distance(a, b); }
   /// Unit vector along the segment.
   [[nodiscard]] Vec2 direction() const { return (b - a).normalized(); }
-  /// Unit normal (left of a->b).
-  [[nodiscard]] Vec2 normal() const;
 };
 
 /// Intersection point of segments `p` and `q`, if they properly intersect

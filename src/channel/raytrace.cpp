@@ -61,10 +61,4 @@ std::vector<Path> trace_paths(const Environment& env, Vec2 a, Vec2 b) {
   return paths;
 }
 
-Path best_path(const Environment& env, Vec2 a, Vec2 b) {
-  const std::vector<Path> paths = trace_paths(env, a, b);
-  assert(!paths.empty());
-  return paths.front();
-}
-
 }  // namespace mmtag::channel

@@ -45,9 +45,4 @@ struct Path {
 [[nodiscard]] std::vector<Path> trace_paths(const Environment& env, Vec2 a,
                                             Vec2 b);
 
-/// The strongest usable path (first after sorting), if any path exists at
-/// all (`trace_paths` always returns at least the LOS entry, so this is
-/// never empty for distinct a, b).
-[[nodiscard]] Path best_path(const Environment& env, Vec2 a, Vec2 b);
-
 }  // namespace mmtag::channel

@@ -122,6 +122,8 @@ void FleetConfig::validate() const {
     throw std::invalid_argument(
         "FleetConfig::cell.sector_half_angle_rad must be in (0, pi]");
   }
+  faults.validate("FleetConfig::faults.");
+  recovery.validate("FleetConfig::recovery.");
 }
 
 FleetSimulator::FleetSimulator(FleetConfig config)

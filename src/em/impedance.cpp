@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
@@ -46,23 +45,6 @@ double s11_db(Complex z, double z0_ohm) {
   constexpr double kFloorDb = -80.0;
   if (mag <= 1e-4) return kFloorDb;
   return phys::amplitude_ratio_to_db(mag);
-}
-
-double power_acceptance(Complex z, double z0_ohm) {
-  const double mag = std::abs(reflection_coefficient(z, z0_ohm));
-  const double accepted = 1.0 - mag * mag;
-  return accepted < 0.0 ? 0.0 : accepted;
-}
-
-double vswr(Complex z, double z0_ohm) {
-  const double mag = std::abs(reflection_coefficient(z, z0_ohm));
-  if (mag >= 1.0) return std::numeric_limits<double>::infinity();
-  return (1.0 + mag) / (1.0 - mag);
-}
-
-Complex gamma_to_impedance(Complex gamma, double z0_ohm) {
-  assert(std::abs(gamma - Complex(1.0, 0.0)) > 1e-12);
-  return z0_ohm * (Complex(1.0, 0.0) + gamma) / (Complex(1.0, 0.0) - gamma);
 }
 
 }  // namespace mmtag::em

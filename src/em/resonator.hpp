@@ -40,13 +40,6 @@ class PatchResonator {
   /// Input impedance at `frequency_hz` [ohm].
   [[nodiscard]] Complex impedance(double frequency_hz) const;
 
-  /// |S11| in dB against reference `z0_ohm` at `frequency_hz`.
-  [[nodiscard]] double s11_db(double frequency_hz, double z0_ohm) const;
-
-  /// Fractional -10 dB impedance bandwidth estimate: ~ VSWR-2 bandwidth of a
-  /// single-tuned resonator, (s - 1) / (Q * sqrt(s)) with s = 2.
-  [[nodiscard]] double fractional_bandwidth() const;
-
   [[nodiscard]] double resonant_frequency_hz() const { return f0_hz_; }
   [[nodiscard]] double resonant_resistance_ohm() const { return r_ohm_; }
   [[nodiscard]] double quality_factor() const { return q_; }

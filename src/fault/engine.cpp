@@ -51,6 +51,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
       epochs_(epochs),
       epoch_duration_s_(epoch_duration_s),
       seed_(seed) {
+  schedule_.validate("FaultEngine::schedule.");
   const double run_s = static_cast<double>(epochs_) * epoch_duration_s_;
   timelines_ = build_outage_timelines(schedule_.outages, readers_, run_s,
                                       sim::derive_seed(seed_, kOutageStream));
@@ -65,7 +66,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
     sim::Rng rng =
         sim::make_rng(sim::derive_seed(seed_, kBrownPopStream));
     std::bernoulli_distribution affected(
-        std::clamp(schedule_.brownouts.affected_fraction, 0.0, 1.0));
+        schedule_.brownouts.affected_fraction);
     for (std::size_t t = 0; t < tags_; ++t) {
       tag_energy_constrained_[t] = affected(rng) ? 1 : 0;
     }
@@ -75,8 +76,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
   if (schedule_.stuck.active()) {
     stuck_penalty_db_ = schedule_.stuck.penalty_db();
     sim::Rng rng = sim::make_rng(sim::derive_seed(seed_, kStuckStream));
-    std::bernoulli_distribution affected(
-        std::clamp(schedule_.stuck.affected_fraction, 0.0, 1.0));
+    std::bernoulli_distribution affected(schedule_.stuck.affected_fraction);
     for (std::size_t t = 0; t < tags_; ++t) {
       tag_stuck_[t] = affected(rng) ? 1 : 0;
       stuck_tag_count_ += tag_stuck_[t];

@@ -75,7 +75,8 @@ class FaultEngine {
   /// Realize `schedule` for `readers` x `tags` over `epochs` epochs of
   /// `epoch_duration_s`. All outage timelines and static fault-population
   /// membership (energy-constrained tags, stuck switches, drift) are drawn
-  /// here; per-epoch state is drawn in begin_epoch.
+  /// here; per-epoch state is drawn in begin_epoch. Throws
+  /// std::invalid_argument when `schedule` fails FaultSchedule::validate().
   FaultEngine(FaultSchedule schedule, std::size_t readers, std::size_t tags,
               int epochs, double epoch_duration_s, std::uint64_t seed);
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "src/sim/rng.hpp"
 
@@ -29,6 +31,57 @@ FaultSchedule FaultSchedule::chaos(double intensity) {
   schedule.blockage.mean_burst_s = 0.2;
   schedule.drift.sigma_ppm = 100.0 * i;
   return schedule;
+}
+
+void FaultSchedule::validate(std::string_view owner) const {
+  const auto reject = [owner](const std::string& rule) {
+    throw std::invalid_argument(std::string(owner) + rule);
+  };
+  const auto non_negative = [&](double value, const char* field) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      reject(std::string(field) + " must be finite and >= 0");
+    }
+  };
+  const auto fraction = [&](double value, const char* field) {
+    if (!(value >= 0.0 && value <= 1.0)) {
+      reject(std::string(field) + " must be in [0, 1]");
+    }
+  };
+  non_negative(outages.rate_hz, "outages.rate_hz");
+  non_negative(outages.mean_duration_s, "outages.mean_duration_s");
+  for (std::size_t i = 0; i < outages.scripted.size(); ++i) {
+    const ScriptedOutage& event = outages.scripted[i];
+    const std::string at = "outages.scripted[" + std::to_string(i) + "].";
+    if (event.reader < 0) reject(at + "reader must be >= 0");
+    if (!std::isfinite(event.start_s)) reject(at + "start_s must be finite");
+    if (!std::isfinite(event.duration_s)) {
+      reject(at + "duration_s must be finite");
+    }
+  }
+  fraction(brownouts.affected_fraction, "brownouts.affected_fraction");
+  non_negative(brownouts.burst_load_w, "brownouts.burst_load_w");
+  fraction(stuck.affected_fraction, "stuck.affected_fraction");
+  if (stuck.stuck_elements < 0) reject("stuck.stuck_elements must be >= 0");
+  if (stuck.array_elements < 1) reject("stuck.array_elements must be >= 1");
+  non_negative(blockage.enter_rate_hz, "blockage.enter_rate_hz");
+  non_negative(blockage.mean_burst_s, "blockage.mean_burst_s");
+  non_negative(blockage.attenuation_db, "blockage.attenuation_db");
+  fraction(blockage.block_probability, "blockage.block_probability");
+  non_negative(drift.sigma_ppm, "drift.sigma_ppm");
+}
+
+void RecoveryConfig::validate(std::string_view owner) const {
+  const auto reject = [owner](const char* rule) {
+    throw std::invalid_argument(std::string(owner) + rule);
+  };
+  if (poll_retry_budget < 0) reject("poll_retry_budget must be >= 0");
+  if (!(std::isfinite(poll_backoff_base_s) && poll_backoff_base_s >= 0.0)) {
+    reject("poll_backoff_base_s must be finite and >= 0");
+  }
+  if (!(std::isfinite(poll_timeout_s) && poll_timeout_s > 0.0)) {
+    reject("poll_timeout_s must be finite and > 0");
+  }
+  if (quarantine_epochs < 0) reject("quarantine_epochs must be >= 0");
 }
 
 namespace {

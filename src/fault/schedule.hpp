@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/energy.hpp"
@@ -122,6 +123,14 @@ struct FaultSchedule {
   /// energy-constrained tags, 10%*i stuck-switch tags, blockage bursts and
   /// 100*i ppm clock drift. intensity <= 0 returns an empty schedule.
   [[nodiscard]] static FaultSchedule chaos(double intensity);
+
+  /// Throws std::invalid_argument naming the first bad field, prefixed by
+  /// `owner` (FleetConfig::validate passes "FleetConfig::faults."): rates,
+  /// durations, attenuation_db, burst_load_w and sigma_ppm finite and
+  /// >= 0; fractions and block_probability in [0, 1]; stuck_elements
+  /// >= 0 and array_elements >= 1; scripted outages on a reader >= 0
+  /// with a finite start and duration.
+  void validate(std::string_view owner) const;
 };
 
 /// How the stack fights back. Consumed by FleetSimulator, ReaderCell and
@@ -131,7 +140,8 @@ struct RecoveryConfig {
   /// Hand tags orphaned by a full-epoch reader outage to the nearest live
   /// reader at the next epoch boundary (and back after the restart).
   bool reassign_orphans = true;
-  /// Consecutive no-response polls of one tag before it is quarantined.
+  /// Consecutive no-response polls of one tag before it is quarantined;
+  /// 0 never quarantines (the tag only backs off).
   int poll_retry_budget = 2;
   /// First retry waits this long; doubles per further consecutive failure.
   double poll_backoff_base_s = 200e-6;
@@ -139,6 +149,13 @@ struct RecoveryConfig {
   double poll_timeout_s = 50e-6;
   /// Epochs a quarantined tag sits out before being re-tried.
   int quarantine_epochs = 1;
+
+  /// Throws std::invalid_argument naming the first bad field, prefixed by
+  /// `owner`: poll_timeout_s finite and > 0 (an unanswered poll that
+  /// costs no airtime would re-poll forever at one instant),
+  /// poll_backoff_base_s finite and >= 0, poll_retry_budget and
+  /// quarantine_epochs >= 0.
+  void validate(std::string_view owner) const;
 };
 
 /// Per-reader outage timelines over [0, duration_s): Poisson arrivals with

@@ -40,8 +40,6 @@ const ImpairmentConfig& validated(const ImpairmentConfig& config) {
 
 }  // namespace
 
-ImpairmentChain::ImpairmentChain() : ImpairmentChain(ImpairmentConfig::off()) {}
-
 ImpairmentChain::ImpairmentChain(const ImpairmentConfig& config)
     : config_(validated(config)),
       pa_(config.pa),
@@ -87,11 +85,6 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
         obs::Registry::instance().counter("impair.apply.rx");
     calls.add();
   }
-}
-
-void ImpairmentChain::apply(phy::Waveform& samples, std::uint64_t seed) const {
-  apply_tx(samples, seed);
-  apply_rx(samples, seed);
 }
 
 std::array<const ImpairmentStage*, 4> ImpairmentChain::stages() const {

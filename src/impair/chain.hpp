@@ -25,11 +25,9 @@ namespace mmtag::impair {
 /// The four-stage impairment pipeline, copyable and seed-pure.
 class ImpairmentChain {
  public:
-  /// Bypass chain (ImpairmentConfig::off()).
-  ImpairmentChain();
-  /// Chain with the given stage parameters; derived constants are
-  /// precomputed once here. Throws std::invalid_argument when `config`
-  /// fails ImpairmentConfig::validate().
+  /// Chain with the given stage parameters (ImpairmentConfig::off() for
+  /// the bypass chain); derived constants are precomputed once here.
+  /// Throws std::invalid_argument when `config` fails validate().
   explicit ImpairmentChain(const ImpairmentConfig& config);
 
   /// The configuration the chain was built from.
@@ -45,9 +43,6 @@ class ImpairmentChain {
   /// Apply the enabled receive-side stages (phase noise, IQ, ADC) in
   /// their fixed order, in place.
   void apply_rx(phy::Waveform& samples, std::uint64_t seed) const;
-
-  /// apply_tx followed by apply_rx — the noiseless-channel composition.
-  void apply(phy::Waveform& samples, std::uint64_t seed) const;
 
   /// Stage views in fixed pipeline order (PA, phase noise, IQ, ADC),
   /// present regardless of enablement.

@@ -7,12 +7,6 @@
 
 namespace mmtag::mac {
 
-double AlohaStats::efficiency() const {
-  if (slots_total == 0) return 0.0;
-  return static_cast<double>(slots_success) /
-         static_cast<double>(slots_total);
-}
-
 namespace {
 
 int clamp_q(double q) {

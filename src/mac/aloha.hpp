@@ -36,10 +36,6 @@ struct AlohaStats {
   long slots_success = 0;
   long slots_collision = 0;
   long slots_empty = 0;
-
-  /// Fraction of slots that delivered a tag (the Aloha efficiency; the
-  /// theoretical optimum for framed Aloha is 1/e ~ 0.368).
-  [[nodiscard]] double efficiency() const;
 };
 
 /// Simulate framed slotted Aloha until all `tag_count` tags are read or

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "src/channel/geometry.hpp"
-#include "src/mac/event_queue.hpp"
 #include "src/phy/frame.hpp"
 #include "src/phys/units.hpp"
 
@@ -61,35 +60,25 @@ InventoryResult SdmInventory::run(const std::vector<antenna::Beam>& codebook,
     }
   }
 
-  // Sequence the dwells through the event queue: one event per beam, each
-  // computing its Aloha contention and advancing time by the dwell length.
-  EventQueue queue;
+  // Dwell on each occupied beam in codebook order: its Aloha contention,
+  // then the switching overhead plus the slots it took.
   const std::size_t frame_bits =
       phy::TagFrame::frame_bits(config_.payload_bits) * 2;  // Manchester.
-  double cursor_s = 0.0;
   for (std::size_t b = 0; b < codebook.size(); ++b) {
     if (beam_tags[b].empty()) continue;  // Reader sees no response; skip.
     const double rate = beam_rate[b];
     assert(rate > 0.0 && !std::isinf(rate));
     const double slot_s = static_cast<double>(frame_bits) / rate;
-
-    queue.schedule(cursor_s, [this, b, &beam_tags, &beam_rate, slot_s,
-                              &result, &rng, &codebook]() {
-      BeamInventory beam;
-      beam.beam = codebook[b];
-      beam.tags_in_beam = static_cast<int>(beam_tags[b].size());
-      beam.link_rate_bps = beam_rate[b];
-      beam.aloha = run_framed_aloha(beam.tags_in_beam, config_.aloha, rng);
-      beam.dwell_time_s = config_.beam_switch_overhead_s +
-                          static_cast<double>(beam.aloha.slots_total) * slot_s;
-      result.tags_read += beam.aloha.tags_read;
-      result.beams.push_back(std::move(beam));
-    });
-    // Conservative reservation: actual dwell is computed inside the event;
-    // accumulate afterwards.
-    cursor_s += config_.beam_switch_overhead_s;
+    BeamInventory beam;
+    beam.beam = codebook[b];
+    beam.tags_in_beam = static_cast<int>(beam_tags[b].size());
+    beam.link_rate_bps = rate;
+    beam.aloha = run_framed_aloha(beam.tags_in_beam, config_.aloha, rng);
+    beam.dwell_time_s = config_.beam_switch_overhead_s +
+                        static_cast<double>(beam.aloha.slots_total) * slot_s;
+    result.tags_read += beam.aloha.tags_read;
+    result.beams.push_back(std::move(beam));
   }
-  queue.run();
 
   double total = 0.0;
   for (const BeamInventory& beam : result.beams) total += beam.dwell_time_s;

@@ -8,8 +8,8 @@
 //
 // Timing model: each beam dwell costs a fixed switching overhead plus the
 // Aloha slots, where a slot carries one tag frame at the data rate the
-// beam's link supports. The discrete-event queue sequences the dwells so
-// per-tag read latencies are exact.
+// beam's link supports. The dwells run back to back in codebook order, so
+// the inventory time is their sum.
 #pragma once
 
 #include <vector>
@@ -58,7 +58,7 @@ class SdmInventory {
   /// Run one full inventory pass over `codebook`. Tags are assigned to the
   /// beam whose boresight is closest to their bearing from the reader
   /// *and* whose link supports a nonzero rate; unreachable tags stay
-  /// unread. Uses the event queue internally for exact dwell timing.
+  /// unread. Beams are dwelt on in codebook order.
   [[nodiscard]] InventoryResult run(const std::vector<antenna::Beam>& codebook,
                                     const std::vector<core::MmTag>& tags,
                                     const channel::Environment& env,

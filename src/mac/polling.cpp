@@ -22,13 +22,6 @@ obs::Histogram& poll_us_metric() {
 
 }  // namespace
 
-double PollingResult::aggregate_throughput_bps(
-    std::size_t payload_bits) const {
-  if (total_time_s <= 0.0) return 0.0;
-  return static_cast<double>(tags_read) *
-         static_cast<double>(payload_bits) / total_time_s;
-}
-
 PollingScheduler::PollingScheduler(reader::MmWaveReader reader,
                                    phy::RateTable rates,
                                    PollingConfig config)

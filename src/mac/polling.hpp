@@ -41,9 +41,6 @@ struct PollingResult {
   std::vector<PollRecord> polls;
   int tags_read = 0;
   double total_time_s = 0.0;
-
-  [[nodiscard]] double aggregate_throughput_bps(
-      std::size_t payload_bits) const;
 };
 
 class PollingScheduler {

@@ -29,7 +29,7 @@ class PacketPool;
 
 /// Move-only handle to one pool slot. The data window [data, data+size)
 /// floats inside the slot: prepend() grows it backward into headroom,
-/// append() forward into tailroom, consume()/trim() shrink it. The slot
+/// append() forward into tailroom, consume() shrinks it. The slot
 /// returns to the pool when the handle is destroyed or release()d.
 class Packet {
  public:
@@ -69,10 +69,6 @@ class Packet {
   /// Drop `bytes` from the front (strip a header); they become headroom
   /// again. Returns false (unchanged) when bytes > size().
   bool consume(std::size_t bytes);
-
-  /// Drop `bytes` from the back; they become tailroom again. Returns
-  /// false (unchanged) when bytes > size().
-  bool trim(std::size_t bytes);
 
   /// Return the slot to the pool now; the handle becomes invalid.
   void release();

@@ -46,10 +46,6 @@ const phy::RateTier& AckRateController::tier() const {
   return table_->tiers()[tier_];
 }
 
-void AckRateController::observe_power_dbm(double received_power_dbm) {
-  power_dbm_ = received_power_dbm;
-}
-
 bool AckRateController::on_ack_round(int delivered, int transmitted) {
   if (transmitted <= 0) return false;
   const double ratio =

@@ -51,12 +51,6 @@ double SrArqResult::goodput_bps(std::size_t payload_bits) const {
          static_cast<double>(payload_bits) / elapsed_s;
 }
 
-double SrArqResult::efficiency() const {
-  if (transmissions == 0) return 0.0;
-  return static_cast<double>(packets_delivered) /
-         static_cast<double>(transmissions);
-}
-
 SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
     : config_(config), timing_(timing) {
   config_.validate();

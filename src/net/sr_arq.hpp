@@ -78,8 +78,6 @@ struct SrArqResult {
 
   /// Delivered payload per unit wall time.
   [[nodiscard]] double goodput_bps(std::size_t payload_bits) const;
-  /// Delivered packets per transmission (<= 1).
-  [[nodiscard]] double efficiency() const;
 };
 
 /// Per-packet success probability at session time [s]. Fault schedules

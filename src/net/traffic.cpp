@@ -116,26 +116,6 @@ std::uint64_t fingerprint(const TrafficReport& report) {
   return hasher.digest();
 }
 
-sim::Table traffic_report_table(const TrafficReport& report) {
-  sim::Table table({"flows", "served", "coverage", "delivered", "dropped",
-                    "goodput_total", "goodput_mean", "jain", "p50_ms",
-                    "p99_ms", "retx", "switches"});
-  const long retx = report.transmissions - report.packets_delivered;
-  table.add_row({std::to_string(report.flows_admitted),
-                 std::to_string(report.flows_served),
-                 sim::Table::fmt(report.discovery_coverage, 3),
-                 std::to_string(report.packets_delivered),
-                 std::to_string(report.packets_dropped),
-                 sim::Table::fmt_rate(report.goodput_total_bps),
-                 sim::Table::fmt_rate(report.goodput_mean_bps),
-                 sim::Table::fmt(report.jain, 4),
-                 sim::Table::fmt(report.latency_p50_s * 1e3, 3),
-                 sim::Table::fmt(report.latency_p99_s * 1e3, 3),
-                 std::to_string(retx),
-                 std::to_string(report.rate_switches)});
-  return table;
-}
-
 void TrafficConfig::validate() const {
   if (flows < 0) {
     throw std::invalid_argument("TrafficConfig::flows must be >= 0");
@@ -164,6 +144,7 @@ void TrafficConfig::validate() const {
   rate.validate("TrafficConfig::rate.");
   layout.validate();
   arq.validate();
+  faults.validate("TrafficConfig::faults.");
 }
 
 TrafficEngine::TrafficEngine(TrafficConfig config)

@@ -29,7 +29,6 @@
 #include "src/net/rate_control.hpp"
 #include "src/net/sr_arq.hpp"
 #include "src/sim/parallel.hpp"
-#include "src/sim/table.hpp"
 
 namespace mmtag::net {
 
@@ -76,7 +75,7 @@ struct TrafficConfig {
   int threads = 0;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `layout` and `arq`).
+  /// (including those of `layout`, `arq` and `faults`).
   void validate() const;
 };
 
@@ -132,10 +131,6 @@ struct TrafficReport {
 /// iff the digests match — the determinism tests and bench_n1_traffic
 /// compare these across thread counts.
 [[nodiscard]] std::uint64_t fingerprint(const TrafficReport& report);
-
-/// One-row summary (flows, coverage, goodput, Jain, latency percentiles,
-/// drops) for benches and examples.
-[[nodiscard]] sim::Table traffic_report_table(const TrafficReport& report);
 
 class TrafficEngine {
  public:

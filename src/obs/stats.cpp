@@ -140,10 +140,6 @@ std::vector<double> percentiles(
   return out;
 }
 
-double percentile(const std::vector<double>& values, double pct) {
-  return percentiles({values}, {pct}).front();
-}
-
 double percentile_sorted(const std::vector<double>& sorted, double pct) {
   if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
   const Rank r = rank_of(sorted.size(), pct);

@@ -29,12 +29,6 @@ namespace mmtag::obs {
     const std::vector<std::span<const double>>& parts,
     const std::vector<double>& pcts);
 
-/// Linear-interpolation percentile (pct in [0, 100]) of `values`, which
-/// need not be sorted: the one-part, one-pct case of percentiles(). Empty
-/// input returns NaN.
-[[nodiscard]] double percentile(const std::vector<double>& values,
-                                double pct);
-
 /// Percentile over an already-sorted sample (no copy, no sort).
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,
                                        double pct);

@@ -34,11 +34,6 @@ double ook_noncoherent_ber(double snr_db) {
   return 0.5 * std::exp(-snr / 2.0);
 }
 
-double bpsk_ber(double snr_db) {
-  const double snr = phys::db_to_ratio(snr_db);
-  return q_function(std::sqrt(2.0 * snr));
-}
-
 double ook_snr_for_ber_db(double target_ber) {
   assert(target_ber > 0.0 && target_ber < 0.5);
   const double x = q_function_inverse(target_ber);

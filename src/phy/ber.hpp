@@ -26,9 +26,6 @@ namespace mmtag::phy {
 ///   Pb ~ 0.5 * exp(-SNR/2), the standard high-SNR approximation.
 [[nodiscard]] double ook_noncoherent_ber(double snr_db);
 
-/// BER of coherent BPSK: Pb = Q( sqrt(2*SNR) ). (RFID baseline modulation.)
-[[nodiscard]] double bpsk_ber(double snr_db);
-
 /// SNR [dB] needed for coherent OOK/ASK to reach `target_ber`. For
 /// target 1e-3 this returns ~9.8 dB of *average* SNR; the paper's 7 dB
 /// figure counts peak-ish SNR — both conventions are exercised in tests and

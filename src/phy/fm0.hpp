@@ -17,8 +17,4 @@ namespace mmtag::phy {
 /// starts from level high (true) and inverts per the FM0 rules.
 [[nodiscard]] BitVector fm0_encode(const BitVector& bits);
 
-/// Expected level transitions per data bit for equiprobable bits:
-/// every bit has the boundary inversion, '0' bits add one more => 1.5.
-[[nodiscard]] constexpr double fm0_transitions_per_bit() { return 1.5; }
-
 }  // namespace mmtag::phy

@@ -27,15 +27,6 @@ BitVector Scrambler::scramble(const BitVector& bits) {
   return out;
 }
 
-BitVector Scrambler::descramble(const BitVector& bits) {
-  return scramble(bits);
-}
-
-void Scrambler::reset(std::uint16_t seed) {
-  assert(seed != 0);
-  state_ = seed;
-}
-
 std::size_t Scrambler::longest_run(const BitVector& bits) {
   std::size_t longest = 0;
   std::size_t current = 0;

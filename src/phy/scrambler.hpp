@@ -25,14 +25,9 @@ class Scrambler {
   bool next_bit();
 
   /// XOR `bits` with the PRBS starting from the current register state.
+  /// XOR is an involution, so a receiver descrambles by calling this on a
+  /// Scrambler with the same seed and state.
   [[nodiscard]] BitVector scramble(const BitVector& bits);
-
-  /// Identical operation (XOR is an involution) — provided for call-site
-  /// clarity. Must be called on a Scrambler with the same seed/state.
-  [[nodiscard]] BitVector descramble(const BitVector& bits);
-
-  /// Reset to `seed`.
-  void reset(std::uint16_t seed);
 
   [[nodiscard]] std::uint16_t state() const { return state_; }
 

@@ -26,15 +26,4 @@ double friis_received_power_dbm(double tx_power_dbm, double tx_gain_dbi,
          free_space_path_loss_db(distance_m, frequency_hz);
 }
 
-double effective_aperture_m2(double gain_dbi, double frequency_hz) {
-  const double lambda = wavelength_m(frequency_hz);
-  return db_to_ratio(gain_dbi) * lambda * lambda / (4.0 * kPi);
-}
-
-double aperture_to_gain_dbi(double aperture_m2, double frequency_hz) {
-  assert(aperture_m2 > 0.0);
-  const double lambda = wavelength_m(frequency_hz);
-  return ratio_to_db(aperture_m2 * 4.0 * kPi / (lambda * lambda));
-}
-
 }  // namespace mmtag::phys

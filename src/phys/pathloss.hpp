@@ -27,14 +27,4 @@ namespace mmtag::phys {
                                               double distance_m,
                                               double frequency_hz);
 
-/// Effective aperture [m^2] of an antenna with gain `gain_dbi` at
-/// `frequency_hz`:  A_e = G * lambda^2 / (4*pi).
-[[nodiscard]] double effective_aperture_m2(double gain_dbi,
-                                           double frequency_hz);
-
-/// Gain [dBi] of an antenna with effective aperture `aperture_m2` at
-/// `frequency_hz` (inverse of effective_aperture_m2).
-[[nodiscard]] double aperture_to_gain_dbi(double aperture_m2,
-                                          double frequency_hz);
-
 }  // namespace mmtag::phys

@@ -35,9 +35,6 @@ namespace mmtag::phys {
 /// Convert dBm to watts.
 [[nodiscard]] double dbm_to_watts(double dbm);
 
-/// Convert milliwatts (> 0) to dBm.
-[[nodiscard]] double milliwatts_to_dbm(double milliwatts);
-
 /// Sum an arbitrary number of powers expressed in dBm, returning dBm.
 /// (Powers add linearly, so this converts, adds and converts back.)
 [[nodiscard]] double sum_powers_dbm(double a_dbm, double b_dbm);

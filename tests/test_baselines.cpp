@@ -99,12 +99,6 @@ TEST(SpecularPlate, PeaksAtNormalIncidence) {
             plate.monostatic_gain_db(phys::deg_to_rad(30.0)) + 20.0);
 }
 
-TEST(SpecularPlate, ReflectsToMirrorDirection) {
-  // Paper Sec. 5.2: a mirror reflects back only at normal incidence.
-  EXPECT_DOUBLE_EQ(SpecularPlate::reflection_direction_rad(0.3), -0.3);
-  EXPECT_DOUBLE_EQ(SpecularPlate::reflection_direction_rad(0.0), 0.0);
-}
-
 TEST(ActiveRadios, PhasedArrayRadioBurnsWatts) {
   const ActiveRadioModel radio = active_mmwave_radio();
   EXPECT_GT(radio.dc_power_w, 1.0);

@@ -48,13 +48,6 @@ TEST(OokBer, NoncoherentWorseThanCoherent) {
   }
 }
 
-TEST(BpskBer, ThreeDbBetterThanOok) {
-  // BPSK needs 3 dB less SNR than coherent OOK for equal BER.
-  const double ook_at_10 = ook_coherent_ber(10.0);
-  const double bpsk_at_7 = bpsk_ber(10.0 - 3.0103);
-  EXPECT_NEAR(std::log10(ook_at_10), std::log10(bpsk_at_7), 0.01);
-}
-
 // Property: snr-for-ber is the exact inverse of ber-at-snr.
 class SnrInverseTest : public ::testing::TestWithParam<double> {};
 

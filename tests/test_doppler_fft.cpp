@@ -14,23 +14,6 @@
 namespace mmtag {
 namespace {
 
-TEST(Doppler, TwoWayShiftAt24GHz) {
-  // 1 m/s closing at 24 GHz: 2 * 1 / 12.49 mm = 160.1 Hz.
-  EXPECT_NEAR(channel::backscatter_doppler_hz(1.0, 24e9), 160.1, 0.2);
-  EXPECT_NEAR(channel::backscatter_doppler_hz(-1.0, 24e9), -160.1, 0.2);
-}
-
-TEST(Doppler, RadialVelocityFromMobility) {
-  // Walking straight at the observer at 1.4 m/s.
-  const channel::LinearMobility walker({10.0, 0.0}, {-1.4, 0.0});
-  EXPECT_NEAR(channel::radial_velocity_m_per_s(walker, {0.0, 0.0}, 2.0),
-              1.4, 1e-6);
-  // Tangential motion has ~zero radial component.
-  const channel::OrbitMobility orbit({0.0, 0.0}, 3.0, 0.5, 0.0);
-  EXPECT_NEAR(channel::radial_velocity_m_per_s(orbit, {0.0, 0.0}, 1.0),
-              0.0, 1e-6);
-}
-
 TEST(Doppler, VibrationSensingRecoversDisplacement) {
   // A 100 um peak-to-peak vibration at 30 Hz — machinery-scale — read
   // through the backscatter phase at 24 GHz.

@@ -6,6 +6,8 @@
 #include "src/fault/engine.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,22 @@ TEST(OutageOverlap, ClipsToTheQueryWindow) {
   EXPECT_DOUBLE_EQ(outage_overlap_s(timeline, 3.5, 4.5), 0.0);
   EXPECT_DOUBLE_EQ(outage_overlap_s(timeline, 1.5, 1.75), 0.25);
   EXPECT_DOUBLE_EQ(outage_overlap_s({}, 0.0, 10.0), 0.0);
+}
+
+TEST(FaultEngine, RejectsAnInvalidScheduleByName) {
+  // The engine draws each tag's fault membership from the two fractions
+  // as given, so it validates the schedule itself.
+  FaultSchedule schedule;
+  schedule.stuck.affected_fraction = 1.5;
+  try {
+    const FaultEngine engine(schedule, 1, 1, 1, 1.0, 3);
+    ADD_FAILURE() << "accepted stuck.affected_fraction = 1.5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "FaultEngine::schedule.stuck.affected_fraction"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultEngine, ReaderUpAndRestartEdge) {

@@ -381,9 +381,23 @@ TEST(FleetValidate, AcceptsDefaultsAndAnEmptyFloor) {
 
 TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   // One bad value per rule, each applied alone to a valid fleet. Zero
   // channels would divide by zero in the channelized coordinator, and a
   // beamwidth or sector that is not positive leaves no usable codebook.
+  // A tag blocked all run, polled with no backoff and no retry budget:
+  // with a zero timeout an unanswered poll cost no airtime, so the cell
+  // re-polled it forever at one instant and run() never returned; a
+  // negative timeout ran time backward the same way, and a NaN one ended
+  // the epoch after one poll.
+  const auto zero_cost_retries = [](FleetConfig& c, double timeout_s) {
+    c.faults.blockage.enter_rate_hz = 1e6;
+    c.faults.blockage.mean_burst_s = 10.0;
+    c.faults.blockage.block_probability = 1.0;
+    c.recovery.poll_backoff_base_s = 0.0;
+    c.recovery.poll_retry_budget = 0;
+    c.recovery.poll_timeout_s = timeout_s;
+  };
   const std::vector<std::pair<std::string, std::function<void(FleetConfig&)>>>
       cases = {
           {"LayoutConfig::readers", [](FleetConfig& c) { c.layout.readers = 0; }},
@@ -434,10 +448,73 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
            }},
           {"FleetConfig::cell.sector_half_angle_rad",
            [](FleetConfig& c) { c.cell.sector_half_angle_rad = kNan; }},
+          {"FleetConfig::faults.outages.rate_hz",
+           [](FleetConfig& c) { c.faults.outages.rate_hz = -0.1; }},
+          {"FleetConfig::faults.outages.mean_duration_s",
+           [](FleetConfig& c) { c.faults.outages.mean_duration_s = kInf; }},
+          {"FleetConfig::faults.outages.scripted[1].reader",
+           [](FleetConfig& c) {
+             c.faults.outages.scripted = {{0, 0.0, 0.01}, {-1, 0.0, 0.01}};
+           }},
+          {"FleetConfig::faults.outages.scripted[0].start_s",
+           [](FleetConfig& c) {
+             c.faults.outages.scripted = {{0, kNan, 0.01}};
+           }},
+          {"FleetConfig::faults.outages.scripted[0].duration_s",
+           [](FleetConfig& c) {
+             c.faults.outages.scripted = {{0, 0.0, kInf}};
+           }},
+          {"FleetConfig::faults.brownouts.affected_fraction",
+           [](FleetConfig& c) { c.faults.brownouts.affected_fraction = 1.5; }},
+          {"FleetConfig::faults.brownouts.affected_fraction",
+           [](FleetConfig& c) { c.faults.brownouts.affected_fraction = kNan; }},
+          {"FleetConfig::faults.brownouts.burst_load_w",
+           [](FleetConfig& c) { c.faults.brownouts.burst_load_w = -1e-3; }},
+          {"FleetConfig::faults.stuck.affected_fraction",
+           [](FleetConfig& c) { c.faults.stuck.affected_fraction = -0.1; }},
+          {"FleetConfig::faults.stuck.stuck_elements",
+           [](FleetConfig& c) { c.faults.stuck.stuck_elements = -1; }},
+          {"FleetConfig::faults.stuck.array_elements",
+           [](FleetConfig& c) { c.faults.stuck.array_elements = 0; }},
+          {"FleetConfig::faults.blockage.enter_rate_hz",
+           [](FleetConfig& c) { c.faults.blockage.enter_rate_hz = kNan; }},
+          {"FleetConfig::faults.blockage.mean_burst_s",
+           [](FleetConfig& c) { c.faults.blockage.mean_burst_s = -0.2; }},
+          {"FleetConfig::faults.blockage.attenuation_db",
+           [](FleetConfig& c) { c.faults.blockage.attenuation_db = -3.0; }},
+          {"FleetConfig::faults.blockage.block_probability",
+           [](FleetConfig& c) { c.faults.blockage.block_probability = 1.2; }},
+          {"FleetConfig::faults.drift.sigma_ppm",
+           [](FleetConfig& c) { c.faults.drift.sigma_ppm = kInf; }},
+          {"FleetConfig::recovery.poll_retry_budget",
+           [](FleetConfig& c) { c.recovery.poll_retry_budget = -1; }},
+          {"FleetConfig::recovery.poll_backoff_base_s",
+           [](FleetConfig& c) { c.recovery.poll_backoff_base_s = -1e-6; }},
+          {"FleetConfig::recovery.poll_backoff_base_s",
+           [](FleetConfig& c) { c.recovery.poll_backoff_base_s = kInf; }},
+          {"FleetConfig::recovery.poll_timeout_s",
+           [&](FleetConfig& c) { zero_cost_retries(c, 0.0); }},
+          {"FleetConfig::recovery.poll_timeout_s",
+           [&](FleetConfig& c) { zero_cost_retries(c, -50e-6); }},
+          {"FleetConfig::recovery.poll_timeout_s",
+           [&](FleetConfig& c) { zero_cost_retries(c, kNan); }},
+          {"FleetConfig::recovery.quarantine_epochs",
+           [](FleetConfig& c) { c.recovery.quarantine_epochs = -1; }},
       };
+  // Every boundary value is accepted, the hang's config with a positive
+  // timeout among them.
   FleetConfig edge = small_fleet();
+  zero_cost_retries(edge, 50e-6);
   edge.coordination.channels = 1;
   edge.cell.sector_half_angle_rad = phys::kPi;
+  edge.faults.outages.scripted = {{0, -1.0, 0.0}};
+  edge.faults.brownouts.affected_fraction = 1.0;
+  edge.faults.brownouts.burst_load_w = 0.0;
+  edge.faults.stuck.affected_fraction = 1.0;
+  edge.faults.stuck.stuck_elements = 0;
+  edge.faults.stuck.array_elements = 1;
+  edge.faults.blockage.attenuation_db = 0.0;
+  edge.recovery.quarantine_epochs = 0;
   EXPECT_NO_THROW(edge.validate());
   for (const auto& [field, corrupt] : cases) {
     FleetConfig config = small_fleet();

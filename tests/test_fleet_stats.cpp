@@ -12,33 +12,38 @@ namespace mmtag::deploy {
 namespace {
 
 TEST(Percentile, MedianOfOddCount) {
-  EXPECT_DOUBLE_EQ(obs::percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
+  const std::vector<double> xs{3.0, 1.0, 2.0};
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {50.0})[0], 2.0);
 }
 
 TEST(Percentile, InterpolatesBetweenRanks) {
   // Ranks 0..3; p50 falls exactly between 2.0 and 3.0.
-  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
+  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {50.0})[0], 2.5);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {25.0})[0], 1.75);
 }
 
 TEST(Percentile, ExtremesAreMinAndMax) {
   const std::vector<double> xs{5.0, -1.0, 3.0};
-  EXPECT_DOUBLE_EQ(obs::percentile(xs, 0.0), -1.0);
-  EXPECT_DOUBLE_EQ(obs::percentile(xs, 100.0), 5.0);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {0.0})[0], -1.0);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {100.0})[0], 5.0);
 }
 
 TEST(Percentile, SingleValueIsEveryPercentile) {
-  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 1.0), 7.0);
-  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 99.0), 7.0);
+  const std::vector<double> xs{7.0};
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {1.0})[0], 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {99.0})[0], 7.0);
 }
 
 TEST(Percentile, EmptyIsNaN) {
-  EXPECT_TRUE(std::isnan(obs::percentile({}, 50.0)));
+  const std::vector<double> none;
+  EXPECT_TRUE(std::isnan(obs::percentiles({none}, {50.0})[0]));
 }
 
 TEST(Percentile, OutOfRangePctClamps) {
-  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, -10.0), 1.0);
-  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, 140.0), 2.0);
+  const std::vector<double> xs{1.0, 2.0};
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {-10.0})[0], 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {140.0})[0], 2.0);
 }
 
 TEST(JainFairness, EqualSharesAreUnity) {
@@ -139,8 +144,8 @@ TEST(Percentile, PinnedInterpolationBits) {
   // algorithm change (nearest-rank, exclusive interpolation, ...) breaks
   // these bits and with them every stored fleet fingerprint.
   const std::vector<double> xs{0.1, 0.2, 0.4, 0.8, 1.6};
-  EXPECT_DOUBLE_EQ(obs::percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
-  EXPECT_DOUBLE_EQ(obs::percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {95.0})[0], 0.8 + 0.8 * 0.8);
+  EXPECT_DOUBLE_EQ(obs::percentiles({xs}, {10.0})[0], 0.1 + 0.4 * 0.1);
 }
 
 // --- Streaming implementation -------------------------------------------

@@ -72,11 +72,5 @@ TEST(Fm0, BoundaryInversionAlwaysPresent) {
   }
 }
 
-TEST(Fm0, TransitionDensityBetweenNrzAndManchester) {
-  // 1.5 edges/bit on average: more than random NRZ (0.5), less than
-  // Manchester (>= 1 guaranteed + boundary statistics).
-  EXPECT_DOUBLE_EQ(fm0_transitions_per_bit(), 1.5);
-}
-
 }  // namespace
 }  // namespace mmtag::phy

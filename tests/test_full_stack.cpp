@@ -1,11 +1,25 @@
 // Full-stack integration tests across the newest layers: sessions on
-// scenario timelines, 60 GHz retuning, and the umbrella header.
-#include "src/mmtag.hpp"
-
+// scenario timelines and 60 GHz retuning.
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/channel/mobility.hpp"
+#include "src/core/tag.hpp"
+#include "src/core/van_atta.hpp"
+#include "src/em/patch_element.hpp"
+#include "src/em/resonator.hpp"
+#include "src/em/switch_model.hpp"
+#include "src/em/transmission_line.hpp"
+#include "src/net/session.hpp"
+#include "src/phy/rate_table.hpp"
+#include "src/phys/units.hpp"
+#include "src/reader/reader.hpp"
+#include "src/sim/scenario.hpp"
 
 namespace mmtag {
 namespace {

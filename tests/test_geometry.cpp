@@ -38,11 +38,10 @@ TEST(Bearing, Cardinals) {
   EXPECT_NEAR(bearing_rad({2, 2}, {3, 3}), phys::kPi / 4.0, 1e-12);
 }
 
-TEST(Segment, DirectionNormalLength) {
+TEST(Segment, DirectionAndLength) {
   const Segment s{{0, 0}, {2, 0}};
   EXPECT_DOUBLE_EQ(s.length(), 2.0);
   EXPECT_DOUBLE_EQ(s.direction().x, 1.0);
-  EXPECT_DOUBLE_EQ(s.normal().y, 1.0);  // Left of +x is +y.
 }
 
 TEST(Intersect, CrossingSegments) {

@@ -102,8 +102,9 @@ TEST(EndToEnd, OrbitingTagStaysConnectedWhereFixedBeamDies) {
         baselines::FixedBeamTag::like_mmtag_prototype().monostatic_gain_db(
             local);
     const auto link = reader.evaluate_link(tag, env, rates);
-    const double van_atta_gain = tag.monostatic_gain_db(
-        channel::bearing_rad(pos, {0.0, 0.0}));
+    const double van_atta_gain =
+        tag.monostatic_state_gains_db(channel::bearing_rad(pos, {0.0, 0.0}))
+            .off_db;
     const double fixed_power =
         link.received_power_dbm - van_atta_gain + fixed_gain;
     if (rates.achievable_rate_bps(fixed_power) > 0.0) ++fixed_alive;

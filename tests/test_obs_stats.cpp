@@ -81,7 +81,6 @@ TEST(Percentiles, EmptyUnionIsNaNForEveryPct) {
     ASSERT_EQ(got.size(), kPcts.size());
     for (const double v : got) EXPECT_TRUE(std::isnan(v));
   }
-  EXPECT_TRUE(std::isnan(percentile({}, 50.0)));
 }
 
 TEST(Percentiles, NoPctsGiveNoResults) {
@@ -167,12 +166,6 @@ TEST(Percentiles, NegativeValuesAndSignedZerosMatchSortBitForBit) {
   expect_matches_reference(split(values, 6, rng), kPcts);
   expect_matches_reference({{-0.0, 0.0, -0.0}, {0.0}}, kPcts);
   expect_matches_reference({{-5.0, -1e-300, -2.0}, {-7.25}}, kPcts);
-}
-
-TEST(Percentiles, OnePartOnePctIsPercentile) {
-  const std::vector<double> xs{0.1, 0.2, 0.4, 0.8, 1.6};
-  EXPECT_EQ(percentile(xs, 95.0), percentiles(spans({xs}), {95.0})[0]);
-  EXPECT_DOUBLE_EQ(percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
 }
 
 }  // namespace

@@ -40,17 +40,6 @@ TEST(Friis, ComposesTerms) {
   EXPECT_NEAR(p, 13.0 + 40.0 - 60.05, 0.05);
 }
 
-TEST(Aperture, RoundTripsWithGain) {
-  const double aperture = effective_aperture_m2(20.0, 24e9);
-  EXPECT_NEAR(aperture_to_gain_dbi(aperture, 24e9), 20.0, 1e-9);
-}
-
-TEST(Aperture, IsotropicApertureShrinksWithFrequency) {
-  // A_e(0 dBi) = lambda^2 / 4pi: the physical root of mmWave path loss.
-  EXPECT_GT(effective_aperture_m2(0.0, 915e6),
-            100.0 * effective_aperture_m2(0.0, 24e9));
-}
-
 // Property: FSPL is strictly increasing in both distance and frequency.
 class FsplMonotoneTest
     : public ::testing::TestWithParam<std::pair<double, double>> {};

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/antenna/codebook.hpp"
 #include "src/antenna/mutual_coupling.hpp"
 #include "src/channel/geometry.hpp"
 #include "src/core/van_atta.hpp"
@@ -19,6 +20,8 @@
 #include "src/deploy/layout.hpp"
 #include "src/fault/engine.hpp"
 #include "src/impair/chain.hpp"
+#include "src/mac/inventory.hpp"
+#include "src/mac/mimo_reader.hpp"
 #include "src/mesh/backhaul.hpp"
 #include "src/net/packet.hpp"
 #include "src/net/sr_arq.hpp"
@@ -312,6 +315,91 @@ TEST(PinnedDigests, MetroDenseReaderInterference) {
     EXPECT_EQ(stats.fingerprint(), 0xb52171d73e99b960ull);
     EXPECT_EQ(world.state_fingerprint(), 0x110fcf825533a0d7ull);
   }
+}
+
+// The inventory MACs: E2 and A3 print their times rounded to a
+// microsecond, so these pin every beam's dwell and the draws it took.
+
+// bench_e2_mac's and bench_a3_mac_overhead's tag arc: `count` tags facing
+// the reader at the origin, spread over +-55 degrees.
+std::vector<core::MmTag> arc_of_tags(int count, double radius_m) {
+  std::vector<core::MmTag> tags;
+  for (int i = 0; i < count; ++i) {
+    const double bearing =
+        phys::deg_to_rad(-55.0 + 110.0 * i / std::max(1, count - 1));
+    const channel::Vec2 pos{radius_m * std::cos(bearing),
+                            radius_m * std::sin(bearing)};
+    tags.push_back(core::MmTag::prototype_at(
+        core::Pose{pos, channel::bearing_rad(pos, {0.0, 0.0})},
+        static_cast<std::uint32_t>(i + 1)));
+  }
+  return tags;
+}
+
+void mix_inventory(obs::Fnv1a& hasher, const mac::InventoryResult& result) {
+  hasher.mix_u64(static_cast<std::uint64_t>(result.tags_total));
+  hasher.mix_u64(static_cast<std::uint64_t>(result.tags_read));
+  hasher.mix_double(result.total_time_s);
+  for (const mac::BeamInventory& beam : result.beams) {
+    hasher.mix_double(beam.beam.boresight_rad);
+    hasher.mix_u64(static_cast<std::uint64_t>(beam.tags_in_beam));
+    hasher.mix_double(beam.link_rate_bps);
+    hasher.mix_double(beam.dwell_time_s);
+    for (const long count :
+         {static_cast<long>(beam.aloha.tags_read),
+          static_cast<long>(beam.aloha.rounds), beam.aloha.slots_total,
+          beam.aloha.slots_success, beam.aloha.slots_collision,
+          beam.aloha.slots_empty}) {
+      hasher.mix_u64(static_cast<std::uint64_t>(count));
+    }
+  }
+}
+
+TEST(PinnedDigests, E2AndA3Inventories) {
+  const phy::RateTable rates = phy::RateTable::mmtag_standard();
+  const channel::Environment env;
+  const std::vector<antenna::Beam> codebook = antenna::uniform_codebook(
+      phys::deg_to_rad(-60.0), phys::deg_to_rad(60.0), 17.0);
+  const reader::MmWaveReader reader =
+      reader::MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0});
+  obs::Fnv1a hasher;
+  // E2's population sweep: the SDM pass and the 4-chain MIMO pass, each
+  // followed by its engine's next draw.
+  const mac::InventoryConfig config;
+  for (const int population : {1, 2, 4, 8, 16, 32, 64}) {
+    const std::vector<core::MmTag> tags =
+        arc_of_tags(population, phys::feet_to_m(4.0));
+    auto rng = sim::make_rng(
+        sim::derive_seed(1, 1000 + static_cast<std::uint64_t>(population)));
+    mix_inventory(hasher, mac::SdmInventory(reader, rates, config)
+                              .run(codebook, tags, env, rng));
+    hasher.mix_u64(rng());
+    auto rng_mimo = sim::make_rng(
+        sim::derive_seed(1, 2000 + static_cast<std::uint64_t>(population)));
+    const mac::MimoInventoryResult mimo =
+        mac::MimoInventory(reader, rates, config, 4)
+            .run(codebook, tags, env, rng_mimo);
+    for (const mac::InventoryResult& chain : mimo.per_chain) {
+      mix_inventory(hasher, chain);
+    }
+    hasher.mix_u64(static_cast<std::uint64_t>(mimo.tags_read));
+    hasher.mix_double(mimo.total_time_s);
+    hasher.mix_double(mimo.speedup_vs_single);
+    hasher.mix_u64(rng_mimo());
+  }
+  // A3's Aloha side: 32 tags across the beam-switch overhead sweep.
+  const std::vector<core::MmTag> tags = arc_of_tags(32, phys::feet_to_m(4.0));
+  for (const double overhead_us :
+       {0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0}) {
+    auto rng = sim::make_rng(sim::derive_seed(
+        1, 8000 + static_cast<std::uint64_t>(overhead_us * 10)));
+    mac::InventoryConfig aloha_config;
+    aloha_config.beam_switch_overhead_s = overhead_us * 1e-6;
+    mix_inventory(hasher, mac::SdmInventory(reader, rates, aloha_config)
+                              .run(codebook, tags, env, rng));
+    hasher.mix_u64(rng());
+  }
+  EXPECT_EQ(hasher.digest(), 0xb64d84e1fb5500c4ull);
 }
 
 // The tag's signal flow and the link budgets built on it: the fleet

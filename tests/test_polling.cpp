@@ -117,8 +117,8 @@ TEST(Polling, BeatsAlohaOnThroughputWithElectronicSteering) {
   const PollingResult steady = polling.run_round(tags, {});
   ASSERT_EQ(steady.tags_read, 24);
 
-  EXPECT_GT(steady.aggregate_throughput_bps(96),
-            discovery.aggregate_throughput_bps(96));
+  // Same tags read, so the faster round carries more identifier bits/s.
+  EXPECT_LT(steady.total_time_s, discovery.total_time_s);
 }
 
 TEST(Polling, EmptyPopulation) {
@@ -126,7 +126,6 @@ TEST(Polling, EmptyPopulation) {
   const PollingResult result = scheduler.run_round({}, {});
   EXPECT_EQ(result.tags_read, 0);
   EXPECT_DOUBLE_EQ(result.total_time_s, 0.0);
-  EXPECT_DOUBLE_EQ(result.aggregate_throughput_bps(96), 0.0);
 }
 
 // Property: total time equals the sum of per-poll times.

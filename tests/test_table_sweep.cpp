@@ -21,15 +21,6 @@ TEST(Linspace, SingleValue) {
   EXPECT_DOUBLE_EQ(v[0], 5.0);
 }
 
-TEST(Logspace, DecadeSteps) {
-  const auto v = logspace(1.0, 1000.0, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_NEAR(v[0], 1.0, 1e-9);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
-  EXPECT_NEAR(v[2], 100.0, 1e-9);
-  EXPECT_NEAR(v[3], 1000.0, 1e-9);
-}
-
 TEST(Table, FormatsAlignedColumns) {
   Table table({"range", "power"});
   table.add_row({"2 ft", "-51.7"});

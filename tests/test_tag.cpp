@@ -20,44 +20,26 @@ TEST(Pose, WorldToLocalConversion) {
               phys::deg_to_rad(120.0), 1e-12);
 }
 
-TEST(MmTag, DataBitDrivesSwitches) {
-  MmTag tag = MmTag::prototype_at(Pose{{0, 0}, 0.0});
-  EXPECT_FALSE(tag.data_bit());
+TEST(MmTag, PrototypeStartsWithEverySwitchOff) {
+  // The data line idles at bit 0: every switch off, the tag reflective.
+  const MmTag tag = MmTag::prototype_at(Pose{{0, 0}, 0.0});
   for (int n = 0; n < tag.array().size(); ++n) {
     EXPECT_EQ(tag.array().switch_state(n), em::SwitchState::kOff);
-  }
-  tag.set_data_bit(true);
-  EXPECT_TRUE(tag.data_bit());
-  for (int n = 0; n < tag.array().size(); ++n) {
-    EXPECT_EQ(tag.array().switch_state(n), em::SwitchState::kOn);
   }
 }
 
 TEST(MmTag, Bit0ReflectsMoreThanBit1) {
   // Paper Sec. 6: '0' -> high reflected amplitude, '1' -> none.
-  MmTag tag = MmTag::prototype_at(Pose{{0, 0}, 0.0});
-  tag.set_data_bit(false);
-  const double zero_db = tag.monostatic_gain_db(0.0);
-  tag.set_data_bit(true);
-  const double one_db = tag.monostatic_gain_db(0.0);
-  EXPECT_GT(zero_db, one_db + 8.0);
+  const MmTag tag = MmTag::prototype_at(Pose{{0, 0}, 0.0});
+  const StateGainsDb gains = tag.monostatic_state_gains_db(0.0);
+  EXPECT_GT(gains.off_db, gains.on_db + 8.0);
 }
 
-TEST(MmTag, ModulationDepthDoesNotDisturbState) {
-  MmTag tag = MmTag::prototype_at(Pose{{0, 0}, 0.0});
-  tag.set_data_bit(true);
-  const double depth = tag.modulation_depth_db(0.0);
-  EXPECT_GT(depth, 8.0);
-  EXPECT_TRUE(tag.data_bit());  // Probe must not flip the live state.
-}
-
-TEST(MmTag, ModulationDepthIsTheStateGainDifference) {
+TEST(MmTag, StateGainsAreTheArraysInTheLocalFrame) {
   const MmTag tag = MmTag::prototype_at(Pose{{0, 0}, phys::deg_to_rad(20.0)});
   for (int deg = -80; deg <= 80; deg += 20) {
     const double bearing = phys::deg_to_rad(deg);
     const StateGainsDb gains = tag.monostatic_state_gains_db(bearing);
-    EXPECT_EQ(tag.modulation_depth_db(bearing), gains.off_db - gains.on_db)
-        << deg;
     // In the tag's local frame, as the array sees it.
     const StateGainsDb local = tag.array().monostatic_state_gains_db(
         tag.pose().to_local(bearing));
@@ -72,14 +54,15 @@ TEST(MmTag, OrientationRotatesTheResponse) {
   MmTag facing = MmTag::prototype_at(Pose{{0, 0}, 0.0});
   MmTag turned = MmTag::prototype_at(
       Pose{{0, 0}, phys::deg_to_rad(30.0)});
-  EXPECT_NEAR(turned.monostatic_gain_db(0.0),
-              facing.monostatic_gain_db(phys::deg_to_rad(-30.0)), 1e-9);
+  EXPECT_NEAR(turned.monostatic_state_gains_db(0.0).off_db,
+              facing.monostatic_state_gains_db(phys::deg_to_rad(-30.0)).off_db,
+              1e-9);
 }
 
 TEST(MmTag, ReflectionFieldUsesLocalAngles) {
   const MmTag tag = MmTag::prototype_at(Pose{{0, 0}, phys::deg_to_rad(45.0)});
-  const Complex via_tag = tag.reflection_field(phys::deg_to_rad(45.0),
-                                               phys::deg_to_rad(45.0));
+  const double local = tag.pose().to_local(phys::deg_to_rad(45.0));
+  const Complex via_tag = tag.array().reradiated_field(local, local);
   const Complex direct = tag.array().reradiated_field(0.0, 0.0);
   EXPECT_NEAR(std::abs(via_tag - direct), 0.0, 1e-12);
 }
@@ -103,8 +86,9 @@ TEST_P(TagOrientationTest, VisibleSideAlwaysServed) {
   // Reader bearing 40 deg off the tag boresight, world frame.
   const double bearing = phys::deg_to_rad(orient_deg + 40.0);
   const MmTag reference = MmTag::prototype_at(Pose{{0, 0}, 0.0});
-  EXPECT_NEAR(tag.monostatic_gain_db(bearing),
-              reference.monostatic_gain_db(phys::deg_to_rad(40.0)), 1e-9);
+  const double local_40 = phys::deg_to_rad(40.0);
+  EXPECT_NEAR(tag.monostatic_state_gains_db(bearing).off_db,
+              reference.monostatic_state_gains_db(local_40).off_db, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Orientations, TagOrientationTest,

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/rate_control.hpp"
@@ -57,24 +59,29 @@ TEST(AckRateController, UpshiftNeedsDwellAndLinkMargin) {
   const phy::RateTable table = phy::RateTable::mmtag_standard();
   AckRateController::Params params;
   params.up_dwell_rounds = 3;
-  // Start on the slowest tier (weak link).
-  AckRateController controller(&table, params, -200.0);
+  // A weak link starts on the slowest tier.
+  AckRateController weak(&table, params, -200.0);
   const std::size_t slowest = table.tiers().size() - 1;
-  ASSERT_EQ(controller.tier_index(), slowest);
+  ASSERT_EQ(weak.tier_index(), slowest);
 
   // Perfect rounds but no link margin: never upshifts.
-  for (int i = 0; i < 20; ++i) controller.on_ack_round(8, 8);
-  EXPECT_EQ(controller.tier_index(), slowest);
+  for (int i = 0; i < 20; ++i) weak.on_ack_round(8, 8);
+  EXPECT_EQ(weak.tier_index(), slowest);
 
-  // Link recovers with margin to spare: upshift arms, then fires only
-  // after the configured dwell of clean rounds.
+  // A link with margin to spare over the next tier up, driven down to the
+  // slowest tier by failed rounds (blockage no link budget sees): the
+  // upshift arms, then fires only after the configured dwell of clean
+  // rounds.
   const phy::RateTier& faster = table.tiers()[slowest - 1];
-  controller.observe_power_dbm(table.required_power_dbm(faster) +
-                               params.snr_margin_db + 1.0);
-  EXPECT_FALSE(controller.on_ack_round(8, 8));
-  EXPECT_FALSE(controller.on_ack_round(8, 8));
-  EXPECT_TRUE(controller.on_ack_round(8, 8));
-  EXPECT_EQ(controller.tier_index(), slowest - 1);
+  AckRateController strong(
+      &table, params,
+      table.required_power_dbm(faster) + params.snr_margin_db + 1.0);
+  ASSERT_LT(strong.tier_index(), slowest);
+  while (strong.tier_index() < slowest) strong.on_ack_round(0, 8);
+  EXPECT_FALSE(strong.on_ack_round(8, 8));
+  EXPECT_FALSE(strong.on_ack_round(8, 8));
+  EXPECT_TRUE(strong.on_ack_round(8, 8));
+  EXPECT_EQ(strong.tier_index(), slowest - 1);
 }
 
 /// Expects the controller to throw std::invalid_argument naming `field`.
@@ -188,7 +195,6 @@ TEST(TrafficEngine, AccountingIsConsistent) {
     EXPECT_GT(flow.initial_rate_bps, 0.0);
   }
   EXPECT_NE(fingerprint(report), 0u);
-  EXPECT_EQ(traffic_report_table(report).rows(), 1u);
 }
 
 TEST(TrafficEngine, AggregatesAreBitIdenticalAcrossThreadCounts) {
@@ -355,6 +361,42 @@ TEST(TrafficEngine, RejectsNegativeOrNaNAckBits) {
   }
   TrafficConfig config = small_config();
   config.ack_bits = 0.0;
+  EXPECT_NO_THROW(TrafficEngine{config});
+}
+
+TEST(TrafficEngine, RejectsAnOutOfRangeFaultScheduleByName) {
+  const std::vector<
+      std::pair<std::string, std::function<void(fault::FaultSchedule&)>>>
+      cases = {
+          {"faults.outages.rate_hz",
+           [](fault::FaultSchedule& f) { f.outages.rate_hz = kNaN; }},
+          {"faults.outages.scripted[0].reader",
+           [](fault::FaultSchedule& f) {
+             f.outages.scripted = {{-1, 0.0, 0.001}};
+           }},
+          {"faults.brownouts.affected_fraction",
+           [](fault::FaultSchedule& f) {
+             f.brownouts.affected_fraction = -0.5;
+           }},
+          {"faults.stuck.array_elements",
+           [](fault::FaultSchedule& f) { f.stuck.array_elements = 0; }},
+          {"faults.blockage.block_probability",
+           [](fault::FaultSchedule& f) {
+             f.blockage.block_probability = kNaN;
+           }},
+          {"faults.blockage.attenuation_db",
+           [](fault::FaultSchedule& f) { f.blockage.attenuation_db = -1.0; }},
+          {"faults.drift.sigma_ppm",
+           [](fault::FaultSchedule& f) { f.drift.sigma_ppm = -5.0; }},
+      };
+  for (const auto& [field, corrupt] : cases) {
+    TrafficConfig config = small_config();
+    config.faults = fault::FaultSchedule::chaos(0.5);
+    corrupt(config.faults);
+    expect_rejected(config, "TrafficConfig::" + field);
+  }
+  TrafficConfig config = small_config();
+  config.faults = fault::FaultSchedule::chaos(1.0);
   EXPECT_NO_THROW(TrafficEngine{config});
 }
 
