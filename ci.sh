@@ -13,9 +13,12 @@
 # bench-smoke stage whose one table-driven loop writes and self-compares
 # nine BENCH_*.json reports (the fault, net, backhaul, metro, control-plane
 # and impairment benches under the sanitizers, plus a full-size
-# bench_d1_fleet compare gate), a TSan pass over the test suite for the
-# health monitor's cross-thread record path, and a docs stage (skipped with
-# a notice when doxygen is absent). Every build runs nproc jobs.
+# bench_d1_fleet compare gate), a perfbench smoke stage that builds the
+# repository benchmark and runs its three workloads untraced and traced
+# for one second each (their correctness checks must pass), a TSan pass
+# over the test suite for the health monitor's cross-thread record path,
+# and a docs stage (skipped with a notice when doxygen is absent). Every
+# build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -224,6 +227,26 @@ i1_impair ${asan}/bench_i1_impair --csv --warmup 0 --repeat 1
 EOF
 echo "bench smoke OK: $(ls ${out_dir}/BENCH_*.json | tr '\n' ' ')"
 
+echo "=== perfbench smoke (every workload, untraced and traced) ==="
+# The repository benchmark (BENCHMARK.json) builds its own Release binary
+# from this tree into .bench_build/perfbench. One short run per workload
+# and trace mode: every run hard-gates its digest across pool sizes 1 and
+# 4 (metro_1m at a million tags), and a traced metro run also checks each
+# phase replay against the epoch it precedes. A run exits 1 on a failed
+# check and 2 on a build or result error; either fails the stage. Each
+# run's report, whose last line is the JSON result, goes to bench-out/.
+perf_start=$(date +%s)
+for workload in metro_1m link_sweep fleet_traffic; do
+  for trace in 0 1; do
+    echo "--- perfbench ${workload} --trace ${trace} ---"
+    report="${out_dir}/perfbench_${workload}_trace${trace}.txt"
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace "${trace}" > "${report}"
+    grep '^checks:' "${report}"
+  done
+done
+echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s"
+
 echo "=== TSan build (monitor cross-thread snapshot path) ==="
 # HealthMonitor::record is the one API meant to be hit from parallel
 # workers while the coordinating thread later snapshots in end_epoch();
@@ -249,4 +272,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), TSan, docs ==="
+echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs), TSan, docs ==="

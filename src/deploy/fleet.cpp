@@ -122,7 +122,7 @@ void FleetConfig::validate() const {
     throw std::invalid_argument(
         "FleetConfig::cell.sector_half_angle_rad must be in (0, pi]");
   }
-  faults.validate("FleetConfig::faults.");
+  faults.validate("FleetConfig::faults.", layout.readers, "layout.readers");
   recovery.validate("FleetConfig::recovery.");
 }
 

@@ -71,9 +71,10 @@ struct FleetConfig {
       epoch_observer;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `layout`, `faults` and `recovery`,
-  /// `coordination.channels` >= 1, `cell.beamwidth_deg` > 0 and
-  /// `cell.sector_half_angle_rad` in (0, pi]).
+  /// (including those of `layout`, `faults` and `recovery`, a scripted
+  /// outage's reader < `layout.readers`, `coordination.channels` >= 1,
+  /// `cell.beamwidth_deg` > 0 and `cell.sector_half_angle_rad` in
+  /// (0, pi]).
   void validate() const;
 };
 

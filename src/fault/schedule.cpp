@@ -33,7 +33,8 @@ FaultSchedule FaultSchedule::chaos(double intensity) {
   return schedule;
 }
 
-void FaultSchedule::validate(std::string_view owner) const {
+void FaultSchedule::validate(std::string_view owner, int readers,
+                             std::string_view readers_field) const {
   const auto reject = [owner](const std::string& rule) {
     throw std::invalid_argument(std::string(owner) + rule);
   };
@@ -53,6 +54,9 @@ void FaultSchedule::validate(std::string_view owner) const {
     const ScriptedOutage& event = outages.scripted[i];
     const std::string at = "outages.scripted[" + std::to_string(i) + "].";
     if (event.reader < 0) reject(at + "reader must be >= 0");
+    if (event.reader >= readers) {
+      reject(at + "reader must be < " + std::string(readers_field));
+    }
     if (!std::isfinite(event.start_s)) reject(at + "start_s must be finite");
     if (!std::isfinite(event.duration_s)) {
       reject(at + "duration_s must be finite");

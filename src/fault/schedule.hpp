@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -129,8 +130,13 @@ struct FaultSchedule {
   /// durations, attenuation_db, burst_load_w and sigma_ppm finite and
   /// >= 0; fractions and block_probability in [0, 1]; stuck_elements
   /// >= 0 and array_elements >= 1; scripted outages on a reader >= 0
-  /// with a finite start and duration.
-  void validate(std::string_view owner) const;
+  /// with a finite start and duration. A caller that knows the reader
+  /// count passes it as `readers`, named `readers_field` in the message,
+  /// and a scripted reader >= it is rejected too: build_outage_timelines
+  /// skips such an event, so a mistyped incident would run fault-free.
+  void validate(std::string_view owner,
+                int readers = std::numeric_limits<int>::max(),
+                std::string_view readers_field = {}) const;
 };
 
 /// How the stack fights back. Consumed by FleetSimulator, ReaderCell and

@@ -4,12 +4,6 @@
 
 namespace mmtag::net {
 
-double ArqStats::efficiency() const {
-  if (transmissions == 0) return 0.0;
-  return static_cast<double>(frames_delivered) /
-         static_cast<double>(transmissions);
-}
-
 ArqStats run_stop_and_wait(int frame_count,
                            double frame_success_probability,
                            const ArqConfig& config, sim::Rng& rng) {

@@ -47,9 +47,6 @@ struct ArqStats {
   long query_failures = 0;     ///< Re-queries lost before the tag replayed.
   int frames_failed = 0;       ///< Gave up (either budget exhausted).
   int requery_exhausted = 0;   ///< Frames failed by the re-query budget.
-
-  /// Delivered frames per transmission (<= 1; the ARQ efficiency).
-  [[nodiscard]] double efficiency() const;
 };
 
 /// Simulate transferring `frame_count` frames, each transmission

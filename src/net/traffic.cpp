@@ -144,7 +144,8 @@ void TrafficConfig::validate() const {
   rate.validate("TrafficConfig::rate.");
   layout.validate();
   arq.validate();
-  faults.validate("TrafficConfig::faults.");
+  faults.validate("TrafficConfig::faults.", layout.readers,
+                  "layout.readers");
 }
 
 TrafficEngine::TrafficEngine(TrafficConfig config)

@@ -75,7 +75,8 @@ struct TrafficConfig {
   int threads = 0;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `layout`, `arq` and `faults`).
+  /// (including those of `layout`, `arq` and `faults`, and a scripted
+  /// outage's reader < `layout.readers`).
   void validate() const;
 };
 

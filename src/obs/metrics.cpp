@@ -75,15 +75,6 @@ void Histogram::reset() noexcept {
   rejected_.store(0, std::memory_order_relaxed);
 }
 
-void Histogram::Snapshot::merge(const Snapshot& other) noexcept {
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    buckets[b] += other.buckets[b];
-  }
-  count += other.count;
-  sum += other.sum;
-  rejected += other.rejected;
-}
-
 std::uint64_t Histogram::Snapshot::fingerprint() const noexcept {
   std::uint64_t hash = 0xCBF29CE484222325ull;
   const auto mix = [&hash](std::uint64_t v) {

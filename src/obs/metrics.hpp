@@ -159,9 +159,6 @@ class Histogram {
       sum += value;
     }
 
-    /// Fixed-order elementwise add: merging per-thread snapshots in any
-    /// grouping yields identical totals.
-    void merge(const Snapshot& other) noexcept;
     /// FNV-1a over the bucket array in index order — the bit-identity
     /// check used by the determinism tests.
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;

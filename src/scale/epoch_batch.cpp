@@ -65,8 +65,6 @@ const BatchResult& EpochBatcher::evaluate(const TagStore& store,
   }
 
   result_.count = n;
-  result_.x = sx_.data();
-  result_.y = sy_.data();
   result_.d2 = d2_.data();
   result_.rate_bps = rate_.data();
   result_.detected = det_.data();

@@ -1,22 +1,20 @@
-// Batched per-beam link evaluation over SoA slabs.
+// The metro link model in the squared-distance domain, and a batched
+// per-beam evaluator of it over SoA slabs.
 //
 // The deploy path evaluates links one tag at a time: received_power_dbm
-// (a log10 per call), then a rate-table walk. At metro scale the epoch
-// batcher replaces that with three SIMD passes over contiguous slabs:
-//
-//   1. gather: copy the candidate slots' x/y columns into a slab,
-//   2. kern.squared_distance: d² from the reader for the whole slab,
-//   3. kern.threshold_below against precomputed *squared-range*
-//      thresholds.
-//
-// The trick making pass 3 exact (not an approximation) is that the
+// (a log10 per call), then a rate-table walk. BatchLinkModel, the metro
+// epoch's link model, compares d² against precomputed *squared-range*
+// thresholds instead. That is exact (not an approximation) because the
 // monostatic backscatter budget is strictly decreasing in distance
 // (40 dB/decade), so "P_rx(d) >= P_required(tier)" is equivalent to
 // "d² < r_tier²" with r_tier = BackscatterLinkBudget::max_range_m(
-// required_power_dbm(tier)). The dB comparison is hoisted into a handful
-// of per-tier range solves done once at setup; the per-tag work is pure
-// compare — bit-identical across kern backends by construction and
-// bit-identical to the scalar rate-table answer by monotonicity.
+// required_power_dbm(tier)), solved once per tier at setup.
+//
+// EpochBatcher evaluates the model over a slab: gather the candidates'
+// x/y, kern.squared_distance, then kern.threshold_below per tier —
+// bit-identical across kern backends by construction and to rate_for_d2
+// (the rates are copied constants). It is off the epoch path: it is
+// what perfbench's scale.batch_ms replay times.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +40,9 @@ struct BatchLinkModel {
   [[nodiscard]] static BatchLinkModel from_budget(
       const phys::BackscatterLinkBudget& budget, const phy::RateTable& rates);
 
-  /// Scalar reference: fastest tier rate achievable at squared distance
-  /// `d2` [bit/s], 0 when undetectable. The batched path must agree with
-  /// this bit-for-bit.
+  /// Fastest tier rate achievable at squared distance `d2` [bit/s], 0
+  /// when undetectable: the rate of a metro poll, and the scalar
+  /// reference the batched path must agree with bit-for-bit.
   [[nodiscard]] double rate_for_d2(double d2) const;
 };
 
@@ -52,8 +50,6 @@ struct BatchLinkModel {
 /// evaluate() on the same batcher.
 struct BatchResult {
   std::size_t count = 0;           ///< Slab length (candidates evaluated).
-  const double* x = nullptr;       ///< Gathered positions, in `slots` order.
-  const double* y = nullptr;
   const double* d2 = nullptr;      ///< Squared distance to the reader.
   const double* rate_bps = nullptr;///< Achievable rate (0 = undetected).
   const std::uint8_t* detected = nullptr;  ///< 1 where d² < detect range².

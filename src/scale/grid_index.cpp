@@ -1,6 +1,5 @@
 #include "src/scale/grid_index.hpp"
 
-#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -10,9 +9,6 @@ namespace mmtag::scale {
 
 namespace {
 
-constexpr int kDigitBits = 11;
-constexpr std::size_t kDigitValues = std::size_t{1} << kDigitBits;
-constexpr int kDigits = 3;  // 33 bits cover a 32-bit slot.
 /// Pool items for rebucket(): at most this many, so the claims per epoch
 /// do not grow with the grid (each claim takes the pool mutex).
 constexpr std::size_t kRebucketRanges = 64;
@@ -25,39 +21,6 @@ struct BucketEdit {
 };
 
 }  // namespace
-
-void sort_slots(std::vector<TagSlot>& slots) {
-  const std::size_t n = slots.size();
-  if (n < 2) return;
-  constexpr TagSlot kMask = kDigitValues - 1;
-  std::array<std::array<std::size_t, kDigitValues>, kDigits> count{};
-  for (const TagSlot s : slots) {
-    ++count[0][s & kMask];
-    ++count[1][(s >> kDigitBits) & kMask];
-    ++count[2][s >> (2 * kDigitBits)];
-  }
-  std::vector<TagSlot> buffer(n);
-  TagSlot* src = slots.data();
-  TagSlot* dst = buffer.data();
-  for (int d = 0; d < kDigits; ++d) {
-    const int shift = d * kDigitBits;
-    std::array<std::size_t, kDigitValues>& offset = count[d];
-    // A digit every key shares would leave the order as it is.
-    if (offset[(src[0] >> shift) & kMask] == n) continue;
-    std::size_t sum = 0;
-    for (std::size_t& c : offset) {
-      const std::size_t keys = c;
-      c = sum;
-      sum += keys;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const TagSlot s = src[i];
-      dst[offset[(s >> shift) & kMask]++] = s;
-    }
-    std::swap(src, dst);
-  }
-  if (src != slots.data()) slots.swap(buffer);
-}
 
 GridIndex::GridIndex(double width_m, double height_m, double cell_m)
     : cell_m_(cell_m) {

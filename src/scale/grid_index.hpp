@@ -26,10 +26,6 @@
 // consecutive cells (fixed by the grid, not by the pool). Buckets are
 // sorted sets, so the result cannot depend on the order in which the
 // moves are applied.
-//
-// sort_slots() is the canonical candidate order: gather_disc() returns
-// cells in row-major order, and callers that need the candidates as a set
-// (the metro poll sequence) sort them ascending with it.
 #pragma once
 
 #include <algorithm>
@@ -45,12 +41,6 @@ class ThreadPool;
 }
 
 namespace mmtag::scale {
-
-/// Sort `slots` ascending; the same result as std::sort. An LSD radix sort
-/// over three 11-bit digits that skips a digit every key shares (slots
-/// below 2^22 cost two passes). Slot ids are distinct, so ascending order
-/// is unique.
-void sort_slots(std::vector<TagSlot>& slots);
 
 class GridIndex {
  public:

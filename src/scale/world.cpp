@@ -1,11 +1,14 @@
 #include "src/scale/world.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/stats.hpp"
@@ -147,6 +150,8 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   // 10 Mbps tag in the same slot.
   const double base_rate =
       model_.tier_rate_bps.empty() ? 1.0 : model_.tier_rate_bps.back();
+  const double* xs = store_.xs();
+  const double* ys = store_.ys();
 
   MetroEpochStats epoch;
 
@@ -229,26 +234,15 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     const double ry = reader_y(r);
     ReaderResult& out = results[ri];
 
+    // Only the candidate set matters below, not its row-major cell order.
     std::vector<TagSlot> cands;
     if (config_.use_index) {
       index_.gather_disc(rx, ry, gather_radius_m_, cands);
-      // Cell buckets arrive in row-major cell order; canonicalize to
-      // ascending slot order so the poll sequence (and therefore the RNG
-      // consumption) is a pure function of the candidate *set*.
-      sort_slots(cands);
     } else {
       cands.resize(n_slots);
       std::iota(cands.begin(), cands.end(), TagSlot{0});
     }
     out.candidates = cands.size();
-
-    EpochBatcher batcher;
-    const BatchResult& batch = batcher.evaluate(store_, cands, rx, ry, model_);
-
-    sim::Rng rng = sim::make_rng(sim::derive_seed(
-        poll_base_, epochs_run_ * static_cast<std::uint64_t>(n_readers) +
-                        static_cast<std::uint64_t>(r)));
-    std::uniform_real_distribution<double> uni(0.0, 1.0);
 
     double* energy = store_.energies();
     std::uint8_t* read = store_.read_flags();
@@ -256,37 +250,72 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     double* delivered = store_.delivered_bits();
     long* polls = store_.polls();
 
-    int budget_left = config_.polls_per_reader;
-    for (std::size_t i = 0; i < batch.count; ++i) {
+    // One pass: a tag's harvest and eligibility depend only on its own
+    // columns and d2, and only its effective owner writes them. The
+    // candidates are scattered over whole columns, so the lines of the
+    // one kAhead places on are fetched while this one is worked.
+    std::vector<std::pair<TagSlot, double>> eligible;  // (slot, d2)
+    constexpr std::size_t kAhead = 16;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (i + kAhead < cands.size()) {
+        __builtin_prefetch(xs + cands[i + kAhead]);
+        __builtin_prefetch(ys + cands[i + kAhead]);
+        __builtin_prefetch(energy + cands[i + kAhead], 1);
+      }
+      const TagSlot slot = cands[i];
+      const double dx = xs[slot] - rx;
+      const double dy = ys[slot] - ry;
+      const double d2 = dx * dx + dy * dy;  // kern squared_distance's bits.
+      const bool detected = d2 < model_.detect_r2_m2;
       // Outside the beam and the contention radius a tag changes nothing
       // under either branch below, whoever owns it.
-      if (!batch.detected[i] && !(batch.d2[i] < intf_r2)) continue;
-      const TagSlot slot = cands[i];
-      const int owner = owner_of(batch.x[i], batch.y[i]);
+      if (!detected && !(d2 < intf_r2)) continue;
+      const int owner = owner_of(xs[slot], ys[slot]);
       // The tag belongs to whoever the control plane re-homed its owner
       // to (identity when no reader is skipped) — the remap is a pure
       // owner -> reader function, so store writes stay disjoint.
       const int effective = remap ? remap[owner] : owner;
       if (effective != r) {
         // Foreign tag close enough to contend for the medium.
-        if (batch.d2[i] < intf_r2) ++out.interference_pairs;
+        if (d2 < intf_r2) ++out.interference_pairs;
         continue;
       }
-      if (!batch.detected[i]) continue;
+      if (!detected) continue;
       ++out.detected;
       if (owner != r) ++out.adopted;
       // In the beam: harvest first, then maybe answer a poll.
       energy[slot] = std::min(config_.energy_cap_j,
                               energy[slot] + config_.harvest_j_per_epoch);
-      if (budget_left <= 0 || energy[slot] < config_.respond_cost_j) continue;
-      --budget_left;
+      if (energy[slot] >= config_.respond_cost_j) {
+        eligible.emplace_back(slot, d2);
+      }
+    }
+    assert(out.detected <= out.candidates);
+
+    // The budget goes to the lowest eligible slots in ascending order
+    // (slots are distinct, so pairs order by slot alone): the poll
+    // sequence, and so the RNG draws, is a function of the candidate set.
+    const auto budget = static_cast<std::size_t>(config_.polls_per_reader);
+    if (eligible.size() > budget) {
+      std::nth_element(eligible.begin(), eligible.begin() + budget,
+                       eligible.end());
+      eligible.resize(budget);
+    }
+    std::sort(eligible.begin(), eligible.end());
+
+    sim::Rng rng = sim::make_rng(sim::derive_seed(
+        poll_base_, epochs_run_ * static_cast<std::uint64_t>(n_readers) +
+                        static_cast<std::uint64_t>(r)));
+    std::uniform_real_distribution<double> uni(0.0, 1.0);
+    for (const auto& [slot, d2] : eligible) {
       ++out.polls;
       ++polls[slot];
       if (uni(rng) < config_.poll_success_prob) {
         ++out.successes;
         energy[slot] -= config_.respond_cost_j;
+        assert(energy[slot] >= 0.0);
         const double bits =
-            config_.payload_bits * (batch.rate_bps[i] / base_rate);
+            config_.payload_bits * (model_.rate_for_d2(d2) / base_rate);
         delivered[slot] += bits;
         out.delivered_bits += bits;
         if (read[slot] == 0) {
@@ -296,6 +325,8 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
         }
       }
     }
+    assert(out.successes <= out.polls &&
+           out.polls <= std::min<std::uint64_t>(out.detected, budget));
   });
 
   for (const ReaderResult& r : results) {
@@ -341,20 +372,37 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   const std::uint64_t move_base = move_base_;
   const std::uint64_t first_stream =
       epochs_run_ * static_cast<std::uint64_t>(n_slots);
-  const double move_fraction = config_.move_fraction;
+  // unit_double(bits) < move_fraction exactly when (bits >> 11) is below
+  // move_fraction * 2^53 (an exact scaling), i.e. below its ceiling.
+  const auto move_threshold = static_cast<std::uint64_t>(
+      std::ceil(config_.move_fraction * 0x1.0p53));
   const double step_scale = config_.speed_mps * config_.epoch_duration_s;
   const double width_m = config_.width_m;
   const double height_m = config_.height_m;
-  const double* xs = store_.xs();
-  const double* ys = store_.ys();
   pool.parallel_for(n_chunks, [&](std::size_t ci) {
     ChunkResult& out = chunks[ci];
     const std::size_t lo = ci * kChunk;
     const std::size_t hi = std::min(lo + kChunk, n_slots);
+    // Sieve first, branch-free: every slot is written, a mover is kept.
+    struct Mover {
+      TagSlot slot;
+      std::uint64_t bits;
+    };
+    const auto movers = std::make_unique_for_overwrite<Mover[]>(hi - lo);
+    std::size_t n_movers = 0;
     for (std::size_t s = lo; s < hi; ++s) {
       const std::uint64_t bits = sim::derive_seed(move_base, first_stream + s);
-      if (unit_double(bits) >= move_fraction) continue;
-      const TagSlot slot = static_cast<TagSlot>(s);
+      movers[n_movers] = {static_cast<TagSlot>(s), bits};
+      n_movers += (bits >> 11) < move_threshold ? 1 : 0;
+    }
+    // Then step the movers, scattered slots, in ascending slot order.
+    constexpr std::size_t kAhead = 8;
+    for (std::size_t m = 0; m < n_movers; ++m) {
+      if (m + kAhead < n_movers) {
+        __builtin_prefetch(xs + movers[m + kAhead].slot, 1);
+        __builtin_prefetch(ys + movers[m + kAhead].slot, 1);
+      }
+      const auto [slot, bits] = movers[m];
       const std::uint64_t step_bits = sim::derive_seed(bits, 0x6D76ULL);
       const double u1 =
           static_cast<double>(step_bits & 0xFFFFFFFFULL) * 0x1.0p-32;
@@ -366,12 +414,15 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       const double new_y =
           std::clamp(old_y + (2.0 * u2 - 1.0) * step_scale, 0.0, height_m);
       store_.set_position(slot, new_x, new_y);
-      ++out.moved;
       if (owner_of(old_x, old_y) != owner_of(new_x, new_y)) ++out.handoffs;
       const std::size_t from = index_.cell_of(old_x, old_y);
       const std::size_t to = index_.cell_of(new_x, new_y);
       if (from != to) out.moves.push_back({slot, from, to});
     }
+    out.moved = n_movers;
+    assert(out.moves.size() <= n_movers &&
+           std::none_of(out.moves.begin(), out.moves.end(),
+                        [](const auto& m) { return m.from == m.to; }));
   });
   std::vector<GridIndex::CellMove> moves;
   for (const ChunkResult& c : chunks) {

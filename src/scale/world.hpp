@@ -10,22 +10,21 @@
 //   * the population lives in a scale::TagStore (SoA columns),
 //   * discovery and interference queries go through a scale::GridIndex
 //     (O(cell occupancy), not O(tags)),
-//   * per-beam candidates are evaluated in slabs by scale::EpochBatcher
-//     through the kern SIMD layer (squared-distance domain, see
-//     epoch_batch.hpp for why that is exact),
+//   * links are judged in the squared-distance domain by a
+//     scale::BatchLinkModel (see epoch_batch.hpp for why that is exact),
 //   * epochs shard across readers on sim::ThreadPool; every reader
 //     writes only the tags it owns (closed-form nearest-reader
 //     partition), and per-reader results merge in fixed reader order —
 //     so aggregates are bit-identical at any thread count.
 //
-// Each reader's candidates are put in ascending slot order with
-// scale::sort_slots, so its poll sequence is a function of the candidate
-// set. The poll loop skips a candidate outside both the beam and the
-// contention radius before working out its owner: such a tag changes no
-// counter and no column whoever owns it. Ownership and index cells are
-// inline closed forms over spacings computed once per world, and the
-// epoch's cell changes reach the index as one parallel
-// GridIndex::rebucket batch.
+// A reader's shard is one prefetched pass over its candidates that
+// skips a tag outside both the beam and the contention radius, harvests
+// every owned detected tag and lists those that can answer; only the
+// lowest `polls_per_reader` listed slots are sorted and polled, so the
+// poll sequence is a function of the candidate set. Mobility chunks
+// sieve their movers before stepping them, and the epoch's cell changes
+// reach the index as one parallel GridIndex::rebucket batch. DESIGN.md
+// Sec. 14 argues why each step leaves every output bit-identical.
 //
 // The same epoch can also run with the index disabled (`use_index =
 // false`): the query path degrades to a linear scan over every slot but
@@ -104,7 +103,7 @@ struct MetroConfig {
 
 /// One epoch's aggregate, merged over readers in fixed order.
 struct MetroEpochStats {
-  /// Candidate slots the query path handed to the batcher (cost metric —
+  /// Candidate slots the query path handed to the shard (cost metric —
   /// differs between indexed and linear paths by design).
   std::uint64_t candidates = 0;
   std::uint64_t detected = 0;      ///< Owned tags inside beam range.

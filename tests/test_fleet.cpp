@@ -456,6 +456,18 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
            [](FleetConfig& c) {
              c.faults.outages.scripted = {{0, 0.0, 0.01}, {-1, 0.0, 0.01}};
            }},
+          {"FleetConfig::faults.outages.scripted[2].reader must be < "
+           "layout.readers",
+           [](FleetConfig& c) {
+             c.faults.outages.scripted = {{0, 0.0, 0.01},
+                                          {c.layout.readers - 1, 0.0, 0.01},
+                                          {c.layout.readers, 0.0, 0.01}};
+           }},
+          {"FleetConfig::faults.outages.scripted[0].reader must be < "
+           "layout.readers",
+           [](FleetConfig& c) {
+             c.faults.outages.scripted = {{1 << 30, 0.0, 0.01}};
+           }},
           {"FleetConfig::faults.outages.scripted[0].start_s",
            [](FleetConfig& c) {
              c.faults.outages.scripted = {{0, kNan, 0.01}};
@@ -507,7 +519,8 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
   zero_cost_retries(edge, 50e-6);
   edge.coordination.channels = 1;
   edge.cell.sector_half_angle_rad = phys::kPi;
-  edge.faults.outages.scripted = {{0, -1.0, 0.0}};
+  edge.faults.outages.scripted = {{0, -1.0, 0.0},
+                                  {edge.layout.readers - 1, 0.0, 0.01}};
   edge.faults.brownouts.affected_fraction = 1.0;
   edge.faults.brownouts.burst_load_w = 0.0;
   edge.faults.stuck.affected_fraction = 1.0;

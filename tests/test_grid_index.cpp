@@ -1,6 +1,6 @@
 // Uniform-grid spatial index (src/scale/grid_index): bucketing, batched
 // rebucketing, coarse gathers, determinism of iteration order, query-cost
-// accounting, constructor checks, and the canonical slot sort.
+// accounting and constructor checks.
 #include "src/scale/grid_index.hpp"
 
 #include <gtest/gtest.h>
@@ -220,37 +220,6 @@ TEST(GridIndex, RejectsNonPositiveAndIntOverflowingGrids) {
   // 1e10 columns do not fit an int.
   EXPECT_THROW(GridIndex(1e10, 10.0, 1.0), std::invalid_argument);
   EXPECT_THROW(GridIndex(10.0, 1e10, 1.0), std::invalid_argument);
-}
-
-TEST(SortSlots, EqualsStdSort) {
-  // Random keys at sizes 0 to 10,007, some of them >= 2^22 so all three
-  // digit passes run; then keys sharing every digit, only the high
-  // digits, and only the low digit.
-  const std::uint64_t base = sim::derive_seed(17, 0);
-  std::vector<std::vector<TagSlot>> inputs;
-  for (const std::size_t n : {0u, 1u, 2u, 1000u, 10007u}) {
-    std::vector<TagSlot> keys;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t bits = sim::derive_seed(base, i);
-      keys.push_back(i % 7 == 0 ? static_cast<TagSlot>(bits)
-                                : static_cast<TagSlot>(bits & 0xFFFFF));
-    }
-    inputs.push_back(keys);
-  }
-  inputs.emplace_back(1000, 0xABCDEF12u);
-  std::vector<TagSlot> high, low;
-  for (TagSlot i = 0; i < 3000; ++i) {
-    high.push_back((3000 - i) * 7 % 2048 + (5u << 22));
-    low.push_back(((i * 2654435761u) >> 11) << 11 | 0x155u);
-  }
-  inputs.push_back(high);
-  inputs.push_back(low);
-  for (std::vector<TagSlot>& keys : inputs) {
-    std::vector<TagSlot> expected = keys;
-    std::sort(expected.begin(), expected.end());
-    sort_slots(keys);
-    EXPECT_EQ(keys, expected) << "size " << keys.size();
-  }
 }
 
 }  // namespace

@@ -73,7 +73,9 @@ TEST(EpochBatcher, SlabResultsMatchScalarReference) {
   for (int i = 0; i < 64; ++i) {
     const double x = 0.3 * i;
     const double y = 0.1 * i - 2.0;
-    slots.push_back(store.create(static_cast<std::uint32_t>(i), x, y, 0.0));
+    slots.push_back(store.create(x, y, 0.0));
+    ASSERT_EQ(store.xs()[slots.back()], x);
+    ASSERT_EQ(store.ys()[slots.back()], y);
   }
   EpochBatcher batcher;
   const BatchResult& batch = batcher.evaluate(store, slots, 3.0, 1.0, model);
@@ -188,6 +190,27 @@ TEST(MetroWorld, MobilityMovesRebucketsAndHandsOff) {
   EXPECT_LE(epoch.handoffs, epoch.moved);
   // The index tracked every move: occupancy unchanged, positions fresh.
   EXPECT_EQ(world.index().occupancy(), cfg.tags);
+}
+
+TEST(MetroWorld, MoveFractionZeroMovesNoTagAndOneMovesEveryTag) {
+  for (const double fraction : {0.0, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "move_fraction " << fraction);
+    MetroConfig cfg = small_config();
+    cfg.move_fraction = fraction;
+    MetroWorld world(cfg);
+    sim::ThreadPool pool(2);
+    const std::vector<double> xs(world.store().xs(),
+                                 world.store().xs() + cfg.tags);
+    for (int e = 0; e < 4; ++e) {
+      EXPECT_EQ(world.run_epoch(pool).moved, fraction == 0.0 ? 0u : cfg.tags)
+          << "epoch " << e;
+    }
+    if (fraction == 0.0) {
+      EXPECT_EQ(std::vector<double>(world.store().xs(),
+                                    world.store().xs() + cfg.tags),
+                xs);
+    }
+  }
 }
 
 TEST(MetroWorld, IndexAfterMobilityEqualsAFreshBuild) {

@@ -160,20 +160,6 @@ TEST(Histogram, MergeBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(HistogramSnapshot, MergeAddsCountsAndChangesFingerprint) {
-  MMTAG_SKIP_IF_OBS_DISABLED();
-  Histogram a;
-  Histogram b;
-  a.record(static_cast<std::uint64_t>(5));
-  b.record(static_cast<std::uint64_t>(500));
-  Histogram::Snapshot merged = a.snapshot();
-  const std::uint64_t before = merged.fingerprint();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.count, 2u);
-  EXPECT_EQ(merged.sum, 505u);
-  EXPECT_NE(merged.fingerprint(), before);
-}
-
 TEST(Histogram, AddingALocalSnapshotEqualsRecordingEachValue) {
   MMTAG_SKIP_IF_OBS_DISABLED();
   std::vector<std::uint64_t> values = {

@@ -317,6 +317,91 @@ TEST(PinnedDigests, MetroDenseReaderInterference) {
   }
 }
 
+/// Runs `config` for `epochs` epochs at 1 and 4 threads and with the
+/// linear query path, checks the state and stats digests of each, and
+/// returns the indexed single-thread run's summed epoch stats.
+scale::MetroEpochStats expect_metro_digests(const scale::MetroConfig& config,
+                                            int epochs, std::uint64_t state,
+                                            std::uint64_t stats) {
+  scale::MetroConfig linear = config;
+  linear.use_index = false;
+  const std::pair<const scale::MetroConfig*, int> runs[] = {
+      {&config, 1}, {&config, 4}, {&linear, 1}};
+  scale::MetroEpochStats sum;
+  for (const auto& [run_config, threads] : runs) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads << " use_index "
+                                    << run_config->use_index);
+    scale::MetroWorld world(*run_config);
+    sim::ThreadPool pool(threads);
+    for (int e = 0; e < epochs; ++e) {
+      const scale::MetroEpochStats epoch = world.run_epoch(pool);
+      if (run_config != &config || threads != 1) continue;
+      sum.polls += epoch.polls;
+      sum.moved += epoch.moved;
+      sum.tags_adopted += epoch.tags_adopted;
+    }
+    EXPECT_EQ(world.stats().fingerprint(), stats);
+    EXPECT_EQ(world.state_fingerprint(), state);
+  }
+  return sum;
+}
+
+// metro_1m's density (25 tags/m^2), reader grid and mover share on a
+// tenth of its tags: every reader detects about 2,100 tags an epoch and
+// polls 256 of them, so the poll budget binds as it does at 1M tags.
+TEST(PinnedDigests, MetroPollBudgetBinds) {
+  scale::MetroConfig config;
+  config.width_m = 63.25;
+  config.height_m = 63.25;
+  config.readers_x = 4;
+  config.readers_y = 4;
+  config.tags = 100000;
+  config.move_fraction = 0.05;
+  config.seed = 24;
+  const scale::MetroEpochStats sum =
+      expect_metro_digests(config, 20, 0xd20b85c3a9265797ull,
+                           0x24db870d2516c317ull);
+  EXPECT_EQ(sum.polls, 20u * 16u * 256u);
+}
+
+// Edge cases of the poll and mobility paths on a 12 x 12 m world with
+// readers 3 m apart: 3 polls per reader against far more eligible tags; a
+// respond cost above both the harvest and the initial charge, so tags
+// fall out of eligibility after answering and climb back; the 2 x 2
+// centre readers down over epochs [2, 9) with the control plane
+// re-homing their tags; every tag moving every epoch, then 30% of them.
+TEST(PinnedDigests, MetroEdgeWorld) {
+  scale::MetroConfig config;
+  config.width_m = 12.0;
+  config.height_m = 12.0;
+  config.readers_x = 4;
+  config.readers_y = 4;
+  config.tags = 3000;
+  config.index_cell_m = 1.0;
+  config.polls_per_reader = 3;
+  config.initial_energy_j = 1e-6;
+  config.harvest_j_per_epoch = 2e-6;
+  config.respond_cost_j = 3.5e-6;
+  config.speed_mps = 2.0;
+  config.control_plane = true;
+  config.domains.domains.push_back(resil::OutageDomain{1, 1, 2, 2, 2, 9});
+  config.seed = 24;
+  const std::pair<double, std::pair<std::uint64_t, std::uint64_t>> runs[] = {
+      {1.0, {0xa45650b2137b9056ull, 0x477c5d74410b537bull}},
+      {0.3, {0xbcf732b0b63d88dbull, 0x44136cac089ddb7bull}}};
+  for (const auto& [fraction, digests] : runs) {
+    SCOPED_TRACE(testing::Message() << "move_fraction " << fraction);
+    config.move_fraction = fraction;
+    const scale::MetroEpochStats sum =
+        expect_metro_digests(config, 12, digests.first, digests.second);
+    EXPECT_GT(sum.tags_adopted, 0u);
+    EXPECT_LT(sum.polls, 12u * 16u * 3u);  // The outage cost polls.
+    if (fraction == 1.0) {
+      EXPECT_EQ(sum.moved, 12u * 3000u);
+    }
+  }
+}
+
 // The inventory MACs: E2 and A3 print their times rounded to a
 // microsecond, so these pin every beam's dwell and the draws it took.
 

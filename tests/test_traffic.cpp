@@ -374,6 +374,11 @@ TEST(TrafficEngine, RejectsAnOutOfRangeFaultScheduleByName) {
            [](fault::FaultSchedule& f) {
              f.outages.scripted = {{-1, 0.0, 0.001}};
            }},
+          {"faults.outages.scripted[1].reader must be < layout.readers",
+           [](fault::FaultSchedule& f) {
+             // small_config() has two readers.
+             f.outages.scripted = {{1, 0.0, 0.001}, {2, 0.0, 0.001}};
+           }},
           {"faults.brownouts.affected_fraction",
            [](fault::FaultSchedule& f) {
              f.brownouts.affected_fraction = -0.5;
@@ -397,6 +402,7 @@ TEST(TrafficEngine, RejectsAnOutOfRangeFaultScheduleByName) {
   }
   TrafficConfig config = small_config();
   config.faults = fault::FaultSchedule::chaos(1.0);
+  config.faults.outages.scripted = {{0, 0.0, 0.001}, {1, 0.0, 0.001}};
   EXPECT_NO_THROW(TrafficEngine{config});
 }
 
