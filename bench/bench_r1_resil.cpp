@@ -221,11 +221,12 @@ int main(int argc, char** argv) {
     config.epoch_observer =
         [&](int e, const std::vector<deploy::CellEpochResult>& cells,
             const std::vector<std::uint8_t>&) {
+          std::vector<std::uint64_t> discovered(cells.size());
           for (std::size_t c = 0; c < cells.size(); ++c) {
-            monitor.record(
-                c, static_cast<std::uint64_t>(cells[c].tags_discovered));
+            discovered[c] =
+                static_cast<std::uint64_t>(cells[c].tags_discovered);
           }
-          monitor.end_epoch();
+          monitor.end_epoch(discovered);
           for (std::size_t r = 0; r < m; ++r) {
             suspected[static_cast<std::size_t>(e)][r] =
                 monitor.suspected(r) ? 1 : 0;

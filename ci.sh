@@ -16,9 +16,9 @@
 # bench_d1_fleet compare gate), a perfbench smoke stage that builds the
 # repository benchmark and runs its three workloads untraced and traced
 # for one second each (their correctness checks must pass), a TSan pass
-# over the test suite for the health monitor's cross-thread record path,
-# and a docs stage (skipped with a notice when doxygen is absent). Every
-# build runs nproc jobs.
+# over the test suite for the sim::ThreadPool, MetroWorld shard, GridIndex
+# cost-counter and obs counter paths, and a docs stage (skipped with a
+# notice when doxygen is absent). Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -247,11 +247,11 @@ for workload in metro_1m link_sweep fleet_traffic; do
 done
 echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s"
 
-echo "=== TSan build (monitor cross-thread snapshot path) ==="
-# HealthMonitor::record is the one API meant to be hit from parallel
-# workers while the coordinating thread later snapshots in end_epoch();
-# ThreadSanitizer over the suite proves the relaxed-atomic contract and
-# the epoch fan-out it rides in (MetroWorld shards, sim::ThreadPool).
+echo "=== TSan build (thread pool, metro shards, index and obs counters) ==="
+# The code that runs on parallel workers: sim::ThreadPool's fan-out, the
+# MetroWorld service shards and mobility chunks, GridIndex's relaxed-atomic
+# query-cost counters and the obs counters and histograms. ThreadSanitizer
+# over the suite proves their writes are disjoint or atomic.
 build_dir="build-ci-tsan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -14,7 +14,6 @@
 
 #include "src/channel/mobility.hpp"
 #include "src/core/energy.hpp"
-#include "src/mac/event_queue.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 #include "src/reader/reader.hpp"
@@ -55,7 +54,6 @@ int main() {
       {{1.2, 1.0}, {4.2, 1.2}, {4.0, 3.2}, {1.5, 3.0}, {1.2, 1.0}},
       /*speed_m_per_s=*/1.0);
 
-  mac::EventQueue clock;
   const double kStep = 0.5;  // Report every half second.
   const std::size_t steps =
       static_cast<std::size_t>(walk.total_duration_s() / kStep) + 1;
@@ -110,7 +108,6 @@ int main() {
   double bits_delivered = 0.0;
   double time_connected = 0.0;
   for (const WalkStep& step : timeline) {
-    clock.run(step.t_s);
     bits_delivered += step.rate_bps * kStep;
     if (step.rate_bps > 0.0) time_connected += kStep;
     char pos_text[32];

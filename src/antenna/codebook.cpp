@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "src/phys/units.hpp"
 
@@ -25,6 +26,22 @@ std::vector<Beam> uniform_codebook(double sector_min_rad,
     beams.push_back(beam);
   }
   return beams;
+}
+
+std::size_t nearest_beam(const std::vector<Beam>& codebook,
+                         double bearing_rad) {
+  assert(!codebook.empty());
+  std::size_t best = 0;
+  double best_offset = std::numeric_limits<double>::infinity();
+  for (std::size_t b = 0; b < codebook.size(); ++b) {
+    const double offset =
+        std::abs(phys::wrap_angle_rad(codebook[b].boresight_rad - bearing_rad));
+    if (offset < best_offset) {
+      best_offset = offset;
+      best = b;
+    }
+  }
+  return best;
 }
 
 }  // namespace mmtag::antenna

@@ -5,6 +5,7 @@
 // of them in turn (exhaustive linear scanning, as the evaluation does).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace mmtag::antenna {
@@ -20,5 +21,11 @@ struct Beam {
 [[nodiscard]] std::vector<Beam> uniform_codebook(double sector_min_rad,
                                                  double sector_max_rad,
                                                  double beamwidth_deg);
+
+/// Index of the beam whose boresight lies closest (wrapped angle) to
+/// `bearing_rad`; ties go to the lowest index. `codebook` must be
+/// non-empty — uniform_codebook never returns an empty one.
+[[nodiscard]] std::size_t nearest_beam(const std::vector<Beam>& codebook,
+                                       double bearing_rad);
 
 }  // namespace mmtag::antenna

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "src/channel/geometry.hpp"
-#include "src/mac/event_queue.hpp"
+#include "src/mac/polling.hpp"
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/phy/frame.hpp"
-#include "src/phys/units.hpp"
 #include "src/reader/interference.hpp"
 
 namespace mmtag::deploy {
@@ -89,44 +87,76 @@ CellEpochResult ReaderCell::run_epoch(
       if (--sentence->second <= 0) quarantine_.erase(sentence);
       continue;
     }
-    const double bearing = channel::bearing_rad(
-        cache_.reader().pose().position, tag.pose().position);
-    int best = -1;
-    double best_offset = std::numeric_limits<double>::infinity();
-    for (std::size_t b = 0; b < codebook_.size(); ++b) {
-      const double offset = std::abs(
-          phys::wrap_angle_rad(codebook_[b].boresight_rad - bearing));
-      if (offset < best_offset) {
-        best_offset = offset;
-        best = static_cast<int>(b);
-      }
-    }
-    if (best < 0) continue;
-    const reader::LinkReport& link =
-        cache_.link(tag, best, codebook_[static_cast<std::size_t>(best)]
-                                   .boresight_rad);
+    const std::size_t best = antenna::nearest_beam(
+        codebook_, channel::bearing_rad(cache_.reader().pose().position,
+                                        tag.pose().position));
+    const reader::LinkReport& link = cache_.link(
+        tag, static_cast<int>(best), codebook_[best].boresight_rad);
     const double rate = reader::sinr_limited_rate_bps(
         link.received_power_dbm - faults.tag_loss_db[gi],
         plan.interference_dbm, *rates_);
     if (rate <= 0.0) continue;
-    tag_beam[k] = best;
-    beam_members[static_cast<std::size_t>(best)].push_back(k);
-    auto& slowest = beam_rate[static_cast<std::size_t>(best)];
-    slowest = std::min(slowest, rate);
+    tag_beam[k] = static_cast<int>(best);
+    beam_members[best].push_back(k);
+    beam_rate[best] = std::min(beam_rate[best], rate);
   }
 
-  // --- Discovery + polling on the event queue ---------------------------
+  // --- Discovery, then polling, on one airtime clock --------------------
   // Airtime is tracked in "on-air seconds"; under TDM the cell only holds
   // the channel an airtime_share of the wall clock, so an airtime instant t
   // maps to absolute fleet time start_s + t / airtime_share.
   const double frame_bits = 2.0 *  // Manchester.
       static_cast<double>(phy::TagFrame::frame_bits(config_.payload_bits));
   const double poll_bits =
-      frame_bits + 2.0 * static_cast<double>(config_.poll_overhead_bits);
+      frame_bits + 2.0 * static_cast<double>(mac::kPollOverheadBits);
 
-  mac::EventQueue queue;
+  double now = 0.0;
   std::vector<std::size_t> discovered;  // Local ks, in read order.
-  std::size_t beams_scanned = 0;
+
+  // Resume the sector scan at the persistent cursor; empty beams cost
+  // nothing (no tag responds, the reader moves straight on — same
+  // convention as SdmInventory).
+  for (std::size_t beams_scanned = 0; beams_scanned < codebook_.size();) {
+    if (beam_members[scan_cursor_].empty()) {
+      scan_cursor_ = (scan_cursor_ + 1) % codebook_.size();
+      ++beams_scanned;
+      continue;
+    }
+    const std::size_t b = scan_cursor_;
+    std::vector<std::size_t>& members = beam_members[b];
+    const double slot_s = frame_bits / beam_rate[b];
+    const mac::AlohaStats aloha = run_framed_aloha(
+        static_cast<int>(members.size()), config_.aloha, rng);
+    const double dwell_s =
+        config_.beam_switch_overhead_s +
+        static_cast<double>(aloha.slots_total) * slot_s;
+    // Out of airtime mid-scan: the cursor stays on this beam so the next
+    // epoch picks up exactly here instead of starving the sector tail.
+    if (now + dwell_s > budget_s) break;
+    scan_cursor_ = (b + 1) % codebook_.size();
+    ++beams_scanned;
+    // Aloha resolves a uniform-random subset of the contenders; pick it
+    // from the cell's stream so the outcome is reproducible.
+    std::shuffle(members.begin(), members.end(), rng);
+    now += dwell_s;
+    for (int i = 0; i < aloha.tags_read &&
+                    i < static_cast<int>(members.size());
+         ++i) {
+      const std::size_t k = members[static_cast<std::size_t>(i)];
+      TagService& service = result.service[k];
+      service.read = true;
+      service.first_read_s = start_s + now / plan.airtime_share;
+      discovered.push_back(k);
+    }
+  }
+
+  // Serve the discovered tags for the rest of the budget, visiting them
+  // sorted by beam to minimise switches.
+  std::sort(discovered.begin(), discovered.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (tag_beam[a] != tag_beam[b]) return tag_beam[a] < tag_beam[b];
+              return a < b;
+            });
   std::size_t poll_cursor = 0;
   int poll_beam = -1;
   std::bernoulli_distribution poll_success(
@@ -139,8 +169,7 @@ CellEpochResult ReaderCell::run_epoch(
   std::vector<double> retry_at(n, 0.0);
   std::vector<std::uint8_t> benched(n, 0);
 
-  std::function<void()> run_polling = [&] {
-    if (discovered.empty()) return;
+  while (!discovered.empty()) {
     // Round-robin over tags that are eligible now; tags backing off are
     // revisited when their retry timer lands, quarantined tags never.
     std::size_t probes = 0;
@@ -151,7 +180,7 @@ CellEpochResult ReaderCell::run_epoch(
           discovered[(poll_cursor + probes) % discovered.size()];
       ++probes;
       if (benched[cand] != 0) continue;
-      if (retry_at[cand] > queue.now()) {
+      if (retry_at[cand] > now) {
         next_retry = std::min(next_retry, retry_at[cand]);
         continue;
       }
@@ -160,11 +189,10 @@ CellEpochResult ReaderCell::run_epoch(
     }
     if (k == n) {
       // Everyone is waiting out a backoff (or quarantined): idle until
-      // the earliest retry instead of busy-spinning the event queue.
-      if (std::isfinite(next_retry) && next_retry <= budget_s) {
-        queue.schedule(next_retry, run_polling);
-      }
-      return;
+      // the earliest retry, or stop when none lands inside the budget.
+      if (!(std::isfinite(next_retry) && next_retry <= budget_s)) break;
+      now = next_retry;
+      continue;
     }
     poll_cursor += probes;
     const std::size_t gi = tag_indices[k];
@@ -189,7 +217,7 @@ CellEpochResult ReaderCell::run_epoch(
       cost_s += config_.beam_switch_overhead_s;
       poll_beam = tag_beam[k];
     }
-    if (queue.now() + cost_s > budget_s) return;  // Epoch airtime spent.
+    if (now + cost_s > budget_s) break;  // Epoch airtime spent.
     TagService& service = result.service[k];
     ++service.polls;
     if constexpr (obs::kObsEnabled) {
@@ -215,74 +243,15 @@ CellEpochResult ReaderCell::run_epoch(
         ++result.quarantines;
       } else {
         // base * 2^(fails-1), exact in binary.
-        retry_at[k] = queue.now() + cost_s +
+        retry_at[k] = now + cost_s +
                       std::ldexp(recovery_.poll_backoff_base_s, fails - 1);
       }
     }
-    queue.schedule_in(cost_s, run_polling);
-  };
-
-  const auto start_polling = [&] {
-    // Visit discovered tags sorted by beam to minimise switches.
-    std::sort(discovered.begin(), discovered.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (tag_beam[a] != tag_beam[b])
-                  return tag_beam[a] < tag_beam[b];
-                return a < b;
-              });
-    run_polling();
-  };
-
-  std::function<void()> run_discovery = [&] {
-    // Resume the sector scan at the persistent cursor; empty beams cost
-    // nothing (no tag responds, the reader moves straight on — same
-    // convention as SdmInventory).
-    while (beams_scanned < codebook_.size() &&
-           beam_members[scan_cursor_].empty()) {
-      scan_cursor_ = (scan_cursor_ + 1) % codebook_.size();
-      ++beams_scanned;
-    }
-    if (beams_scanned >= codebook_.size()) {
-      start_polling();  // Scan complete: serve tags for the rest.
-      return;
-    }
-    const std::size_t b = scan_cursor_;
-    std::vector<std::size_t>& members = beam_members[b];
-    const double slot_s = frame_bits / beam_rate[b];
-    const mac::AlohaStats aloha = run_framed_aloha(
-        static_cast<int>(members.size()), config_.aloha, rng);
-    const double dwell_s =
-        config_.beam_switch_overhead_s +
-        static_cast<double>(aloha.slots_total) * slot_s;
-    if (queue.now() + dwell_s > budget_s) {
-      // Out of airtime mid-scan: the cursor stays on this beam so the next
-      // epoch picks up exactly here instead of starving the sector tail.
-      start_polling();
-      return;
-    }
-    scan_cursor_ = (b + 1) % codebook_.size();
-    ++beams_scanned;
-    // Aloha resolves a uniform-random subset of the contenders; pick it
-    // from the cell's stream so the outcome is reproducible.
-    std::shuffle(members.begin(), members.end(), rng);
-    const double read_at_s = queue.now() + dwell_s;
-    for (int i = 0; i < aloha.tags_read &&
-                    i < static_cast<int>(members.size());
-         ++i) {
-      const std::size_t k = members[static_cast<std::size_t>(i)];
-      TagService& service = result.service[k];
-      service.read = true;
-      service.first_read_s = start_s + read_at_s / plan.airtime_share;
-      discovered.push_back(k);
-    }
-    queue.schedule_in(dwell_s, run_discovery);
-  };
-
-  queue.schedule(0.0, run_discovery);
-  queue.run();
+    now += cost_s;
+  }
 
   result.tags_discovered = static_cast<int>(discovered.size());
-  result.airtime_s = std::min(queue.now(), budget_s);
+  result.airtime_s = std::min(now, budget_s);
   result.utilization = budget_s > 0.0 ? result.airtime_s / budget_s : 0.0;
   return result;
 }

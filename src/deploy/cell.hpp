@@ -4,7 +4,8 @@
 // the tags currently assigned to it, and a private LinkCache. Each epoch
 // the cell runs the paper's Sec. 9 MAC ladder — SDM beam scan with framed
 // slotted Aloha to *discover* tags, then collision-free polling to serve
-// them — sequenced on a mac::EventQueue for exact dwell timing. The
+// them — as one timeline: a scan loop and then a poll loop advance a
+// single airtime clock by each dwell and each poll's cost. The
 // coordinator's CellPlan scales the cell's airtime share (TDM) and loads
 // its receiver with cross-cell interference, which converts cached link
 // budgets into SINR-limited rates at lookup time (so cached entries stay
@@ -34,8 +35,7 @@ namespace mmtag::deploy {
 
 struct CellConfig {
   mac::AlohaConfig aloha;
-  std::size_t payload_bits = 96;       ///< EPC-96-style identifier.
-  std::size_t poll_overhead_bits = 64; ///< Addressing preamble per poll.
+  std::size_t payload_bits = 96;  ///< EPC-96-style identifier.
   double beam_switch_overhead_s = 100e-6;
   /// Scan sector half-angle about the reader's mounting orientation. A
   /// deployment cell defaults to a full-circle scan (ceiling-mounted

@@ -9,6 +9,17 @@
 
 namespace mmtag::deploy {
 
+namespace {
+
+/// Victim-filter rejection of an adjacent-channel carrier [dB] (E6).
+constexpr double kAdjacentChannelRejectionDb = 30.0;
+/// How far a tag's backscattered response sits below the aggressor
+/// reader's own carrier at the victim [dB]. Tag responses are two-way
+/// budgets; 30 dB is conservative for room-scale cells.
+constexpr double kTagResponseExcessLossDb = 30.0;
+
+}  // namespace
+
 FleetCoordinator::FleetCoordinator(CoordinatorConfig config)
     : config_(config) {
   assert(config_.channels > 0);
@@ -40,13 +51,12 @@ std::vector<CellPlan> FleetCoordinator::plan(
       double carrier_dbm = reader::cross_reader_interference_dbm(
           readers[a], readers[v], env);
       if (plans[a].channel != plans[v].channel) {
-        carrier_dbm -= config_.adjacent_channel_rejection_db;
+        carrier_dbm -= kAdjacentChannelRejectionDb;
       }
       // The aggressor's own tags answer on the aggressor's channel too;
-      // their backscatter arrives tag_response_excess_loss_db below the
+      // their backscatter arrives kTagResponseExcessLossDb below the
       // carrier over (approximately) the same paths.
-      const double tag_echo_dbm =
-          carrier_dbm - config_.tag_response_excess_loss_db;
+      const double tag_echo_dbm = carrier_dbm - kTagResponseExcessLossDb;
       load_w += phys::dbm_to_watts(carrier_dbm) +
                 phys::dbm_to_watts(tag_echo_dbm);
     }

@@ -41,12 +41,6 @@ struct CoordinatorConfig {
   /// Frequency channels available for kChannelized (24 GHz ISM fits a
   /// handful of 200 MHz-tier channels; one 2 GHz-tier channel only).
   int channels = 4;
-  /// Victim-filter rejection of an adjacent-channel carrier [dB] (E6).
-  double adjacent_channel_rejection_db = 30.0;
-  /// How far a tag's backscattered response sits below the aggressor
-  /// reader's own carrier at the victim [dB]. Tag responses are two-way
-  /// budgets; 30 dB is conservative for room-scale cells.
-  double tag_response_excess_loss_db = 30.0;
 };
 
 class FleetCoordinator {

@@ -100,8 +100,9 @@ void FleetConfig::validate() const {
   if (epochs < 1) {
     throw std::invalid_argument("FleetConfig::epochs must be >= 1");
   }
-  if (!(epoch_duration_s > 0.0)) {
-    throw std::invalid_argument("FleetConfig::epoch_duration_s must be > 0");
+  if (!(std::isfinite(epoch_duration_s) && epoch_duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "FleetConfig::epoch_duration_s must be finite and > 0");
   }
   if (!(mobile_fraction >= 0.0 && mobile_fraction <= 1.0)) {
     throw std::invalid_argument(
@@ -366,7 +367,6 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
   report.stuck_tags = engine.stuck_tag_count();
   record_fault_metrics(report, recoveries, config_.epoch_duration_s);
   result.last_epoch = std::move(epoch_results);
-  result.plans = plans;
   result.sweep.points = m * static_cast<std::size_t>(config_.epochs);
   result.sweep.threads = pool.size();
   result.sweep.wall_s = wall_s;

@@ -90,8 +90,6 @@ struct FleetResult {
   std::vector<TagService> service;
   /// Per-cell results of the final epoch (cell order).
   std::vector<CellEpochResult> last_epoch;
-  /// Final-epoch coordination plans (cell order).
-  std::vector<CellPlan> plans;
   /// Wall-clock cost of the run (threads, wall_s; units = tag reads).
   sim::SweepStats sweep;
 };

@@ -12,6 +12,9 @@ namespace mmtag::deploy {
 
 namespace {
 
+/// Roughness of the perimeter walls (see channel::Wall).
+constexpr double kWallRoughness = 0.5;
+
 /// Rows x columns of a near-square grid holding `count` cells over a
 /// `width` x `height` area (more columns along the longer side).
 struct GridShape {
@@ -75,7 +78,7 @@ FleetLayout make_layout(const LayoutConfig& config) {
   for (const auto& [a, b] : {std::pair{c00, c10}, std::pair{c10, c11},
                              std::pair{c11, c01}, std::pair{c01, c00}}) {
     layout.environment.add_wall(
-        channel::Wall{channel::Segment{a, b}, config.wall_roughness});
+        channel::Wall{channel::Segment{a, b}, kWallRoughness});
   }
 
   const channel::Vec2 center{config.width_m / 2.0, config.height_m / 2.0};

@@ -27,8 +27,6 @@ struct LayoutConfig {
   std::uint64_t seed = 1;
   /// Keep-out margin between any entity and the perimeter walls [m].
   double margin_m = 0.5;
-  /// Roughness of the perimeter walls (see channel::Wall).
-  double wall_roughness = 0.5;
 
   /// Throws std::invalid_argument naming the first out-of-range field:
   /// readers >= 1, tags >= 0, margin_m >= 0, and a floor wider and

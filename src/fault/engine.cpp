@@ -22,6 +22,10 @@ constexpr std::uint64_t kStuckStream = 0x7374636Bull;  // "stck"
 constexpr std::uint64_t kBlockStream = 0x626C636Bull;  // "blck"
 constexpr std::uint64_t kDriftStream = 0x64726674ull;  // "drft"
 
+/// What an energy-constrained tag harvests from between read bursts.
+constexpr core::HarvestSource kBrownoutSource =
+    core::HarvestSource::kIndoorLight;
+
 }  // namespace
 
 std::uint64_t fingerprint(const FaultReport& report) {
@@ -59,7 +63,7 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
   tag_energy_constrained_.assign(tags_, 0);
   if (schedule_.brownouts.active()) {
     const core::EnergyHarvester harvester =
-        core::EnergyHarvester::mmtag_with(schedule_.brownouts.source);
+        core::EnergyHarvester::mmtag_with(kBrownoutSource);
     brownout_probability_ = std::clamp(
         1.0 - harvester.duty_cycle(schedule_.brownouts.burst_load_w), 0.0,
         1.0);

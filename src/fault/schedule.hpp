@@ -56,10 +56,9 @@ struct ReaderOutageModel {
 /// Dead-harvester brownouts driven by the existing energy model: an
 /// energy-constrained tag whose storage cap cannot sustain the read-burst
 /// load sits dark while it recharges. The per-epoch brownout probability is
-/// 1 - duty_cycle(burst_load_w) of the prototype harvester on `source`.
+/// 1 - duty_cycle(burst_load_w) of the prototype harvester on indoor light.
 struct BrownoutModel {
   double affected_fraction = 0.0;  ///< Fraction of tags energy-constrained.
-  core::HarvestSource source = core::HarvestSource::kIndoorLight;
   double burst_load_w = 5e-3;      ///< Load the cap must carry per burst.
 
   [[nodiscard]] bool active() const { return affected_fraction > 0.0; }
@@ -141,7 +140,7 @@ struct FaultSchedule {
 
 /// How the stack fights back. Consumed by FleetSimulator, ReaderCell and
 /// the coordinator; all knobs are epoch-granular except the poll-level
-/// retry/backoff, which runs inside a cell's event queue.
+/// retry/backoff, which runs inside a cell's poll loop.
 struct RecoveryConfig {
   /// Hand tags orphaned by a full-epoch reader outage to the nearest live
   /// reader at the next epoch boundary (and back after the restart).

@@ -9,6 +9,9 @@ namespace mmtag::mac {
 
 namespace {
 
+/// EPC Qfp adjustment constant.
+constexpr double kEpcC = 0.5;
+
 int clamp_q(double q) {
   return std::clamp(static_cast<int>(std::round(q)), 0, 15);
 }
@@ -47,7 +50,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
       if (occupants == 0) {
         ++stats.slots_empty;
         if (config.policy == QPolicy::kEpc) {
-          qfp = std::max(0.0, qfp - config.epc_c);
+          qfp = std::max(0.0, qfp - kEpcC);
         }
       } else if (occupants == 1) {
         if (coin(rng) <= config.slot_success_probability) {
@@ -60,7 +63,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
       } else {
         ++stats.slots_collision;
         if (config.policy == QPolicy::kEpc) {
-          qfp = std::min(15.0, qfp + config.epc_c);
+          qfp = std::min(15.0, qfp + kEpcC);
         }
       }
     }

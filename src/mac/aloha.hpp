@@ -22,7 +22,6 @@ enum class QPolicy {
 struct AlohaConfig {
   int initial_q = 4;             ///< Frame size 2^Q slots.
   QPolicy policy = QPolicy::kEpc;
-  double epc_c = 0.5;            ///< EPC Qfp adjustment constant.
   /// Probability a singleton slot's frame survives the link (CRC passes).
   double slot_success_probability = 0.98;
   int max_rounds = 64;           ///< Give up after this many frames.

@@ -7,7 +7,6 @@
 
 #include "src/channel/geometry.hpp"
 #include "src/phy/frame.hpp"
-#include "src/phys/units.hpp"
 
 namespace mmtag::mac {
 
@@ -37,18 +36,9 @@ InventoryResult SdmInventory::run(const std::vector<antenna::Beam>& codebook,
   std::vector<double> beam_rate(codebook.size(),
                                 std::numeric_limits<double>::infinity());
   for (std::size_t t = 0; t < tags.size(); ++t) {
-    const double bearing = channel::bearing_rad(
-        reader_.pose().position, tags[t].pose().position);
-    std::size_t best_beam = 0;
-    double best_offset = std::numeric_limits<double>::infinity();
-    for (std::size_t b = 0; b < codebook.size(); ++b) {
-      const double offset = std::abs(
-          phys::wrap_angle_rad(codebook[b].boresight_rad - bearing));
-      if (offset < best_offset) {
-        best_offset = offset;
-        best_beam = b;
-      }
-    }
+    const std::size_t best_beam = antenna::nearest_beam(
+        codebook, channel::bearing_rad(reader_.pose().position,
+                                       tags[t].pose().position));
     // Check the link through that beam actually works.
     reader_.steer_to_world(codebook[best_beam].boresight_rad);
     const reader::LinkReport link =

@@ -3,8 +3,10 @@
 // Paper Sec. 9, "Supporting Multiple Tags": "a simple technique to support
 // multiple tags is to use Spatial Division Multiplexing (SDM). In this
 // technique, the reader steers its beam and scans the environment. Hence,
-// it can read the tags one by one." Tags that land in the same beam
-// direction contend via framed slotted Aloha (aloha.hpp).
+// it can read the tags one by one." Each tag belongs to the beam whose
+// boresight is nearest its bearing (antenna::nearest_beam, the same
+// assignment the fleet's deploy::ReaderCell makes); tags that land in the
+// same beam contend via framed slotted Aloha (aloha.hpp).
 //
 // Timing model: each beam dwell costs a fixed switching overhead plus the
 // Aloha slots, where a slot carries one tag frame at the data rate the

@@ -59,7 +59,7 @@ PollingResult PollingScheduler::run_round(
       // Manchester doubles the on-air chips, matching SdmInventory.
       const double on_air_bits = 2.0 * static_cast<double>(
           phy::TagFrame::frame_bits(config_.payload_bits) +
-          config_.poll_overhead_bits);
+          kPollOverheadBits);
       record.time_s = on_air_bits / link.achievable_rate_bps;
       // Charge a beam switch when the bearing moved more than ~a degree.
       if (std::abs(bearing - previous_bearing) > phys::deg_to_rad(1.0)) {

@@ -21,9 +21,11 @@
 
 namespace mmtag::mac {
 
+/// Addressing overhead per poll: reader query bits at the tag rate. The
+/// fleet's deploy::ReaderCell charges the same preamble.
+inline constexpr std::size_t kPollOverheadBits = 64;
+
 struct PollingConfig {
-  /// Addressing overhead per poll: reader query bits at the tag rate.
-  std::size_t poll_overhead_bits = 64;
   /// Payload read from each tag per poll [bits].
   std::size_t payload_bits = 96;
   /// Beam switching overhead when the next tag is in a new beam [s].

@@ -11,6 +11,9 @@ namespace mmtag::mesh {
 
 namespace {
 
+/// Per-hop processing + MAC overhead [s] on top of serialization.
+constexpr double kPerHopOverheadS = 20e-6;
+
 void store_le16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v & 0xFF);
   p[1] = static_cast<std::uint8_t>(v >> 8);
@@ -372,7 +375,7 @@ void MeshNetwork::transmit(mac::EventQueue& queue, std::uint32_t id, int from,
   assert(link->from == from && link->to == to);
   const double tx_s =
       static_cast<double>(flight.packet.size()) * 8.0 / link->capacity_bps +
-      config_.per_hop_overhead_s;
+      kPerHopOverheadS;
   const double start_s = std::max(at_s, link_busy_until_s_[index]);
   const double done_s = start_s + tx_s;
   link_busy_until_s_[index] = done_s;

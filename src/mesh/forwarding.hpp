@@ -67,8 +67,6 @@ struct ForwardingConfig {
   RoutingConfig routing;
   /// Initial header TTL (bounds stale-state detour loops).
   int ttl = 16;
-  /// Per-hop processing + MAC overhead [s] on top of serialization.
-  double per_hop_overhead_s = 20e-6;
   /// Consult K-alternates when the primary next hop is dead. Off = the
   /// no-failover baseline: the packet is dropped where the primary dies.
   bool failover = true;

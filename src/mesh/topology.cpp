@@ -10,10 +10,16 @@ namespace mmtag::mesh {
 
 namespace {
 
+/// SNR of a 1 m backhaul link [dB]; falls off 10*n*log10(d).
+constexpr double kSnrAt1mDb = 42.0;
+constexpr double kPathlossExponent = 2.1;
+/// Backhaul channel bandwidth [Hz]; capacity = B * log2(1 + snr).
+constexpr double kBandwidthHz = 100e6;
+
 /// Shannon capacity of one link [bit/s] from its SNR [dB].
-double capacity_bps(double snr_db, double bandwidth_hz) {
+double capacity_bps(double snr_db) {
   const double snr = std::pow(10.0, snr_db / 10.0);
-  return bandwidth_hz * std::log2(1.0 + snr);
+  return kBandwidthHz * std::log2(1.0 + snr);
 }
 
 }  // namespace
@@ -33,25 +39,24 @@ MeshTopology::MeshTopology(const std::vector<core::Pose>& reader_poses,
   if (gateways_.empty()) gateways_.push_back(0);
 
   adjacency_.resize(nodes_);
-  const MeshLinkModel& m = config_.link;
   for (std::size_t i = 0; i < nodes_; ++i) {
     for (std::size_t j = 0; j < nodes_; ++j) {
       if (i == j) continue;
       const double d = channel::distance(reader_poses[i].position,
                                          reader_poses[j].position);
-      if (d > m.max_range_m) continue;
+      if (d > config_.link.max_range_m) continue;
       // Clamp the near field to the 1 m reference so co-located readers
       // do not produce unbounded SNR.
       const double snr_db =
-          m.snr_at_1m_db -
-          10.0 * m.pathloss_exponent * std::log10(std::max(d, 1.0));
-      if (snr_db < m.min_snr_db) continue;
+          kSnrAt1mDb -
+          10.0 * kPathlossExponent * std::log10(std::max(d, 1.0));
+      if (snr_db < kMinLinkSnrDb) continue;
       MeshLink link;
       link.from = static_cast<int>(i);
       link.to = static_cast<int>(j);
       link.distance_m = d;
       link.snr_db = snr_db;
-      link.capacity_bps = capacity_bps(snr_db, m.bandwidth_hz);
+      link.capacity_bps = capacity_bps(snr_db);
       link.cost = kCostRefBits / link.capacity_bps;
       adjacency_[i].push_back(link);  // j ascending: sorted by neighbor id.
       links_.push_back(link);         // (from, to) lexicographic.

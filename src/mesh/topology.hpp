@@ -25,18 +25,14 @@
 
 namespace mmtag::mesh {
 
+/// Links below this SNR [dB] are not formed (no viable MCS).
+inline constexpr double kMinLinkSnrDb = 3.0;
+
 /// Log-distance backhaul link budget: readers are mains-located but the
 /// 24 GHz backhaul radio still has finite reach. Links past `max_range_m`
-/// or below `min_snr_db` do not exist.
+/// or below kMinLinkSnrDb do not exist.
 struct MeshLinkModel {
   double max_range_m = 12.0;
-  /// SNR of a 1 m link [dB]; falls off 10*n*log10(d).
-  double snr_at_1m_db = 42.0;
-  double pathloss_exponent = 2.1;
-  /// Links below this SNR are not formed (no viable MCS).
-  double min_snr_db = 3.0;
-  /// Backhaul channel bandwidth [Hz]; capacity = B * log2(1 + snr).
-  double bandwidth_hz = 100e6;
 };
 
 struct TopologyConfig {

@@ -4,6 +4,13 @@
 
 namespace mmtag::net {
 
+namespace {
+
+/// Transmissions of one frame before the reader gives up on it.
+constexpr int kMaxAttemptsPerFrame = 16;
+
+}  // namespace
+
 ArqStats run_stop_and_wait(int frame_count,
                            double frame_success_probability,
                            const ArqConfig& config, sim::Rng& rng) {
@@ -18,8 +25,7 @@ ArqStats run_stop_and_wait(int frame_count,
     bool delivered = false;
     bool exhausted = false;
     int requery_budget = config.max_requeries_per_frame;
-    for (int attempt = 0; attempt < config.max_attempts_per_frame;
-         ++attempt) {
+    for (int attempt = 0; attempt < kMaxAttemptsPerFrame; ++attempt) {
       if (attempt > 0) {
         // Each retry is preceded by a re-query; a lost one never reached
         // the tag (no replay, no transmission), so it burns the re-query

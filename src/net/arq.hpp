@@ -28,7 +28,6 @@
 namespace mmtag::net {
 
 struct ArqConfig {
-  int max_attempts_per_frame = 16;  ///< Give up on a frame after this many.
   /// Reader->tag re-query corruption probability (the query is short and
   /// strong, but not immune).
   double query_loss_probability = 0.01;

@@ -70,7 +70,7 @@ bool AckRateController::on_ack_round(int delivered, int transmitted) {
     const phy::RateTier& faster = table_->tiers()[tier_ - 1];
     const bool snr_clears =
         power_dbm_ >=
-        table_->required_power_dbm(faster) + params_.snr_margin_db;
+        table_->required_power_dbm(faster) + kUpshiftSnrMarginDb;
     if (snr_clears) {
       if (++dwell_ >= params_.up_dwell_rounds) {
         --tier_;

@@ -19,6 +19,10 @@
 
 namespace mmtag::net {
 
+/// Link margin above the faster tier's power threshold an upshift into it
+/// requires [dB].
+inline constexpr double kUpshiftSnrMarginDb = 3.0;
+
 class AckRateController {
  public:
   struct Params {
@@ -32,9 +36,6 @@ class AckRateController {
     double up_threshold = 0.9;
     /// Consecutive qualifying rounds before the upshift fires.
     int up_dwell_rounds = 3;
-    /// Link margin above the faster tier's power threshold required to
-    /// upshift into it [dB].
-    double snr_margin_db = 3.0;
 
     /// Throws std::invalid_argument naming the first bad field, prefixed
     /// by `owner` (TrafficConfig::validate passes "TrafficConfig::rate.").

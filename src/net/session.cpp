@@ -1,6 +1,5 @@
 #include "src/net/session.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -9,10 +8,16 @@
 
 namespace mmtag::net {
 
+namespace {
+
+/// Frame payload budget, fragment header included [bits].
+constexpr std::size_t kMtuPayloadBits = 256;
+static_assert(kMtuPayloadBits > kFragmentHeaderBits);
+
+}  // namespace
+
 TransferSession::TransferSession(phy::RateTable rates, SessionConfig config)
-    : rates_(std::move(rates)), config_(config) {
-  assert(config_.mtu_payload_bits > kFragmentHeaderBits);
-}
+    : rates_(std::move(rates)), config_(config) {}
 
 TransferSession TransferSession::mmtag_default() {
   return TransferSession(phy::RateTable::mmtag_standard(), SessionConfig{});
@@ -30,12 +35,11 @@ SessionReport TransferSession::analyze(const reader::LinkReport& link,
   report.chip_error_rate = phy::ook_coherent_ber(report.snr_db);
 
   // Fragment bookkeeping: how many frames and how many on-air chips each.
-  const std::size_t chunk_bits =
-      config_.mtu_payload_bits - kFragmentHeaderBits;
+  const std::size_t chunk_bits = kMtuPayloadBits - kFragmentHeaderBits;
   report.frames_per_payload =
       payload_bits == 0 ? 1 : (payload_bits + chunk_bits - 1) / chunk_bits;
   const std::size_t frame_bits =
-      phy::TagFrame::frame_bits(config_.mtu_payload_bits);
+      phy::TagFrame::frame_bits(kMtuPayloadBits);
   const std::size_t chips_per_frame = 2 * frame_bits;  // Manchester.
 
   // A frame survives when every chip does (CRC catches the rest; the tiny

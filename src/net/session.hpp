@@ -25,7 +25,6 @@ inline constexpr std::size_t kFragmentHeaderBits = 24;
 
 /// Frames go on the air Manchester-coded: two chips per frame bit.
 struct SessionConfig {
-  std::size_t mtu_payload_bits = 256;  ///< Frame payload budget (w/ header).
   ArqConfig arq;
 };
 

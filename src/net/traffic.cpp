@@ -124,8 +124,9 @@ void TrafficConfig::validate() const {
     throw std::invalid_argument(
         "TrafficConfig::packets_per_flow must be >= 0");
   }
-  if (!(horizon_s > 0.0)) {
-    throw std::invalid_argument("TrafficConfig::horizon_s must be > 0");
+  if (!(std::isfinite(horizon_s) && horizon_s > 0.0)) {
+    throw std::invalid_argument(
+        "TrafficConfig::horizon_s must be finite and > 0");
   }
   if (pool_packets < 1) {
     throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
@@ -137,9 +138,9 @@ void TrafficConfig::validate() const {
     throw std::invalid_argument(
         "TrafficConfig::discovery_epochs must be >= 0");
   }
-  if (!(epoch_duration_s > 0.0)) {
+  if (!(std::isfinite(epoch_duration_s) && epoch_duration_s > 0.0)) {
     throw std::invalid_argument(
-        "TrafficConfig::epoch_duration_s must be > 0");
+        "TrafficConfig::epoch_duration_s must be finite and > 0");
   }
   rate.validate("TrafficConfig::rate.");
   layout.validate();

@@ -4,9 +4,16 @@
 
 namespace mmtag::phy {
 
+namespace {
+
+/// Extra margin [dB] the power must clear above a tier's threshold before
+/// upgrading into it (downgrades happen at the bare threshold).
+constexpr double kUpHysteresisDb = 3.0;
+
+}  // namespace
+
 RateController::RateController(RateTable table, Params params)
     : table_(std::move(table)), params_(params) {
-  assert(params_.up_hysteresis_db >= 0.0);
   assert(params_.up_dwell_count >= 1);
 }
 
@@ -22,7 +29,7 @@ double RateController::observe_dbm(double received_power_dbm) {
 
   // Upgrade only after the dwell count at threshold + hysteresis.
   const double guarded = table_.achievable_rate_bps(
-      received_power_dbm - params_.up_hysteresis_db);
+      received_power_dbm - kUpHysteresisDb);
   if (guarded > current_rate_bps_) {
     if (++qualifying_streak_ >= params_.up_dwell_count) {
       current_rate_bps_ = guarded;

@@ -14,9 +14,6 @@ namespace mmtag::phy {
 class RateController {
  public:
   struct Params {
-    /// Extra margin [dB] the power must clear above a tier's threshold
-    /// before upgrading into it (downgrades happen at the bare threshold).
-    double up_hysteresis_db = 3.0;
     /// Consecutive qualifying observations required before an upgrade.
     int up_dwell_count = 3;
   };

@@ -15,18 +15,11 @@ namespace mmtag::reader {
 
 class PowerDetector {
  public:
-  struct Params {
-    double bandwidth_hz = 20.0e6;     ///< Resolution bandwidth.
-    int averages = 16;                ///< Trace averaging count.
-    double detection_margin_db = 3.0; ///< Tag-present threshold over floor.
-  };
-
-  PowerDetector(phys::NoiseModel noise, Params params);
-
-  /// The prototype detector: mmTag reader noise model, 20 MHz RBW.
+  /// The prototype detector: mmTag reader noise model, 20 MHz RBW, 16
+  /// trace averages, a 3 dB tag-present margin.
   [[nodiscard]] static PowerDetector mmtag_default();
 
-  /// Noise floor of the current bandwidth [dBm].
+  /// Noise floor of the resolution bandwidth [dBm].
   [[nodiscard]] double noise_floor_dbm() const;
 
   /// One power measurement of a true signal `true_power_dbm`: adds the
@@ -40,12 +33,12 @@ class PowerDetector {
   [[nodiscard]] bool detects_modulation(double reflect_dbm,
                                         double absorb_dbm) const;
 
-  [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] const phys::NoiseModel& noise() const { return noise_; }
 
  private:
+  explicit PowerDetector(phys::NoiseModel noise) : noise_(noise) {}
+
   phys::NoiseModel noise_;
-  Params params_;
 };
 
 }  // namespace mmtag::reader

@@ -6,6 +6,15 @@
 
 namespace mmtag::reader {
 
+namespace {
+
+constexpr double kAlpha = 0.6;  ///< Position-correction gain.
+constexpr double kBeta = 0.2;   ///< Rate-correction gain.
+/// Probe spacing around the prediction [rad] (one beamwidth apart).
+constexpr double kProbeOffsetRad = 0.15;
+
+}  // namespace
+
 BeamTracker::BeamTracker(BeamScanner scanner,
                          std::vector<antenna::Beam> full_codebook,
                          Params params)
@@ -13,8 +22,6 @@ BeamTracker::BeamTracker(BeamScanner scanner,
       full_codebook_(std::move(full_codebook)),
       params_(params) {
   assert(!full_codebook_.empty());
-  assert(params_.alpha > 0.0 && params_.alpha <= 1.0);
-  assert(params_.beta >= 0.0 && params_.beta <= 1.0);
   assert(params_.miss_budget >= 1);
 }
 
@@ -39,9 +46,9 @@ void BeamTracker::update_filter(double t_s, double measured_bearing_rad) {
   const double predicted = predicted_bearing_rad(t_s);
   const double residual =
       phys::wrap_angle_rad(measured_bearing_rad - predicted);
-  bearing_rad_ = phys::wrap_angle_rad(predicted + params_.alpha * residual);
+  bearing_rad_ = phys::wrap_angle_rad(predicted + kAlpha * residual);
   if (dt > 1e-9) {
-    bearing_rate_rad_s_ += params_.beta * residual / dt;
+    bearing_rate_rad_s_ += kBeta * residual / dt;
   }
   last_fix_t_s_ = t_s;
 }
@@ -56,7 +63,7 @@ LinkReport BeamTracker::step(double t_s, const core::MmTag& tag,
     std::optional<LinkReport> best;
     double best_bearing = predicted;
     for (const double offset :
-         {0.0, -params_.probe_offset_rad, params_.probe_offset_rad}) {
+         {0.0, -kProbeOffsetRad, kProbeOffsetRad}) {
       const double bearing = predicted + offset;
       const auto link = probe(bearing, tag, env, rates, rng);
       if (link && (!best ||

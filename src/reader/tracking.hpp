@@ -21,10 +21,6 @@ namespace mmtag::reader {
 class BeamTracker {
  public:
   struct Params {
-    double alpha = 0.6;   ///< Position-correction gain.
-    double beta = 0.2;    ///< Rate-correction gain.
-    /// Probe spacing around the prediction [rad] (one beamwidth apart).
-    double probe_offset_rad = 0.15;
     int miss_budget = 3;  ///< Misses tolerated before re-acquisition.
   };
 

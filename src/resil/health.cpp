@@ -49,27 +49,19 @@ void HealthConfig::validate() const {
 }
 
 HealthMonitor::HealthMonitor(std::size_t entities, HealthConfig config)
-    : config_(config), accum_(entities), state_(entities) {
+    : config_(config), state_(entities) {
   config_.validate();
 }
 
-void HealthMonitor::record(std::size_t entity,
-                           std::uint64_t successes) noexcept {
-  assert(entity < accum_.size());
-  accum_[entity].successes.fetch_add(successes, std::memory_order_relaxed);
-}
-
-void HealthMonitor::end_epoch() {
+void HealthMonitor::end_epoch(std::span<const std::uint64_t> successes) {
+  assert(successes.size() == state_.size());
   ++epochs_;
   suspected_count_ = 0;
   for (std::size_t e = 0; e < state_.size(); ++e) {
-    // Only successes are evidence of health: a report of zero successes
-    // and silence (no report at all) are both misses.
-    const std::uint64_t successes =
-        accum_[e].successes.exchange(0, std::memory_order_relaxed);
+    // Only successes are evidence of health: zero is a miss.
     EntityState& s = state_[e];
 
-    if (successes == 0) {
+    if (successes[e] == 0) {
       // Suspicion accrues against the *pre-miss* healthy model: the
       // clamped EWMA is read first, so a clean-history entity pays the
       // full floor improbability (>= 1.3 decades) on its first miss.

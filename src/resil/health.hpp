@@ -5,12 +5,11 @@
 // successes reported by the data path. It never reads the FaultSchedule —
 // detection is inference, not oracle lookup.
 //
-// Model: an epoch is a *miss* when the entity produced no success (a
-// report of zero successes, or silence — a down reader reports nothing at
-// all). Healthy miss probability is tracked per entity with an
-// EWMA learned only from non-streak evidence (a success epoch, or the
-// first miss after a success) so a long outage cannot poison its own
-// detector. The suspicion level is the phi-accrual statistic
+// Model: an epoch is a *miss* when the entity reports zero successes (a
+// down reader reports zero). Healthy miss probability is tracked per
+// entity with an EWMA learned only from non-streak evidence (a success
+// epoch, or the first miss after a success) so a long outage cannot
+// poison its own detector. The suspicion level is the phi-accrual statistic
 //
 //   phi = miss_streak * -log10(p_miss_healthy)
 //
@@ -20,18 +19,15 @@
 // default threshold (phi >= 1) in one epoch and even a noisy entity
 // crosses within two — the detection-lag gate bench_r1_resil enforces.
 //
-// Threading contract (DESIGN.md Sec. 15): record() is wait-free and may
-// be called from any worker (per-entity relaxed atomics; integer adds
-// commute, so totals are bit-identical for any interleaving). All
-// *stateful* detection — the snapshot, the EWMA update, the phi draw, the
-// serve/probe decision — happens in end_epoch() on the coordinating
-// thread, walking entities in fixed index order. Thread count therefore
-// cannot influence a single suspicion bit.
+// The caller hands over one report per epoch, after its fan-out joined
+// (DESIGN.md Sec. 15): end_epoch() updates the EWMA, the phi draw and the
+// serve/probe decision walking entities in fixed index order, so thread
+// count cannot influence a single suspicion bit.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mmtag::resil {
@@ -65,14 +61,10 @@ class HealthMonitor {
   /// Throws std::invalid_argument when `config` fails validate().
   explicit HealthMonitor(std::size_t entities, HealthConfig config = {});
 
-  /// Report `successes` for `entity` in the current epoch. Wait-free;
-  /// callable from parallel workers while the epoch runs.
-  void record(std::size_t entity, std::uint64_t successes) noexcept;
-
-  /// Snapshot every entity's reported counts, update the suspicion state,
-  /// and zero the accumulators for the next epoch. Coordinating thread
-  /// only, after the fan-out joined; entities are walked in index order.
-  void end_epoch();
+  /// Close an epoch on `successes`, one entry per entity in index order
+  /// (0 = a miss: the entity was silent or got nothing through), and
+  /// update the suspicion state.
+  void end_epoch(std::span<const std::uint64_t> successes);
 
   [[nodiscard]] std::size_t entities() const { return state_.size(); }
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
@@ -105,9 +97,6 @@ class HealthMonitor {
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
-  struct alignas(64) Accumulator {
-    std::atomic<std::uint64_t> successes{0};
-  };
   struct EntityState {
     double ewma_miss = 0.0;   ///< Learned healthy miss probability.
     double phi = 0.0;
@@ -119,7 +108,6 @@ class HealthMonitor {
   };
 
   HealthConfig config_;
-  std::vector<Accumulator> accum_;
   std::vector<EntityState> state_;
   std::size_t suspected_count_ = 0;
   std::uint64_t epochs_ = 0;

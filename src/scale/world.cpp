@@ -54,19 +54,22 @@ void MetroConfig::validate() const {
   require(width_m / index_cell_m < 0x1.0p31 &&
               height_m / index_cell_m < 0x1.0p31,
           "index_cell_m", "> width_m / 2^31 and > height_m / 2^31");
-  require(epoch_duration_s > 0.0, "epoch_duration_s", "> 0");
+  require(std::isfinite(epoch_duration_s) && epoch_duration_s > 0.0,
+          "epoch_duration_s", "finite and > 0");
   require(polls_per_reader >= 0, "polls_per_reader", ">= 0");
   require(poll_success_prob >= 0.0 && poll_success_prob <= 1.0,
           "poll_success_prob", "in [0, 1]");
   require(payload_bits >= 0.0, "payload_bits", ">= 0");
-  require(interference_radius_m >= 0.0, "interference_radius_m", ">= 0");
+  require(std::isfinite(interference_radius_m) && interference_radius_m >= 0.0,
+          "interference_radius_m", "finite and >= 0");
   require(initial_energy_j >= 0.0, "initial_energy_j", ">= 0");
   require(harvest_j_per_epoch >= 0.0, "harvest_j_per_epoch", ">= 0");
   require(respond_cost_j >= 0.0, "respond_cost_j", ">= 0");
   require(energy_cap_j >= 0.0, "energy_cap_j", ">= 0");
   require(move_fraction >= 0.0 && move_fraction <= 1.0, "move_fraction",
           "in [0, 1]");
-  require(speed_mps >= 0.0, "speed_mps", ">= 0");
+  require(std::isfinite(speed_mps) && speed_mps >= 0.0, "speed_mps",
+          "finite and >= 0");
   health.validate();
   domains.validate();
 }
@@ -344,16 +347,16 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   }
 
   // Feed the monitor what a metro coordinator actually observes: each
-  // reader's per-epoch report. A reader whose shard did not run reports
-  // nothing — zero successes — which is the miss evidence suspicion
-  // accrues on. Serial, post-merge, on the coordinating thread;
+  // reader's per-epoch success count. A reader whose shard did not run
+  // reports zero, which is the miss evidence suspicion accrues on.
   // end_epoch() draws the next epoch's serve decisions in fixed reader
   // order.
   if (monitor_) {
+    std::vector<std::uint64_t> successes(results.size());
     for (std::size_t r = 0; r < results.size(); ++r) {
-      monitor_->record(r, results[r].successes);
+      successes[r] = results[r].successes;
     }
-    monitor_->end_epoch();
+    monitor_->end_epoch(successes);
   }
 
   // --- Mobility phase: fixed-size chunks (thread-count independent),

@@ -83,7 +83,7 @@ TEST(MeshTopology, LinkQualityFallsOffWithDistance) {
   EXPECT_GT(near->snr_db, far->snr_db);
   EXPECT_GT(near->capacity_bps, far->capacity_bps);
   EXPECT_LT(near->cost, far->cost);  // Fast links cost less.
-  EXPECT_GT(far->snr_db, config.link.min_snr_db);
+  EXPECT_GT(far->snr_db, kMinLinkSnrDb);
 }
 
 TEST(MeshTopology, OutOfRangeAndSubMinSnrLinksDoNotForm) {

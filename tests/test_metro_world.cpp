@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -402,6 +403,8 @@ TEST(MetroWorld, ControlPlaneEpochsAreThreadCountInvariant) {
 
 // --- Config validation ---------------------------------------------------
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 MetroConfig tiny_config() {
   MetroConfig cfg = small_config();
   cfg.tags = 100;
@@ -487,9 +490,12 @@ TEST(MetroValidate, RejectsANonPositiveIndexCell) {
 }
 
 TEST(MetroValidate, RejectsANonPositiveEpochDuration) {
-  MetroConfig cfg = tiny_config();
-  cfg.epoch_duration_s = 0.0;
-  ExpectRejected(cfg, "MetroConfig::epoch_duration_s");
+  // An infinite epoch stamped first reads at 0 * inf = NaN.
+  for (const double duration : {0.0, kInf}) {
+    MetroConfig cfg = tiny_config();
+    cfg.epoch_duration_s = duration;
+    ExpectRejected(cfg, "MetroConfig::epoch_duration_s");
+  }
 }
 
 TEST(MetroValidate, RejectsNegativePolls) {
@@ -505,9 +511,11 @@ TEST(MetroValidate, RejectsANegativePayload) {
 }
 
 TEST(MetroValidate, RejectsANegativeInterferenceRadius) {
-  MetroConfig cfg = tiny_config();
-  cfg.interference_radius_m = -8.0;
-  ExpectRejected(cfg, "MetroConfig::interference_radius_m");
+  for (const double radius : {-8.0, kInf}) {
+    MetroConfig cfg = tiny_config();
+    cfg.interference_radius_m = radius;
+    ExpectRejected(cfg, "MetroConfig::interference_radius_m");
+  }
 }
 
 TEST(MetroValidate, RejectsNegativeEnergyFields) {
@@ -524,9 +532,11 @@ TEST(MetroValidate, RejectsNegativeEnergyFields) {
 }
 
 TEST(MetroValidate, RejectsANegativeSpeed) {
-  MetroConfig cfg = tiny_config();
-  cfg.speed_mps = -1.5;
-  ExpectRejected(cfg, "MetroConfig::speed_mps");
+  for (const double speed : {-1.5, kInf}) {
+    MetroConfig cfg = tiny_config();
+    cfg.speed_mps = speed;
+    ExpectRejected(cfg, "MetroConfig::speed_mps");
+  }
 }
 
 TEST(MetroValidate, RejectsAPollSuccessProbabilityOutsideTheUnitInterval) {

@@ -98,6 +98,29 @@ TEST(PinnedDigests, D2ChaosDefault) {
   EXPECT_EQ(fault::fingerprint(result.fault), 0xa24610cf85949ddaull);
 }
 
+TEST(PinnedDigests, FleetIdleRetryAndTruncatedScan) {
+  // A reduced fleet that reaches the ReaderCell exits no bench default
+  // does. Every tag sits in a blockage burst (90% of its polls go
+  // unanswered), so a cell idles until the earliest retry (36 times) or
+  // stops with every tag backing off past its budget or quarantined (14);
+  // partial reader outages shrink some budgets below the scan, which stops
+  // mid-sector (3 times) and resumes at the cursor in a later epoch.
+  deploy::FleetConfig config = d1_headline(4, 24, 6);
+  config.epoch_duration_s = 0.02;
+  config.faults.blockage.enter_rate_hz = 1e6;
+  config.faults.blockage.mean_burst_s = 1.0;
+  config.faults.blockage.block_probability = 0.9;
+  config.faults.outages.rate_hz = 30.0;
+  config.faults.outages.mean_duration_s = 0.01;
+  for (const int threads : {1, 4}) {
+    config.threads = threads;
+    const deploy::FleetResult result = deploy::FleetSimulator(config).run();
+    EXPECT_EQ(result.fault.quarantines, 48);
+    EXPECT_EQ(deploy::fingerprint(result.stats), 0x7383ba9cc7a7a2b5ull);
+    EXPECT_EQ(fault::fingerprint(result.fault), 0x8ac35c889e3d9508ull);
+  }
+}
+
 // bench_n1_traffic's traffic_config.
 net::TrafficConfig n1_config() {
   net::TrafficConfig config;

@@ -72,7 +72,7 @@ TEST(Polling, PerTagTimeMatchesRate) {
   const double on_air_bits =
       2.0 * static_cast<double>(
                 phy::TagFrame::frame_bits(config.payload_bits) +
-                config.poll_overhead_bits);
+                kPollOverheadBits);
   EXPECT_NEAR(record.time_s, on_air_bits / record.rate_bps, 1e-12);
 }
 

@@ -75,7 +75,7 @@ TEST(AckRateController, UpshiftNeedsDwellAndLinkMargin) {
   const phy::RateTier& faster = table.tiers()[slowest - 1];
   AckRateController strong(
       &table, params,
-      table.required_power_dbm(faster) + params.snr_margin_db + 1.0);
+      table.required_power_dbm(faster) + kUpshiftSnrMarginDb + 1.0);
   ASSERT_LT(strong.tier_index(), slowest);
   while (strong.tier_index() < slowest) strong.on_ack_round(0, 8);
   EXPECT_FALSE(strong.on_ack_round(8, 8));
@@ -262,6 +262,20 @@ TEST(TrafficEngine, SeedMovesTheReport) {
   EXPECT_NE(fingerprint(a), fingerprint(b));
 }
 
+/// Expects construction to throw std::invalid_argument naming `field`.
+void expect_rejected(const TrafficConfig& config, const std::string& field) {
+  try {
+    const TrafficEngine engine(config);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(TrafficEngine, RejectsNegativeFlowCount) {
   TrafficConfig config = small_config();
   config.flows = -1;
@@ -278,6 +292,10 @@ TEST(TrafficEngine, RejectsANonPositiveHorizonAndAnEmptyPool) {
   TrafficConfig config = small_config();
   config.horizon_s = 0.0;
   EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
+  // An infinite horizon hung a chaos run: its blockage bursts were drawn
+  // until t reached the horizon.
+  config.horizon_s = kInf;
+  expect_rejected(config, "TrafficConfig::horizon_s");
   config = small_config();
   config.pool_packets = 0;
   EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
@@ -299,19 +317,6 @@ TEST(TrafficEngine, RejectsAnInvalidLayout) {
   config.layout.tags = -5;
   EXPECT_THROW(TrafficEngine{config}, std::invalid_argument);
 }
-
-/// Expects construction to throw std::invalid_argument naming `field`.
-void expect_rejected(const TrafficConfig& config, const std::string& field) {
-  try {
-    const TrafficEngine engine(config);
-    ADD_FAILURE() << "accepted an invalid " << field;
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-        << e.what();
-  }
-}
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(TrafficEngine, RejectsAHistoryAlphaOutsideTheUnitInterval) {
   for (const double alpha : {0.0, -0.25, 1.5, kNaN}) {
@@ -346,7 +351,7 @@ TEST(TrafficEngine, RejectsNegativeDiscoveryEpochs) {
 }
 
 TEST(TrafficEngine, RejectsANonPositiveEpochDuration) {
-  for (const double duration : {0.0, -0.05, kNaN}) {
+  for (const double duration : {0.0, -0.05, kNaN, kInf}) {
     TrafficConfig config = small_config();
     config.epoch_duration_s = duration;
     expect_rejected(config, "epoch_duration_s");
