@@ -15,7 +15,8 @@
 # and impairment benches under the sanitizers, plus a full-size
 # bench_d1_fleet compare gate), a perfbench smoke stage that builds the
 # repository benchmark and runs its three workloads untraced and traced
-# for one second each (their correctness checks must pass), a TSan pass
+# for one second each (their correctness checks must pass and their gate
+# digests must equal the pinned seed-1 digests), a TSan pass
 # over the test suite for the sim::ThreadPool, MetroWorld shard, GridIndex
 # cost-counter and obs counter paths, and a docs stage (skipped with a
 # notice when doxygen is absent). Every build runs nproc jobs.
@@ -235,17 +236,33 @@ echo "=== perfbench smoke (every workload, untraced and traced) ==="
 # phase replay against the epoch it precedes. A run exits 1 on a failed
 # check and 2 on a build or result error; either fails the stage. Each
 # run's report, whose last line is the JSON result, goes to bench-out/.
+# Every digest on a report's `gate` lines must also equal the workload's
+# pinned seed-1 digest below, so a change that moves a workload's state
+# fails here even when it agrees with itself; a deliberate re-pin edits
+# the constant and says why in CHANGES.md.
 perf_start=$(date +%s)
-for workload in metro_1m link_sweep fleet_traffic; do
+while read -r workload digest; do
   for trace in 0 1; do
     echo "--- perfbench ${workload} --trace ${trace} ---"
     report="${out_dir}/perfbench_${workload}_trace${trace}.txt"
     python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
-      --trace "${trace}" > "${report}"
+      --trace "${trace}" < /dev/null > "${report}"
     grep '^checks:' "${report}"
+    gate_digests=$(grep '^gate ' "${report}" | grep -o '0x[0-9a-f]\{16\}' |
+      sort -u)
+    if [ "${gate_digests}" != "${digest}" ]; then
+      echo "FAIL: ${workload} --trace ${trace} gate digests" \
+        "${gate_digests:-none} differ from the pinned ${digest}" >&2
+      exit 1
+    fi
   done
-done
-echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s"
+done <<EOF
+metro_1m 0x48a6278c2ee4f8ca
+link_sweep 0xcd4ded129f636c2f
+fleet_traffic 0x10d0732b8280be15
+EOF
+echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s," \
+  "gate digests pinned"
 
 echo "=== TSan build (thread pool, metro shards, index and obs counters) ==="
 # The code that runs on parallel workers: sim::ThreadPool's fan-out, the
@@ -272,4 +289,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs), TSan, docs ==="
+echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="

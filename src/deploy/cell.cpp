@@ -143,9 +143,7 @@ CellEpochResult ReaderCell::run_epoch(
                     i < static_cast<int>(members.size());
          ++i) {
       const std::size_t k = members[static_cast<std::size_t>(i)];
-      TagService& service = result.service[k];
-      service.read = true;
-      service.first_read_s = start_s + now / plan.airtime_share;
+      result.service[k].first_read_s = start_s + now / plan.airtime_share;
       discovered.push_back(k);
     }
   }

@@ -108,8 +108,9 @@ void FleetConfig::validate() const {
     throw std::invalid_argument(
         "FleetConfig::mobile_fraction must be in [0, 1]");
   }
-  if (!(mobile_speed_mps >= 0.0)) {
-    throw std::invalid_argument("FleetConfig::mobile_speed_mps must be >= 0");
+  if (!(std::isfinite(mobile_speed_mps) && mobile_speed_mps >= 0.0)) {
+    throw std::invalid_argument(
+        "FleetConfig::mobile_speed_mps must be finite and >= 0");
   }
   if (coordination.channels < 1) {
     throw std::invalid_argument(
@@ -267,11 +268,8 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
         TagService& merged = result.service[rosters[c][k]];
         merged.delivered_bits += seen.delivered_bits;
         merged.polls += seen.polls;
-        if (seen.read) {
-          merged.read = true;
-          merged.first_read_s = std::min(merged.first_read_s,
-                                         seen.first_read_s);
-        }
+        merged.first_read_s =
+            std::min(merged.first_read_s, seen.first_read_s);
       }
       utilization_sum += cell.airtime_s / config_.epoch_duration_s;
       reads_total += static_cast<std::uint64_t>(cell.tags_discovered);
@@ -332,7 +330,7 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
     tags_read_metric().add(reads_total);
     handoffs_metric().add(static_cast<std::uint64_t>(handoffs));
     for (const TagService& tag : result.service) {
-      if (tag.read) {
+      if (tag.read()) {
         first_read_us_metric().record(
             static_cast<std::uint64_t>(tag.first_read_s * 1e6));
       }

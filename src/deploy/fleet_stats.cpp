@@ -30,7 +30,7 @@ FleetStats summarize_service(const std::vector<TagService>& service,
     const double goodput =
         duration_s > 0.0 ? tag.delivered_bits / duration_s : 0.0;
     stats.goodput_total_bps += goodput;
-    if (!tag.read) continue;
+    if (!tag.read()) continue;
     ++stats.tags_read;
     latencies.push_back(tag.first_read_s);
     read_goodput_sum += goodput;

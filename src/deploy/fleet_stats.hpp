@@ -8,6 +8,7 @@
 // underlying per-cell results.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -19,11 +20,14 @@ namespace mmtag::deploy {
 /// One tag's service over a whole fleet run, merged across epochs.
 struct TagService {
   std::uint32_t tag_id = 0;
-  bool read = false;
-  /// Absolute fleet time of the first successful inventory read [s].
+  /// Absolute fleet time of the first successful inventory read [s];
+  /// +inf while the tag has never been read.
   double first_read_s = std::numeric_limits<double>::infinity();
   double delivered_bits = 0.0;
   long polls = 0;
+
+  /// True once the tag has been read (its first-read time is finite).
+  [[nodiscard]] bool read() const { return std::isfinite(first_read_s); }
 };
 
 /// Aggregated fleet observables.

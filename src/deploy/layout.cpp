@@ -54,13 +54,13 @@ void LayoutConfig::validate() const {
   if (!(margin_m >= 0.0)) {
     throw std::invalid_argument("LayoutConfig::margin_m must be >= 0");
   }
-  if (!(width_m > 2.0 * margin_m)) {
+  if (!(std::isfinite(width_m) && width_m > 2.0 * margin_m)) {
     throw std::invalid_argument(
-        "LayoutConfig::width_m must be > 2 * margin_m");
+        "LayoutConfig::width_m must be finite and > 2 * margin_m");
   }
-  if (!(height_m > 2.0 * margin_m)) {
+  if (!(std::isfinite(height_m) && height_m > 2.0 * margin_m)) {
     throw std::invalid_argument(
-        "LayoutConfig::height_m must be > 2 * margin_m");
+        "LayoutConfig::height_m must be finite and > 2 * margin_m");
   }
 }
 

@@ -29,8 +29,8 @@ struct LayoutConfig {
   double margin_m = 0.5;
 
   /// Throws std::invalid_argument naming the first out-of-range field:
-  /// readers >= 1, tags >= 0, margin_m >= 0, and a floor wider and
-  /// deeper than the two margins.
+  /// readers >= 1, tags >= 0, margin_m >= 0, and a finite floor wider
+  /// and deeper than the two margins.
   void validate() const;
 };
 

@@ -5,31 +5,20 @@
 namespace mmtag::impair {
 namespace {
 
-// Per-stage application counters. Only enabled stages record, so bypass
-// runs leave the obs export bit-identical to the legacy chain.
-void record_stage(const ImpairmentStage& stage, std::size_t samples) {
+// Applies one stage the chain has found enabled and counts it. Each stage
+// type has its own applies counter, registered on that stage's first
+// application (and never with obs compiled out), so bypass runs leave the
+// obs export bit-identical to the legacy chain.
+template <typename Stage>
+void apply_counted(const Stage& stage, const char* applies_name,
+                   phy::Waveform& samples, std::uint64_t seed) {
+  stage.apply(samples, seed);
   if constexpr (obs::kObsEnabled) {
     auto& registry = obs::Registry::instance();
-    if (stage.name() == "pa") {
-      static obs::Counter& applies = registry.counter("impair.stage.pa.applies");
-      applies.add();
-    } else if (stage.name() == "phase_noise") {
-      static obs::Counter& applies =
-          registry.counter("impair.stage.phase_noise.applies");
-      applies.add();
-    } else if (stage.name() == "iq") {
-      static obs::Counter& applies = registry.counter("impair.stage.iq.applies");
-      applies.add();
-    } else {
-      static obs::Counter& applies =
-          registry.counter("impair.stage.adc.applies");
-      applies.add();
-    }
+    static obs::Counter& applies = registry.counter(applies_name);
     static obs::Counter& total = registry.counter("impair.stage.samples");
-    total.add(static_cast<std::uint64_t>(samples));
-  } else {
-    (void)stage;
-    (void)samples;
+    applies.add();
+    total.add(static_cast<std::uint64_t>(samples.size()));
   }
 }
 
@@ -52,8 +41,7 @@ void ImpairmentChain::apply_tx(phy::Waveform& samples,
   if (!config_.pa.enabled || samples.empty()) {
     return;
   }
-  pa_.apply(samples, seed);
-  record_stage(pa_, samples.size());
+  apply_counted(pa_, "impair.stage.pa.applies", samples, seed);
   static obs::Counter& calls =
       obs::Registry::instance().counter("impair.apply.tx");
   calls.add();
@@ -66,18 +54,16 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
   }
   bool any = false;
   if (config_.phase_noise.enabled) {
-    phase_noise_.apply(samples, seed);
-    record_stage(phase_noise_, samples.size());
+    apply_counted(phase_noise_, "impair.stage.phase_noise.applies", samples,
+                  seed);
     any = true;
   }
   if (config_.iq.enabled) {
-    iq_.apply(samples, seed);
-    record_stage(iq_, samples.size());
+    apply_counted(iq_, "impair.stage.iq.applies", samples, seed);
     any = true;
   }
   if (config_.adc.enabled) {
-    adc_.apply(samples, seed);
-    record_stage(adc_, samples.size());
+    apply_counted(adc_, "impair.stage.adc.applies", samples, seed);
     any = true;
   }
   if (any) {
@@ -85,10 +71,6 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
         obs::Registry::instance().counter("impair.apply.rx");
     calls.add();
   }
-}
-
-std::array<const ImpairmentStage*, 4> ImpairmentChain::stages() const {
-  return {&pa_, &phase_noise_, &iq_, &adc_};
 }
 
 double ImpairmentChain::evm_squared_total() const {

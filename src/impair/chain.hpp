@@ -6,15 +6,16 @@
 //   TX side:  PA nonlinearity                    (before channel noise)
 //   RX side:  phase noise -> IQ imbalance -> ADC (after channel noise)
 //
-// Disabled stages are skipped without drawing RNG values or touching
-// obs, so a fully-disabled chain (bypass) leaves the waveform, every
-// RNG stream, and every metric bit-identical to the legacy code path.
-// Each stage derives its own RNG stream from the caller's
-// per-(epoch, entity) seed via its fixed ordinal, so results are
-// bit-identical for any thread count and any stage on/off combination.
+// The chain is the one place a stage's `enabled` bit decides whether it
+// runs: disabled stages are skipped without drawing RNG values or
+// touching obs, so a fully-disabled chain (bypass) leaves the waveform,
+// every RNG stream, and every metric bit-identical to the legacy code
+// path. Each stage derives its own RNG stream from the caller's
+// per-(epoch, entity) seed via its fixed ordinal (stages.hpp), so
+// results are bit-identical for any thread count and any stage on/off
+// combination.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "src/impair/config.hpp"
@@ -30,9 +31,6 @@ class ImpairmentChain {
   /// Throws std::invalid_argument when `config` fails validate().
   explicit ImpairmentChain(const ImpairmentConfig& config);
 
-  /// The configuration the chain was built from.
-  [[nodiscard]] const ImpairmentConfig& config() const { return config_; }
-
   /// True when any stage is enabled; false means bypass.
   [[nodiscard]] bool enabled() const { return config_.any_enabled(); }
 
@@ -43,10 +41,6 @@ class ImpairmentChain {
   /// Apply the enabled receive-side stages (phase noise, IQ, ADC) in
   /// their fixed order, in place.
   void apply_rx(phy::Waveform& samples, std::uint64_t seed) const;
-
-  /// Stage views in fixed pipeline order (PA, phase noise, IQ, ADC),
-  /// present regardless of enablement.
-  [[nodiscard]] std::array<const ImpairmentStage*, 4> stages() const;
 
   /// Sum of evm_squared() over the *enabled* stages — the joint
   /// small-signal distortion power against a unit-power signal.

@@ -14,6 +14,11 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 constexpr double kDegToRad = kPi / 180.0;
 
+// Stream ordinals of the stochastic stages (PA = 0 and IQ = 2 draw
+// nothing).
+constexpr std::uint64_t kPhaseNoiseStream = 1;
+constexpr std::uint64_t kAdcStream = 3;
+
 [[nodiscard]] double db_to_linear_power(double db) {
   return std::pow(10.0, db / 10.0);
 }
@@ -26,7 +31,7 @@ constexpr double kDegToRad = kPi / 180.0;
 
 // --- PaStage ---------------------------------------------------------------
 
-PaStage::PaStage(const PaParams& params) : params_(params) {
+PaStage::PaStage(const PaParams& params) {
   // A unit-power waveform backed off by `backoff_db` sees
   // Asat^2 = 10^(backoff/10), so the kernel's 1/Asat^2 is the inverse.
   inv_sat2_ = 1.0 / db_to_linear_power(params.backoff_db);
@@ -60,17 +65,13 @@ double PaStage::phase_at(double amplitude) const {
 
 void PaStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
   (void)seed;  // Deterministic stage.
-  if (!params_.enabled || samples.empty()) {
-    return;
-  }
   kern::dispatch().pa_rapp(samples.data(), samples.size(), inv_sat2_, k_pm_,
                            b_pm_);
 }
 
 // --- PhaseNoiseStage -------------------------------------------------------
 
-PhaseNoiseStage::PhaseNoiseStage(const PhaseNoiseParams& params)
-    : params_(params) {
+PhaseNoiseStage::PhaseNoiseStage(const PhaseNoiseParams& params) {
   // Wiener increment variance per sample: 2 pi * linewidth * Ts.
   if (params.linewidth_hz > 0.0 && params.sample_rate_hz > 0.0) {
     wiener_sigma_ =
@@ -88,12 +89,9 @@ PhaseNoiseStage::PhaseNoiseStage(const PhaseNoiseParams& params)
 
 void PhaseNoiseStage::apply(phy::Waveform& samples,
                             std::uint64_t seed) const {
-  if (!params_.enabled || samples.empty()) {
-    return;
-  }
   // Coefficient generation is scalar (cos/sin are not exactly-rounded
   // and never enter kernels); the Hadamard product is kernel-exact.
-  sim::Rng rng(sim::derive_seed(seed, stream_ordinal()));
+  sim::Rng rng(sim::derive_seed(seed, kPhaseNoiseStream));
   std::vector<phy::Complex> coeff(samples.size());
   double phi = 0.0;
   // One unit pair per sample in fixed order (walk increment, white floor)
@@ -111,8 +109,7 @@ void PhaseNoiseStage::apply(phy::Waveform& samples,
 
 // --- IqImbalanceStage ------------------------------------------------------
 
-IqImbalanceStage::IqImbalanceStage(const IqImbalanceParams& params)
-    : params_(params) {
+IqImbalanceStage::IqImbalanceStage(const IqImbalanceParams& params) {
   const double g = db_to_linear_amplitude(params.gain_mismatch_db);
   const double phi = params.phase_mismatch_deg * kDegToRad;
   const double c = std::cos(phi);
@@ -130,15 +127,13 @@ IqImbalanceStage::IqImbalanceStage(const IqImbalanceParams& params)
 void IqImbalanceStage::apply(phy::Waveform& samples,
                              std::uint64_t seed) const {
   (void)seed;  // Deterministic stage.
-  if (!params_.enabled || samples.empty()) {
-    return;
-  }
   kern::dispatch().iq_imbalance(samples.data(), mu_, nu_, samples.size());
 }
 
 // --- AdcStage --------------------------------------------------------------
 
-AdcStage::AdcStage(const AdcParams& params) : params_(params) {
+AdcStage::AdcStage(const AdcParams& params)
+    : full_scale_(params.full_scale) {
   const double levels =
       std::pow(2.0, static_cast<double>(params.bits > 0 ? params.bits : 1));
   step_ = 2.0 * params.full_scale / levels;
@@ -156,11 +151,8 @@ AdcStage::AdcStage(const AdcParams& params) : params_(params) {
 }
 
 void AdcStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
-  if (!params_.enabled || samples.empty()) {
-    return;
-  }
   if (jitter_sigma_ > 0.0) {
-    sim::Rng rng(sim::derive_seed(seed, stream_ordinal()));
+    sim::Rng rng(sim::derive_seed(seed, kAdcStream));
     // Fixed draw order: one unit pair per sample, I rail then Q rail.
     phy::for_each_normal_pair(
         rng, 0.0, 1.0, samples.size(),
@@ -172,7 +164,7 @@ void AdcStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
         });
   }
   kern::dispatch().adc_quantize(samples.data(), samples.size(),
-                                params_.full_scale, step_, inv_step_);
+                                full_scale_, step_, inv_step_);
 }
 
 }  // namespace mmtag::impair

@@ -1,33 +1,50 @@
-// Concrete impairment stages (DESIGN.md Sec. 16, docs/IMPAIRMENTS.md).
+// The four impairment stages (DESIGN.md Sec. 16, docs/IMPAIRMENTS.md).
 //
+// A stage mutates a complex-baseband waveform in place; apply() always
+// applies. Whether a stage runs at all is ImpairmentChain's decision,
+// made from the stage's `enabled` bit, so a stage never consults it.
 // Each stage precomputes its derived constants in the constructor (the
 // only place transcendentals like tan/exp10 run for the deterministic
-// stages) and applies the per-sample math through kern::dispatch()
-// kernels, so enabled runs are bit-identical across SIMD backends.
-// A disabled stage's apply() is a guaranteed no-op: no RNG draws, no
-// sample writes.
+// stages). The contracts that make a pipeline of stages deterministic:
+//
+//   * Fixed stream ordinals. Every stage owns a fixed ordinal (PA = 0,
+//     phase noise = 1, IQ = 2, ADC = 3), and a stochastic stage draws
+//     randomness only from sim::Rng(sim::derive_seed(seed, ordinal)), in
+//     phy::normal_pairs pairs. Toggling a stage on or off therefore
+//     never shifts another stage's stream.
+//   * Seed-pure application. apply() is const and uses no state other
+//     than the ctor parameters and the passed seed, so the same
+//     (waveform, seed) pair always yields the same bits regardless of
+//     thread, call order, or how many other entities were processed.
+//     Deterministic stages ignore the seed.
+//   * Kernel-exact arithmetic. The per-sample inner loops run through
+//     kern::dispatch() kernels restricted to exactly-rounded IEEE ops;
+//     transcendental evaluation (cos/sin for phase-noise coefficients)
+//     happens in scalar stage code outside the kernels. Output is
+//     bit-identical across the scalar and AVX2 backends.
+//
+// evm_squared() is a stage's small-signal error-vector-magnitude-squared
+// contribution against a unit-power signal (linear power ratio); it
+// feeds the per-stage loss decomposition in src/impair/loss.hpp.
 #pragma once
 
 #include <cstdint>
 
 #include "src/impair/config.hpp"
-#include "src/impair/stage.hpp"
+#include "src/phy/waveform.hpp"
 
 namespace mmtag::impair {
 
 /// Rapp AM/AM (p = 2) + rational AM/PM power-amplifier stage.
 /// Transmit side, stream ordinal 0, deterministic.
-class PaStage final : public ImpairmentStage {
+class PaStage {
  public:
   /// Precomputes 1/Asat^2 from the backoff and the AM/PM curve
   /// coefficients from the rotation-at-saturation spec.
   explicit PaStage(const PaParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "pa"; }
-  [[nodiscard]] bool tx_side() const override { return true; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 0; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Compressive gain g(A) of the Rapp curve at amplitude `amplitude`
   /// (reference helper for tests; the kernel computes the same bits).
@@ -36,7 +53,6 @@ class PaStage final : public ImpairmentStage {
   [[nodiscard]] double phase_at(double amplitude) const;
 
  private:
-  PaParams params_;
   double inv_sat2_ = 0.0;     ///< 1 / Asat^2 for a unit-power input.
   double k_pm_ = 0.0;         ///< AM/PM tangent-half-angle numerator gain.
   double b_pm_ = 0.0;         ///< AM/PM denominator bend (= 1/Asat^2).
@@ -47,44 +63,30 @@ class PaStage final : public ImpairmentStage {
 /// stochastic: coefficients cos/sin(phi_n) are generated in scalar code
 /// from the stage's derived stream, then applied with the exact
 /// mul_complex kernel.
-class PhaseNoiseStage final : public ImpairmentStage {
+class PhaseNoiseStage {
  public:
   /// Precomputes the per-sample Wiener increment sigma and the white
   /// floor sigma from the linewidth and sample rate.
   explicit PhaseNoiseStage(const PhaseNoiseParams& params);
 
-  [[nodiscard]] std::string_view name() const override {
-    return "phase_noise";
-  }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 1; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
-
-  /// Wiener increment standard deviation per sample [radians].
-  [[nodiscard]] double wiener_sigma() const { return wiener_sigma_; }
-  /// White phase floor standard deviation [radians].
-  [[nodiscard]] double white_sigma() const { return white_sigma_; }
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
  private:
-  PhaseNoiseParams params_;
-  double wiener_sigma_ = 0.0;
-  double white_sigma_ = 0.0;
+  double wiener_sigma_ = 0.0;  ///< Wiener increment sigma per sample [rad].
+  double white_sigma_ = 0.0;   ///< White phase floor sigma [rad].
   double evm_squared_ = 0.0;
 };
 
 /// Receive IQ-imbalance stage y = mu x + nu conj(x). Receive side,
 /// stream ordinal 2, deterministic.
-class IqImbalanceStage final : public ImpairmentStage {
+class IqImbalanceStage {
  public:
   /// Precomputes mu and nu from the gain/phase mismatch.
   explicit IqImbalanceStage(const IqImbalanceParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "iq"; }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 2; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Direct-path coefficient mu.
   [[nodiscard]] phy::Complex mu() const { return mu_; }
@@ -92,7 +94,6 @@ class IqImbalanceStage final : public ImpairmentStage {
   [[nodiscard]] phy::Complex nu() const { return nu_; }
 
  private:
-  IqImbalanceParams params_;
   phy::Complex mu_{1.0, 0.0};
   phy::Complex nu_{0.0, 0.0};
   double evm_squared_ = 0.0;
@@ -100,28 +101,23 @@ class IqImbalanceStage final : public ImpairmentStage {
 
 /// ADC mid-tread quantization + aperture-jitter stage. Receive side,
 /// stream ordinal 3; stochastic only when jitter_ps_rms > 0.
-class AdcStage final : public ImpairmentStage {
+class AdcStage {
  public:
   /// Precomputes the quantizer step from bits/full-scale and the
   /// jitter-noise sigma from the slew-rate model.
   explicit AdcStage(const AdcParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "adc"; }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 3; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Quantizer step per I/Q rail.
   [[nodiscard]] double step() const { return step_; }
-  /// Aperture-jitter noise standard deviation per rail.
-  [[nodiscard]] double jitter_sigma() const { return jitter_sigma_; }
 
  private:
-  AdcParams params_;
+  double full_scale_ = 0.0;
   double step_ = 0.0;
   double inv_step_ = 0.0;
-  double jitter_sigma_ = 0.0;
+  double jitter_sigma_ = 0.0;  ///< Aperture-jitter noise sigma per rail.
   double evm_squared_ = 0.0;
 };
 

@@ -80,7 +80,6 @@ int LinkStateProtocol::converge(const std::vector<std::uint8_t>& live) {
     }
     if (changed) ++rounds;
   }
-  last_rounds_ = rounds;
   return rounds;
 }
 

@@ -52,8 +52,6 @@ class LinkStateProtocol {
   [[nodiscard]] std::uint64_t lsa_transmissions() const {
     return lsa_transmissions_;
   }
-  /// Rounds the most recent converge() took.
-  [[nodiscard]] int last_rounds() const { return last_rounds_; }
 
   /// `node`'s view of `origin`'s advertisement.
   [[nodiscard]] const Lsa& database(int node, int origin) const {
@@ -78,7 +76,6 @@ class LinkStateProtocol {
   std::vector<std::vector<Lsa>> db_;
   std::vector<std::uint8_t> was_live_;
   int epoch_ = 0;
-  int last_rounds_ = 0;
   std::uint64_t lsa_transmissions_ = 0;
 };
 

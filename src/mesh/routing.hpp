@@ -30,9 +30,6 @@ struct Route {
   double cost = 0.0;      ///< Sum of link costs along hops.
 
   [[nodiscard]] bool valid() const { return hops.size() >= 2; }
-  [[nodiscard]] std::size_t hop_count() const {
-    return hops.empty() ? 0 : hops.size() - 1;
-  }
 };
 
 /// Total order on routes: (cost, hop count, lexicographic node sequence).

@@ -59,7 +59,6 @@ class AckRateController {
   [[nodiscard]] std::size_t tier_index() const { return tier_; }
   [[nodiscard]] const phy::RateTier& tier() const;
   [[nodiscard]] double rate_bps() const { return tier().bit_rate_bps; }
-  [[nodiscard]] double delivery_ewma() const { return ewma_; }
   [[nodiscard]] int switch_count() const { return switches_; }
   [[nodiscard]] const Params& params() const { return params_; }
 

@@ -205,7 +205,7 @@ TrafficReport TrafficEngine::run() {
         deploy::FleetSimulator(fleet_config).run(std::move(layout));
     report.discovery_coverage = discovery.stats.coverage();
     for (std::size_t t = 0; t < n; ++t) {
-      eligible_mask[t] = discovery.service[t].read ? 1 : 0;
+      eligible_mask[t] = discovery.service[t].read() ? 1 : 0;
     }
   }
   std::vector<std::size_t> eligible;
@@ -321,6 +321,11 @@ TrafficReport TrafficEngine::run() {
         SrArqSession session(arq_config, timing_for(controller.tier()));
         flow.arq = session.run(config_.packets_per_flow, channel, rng,
                                &buffers, adapt);
+        // Conservation (checked in Debug and sanitizer builds): a flow
+        // delivers no more than it offers, and every buffer it took is
+        // back in the pool.
+        assert(flow.arq.packets_delivered <= flow.arq.packets_offered);
+        assert(buffers.in_use() == 0);
         flow.final_rate_bps = controller.rate_bps();
         flow.rate_switches = controller.switch_count();
         flow.goodput_bps =

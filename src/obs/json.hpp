@@ -48,14 +48,11 @@ class JsonValue {
   }
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
 
-  [[nodiscard]] bool as_bool() const { return bool_; }
   [[nodiscard]] double as_double() const { return number_; }
   [[nodiscard]] const std::string& as_string() const { return string_; }
   [[nodiscard]] const Array& items() const { return array_; }

@@ -31,7 +31,6 @@ class OokModulator {
   [[nodiscard]] Waveform modulate(const BitVector& bits) const;
 
   [[nodiscard]] int samples_per_symbol() const { return samples_per_symbol_; }
-  [[nodiscard]] double residual_amplitude() const { return residual_; }
 
  private:
   int samples_per_symbol_;

@@ -45,9 +45,6 @@ class MmWaveReader {
   /// Steer both horns (they move together) to world bearing `world_rad`.
   void steer_to_world(double world_rad);
 
-  /// Current beam boresight (world frame).
-  [[nodiscard]] double beam_world_rad() const { return beam_world_rad_; }
-
   /// TX/RX gain toward world bearing `world_rad` with the current steering
   /// [dBi]. TX and RX horns are identical and co-steered.
   [[nodiscard]] double gain_dbi(double world_rad) const;

@@ -71,17 +71,6 @@ ReceiveResult ReceiveChain::receive(
   return result;
 }
 
-ReceiveResult ReceiveChain::receive_impaired(
-    std::span<const phy::Complex> samples, const impair::ImpairmentChain& chain,
-    std::uint64_t seed) const {
-  if (!chain.enabled()) {
-    return receive(samples);
-  }
-  phy::Waveform impaired(samples.begin(), samples.end());
-  chain.apply_rx(impaired, seed);
-  return receive(impaired);
-}
-
 phy::Waveform ReceiveChain::encode(const phy::TagFrame& frame,
                                    double modulation_depth_db) const {
   phy::BitVector bits = frame.serialize();

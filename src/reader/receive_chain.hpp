@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/impair/chain.hpp"
 #include "src/phy/frame.hpp"
 #include "src/phy/line_code.hpp"
 #include "src/phy/ook.hpp"
@@ -38,14 +37,6 @@ class ReceiveChain {
   /// Assumes the frame starts at sample 0 (slot-aligned MAC).
   [[nodiscard]] ReceiveResult receive(
       std::span<const phy::Complex> samples) const;
-
-  /// receive() with front-end realism: applies `chain`'s receive-side
-  /// impairment stages (phase noise, IQ imbalance, ADC) to a private
-  /// copy of `samples` under the per-frame `seed`, then runs the normal
-  /// pipeline. A bypass chain copies nothing and is exactly receive().
-  [[nodiscard]] ReceiveResult receive_impaired(
-      std::span<const phy::Complex> samples,
-      const impair::ImpairmentChain& chain, std::uint64_t seed) const;
 
   /// The matching transmit-side encoding for tests/examples: frame ->
   /// (optional Manchester) -> OOK samples.

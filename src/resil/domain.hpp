@@ -32,9 +32,6 @@ struct OutageDomain {
   [[nodiscard]] bool covers_epoch(std::uint64_t epoch) const {
     return epoch >= start_epoch && epoch < end_epoch;
   }
-  [[nodiscard]] bool covers_reader(int gx, int gy) const {
-    return gx >= x0 && gx <= x1 && gy >= y0 && gy <= y1;
-  }
 };
 
 struct DomainSchedule {

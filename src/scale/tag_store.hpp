@@ -3,10 +3,12 @@
 // deploy's fleet path stores tags as a vector of core::MmTag objects —
 // fine at 2000 tags, hostile at a million: every hot scan (mobility,
 // nearest-reader queries, service aggregation) walks 100+-byte objects to
-// touch two doubles. TagStore transposes the population into parallel
-// contiguous columns (pose, energy, MAC/session state), so the scale
-// layer's epoch batcher can hand slabs of x/y straight to the kern SIMD
-// kernels and MetroWorld's service accounting streams over columns.
+// touch two doubles. TagStore transposes the population into six parallel
+// contiguous columns (x, y, energy, first read, delivered bits, polls;
+// 48 bytes per tag), so MetroWorld's service pass and mobility chunks and
+// EpochBatcher's kern slabs stream over only the columns they touch. A
+// tag has been read exactly when its first-read time is finite; no
+// separate flag repeats that.
 //
 // The population is dense and append-only: the t-th create() returns
 // slot t, and a slot keeps its tag for the store's lifetime, so
@@ -30,9 +32,8 @@ class TagStore {
   void reserve(std::size_t tags);
 
   /// Append a tag; returns its slot (the number of tags created before
-  /// it). Service state starts zeroed.
-  TagSlot create(double x, double y, double orientation_rad,
-                 double energy_j = 0.0);
+  /// it). Service state starts zeroed, with an infinite first read.
+  TagSlot create(double x, double y, double energy_j = 0.0);
 
   /// Tags created (every slot in [0, size()) holds one).
   [[nodiscard]] std::size_t size() const { return x_.size(); }
@@ -40,9 +41,6 @@ class TagStore {
   // --- Pose columns -----------------------------------------------------
   [[nodiscard]] const double* xs() const { return x_.data(); }
   [[nodiscard]] const double* ys() const { return y_.data(); }
-  [[nodiscard]] const double* orientations() const {
-    return orientation_.data();
-  }
   void set_position(TagSlot slot, double x, double y) {
     x_[slot] = x;
     y_[slot] = y;
@@ -53,10 +51,7 @@ class TagStore {
   [[nodiscard]] double* energies() { return energy_.data(); }
 
   // --- MAC/session columns (one writer per slot at a time) --------------
-  [[nodiscard]] const std::uint8_t* read_flags() const {
-    return read_.data();
-  }
-  [[nodiscard]] std::uint8_t* read_flags() { return read_.data(); }
+  /// Time of the tag's first successful poll [s]; +inf until then.
   [[nodiscard]] const double* first_read_s() const {
     return first_read_s_.data();
   }
@@ -71,9 +66,7 @@ class TagStore {
  private:
   std::vector<double> x_;
   std::vector<double> y_;
-  std::vector<double> orientation_;
   std::vector<double> energy_;
-  std::vector<std::uint8_t> read_;
   std::vector<double> first_read_s_;
   std::vector<double> delivered_bits_;
   std::vector<long> polls_;

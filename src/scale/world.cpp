@@ -109,8 +109,8 @@ MetroWorld::MetroWorld(const MetroConfig& config)
                                          phy::RateTable::mmtag_standard())),
       reader_dx_(config.width_m / config.readers_x),
       reader_dy_(config.height_m / config.readers_y) {
-  detect_range_m_ = std::sqrt(model_.detect_r2_m2);
-  gather_radius_m_ = std::max(detect_range_m_, config.interference_radius_m);
+  gather_radius_m_ = std::max(std::sqrt(model_.detect_r2_m2),
+                              config.interference_radius_m);
   poll_base_ = sim::derive_seed(config.seed, 0x706F6C6CULL);  // "poll"
   move_base_ = sim::derive_seed(config.seed, 0x6D6F7665ULL);  // "move"
   const std::uint64_t init_base =
@@ -123,9 +123,7 @@ MetroWorld::MetroWorld(const MetroConfig& config)
         static_cast<double>(bits & 0xFFFFFFFFULL) * 0x1.0p-32 * config.width_m;
     const double y =
         static_cast<double>(bits >> 32) * 0x1.0p-32 * config.height_m;
-    const double orient =
-        unit_double(sim::derive_seed(bits, 1)) * 6.283185307179586;
-    const TagSlot slot = store_.create(x, y, orient, config.initial_energy_j);
+    const TagSlot slot = store_.create(x, y, config.initial_energy_j);
     index_.insert(slot, x, y);
   }
   if (config.control_plane) {
@@ -248,7 +246,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     out.candidates = cands.size();
 
     double* energy = store_.energies();
-    std::uint8_t* read = store_.read_flags();
     double* first_read = store_.first_read_s();
     double* delivered = store_.delivered_bits();
     long* polls = store_.polls();
@@ -321,8 +318,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
             config_.payload_bits * (model_.rate_for_d2(d2) / base_rate);
         delivered[slot] += bits;
         out.delivered_bits += bits;
-        if (read[slot] == 0) {
-          read[slot] = 1;
+        if (std::isinf(first_read[slot])) {  // Never read before.
           first_read[slot] = t_now;
           ++out.new_reads;
         }
@@ -457,7 +453,7 @@ MetroStats MetroWorld::stats() const {
   s.moved = moved_total_;
   s.handoffs = handoffs_total_;
   for (std::size_t i = 0; i < s.tags; ++i) {
-    s.tags_read += store_.read_flags()[i];
+    s.tags_read += std::isfinite(store_.first_read_s()[i]) ? 1 : 0;
     s.delivered_bits += store_.delivered_bits()[i];
     s.energy_j += store_.energies()[i];
   }
@@ -467,15 +463,24 @@ MetroStats MetroWorld::stats() const {
 std::uint64_t MetroWorld::state_fingerprint() const {
   obs::Fnv1a h;
   const std::size_t n = store_.size();
+  const std::uint64_t init_base =
+      sim::derive_seed(config_.seed, 0x696E6974ULL);  // "init"
   h.mix_u64(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Every slot holds a live tag; the 1 keeps the pinned digests' bytes.
     h.mix_u64(1);
     h.mix_double(store_.xs()[i]);
     h.mix_double(store_.ys()[i]);
-    h.mix_double(store_.orientations()[i]);
+    // Nothing reads a tag orientation, so the store keeps none; the pinned
+    // digests mix the angle each tag's init stream gives, re-derived here
+    // so they keep their bytes until a deliberate re-pin drops it.
+    h.mix_double(
+        unit_double(sim::derive_seed(sim::derive_seed(init_base, i), 1)) *
+        6.283185307179586);
     h.mix_double(store_.energies()[i]);
-    h.mix_u64(store_.read_flags()[i]);
+    // The digests' read bit: a tag has been read exactly when its
+    // first-read time is finite.
+    h.mix_u64(std::isfinite(store_.first_read_s()[i]) ? 1 : 0);
     h.mix_double(store_.first_read_s()[i]);
     h.mix_double(store_.delivered_bits()[i]);
     h.mix_u64(static_cast<std::uint64_t>(store_.polls()[i]));

@@ -21,10 +21,12 @@
 // skips a tag outside both the beam and the contention radius, harvests
 // every owned detected tag and lists those that can answer; only the
 // lowest `polls_per_reader` listed slots are sorted and polled, so the
-// poll sequence is a function of the candidate set. Mobility chunks
-// sieve their movers before stepping them, and the epoch's cell changes
-// reach the index as one parallel GridIndex::rebucket batch. DESIGN.md
-// Sec. 14 argues why each step leaves every output bit-identical.
+// poll sequence is a function of the candidate set. A tag's first
+// successful poll stamps its first-read time; a finite time is the only
+// record that it has been read. Mobility chunks sieve their movers
+// before stepping them, and the epoch's cell changes reach the index as
+// one parallel GridIndex::rebucket batch. DESIGN.md Sec. 14 argues why
+// each step leaves every output bit-identical.
 //
 // The same epoch can also run with the index disabled (`use_index =
 // false`): the query path degrades to a linear scan over every slot but
@@ -157,8 +159,11 @@ class MetroWorld {
   /// Cumulative aggregates including a fresh scan of the store columns.
   [[nodiscard]] MetroStats stats() const;
 
-  /// Digest of the full per-tag state (pose, energy, every MAC/session
-  /// column) — the strongest equality check between two runs.
+  /// Digest of the full per-tag state (position, energy, every MAC/session
+  /// column) — the strongest equality check between two runs. To keep the
+  /// pinned digests' bytes it also mixes two values the store does not
+  /// keep: each tag's init-stream orientation, re-derived from the seed,
+  /// and its read bit, isfinite(first_read_s).
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
   [[nodiscard]] const TagStore& store() const { return store_; }
@@ -200,7 +205,6 @@ class MetroWorld {
   BatchLinkModel model_;
   double reader_dx_ = 0.0;  ///< Reader grid spacing, width_m / readers_x.
   double reader_dy_ = 0.0;  ///< height_m / readers_y.
-  double detect_range_m_ = 0.0;
   double gather_radius_m_ = 0.0;
   std::uint64_t poll_base_ = 0;
   std::uint64_t move_base_ = 0;

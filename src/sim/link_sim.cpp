@@ -124,10 +124,11 @@ FerMeasurement MonteCarloLink::run_fer(double snr_db, int frames,
                   phy::noise_power_for_snr(signal_power, snr_db) *
                       params_.samples_per_symbol,
                   rng);
+    if (chain_.enabled()) {
+      chain_.apply_rx(wave, frame_seed);
+    }
 
-    const reader::ReceiveResult result =
-        chain_.enabled() ? chain.receive_impaired(wave, chain_, frame_seed)
-                         : chain.receive(wave);
+    const reader::ReceiveResult result = chain.receive(wave);
     if (!result.frame.has_value() || !(*result.frame == frame)) ++failures;
   }
   return FerMeasurement{frames, failures};

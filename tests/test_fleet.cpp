@@ -341,7 +341,7 @@ TEST_F(CellRetryTest, QuarantinedTagSitsOutItsSentenceThenIsPolledAgain) {
   for (int e = 1; e <= recovery_.quarantine_epochs; ++e) {
     const CellEpochResult benched = run(cell, e, blocked(0.0));
     EXPECT_EQ(benched.tags_discovered, 0) << "epoch " << e;
-    EXPECT_FALSE(benched.service[0].read) << "epoch " << e;
+    EXPECT_FALSE(benched.service[0].read()) << "epoch " << e;
     EXPECT_EQ(benched.service[0].polls, 0) << "epoch " << e;
   }
   const CellEpochResult back =
@@ -428,6 +428,12 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
            [](FleetConfig& c) { c.layout.height_m = 0.5 * c.layout.margin_m; }},
           {"LayoutConfig::height_m",
            [](FleetConfig& c) { c.layout.height_m = kNan; }},
+          // An infinite floor drew tag positions from
+          // uniform_real_distribution(margin, inf).
+          {"LayoutConfig::width_m",
+           [](FleetConfig& c) { c.layout.width_m = kInf; }},
+          {"LayoutConfig::height_m",
+           [](FleetConfig& c) { c.layout.height_m = kInf; }},
           {"FleetConfig::epochs", [](FleetConfig& c) { c.epochs = 0; }},
           {"FleetConfig::epoch_duration_s",
            [](FleetConfig& c) { c.epoch_duration_s = 0.0; }},
@@ -449,6 +455,9 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
            [](FleetConfig& c) { c.mobile_speed_mps = -1.0; }},
           {"FleetConfig::mobile_speed_mps",
            [](FleetConfig& c) { c.mobile_speed_mps = kNan; }},
+          // An infinite speed clamped every mover onto a wall each epoch.
+          {"FleetConfig::mobile_speed_mps",
+           [](FleetConfig& c) { c.mobile_speed_mps = kInf; }},
           {"FleetConfig::coordination.channels",
            [](FleetConfig& c) {
              c.coordination.policy = CoordinationPolicy::kChannelized;

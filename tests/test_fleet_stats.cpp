@@ -69,13 +69,14 @@ TEST(JainFairness, ScaleInvariant) {
 
 TEST(SummarizeService, CountsReadsAndLatencies) {
   std::vector<TagService> service(3);
-  service[0].read = true;
   service[0].first_read_s = 0.010;
   service[0].delivered_bits = 960.0;
-  service[1].read = true;
   service[1].first_read_s = 0.030;
   service[1].delivered_bits = 480.0;
-  service[2].read = false;  // Never read, no goodput.
+  // service[2]: never read (first_read_s stays +inf), no goodput.
+  EXPECT_TRUE(service[0].read());
+  EXPECT_TRUE(service[1].read());
+  EXPECT_FALSE(service[2].read());
 
   const FleetStats stats = summarize_service(service, 1.0);
   EXPECT_EQ(stats.tags_total, 3);
@@ -91,7 +92,6 @@ TEST(SummarizeService, CountsReadsAndLatencies) {
 
 TEST(Fingerprint, SensitiveToAnyObservable) {
   std::vector<TagService> service(2);
-  service[0].read = true;
   service[0].first_read_s = 0.01;
   const FleetStats a = summarize_service(service, 1.0);
 
@@ -159,7 +159,6 @@ TEST(SummarizeService, ColumnOverloadPinnedDigest) {
   std::vector<TagService> service(n);
   for (std::size_t t = 0; t < n; ++t) {
     if (t % 4 == 3) continue;
-    service[t].read = true;
     service[t].first_read_s = 0.25 + 0.125 * static_cast<double>(t);
     service[t].delivered_bits = 64.0 * static_cast<double>(t + 1);
   }
@@ -181,7 +180,6 @@ TEST(SummarizeService, ColumnOverloadEmptyAndUnreadCases) {
 
 TEST(FleetStatsTable, RendersOneRow) {
   std::vector<TagService> service(1);
-  service[0].read = true;
   service[0].first_read_s = 0.5;
   const FleetStats stats = summarize_service(service, 1.0);
   const sim::Table table = fleet_stats_table(stats);

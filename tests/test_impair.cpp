@@ -16,9 +16,7 @@
 
 #include "src/impair/loss.hpp"
 #include "src/kern/kern.hpp"
-#include "src/phy/frame.hpp"
 #include "src/phys/link_budget.hpp"
-#include "src/reader/receive_chain.hpp"
 #include "src/sim/link_sim.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
@@ -79,23 +77,6 @@ TEST(ImpairBypass, ChainLeavesWaveformUntouched) {
   EXPECT_EQ(chain.evm_squared_total(), 0.0);
 }
 
-TEST(ImpairBypass, ReceiveImpairedEqualsReceive) {
-  const reader::ReceiveChain rx(reader::ReceiveChain::Params{8, true});
-  phy::TagFrame frame;
-  frame.tag_id = 7;
-  frame.payload = {1, 0, 1, 1, 0, 0, 1, 0};
-  const phy::Waveform wave = rx.encode(frame);
-
-  const ImpairmentChain bypass(ImpairmentConfig::off());
-  const auto plain = rx.receive(wave);
-  const auto impaired = rx.receive_impaired(wave, bypass, 42);
-  ASSERT_TRUE(plain.frame.has_value());
-  ASSERT_TRUE(impaired.frame.has_value());
-  EXPECT_TRUE(*plain.frame == *impaired.frame);
-  EXPECT_EQ(plain.crc_ok, impaired.crc_ok);
-  EXPECT_EQ(plain.demodulated_bits, impaired.demodulated_bits);
-}
-
 TEST(ImpairStages, ChainAppliesRxStagesInFixedOrder) {
   ImpairmentConfig config = ImpairmentConfig::cmos_24ghz();
   const ImpairmentChain chain(config);
@@ -150,18 +131,6 @@ TEST(ImpairStages, StreamsAreSeedPureAndPerStage) {
   chain.apply_rx(behind_iq, 555);
   // ...so any difference could only come from a shifted ADC stream.
   EXPECT_EQ(alone, behind_iq);
-}
-
-TEST(ImpairStages, DisabledStageIsANoOp) {
-  const phy::Waveform base = test_wave(64, 21);
-  PaParams pa_off;  // enabled = false
-  const PaStage pa(pa_off);
-  AdcParams adc_off;
-  const AdcStage adc(adc_off);
-  phy::Waveform wave = base;
-  pa.apply(wave, 1);
-  adc.apply(wave, 1);
-  EXPECT_EQ(wave, base);
 }
 
 TEST(ImpairStages, PaCompressesAndRotates) {

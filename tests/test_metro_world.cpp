@@ -74,7 +74,7 @@ TEST(EpochBatcher, SlabResultsMatchScalarReference) {
   for (int i = 0; i < 64; ++i) {
     const double x = 0.3 * i;
     const double y = 0.1 * i - 2.0;
-    slots.push_back(store.create(x, y, 0.0));
+    slots.push_back(store.create(x, y));
     ASSERT_EQ(store.xs()[slots.back()], x);
     ASSERT_EQ(store.ys()[slots.back()], y);
   }
@@ -149,6 +149,24 @@ TEST(MetroWorld, ServesTagsAndDutyCyclesEnergy) {
     EXPECT_GE(world.store().energies()[i], 0.0);
     EXPECT_LE(world.store().energies()[i], cfg.energy_cap_j);
   }
+
+  // Read-once rule: over four more epochs a tag counts as newly read only
+  // on its first success, so the new reads, the tags read to date and the
+  // finite first-read times all agree, and a tag never polled was never
+  // read.
+  std::uint64_t new_reads = first.new_reads;
+  for (int e = 0; e < 4; ++e) new_reads += world.run_epoch(pool).new_reads;
+  const TagStore& store = world.store();
+  std::uint64_t finite_first_reads = 0;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    if (std::isfinite(store.first_read_s()[i])) ++finite_first_reads;
+    if (store.polls()[i] == 0) {
+      EXPECT_TRUE(std::isinf(store.first_read_s()[i])) << "slot " << i;
+    }
+  }
+  EXPECT_GT(new_reads, first.new_reads);
+  EXPECT_EQ(new_reads, world.stats().tags_read);
+  EXPECT_EQ(new_reads, finite_first_reads);
 }
 
 TEST(MetroWorld, RespondCostGatesSecondPoll) {
