@@ -2,14 +2,14 @@
 //
 // The deploy fleet tops out around 10^4 tags (per-object layout, O(tags)
 // queries). This bench exercises the scale layer (SoA TagStore + uniform
-// grid + SIMD epoch batching, DESIGN.md Sec. 14) three orders of
+// grid + squared-distance link model, DESIGN.md Sec. 14) three orders of
 // magnitude further and verifies its engineering claims:
 //   1. determinism under sharding — a full epoch sweep over the default
 //      1M-tag world produces bit-identical state fingerprints (every
 //      per-tag byte hashed) at {1, 4, hw} threads, hard failure on
 //      mismatch;
 //   2. the spatial index pays — at 100k tags the indexed query path hands
-//      the batcher >= 10x fewer candidates than a linear scan, for
+//      the service shards >= 10x fewer candidates than a linear scan, for
 //      bit-identical simulation state (both hard-checked);
 //   3. scaling shape — a tag sweep 2k -> 100k -> 1M quotes wall time and
 //      per-epoch query cost so EXPERIMENTS.md can track the O(cell
@@ -148,27 +148,34 @@ int main(int argc, char** argv) {
     scale::MetroWorld linear(linear_cfg);
     sim::ThreadPool pool(parser.options().threads);
 
+    std::uint64_t indexed_cands = 0;
+    std::uint64_t indexed_cells = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int e = 0; e < epochs; ++e) (void)indexed.run_epoch(pool);
+    for (int e = 0; e < epochs; ++e) {
+      const scale::MetroEpochStats stats = indexed.run_epoch(pool);
+      indexed_cands += stats.candidates;
+      indexed_cells += stats.cells_visited;
+    }
     const double indexed_s = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
+    std::uint64_t linear_cands = 0;
     const auto t1 = std::chrono::steady_clock::now();
-    for (int e = 0; e < epochs; ++e) (void)linear.run_epoch(pool);
+    for (int e = 0; e < epochs; ++e) {
+      linear_cands += linear.run_epoch(pool).candidates;
+    }
     const double linear_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t1)
                                 .count();
 
     const std::uint64_t fp_indexed = indexed.state_fingerprint();
     const std::uint64_t fp_linear = linear.state_fingerprint();
-    const std::uint64_t indexed_cands = indexed.index().cost().candidates;
-    const std::uint64_t linear_cands = linear.linear_candidates();
 
     margin_table = sim::Table(margin_headers);
     margin_table.add_row(
         {"indexed", std::to_string(indexed_cands),
-         std::to_string(indexed.index().cost().cells_visited),
-         sim::Table::fmt(indexed_s, 3), bench::hex64(fp_indexed)});
+         std::to_string(indexed_cells), sim::Table::fmt(indexed_s, 3),
+         bench::hex64(fp_indexed)});
     margin_table.add_row({"linear", std::to_string(linear_cands), "-",
                           sim::Table::fmt(linear_s, 3),
                           bench::hex64(fp_linear)});
@@ -210,8 +217,11 @@ int main(int argc, char** argv) {
     sim::ThreadPool pool(parser.options().threads);
     for (const std::size_t n : sweep_sizes) {
       scale::MetroWorld world(metro_config(n, grid, seed));
+      std::uint64_t cands = 0;
       const auto t0 = std::chrono::steady_clock::now();
-      for (int e = 0; e < epochs; ++e) (void)world.run_epoch(pool);
+      for (int e = 0; e < epochs; ++e) {
+        cands += world.run_epoch(pool).candidates;
+      }
       const double wall_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
@@ -220,8 +230,7 @@ int main(int argc, char** argv) {
       sweep_table.add_row(
           {std::to_string(n), sim::Table::fmt(wall_s, 3),
            sim::Table::fmt(wall_s > 0.0 ? te / wall_s : 0.0, 0),
-           std::to_string(world.index().cost().candidates /
-                          static_cast<std::uint64_t>(epochs)),
+           std::to_string(cands / static_cast<std::uint64_t>(epochs)),
            std::to_string(stats.detected), std::to_string(stats.tags_read),
            sim::Table::fmt(stats.delivered_bits / 1e6, 2),
            std::to_string(stats.interference_pairs)});

@@ -1,25 +1,26 @@
 #!/usr/bin/env sh
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
-# total and dependency-edge table match the tree and that src/ names no
-# engine but sim::Rng and no std::normal_distribution in phy or impair,
-# that every src/*/*.hpp has a user outside tests and its own .cpp, tier-1
-# verify in Release (whose ctest count must equal the total README.md states)
-# and Debug with warnings as errors (test suite run twice: forced-scalar and
-# auto SIMD dispatch), a Release -Werror build with MMTAG_OBS=OFF that runs
-# the pinned digests, the traffic suite and the metric tests, the
-# kernel-backend determinism gate (which must compare scalar with AVX2 on
-# an AVX2 host), an ASan+UBSan pass over the test suite (UBSan with
-# float-cast-overflow, which GCC's -fsanitize=undefined leaves out), a
-# bench-smoke stage whose one table-driven loop writes and self-compares
-# nine BENCH_*.json reports (the fault, net, backhaul, metro, control-plane
-# and impairment benches under the sanitizers, plus a full-size
-# bench_d1_fleet compare gate), a perfbench smoke stage that builds the
-# repository benchmark and runs its three workloads untraced and traced
-# for one second each (their correctness checks must pass and their gate
-# digests must equal the pinned seed-1 digests), a TSan pass
-# over the test suite for the sim::ThreadPool, MetroWorld shard, GridIndex
-# cost-counter and obs counter paths, and a docs stage (skipped with a
-# notice when doxygen is absent). Every build runs nproc jobs.
+# total, dependency-edge table and kern table size match the tree, that
+# src/ names no engine but sim::Rng and no std::normal_distribution in phy
+# or impair, that every src/*/*.hpp has a user outside tests and its own
+# .cpp, tier-1 verify in Release (whose ctest count must equal the total
+# README.md states) and Debug with warnings as errors (test suite run
+# twice: forced-scalar and auto SIMD dispatch), a Release -Werror build
+# with MMTAG_OBS=OFF that runs the pinned digests, the traffic suite and
+# the metric tests, the kernel-backend determinism gate (which must
+# compare scalar with AVX2 on an AVX2 host), an ASan+UBSan pass over the
+# test suite (UBSan with float-cast-overflow, which GCC's
+# -fsanitize=undefined leaves out), a bench-smoke stage whose one
+# table-driven loop writes and self-compares nine BENCH_*.json reports
+# (the fault, net, backhaul, metro, control-plane and impairment benches
+# under the sanitizers, plus a full-size bench_d1_fleet compare gate), a
+# perfbench smoke stage that builds the repository benchmark and runs its
+# three workloads untraced and traced for one second each (their
+# correctness checks must pass and their gate digests must equal the
+# pinned seed-1 digests), a TSan pass over the test suite for the
+# sim::ThreadPool, MetroWorld shard, GridIndex rebucket and obs counter
+# paths, and a docs stage (skipped with a notice when doxygen is absent).
+# Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -76,6 +77,20 @@ if [ "${derived}" != "${documented}" ]; then
   exit 1
 fi
 echo "dependency edges OK: $(echo "${derived}" | wc -l) pairs"
+
+echo "=== Kernel table size (docs/ARCHITECTURE.md) ==="
+# docs/ARCHITECTURE.md states how many function pointers kern::Kernels
+# holds; kern.hpp declares each as a `(*name)(` member, so the two cannot
+# drift apart.
+listed=$(grep -c '(\*[a-z0-9_]*)(' src/kern/kern.hpp || true)
+stated=$(sed -n 's/.* \([0-9][0-9]*\) function pointers.*/\1/p' \
+  docs/ARCHITECTURE.md)
+if [ "${listed}" != "${stated}" ]; then
+  echo "FAIL: src/kern/kern.hpp declares ${listed} kernels," \
+    "docs/ARCHITECTURE.md says ${stated:-nothing}" >&2
+  exit 1
+fi
+echo "kernel table size OK: ${listed}"
 
 echo "=== One engine in the library ==="
 # sim::Rng is the library's engine (std::mt19937_64 appears only in its
@@ -264,11 +279,12 @@ EOF
 echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s," \
   "gate digests pinned"
 
-echo "=== TSan build (thread pool, metro shards, index and obs counters) ==="
+echo "=== TSan build (thread pool, metro shards, index rebucket, obs counters) ==="
 # The code that runs on parallel workers: sim::ThreadPool's fan-out, the
-# MetroWorld service shards and mobility chunks, GridIndex's relaxed-atomic
-# query-cost counters and the obs counters and histograms. ThreadSanitizer
-# over the suite proves their writes are disjoint or atomic.
+# MetroWorld service shards (which query the grid index concurrently) and
+# mobility chunks, GridIndex::rebucket's cell ranges and the obs counters
+# and histograms. ThreadSanitizer over the suite proves their writes are
+# disjoint or atomic.
 build_dir="build-ci-tsan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -289,4 +305,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line and edge tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="
+echo "=== CI OK: line, edge and kern tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="

@@ -100,9 +100,11 @@ void FleetConfig::validate() const {
   if (epochs < 1) {
     throw std::invalid_argument("FleetConfig::epochs must be >= 1");
   }
-  if (!(std::isfinite(epoch_duration_s) && epoch_duration_s > 0.0)) {
+  // run() divides by the run's length, epochs * epoch_duration_s.
+  if (!(epoch_duration_s > 0.0 && std::isfinite(epochs * epoch_duration_s))) {
     throw std::invalid_argument(
-        "FleetConfig::epoch_duration_s must be finite and > 0");
+        "FleetConfig::epoch_duration_s must be > 0, with epochs * "
+        "epoch_duration_s finite");
   }
   if (!(mobile_fraction >= 0.0 && mobile_fraction <= 1.0)) {
     throw std::invalid_argument(

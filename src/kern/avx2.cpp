@@ -206,42 +206,6 @@ void threshold_below_avx2(const double* stats, std::size_t n,
   }
 }
 
-void squared_distance_avx2(const double* xs, const double* ys, double cx,
-                           double cy, std::size_t n, double* out) {
-  const __m256d vcx = _mm256_set1_pd(cx);
-  const __m256d vcy = _mm256_set1_pd(cy);
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vcx);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vcy);
-    // mul + add kept separate: FMA contraction would change the bits.
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_mul_pd(dx, dx),
-                                            _mm256_mul_pd(dy, dy)));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    const double dx = xs[i] - cx;
-    const double dy = ys[i] - cy;
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
-std::uint64_t count_below_avx2(const double* x, std::size_t n,
-                               double threshold) {
-  const __m256d thr = _mm256_set1_pd(threshold);
-  std::uint64_t count = 0;
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d cmp =
-        _mm256_cmp_pd(_mm256_loadu_pd(x + i), thr, _CMP_LT_OQ);
-    count += static_cast<std::uint64_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(cmp))));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    count += x[i] < threshold ? 1u : 0u;
-  }
-  return count;
-}
-
 void mul_complex_avx2(Complexd* x, const Complexd* c, std::size_t n) {
   double* p = as_doubles(x);
   const double* pc = as_doubles(c);
@@ -365,8 +329,6 @@ const Kernels* avx2_table() {
       &butterfly_pass_avx2,
       &block_sum_complex_avx2,
       &threshold_below_avx2,
-      &squared_distance_avx2,
-      &count_below_avx2,
       &mul_complex_avx2,
       &iq_imbalance_avx2,
       &pa_rapp_avx2,

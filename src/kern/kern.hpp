@@ -2,12 +2,12 @@
 /// \brief Vectorized DSP kernel layer with runtime CPU dispatch.
 ///
 /// Every sample-rate hot loop in the PHY (waveform energy, OOK
-/// integrate-and-dump and slicing, FFT butterflies, FIR shaping, CRC),
-/// the impairment stages and the scale layer's distance slabs funnel
-/// through the function-pointer table returned by kern::dispatch(). The table is resolved once at
-/// startup from the host CPU (AVX2 when the host has it, else scalar)
-/// and can be forced with the MMTAG_KERN environment variable or
-/// kern::set_backend() (the `--kern` bench flag).
+/// integrate-and-dump and slicing, FFT butterflies, FIR shaping, CRC)
+/// and the impairment stages funnel through the function-pointer table
+/// returned by kern::dispatch(). The table is resolved once at startup
+/// from the host CPU (AVX2 when the host has it, else scalar) and can be
+/// forced with the MMTAG_KERN environment variable or kern::set_backend()
+/// (the `--kern` bench flag).
 ///
 /// **Equivalence discipline.** Backends are not "close": for the same
 /// inputs every backend must produce the *same bits*. Reductions are
@@ -97,22 +97,6 @@ struct Kernels {
   /// Hard slicer: `bits[i] = stats[i] < threshold ? 1 : 0`.
   void (*threshold_below)(const double* stats, std::size_t n,
                           double threshold, std::uint8_t* bits);
-
-  // --- Batched geometry (scale layer slabs). ---
-
-  /// `out[i] = (xs[i]-cx)^2 + (ys[i]-cy)^2`. Per-element order
-  /// (sub, sub, mul, mul, add — no FMA), so SIMD lanes reproduce the
-  /// scalar bits exactly. The squared-distance domain is where the scale
-  /// layer evaluates detection and rate tiers (a monostatic backscatter
-  /// budget is monotonic in distance, so power thresholds become r^2
-  /// thresholds and no per-element log10 is needed).
-  void (*squared_distance)(const double* xs, const double* ys, double cx,
-                           double cy, std::size_t n, double* out);
-
-  /// Number of `x[i] < threshold` over `x[0..n)`. Integer count —
-  /// order-independent, hence trivially bit-identical across backends.
-  std::uint64_t (*count_below)(const double* x, std::size_t n,
-                               double threshold);
 
   // --- Impairment stages (src/impair receive-chain realism). ---
 

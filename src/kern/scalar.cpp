@@ -140,23 +140,6 @@ void threshold_below(const double* stats, std::size_t n, double threshold,
   }
 }
 
-void squared_distance(const double* xs, const double* ys, double cx,
-                      double cy, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - cx;
-    const double dy = ys[i] - cy;
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
-std::uint64_t count_below(const double* x, std::size_t n, double threshold) {
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    count += x[i] < threshold ? 1u : 0u;
-  }
-  return count;
-}
-
 void mul_complex(Complexd* x, const Complexd* c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = cmul(x[i], c[i]);
 }
@@ -252,8 +235,6 @@ const Kernels* scalar_table() {
       &scalar::butterfly_pass,
       &scalar::block_sum_complex,
       &scalar::threshold_below,
-      &scalar::squared_distance,
-      &scalar::count_below,
       &scalar::mul_complex,
       &scalar::iq_imbalance,
       &scalar::pa_rapp,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/deploy/layout.hpp"
 #include "src/mac/event_queue.hpp"
@@ -61,10 +62,7 @@ BackhaulSimulator::BackhaulSimulator(BackhaulConfig config)
 }
 
 BackhaulReport BackhaulSimulator::run() {
-  // The layout is deterministic in its config, so building it again here
-  // yields exactly the reader poses the fleet will use.
-  const deploy::FleetLayout layout =
-      deploy::make_layout(config_.fleet.layout);
+  deploy::FleetLayout layout = deploy::make_layout(config_.fleet.layout);
   const MeshTopology topology(layout.reader_poses, config_.topology);
   net::PacketPool pool(config_.pool_packets, config_.payload_bytes,
                        kPoolHeadroom);
@@ -110,7 +108,7 @@ BackhaulReport BackhaulSimulator::run() {
       };
 
   BackhaulReport report;
-  report.fleet = deploy::FleetSimulator(fleet_config).run();
+  report.fleet = deploy::FleetSimulator(fleet_config).run(std::move(layout));
   report.horizon_s =
       static_cast<double>(config_.fleet.epochs) * epoch_s;
   report.mesh = network.finish(report.horizon_s);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -27,8 +28,10 @@ obs::Counter& arq_exhausted_sr_metric() {
 
 bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }
 
-void reject_negative(const char* field, double seconds) {
-  if (!(seconds >= 0.0)) reject(field, "must be >= 0");
+void check_time(const char* field, double seconds) {
+  if (!(std::isfinite(seconds) && seconds >= 0.0)) {
+    reject(field, "must be finite and >= 0");
+  }
 }
 
 }  // namespace
@@ -54,9 +57,9 @@ double SrArqResult::goodput_bps(std::size_t payload_bits) const {
 SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
     : config_(config), timing_(timing) {
   config_.validate();
-  reject_negative("SrArqTiming::packet_time_s", timing_.packet_time_s);
-  reject_negative("SrArqTiming::ack_time_s", timing_.ack_time_s);
-  reject_negative("SrArqTiming::ack_timeout_s", timing_.ack_timeout_s);
+  check_time("SrArqTiming::packet_time_s", timing_.packet_time_s);
+  check_time("SrArqTiming::ack_time_s", timing_.ack_time_s);
+  check_time("SrArqTiming::ack_timeout_s", timing_.ack_timeout_s);
 }
 
 SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,

@@ -131,8 +131,9 @@ void TrafficConfig::validate() const {
   if (pool_packets < 1) {
     throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
   }
-  if (!(ack_bits >= 0.0)) {
-    throw std::invalid_argument("TrafficConfig::ack_bits must be >= 0");
+  if (!(std::isfinite(ack_bits) && ack_bits >= 0.0)) {
+    throw std::invalid_argument(
+        "TrafficConfig::ack_bits must be finite and >= 0");
   }
   if (discovery_epochs < 0) {
     throw std::invalid_argument(

@@ -26,8 +26,9 @@ obs::Counter& cleared_metric() {
 }  // namespace
 
 void HealthConfig::validate() const {
-  if (!(phi_suspect > 0.0)) {
-    throw std::invalid_argument("HealthConfig::phi_suspect must be > 0");
+  if (!(std::isfinite(phi_suspect) && phi_suspect > 0.0)) {
+    throw std::invalid_argument(
+        "HealthConfig::phi_suspect must be finite and > 0");
   }
   if (!(min_miss_probability > 0.0)) {
     throw std::invalid_argument(

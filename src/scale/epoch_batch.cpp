@@ -1,7 +1,5 @@
 #include "src/scale/epoch_batch.hpp"
 
-#include "src/kern/kern.hpp"
-
 namespace mmtag::scale {
 
 BatchLinkModel BatchLinkModel::from_budget(
@@ -33,35 +31,22 @@ const BatchResult& EpochBatcher::evaluate(const TagStore& store,
                                           double rx, double ry,
                                           const BatchLinkModel& model) {
   const std::size_t n = slots.size();
-  sx_.resize(n);
-  sy_.resize(n);
   d2_.resize(n);
-  rate_.assign(n, 0.0);
+  rate_.resize(n);
   det_.resize(n);
-  tier_hit_.resize(n);
+  result_.detected_count = 0;
 
   const double* xs = store.xs();
   const double* ys = store.ys();
   for (std::size_t i = 0; i < n; ++i) {
-    sx_[i] = xs[slots[i]];
-    sy_[i] = ys[slots[i]];
-  }
-
-  const kern::Kernels& k = kern::dispatch();
-  k.squared_distance(sx_.data(), sy_.data(), rx, ry, n, d2_.data());
-  k.threshold_below(d2_.data(), n, model.detect_r2_m2, det_.data());
-  result_.detected_count = k.count_below(d2_.data(), n, model.detect_r2_m2);
-
-  // Tier sweep, slowest (longest range) to fastest: each pass overwrites
-  // the rate where the tier's squared range is cleared, so the survivor
-  // is the fastest achievable tier. The rates are copied constants — no
-  // per-element arithmetic — so this matches rate_for_d2 bit-for-bit.
-  for (std::size_t t = model.tier_r2_m2.size(); t-- > 0;) {
-    k.threshold_below(d2_.data(), n, model.tier_r2_m2[t], tier_hit_.data());
-    const double rate = model.tier_rate_bps[t];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (tier_hit_[i]) rate_[i] = rate;
-    }
+    const double dx = xs[slots[i]] - rx;
+    const double dy = ys[slots[i]] - ry;
+    const double d2 = dx * dx + dy * dy;
+    const bool detected = d2 < model.detect_r2_m2;
+    d2_[i] = d2;
+    rate_[i] = model.rate_for_d2(d2);
+    det_[i] = detected ? 1 : 0;
+    result_.detected_count += detected ? 1 : 0;
   }
 
   result_.count = n;

@@ -1,5 +1,5 @@
-// The metro link model in the squared-distance domain, and a batched
-// per-beam evaluator of it over SoA slabs.
+// The metro link model in the squared-distance domain, and a per-beam
+// evaluator of it over a candidate list.
 //
 // The deploy path evaluates links one tag at a time: received_power_dbm
 // (a log10 per call), then a rate-table walk. BatchLinkModel, the metro
@@ -10,10 +10,9 @@
 // "d² < r_tier²" with r_tier = BackscatterLinkBudget::max_range_m(
 // required_power_dbm(tier)), solved once per tier at setup.
 //
-// EpochBatcher evaluates the model over a slab: gather the candidates'
-// x/y, kern.squared_distance, then kern.threshold_below per tier —
-// bit-identical across kern backends by construction and to rate_for_d2
-// (the rates are copied constants). It is off the epoch path: it is
+// EpochBatcher evaluates the model over a list of candidates with the
+// epoch's own expressions (d2 = dx * dx + dy * dy, then rate_for_d2), so
+// it agrees with the epoch bit for bit. It is off the epoch path: it is
 // what perfbench's scale.batch_ms replay times.
 #pragma once
 
@@ -41,36 +40,34 @@ struct BatchLinkModel {
       const phys::BackscatterLinkBudget& budget, const phy::RateTable& rates);
 
   /// Fastest tier rate achievable at squared distance `d2` [bit/s], 0
-  /// when undetectable: the rate of a metro poll, and the scalar
-  /// reference the batched path must agree with bit-for-bit.
+  /// when undetectable: the rate of a metro poll.
   [[nodiscard]] double rate_for_d2(double d2) const;
 };
 
 /// Result view of one batch evaluation; spans are valid until the next
 /// evaluate() on the same batcher.
 struct BatchResult {
-  std::size_t count = 0;           ///< Slab length (candidates evaluated).
+  std::size_t count = 0;           ///< Candidates evaluated.
   const double* d2 = nullptr;      ///< Squared distance to the reader.
   const double* rate_bps = nullptr;///< Achievable rate (0 = undetected).
   const std::uint8_t* detected = nullptr;  ///< 1 where d² < detect range².
   std::uint64_t detected_count = 0;
 };
 
-/// Reusable slab evaluator. One instance per shard/worker — the internal
-/// slabs are scratch, so instances must not be shared across threads.
+/// Reusable evaluator. One instance per shard/worker — the result arrays
+/// are scratch, so instances must not be shared across threads.
 class EpochBatcher {
  public:
-  /// Evaluate `slots` (candidate tags) against a reader at (rx, ry).
-  /// Gathers positions from `store`, then runs the squared-distance /
-  /// threshold kernels through kern::dispatch(). Order of results matches
-  /// the order of `slots`.
+  /// Evaluate `slots` (candidate tags) against a reader at (rx, ry), one
+  /// candidate at a time from `store`'s positions. Order of results
+  /// matches the order of `slots`.
   const BatchResult& evaluate(const TagStore& store,
                               const std::vector<TagSlot>& slots, double rx,
                               double ry, const BatchLinkModel& model);
 
  private:
-  std::vector<double> sx_, sy_, d2_, rate_;
-  std::vector<std::uint8_t> det_, tier_hit_;
+  std::vector<double> d2_, rate_;
+  std::vector<std::uint8_t> det_;
   BatchResult result_;
 };
 

@@ -90,8 +90,8 @@ std::size_t GridIndex::rebucket(const std::vector<CellMove>& moves,
   return changed;
 }
 
-void GridIndex::gather_disc(double cx, double cy, double radius_m,
-                            std::vector<TagSlot>& out) const {
+std::size_t GridIndex::gather_disc(double cx, double cy, double radius_m,
+                                   std::vector<TagSlot>& out) const {
   const int c0 = col_of(cx - radius_m);
   const int c1 = col_of(cx + radius_m);
   const int r0 = row_of(cy - radius_m);
@@ -100,11 +100,7 @@ void GridIndex::gather_disc(double cx, double cy, double radius_m,
   // (cheap integer-geometry cull); the rest are coarse candidates.
   const double r2 = radius_m * radius_m;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Queries run concurrently from epoch shards: tally this query's cost
-  // locally and publish once with relaxed adds (deltas commute, so the
-  // totals are exact whatever the interleaving).
-  std::uint64_t visited = 0;
-  std::uint64_t candidates = 0;
+  std::size_t visited = 0;
   for (int r = r0; r <= r1; ++r) {
     // Border cells absorb every clamped out-of-rectangle position, so
     // their extent is unbounded for the cull.
@@ -123,13 +119,10 @@ void GridIndex::gather_disc(double cx, double cy, double radius_m,
           cells_[static_cast<std::size_t>(r) *
                      static_cast<std::size_t>(cols_) +
                  static_cast<std::size_t>(c)];
-      candidates += bucket.size();
       out.insert(out.end(), bucket.begin(), bucket.end());
     }
   }
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  cells_visited_.fetch_add(visited, std::memory_order_relaxed);
-  candidates_.fetch_add(candidates, std::memory_order_relaxed);
+  return visited;
 }
 
 }  // namespace mmtag::scale

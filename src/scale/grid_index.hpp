@@ -15,8 +15,8 @@
 //     yields the same candidate order as a fresh build of the same
 //     positions.
 //   * Queries are coarse by design: they return every slot in the cells
-//     intersecting the query shape, and the caller (the epoch batcher)
-//     does the exact distance filtering in the SIMD squared-distance
+//     intersecting the query shape, and the caller (the metro epoch's
+//     service shard) does the exact filtering in the squared-distance
 //     domain. The index never touches a coordinate, so it cannot
 //     introduce floating-point divergence.
 //
@@ -29,9 +29,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "src/scale/tag_store.hpp"
@@ -44,19 +42,6 @@ namespace mmtag::scale {
 
 class GridIndex {
  public:
-  /// Work performed by queries, for the O(tags)-vs-indexed margin the
-  /// metro bench enforces. Counters accumulate across queries; queries
-  /// run concurrently from epoch shards, so the live tallies are relaxed
-  /// atomics (sums of per-query deltas commute — totals are exact and
-  /// thread-count invariant) and cost() returns a plain snapshot.
-  struct QueryCost {
-    std::uint64_t queries = 0;
-    std::uint64_t cells_visited = 0;
-    /// Candidate slots handed to the caller (the exact filter's input
-    /// size — the honest cost of answering through the index).
-    std::uint64_t candidates = 0;
-  };
-
   /// One slot's move between cells, both as cell_of() computed them.
   struct CellMove {
     TagSlot slot;
@@ -85,25 +70,15 @@ class GridIndex {
 
   /// Append every slot whose cell intersects the closed disc of
   /// `radius_m` about (cx, cy), in cell row-major order, ascending slot
-  /// order within a cell. Coarse: slots up to one cell diagonal outside
-  /// the disc are included; exact filtering is the batcher's job.
-  void gather_disc(double cx, double cy, double radius_m,
-                   std::vector<TagSlot>& out) const;
-
-  [[nodiscard]] QueryCost cost() const {
-    return {queries_.load(std::memory_order_relaxed),
-            cells_visited_.load(std::memory_order_relaxed),
-            candidates_.load(std::memory_order_relaxed)};
-  }
-  void reset_cost() {
-    queries_.store(0, std::memory_order_relaxed);
-    cells_visited_.store(0, std::memory_order_relaxed);
-    candidates_.store(0, std::memory_order_relaxed);
-  }
+  /// order within a cell, and return the number of cells visited (the
+  /// query's cost; `out` grows by its candidate count). Coarse: slots up
+  /// to one cell diagonal outside the disc are included; exact filtering
+  /// is the caller's job.
+  std::size_t gather_disc(double cx, double cy, double radius_m,
+                          std::vector<TagSlot>& out) const;
 
   [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] double cell_m() const { return cell_m_; }
   [[nodiscard]] std::size_t occupancy() const { return occupancy_; }
 
   /// Bucket holding (x, y); inline for the mobility loop.
@@ -130,9 +105,6 @@ class GridIndex {
   int rows_;
   std::vector<std::vector<TagSlot>> cells_;
   std::size_t occupancy_ = 0;
-  mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> cells_visited_{0};
-  mutable std::atomic<std::uint64_t> candidates_{0};
 };
 
 }  // namespace mmtag::scale

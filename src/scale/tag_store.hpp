@@ -5,10 +5,9 @@
 // nearest-reader queries, service aggregation) walks 100+-byte objects to
 // touch two doubles. TagStore transposes the population into six parallel
 // contiguous columns (x, y, energy, first read, delivered bits, polls;
-// 48 bytes per tag), so MetroWorld's service pass and mobility chunks and
-// EpochBatcher's kern slabs stream over only the columns they touch. A
-// tag has been read exactly when its first-read time is finite; no
-// separate flag repeats that.
+// 48 bytes per tag), so MetroWorld's service pass and mobility chunks
+// stream over only the columns they touch. A tag has been read exactly
+// when its first-read time is finite; no separate flag repeats that.
 //
 // The population is dense and append-only: the t-th create() returns
 // slot t, and a slot keeps its tag for the store's lifetime, so

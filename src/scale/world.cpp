@@ -31,6 +31,10 @@ void require(bool ok, const char* field, const char* rule) {
   }
 }
 
+void require_finite_nonnegative(double value, const char* field) {
+  require(std::isfinite(value) && value >= 0.0, field, "finite and >= 0");
+}
+
 const MetroConfig& validated(const MetroConfig& config) {
   config.validate();
   return config;
@@ -54,22 +58,23 @@ void MetroConfig::validate() const {
   require(width_m / index_cell_m < 0x1.0p31 &&
               height_m / index_cell_m < 0x1.0p31,
           "index_cell_m", "> width_m / 2^31 and > height_m / 2^31");
-  require(std::isfinite(epoch_duration_s) && epoch_duration_s > 0.0,
-          "epoch_duration_s", "finite and > 0");
+  // run_epoch stamps reads at epochs_run_ * epoch_duration_s; with the
+  // count a uint64, this bound keeps that product finite for any epoch.
+  constexpr double kMaxEpochS = std::numeric_limits<double>::max() * 0x1.0p-64;
+  require(epoch_duration_s > 0.0 && epoch_duration_s <= kMaxEpochS,
+          "epoch_duration_s", "in (0, DBL_MAX / 2^64]");
   require(polls_per_reader >= 0, "polls_per_reader", ">= 0");
   require(poll_success_prob >= 0.0 && poll_success_prob <= 1.0,
           "poll_success_prob", "in [0, 1]");
-  require(payload_bits >= 0.0, "payload_bits", ">= 0");
-  require(std::isfinite(interference_radius_m) && interference_radius_m >= 0.0,
-          "interference_radius_m", "finite and >= 0");
-  require(initial_energy_j >= 0.0, "initial_energy_j", ">= 0");
-  require(harvest_j_per_epoch >= 0.0, "harvest_j_per_epoch", ">= 0");
-  require(respond_cost_j >= 0.0, "respond_cost_j", ">= 0");
-  require(energy_cap_j >= 0.0, "energy_cap_j", ">= 0");
+  require_finite_nonnegative(payload_bits, "payload_bits");
+  require_finite_nonnegative(interference_radius_m, "interference_radius_m");
+  require_finite_nonnegative(initial_energy_j, "initial_energy_j");
+  require_finite_nonnegative(harvest_j_per_epoch, "harvest_j_per_epoch");
+  require_finite_nonnegative(respond_cost_j, "respond_cost_j");
+  require_finite_nonnegative(energy_cap_j, "energy_cap_j");
   require(move_fraction >= 0.0 && move_fraction <= 1.0, "move_fraction",
           "in [0, 1]");
-  require(std::isfinite(speed_mps) && speed_mps >= 0.0, "speed_mps",
-          "finite and >= 0");
+  require_finite_nonnegative(speed_mps, "speed_mps");
   health.validate();
   domains.validate();
 }
@@ -93,6 +98,7 @@ std::uint64_t MetroStats::fingerprint() const {
 
 struct MetroWorld::ReaderResult {
   std::uint64_t candidates = 0;
+  std::uint64_t cells_visited = 0;
   std::uint64_t detected = 0;
   std::uint64_t polls = 0;
   std::uint64_t successes = 0;
@@ -225,7 +231,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   // every store write disjoint (a tag is owned by exactly one reader);
   // results merge serially in reader order below.
   std::vector<ReaderResult> results(static_cast<std::size_t>(n_readers));
-  std::uint64_t linear_before = linear_candidates_;
   pool.parallel_for(static_cast<std::size_t>(n_readers), [&](std::size_t ri) {
     // Down (scripted outage) or skipped (suspected, non-probe epoch):
     // the shard produces nothing — which the monitor reads as silence.
@@ -238,7 +243,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     // Only the candidate set matters below, not its row-major cell order.
     std::vector<TagSlot> cands;
     if (config_.use_index) {
-      index_.gather_disc(rx, ry, gather_radius_m_, cands);
+      out.cells_visited = index_.gather_disc(rx, ry, gather_radius_m_, cands);
     } else {
       cands.resize(n_slots);
       std::iota(cands.begin(), cands.end(), TagSlot{0});
@@ -265,7 +270,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       const TagSlot slot = cands[i];
       const double dx = xs[slot] - rx;
       const double dy = ys[slot] - ry;
-      const double d2 = dx * dx + dy * dy;  // kern squared_distance's bits.
+      const double d2 = dx * dx + dy * dy;
       const bool detected = d2 < model_.detect_r2_m2;
       // Outside the beam and the contention radius a tag changes nothing
       // under either branch below, whoever owns it.
@@ -330,6 +335,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
 
   for (const ReaderResult& r : results) {
     epoch.candidates += r.candidates;
+    epoch.cells_visited += r.cells_visited;
     epoch.detected += r.detected;
     epoch.polls += r.polls;
     epoch.successes += r.successes;
@@ -338,10 +344,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     epoch.tags_adopted += r.adopted;
     epoch.delivered_bits += r.delivered_bits;
   }
-  if (!config_.use_index) {
-    linear_candidates_ = linear_before + epoch.candidates;
-  }
-
   // Feed the monitor what a metro coordinator actually observes: each
   // reader's per-epoch success count. A reader whose shard did not run
   // reports zero, which is the miss evidence suspicion accrues on.

@@ -32,7 +32,8 @@
 // false`): the query path degrades to a linear scan over every slot but
 // the exact filter — and therefore every byte of simulation state — is
 // unchanged. bench_d3_metro uses that to hard-check both bit-identity of
-// the two paths and the candidate-count margin the index buys.
+// the two paths and the candidate-count margin the index buys, summing
+// each path's per-epoch candidates.
 #pragma once
 
 #include <algorithm>
@@ -105,9 +106,11 @@ struct MetroConfig {
 
 /// One epoch's aggregate, merged over readers in fixed order.
 struct MetroEpochStats {
-  /// Candidate slots the query path handed to the shard (cost metric —
+  /// Candidate slots the query path handed to the shards (cost metric —
   /// differs between indexed and linear paths by design).
   std::uint64_t candidates = 0;
+  /// Index cells the shards' queries visited (0 on the linear path).
+  std::uint64_t cells_visited = 0;
   std::uint64_t detected = 0;      ///< Owned tags inside beam range.
   std::uint64_t polls = 0;
   std::uint64_t successes = 0;
@@ -141,9 +144,9 @@ struct MetroStats {
   double energy_j = 0.0;           ///< Total stored energy right now.
 
   /// Digest of the physics-visible aggregates. Deliberately excludes the
-  /// query-cost metrics (candidates, rebuckets): those describe how the
-  /// answer was computed, and the indexed and linear paths must agree on
-  /// everything else bit-for-bit.
+  /// query-cost metrics (candidates, cells visited, rebuckets): those
+  /// describe how the answer was computed, and the indexed and linear
+  /// paths must agree on everything else bit-for-bit.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -170,12 +173,6 @@ class MetroWorld {
   [[nodiscard]] const GridIndex& index() const { return index_; }
   [[nodiscard]] const BatchLinkModel& link_model() const { return model_; }
   [[nodiscard]] const MetroConfig& config() const { return config_; }
-
-  /// Candidates evaluated by the linear-scan path so far (the counter
-  /// GridIndex::cost() provides for the indexed path).
-  [[nodiscard]] std::uint64_t linear_candidates() const {
-    return linear_candidates_;
-  }
 
   /// Attached control-plane monitor; nullptr when config.control_plane is
   /// false. Suspicion state is as of the last run_epoch.
@@ -209,7 +206,6 @@ class MetroWorld {
   std::uint64_t poll_base_ = 0;
   std::uint64_t move_base_ = 0;
   std::uint64_t epochs_run_ = 0;
-  std::uint64_t linear_candidates_ = 0;
   /// Engaged iff config_.control_plane; fed post-merge, every decision it
   /// outputs is consumed pre-fan-out on the coordinating thread.
   std::optional<resil::HealthMonitor> monitor_;

@@ -445,6 +445,10 @@ TEST(FleetValidate, EveryOutOfRangeFieldIsRejectedByName) {
           // Poisson outages until t reached epochs * inf.
           {"FleetConfig::epoch_duration_s",
            [](FleetConfig& c) { c.epoch_duration_s = kInf; }},
+          // Finite, but the run's length, epochs * epoch_duration_s, which
+          // run() divides by, was +inf.
+          {"FleetConfig::epoch_duration_s",
+           [](FleetConfig& c) { c.epoch_duration_s = 1e308; }},
           {"FleetConfig::mobile_fraction",
            [](FleetConfig& c) { c.mobile_fraction = -0.1; }},
           {"FleetConfig::mobile_fraction",

@@ -141,28 +141,22 @@ TEST(GridIndex, IterationOrderIsPureFunctionOfPopulation) {
   EXPECT_EQ(a, b);
 }
 
-TEST(GridIndex, QueryCostCountsCellsAndCandidates) {
+TEST(GridIndex, GatherDiscCountsCellsAndAppendsCandidates) {
   GridIndex index(100.0, 100.0, 10.0);
   for (TagSlot s = 0; s < 10; ++s) {
     index.insert(s, 5.0 + static_cast<double>(s) * 0.1, 5.0);
   }
-  std::vector<TagSlot> out;
-  index.gather_disc(5.0, 5.0, 4.0, out);
-  const GridIndex::QueryCost& cost = index.cost();
-  EXPECT_EQ(cost.queries, 1u);
-  EXPECT_EQ(cost.cells_visited, 1u);
-  EXPECT_EQ(cost.candidates, 10u);
-  index.reset_cost();
-  EXPECT_EQ(index.cost().queries, 0u);
-  EXPECT_EQ(index.cost().candidates, 0u);
+  std::vector<TagSlot> out = {99};
+  EXPECT_EQ(index.gather_disc(5.0, 5.0, 4.0, out), 1u);
+  const std::vector<TagSlot> expected = {99, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(out, expected);
 }
 
 TEST(GridIndex, DiscCullSkipsFarCells) {
   // A small disc in a big world touches a handful of cells, not the grid.
   GridIndex index(1000.0, 1000.0, 10.0);
   std::vector<TagSlot> out;
-  index.gather_disc(500.0, 500.0, 12.0, out);
-  EXPECT_LE(index.cost().cells_visited, 16u);
+  EXPECT_LE(index.gather_disc(500.0, 500.0, 12.0, out), 16u);
 }
 
 TEST(GridIndex, BatchedRebucketMatchesAFreshBuildAtAnyPoolSize) {

@@ -285,46 +285,6 @@ TEST(KernEquivalence, ThresholdBelowBitIdentical) {
   }
 }
 
-TEST(KernEquivalence, SquaredDistanceBitIdentical) {
-  const Kernels& scalar = mmtag::kern::table(Backend::kScalar);
-  for (const Backend backend : accelerated_backends()) {
-    const Kernels& accel = mmtag::kern::table(backend);
-    for (const std::size_t n : kLengths) {
-      const auto xs = random_doubles(n, 211 + n);
-      const auto ys = random_doubles(n, 223 + n);
-      std::vector<double> d2_s(n), d2_a(n);
-      scalar.squared_distance(xs.data(), ys.data(), 0.25, -0.5, n,
-                              d2_s.data());
-      const Unaligned<double> uxs(xs);
-      const Unaligned<double> uys(ys);
-      accel.squared_distance(uxs.data(), uys.data(), 0.25, -0.5, n,
-                             d2_a.data());
-      // Elementwise sub/mul/add with no reduction: exact bit identity,
-      // not just ULP closeness.
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(d2_s[i], d2_a[i]) << "squared_distance[" << i
-                                    << "] length " << n;
-      }
-    }
-  }
-}
-
-TEST(KernEquivalence, CountBelowBitIdentical) {
-  const Kernels& scalar = mmtag::kern::table(Backend::kScalar);
-  for (const Backend backend : accelerated_backends()) {
-    const Kernels& accel = mmtag::kern::table(backend);
-    for (const std::size_t n : kLengths) {
-      const auto xs = random_doubles(n, 239 + n);
-      const Unaligned<double> uxs(xs);
-      for (const double thr : {-2.0, -0.3, 0.0, 0.3, 2.0}) {
-        EXPECT_EQ(scalar.count_below(xs.data(), n, thr),
-                  accel.count_below(uxs.data(), n, thr))
-            << "count_below length " << n << " thr " << thr;
-      }
-    }
-  }
-}
-
 // The impairment kernels (src/impair) are elementwise with no
 // reductions and only exactly-rounded ops (+,-,*,/,sqrt,floor), so the
 // contract is exact bit identity across backends — not just ULP

@@ -121,15 +121,26 @@ TEST(MetroWorld, IndexedAndLinearPathsAgreeBitForBit) {
   MetroWorld wi(indexed);
   MetroWorld wl(linear);
   sim::ThreadPool pool(2);
+  MetroEpochStats sum_i;
+  MetroEpochStats sum_l;
   for (int e = 0; e < 3; ++e) {
-    (void)wi.run_epoch(pool);
-    (void)wl.run_epoch(pool);
+    const MetroEpochStats si = wi.run_epoch(pool);
+    const MetroEpochStats sl = wl.run_epoch(pool);
+    sum_i.candidates += si.candidates;
+    sum_i.cells_visited += si.cells_visited;
+    sum_l.candidates += sl.candidates;
+    sum_l.cells_visited += sl.cells_visited;
   }
   EXPECT_EQ(wi.stats().fingerprint(), wl.stats().fingerprint());
   EXPECT_EQ(wi.state_fingerprint(), wl.state_fingerprint());
 
-  // ...while the indexed path inspected far fewer candidates.
-  EXPECT_LT(wi.index().cost().candidates, wl.linear_candidates());
+  // ...while the indexed path inspected far fewer candidates: 27 queries
+  // (9 readers x 3 epochs) visit 675 cells, against every one of the
+  // 2000 tags per reader per epoch on the linear path.
+  EXPECT_EQ(sum_i.candidates, 5043u);
+  EXPECT_EQ(sum_i.cells_visited, 675u);
+  EXPECT_EQ(sum_l.candidates, 54000u);
+  EXPECT_EQ(sum_l.cells_visited, 0u);
 }
 
 TEST(MetroWorld, ServesTagsAndDutyCyclesEnergy) {
@@ -508,12 +519,17 @@ TEST(MetroValidate, RejectsANonPositiveIndexCell) {
 }
 
 TEST(MetroValidate, RejectsANonPositiveEpochDuration) {
-  // An infinite epoch stamped first reads at 0 * inf = NaN.
-  for (const double duration : {0.0, kInf}) {
+  // An infinite epoch stamped first reads at 0 * inf = NaN, and a 1e308 s
+  // one at +inf from the third epoch on, which counted as unread.
+  for (const double duration : {0.0, kInf, 1e308}) {
     MetroConfig cfg = tiny_config();
     cfg.epoch_duration_s = duration;
     ExpectRejected(cfg, "MetroConfig::epoch_duration_s");
   }
+  // The largest accepted duration keeps every uint64 epoch's stamp finite.
+  MetroConfig cfg = tiny_config();
+  cfg.epoch_duration_s = std::numeric_limits<double>::max() * 0x1.0p-64;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(MetroValidate, RejectsNegativePolls) {
@@ -523,9 +539,12 @@ TEST(MetroValidate, RejectsNegativePolls) {
 }
 
 TEST(MetroValidate, RejectsANegativePayload) {
-  MetroConfig cfg = tiny_config();
-  cfg.payload_bits = -96.0;
-  ExpectRejected(cfg, "MetroConfig::payload_bits");
+  // An infinite payload delivered +inf bits per success.
+  for (const double bits : {-96.0, kInf}) {
+    MetroConfig cfg = tiny_config();
+    cfg.payload_bits = bits;
+    ExpectRejected(cfg, "MetroConfig::payload_bits");
+  }
 }
 
 TEST(MetroValidate, RejectsANegativeInterferenceRadius) {
@@ -543,9 +562,11 @@ TEST(MetroValidate, RejectsNegativeEnergyFields) {
       {&MetroConfig::respond_cost_j, "MetroConfig::respond_cost_j"},
       {&MetroConfig::energy_cap_j, "MetroConfig::energy_cap_j"}};
   for (const auto& [field, name] : fields) {
-    MetroConfig cfg = tiny_config();
-    cfg.*field = -1e-6;
-    ExpectRejected(cfg, name);
+    for (const double joules : {-1e-6, kInf}) {
+      MetroConfig cfg = tiny_config();
+      cfg.*field = joules;
+      ExpectRejected(cfg, name);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -110,6 +111,9 @@ TEST(HealthMonitor, RejectsOutOfRangeConfigs) {
     EXPECT_THROW(HealthMonitor(1, config), std::invalid_argument);
   };
   rejected([](HealthConfig& c) { c.phi_suspect = 0.0; });
+  rejected([](HealthConfig& c) {
+    c.phi_suspect = std::numeric_limits<double>::infinity();
+  });
   rejected([](HealthConfig& c) { c.min_miss_probability = 0.0; });
   rejected([](HealthConfig& c) { c.max_miss_probability = 0.01; });
   rejected([](HealthConfig& c) { c.max_miss_probability = 1.0; });

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
@@ -236,15 +237,18 @@ TEST(SrArq, RejectsProbabilitiesOutsideTheUnitInterval) {
 }
 
 TEST(SrArq, RejectsNegativeTimesAndCounts) {
-  SrArqTiming packet;
-  packet.packet_time_s = -1e-6;
-  SrArqTiming ack;
-  ack.ack_time_s = -1e-6;
-  SrArqTiming timeout;
-  timeout.ack_timeout_s = -1e-6;
-  for (const SrArqTiming& timing : {packet, ack, timeout}) {
-    EXPECT_THROW(SrArqSession(clean_config(4), timing),
-                 std::invalid_argument);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double seconds : {-1e-6, kInf}) {
+    SrArqTiming packet;
+    packet.packet_time_s = seconds;
+    SrArqTiming ack;
+    ack.ack_time_s = seconds;
+    SrArqTiming timeout;
+    timeout.ack_timeout_s = seconds;
+    for (const SrArqTiming& timing : {packet, ack, timeout}) {
+      EXPECT_THROW(SrArqSession(clean_config(4), timing),
+                   std::invalid_argument);
+    }
   }
   SrArqSession session(clean_config(4), {});
   sim::Rng rng = sim::make_rng(1);

@@ -359,7 +359,8 @@ TEST(TrafficEngine, RejectsANonPositiveEpochDuration) {
 }
 
 TEST(TrafficEngine, RejectsNegativeOrNaNAckBits) {
-  for (const double bits : {-1.0, kNaN}) {
+  // An infinite ACK made every ACK's airtime +inf.
+  for (const double bits : {-1.0, kNaN, kInf}) {
     TrafficConfig config = small_config();
     config.ack_bits = bits;
     expect_rejected(config, "ack_bits");
