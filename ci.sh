@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
-# total, dependency-edge table and kern table size match the tree, that
+# total, dependency-edge table, kern table size and settable-value count
+# (tools/settable_values.awk) match the tree, that
 # src/ names no engine but sim::Rng and no std::normal_distribution in phy
 # or impair, that every src/*/*.hpp has a user outside tests and its own
 # .cpp, tier-1 verify in Release (whose ctest count must equal the total
@@ -91,6 +92,22 @@ if [ "${listed}" != "${stated}" ]; then
   exit 1
 fi
 echo "kernel table size OK: ${listed}"
+
+echo "=== Settable values (docs/ARCHITECTURE.md) ==="
+# A settable value is a defaulted, non-static data member of a *Config,
+# *Params, *Model or *Schedule struct in src/*/*.hpp, nested types
+# included; tools/settable_values.awk lists one per line.
+# docs/ARCHITECTURE.md states how many there are, so a new setting lands
+# only together with a doc edit that names it.
+listed=$(awk -f tools/settable_values.awk src/*/*.hpp | awk 'END { print NR }')
+stated=$(sed -n 's/.*declares \([0-9][0-9]*\) settable values.*/\1/p' \
+  docs/ARCHITECTURE.md)
+if [ "${listed}" != "${stated}" ]; then
+  echo "FAIL: src/ declares ${listed} settable values," \
+    "docs/ARCHITECTURE.md says ${stated:-nothing}" >&2
+  exit 1
+fi
+echo "settable values OK: ${listed}"
 
 echo "=== One engine in the library ==="
 # sim::Rng is the library's engine (std::mt19937_64 appears only in its
@@ -305,4 +322,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line, edge and kern tables, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="
+echo "=== CI OK: line, edge and kern tables, settable-value count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="

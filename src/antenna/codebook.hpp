@@ -10,6 +10,10 @@
 
 namespace mmtag::antenna {
 
+/// Beamwidth of the scan beams a deployment cell and a LinkScenario's
+/// tracker steer [deg].
+inline constexpr double kScanBeamwidthDeg = 17.0;
+
 /// One beam position in a scan.
 struct Beam {
   double boresight_rad = 0.0;

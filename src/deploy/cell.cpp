@@ -9,11 +9,17 @@
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/phy/frame.hpp"
+#include "src/phys/constants.hpp"
 #include "src/reader/interference.hpp"
 
 namespace mmtag::deploy {
 
 namespace {
+
+/// Bits a tag delivers per answered poll: an EPC-96-style identifier.
+constexpr std::size_t kCellPayloadBits = 96;
+/// Airtime of one beam switch [s].
+constexpr double kCellBeamSwitchS = 100e-6;
 
 obs::Histogram& poll_cost_us_metric() {
   static obs::Histogram& hist =
@@ -26,16 +32,14 @@ obs::Histogram& poll_cost_us_metric() {
 ReaderCell::ReaderCell(int index, reader::MmWaveReader reader,
                        const channel::Environment* env,
                        const phy::RateTable* rates, CellConfig config,
-                       fault::RecoveryConfig recovery, bool use_cache)
+                       bool use_cache)
     : index_(index),
       rates_(rates),
       config_(config),
-      recovery_(recovery),
       cache_(std::move(reader), env, rates, use_cache) {
   const double facing = cache_.reader().pose().orientation_rad;
-  codebook_ = antenna::uniform_codebook(
-      facing - config_.sector_half_angle_rad,
-      facing + config_.sector_half_angle_rad, config_.beamwidth_deg);
+  codebook_ = antenna::uniform_codebook(facing - phys::kPi, facing + phys::kPi,
+                                        antenna::kScanBeamwidthDeg);
 }
 
 CellEpochResult ReaderCell::run_epoch(
@@ -79,14 +83,10 @@ CellEpochResult ReaderCell::run_epoch(
     result.service[k].tag_id = tag.id();
     // A browned-out tag has no charge to answer with, and a quarantined
     // tag is deliberately left alone — neither contends in discovery.
-    // Sentences are epoch-granular: each skipped epoch ticks the count
-    // down, and the tag re-enters discovery once it reaches zero.
+    // A sentence is one epoch: the first epoch that reaches the tag here
+    // releases it, and it re-enters discovery the epoch after.
     if (faults.tag_brownout[gi] != 0) continue;
-    const auto sentence = quarantine_.find(tag.id());
-    if (sentence != quarantine_.end()) {
-      if (--sentence->second <= 0) quarantine_.erase(sentence);
-      continue;
-    }
+    if (quarantine_.erase(tag.id()) != 0) continue;
     const std::size_t best = antenna::nearest_beam(
         codebook_, channel::bearing_rad(cache_.reader().pose().position,
                                         tag.pose().position));
@@ -106,7 +106,7 @@ CellEpochResult ReaderCell::run_epoch(
   // the channel an airtime_share of the wall clock, so an airtime instant t
   // maps to absolute fleet time start_s + t / airtime_share.
   const double frame_bits = 2.0 *  // Manchester.
-      static_cast<double>(phy::TagFrame::frame_bits(config_.payload_bits));
+      static_cast<double>(phy::TagFrame::frame_bits(kCellPayloadBits));
   const double poll_bits =
       frame_bits + 2.0 * static_cast<double>(mac::kPollOverheadBits);
 
@@ -128,8 +128,7 @@ CellEpochResult ReaderCell::run_epoch(
     const mac::AlohaStats aloha = run_framed_aloha(
         static_cast<int>(members.size()), config_.aloha, rng);
     const double dwell_s =
-        config_.beam_switch_overhead_s +
-        static_cast<double>(aloha.slots_total) * slot_s;
+        kCellBeamSwitchS + static_cast<double>(aloha.slots_total) * slot_s;
     // Out of airtime mid-scan: the cursor stays on this beam so the next
     // epoch picks up exactly here instead of starving the sector tail.
     if (now + dwell_s > budget_s) break;
@@ -162,7 +161,7 @@ CellEpochResult ReaderCell::run_epoch(
 
   // Per-tag retry state: consecutive failures, earliest next attempt
   // (exponential backoff), and an epoch-local quarantined flag mirroring
-  // the cross-epoch quarantine_ map.
+  // the cross-epoch quarantine_ set.
   std::vector<int> failures(n, 0);
   std::vector<double> retry_at(n, 0.0);
   std::vector<std::uint8_t> benched(n, 0);
@@ -210,9 +209,9 @@ CellEpochResult ReaderCell::run_epoch(
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
       responded = uniform(rng) >= faults.block_probability;
     }
-    double cost_s = responded ? poll_bits / rate : recovery_.poll_timeout_s;
+    double cost_s = responded ? poll_bits / rate : kPollTimeoutS;
     if (tag_beam[k] != poll_beam) {
-      cost_s += config_.beam_switch_overhead_s;
+      cost_s += kCellBeamSwitchS;
       poll_beam = tag_beam[k];
     }
     if (now + cost_s > budget_s) break;  // Epoch airtime spent.
@@ -226,7 +225,7 @@ CellEpochResult ReaderCell::run_epoch(
       failures[k] = 0;
       retry_at[k] = 0.0;
       if (poll_success(rng)) {
-        service.delivered_bits += static_cast<double>(config_.payload_bits);
+        service.delivered_bits += static_cast<double>(kCellPayloadBits);
       }
     } else {
       // No response: burn the timeout, back off exponentially, and after
@@ -234,15 +233,13 @@ CellEpochResult ReaderCell::run_epoch(
       // taxing everyone else's airtime.
       ++result.polls_timed_out;
       const int fails = ++failures[k];
-      if (recovery_.poll_retry_budget > 0 &&
-          fails - 1 >= recovery_.poll_retry_budget) {
+      if (fails - 1 >= kPollRetryBudget) {
         benched[k] = 1;
-        quarantine_[service.tag_id] = recovery_.quarantine_epochs;
+        quarantine_.insert(service.tag_id);
         ++result.quarantines;
       } else {
         // base * 2^(fails-1), exact in binary.
-        retry_at[k] = now + cost_s +
-                      std::ldexp(recovery_.poll_backoff_base_s, fails - 1);
+        retry_at[k] = now + cost_s + std::ldexp(kPollBackoffBaseS, fails - 1);
       }
     }
     now += cost_s;

@@ -12,12 +12,13 @@
 // valid when the coordination policy changes). The epoch's realized fault
 // state shrinks the airtime budget, silences browned-out and blocked tags
 // and attenuates links; unanswered polls run the retry/backoff/quarantine
-// machine of fault::RecoveryConfig. A fault-free epoch is simply one whose
-// EpochFaults are all up, lossless and unblocked.
+// machine whose fixed tuning the k-constants below state. A fault-free
+// epoch is simply one whose EpochFaults are all up, lossless and
+// unblocked.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/antenna/codebook.hpp"
@@ -33,16 +34,20 @@
 
 namespace mmtag::deploy {
 
+/// Retries a silent tag gets: its (kPollRetryBudget + 1)-th consecutive
+/// unanswered poll quarantines it, and a quarantined tag sits out the
+/// next epoch its cell serves before being re-tried.
+inline constexpr int kPollRetryBudget = 2;
+/// First retry waits this long; doubles per further consecutive failure.
+inline constexpr double kPollBackoffBaseS = 200e-6;
+/// Airtime one unanswered poll consumes (query + listen window).
+inline constexpr double kPollTimeoutS = 50e-6;
+
+/// A cell scans a full circle about its reader's mounting orientation
+/// (a ceiling-mounted reader serves tags on every side) with beams of
+/// antenna::kScanBeamwidthDeg.
 struct CellConfig {
   mac::AlohaConfig aloha;
-  std::size_t payload_bits = 96;  ///< EPC-96-style identifier.
-  double beam_switch_overhead_s = 100e-6;
-  /// Scan sector half-angle about the reader's mounting orientation. A
-  /// deployment cell defaults to a full-circle scan (ceiling-mounted
-  /// reader serving tags on every side); narrow to ±60 deg to model the
-  /// paper's bench prototype horn.
-  double sector_half_angle_rad = 3.141592653589793;
-  double beamwidth_deg = 17.0;
 };
 
 /// What the coordinator grants a cell for one epoch.
@@ -69,14 +74,12 @@ struct CellEpochResult {
 class ReaderCell {
  public:
   /// `env` and `rates` must outlive the cell. The reader is steered by the
-  /// cell; its scan codebook covers ±sector_half_angle about the pose
-  /// orientation. `recovery` supplies the poll retry/backoff/quarantine
-  /// knobs. `use_cache == false` re-traces on every lookup (bench
+  /// cell; its scan codebook covers the full circle about the pose
+  /// orientation. `use_cache == false` re-traces on every lookup (bench
   /// baseline).
   ReaderCell(int index, reader::MmWaveReader reader,
              const channel::Environment* env, const phy::RateTable* rates,
-             CellConfig config, fault::RecoveryConfig recovery,
-             bool use_cache = true);
+             CellConfig config, bool use_cache = true);
 
   /// Run one epoch of `duration_s` wall time starting at absolute fleet
   /// time `start_s`. `tag_indices` select this cell's tags from the shared
@@ -110,21 +113,19 @@ class ReaderCell {
   [[nodiscard]] const std::vector<antenna::Beam>& codebook() const {
     return codebook_;
   }
-  [[nodiscard]] const CellConfig& config() const { return config_; }
 
  private:
   int index_;
   const phy::RateTable* rates_;
   CellConfig config_;
-  fault::RecoveryConfig recovery_;
   LinkCache cache_;
   std::vector<antenna::Beam> codebook_;
   /// Where the next epoch's scan resumes. A tight airtime budget (TDM with
   /// many cells) can truncate a scan mid-sector; resuming instead of
   /// restarting guarantees every beam is eventually visited.
   std::size_t scan_cursor_ = 0;
-  /// Tags sitting out a quarantine, tag_id -> epochs remaining.
-  std::unordered_map<std::uint32_t, int> quarantine_;
+  /// Tags that sit out the next epoch that reaches them.
+  std::unordered_set<std::uint32_t> quarantine_;
 };
 
 }  // namespace mmtag::deploy

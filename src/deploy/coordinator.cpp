@@ -21,9 +21,7 @@ constexpr double kTagResponseExcessLossDb = 30.0;
 }  // namespace
 
 FleetCoordinator::FleetCoordinator(CoordinatorConfig config)
-    : config_(config) {
-  assert(config_.channels > 0);
-}
+    : config_(config) {}
 
 std::vector<CellPlan> FleetCoordinator::plan(
     const std::vector<reader::MmWaveReader>& readers,
@@ -42,7 +40,7 @@ std::vector<CellPlan> FleetCoordinator::plan(
   }
 
   for (std::size_t v = 0; v < m; ++v) {
-    plans[v].channel = static_cast<int>(v) % config_.channels;
+    plans[v].channel = static_cast<int>(v) % kCoordinationChannels;
   }
   for (std::size_t v = 0; v < m; ++v) {
     double load_w = 0.0;

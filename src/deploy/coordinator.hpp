@@ -27,8 +27,13 @@
 
 namespace mmtag::deploy {
 
+/// Frequency channels available to kChannelized (24 GHz ISM fits a
+/// handful of 200 MHz-tier channels; one 2 GHz-tier channel only).
+inline constexpr int kCoordinationChannels = 4;
+
 enum class CoordinationPolicy {
-  kChannelized,  ///< channel = cell % channels; ACR protects neighbours.
+  /// channel = cell % kCoordinationChannels; ACR protects neighbours.
+  kChannelized,
   kTdm,          ///< Cells take turns: 1/M airtime, zero interference.
 };
 
@@ -38,9 +43,6 @@ struct CoordinatorConfig {
   /// 2 GHz-tier channel, so dense deployments must take turns. Channelized
   /// operation trades fairness for airtime where cells are far apart.
   CoordinationPolicy policy = CoordinationPolicy::kTdm;
-  /// Frequency channels available for kChannelized (24 GHz ISM fits a
-  /// handful of 200 MHz-tier channels; one 2 GHz-tier channel only).
-  int channels = 4;
 };
 
 class FleetCoordinator {

@@ -18,6 +18,9 @@ namespace mmtag::deploy {
 
 namespace {
 
+/// Walking speed of a mobile tag [m/s].
+constexpr double kMobileSpeedMps = 1.5;
+
 obs::Histogram& cell_epoch_ns_metric() {
   static obs::Histogram& hist =
       obs::Registry::instance().histogram("deploy.cell.epoch_ns");
@@ -100,34 +103,19 @@ void FleetConfig::validate() const {
   if (epochs < 1) {
     throw std::invalid_argument("FleetConfig::epochs must be >= 1");
   }
-  // run() divides by the run's length, epochs * epoch_duration_s.
-  if (!(epoch_duration_s > 0.0 && std::isfinite(epochs * epoch_duration_s))) {
+  // run() divides by the run's length, epochs * epoch_duration_s, and a
+  // mover steps kMobileSpeedMps * epoch_duration_s.
+  if (!(epoch_duration_s > 0.0 && std::isfinite(epochs * epoch_duration_s) &&
+        std::isfinite(kMobileSpeedMps * epoch_duration_s))) {
     throw std::invalid_argument(
         "FleetConfig::epoch_duration_s must be > 0, with epochs * "
-        "epoch_duration_s finite");
+        "epoch_duration_s and the mobility step finite");
   }
   if (!(mobile_fraction >= 0.0 && mobile_fraction <= 1.0)) {
     throw std::invalid_argument(
         "FleetConfig::mobile_fraction must be in [0, 1]");
   }
-  if (!(std::isfinite(mobile_speed_mps) && mobile_speed_mps >= 0.0)) {
-    throw std::invalid_argument(
-        "FleetConfig::mobile_speed_mps must be finite and >= 0");
-  }
-  if (coordination.channels < 1) {
-    throw std::invalid_argument(
-        "FleetConfig::coordination.channels must be >= 1");
-  }
-  if (!(cell.beamwidth_deg > 0.0)) {
-    throw std::invalid_argument("FleetConfig::cell.beamwidth_deg must be > 0");
-  }
-  if (!(cell.sector_half_angle_rad > 0.0 &&
-        cell.sector_half_angle_rad <= phys::kPi)) {
-    throw std::invalid_argument(
-        "FleetConfig::cell.sector_half_angle_rad must be in (0, pi]");
-  }
   faults.validate("FleetConfig::faults.", layout.readers, "layout.readers");
-  recovery.validate("FleetConfig::recovery.");
 }
 
 FleetSimulator::FleetSimulator(FleetConfig config)
@@ -166,7 +154,7 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
         reader::MmWaveReader::prototype_at(layout.reader_poses[i]));
     cells.emplace_back(static_cast<int>(i), readers.back(),
                        &layout.environment, &rates, config_.cell,
-                       config_.recovery, config_.use_link_cache);
+                       config_.use_link_cache);
   }
 
   const FleetCoordinator coordinator(config_.coordination);
@@ -288,19 +276,17 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
     if (e + 1 < config_.epochs && config_.mobile_fraction > 0.0) {
       const auto movers = static_cast<std::size_t>(
           std::floor(config_.mobile_fraction * static_cast<double>(n)));
-      const double step_m =
-          config_.mobile_speed_mps * config_.epoch_duration_s;
-      const double margin = config_.layout.margin_m;
+      const double step_m = kMobileSpeedMps * config_.epoch_duration_s;
       for (std::size_t t = 0; t < movers && t < n; ++t) {
         sim::Rng rng = sim::make_rng(sim::derive_seed(
             move_base, static_cast<std::uint64_t>(e) * n + t));
         std::uniform_real_distribution<double> heading(0.0, phys::kTwoPi);
         const double dir = heading(rng);
         channel::Vec2 pos = layout.tags[t].pose().position;
-        pos.x = std::clamp(pos.x + step_m * std::cos(dir), margin,
-                           config_.layout.width_m - margin);
-        pos.y = std::clamp(pos.y + step_m * std::sin(dir), margin,
-                           config_.layout.height_m - margin);
+        pos.x = std::clamp(pos.x + step_m * std::cos(dir), kLayoutMarginM,
+                           config_.layout.width_m - kLayoutMarginM);
+        pos.y = std::clamp(pos.y + step_m * std::sin(dir), kLayoutMarginM,
+                           config_.layout.height_m - kLayoutMarginM);
         const std::size_t owner = nearest_reader(layout.reader_poses, pos);
         layout.tags[t].set_pose(core::Pose{
             pos, channel::bearing_rad(

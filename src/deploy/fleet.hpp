@@ -33,11 +33,10 @@ struct FleetConfig {
   /// Epochs alternate cell service and (optional) mobility steps.
   int epochs = 2;
   double epoch_duration_s = 0.05;
-  /// Fraction of the tag population that takes a random-walk step between
-  /// epochs (those tags' cache entries are invalidated and they may hand
-  /// off between cells).
+  /// Fraction of the tag population that takes a random-walk step at a
+  /// walking pace between epochs (those tags' cache entries are
+  /// invalidated and they may hand off between cells).
   double mobile_fraction = 0.0;
-  double mobile_speed_mps = 1.5;
   /// Base seed for every stream in the run (cells, mobility).
   std::uint64_t seed = 1;
   /// Worker threads (<= 0 selects sim::default_thread_count()).
@@ -48,9 +47,9 @@ struct FleetConfig {
   /// Fault injection (chaos testing). A default-constructed schedule
   /// injects nothing.
   fault::FaultSchedule faults;
-  /// How the fleet fights back: orphan re-handoff at epoch boundaries and
-  /// the cells' poll retry/backoff/quarantine knobs. A restarted reader
-  /// always drops its link cache and quarantine list.
+  /// How the fleet fights back: orphan re-handoff at epoch boundaries (the
+  /// cells' poll retry/backoff/quarantine machine has fixed tuning). A
+  /// restarted reader always drops its link cache and quarantine list.
   fault::RecoveryConfig recovery;
   /// Backhaul reachability hook (installed by mesh::BackhaulSimulator):
   /// maps this epoch's radio-live mask to the readers that can still reach
@@ -71,10 +70,8 @@ struct FleetConfig {
       epoch_observer;
 
   /// Throws std::invalid_argument naming the first out-of-range field
-  /// (including those of `layout`, `faults` and `recovery`, a scripted
-  /// outage's reader < `layout.readers`, `coordination.channels` >= 1,
-  /// `cell.beamwidth_deg` > 0 and `cell.sector_half_angle_rad` in
-  /// (0, pi]).
+  /// (including those of `layout` and `faults`, and a scripted outage's
+  /// reader < `layout.readers`).
   void validate() const;
 };
 

@@ -51,16 +51,13 @@ void LayoutConfig::validate() const {
   if (tags < 0) {
     throw std::invalid_argument("LayoutConfig::tags must be >= 0");
   }
-  if (!(margin_m >= 0.0)) {
-    throw std::invalid_argument("LayoutConfig::margin_m must be >= 0");
-  }
-  if (!(std::isfinite(width_m) && width_m > 2.0 * margin_m)) {
+  if (!(std::isfinite(width_m) && width_m > 2.0 * kLayoutMarginM)) {
     throw std::invalid_argument(
-        "LayoutConfig::width_m must be finite and > 2 * margin_m");
+        "LayoutConfig::width_m must be finite and > 2 * kLayoutMarginM");
   }
-  if (!(std::isfinite(height_m) && height_m > 2.0 * margin_m)) {
+  if (!(std::isfinite(height_m) && height_m > 2.0 * kLayoutMarginM)) {
     throw std::invalid_argument(
-        "LayoutConfig::height_m must be finite and > 2 * margin_m");
+        "LayoutConfig::height_m must be finite and > 2 * kLayoutMarginM");
   }
 }
 
@@ -95,16 +92,16 @@ FleetLayout make_layout(const LayoutConfig& config) {
     layout.reader_poses.push_back(core::Pose{pos, facing});
   }
 
-  const double usable_w = config.width_m - 2.0 * config.margin_m;
-  const double usable_h = config.height_m - 2.0 * config.margin_m;
+  const double usable_w = config.width_m - 2.0 * kLayoutMarginM;
+  const double usable_h = config.height_m - 2.0 * kLayoutMarginM;
   layout.tags.reserve(static_cast<std::size_t>(config.tags));
   for (int i = 0; i < config.tags; ++i) {
     auto rng = sim::make_rng(
         sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
-    std::uniform_real_distribution<double> ux(config.margin_m,
-                                              config.margin_m + usable_w);
-    std::uniform_real_distribution<double> uy(config.margin_m,
-                                              config.margin_m + usable_h);
+    std::uniform_real_distribution<double> ux(kLayoutMarginM,
+                                              kLayoutMarginM + usable_w);
+    std::uniform_real_distribution<double> uy(kLayoutMarginM,
+                                              kLayoutMarginM + usable_h);
     const channel::Vec2 pos{ux(rng), uy(rng)};
     const std::size_t owner = nearest_reader(layout.reader_poses, pos);
     const double facing =

@@ -16,6 +16,9 @@
 
 namespace mmtag::deploy {
 
+/// Keep-out margin between any entity and the perimeter walls [m].
+inline constexpr double kLayoutMarginM = 0.5;
+
 struct LayoutConfig {
   double width_m = 20.0;
   double height_m = 12.0;
@@ -25,12 +28,10 @@ struct LayoutConfig {
   /// over the usable floor under derive_seed(seed, i), so adding a tag
   /// never moves another.
   std::uint64_t seed = 1;
-  /// Keep-out margin between any entity and the perimeter walls [m].
-  double margin_m = 0.5;
 
   /// Throws std::invalid_argument naming the first out-of-range field:
-  /// readers >= 1, tags >= 0, margin_m >= 0, and a finite floor wider
-  /// and deeper than the two margins.
+  /// readers >= 1, tags >= 0, and a finite floor wider and deeper than
+  /// the two kLayoutMarginM margins.
   void validate() const;
 };
 

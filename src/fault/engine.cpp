@@ -64,9 +64,8 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
   if (schedule_.brownouts.active()) {
     const core::EnergyHarvester harvester =
         core::EnergyHarvester::mmtag_with(kBrownoutSource);
-    brownout_probability_ = std::clamp(
-        1.0 - harvester.duty_cycle(schedule_.brownouts.burst_load_w), 0.0,
-        1.0);
+    brownout_probability_ =
+        std::clamp(1.0 - harvester.duty_cycle(kBrownoutBurstLoadW), 0.0, 1.0);
     sim::Rng rng =
         sim::make_rng(sim::derive_seed(seed_, kBrownPopStream));
     std::bernoulli_distribution affected(
@@ -160,7 +159,7 @@ const EpochFaults& FaultEngine::begin_epoch(int epoch) {
   for (std::size_t t = 0; t < tags_; ++t) {
     current_.tag_blocked[t] = ge_bad_[t];
     double loss = tag_stuck_[t] != 0 ? stuck_penalty_db_ : 0.0;
-    if (ge_bad_[t] != 0) loss += schedule_.blockage.attenuation_db;
+    if (ge_bad_[t] != 0) loss += kBlockageAttenuationDb;
     current_.tag_loss_db[t] = loss;
   }
   return current_;

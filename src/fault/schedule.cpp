@@ -7,15 +7,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/core/van_atta.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::fault {
 
 double StuckSwitchModel::penalty_db() const {
   if (stuck_elements <= 0) return 0.0;
-  if (stuck_elements >= array_elements) return kDeadLinkDb;
-  const double working = static_cast<double>(array_elements - stuck_elements);
-  return 20.0 * std::log10(static_cast<double>(array_elements) / working);
+  const int elements = core::VanAttaArray::mmtag_prototype().size();
+  if (stuck_elements >= elements) return kDeadLinkDb;
+  const double working = static_cast<double>(elements - stuck_elements);
+  return 20.0 * std::log10(static_cast<double>(elements) / working);
 }
 
 FaultSchedule FaultSchedule::chaos(double intensity) {
@@ -63,29 +65,12 @@ void FaultSchedule::validate(std::string_view owner, int readers,
     }
   }
   fraction(brownouts.affected_fraction, "brownouts.affected_fraction");
-  non_negative(brownouts.burst_load_w, "brownouts.burst_load_w");
   fraction(stuck.affected_fraction, "stuck.affected_fraction");
   if (stuck.stuck_elements < 0) reject("stuck.stuck_elements must be >= 0");
-  if (stuck.array_elements < 1) reject("stuck.array_elements must be >= 1");
   non_negative(blockage.enter_rate_hz, "blockage.enter_rate_hz");
   non_negative(blockage.mean_burst_s, "blockage.mean_burst_s");
-  non_negative(blockage.attenuation_db, "blockage.attenuation_db");
   fraction(blockage.block_probability, "blockage.block_probability");
   non_negative(drift.sigma_ppm, "drift.sigma_ppm");
-}
-
-void RecoveryConfig::validate(std::string_view owner) const {
-  const auto reject = [owner](const char* rule) {
-    throw std::invalid_argument(std::string(owner) + rule);
-  };
-  if (poll_retry_budget < 0) reject("poll_retry_budget must be >= 0");
-  if (!(std::isfinite(poll_backoff_base_s) && poll_backoff_base_s >= 0.0)) {
-    reject("poll_backoff_base_s must be finite and >= 0");
-  }
-  if (!(std::isfinite(poll_timeout_s) && poll_timeout_s > 0.0)) {
-    reject("poll_timeout_s must be finite and > 0");
-  }
-  if (quarantine_epochs < 0) reject("quarantine_epochs must be >= 0");
 }
 
 namespace {

@@ -53,13 +53,16 @@ struct ReaderOutageModel {
   }
 };
 
+/// Load a brownout-model tag's storage cap must carry per read burst [W].
+inline constexpr double kBrownoutBurstLoadW = 5e-3;
+
 /// Dead-harvester brownouts driven by the existing energy model: an
 /// energy-constrained tag whose storage cap cannot sustain the read-burst
 /// load sits dark while it recharges. The per-epoch brownout probability is
-/// 1 - duty_cycle(burst_load_w) of the prototype harvester on indoor light.
+/// 1 - duty_cycle(kBrownoutBurstLoadW) of the prototype harvester on indoor
+/// light.
 struct BrownoutModel {
   double affected_fraction = 0.0;  ///< Fraction of tags energy-constrained.
-  double burst_load_w = 5e-3;      ///< Load the cap must carry per burst.
 
   [[nodiscard]] bool active() const { return affected_fraction > 0.0; }
 };
@@ -67,11 +70,11 @@ struct BrownoutModel {
 /// Stuck-at RF-switch faults: FETs on the common data line frozen in one
 /// state no longer modulate, so the Van Atta differential (bit-0 minus
 /// bit-1) field loses the stuck elements' contribution. The received-power
-/// penalty is the two-way aperture ratio 20*log10(E / (E - s)).
+/// penalty is the two-way aperture ratio 20*log10(E / (E - s)), with E the
+/// prototype array's element count (core::VanAttaArray::mmtag_prototype).
 struct StuckSwitchModel {
   double affected_fraction = 0.0;  ///< Fraction of tags with a stuck FET.
   int stuck_elements = 1;          ///< Stuck FETs per affected tag.
-  int array_elements = 6;          ///< Data-line FETs (prototype: 6).
 
   [[nodiscard]] bool active() const {
     return affected_fraction > 0.0 && stuck_elements > 0;
@@ -81,14 +84,17 @@ struct StuckSwitchModel {
   [[nodiscard]] double penalty_db() const;
 };
 
+/// Extra loss of a blocked link whose queries still get through [dB].
+inline constexpr double kBlockageAttenuationDb = 15.0;
+
 /// Gilbert-Elliott blockage bursts per link: a two-state Markov chain
 /// stepped once per epoch. In the bad state a fraction of individual
 /// queries get no response at all (forklift in the Fresnel zone) and the
-/// rest arrive attenuated (diffraction around the obstruction).
+/// rest arrive attenuated by kBlockageAttenuationDb (diffraction around the
+/// obstruction).
 struct BlockageModel {
   double enter_rate_hz = 0.0;      ///< good -> bad transitions [1/s].
   double mean_burst_s = 0.0;       ///< Mean bad-state dwell [s].
-  double attenuation_db = 15.0;    ///< Extra loss while bad but responsive.
   double block_probability = 0.8;  ///< P(no response to one poll | bad).
 
   [[nodiscard]] bool active() const {
@@ -126,41 +132,25 @@ struct FaultSchedule {
 
   /// Throws std::invalid_argument naming the first bad field, prefixed by
   /// `owner` (FleetConfig::validate passes "FleetConfig::faults."): rates,
-  /// durations, attenuation_db, burst_load_w and sigma_ppm finite and
-  /// >= 0; fractions and block_probability in [0, 1]; stuck_elements
-  /// >= 0 and array_elements >= 1; scripted outages on a reader >= 0
-  /// with a finite start and duration. A caller that knows the reader
-  /// count passes it as `readers`, named `readers_field` in the message,
-  /// and a scripted reader >= it is rejected too: build_outage_timelines
-  /// skips such an event, so a mistyped incident would run fault-free.
+  /// durations and sigma_ppm finite and >= 0; fractions and
+  /// block_probability in [0, 1]; stuck_elements >= 0; scripted outages
+  /// on a reader >= 0 with a finite start and duration. A caller that
+  /// knows the reader count passes it as `readers`, named `readers_field`
+  /// in the message, and a scripted reader >= it is rejected too:
+  /// build_outage_timelines skips such an event, so a mistyped incident
+  /// would run fault-free.
   void validate(std::string_view owner,
                 int readers = std::numeric_limits<int>::max(),
                 std::string_view readers_field = {}) const;
 };
 
-/// How the stack fights back. Consumed by FleetSimulator, ReaderCell and
-/// the coordinator; all knobs are epoch-granular except the poll-level
-/// retry/backoff, which runs inside a cell's poll loop.
+/// How the fleet fights back at epoch boundaries. The poll-level retry,
+/// backoff and quarantine machine runs inside a cell's poll loop with
+/// fixed constants (deploy/cell.hpp).
 struct RecoveryConfig {
   /// Hand tags orphaned by a full-epoch reader outage to the nearest live
   /// reader at the next epoch boundary (and back after the restart).
   bool reassign_orphans = true;
-  /// Consecutive no-response polls of one tag before it is quarantined;
-  /// 0 never quarantines (the tag only backs off).
-  int poll_retry_budget = 2;
-  /// First retry waits this long; doubles per further consecutive failure.
-  double poll_backoff_base_s = 200e-6;
-  /// Airtime one unanswered poll consumes (query + listen window).
-  double poll_timeout_s = 50e-6;
-  /// Epochs a quarantined tag sits out before being re-tried.
-  int quarantine_epochs = 1;
-
-  /// Throws std::invalid_argument naming the first bad field, prefixed by
-  /// `owner`: poll_timeout_s finite and > 0 (an unanswered poll that
-  /// costs no airtime would re-poll forever at one instant),
-  /// poll_backoff_base_s finite and >= 0, poll_retry_budget and
-  /// quarantine_epochs >= 0.
-  void validate(std::string_view owner) const;
 };
 
 /// Per-reader outage timelines over [0, duration_s): Poisson arrivals with

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "src/deploy/layout.hpp"
@@ -18,6 +16,16 @@ namespace {
 /// Headroom reserved per pool slot: the mesh header plus slack for any
 /// lower layer a future hop might stack under it.
 constexpr std::size_t kPoolHeadroom = 32;
+/// Payload bytes per mesh frame (one frame carries this much inventory).
+constexpr std::size_t kFramePayloadBytes = 256;
+/// Slots in the shared forwarding pool. Gateway fan-in that exhausts it
+/// drops frames gracefully and counts them (mesh.dropped.pool /
+/// net.pool.exhausted); they never silently diverge.
+constexpr std::size_t kPoolPackets = 256;
+/// Frames one cell may offer per epoch (bounds event count per epoch; the
+/// cap is a drop-nothing clamp — inventory bits above it still count as
+/// offered load in the last frame).
+constexpr int kMaxFramesPerCellEpoch = 32;
 
 }  // namespace
 
@@ -51,25 +59,16 @@ sim::Table backhaul_table(const BackhaulReport& report) {
 BackhaulSimulator::BackhaulSimulator(BackhaulConfig config)
     : config_(std::move(config)) {
   config_.fleet.validate();
-  const auto reject = [](const char* rule) {
-    throw std::invalid_argument(std::string("BackhaulConfig::") + rule);
-  };
-  if (config_.payload_bytes < 8) reject("payload_bytes must be >= 8");
-  if (config_.pool_packets == 0) reject("pool_packets must be > 0");
-  if (config_.max_frames_per_cell_epoch < 1) {
-    reject("max_frames_per_cell_epoch must be > 0");
-  }
 }
 
 BackhaulReport BackhaulSimulator::run() {
   deploy::FleetLayout layout = deploy::make_layout(config_.fleet.layout);
   const MeshTopology topology(layout.reader_poses, config_.topology);
-  net::PacketPool pool(config_.pool_packets, config_.payload_bytes,
-                       kPoolHeadroom);
+  net::PacketPool pool(kPoolPackets, kFramePayloadBytes, kPoolHeadroom);
   MeshNetwork network(&topology, config_.forwarding, &pool);
 
   const double epoch_s = config_.fleet.epoch_duration_s;
-  const double frame_bits = static_cast<double>(config_.payload_bytes) * 8.0;
+  const double frame_bits = static_cast<double>(kFramePayloadBytes) * 8.0;
 
   deploy::FleetConfig fleet_config = config_.fleet;
   // Orphan re-handoff consults mesh reachability, so no tag is parked on
@@ -95,11 +94,11 @@ BackhaulReport BackhaulSimulator::run() {
           if (bits <= 0.0 && cells[c].tags_discovered == 0) continue;
           const int frames = std::clamp(
               static_cast<int>(std::ceil(bits / frame_bits)), 1,
-              config_.max_frames_per_cell_epoch);
+              kMaxFramesPerCellEpoch);
           const double spacing =
               epoch_s / static_cast<double>(frames + 1);
           for (int i = 0; i < frames; ++i) {
-            network.send(queue, static_cast<int>(c), config_.payload_bytes,
+            network.send(queue, static_cast<int>(c), kFramePayloadBytes,
                          start_s + static_cast<double>(i + 1) * spacing);
           }
         }

@@ -34,16 +34,6 @@ struct BackhaulConfig {
   deploy::FleetConfig fleet;
   TopologyConfig topology;
   ForwardingConfig forwarding;
-  /// Payload bytes per mesh frame (one frame carries this much inventory).
-  std::size_t payload_bytes = 256;
-  /// Slots in the shared forwarding pool. Undersize it and gateway fan-in
-  /// exhausts the pool: frames drop gracefully and are counted
-  /// (mesh.dropped.pool / net.pool.exhausted), never silently diverge.
-  std::size_t pool_packets = 256;
-  /// Frames one cell may offer per epoch (bounds event count per epoch;
-  /// the cap is a drop-nothing clamp — inventory bits above it still count
-  /// as offered load in the last frame).
-  int max_frames_per_cell_epoch = 32;
 };
 
 struct BackhaulReport {
@@ -66,9 +56,8 @@ struct BackhaulReport {
 
 class BackhaulSimulator {
  public:
-  /// Throws std::invalid_argument naming the first out-of-range field:
-  /// those of FleetConfig::validate(), then payload_bytes >= 8,
-  /// pool_packets > 0 and max_frames_per_cell_epoch > 0.
+  /// Throws std::invalid_argument naming the first out-of-range field of
+  /// FleetConfig::validate().
   explicit BackhaulSimulator(BackhaulConfig config);
 
   /// Run the fleet with the mesh attached. Deterministic in the config

@@ -165,8 +165,7 @@ void MeshNetwork::rebuild_tables(bool only_live) {
   for (std::size_t v = 0; v < n; ++v) {
     if (only_live && !node_live(static_cast<int>(v))) continue;
     tables_[v] = RouteTable(protocol_.believed_topology(static_cast<int>(v)),
-                            static_cast<int>(v), topology_->gateways(),
-                            config_.routing);
+                            static_cast<int>(v), topology_->gateways());
   }
 }
 

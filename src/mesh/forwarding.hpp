@@ -64,7 +64,6 @@ struct MeshHeader {
 };
 
 struct ForwardingConfig {
-  RoutingConfig routing;
   /// Initial header TTL (bounds stale-state detour loops).
   int ttl = 16;
   /// Consult K-alternates when the primary next hop is dead. Off = the

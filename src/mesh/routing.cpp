@@ -184,8 +184,7 @@ std::vector<Route> k_shortest_paths(const Adjacency& adj, int src, int dst,
 }
 
 RouteTable::RouteTable(const Adjacency& adj, int node,
-                       const std::vector<int>& gateways,
-                       const RoutingConfig& config)
+                       const std::vector<int>& gateways)
     : gateways_(gateways) {
   routes_.reserve(gateways_.size());
   for (const int gw : gateways_) {
@@ -195,7 +194,7 @@ RouteTable::RouteTable(const Adjacency& adj, int node,
       self.hops = {node};
       routes_.push_back({std::move(self)});
     } else {
-      routes_.push_back(k_shortest_paths(adj, node, gw, config.k_paths));
+      routes_.push_back(k_shortest_paths(adj, node, gw, kRoutesPerGateway));
     }
   }
   for (std::size_t i = 0; i < gateways_.size(); ++i) {

@@ -56,11 +56,9 @@ struct ShortestPaths {
                                                   int src, int dst,
                                                   std::size_t k);
 
-struct RoutingConfig {
-  /// Precomputed routes per (node, gateway): one primary plus k_paths-1
-  /// failover alternates.
-  std::size_t k_paths = 3;
-};
+/// Precomputed routes per (node, gateway): one primary plus
+/// kRoutesPerGateway - 1 failover alternates.
+inline constexpr std::size_t kRoutesPerGateway = 3;
 
 /// One node's forwarding state toward every gateway, rebuilt per topology
 /// epoch from that node's believed topology.
@@ -68,9 +66,9 @@ class RouteTable {
  public:
   RouteTable() = default;
 
-  /// Build `node`'s table toward `gateways` (ascending ids) over `adj`.
-  RouteTable(const Adjacency& adj, int node, const std::vector<int>& gateways,
-             const RoutingConfig& config);
+  /// Build `node`'s table toward `gateways` (ascending ids) over `adj`:
+  /// the kRoutesPerGateway best routes to each.
+  RouteTable(const Adjacency& adj, int node, const std::vector<int>& gateways);
 
   /// Gateway this node drains to: the one whose primary route is minimal
   /// under route_less; ties by lowest gateway id. -1 when no gateway is

@@ -2,21 +2,18 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "src/phy/ber.hpp"
 
 namespace mmtag::net {
 
 AckRateController::AckRateController(const phy::RateTable* table,
-                                     Params params,
                                      double received_power_dbm)
-    : table_(table), params_(params), power_dbm_(received_power_dbm) {
+    : table_(table), power_dbm_(received_power_dbm) {
   if (table_ == nullptr || table_->tiers().empty()) {
     throw std::invalid_argument(
         "AckRateController::table must hold at least one tier");
   }
-  params_.validate();
   // Open-loop start: fastest tier the link budget clears, else the
   // slowest one (tiers are sorted by descending bit rate).
   const std::size_t tiers = table_->tiers().size();
@@ -29,19 +26,6 @@ AckRateController::AckRateController(const phy::RateTable* table,
   }
 }
 
-void AckRateController::Params::validate(std::string_view owner) const {
-  const auto reject = [owner](const char* rule) {
-    throw std::invalid_argument(std::string(owner) + rule);
-  };
-  if (!(history_alpha > 0.0 && history_alpha <= 1.0)) {
-    reject("history_alpha must be in (0, 1]");
-  }
-  if (!(down_threshold <= up_threshold)) {
-    reject("down_threshold must be <= up_threshold");
-  }
-  if (up_dwell_rounds < 1) reject("up_dwell_rounds must be >= 1");
-}
-
 const phy::RateTier& AckRateController::tier() const {
   return table_->tiers()[tier_];
 }
@@ -50,10 +34,9 @@ bool AckRateController::on_ack_round(int delivered, int transmitted) {
   if (transmitted <= 0) return false;
   const double ratio =
       static_cast<double>(delivered) / static_cast<double>(transmitted);
-  ewma_ = (1.0 - params_.history_alpha) * ewma_ +
-          params_.history_alpha * ratio;
+  ewma_ = (1.0 - kAckHistoryAlpha) * ewma_ + kAckHistoryAlpha * ratio;
 
-  if (ewma_ < params_.down_threshold) {
+  if (ewma_ < kDownshiftDeliveryRatio) {
     dwell_ = 0;
     if (tier_ + 1 < table_->tiers().size()) {
       ++tier_;
@@ -66,13 +49,13 @@ bool AckRateController::on_ack_round(int delivered, int transmitted) {
     return false;
   }
 
-  if (ewma_ >= params_.up_threshold && tier_ > 0) {
+  if (ewma_ >= kUpshiftDeliveryRatio && tier_ > 0) {
     const phy::RateTier& faster = table_->tiers()[tier_ - 1];
     const bool snr_clears =
         power_dbm_ >=
         table_->required_power_dbm(faster) + kUpshiftSnrMarginDb;
     if (snr_clears) {
-      if (++dwell_ >= params_.up_dwell_rounds) {
+      if (++dwell_ >= kUpshiftDwellRounds) {
         --tier_;
         ++switches_;
         dwell_ = 0;

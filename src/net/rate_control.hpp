@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 
 #include "src/phy/rate_table.hpp"
 
@@ -22,34 +21,25 @@ namespace mmtag::net {
 /// Link margin above the faster tier's power threshold an upshift into it
 /// requires [dB].
 inline constexpr double kUpshiftSnrMarginDb = 3.0;
+/// Weight of one ACK round in the delivery-ratio EWMA.
+inline constexpr double kAckHistoryAlpha = 0.25;
+/// EWMA delivery ratio that forces a downshift to the next slower tier
+/// (the ACKs say the tier is failing — SNR opinions are ignored on the way
+/// down; blockage does not show up in a link budget).
+inline constexpr double kDownshiftDeliveryRatio = 0.5;
+/// EWMA delivery ratio required to arm an upshift.
+inline constexpr double kUpshiftDeliveryRatio = 0.9;
+/// Consecutive qualifying rounds before the upshift fires.
+inline constexpr int kUpshiftDwellRounds = 3;
 
 class AckRateController {
  public:
-  struct Params {
-    /// ACK rounds folded into the delivery-ratio EWMA.
-    double history_alpha = 0.25;
-    /// EWMA delivery ratio that forces a downshift to the next slower
-    /// tier (the ACKs say the tier is failing — SNR opinions are ignored
-    /// on the way down; blockage does not show up in a link budget).
-    double down_threshold = 0.5;
-    /// EWMA delivery ratio required to arm an upshift.
-    double up_threshold = 0.9;
-    /// Consecutive qualifying rounds before the upshift fires.
-    int up_dwell_rounds = 3;
-
-    /// Throws std::invalid_argument naming the first bad field, prefixed
-    /// by `owner` (TrafficConfig::validate passes "TrafficConfig::rate.").
-    void validate(std::string_view owner = "AckRateController::") const;
-  };
-
   /// `table` tiers are consulted in their canonical descending-rate
   /// order. The controller starts at the best SNR-feasible tier for
   /// `received_power_dbm` (the open-loop pick), or the slowest tier when
   /// even that is out of reach (the ACK loop will keep it there). Throws
-  /// std::invalid_argument when `table` is null or has no tier, or when
-  /// `params` fails Params::validate().
-  AckRateController(const phy::RateTable* table, Params params,
-                    double received_power_dbm);
+  /// std::invalid_argument when `table` is null or has no tier.
+  AckRateController(const phy::RateTable* table, double received_power_dbm);
 
   /// Feed one block-ACK round: `delivered` of `transmitted` packets got
   /// through. Returns true when the tier changed.
@@ -60,11 +50,9 @@ class AckRateController {
   [[nodiscard]] const phy::RateTier& tier() const;
   [[nodiscard]] double rate_bps() const { return tier().bit_rate_bps; }
   [[nodiscard]] int switch_count() const { return switches_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
   const phy::RateTable* table_;
-  Params params_;
   double power_dbm_;
   std::size_t tier_ = 0;
   double ewma_ = 1.0;

@@ -23,6 +23,13 @@ namespace mmtag::net {
 
 namespace {
 
+/// Traffic-phase window the outage timelines and blockage bursts are
+/// drawn over [s].
+constexpr double kHorizonS = 1.0;
+/// Block-ACK on-air payload [bits] (timing only). Every bit goes on the
+/// air as two Manchester chips, as in the phy.
+constexpr double kAckBits = 64.0;
+
 obs::Counter& flows_metric() {
   static obs::Counter& counter =
       obs::Registry::instance().counter("net.traffic.flows");
@@ -124,17 +131,6 @@ void TrafficConfig::validate() const {
     throw std::invalid_argument(
         "TrafficConfig::packets_per_flow must be >= 0");
   }
-  if (!(std::isfinite(horizon_s) && horizon_s > 0.0)) {
-    throw std::invalid_argument(
-        "TrafficConfig::horizon_s must be finite and > 0");
-  }
-  if (pool_packets < 1) {
-    throw std::invalid_argument("TrafficConfig::pool_packets must be >= 1");
-  }
-  if (!(std::isfinite(ack_bits) && ack_bits >= 0.0)) {
-    throw std::invalid_argument(
-        "TrafficConfig::ack_bits must be finite and >= 0");
-  }
   if (discovery_epochs < 0) {
     throw std::invalid_argument(
         "TrafficConfig::discovery_epochs must be >= 0");
@@ -143,7 +139,6 @@ void TrafficConfig::validate() const {
     throw std::invalid_argument(
         "TrafficConfig::epoch_duration_s must be finite and > 0");
   }
-  rate.validate("TrafficConfig::rate.");
   layout.validate();
   arq.validate();
   faults.validate("TrafficConfig::faults.", layout.readers,
@@ -233,7 +228,7 @@ TrafficReport TrafficEngine::run() {
   // reader, realized before the fan-out (thread count can't touch them).
   const std::vector<std::vector<fault::Outage>> outages =
       fault::build_outage_timelines(
-          config_.faults.outages, m, config_.horizon_s,
+          config_.faults.outages, m, kHorizonS,
           sim::derive_seed(config_.seed, 0x6F757467));  // outg
 
   const std::uint64_t flow_base =
@@ -263,7 +258,7 @@ TrafficReport TrafficEngine::run() {
                              static_cast<double>(flows_per_reader[r]);
         assert(share > 0.0);
 
-        AckRateController controller(&rates, config_.rate, power_dbm);
+        AckRateController controller(&rates, power_dbm);
         flow.initial_rate_bps = controller.rate_bps();
 
         // On-air timing at a tier: OOK runs one chip per symbol at
@@ -275,13 +270,13 @@ TrafficReport TrafficEngine::run() {
           timing.packet_time_s =
               packet_bits * chips_per_bit / symbol_rate / share;
           timing.ack_time_s =
-              config_.ack_bits * chips_per_bit / symbol_rate / share;
+              kAckBits * chips_per_bit / symbol_rate / share;
           timing.ack_timeout_s = timing.packet_time_s + timing.ack_time_s;
           return timing;
         };
 
         const std::vector<fault::Outage> bursts = draw_blockage_bursts(
-            config_.faults.blockage, config_.horizon_s, rng);
+            config_.faults.blockage, kHorizonS, rng);
         const std::vector<fault::Outage>& downtime = outages[r];
 
         // Outside an outage the success probability depends only on the
@@ -299,7 +294,7 @@ TrafficReport TrafficEngine::run() {
             double rx_dbm = power_dbm;
             double scale = 1.0;
             if (blocked) {
-              rx_dbm -= config_.faults.blockage.attenuation_db;
+              rx_dbm -= fault::kBlockageAttenuationDb;
               scale = 1.0 - config_.faults.blockage.block_probability;
             }
             success = scale * packet_success_probability(
@@ -317,8 +312,10 @@ TrafficReport TrafficEngine::run() {
           };
         }
 
-        PacketPool buffers(config_.pool_packets, config_.arq.payload_bytes,
-                           kSrHeaderBytes);
+        // One slot per window sequence: the slots a session holds are a
+        // prefix of its open window, so the pool never throttles a flow.
+        PacketPool buffers(static_cast<std::size_t>(arq_config.window),
+                           config_.arq.payload_bytes, kSrHeaderBytes);
         SrArqSession session(arq_config, timing_for(controller.tier()));
         flow.arq = session.run(config_.packets_per_flow, channel, rng,
                                &buffers, adapt);

@@ -49,9 +49,8 @@ struct TrafficConfig {
   ArqMode mode = ArqMode::kSelectiveRepeat;
   /// Window / retry budget / ACK loss / payload size (sr_arq.hpp).
   SrArqConfig arq;
-  /// Closed-loop rate adaptation knobs (rate_control.hpp).
-  AckRateController::Params rate;
-  /// Disable to pin every flow at its open-loop initial tier.
+  /// Disable to pin every flow at its open-loop initial tier; otherwise
+  /// each flow's AckRateController (rate_control.hpp) retunes it.
   bool adapt_rate = true;
   /// Inventory epochs of the admission pass; flows only run to tags the
   /// fleet discovered. 0 skips discovery and admits every tag.
@@ -62,14 +61,6 @@ struct TrafficConfig {
   /// it per flow. (Brownout/stuck/drift models shape discovery only —
   /// they are epoch-granular tag states, not link processes.)
   fault::FaultSchedule faults;
-  /// Traffic-phase window the outage timelines are drawn over [s].
-  double horizon_s = 1.0;
-  /// Block-ACK on-air payload [bits] (timing only). Every bit goes on
-  /// the air as two Manchester chips, as in the phy.
-  double ack_bits = 64.0;
-  /// Buffer slots backing each flow's in-flight window; fewer slots than
-  /// the window throttles it (pool backpressure).
-  std::size_t pool_packets = 48;
   std::uint64_t seed = 1;
   /// Worker threads (<= 0 selects sim::default_thread_count()).
   int threads = 0;

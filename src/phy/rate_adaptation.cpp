@@ -1,6 +1,6 @@
 #include "src/phy/rate_adaptation.hpp"
 
-#include <cassert>
+#include <utility>
 
 namespace mmtag::phy {
 
@@ -9,13 +9,12 @@ namespace {
 /// Extra margin [dB] the power must clear above a tier's threshold before
 /// upgrading into it (downgrades happen at the bare threshold).
 constexpr double kUpHysteresisDb = 3.0;
+/// Consecutive qualifying observations required before an upgrade.
+constexpr int kUpDwellCount = 3;
 
 }  // namespace
 
-RateController::RateController(RateTable table, Params params)
-    : table_(std::move(table)), params_(params) {
-  assert(params_.up_dwell_count >= 1);
-}
+RateController::RateController(RateTable table) : table_(std::move(table)) {}
 
 double RateController::observe_dbm(double received_power_dbm) {
   // Downgrade immediately when the current tier's bare threshold fails.
@@ -31,7 +30,7 @@ double RateController::observe_dbm(double received_power_dbm) {
   const double guarded = table_.achievable_rate_bps(
       received_power_dbm - kUpHysteresisDb);
   if (guarded > current_rate_bps_) {
-    if (++qualifying_streak_ >= params_.up_dwell_count) {
+    if (++qualifying_streak_ >= kUpDwellCount) {
       current_rate_bps_ = guarded;
       qualifying_streak_ = 0;
       ++switch_count_;

@@ -13,12 +13,7 @@ namespace mmtag::phy {
 
 class RateController {
  public:
-  struct Params {
-    /// Consecutive qualifying observations required before an upgrade.
-    int up_dwell_count = 3;
-  };
-
-  RateController(RateTable table, Params params);
+  explicit RateController(RateTable table);
 
   /// Feed one received-power observation [dBm]; returns the rate now in
   /// force [bit/s] (0 when no tier is sustainable).
@@ -30,11 +25,8 @@ class RateController {
   /// Number of tier switches so far (the thrash metric).
   [[nodiscard]] int switch_count() const { return switch_count_; }
 
-  [[nodiscard]] const Params& params() const { return params_; }
-
  private:
   RateTable table_;
-  Params params_;
   double current_rate_bps_ = 0.0;
   int qualifying_streak_ = 0;
   int switch_count_ = 0;

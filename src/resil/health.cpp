@@ -26,23 +26,6 @@ obs::Counter& cleared_metric() {
 }  // namespace
 
 void HealthConfig::validate() const {
-  if (!(std::isfinite(phi_suspect) && phi_suspect > 0.0)) {
-    throw std::invalid_argument(
-        "HealthConfig::phi_suspect must be finite and > 0");
-  }
-  if (!(min_miss_probability > 0.0)) {
-    throw std::invalid_argument(
-        "HealthConfig::min_miss_probability must be > 0");
-  }
-  if (!(max_miss_probability >= min_miss_probability &&
-        max_miss_probability < 1.0)) {
-    throw std::invalid_argument(
-        "HealthConfig::max_miss_probability must be in "
-        "[min_miss_probability, 1)");
-  }
-  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-    throw std::invalid_argument("HealthConfig::ewma_alpha must be in (0, 1]");
-  }
   if (probe_interval_epochs < 1) {
     throw std::invalid_argument(
         "HealthConfig::probe_interval_epochs must be >= 1");
@@ -66,8 +49,8 @@ void HealthMonitor::end_epoch(std::span<const std::uint64_t> successes) {
       // Suspicion accrues against the *pre-miss* healthy model: the
       // clamped EWMA is read first, so a clean-history entity pays the
       // full floor improbability (>= 1.3 decades) on its first miss.
-      const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
-                                  config_.max_miss_probability);
+      const double p =
+          std::clamp(s.ewma_miss, kMinMissProbability, kMaxMissProbability);
       const double per_miss = -std::log10(p);
       ++s.miss_streak;
       s.phi = static_cast<double>(s.miss_streak) * per_miss;
@@ -75,17 +58,17 @@ void HealthMonitor::end_epoch(std::span<const std::uint64_t> successes) {
       // is the failure in progress, which must not teach the detector
       // that being down is normal.
       if (!s.last_was_miss) {
-        s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
+        s.ewma_miss += kEwmaAlpha * (1.0 - s.ewma_miss);
       }
       s.last_was_miss = true;
     } else {
-      s.ewma_miss *= 1.0 - config_.ewma_alpha;
+      s.ewma_miss *= 1.0 - kEwmaAlpha;
       s.miss_streak = 0;
       s.phi = 0.0;
       s.last_was_miss = false;
     }
 
-    const bool suspect = s.phi >= config_.phi_suspect;
+    const bool suspect = s.phi >= kPhiSuspect;
     if (suspect) {
       ++suspected_count_;
       if (s.suspected_since == 0) {

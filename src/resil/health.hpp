@@ -14,10 +14,12 @@
 //   phi = miss_streak * -log10(p_miss_healthy)
 //
 // i.e. the improbability, in decades, of the observed consecutive-miss
-// run under the healthy model. With the default floor p >= 0.05 a single
-// miss already contributes >= 1.3 decades, so a hard outage crosses the
-// default threshold (phi >= 1) in one epoch and even a noisy entity
-// crosses within two — the detection-lag gate bench_r1_resil enforces.
+// run under the healthy model. The tuning is fixed: with the floor
+// p >= kMinMissProbability = 0.05 a single miss already contributes
+// >= 1.3 decades, so a hard outage crosses the threshold (phi >=
+// kPhiSuspect = 1) in one epoch and even a noisy entity crosses within two
+// — the detection-lag gate bench_r1_resil enforces. Only the probe cadence
+// is configurable.
 //
 // The caller hands over one report per epoch, after its fan-out joined
 // (DESIGN.md Sec. 15): end_epoch() updates the EWMA, the phi draw and the
@@ -32,27 +34,28 @@
 
 namespace mmtag::resil {
 
+/// Suspicion threshold in decades of improbability.
+inline constexpr double kPhiSuspect = 1.0;
+/// Floor on the learned healthy miss probability. Keeps one miss worth
+/// -log10(0.05) ~ 1.3 decades even for an entity with a spotless history,
+/// bounding detection lag from above.
+inline constexpr double kMinMissProbability = 0.05;
+/// Ceiling on the learned healthy miss probability; above it the "healthy"
+/// model would explain any outage away. At 0.3 one miss is worth >= 0.52
+/// decades, so even the noisiest entity is suspected within two
+/// consecutive misses — the structural bound behind the detection-lag
+/// gate.
+inline constexpr double kMaxMissProbability = 0.3;
+/// EWMA weight of one new miss-rate observation.
+inline constexpr double kEwmaAlpha = 0.2;
+
 struct HealthConfig {
-  /// Suspicion threshold in decades of improbability.
-  double phi_suspect = 1.0;
-  /// Floor on the learned healthy miss probability. Keeps one miss worth
-  /// -log10(0.05) ~ 1.3 decades even for an entity with a spotless
-  /// history, bounding detection lag from above.
-  double min_miss_probability = 0.05;
-  /// Ceiling on the learned healthy miss probability; above it the
-  /// "healthy" model would explain any outage away. At 0.3 one miss is
-  /// worth >= 0.52 decades, so even the noisiest entity is suspected
-  /// within two consecutive misses — the structural bound behind the
-  /// detection-lag gate.
-  double max_miss_probability = 0.3;
-  /// EWMA weight of one new miss-rate observation.
-  double ewma_alpha = 0.2;
   /// Suspected entities are re-probed every this many epochs (half-open:
   /// one serving epoch; a success clears suspicion, silence re-confirms
   /// it). Must be >= 1.
   int probe_interval_epochs = 2;
 
-  /// Throws std::invalid_argument naming the first out-of-range field.
+  /// Throws std::invalid_argument when probe_interval_epochs < 1.
   void validate() const;
 };
 
@@ -74,7 +77,7 @@ class HealthMonitor {
     return state_[entity].phi;
   }
   [[nodiscard]] bool suspected(std::size_t entity) const {
-    return state_[entity].phi >= config_.phi_suspect;
+    return state_[entity].phi >= kPhiSuspect;
   }
   /// Degraded-mode service decision: serve the entity this epoch? True
   /// for healthy entities always, and for suspected ones only on their

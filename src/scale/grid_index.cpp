@@ -42,7 +42,6 @@ GridIndex::GridIndex(double width_m, double height_m, double cell_m)
 void GridIndex::insert(TagSlot slot, double x, double y) {
   std::vector<TagSlot>& bucket = cells_[cell_of(x, y)];
   bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), slot), slot);
-  ++occupancy_;
 }
 
 std::size_t GridIndex::rebucket(const std::vector<CellMove>& moves,

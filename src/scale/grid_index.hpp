@@ -77,10 +77,6 @@ class GridIndex {
   std::size_t gather_disc(double cx, double cy, double radius_m,
                           std::vector<TagSlot>& out) const;
 
-  [[nodiscard]] int cols() const { return cols_; }
-  [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] std::size_t occupancy() const { return occupancy_; }
-
   /// Bucket holding (x, y); inline for the mobility loop.
   [[nodiscard]] std::size_t cell_of(double x, double y) const {
     return static_cast<std::size_t>(row_of(y)) *
@@ -104,7 +100,6 @@ class GridIndex {
   int cols_;
   int rows_;
   std::vector<std::vector<TagSlot>> cells_;
-  std::size_t occupancy_ = 0;
 };
 
 }  // namespace mmtag::scale

@@ -19,6 +19,9 @@ namespace mmtag::scale {
 
 namespace {
 
+/// Bits a successful poll delivers at the slowest rate tier.
+constexpr double kMetroPayloadBits = 96.0;
+
 /// 53-bit mantissa uniform in [0, 1) from raw hash bits.
 inline double unit_double(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -66,15 +69,17 @@ void MetroConfig::validate() const {
   require(polls_per_reader >= 0, "polls_per_reader", ">= 0");
   require(poll_success_prob >= 0.0 && poll_success_prob <= 1.0,
           "poll_success_prob", "in [0, 1]");
-  require_finite_nonnegative(payload_bits, "payload_bits");
   require_finite_nonnegative(interference_radius_m, "interference_radius_m");
   require_finite_nonnegative(initial_energy_j, "initial_energy_j");
   require_finite_nonnegative(harvest_j_per_epoch, "harvest_j_per_epoch");
   require_finite_nonnegative(respond_cost_j, "respond_cost_j");
-  require_finite_nonnegative(energy_cap_j, "energy_cap_j");
   require(move_fraction >= 0.0 && move_fraction <= 1.0, "move_fraction",
           "in [0, 1]");
-  require_finite_nonnegative(speed_mps, "speed_mps");
+  // run_epoch steps a mover by up to speed_mps * epoch_duration_s.
+  require(std::isfinite(speed_mps) && speed_mps >= 0.0 &&
+              std::isfinite(speed_mps * epoch_duration_s),
+          "speed_mps", "finite and >= 0, with speed_mps * epoch_duration_s "
+          "finite");
   health.validate();
   domains.validate();
 }
@@ -152,7 +157,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   const double intf_r2 =
       config_.interference_radius_m * config_.interference_radius_m;
   // Delivered bits per successful poll scale with the tag's rate tier:
-  // the poll grants a fixed airtime slot sized to carry `payload_bits`
+  // the poll grants a fixed airtime slot sized to carry kMetroPayloadBits
   // at the slowest tier, so a 1 Gbps tag moves 100x the payload of a
   // 10 Mbps tag in the same slot.
   const double base_rate =
@@ -289,7 +294,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       ++out.detected;
       if (owner != r) ++out.adopted;
       // In the beam: harvest first, then maybe answer a poll.
-      energy[slot] = std::min(config_.energy_cap_j,
+      energy[slot] = std::min(kMetroEnergyCapJ,
                               energy[slot] + config_.harvest_j_per_epoch);
       if (energy[slot] >= config_.respond_cost_j) {
         eligible.emplace_back(slot, d2);
@@ -320,7 +325,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
         energy[slot] -= config_.respond_cost_j;
         assert(energy[slot] >= 0.0);
         const double bits =
-            config_.payload_bits * (model_.rate_for_d2(d2) / base_rate);
+            kMetroPayloadBits * (model_.rate_for_d2(d2) / base_rate);
         delivered[slot] += bits;
         out.delivered_bits += bits;
         if (std::isinf(first_read[slot])) {  // Never read before.

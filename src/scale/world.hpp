@@ -52,6 +52,9 @@
 
 namespace mmtag::scale {
 
+/// Storage cap of a metro tag's harvester [J]: harvest beyond it is lost.
+inline constexpr double kMetroEnergyCapJ = 10e-6;
+
 struct MetroConfig {
   // --- Geometry ---------------------------------------------------------
   double width_m = 200.0;
@@ -68,14 +71,12 @@ struct MetroConfig {
   double epoch_duration_s = 0.25;
   int polls_per_reader = 256;      ///< Poll budget per reader per epoch.
   double poll_success_prob = 0.9;  ///< Per-poll MAC success probability.
-  double payload_bits = 96.0;
   double interference_radius_m = 8.0;  ///< Foreign-tag contention range.
 
   // --- Energy duty cycle ------------------------------------------------
   double initial_energy_j = 5e-6;
   double harvest_j_per_epoch = 2e-6;  ///< While inside owner's beam range.
   double respond_cost_j = 3e-6;       ///< Per successful poll response.
-  double energy_cap_j = 10e-6;
 
   // --- Mobility ---------------------------------------------------------
   double move_fraction = 0.05;     ///< Tags taking a step each epoch.

@@ -4,10 +4,18 @@
 #include <cmath>
 
 #include "src/antenna/codebook.hpp"
+#include "src/phys/constants.hpp"
 #include "src/reader/detector.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::sim {
+
+namespace {
+
+/// Half-width of the tracker's re-acquisition sector about +x [rad].
+constexpr double kTrackerSectorRad = 1.2;
+
+}  // namespace
 
 LinkScenario::LinkScenario(reader::MmWaveReader reader, phy::RateTable rates,
                            Config config)
@@ -38,25 +46,24 @@ ScenarioResult LinkScenario::run(double duration_s, std::uint64_t seed) {
   auto rng = make_rng(seed);
 
   const auto codebook = antenna::uniform_codebook(
-      config_.sector_min_rad, config_.sector_max_rad, config_.beamwidth_deg);
+      -kTrackerSectorRad, kTrackerSectorRad, antenna::kScanBeamwidthDeg);
   reader::BeamTracker tracker(
       reader::BeamScanner(reader_, reader::PowerDetector::mmtag_default()),
       codebook, config_.tracking);
-  phy::RateController controller(rates_, config_.rate_control);
+  phy::RateController controller(rates_);
 
   ScenarioResult result;
-  double previous_heading = config_.fixed_orientation_rad;
+  double previous_heading = 0.0;
   for (double t = 0.0; t <= duration_s + 1e-12; t += config_.step_s) {
     const channel::Vec2 pos = tag_path_->position(t);
 
-    // Orientation policy.
-    double orientation = config_.fixed_orientation_rad;
+    // Orientation policy (kFixedWorld keeps the mounted -x).
+    double orientation = phys::kPi;
     switch (config_.orientation) {
       case TagOrientation::kFaceReader:
         orientation = channel::bearing_rad(pos, reader_.pose().position);
         break;
       case TagOrientation::kFixedWorld:
-        orientation = config_.fixed_orientation_rad;
         break;
       case TagOrientation::kFollowVelocity: {
         const channel::Vec2 ahead =

@@ -21,7 +21,9 @@ namespace mmtag::sim {
 /// How the tag's boresight evolves along its trajectory.
 enum class TagOrientation {
   kFaceReader,      ///< Always faces the reader (worn/badge-like).
-  kFixedWorld,      ///< Keeps a fixed world orientation (mounted).
+  /// Mounted facing -x, back toward the reader's scan sector (the
+  /// tracker's codebook spans ±1.2 rad about +x).
+  kFixedWorld,
   kFollowVelocity,  ///< Faces the direction of motion (vehicle/headset).
 };
 
@@ -47,16 +49,13 @@ struct ScenarioResult {
 
 class LinkScenario {
  public:
+  /// The tracker re-acquires over a codebook of antenna::kScanBeamwidthDeg
+  /// beams spanning ±1.2 rad about +x; a phy::RateController sets the
+  /// rate.
   struct Config {
     double step_s = 0.1;
-    double fixed_orientation_rad = 0.0;  ///< For kFixedWorld.
     TagOrientation orientation = TagOrientation::kFaceReader;
-    phy::RateController::Params rate_control;
     reader::BeamTracker::Params tracking;
-    /// Codebook the tracker re-acquires with.
-    double sector_min_rad = -1.2;
-    double sector_max_rad = 1.2;
-    double beamwidth_deg = 17.0;
   };
 
   /// `reader` is the fixed observer; the tag follows `tag_trajectory`.

@@ -19,9 +19,9 @@ namespace {
 
 TEST(StuckSwitch, PenaltyMatchesApertureRatio) {
   StuckSwitchModel model;
-  model.array_elements = 6;
   model.stuck_elements = 1;
-  // One of six FETs frozen: two-way aperture ratio 20*log10(6/5).
+  // One of the prototype's six FETs frozen: two-way aperture ratio
+  // 20*log10(6/5).
   EXPECT_NEAR(model.penalty_db(), 20.0 * std::log10(6.0 / 5.0), 1e-12);
   model.stuck_elements = 3;
   EXPECT_NEAR(model.penalty_db(), 20.0 * std::log10(2.0), 1e-12);
@@ -171,7 +171,6 @@ TEST(FaultEngine, PartialEpochOutageIsNotARestart) {
 TEST(FaultEngine, BrownoutPopulationTracksFractionAndEnergyModel) {
   FaultSchedule schedule;
   schedule.brownouts.affected_fraction = 0.3;
-  schedule.brownouts.burst_load_w = 5e-3;
   const std::size_t n = 2000;
   FaultEngine engine(schedule, 1, n, 1, 0.1, 17);
   // Indoor light cannot carry a 5 mW burst continuously: the constrained
@@ -191,7 +190,6 @@ TEST(FaultEngine, BlockageChainEntersAndAttenuates) {
   FaultSchedule schedule;
   schedule.blockage.enter_rate_hz = 50.0;  // p_enter ~ 1 at D = 0.1 s.
   schedule.blockage.mean_burst_s = 1000.0;  // Essentially never exits.
-  schedule.blockage.attenuation_db = 15.0;
   schedule.blockage.block_probability = 0.8;
   const std::size_t n = 500;
   FaultEngine engine(schedule, 1, n, 3, 0.1, 23);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -17,11 +19,11 @@ namespace {
 
 TEST(GridIndex, DimensionsAndCellMapping) {
   GridIndex index(100.0, 50.0, 10.0);
-  EXPECT_EQ(index.cols(), 10);
-  EXPECT_EQ(index.rows(), 5);
   EXPECT_EQ(index.cell_of(0.0, 0.0), 0u);
   EXPECT_EQ(index.cell_of(15.0, 0.0), 1u);
   EXPECT_EQ(index.cell_of(0.0, 15.0), static_cast<std::size_t>(10));
+  // The far corner's cell is the last of 10 columns x 5 rows.
+  EXPECT_EQ(index.cell_of(99.0, 49.0), 49u);
   // Out-of-rectangle positions clamp to border cells.
   EXPECT_EQ(index.cell_of(-5.0, -5.0), 0u);
   EXPECT_EQ(index.cell_of(1000.0, 1000.0), 49u);
@@ -78,6 +80,18 @@ TEST(GridIndex, GatherCoversClampedBorderRemainder) {
   EXPECT_EQ(out[0], 1u);
 }
 
+/// Every slot `index` holds, from one gather over its whole
+/// `width_m` x `height_m` floor, sorted: each slot once when the index
+/// holds one record per slot.
+std::vector<TagSlot> all_slots(const GridIndex& index, double width_m,
+                               double height_m) {
+  std::vector<TagSlot> out;
+  index.gather_disc(width_m / 2.0, height_m / 2.0,
+                    std::hypot(width_m, height_m), out);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// A record moving `slot` from (x0, y0) to (x1, y1) in `index`.
 GridIndex::CellMove move_of(const GridIndex& index, TagSlot slot, double x0,
                             double y0, double x1, double y1) {
@@ -113,7 +127,7 @@ TEST(GridIndex, MoveRebucketsOnlyOnCellChange) {
   index.gather_disc(25.0, 12.0, 2.0, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 5u);
-  EXPECT_EQ(index.occupancy(), 1u);
+  EXPECT_EQ(all_slots(index, 100.0, 100.0), std::vector<TagSlot>{5});
 }
 
 TEST(GridIndex, IterationOrderIsPureFunctionOfPopulation) {
@@ -195,7 +209,9 @@ TEST(GridIndex, BatchedRebucketMatchesAFreshBuildAtAnyPoolSize) {
     ASSERT_LT(changed, moves.size());  // Some moves stay in their cell.
     sim::ThreadPool pool(threads);
     EXPECT_EQ(index.rebucket(moves, pool), changed);
-    EXPECT_EQ(index.occupancy(), std::size_t{kSlots});
+    std::vector<TagSlot> every(kSlots);
+    std::iota(every.begin(), every.end(), TagSlot{0});
+    EXPECT_EQ(all_slots(index, 100.0, 100.0), every);
     for (double cy = 0.0; cy <= 100.0; cy += 12.5) {
       for (double cx = 0.0; cx <= 100.0; cx += 12.5) {
         std::vector<TagSlot> a, b;

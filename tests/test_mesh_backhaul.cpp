@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/deploy/coordinator.hpp"
@@ -139,8 +137,6 @@ BackhaulConfig small_backhaul() {
   BackhaulConfig config;
   config.fleet = partition_fleet();
   config.topology = partition_topology_config();
-  config.payload_bytes = 128;
-  config.pool_packets = 64;
   return config;
 }
 
@@ -181,40 +177,17 @@ TEST(BackhaulSimulator, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(BackhaulValidate, EveryOutOfRangeFieldIsRejectedByName) {
-  // One bad value per rule, each applied alone to a valid config; the
-  // fleet's own rules come first.
-  const std::vector<
-      std::pair<std::string, std::function<void(BackhaulConfig&)>>>
-      cases = {
-          {"FleetConfig::epochs", [](BackhaulConfig& c) { c.fleet.epochs = 0; }},
-          {"FleetConfig::coordination.channels",
-           [](BackhaulConfig& c) { c.fleet.coordination.channels = 0; }},
-          {"BackhaulConfig::payload_bytes",
-           [](BackhaulConfig& c) { c.payload_bytes = 0; }},
-          {"BackhaulConfig::payload_bytes",
-           [](BackhaulConfig& c) { c.payload_bytes = 7; }},
-          {"BackhaulConfig::pool_packets",
-           [](BackhaulConfig& c) { c.pool_packets = 0; }},
-          {"BackhaulConfig::max_frames_per_cell_epoch",
-           [](BackhaulConfig& c) { c.max_frames_per_cell_epoch = 0; }},
-          {"BackhaulConfig::max_frames_per_cell_epoch",
-           [](BackhaulConfig& c) { c.max_frames_per_cell_epoch = -1; }},
-      };
-  BackhaulConfig edge = small_backhaul();
-  edge.payload_bytes = 8;
-  edge.pool_packets = 1;
-  edge.max_frames_per_cell_epoch = 1;
-  EXPECT_NO_THROW(BackhaulSimulator{edge});
-  for (const auto& [field, corrupt] : cases) {
-    BackhaulConfig config = small_backhaul();
-    corrupt(config);
-    try {
-      const BackhaulSimulator simulator(config);
-      ADD_FAILURE() << field << " was accepted";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
-          << error.what();
-    }
+  // The backhaul's only rules are the fleet's.
+  EXPECT_NO_THROW(BackhaulSimulator{small_backhaul()});
+  BackhaulConfig config = small_backhaul();
+  config.fleet.epochs = 0;
+  try {
+    const BackhaulSimulator simulator(config);
+    ADD_FAILURE() << "FleetConfig::epochs was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("FleetConfig::epochs"),
+              std::string::npos)
+        << error.what();
   }
 }
 

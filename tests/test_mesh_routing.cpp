@@ -149,10 +149,8 @@ TEST(KShortest, DeterministicAcrossRepeatedRuns) {
 
 TEST(RouteTable, PicksBestGatewayWithAlternates) {
   const Adjacency adj = yen_graph();
-  RoutingConfig config;
-  config.k_paths = 3;
   // Gateways at D(1) and H(5); from C(0): D costs 3, H costs 5.
-  const RouteTable table(adj, 0, {1, 5}, config);
+  const RouteTable table(adj, 0, {1, 5});
   EXPECT_EQ(table.best_gateway(), 1);
   ASSERT_FALSE(table.routes(5).empty());
   EXPECT_EQ(table.routes(5).front().hops, (std::vector<int>{0, 2, 3, 5}));
@@ -162,7 +160,7 @@ TEST(RouteTable, PicksBestGatewayWithAlternates) {
 
 TEST(RouteTable, GatewayNodeDrainsItself) {
   const Adjacency adj = yen_graph();
-  const RouteTable table(adj, 5, {1, 5}, RoutingConfig{});
+  const RouteTable table(adj, 5, {1, 5});
   EXPECT_EQ(table.best_gateway(), 5);
 }
 
@@ -171,7 +169,7 @@ TEST(RouteTable, NoGatewayReachableReportsNone) {
   add_edge(adj, 0, 1, 1.0);
   add_edge(adj, 2, 3, 1.0);  // {2,3} disconnected from {0,1}.
   sort_edges(adj);
-  const RouteTable table(adj, 2, {0}, RoutingConfig{});
+  const RouteTable table(adj, 2, {0});
   EXPECT_EQ(table.best_gateway(), -1);
   EXPECT_TRUE(table.best_routes().empty());
 }

@@ -164,12 +164,10 @@ TEST(LinkState, PartitionedSurvivorLosesItsGatewayRoute) {
   protocol.converge({1, 0, 0, 1});  // Simultaneous loss of both transits.
   // Node 3's own LSA now advertises no neighbors, so its believed topology
   // has no path to the gateway and its route table must say so.
-  const RouteTable table(protocol.believed_topology(3), 3, topo.gateways(),
-                         RoutingConfig{});
+  const RouteTable table(protocol.believed_topology(3), 3, topo.gateways());
   EXPECT_EQ(table.best_gateway(), -1);
   // The gateway similarly sees an empty horizon but still drains itself.
-  const RouteTable gw(protocol.believed_topology(0), 0, topo.gateways(),
-                      RoutingConfig{});
+  const RouteTable gw(protocol.believed_topology(0), 0, topo.gateways());
   EXPECT_EQ(gw.best_gateway(), 0);
 }
 
@@ -229,8 +227,7 @@ TEST(LinkState, ConvergesThroughScriptedMultiReaderLossAndRestart) {
             << "epoch " << e << " node " << n;
       }
       const RouteTable table(protocol.believed_topology(static_cast<int>(n)),
-                             static_cast<int>(n), topo.gateways(),
-                             RoutingConfig{});
+                             static_cast<int>(n), topo.gateways());
       EXPECT_EQ(table.best_gateway() >= 0, reachable[n] != 0)
           << "epoch " << e << " node " << n;
     }

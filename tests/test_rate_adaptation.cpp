@@ -6,8 +6,8 @@
 namespace mmtag::phy {
 namespace {
 
-RateController make_controller(RateController::Params params = {}) {
-  return RateController(RateTable::mmtag_standard(), params);
+RateController make_controller() {
+  return RateController(RateTable::mmtag_standard());
 }
 
 TEST(RateController, StartsAtZeroAndUpgradesAfterDwell) {
@@ -49,9 +49,7 @@ TEST(RateController, NoThrashOnThresholdNoise) {
 }
 
 TEST(RateController, DwellStreakResetsOnGap) {
-  RateController::Params params;
-  params.up_dwell_count = 3;
-  RateController ctl = make_controller(params);
+  RateController ctl = make_controller();
   ctl.observe_dbm(-60.0);
   ctl.observe_dbm(-60.0);
   ctl.observe_dbm(-80.0);  // Interrupts the streak (only 10 Mbps grade).

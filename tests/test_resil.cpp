@@ -110,15 +110,6 @@ TEST(HealthMonitor, RejectsOutOfRangeConfigs) {
     mutate(config);
     EXPECT_THROW(HealthMonitor(1, config), std::invalid_argument);
   };
-  rejected([](HealthConfig& c) { c.phi_suspect = 0.0; });
-  rejected([](HealthConfig& c) {
-    c.phi_suspect = std::numeric_limits<double>::infinity();
-  });
-  rejected([](HealthConfig& c) { c.min_miss_probability = 0.0; });
-  rejected([](HealthConfig& c) { c.max_miss_probability = 0.01; });
-  rejected([](HealthConfig& c) { c.max_miss_probability = 1.0; });
-  rejected([](HealthConfig& c) { c.ewma_alpha = 0.0; });
-  rejected([](HealthConfig& c) { c.ewma_alpha = 1.5; });
   rejected([](HealthConfig& c) { c.probe_interval_epochs = 0; });
   EXPECT_NO_THROW(HealthMonitor(1, HealthConfig{}));
 }

@@ -71,13 +71,12 @@ TEST(Scenario, MovingBlockerCausesNlosSteps) {
 }
 
 TEST(Scenario, FixedWorldOrientationLosesBehindTag) {
-  // The tag points +x (away from a reader orbit segment behind it):
-  // a trajectory passing behind the tag's ground plane disconnects.
+  // A trajectory passing behind the tag's ground plane disconnects.
   LinkScenario::Config config;
   config.orientation = TagOrientation::kFixedWorld;
-  // Tag always faces -x (toward the reader's sector): connected only on
-  // the +x part of the orbit where its front half-plane covers the reader.
-  config.fixed_orientation_rad = phys::kPi;
+  // The tag always faces -x (toward the reader's sector): connected only
+  // on the +x part of the orbit where its front half-plane covers the
+  // reader.
   LinkScenario scenario = basic_scenario(config);
   scenario.set_tag_trajectory(std::make_shared<channel::OrbitMobility>(
       channel::Vec2{0.0, 0.0}, phys::feet_to_m(3.0), 0.8, 0.0));
