@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   // --- 1. Traffic determinism across thread counts ----------------------
   const int hw = sim::default_thread_count();
-  const std::vector<int> grid = bench::thread_grid({1, 4, hw}, true);
+  const std::vector<int> grid = bench::thread_grid({1, 3, 4, hw}, true);
 
   const std::vector<std::string> det_headers = {
       "threads", "wall_s", "served", "goodput_total", "jain", "p99_ms",

@@ -19,8 +19,9 @@
 # three workloads untraced and traced for one second each (their
 # correctness checks must pass and their gate digests must equal the
 # pinned seed-1 digests), a TSan pass over the test suite for the
-# sim::ThreadPool, MetroWorld shard, GridIndex rebucket and obs counter
-# paths, and a docs stage (skipped with a notice when doxygen is absent).
+# sim::ThreadPool, MetroWorld shard, GridIndex rebucket, obs counter,
+# traffic aggregation and layout fan-out paths, and a docs stage (skipped
+# with a notice when doxygen is absent).
 # Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
@@ -233,7 +234,9 @@ echo "=== Bench smoke (BENCH_*.json write + self-compare) ==="
 # (recovery beats none, SR beats stop-and-wait, failover beats frozen
 # tables, >= 10x index and cache savings, control-plane goodput, impairment
 # bypass identity). The ASan rows run the fault, net, mesh, metro,
-# control-plane and impairment paths under the sanitizers; the full-size
+# control-plane and impairment paths under the sanitizers (n1_traffic
+# delivers over 2^15 packets, so its latency percentiles take 16-bit keys
+# and split into several value groups); the full-size
 # d1_fleet_baseline row runs the default 16-reader fleet, whose thread
 # invariance and cache savings the bench gates.
 out_dir="bench-out"
@@ -251,7 +254,7 @@ done <<EOF
 kernels ${release}/bench_kernels --csv --warmup 1 --repeat 3
 d1_fleet ${release}/bench_d1_fleet --csv --readers 4 --tags 100 --epochs 4
 d2_chaos ${asan}/bench_d2_chaos --csv --readers 4 --tags 100 --epochs 3 --warmup 0 --repeat 1
-n1_traffic ${asan}/bench_n1_traffic --csv --readers 2 --tags 50 --flows 100 --packets 16 --warmup 0 --repeat 1
+n1_traffic ${asan}/bench_n1_traffic --csv --readers 2 --tags 50 --flows 160 --packets 256 --warmup 0 --repeat 1
 m1_mesh ${asan}/bench_m1_mesh --csv --readers 16 --tags 200 --epochs 3 --warmup 0 --repeat 1
 d3_metro ${asan}/bench_d3_metro --csv --tags 50000 --margin-tags 50000 --epochs 2 --warmup 0 --repeat 1
 d1_fleet_baseline ${release}/bench_d1_fleet --csv --warmup 0 --repeat 1
@@ -296,12 +299,14 @@ EOF
 echo "perfbench smoke OK: 6 runs in $(( $(date +%s) - perf_start )) s," \
   "gate digests pinned"
 
-echo "=== TSan build (thread pool, metro shards, index rebucket, obs counters) ==="
+echo "=== TSan build (thread pool, metro shards, index rebucket, obs counters, traffic aggregation, layout fan-out) ==="
 # The code that runs on parallel workers: sim::ThreadPool's fan-out, the
 # MetroWorld service shards (which query the grid index concurrently) and
-# mobility chunks, GridIndex::rebucket's cell ranges and the obs counters
-# and histograms. ThreadSanitizer over the suite proves their writes are
-# disjoint or atomic.
+# mobility chunks, GridIndex::rebucket's cell ranges, the obs counters
+# and histograms, the traffic engine's grouped aggregation (percentile
+# value groups writing disjoint bucket ranges, per-group histogram
+# publishes) and make_layout's per-tag slots. ThreadSanitizer over the
+# suite proves their writes are disjoint or atomic.
 build_dir="build-ci-tsan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -309,7 +314,8 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests
 (cd "${build_dir}" && ctest --output-on-failure -j "$@")
-echo "TSan OK"
+echo "TSan OK: thread pool, metro shards, index rebucket, obs counters," \
+  "traffic aggregation, layout fan-out"
 
 echo "=== Docs (Doxygen, warnings fatal for src/kern src/obs src/fault src/impair) ==="
 # The Doxyfile sets WARN_AS_ERROR, so undocumented public members in the
@@ -322,4 +328,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line, edge and kern tables, settable-value count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan, docs ==="
+echo "=== CI OK: line, edge and kern tables, settable-value count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (incl. traffic aggregation and layout fan-out), docs ==="

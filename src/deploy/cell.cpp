@@ -1,6 +1,7 @@
 #include "src/deploy/cell.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -165,6 +166,9 @@ CellEpochResult ReaderCell::run_epoch(
   std::vector<int> failures(n, 0);
   std::vector<double> retry_at(n, 0.0);
   std::vector<std::uint8_t> benched(n, 0);
+  // Poll outcomes, for the conservation asserts below.
+  [[maybe_unused]] long responded_polls = 0;
+  [[maybe_unused]] long successful_polls = 0;
 
   while (!discovered.empty()) {
     // Round-robin over tags that are eligible now; tags backing off are
@@ -222,9 +226,11 @@ CellEpochResult ReaderCell::run_epoch(
           static_cast<std::uint64_t>(cost_s * 1e6));
     }
     if (responded) {
+      ++responded_polls;
       failures[k] = 0;
       retry_at[k] = 0.0;
       if (poll_success(rng)) {
+        ++successful_polls;
         service.delivered_bits += static_cast<double>(kCellPayloadBits);
       }
     } else {
@@ -245,6 +251,23 @@ CellEpochResult ReaderCell::run_epoch(
     now += cost_s;
   }
 
+  // Conservation (checked in Debug and sanitizer builds): every poll
+  // either answered or timed out, a success needs an answer and delivers
+  // one payload, and the clock never ran past the budget, so the min below
+  // never clips.
+#ifndef NDEBUG
+  long polls = 0;
+  double delivered_bits = 0.0;
+  for (const TagService& service : result.service) {
+    polls += service.polls;
+    delivered_bits += service.delivered_bits;
+  }
+  assert(polls == responded_polls + result.polls_timed_out);
+  assert(successful_polls <= responded_polls);
+  assert(delivered_bits == static_cast<double>(kCellPayloadBits) *
+                               static_cast<double>(successful_polls));
+  assert(now <= budget_s);
+#endif
   result.tags_discovered = static_cast<int>(discovered.size());
   result.airtime_s = std::min(now, budget_s);
   result.utilization = budget_s > 0.0 ? result.airtime_s / budget_s : 0.0;

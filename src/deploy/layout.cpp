@@ -62,6 +62,11 @@ void LayoutConfig::validate() const {
 }
 
 FleetLayout make_layout(const LayoutConfig& config) {
+  sim::ThreadPool inline_pool(1);
+  return make_layout(config, inline_pool);
+}
+
+FleetLayout make_layout(const LayoutConfig& config, sim::ThreadPool& pool) {
   config.validate();
 
   FleetLayout layout;
@@ -94,20 +99,25 @@ FleetLayout make_layout(const LayoutConfig& config) {
 
   const double usable_w = config.width_m - 2.0 * kLayoutMarginM;
   const double usable_h = config.height_m - 2.0 * kLayoutMarginM;
-  layout.tags.reserve(static_cast<std::size_t>(config.tags));
-  for (int i = 0; i < config.tags; ++i) {
-    auto rng = sim::make_rng(
-        sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
-    std::uniform_real_distribution<double> ux(kLayoutMarginM,
-                                              kLayoutMarginM + usable_w);
-    std::uniform_real_distribution<double> uy(kLayoutMarginM,
-                                              kLayoutMarginM + usable_h);
-    const channel::Vec2 pos{ux(rng), uy(rng)};
-    const std::size_t owner = nearest_reader(layout.reader_poses, pos);
-    const double facing =
-        channel::bearing_rad(pos, layout.reader_poses[owner].position);
+  // Tag i draws from its own stream, so its task fills pose i alone. The
+  // tags are built in order afterwards: each copies the shared prototype
+  // array, which costs less serially than contended on the pool.
+  const std::vector<core::Pose> poses = sim::parallel_monte_carlo(
+      pool, static_cast<std::size_t>(config.tags), config.seed,
+      [&](sim::Rng& rng, std::size_t) {
+        std::uniform_real_distribution<double> ux(kLayoutMarginM,
+                                                  kLayoutMarginM + usable_w);
+        std::uniform_real_distribution<double> uy(kLayoutMarginM,
+                                                  kLayoutMarginM + usable_h);
+        const channel::Vec2 pos{ux(rng), uy(rng)};
+        const std::size_t owner = nearest_reader(layout.reader_poses, pos);
+        return core::Pose{
+            pos, channel::bearing_rad(pos, layout.reader_poses[owner].position)};
+      });
+  layout.tags.reserve(poses.size());
+  for (std::size_t i = 0; i < poses.size(); ++i) {
     layout.tags.push_back(core::MmTag::prototype_at(
-        core::Pose{pos, facing}, static_cast<std::uint32_t>(1000 + i)));
+        poses[i], static_cast<std::uint32_t>(1000 + i)));
   }
   return layout;
 }

@@ -13,6 +13,7 @@
 
 #include "src/channel/environment.hpp"
 #include "src/core/tag.hpp"
+#include "src/sim/parallel.hpp"
 
 namespace mmtag::deploy {
 
@@ -49,8 +50,16 @@ struct FleetLayout {
 /// retrodirectivity covers the residual misalignment). Tag ids start at
 /// 1000 + index. Deterministic: the same config always yields the same
 /// layout, bit for bit. Throws std::invalid_argument when `config` fails
-/// validate().
+/// validate(). Runs on an inline sim::ThreadPool(1), which starts no
+/// thread.
 [[nodiscard]] FleetLayout make_layout(const LayoutConfig& config);
+
+/// make_layout(config) with one pool task per tag: a tag's position,
+/// owner and facing depend only on derive_seed(config.seed, i) and the
+/// reader poses, so each task fills its own slot and the layout is the
+/// same bit for bit at any pool size.
+[[nodiscard]] FleetLayout make_layout(const LayoutConfig& config,
+                                      sim::ThreadPool& pool);
 
 /// Index of the reader pose closest (Euclidean) to `position`; ties go to
 /// the lowest index. `reader_poses` must be non-empty.

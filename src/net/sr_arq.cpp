@@ -128,7 +128,7 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
         }
         // Zero-copy header path: payload first, header prepended into the
         // reserved headroom (the payload bytes never move).
-        std::uint8_t* payload = pkt.append(config_.payload_bytes);
+        std::uint8_t* payload = pkt.append(kSrPayloadBytes);
         std::uint8_t* header = pkt.prepend(kSrHeaderBytes);
         assert(payload != nullptr && header != nullptr);
         (void)payload;

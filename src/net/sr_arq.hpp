@@ -35,6 +35,8 @@ namespace mmtag::net {
 
 /// Bytes of sequencing header prepended to each pool-backed packet.
 inline constexpr std::size_t kSrHeaderBytes = 8;
+/// Application payload bytes per packet (pool-backed sessions).
+inline constexpr std::size_t kSrPayloadBytes = 32;
 
 struct SrArqConfig {
   /// In-flight packets (block-ACK bitmap width; 1..64).
@@ -45,8 +47,6 @@ struct SrArqConfig {
   /// replays the whole outstanding window — duplicates are discarded at
   /// the receiver).
   double ack_loss_probability = 0.01;
-  /// Application payload bytes per packet (pool-backed sessions).
-  std::size_t payload_bytes = 32;
 
   /// Throws std::invalid_argument naming the first out-of-range field.
   void validate() const;

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -29,6 +31,9 @@ constexpr double kHorizonS = 1.0;
 /// Block-ACK on-air payload [bits] (timing only). Every bit goes on the
 /// air as two Manchester chips, as in the phy.
 constexpr double kAckBits = 64.0;
+/// Flow groups the histogram fill splits into (pool tasks, each
+/// publishing its snapshots once).
+constexpr std::size_t kHistogramGroups = 16;
 
 obs::Counter& flows_metric() {
   static obs::Counter& counter =
@@ -154,8 +159,10 @@ TrafficReport TrafficEngine::run() {
   TrafficReport report;
   report.flows_offered = config_.flows;
 
+  sim::ThreadPool pool(config_.threads);
+
   // --- Admission: geometry, link budgets, discovery roster. -------------
-  deploy::FleetLayout layout = deploy::make_layout(config_.layout);
+  deploy::FleetLayout layout = deploy::make_layout(config_.layout, pool);
   const phy::RateTable rates = phy::RateTable::mmtag_standard();
   const std::size_t m = layout.reader_poses.size();
   const std::size_t n = layout.tags.size();
@@ -170,8 +177,6 @@ TrafficReport TrafficEngine::run() {
   const deploy::FleetCoordinator coordinator({});
   const std::vector<deploy::CellPlan> plans =
       coordinator.plan(readers, layout.environment);
-
-  sim::ThreadPool pool(config_.threads);
 
   // Link budget per tag from its serving reader, beam steered at the tag
   // (the polling idiom). Reader copies keep the fan-out side-effect free.
@@ -236,7 +241,7 @@ TrafficReport TrafficEngine::run() {
 
   const double chips_per_bit = 2.0;  // Manchester line coding.
   const double packet_bits =
-      static_cast<double>((kSrHeaderBytes + config_.arq.payload_bytes) * 8);
+      static_cast<double>((kSrHeaderBytes + kSrPayloadBytes) * 8);
   const auto packet_chips =
       static_cast<std::size_t>(packet_bits * chips_per_bit);
 
@@ -315,7 +320,7 @@ TrafficReport TrafficEngine::run() {
         // One slot per window sequence: the slots a session holds are a
         // prefix of its open window, so the pool never throttles a flow.
         PacketPool buffers(static_cast<std::size_t>(arq_config.window),
-                           config_.arq.payload_bytes, kSrHeaderBytes);
+                           kSrPayloadBytes, kSrHeaderBytes);
         SrArqSession session(arq_config, timing_for(controller.tier()));
         flow.arq = session.run(config_.packets_per_flow, channel, rng,
                                &buffers, adapt);
@@ -326,20 +331,26 @@ TrafficReport TrafficEngine::run() {
         assert(buffers.in_use() == 0);
         flow.final_rate_bps = controller.rate_bps();
         flow.rate_switches = controller.switch_count();
-        flow.goodput_bps =
-            flow.arq.goodput_bps(config_.arq.payload_bytes * 8);
+        flow.goodput_bps = flow.arq.goodput_bps(kSrPayloadBytes * 8);
         return flow;
       },
       &report.sweep);
 
-  // --- Aggregation, flow order. ------------------------------------------
-  // Latency percentiles select over the flows' own latency vectors: no
-  // pooled copy, no sort.
+  // --- Aggregation. -----------------------------------------------------
+  // The flow sums run serially in flow order: the double sums must keep
+  // their order, and one pass over the flows is cheap next to the work per
+  // latency (one per delivery, ~1M at perfbench size), which runs on the
+  // pool: the percentiles select over the flows' own latency vectors in
+  // value-count groups, and the histograms fill per flow group.
   std::vector<double> goodputs;
   goodputs.reserve(flow_count);
   std::vector<std::span<const double>> latencies;
   latencies.reserve(flow_count);
   for (const FlowResult& flow : report.per_flow) {
+    // Conservation (checked in Debug and sanitizer builds): one latency
+    // per delivery.
+    assert(flow.arq.delivery_latency_s.size() ==
+           static_cast<std::size_t>(flow.arq.packets_delivered));
     report.packets_offered += flow.arq.packets_offered;
     report.packets_delivered += flow.arq.packets_delivered;
     report.packets_dropped += flow.arq.packets_dropped;
@@ -359,9 +370,13 @@ TrafficReport TrafficEngine::run() {
                 static_cast<double>(report.flows_admitted)
           : 0.0;
   report.jain = obs::jain_fairness(goodputs);
-  if (report.packets_delivered > 0) {  // One latency per delivery.
-    const std::vector<double> latency =
-        obs::percentiles(latencies, {50.0, 95.0, 99.0});
+  if (report.packets_delivered > 0) {
+    const std::vector<double> latency = obs::percentiles(
+        latencies, {50.0, 95.0, 99.0},
+        [&pool](std::size_t count,
+                const std::function<void(std::size_t)>& body) {
+          pool.parallel_for(count, body);
+        });
     report.latency_p50_s = latency[0];
     report.latency_p95_s = latency[1];
     report.latency_p99_s = latency[2];
@@ -375,18 +390,32 @@ TrafficReport TrafficEngine::run() {
     retx_metric().add(static_cast<std::uint64_t>(
         report.transmissions - report.packets_delivered));
     stalls_metric().add(static_cast<std::uint64_t>(report.pool_stalls));
-    // Histograms fill locally and publish once: one atomic add per
-    // touched bucket instead of three per recorded value.
-    obs::Histogram::Snapshot goodput_kbps;
-    obs::Histogram::Snapshot latency_us;
-    for (const FlowResult& flow : report.per_flow) {
-      goodput_kbps.record(static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
-      for (const double latency_s : flow.arq.delivery_latency_s) {
-        latency_us.record(static_cast<std::uint64_t>(latency_s * 1e6));
-      }
-    }
-    goodput_metric().add(goodput_kbps);
-    latency_metric().add(latency_us);
+    // Each contiguous flow group fills local snapshots and publishes each
+    // once: one atomic add per touched bucket instead of three per value,
+    // and integer adds commute, so the state equals one record() per value
+    // at any grouping.
+    const std::size_t groups = std::min(flow_count, kHistogramGroups);
+    [[maybe_unused]] const std::vector<std::uint64_t> recorded =
+        sim::parallel_sweep(pool, groups, [&](std::size_t g) {
+          obs::Histogram::Snapshot goodput_kbps;
+          obs::Histogram::Snapshot latency_us;
+          for (std::size_t f = g * flow_count / groups;
+               f < (g + 1) * flow_count / groups; ++f) {
+            const FlowResult& flow = report.per_flow[f];
+            goodput_kbps.record(
+                static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
+            for (const double latency_s : flow.arq.delivery_latency_s) {
+              latency_us.record(static_cast<std::uint64_t>(latency_s * 1e6));
+            }
+          }
+          goodput_metric().add(goodput_kbps);
+          latency_metric().add(latency_us);
+          return latency_us.count;
+        });
+    // Conservation: the groups together recorded every delivery once.
+    assert(std::accumulate(recorded.begin(), recorded.end(),
+                           std::uint64_t{0}) ==
+           static_cast<std::uint64_t>(report.packets_delivered));
   }
   return report;
 }

@@ -16,8 +16,9 @@
 // Determinism: every random process is realized from a derive_seed
 // stream keyed by purpose (outage timelines) or flow index (blockage
 // dwells, channel coins), flows fan out via sim::parallel_monte_carlo,
-// and aggregation walks flows in index order — so the report is
-// bit-identical at any thread count (DESIGN.md Sec. 7 discipline).
+// the flow sums walk flows in index order, and the pool-grouped latency
+// percentiles and histograms are exact at any grouping — so the report
+// is bit-identical at any thread count (DESIGN.md Sec. 7 discipline).
 #pragma once
 
 #include <cstddef>
@@ -47,7 +48,7 @@ struct TrafficConfig {
   /// Packets each flow must deliver (its "iperf -n").
   int packets_per_flow = 64;
   ArqMode mode = ArqMode::kSelectiveRepeat;
-  /// Window / retry budget / ACK loss / payload size (sr_arq.hpp).
+  /// Window / retry budget / ACK loss (sr_arq.hpp).
   SrArqConfig arq;
   /// Disable to pin every flow at its open-loop initial tier; otherwise
   /// each flow's AckRateController (rate_control.hpp) retunes it.

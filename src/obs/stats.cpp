@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 namespace mmtag::obs {
 
@@ -51,11 +53,30 @@ std::size_t key_bucket(double value, int bits) {
   return static_cast<std::size_t>(key >> (64 - bits));
 }
 
+/// A sample splits into one group per this many values, at most
+/// kMaxGroups of them: enough tasks to balance a small pool, and few
+/// enough that their counters stay small.
+constexpr std::size_t kGroupValues = std::size_t{1} << 12;
+constexpr std::size_t kMaxGroups = 16;
+
+/// One contiguous run of the concatenated sample and its key counts.
+struct Group {
+  std::vector<std::span<const double>> spans;
+  std::size_t lo = std::numeric_limits<std::size_t>::max();  ///< Bucket.
+  std::size_t hi = 0;                                         ///< Bucket.
+  std::vector<std::size_t> count;  ///< Values per bucket lo..hi.
+  std::vector<std::size_t> cursor;  ///< Next write per slot (pass 2).
+
+  [[nodiscard]] std::size_t count_of(std::size_t bucket) const {
+    return bucket < lo || bucket > hi ? 0 : count[bucket - lo];
+  }
+};
+
 }  // namespace
 
 std::vector<double> percentiles(
     const std::vector<std::span<const double>>& parts,
-    const std::vector<double>& pcts) {
+    const std::vector<double>& pcts, const ParallelFor& parallel_for) {
   std::vector<double> out(pcts.size(),
                           std::numeric_limits<double>::quiet_NaN());
   std::size_t n = 0;
@@ -73,17 +94,73 @@ std::vector<double> percentiles(
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
 
-  // Pass 1: count every value into its key bucket.
-  const int bits = key_bits(n);
-  std::vector<std::size_t> bucket_count(std::size_t{1} << bits, 0);
-  for (const std::span<const double> part : parts) {
-    for (const double v : part) ++bucket_count[key_bucket(v, bits)];
+  // Contiguous groups balanced by value count: group g holds values
+  // [g n / G, (g + 1) n / G) of the parts' concatenation, so none is
+  // empty.
+  const std::size_t group_count =
+      std::clamp(n / kGroupValues, std::size_t{1}, kMaxGroups);
+  std::vector<Group> groups(group_count);
+  std::size_t g = 0;
+  std::size_t taken = 0;
+  for (std::span<const double> part : parts) {
+    while (!part.empty()) {
+      const std::size_t end = (g + 1) * n / group_count;
+      const std::size_t take = std::min(part.size(), end - taken);
+      groups[g].spans.push_back(part.first(take));
+      part = part.subspan(take);
+      taken += take;
+      if (taken == end) ++g;
+    }
   }
+  const auto run_groups = [&](const std::function<void(std::size_t)>& body) {
+    if (parallel_for) {
+      parallel_for(group_count, body);
+    } else {
+      for (std::size_t i = 0; i < group_count; ++i) body(i);
+    }
+  };
+
+  // Pass 1, per group: its bucket range, then a count of every value in
+  // counters for that range alone.
+  const int bits = key_bits(n);
+  run_groups([&](std::size_t i) {
+    Group& group = groups[i];
+    for (const std::span<const double> span : group.spans) {
+      for (const double v : span) {
+        const std::size_t bucket = key_bucket(v, bits);
+        group.lo = std::min(group.lo, bucket);
+        group.hi = std::max(group.hi, bucket);
+      }
+    }
+    group.count.assign(group.hi - group.lo + 1, 0);
+    for (const std::span<const double> span : group.spans) {
+      for (const double v : span) {
+        ++group.count[key_bucket(v, bits) - group.lo];
+      }
+    }
+  });
+
+  // The groups' counts summed in group order over the union of their
+  // ranges: bucket_count[k] counts bucket lo + k.
+  std::size_t lo = groups[0].lo;
+  std::size_t hi = groups[0].hi;
+  for (const Group& group : groups) {
+    lo = std::min(lo, group.lo);
+    hi = std::max(hi, group.hi);
+  }
+  std::vector<std::size_t> bucket_count(hi - lo + 1, 0);
+  for (const Group& group : groups) {
+    for (std::size_t k = 0; k < group.count.size(); ++k) {
+      bucket_count[group.lo - lo + k] += group.count[k];
+    }
+  }
+  assert(std::accumulate(bucket_count.begin(), bucket_count.end(),
+                         std::size_t{0}) == n);
 
   // One walk over the cumulative counts finds the bucket of every needed
   // rank; each such bucket becomes a slot that gathers its values.
   struct Slot {
-    std::size_t bucket = 0;
+    std::size_t bucket = 0;      ///< Index into bucket_count.
     std::size_t first_rank = 0;  ///< Rank of the bucket's smallest value.
     std::vector<double> values;
   };
@@ -94,24 +171,35 @@ std::vector<double> percentiles(
   for (std::size_t i = 0; i < needed.size(); ++i) {
     while (below + bucket_count[b] <= needed[i]) below += bucket_count[b++];
     if (slots.empty() || slots.back().bucket != b) {
-      slots.push_back({b, below, {}});
-      slots.back().values.reserve(bucket_count[b]);
+      slots.push_back({b, below, std::vector<double>(bucket_count[b])});
     }
     slot_of_needed[i] = slots.size() - 1;
   }
+  // Each group writes its share of a slot after the shares of the groups
+  // before it: the slot then holds its values in concatenation order.
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    std::size_t offset = 0;
+    for (Group& group : groups) {
+      group.cursor.push_back(offset);
+      offset += group.count_of(lo + slots[s].bucket);
+    }
+  }
 
-  // Pass 2: gather the slotted buckets' values. The counts are spent, so
-  // the array becomes the bucket -> slot map (0 = not slotted).
+  // Pass 2, per group: gather the slotted buckets' values. The counts are
+  // spent, so the array becomes the bucket -> slot map (0 = not slotted).
   std::fill(bucket_count.begin(), bucket_count.end(), 0);
   for (std::size_t s = 0; s < slots.size(); ++s) {
     bucket_count[slots[s].bucket] = s + 1;
   }
-  for (const std::span<const double> part : parts) {
-    for (const double v : part) {
-      const std::size_t slot = bucket_count[key_bucket(v, bits)];
-      if (slot != 0) slots[slot - 1].values.push_back(v);
+  run_groups([&](std::size_t i) {
+    Group& group = groups[i];
+    for (const std::span<const double> span : group.spans) {
+      for (const double v : span) {
+        const std::size_t slot = bucket_count[key_bucket(v, bits) - lo];
+        if (slot != 0) slots[slot - 1].values[group.cursor[slot - 1]++] = v;
+      }
     }
-  }
+  });
 
   // Select each needed rank inside its slot. Ranks ascend, so every
   // nth_element only searches above the previous pick in the same slot.

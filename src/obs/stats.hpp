@@ -10,10 +10,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 namespace mmtag::obs {
+
+/// Runs `body(i)` once for every i in [0, count) and returns when all have
+/// finished, on any threads and in any order: the shape of
+/// sim::ThreadPool::parallel_for, so obs needs no link to sim.
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& body)>;
 
 /// Exact linear-interpolation percentiles (each pct in [0, 100], clamped)
 /// of the union of `parts`, one result per entry of `pcts`, in order.
@@ -25,9 +32,18 @@ namespace mmtag::obs {
 /// selects inside those. Parts may be empty and in any order. The input
 /// must be NaN-free (NaN has no rank). An empty union returns NaN for
 /// every pct.
+///
+/// The concatenated sample splits into contiguous groups of about equal
+/// value count, a number fixed by the sample size alone. Each group finds
+/// its key range, counts into counters for that range only, and later
+/// gathers its own values into the shared buckets at offsets the group
+/// order fixes; `parallel_for` runs the groups (empty: inline, in order).
+/// The gathered buckets hold their values in concatenation order however
+/// the groups ran, so neither the executor nor the thread count behind it
+/// changes any result.
 [[nodiscard]] std::vector<double> percentiles(
     const std::vector<std::span<const double>>& parts,
-    const std::vector<double>& pcts);
+    const std::vector<double>& pcts, const ParallelFor& parallel_for = {});
 
 /// Percentile over an already-sorted sample (no copy, no sort).
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "src/antenna/codebook.hpp"
 #include "src/phys/constants.hpp"
@@ -22,7 +24,10 @@ LinkScenario::LinkScenario(reader::MmWaveReader reader, phy::RateTable rates,
     : reader_(std::move(reader)),
       rates_(std::move(rates)),
       config_(config) {
-  assert(config_.step_s > 0.0);
+  if (!(std::isfinite(config_.step_s) && config_.step_s > 0.0)) {
+    throw std::invalid_argument(
+        "LinkScenario::Config::step_s must be finite and > 0");
+  }
 }
 
 void LinkScenario::set_static_environment(channel::Environment environment) {
@@ -42,7 +47,20 @@ void LinkScenario::add_moving_blocker(
 
 ScenarioResult LinkScenario::run(double duration_s, std::uint64_t seed) {
   assert(tag_path_ != nullptr && "set_tag_trajectory first");
-  assert(duration_s > 0.0);
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "LinkScenario::run duration_s must be finite and > 0");
+  }
+  // The clock runs to end_s in steps of step_s. A step of at least one ulp
+  // of end_s advances every t <= end_s; a smaller one can round away and
+  // stall the clock.
+  const double end_s = duration_s + 1e-12;
+  if (config_.step_s <
+      std::nextafter(end_s, std::numeric_limits<double>::infinity()) - end_s) {
+    throw std::invalid_argument(
+        "LinkScenario::Config::step_s must be at least one ulp of "
+        "duration_s");
+  }
   auto rng = make_rng(seed);
 
   const auto codebook = antenna::uniform_codebook(
@@ -54,7 +72,7 @@ ScenarioResult LinkScenario::run(double duration_s, std::uint64_t seed) {
 
   ScenarioResult result;
   double previous_heading = 0.0;
-  for (double t = 0.0; t <= duration_s + 1e-12; t += config_.step_s) {
+  for (double t = 0.0; t <= end_s; t += config_.step_s) {
     const channel::Vec2 pos = tag_path_->position(t);
 
     // Orientation policy (kFixedWorld keeps the mounted -x).

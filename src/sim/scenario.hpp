@@ -59,6 +59,8 @@ class LinkScenario {
   };
 
   /// `reader` is the fixed observer; the tag follows `tag_trajectory`.
+  /// Throws std::invalid_argument unless `config.step_s` is finite and
+  /// > 0.
   LinkScenario(reader::MmWaveReader reader, phy::RateTable rates,
                Config config);
 
@@ -73,7 +75,9 @@ class LinkScenario {
   void add_moving_blocker(std::shared_ptr<const channel::Mobility> path,
                           double half_width_m = 0.15);
 
-  /// Run for `duration_s`, deterministic under `seed`.
+  /// Run for `duration_s`, deterministic under `seed`. Throws
+  /// std::invalid_argument unless `duration_s` is finite and > 0 and the
+  /// step is at least one ulp of it (a smaller step never ends the run).
   [[nodiscard]] ScenarioResult run(double duration_s, std::uint64_t seed);
 
  private:

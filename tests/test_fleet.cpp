@@ -5,6 +5,8 @@
 #include "src/deploy/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -77,6 +79,34 @@ TEST(Layout, IsDeterministicAndInBounds) {
     EXPECT_LE(pa.x, config.width_m - kLayoutMarginM);
     EXPECT_GE(pa.y, kLayoutMarginM);
     EXPECT_LE(pa.y, config.height_m - kLayoutMarginM);
+  }
+}
+
+TEST(Layout, PoolSizeChangesNoTag) {
+  // One pool task per tag: each fills its own slot from its own stream,
+  // so 1, 3 (uneven) and 4 threads give the inline layout bit for bit.
+  LayoutConfig config;
+  config.width_m = 32.0;
+  config.height_m = 20.0;
+  config.readers = 16;
+  config.tags = 301;
+  config.seed = 11;
+  const FleetLayout want = make_layout(config);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const int threads : {1, 3, 4}) {
+    SCOPED_TRACE(threads);
+    sim::ThreadPool pool(threads);
+    const FleetLayout got = make_layout(config, pool);
+    ASSERT_EQ(got.tags.size(), want.tags.size());
+    for (std::size_t i = 0; i < want.tags.size(); ++i) {
+      const core::Pose& g = got.tags[i].pose();
+      const core::Pose& w = want.tags[i].pose();
+      EXPECT_EQ(bits(g.position.x), bits(w.position.x)) << "tag " << i;
+      EXPECT_EQ(bits(g.position.y), bits(w.position.y)) << "tag " << i;
+      EXPECT_EQ(bits(g.orientation_rad), bits(w.orientation_rad))
+          << "tag " << i;
+      EXPECT_EQ(got.tags[i].id(), want.tags[i].id()) << "tag " << i;
+    }
   }
 }
 

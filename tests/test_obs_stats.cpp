@@ -1,12 +1,14 @@
 // Exact percentile selection (src/obs/stats): obs::percentiles must equal
 // concatenate + std::sort + obs::percentile_sorted bit for bit, on any
-// split of the sample into parts, without ever sorting the sample.
+// split of the sample into parts and in whatever order its value groups
+// run, without ever sorting the sample.
 #include "src/obs/stats.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <span>
 #include <vector>
@@ -38,17 +40,31 @@ std::vector<double> sorted_reference(const Parts& parts,
   return out;
 }
 
+/// An executor that runs the groups last to first: a result that depended
+/// on the order the groups ran in would differ from the inline one.
+void reverse_order(std::size_t count,
+                   const std::function<void(std::size_t)>& body) {
+  for (std::size_t i = count; i-- > 0;) body(i);
+}
+
 /// Asserts bit equality of every result (EXPECT_DOUBLE_EQ would forgive
-/// the last ulps this test exists to pin).
+/// the last ulps this test exists to pin), inline and with the groups run
+/// in reverse order.
 void expect_matches_reference(const Parts& parts,
                               const std::vector<double>& pcts) {
   const std::vector<double> got = percentiles(spans(parts), pcts);
+  const std::vector<double> reversed =
+      percentiles(spans(parts), pcts, reverse_order);
   const std::vector<double> want = sorted_reference(parts, pcts);
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(reversed.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
               std::bit_cast<std::uint64_t>(want[i]))
         << "pct " << pcts[i] << ": got " << got[i] << ", want " << want[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << "pct " << pcts[i] << ": reversed groups gave " << reversed[i];
   }
 }
 
@@ -80,6 +96,9 @@ TEST(Percentiles, EmptyUnionIsNaNForEveryPct) {
     const std::vector<double> got = percentiles(spans(parts), kPcts);
     ASSERT_EQ(got.size(), kPcts.size());
     for (const double v : got) EXPECT_TRUE(std::isnan(v));
+    for (const double v : percentiles(spans(parts), kPcts, reverse_order)) {
+      EXPECT_TRUE(std::isnan(v));
+    }
   }
 }
 

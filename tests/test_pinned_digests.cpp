@@ -189,7 +189,7 @@ TEST(PinnedDigests, LossySrArqSession) {
   config.max_attempts_per_packet = 4;
   const net::SrArqTiming timing;
   net::SrArqSession session(config, timing);
-  net::PacketPool pool(8, config.payload_bytes, net::kSrHeaderBytes);
+  net::PacketPool pool(8, net::kSrPayloadBytes, net::kSrHeaderBytes);
   sim::Rng rng = sim::make_rng(2024);
   const net::ChannelFn channel = [](double now_s) {
     return now_s < 1e-3 ? 0.8 : 0.5;

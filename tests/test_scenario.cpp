@@ -1,7 +1,11 @@
 // Scenario-engine tests (src/sim/scenario).
 #include "src/sim/scenario.hpp"
 
+#include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +100,49 @@ TEST(Scenario, ControlledRateNeverExceedsInstantaneous) {
   }
   // Walking from 0.7 m out to 3.2 m crosses at least one tier boundary.
   EXPECT_GE(result.rate_switches, 1);
+}
+
+/// Expects `call` to throw std::invalid_argument naming `field`.
+void expect_rejected(const std::function<void()>& call,
+                     const std::string& field) {
+  try {
+    call();
+    ADD_FAILURE() << "accepted; expected a rejection naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Scenario, RejectsAStepThatCannotAdvanceTheClock) {
+  // A zero or negative step, an infinite duration and a step below one ulp
+  // of the duration would never end the time loop; the other values give
+  // no meaningful timeline.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double step_s : {0.0, -0.1, kNaN, kInf}) {
+    SCOPED_TRACE(step_s);
+    LinkScenario::Config config;
+    config.step_s = step_s;
+    expect_rejected([&] { (void)basic_scenario(config); },
+                    "LinkScenario::Config::step_s");
+  }
+  for (const double duration_s : {0.0, -1.0, kNaN, kInf}) {
+    SCOPED_TRACE(duration_s);
+    LinkScenario scenario = basic_scenario();
+    scenario.set_tag_trajectory(
+        std::make_shared<channel::StaticMobility>(channel::Vec2{1.0, 0.0}));
+    expect_rejected([&] { (void)scenario.run(duration_s, 1); },
+                    "duration_s");
+  }
+  // A step below one ulp of the duration rounds away: t + step == t.
+  LinkScenario::Config config;
+  config.step_s = 1e-20;
+  LinkScenario scenario = basic_scenario(config);
+  scenario.set_tag_trajectory(
+      std::make_shared<channel::StaticMobility>(channel::Vec2{1.0, 0.0}));
+  expect_rejected([&] { (void)scenario.run(1.0, 1); },
+                  "LinkScenario::Config::step_s");
 }
 
 TEST(Scenario, DeterministicUnderSeed) {

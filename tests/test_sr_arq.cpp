@@ -107,7 +107,7 @@ TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
   SrArqConfig config = clean_config(16);
   SrArqSession session(config, {});
   sim::Rng rng = sim::make_rng(5);
-  PacketPool pool(4, config.payload_bytes, kSrHeaderBytes);
+  PacketPool pool(4, kSrPayloadBytes, kSrHeaderBytes);
   const SrArqResult result = session.run(64, 1.0, rng, &pool);
   // Four slots cap the effective window at 4 packets in flight; the
   // transfer completes anyway, just in more rounds.

@@ -315,34 +315,12 @@ TEST(TrafficEngine, RejectsAnOutOfRangeFaultScheduleByName) {
   EXPECT_NO_THROW(TrafficEngine{config});
 }
 
-TEST(TrafficEngine, LatencyPercentilesEqualTheSortedPool) {
-  TrafficConfig config = small_config();
-  config.faults = fault::FaultSchedule::chaos(0.5);
-  const TrafficReport report = TrafficEngine(config).run();
-  std::vector<double> pooled;
-  for (const FlowResult& flow : report.per_flow) {
-    pooled.insert(pooled.end(), flow.arq.delivery_latency_s.begin(),
-                  flow.arq.delivery_latency_s.end());
-  }
-  ASSERT_FALSE(pooled.empty());
-  std::sort(pooled.begin(), pooled.end());
-  EXPECT_EQ(report.latency_p50_s, obs::percentile_sorted(pooled, 50.0));
-  EXPECT_EQ(report.latency_p95_s, obs::percentile_sorted(pooled, 95.0));
-  EXPECT_EQ(report.latency_p99_s, obs::percentile_sorted(pooled, 99.0));
-}
-
-TEST(TrafficEngine, LatencyHistogramEqualsRecordingEveryLatency) {
-  if constexpr (!obs::kObsEnabled) {
-    GTEST_SKIP() << "MMTAG_OBS=0: recording compiled to no-op";
-  }
-  obs::Histogram& published =
-      obs::Registry::instance().histogram("net.traffic.latency_us");
-  TrafficConfig config = small_config();
-  config.faults = fault::FaultSchedule::chaos(0.5);
-  const obs::Histogram::Snapshot before = published.snapshot();
-  const TrafficReport report = TrafficEngine(config).run();
-  const obs::Histogram::Snapshot after = published.snapshot();
-
+/// What `run` added to `hist`: the state after minus the state before.
+obs::Histogram::Snapshot published_by(obs::Histogram& hist,
+                                      const std::function<void()>& run) {
+  const obs::Histogram::Snapshot before = hist.snapshot();
+  run();
+  const obs::Histogram::Snapshot after = hist.snapshot();
   obs::Histogram::Snapshot delta;
   for (std::size_t b = 0; b < delta.buckets.size(); ++b) {
     delta.buckets[b] = after.buckets[b] - before.buckets[b];
@@ -350,18 +328,80 @@ TEST(TrafficEngine, LatencyHistogramEqualsRecordingEveryLatency) {
   delta.count = after.count - before.count;
   delta.sum = after.sum - before.sum;
   delta.rejected = after.rejected - before.rejected;
+  return delta;
+}
 
-  obs::Histogram one_by_one;
+void expect_same_state(const obs::Histogram::Snapshot& got,
+                       const obs::Histogram::Snapshot& want) {
+  EXPECT_GT(want.count, 0u);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.fingerprint(), want.fingerprint());
+}
+
+/// The latency percentiles equal sort-then-interpolate over the pooled
+/// latencies, and the published goodput and latency histograms equal one
+/// record() per value.
+void expect_exact_aggregation(const TrafficConfig& config,
+                              TrafficReport& report) {
+  obs::Histogram& goodput_hist =
+      obs::Registry::instance().histogram("net.traffic.flow_goodput_kbps");
+  obs::Histogram& latency_hist =
+      obs::Registry::instance().histogram("net.traffic.latency_us");
+  obs::Histogram::Snapshot latency_delta;
+  const obs::Histogram::Snapshot goodput_delta =
+      published_by(goodput_hist, [&] {
+        latency_delta = published_by(
+            latency_hist, [&] { report = TrafficEngine(config).run(); });
+      });
+
+  std::vector<double> pooled;
+  obs::Histogram one_goodput;
+  obs::Histogram one_latency;
   for (const FlowResult& flow : report.per_flow) {
+    one_goodput.record(static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
     for (const double latency_s : flow.arq.delivery_latency_s) {
-      one_by_one.record(static_cast<std::uint64_t>(latency_s * 1e6));
+      pooled.push_back(latency_s);
+      one_latency.record(static_cast<std::uint64_t>(latency_s * 1e6));
     }
   }
-  const obs::Histogram::Snapshot want = one_by_one.snapshot();
-  EXPECT_GT(want.count, 0u);
-  EXPECT_EQ(delta.count, want.count);
-  EXPECT_EQ(delta.sum, want.sum);
-  EXPECT_EQ(delta.fingerprint(), want.fingerprint());
+  ASSERT_FALSE(pooled.empty());
+  std::sort(pooled.begin(), pooled.end());
+  EXPECT_EQ(report.latency_p50_s, obs::percentile_sorted(pooled, 50.0));
+  EXPECT_EQ(report.latency_p95_s, obs::percentile_sorted(pooled, 95.0));
+  EXPECT_EQ(report.latency_p99_s, obs::percentile_sorted(pooled, 99.0));
+  if constexpr (obs::kObsEnabled) {
+    expect_same_state(goodput_delta, one_goodput.snapshot());
+    expect_same_state(latency_delta, one_latency.snapshot());
+  }
+}
+
+TEST(TrafficEngine, AggregationIsExact) {
+  TrafficConfig config = small_config();
+  config.faults = fault::FaultSchedule::chaos(0.5);
+  TrafficReport report;
+  expect_exact_aggregation(config, report);
+}
+
+TEST(TrafficEngine, GroupedAggregationIsExactAtEveryThreadCount) {
+  // More than 2^15 deliveries: the percentile keys are 16 bits wide, the
+  // latencies split into value-count groups that cut flows apart, and 3
+  // threads share the groups unevenly.
+  TrafficConfig config = small_config();
+  config.faults = fault::FaultSchedule::chaos(0.5);
+  config.flows = 160;
+  config.packets_per_flow = 256;
+  std::vector<std::uint64_t> digests;
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    TrafficReport report;
+    expect_exact_aggregation(config, report);
+    EXPECT_GT(report.packets_delivered, long{1} << 15);
+    digests.push_back(fingerprint(report));
+  }
+  for (const std::uint64_t digest : digests) EXPECT_EQ(digest, digests[0]);
 }
 
 TEST(TrafficEngine, ZeroFlowsYieldEmptyReport) {
