@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
                      std::to_string(rounds_max), std::to_string(slots),
                      sim::Table::fmt(efficiency, 2),
                      sim::Table::fmt(result.total_time_s * 1e3, 3),
-                     sim::Table::fmt_rate(result.aggregate_throughput_bps(
-                         config.payload_bits)),
+                     sim::Table::fmt_rate(result.aggregate_throughput_bps()),
                      sim::Table::fmt(mimo_result.total_time_s * 1e3, 3),
                      sim::Table::fmt(mimo_result.speedup_vs_single, 2)});
       total_tags += population;

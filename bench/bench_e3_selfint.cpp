@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto link =
       reader.evaluate_link(tag, channel::Environment{}, rates);
   const double tag_dbm = link.received_power_dbm;
-  const double tx_dbm = reader.params().tx_power_dbm;
+  const double tx_dbm = reader::kReaderTxPowerDbm;
 
   const std::vector<std::string> headers = {
       "isolation_db", "residual_dbm", "sinr_2ghz_db", "sinr_20mhz_db",

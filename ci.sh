@@ -1,27 +1,29 @@
 #!/usr/bin/env sh
 # CI entry point: checks that docs/ARCHITECTURE.md's lines-per-subsystem
 # total, dependency-edge table, kern table size and settable-value count
-# (tools/settable_values.awk) match the tree, that
-# src/ names no engine but sim::Rng and no std::normal_distribution in phy
-# or impair, that every src/*/*.hpp has a user outside tests and its own
-# .cpp, tier-1 verify in Release (whose ctest count must equal the total
-# README.md states) and Debug with warnings as errors (test suite run
-# twice: forced-scalar and auto SIMD dispatch), a Release -Werror build
-# with MMTAG_OBS=OFF that runs the pinned digests, the traffic suite and
-# the metric tests, the kernel-backend determinism gate (which must
-# compare scalar with AVX2 on an AVX2 host), an ASan+UBSan pass over the
-# test suite (UBSan with float-cast-overflow, which GCC's
-# -fsanitize=undefined leaves out), a bench-smoke stage whose one
-# table-driven loop writes and self-compares nine BENCH_*.json reports
-# (the fault, net, backhaul, metro, control-plane and impairment benches
-# under the sanitizers, plus a full-size bench_d1_fleet compare gate), a
-# perfbench smoke stage that builds the repository benchmark and runs its
-# three workloads untraced and traced for one second each (their
-# correctness checks must pass and their gate digests must equal the
-# pinned seed-1 digests), a TSan pass over the test suite for the
-# sim::ThreadPool, MetroWorld shard, GridIndex rebucket, obs counter,
-# traffic aggregation and layout fan-out paths, and a docs stage (skipped
-# with a notice when doxygen is absent).
+# (tools/settable_values.awk) match the tree, that the settable values are
+# exactly those tools/settable_values.txt names, that src/ names no engine
+# but sim::Rng and no std::normal_distribution in phy or impair, that
+# every src/*/*.hpp has a user outside tests and its own .cpp, tier-1
+# verify in Release (whose ctest count must equal the total README.md
+# states) and Debug with warnings as errors (test suite run twice:
+# forced-scalar and auto SIMD dispatch), a Release -Werror build with
+# MMTAG_OBS=OFF that runs the pinned digests, the traffic suite and the
+# metric tests, the kernel-backend determinism gate (which must compare
+# scalar with AVX2 on an AVX2 host), an ASan+UBSan pass over the test
+# suite (UBSan with float-cast-overflow, which GCC's -fsanitize=undefined
+# leaves out; assert() kept), a bench-smoke stage whose one table-driven
+# loop writes and self-compares nine BENCH_*.json reports (the fault, net,
+# backhaul, metro, control-plane and impairment benches under the
+# sanitizers, plus a full-size bench_d1_fleet compare gate), a perfbench
+# smoke stage that builds the repository benchmark and runs its three
+# workloads untraced and traced for one second each (their correctness
+# checks must pass and their gate digests must equal the pinned seed-1
+# digests), a TSan pass over the test suite for the sim::ThreadPool,
+# MetroWorld shard, GridIndex rebucket, obs counter, traffic aggregation
+# and layout fan-out paths (assert() kept, so the metro epoch's
+# one-owner-per-tag check runs there too), and a docs stage (skipped with
+# a notice when doxygen is absent).
 # Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
@@ -94,13 +96,23 @@ if [ "${listed}" != "${stated}" ]; then
 fi
 echo "kernel table size OK: ${listed}"
 
-echo "=== Settable values (docs/ARCHITECTURE.md) ==="
+echo "=== Settable values (tools/settable_values.txt, docs/ARCHITECTURE.md) ==="
 # A settable value is a defaulted, non-static data member of a *Config,
 # *Params, *Model or *Schedule struct in src/*/*.hpp, nested types
 # included; tools/settable_values.awk lists one per line.
+# tools/settable_values.txt names every one (qualified, sorted) and
 # docs/ARCHITECTURE.md states how many there are, so a new setting lands
-# only together with a doc edit that names it.
-listed=$(awk -f tools/settable_values.awk src/*/*.hpp | awk 'END { print NR }')
+# only together with edits that name and count it, and swapping one
+# setting for another fails as a missing name plus an extra one.
+names=$(awk -f tools/settable_values.awk src/*/*.hpp | sed 's/^[^ ]* //' |
+  LC_ALL=C sort)
+if [ "${names}" != "$(cat tools/settable_values.txt)" ]; then
+  echo "FAIL: settable values differ from tools/settable_values.txt" \
+    "(< listed there only, > declared in src/ only):" >&2
+  printf '%s\n' "${names}" | diff tools/settable_values.txt - >&2 || true
+  exit 1
+fi
+listed=$(printf '%s\n' "${names}" | awk 'END { print NR }')
 stated=$(sed -n 's/.*declares \([0-9][0-9]*\) settable values.*/\1/p' \
   docs/ARCHITECTURE.md)
 if [ "${listed}" != "${stated}" ]; then
@@ -108,7 +120,7 @@ if [ "${listed}" != "${stated}" ]; then
     "docs/ARCHITECTURE.md says ${stated:-nothing}" >&2
   exit 1
 fi
-echo "settable values OK: ${listed}"
+echo "settable values OK: ${listed}, each named in tools/settable_values.txt"
 
 echo "=== One engine in the library ==="
 # sim::Rng is the library's engine (std::mt19937_64 appears only in its
@@ -206,9 +218,13 @@ else
 fi
 
 echo "=== ASan+UBSan build (test suite + instrumented benches) ==="
+# The sanitizer trees keep assert(): RelWithDebInfo's default flags add
+# -DNDEBUG, which would compile out the conservation checks that the
+# metro epoch, the fleet cell and the traffic engine assert.
 build_dir="build-ci-asan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests \
@@ -306,10 +322,12 @@ echo "=== TSan build (thread pool, metro shards, index rebucket, obs counters, t
 # and histograms, the traffic engine's grouped aggregation (percentile
 # value groups writing disjoint bucket ranges, per-group histogram
 # publishes) and make_layout's per-tag slots. ThreadSanitizer over the
-# suite proves their writes are disjoint or atomic.
+# suite proves their writes are disjoint or atomic; like the ASan tree,
+# this one keeps assert().
 build_dir="build-ci-tsan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${build_dir}" -j "$(nproc)" --target mmtag_tests
@@ -328,4 +346,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line, edge and kern tables, settable-value count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan, bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (incl. traffic aggregation and layout fan-out), docs ==="
+echo "=== CI OK: line, edge and kern tables, settable-value names and count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan (asserts on), bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (asserts on, incl. traffic aggregation and layout fan-out), docs ==="

@@ -22,7 +22,6 @@ int main() {
   sim::LinkScenario::Config config;
   config.step_s = 0.2;
   config.orientation = sim::TagOrientation::kFollowVelocity;
-  config.tracking.miss_budget = 1;  // Re-acquire promptly when blocked.
 
   sim::LinkScenario scenario(
       reader::MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.3}),

@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
   const auto codebook = antenna::uniform_codebook(
       phys::deg_to_rad(-60.0), phys::deg_to_rad(60.0), 17.0);
 
-  mac::InventoryConfig config;
-  config.payload_bits = 96;
-  mac::SdmInventory inventory(reader, rates, config);
+  mac::SdmInventory inventory(reader, rates, mac::InventoryConfig{});
   const channel::Environment warehouse;  // Open aisle.
 
   // Site survey: per-tag link budgets are independent, so shard them
@@ -102,8 +100,6 @@ int main(int argc, char** argv) {
   std::printf("\nread %d / %d tags in %.2f ms  (%s of identifiers)\n",
               result.tags_read, result.tags_total,
               result.total_time_s * 1e3,
-              sim::Table::fmt_rate(result.aggregate_throughput_bps(
-                                       config.payload_bits))
-                  .c_str());
+              sim::Table::fmt_rate(result.aggregate_throughput_bps()).c_str());
   return result.tags_read == result.tags_total ? 0 : 1;
 }

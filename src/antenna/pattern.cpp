@@ -31,21 +31,6 @@ double PatchPattern::gain_dbi(double angle_rad) const {
   return gain > floor_dbi_ ? gain : floor_dbi_;
 }
 
-HornPattern::HornPattern(double boresight_gain_dbi,
-                         double half_power_beamwidth_deg,
-                         double sidelobe_floor_dbi)
-    : boresight_dbi_(boresight_gain_dbi),
-      hpbw_deg_(half_power_beamwidth_deg),
-      floor_dbi_(sidelobe_floor_dbi) {
-  assert(hpbw_deg_ > 0.0);
-  assert(floor_dbi_ < boresight_dbi_);
-}
-
-HornPattern HornPattern::mmtag_reader_horn() {
-  return HornPattern(/*boresight_gain_dbi=*/20.0,
-                     /*half_power_beamwidth_deg=*/18.0);
-}
-
 double HornPattern::gain_dbi(double angle_rad) const {
   const double wrapped_deg =
       phys::rad_to_deg(phys::wrap_angle_rad(angle_rad));

@@ -7,6 +7,8 @@
 // folded into the boresight gain figure.
 #pragma once
 
+#include <cassert>
+
 namespace mmtag::antenna {
 
 /// Interface: azimuth power-gain pattern of a single radiator.
@@ -44,11 +46,21 @@ class PatchPattern final : public Pattern {
 /// standard-gain horns (paper Sec. 7).
 class HornPattern final : public Pattern {
  public:
-  HornPattern(double boresight_gain_dbi, double half_power_beamwidth_deg,
-              double sidelobe_floor_dbi = -10.0);
+  constexpr HornPattern(double boresight_gain_dbi,
+                        double half_power_beamwidth_deg,
+                        double sidelobe_floor_dbi = -10.0)
+      : boresight_dbi_(boresight_gain_dbi),
+        hpbw_deg_(half_power_beamwidth_deg),
+        floor_dbi_(sidelobe_floor_dbi) {
+    assert(hpbw_deg_ > 0.0);
+    assert(floor_dbi_ < boresight_dbi_);
+  }
 
   /// 20 dBi / 18 degree horn typical of 24 GHz standard-gain horns.
-  [[nodiscard]] static HornPattern mmtag_reader_horn();
+  [[nodiscard]] static constexpr HornPattern mmtag_reader_horn() {
+    return HornPattern(/*boresight_gain_dbi=*/20.0,
+                       /*half_power_beamwidth_deg=*/18.0);
+  }
 
   [[nodiscard]] double gain_dbi(double angle_rad) const override;
 

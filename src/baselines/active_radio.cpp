@@ -12,10 +12,9 @@ double ActiveRadioModel::energy_per_bit_j() const {
 ActiveRadioModel active_mmwave_radio() {
   ActiveRadioModel radio;
   radio.name = "Active mmWave (16-el phased array)";
-  const antenna::PhasedArray array = antenna::PhasedArray::typical_24ghz(16);
-  // Array bias + PA (0.5 W) + ADC/baseband (0.75 W): lands in the
-  // "few watts" band the paper cites for mmWave front-ends.
-  radio.dc_power_w = array.dc_power_w() + 0.5 + 0.75;
+  // Array + PA (0.5 W) + ADC/baseband (0.75 W): lands in the "few watts"
+  // band the paper cites for mmWave front-ends.
+  radio.dc_power_w = kActiveArrayDcPowerW + 0.5 + 0.75;
   radio.peak_rate_bps = 1.0e9;
   return radio;
 }

@@ -12,9 +12,21 @@
 #include <string>
 #include <vector>
 
-#include "src/antenna/phased_array.hpp"
-
 namespace mmtag::baselines {
+
+/// The active mmWave radio's electronically steered 24 GHz array: a static
+/// bias-tree power plus a biased phase shifter and a front-end (LNA or PA
+/// pre-amplifier) per element, in line with the few-watt figure the paper
+/// cites for commercial phased arrays (Secs. 3 & 5).
+inline constexpr int kActiveArrayElements = 16;
+inline constexpr double kActiveArrayShifterPowerW = 0.015;
+inline constexpr double kActiveArrayFrontendPowerW = 0.040;
+inline constexpr double kActiveArrayStaticPowerW = 0.25;
+/// The array's DC power while active [W].
+inline constexpr double kActiveArrayDcPowerW =
+    kActiveArrayStaticPowerW +
+    kActiveArrayElements *
+        (kActiveArrayShifterPowerW + kActiveArrayFrontendPowerW);
 
 struct ActiveRadioModel {
   std::string name;

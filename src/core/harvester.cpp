@@ -6,36 +6,39 @@
 
 namespace mmtag::core {
 
-EnergyHarvester::EnergyHarvester(Params params) : params_(params) {
-  assert(params_.capacitance_f > 0.0);
-  assert(params_.max_voltage_v > params_.min_voltage_v);
-  assert(params_.min_voltage_v > 0.0);
-  assert(params_.harvest_power_w >= 0.0);
-  assert(params_.leakage_power_w >= 0.0);
+namespace {
+
+constexpr double kStorageCapacitanceF = 100e-6;
+constexpr double kStorageMaxVoltageV = 3.3;  ///< Regulator ceiling.
+constexpr double kStorageMinVoltageV = 1.8;  ///< Gate-drive dropout.
+constexpr double kStorageLeakageW = 1e-6;    ///< Capacitor + regulator.
+
+}  // namespace
+
+EnergyHarvester::EnergyHarvester(double harvest_power_w)
+    : harvest_power_w_(harvest_power_w) {
+  assert(harvest_power_w_ >= 0.0);
 }
 
 EnergyHarvester EnergyHarvester::mmtag_with(HarvestSource source) {
-  Params params;
-  params.harvest_power_w = TagEnergyModel::harvested_power_w(source);
-  return EnergyHarvester(params);
+  return EnergyHarvester(TagEnergyModel::harvested_power_w(source));
 }
 
 double EnergyHarvester::usable_energy_j() const {
-  const double vmax2 = params_.max_voltage_v * params_.max_voltage_v;
-  const double vmin2 = params_.min_voltage_v * params_.min_voltage_v;
-  return params_.capacitance_f * (vmax2 - vmin2) / 2.0;
+  const double vmax2 = kStorageMaxVoltageV * kStorageMaxVoltageV;
+  const double vmin2 = kStorageMinVoltageV * kStorageMinVoltageV;
+  return kStorageCapacitanceF * (vmax2 - vmin2) / 2.0;
 }
 
 double EnergyHarvester::recharge_time_s() const {
-  const double net = params_.harvest_power_w - params_.leakage_power_w;
+  const double net = harvest_power_w_ - kStorageLeakageW;
   if (net <= 0.0) return std::numeric_limits<double>::infinity();
   return usable_energy_j() / net;
 }
 
 double EnergyHarvester::max_burst_s(double load_power_w) const {
   assert(load_power_w >= 0.0);
-  const double drain =
-      load_power_w + params_.leakage_power_w - params_.harvest_power_w;
+  const double drain = load_power_w + kStorageLeakageW - harvest_power_w_;
   if (drain <= 0.0) return std::numeric_limits<double>::infinity();
   return usable_energy_j() / drain;
 }

@@ -13,17 +13,13 @@
 
 namespace mmtag::core {
 
+/// The prototype's storage: a 100 uF capacitor charged up to the harvester
+/// regulator's 3.3 V ceiling and drained down to the FET gate drive's
+/// 1.8 V dropout floor, leaking 1 uW through the capacitor and regulator.
 class EnergyHarvester {
  public:
-  struct Params {
-    double capacitance_f = 100e-6;   ///< Storage cap.
-    double max_voltage_v = 3.3;      ///< Harvester regulator ceiling.
-    double min_voltage_v = 1.8;      ///< Switch-driver dropout floor.
-    double harvest_power_w = 0.0;    ///< Average harvested power.
-    double leakage_power_w = 1e-6;   ///< Cap + regulator leakage.
-  };
-
-  explicit EnergyHarvester(Params params);
+  /// Storage fed by an average `harvest_power_w` >= 0 [W].
+  explicit EnergyHarvester(double harvest_power_w);
 
   /// Prototype storage fed by `source` through the 60 x 45 mm collector.
   [[nodiscard]] static EnergyHarvester mmtag_with(HarvestSource source);
@@ -48,10 +44,8 @@ class EnergyHarvester {
   [[nodiscard]] double effective_throughput_bps(
       double bit_rate_bps, const TagEnergyModel& energy) const;
 
-  [[nodiscard]] const Params& params() const { return params_; }
-
  private:
-  Params params_;
+  double harvest_power_w_;
 };
 
 }  // namespace mmtag::core

@@ -12,14 +12,6 @@ namespace mmtag::core {
 
 namespace {
 
-antenna::UniformLinearArray make_geometry(const VanAttaArray::Config& config) {
-  const double spacing = config.spacing_m > 0.0
-                             ? config.spacing_m
-                             : phys::wavelength_m(config.frequency_hz) / 2.0;
-  return antenna::UniformLinearArray(config.elements, spacing,
-                                     config.frequency_hz);
-}
-
 /// Arrays up to this many elements run the signal flow on the stack.
 constexpr std::size_t kStackElements = 32;
 
@@ -145,7 +137,8 @@ VanAttaArray::VanAttaArray(Config config, em::PatchElement element_model,
     : config_(config),
       element_model_(element_model),
       pair_lines_(std::move(pair_lines)),
-      geometry_(make_geometry(config)),
+      geometry_(antenna::UniformLinearArray::half_wavelength(
+          config.elements, config.frequency_hz)),
       element_pattern_(),
       switch_states_(static_cast<std::size_t>(config.elements),
                      em::SwitchState::kOff) {

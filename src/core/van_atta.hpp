@@ -37,11 +37,11 @@ struct StateGainsDb {
 
 class VanAttaArray {
  public:
+  /// Elements sit the conventional half wavelength of the design carrier
+  /// apart.
   struct Config {
     int elements = 6;               ///< Prototype: 6 patches (paper Sec. 7).
     double frequency_hz = 24.0e9;   ///< Design carrier.
-    /// Element spacing [m]; 0 selects the conventional half wavelength.
-    double spacing_m = 0.0;
   };
 
   /// Build with explicit per-pair interconnect lines. `pair_lines` must hold

@@ -17,11 +17,6 @@ namespace mmtag::deploy {
 
 namespace {
 
-/// Bits a tag delivers per answered poll: an EPC-96-style identifier.
-constexpr std::size_t kCellPayloadBits = 96;
-/// Airtime of one beam switch [s].
-constexpr double kCellBeamSwitchS = 100e-6;
-
 obs::Histogram& poll_cost_us_metric() {
   static obs::Histogram& hist =
       obs::Registry::instance().histogram("deploy.cell.poll_us");
@@ -107,7 +102,7 @@ CellEpochResult ReaderCell::run_epoch(
   // the channel an airtime_share of the wall clock, so an airtime instant t
   // maps to absolute fleet time start_s + t / airtime_share.
   const double frame_bits = 2.0 *  // Manchester.
-      static_cast<double>(phy::TagFrame::frame_bits(kCellPayloadBits));
+      static_cast<double>(phy::TagFrame::frame_bits(mac::kTagPayloadBits));
   const double poll_bits =
       frame_bits + 2.0 * static_cast<double>(mac::kPollOverheadBits);
 
@@ -129,7 +124,7 @@ CellEpochResult ReaderCell::run_epoch(
     const mac::AlohaStats aloha = run_framed_aloha(
         static_cast<int>(members.size()), config_.aloha, rng);
     const double dwell_s =
-        kCellBeamSwitchS + static_cast<double>(aloha.slots_total) * slot_s;
+        mac::kBeamSwitchS + static_cast<double>(aloha.slots_total) * slot_s;
     // Out of airtime mid-scan: the cursor stays on this beam so the next
     // epoch picks up exactly here instead of starving the sector tail.
     if (now + dwell_s > budget_s) break;
@@ -215,7 +210,7 @@ CellEpochResult ReaderCell::run_epoch(
     }
     double cost_s = responded ? poll_bits / rate : kPollTimeoutS;
     if (tag_beam[k] != poll_beam) {
-      cost_s += kCellBeamSwitchS;
+      cost_s += mac::kBeamSwitchS;
       poll_beam = tag_beam[k];
     }
     if (now + cost_s > budget_s) break;  // Epoch airtime spent.
@@ -231,7 +226,7 @@ CellEpochResult ReaderCell::run_epoch(
       retry_at[k] = 0.0;
       if (poll_success(rng)) {
         ++successful_polls;
-        service.delivered_bits += static_cast<double>(kCellPayloadBits);
+        service.delivered_bits += static_cast<double>(mac::kTagPayloadBits);
       }
     } else {
       // No response: burn the timeout, back off exponentially, and after
@@ -264,7 +259,7 @@ CellEpochResult ReaderCell::run_epoch(
   }
   assert(polls == responded_polls + result.polls_timed_out);
   assert(successful_polls <= responded_polls);
-  assert(delivered_bits == static_cast<double>(kCellPayloadBits) *
+  assert(delivered_bits == static_cast<double>(mac::kTagPayloadBits) *
                                static_cast<double>(successful_polls));
   assert(now <= budget_s);
 #endif

@@ -95,8 +95,6 @@ class FleetCoordinator {
   [[nodiscard]] static std::vector<std::vector<std::size_t>> rosters(
       const std::vector<int>& tag_cell, std::size_t cells);
 
-  [[nodiscard]] const CoordinatorConfig& config() const { return config_; }
-
  private:
   CoordinatorConfig config_;
 };

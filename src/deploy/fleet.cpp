@@ -123,9 +123,12 @@ FleetSimulator::FleetSimulator(FleetConfig config)
   config_.validate();
 }
 
-FleetResult FleetSimulator::run() { return run(make_layout(config_.layout)); }
+FleetResult FleetSimulator::run() {
+  sim::ThreadPool pool(config_.threads);
+  return run(make_layout(config_.layout), pool);
+}
 
-FleetResult FleetSimulator::run(FleetLayout layout) {
+FleetResult FleetSimulator::run(FleetLayout layout, sim::ThreadPool& pool) {
   const LayoutConfig& expected = config_.layout;
   const auto reject = [](const char* field) {
     throw std::invalid_argument(std::string("FleetSimulator::run: layout ") +
@@ -193,7 +196,6 @@ FleetResult FleetSimulator::run(FleetLayout layout) {
   double utilization_sum = 0.0;
   std::uint64_t reads_total = 0;
 
-  sim::ThreadPool pool(config_.threads);
   const auto t0 = std::chrono::steady_clock::now();
   for (int e = 0; e < config_.epochs; ++e) {
     MMTAG_OBS_SPAN("deploy.fleet.epoch");

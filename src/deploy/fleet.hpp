@@ -39,7 +39,8 @@ struct FleetConfig {
   double mobile_fraction = 0.0;
   /// Base seed for every stream in the run (cells, mobility).
   std::uint64_t seed = 1;
-  /// Worker threads (<= 0 selects sim::default_thread_count()).
+  /// Worker threads of the pool run() builds (<= 0 selects
+  /// sim::default_thread_count()).
   int threads = 0;
   /// Disable to measure the uncached baseline (every link lookup
   /// re-traces; see bench_d1_fleet).
@@ -98,17 +99,16 @@ class FleetSimulator {
 
   /// Run the configured number of epochs and aggregate. Deterministic in
   /// `config.seed`; independent of `config.threads`. Equal to
-  /// run(make_layout(config.layout)).
+  /// run(make_layout(config.layout), pool) on a pool of `config.threads`.
   [[nodiscard]] FleetResult run();
 
-  /// Run over `layout`, which the run consumes (mobility moves its tags).
-  /// A caller that already holds make_layout(config.layout) passes it here
-  /// instead of having the run build it again. Throws
-  /// std::invalid_argument when the layout's width, height, reader count
-  /// or tag count differs from config.layout.
-  [[nodiscard]] FleetResult run(FleetLayout layout);
-
-  [[nodiscard]] const FleetConfig& config() const { return config_; }
+  /// Run over `layout`, which the run consumes (mobility moves its tags),
+  /// with the cells on `pool`. A caller that already holds
+  /// make_layout(config.layout) and a pool passes them here instead of
+  /// having the run build them again; the result is independent of the
+  /// pool's size. Throws std::invalid_argument when the layout's width,
+  /// height, reader count or tag count differs from config.layout.
+  [[nodiscard]] FleetResult run(FleetLayout layout, sim::ThreadPool& pool);
 
  private:
   FleetConfig config_;

@@ -23,7 +23,7 @@ PatchElement PatchElement::mmtag() {
   const PatchResonator reference = PatchResonator::mmtag_element();
   const PatchResonator tuned = PatchResonator::tuned_against_shunt(
       phys::kMmTagCarrierHz, reference.resonant_resistance_ohm(),
-      reference.quality_factor(), fet.params().off_capacitance_f);
+      reference.quality_factor(), kFetOffCapacitanceF);
   return PatchElement(tuned, fet, phys::kReferenceImpedanceOhm);
 }
 

@@ -1,36 +1,33 @@
 #include "src/em/switch_model.hpp"
 
-#include <cassert>
-
 namespace mmtag::em {
 
-RfSwitch::RfSwitch(Params params) : params_(params) {
-  assert(params_.on_resistance_ohm >= 0.0);
-  assert(params_.on_inductance_h >= 0.0);
-  assert(params_.off_capacitance_f > 0.0);
-  assert(params_.gate_charge_c > 0.0);
-  assert(params_.drive_voltage_v > 0.0);
-}
+namespace {
 
-RfSwitch RfSwitch::ce3520k3() { return RfSwitch(Params{}); }
+constexpr double kFetOnResistanceOhm = 15.0;  ///< Channel + contact.
+constexpr double kFetOnInductanceH = 0.15e-9;  ///< Bond/via to ground.
+constexpr double kFetGateChargeC = 1.5e-12;    ///< Per switching.
+constexpr double kFetDriveVoltageV = 2.0;      ///< Gate drive swing.
+
+}  // namespace
 
 Complex RfSwitch::shunt_impedance(SwitchState state,
                                   double frequency_hz) const {
   switch (state) {
     case SwitchState::kOn:
       // Channel resistance in series with the path-to-ground inductance.
-      return series(resistor(params_.on_resistance_ohm),
-                    inductor(params_.on_inductance_h, frequency_hz));
+      return series(resistor(kFetOnResistanceOhm),
+                    inductor(kFetOnInductanceH, frequency_hz));
     case SwitchState::kOff:
       // Only the tiny off capacitance loads the patch.
-      return capacitor(params_.off_capacitance_f, frequency_hz);
+      return capacitor(kFetOffCapacitanceF, frequency_hz);
   }
   // Unreachable for a valid enum; keep the compiler satisfied.
   return Complex(0.0, 0.0);
 }
 
 double RfSwitch::energy_per_toggle_j() const {
-  return params_.gate_charge_c * params_.drive_voltage_v;
+  return kFetGateChargeC * kFetDriveVoltageV;
 }
 
 }  // namespace mmtag::em

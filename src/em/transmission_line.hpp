@@ -31,14 +31,11 @@ struct AbcdMatrix {
   [[nodiscard]] Complex s21(double z0_ohm) const;
 };
 
-/// Uniform transmission line with loss.
+/// Uniform transmission line with loss: a 50-ohm Rogers 4835 microstrip,
+/// whose effective relative permittivity at 24 GHz is about 2.9.
 class TransmissionLine {
  public:
   struct Params {
-    double characteristic_impedance_ohm = 50.0;
-    /// Effective relative permittivity of the microstrip (Rogers 4835
-    /// microstrip at 24 GHz has eps_eff around 2.9).
-    double effective_permittivity = 2.9;
     /// Conductor + dielectric attenuation [dB per meter] at the design
     /// frequency. Thin-substrate microstrip at 24 GHz: ~40-80 dB/m.
     double attenuation_db_per_m = 60.0;
@@ -65,8 +62,6 @@ class TransmissionLine {
 
   /// ABCD matrix at `frequency_hz` (full lossy-line hyperbolic form).
   [[nodiscard]] AbcdMatrix abcd(double frequency_hz) const;
-
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
   /// Complex propagation constant gamma = alpha + j*beta [1/m].

@@ -9,6 +9,8 @@ namespace mmtag::mac {
 
 namespace {
 
+/// Q of the first frame: 2^4 = 16 slots.
+constexpr int kInitialQ = 4;
 /// EPC Qfp adjustment constant.
 constexpr double kEpcC = 0.5;
 
@@ -25,17 +27,12 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
   stats.tags_total = tag_count;
 
   int remaining = tag_count;
-  double qfp = static_cast<double>(config.initial_q);
+  double qfp = static_cast<double>(kInitialQ);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
 
-  while (remaining > 0 && stats.rounds < config.max_rounds) {
+  while (remaining > 0 && stats.rounds < kAlohaMaxRounds) {
     ++stats.rounds;
-    int q = clamp_q(qfp);
-    if (config.policy == QPolicy::kOptimal) {
-      // Frame size matched to the population: optimal slot count ~= tags.
-      q = clamp_q(std::log2(std::max(1, remaining)));
-    }
-    const int slots = 1 << q;
+    const int slots = 1 << clamp_q(qfp);
     stats.slots_total += slots;
 
     // Each unread tag picks a slot uniformly.
@@ -49,9 +46,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
     for (const int occupants : occupancy) {
       if (occupants == 0) {
         ++stats.slots_empty;
-        if (config.policy == QPolicy::kEpc) {
-          qfp = std::max(0.0, qfp - kEpcC);
-        }
+        qfp = std::max(0.0, qfp - kEpcC);
       } else if (occupants == 1) {
         if (coin(rng) <= config.slot_success_probability) {
           ++stats.slots_success;
@@ -62,9 +57,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
         }
       } else {
         ++stats.slots_collision;
-        if (config.policy == QPolicy::kEpc) {
-          qfp = std::min(15.0, qfp + kEpcC);
-        }
+        qfp = std::min(15.0, qfp + kEpcC);
       }
     }
     remaining -= read_this_round;

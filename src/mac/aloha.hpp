@@ -4,27 +4,20 @@
 // Aloha protocol." When several tags share one beam direction they collide;
 // framed slotted Aloha resolves them: the reader announces a frame of 2^Q
 // slots, every unread tag picks one uniformly, singleton slots deliver a
-// frame (subject to link errors), collisions retry in the next frame.
-// Three Q policies are provided, from dumb to EPC-grade.
+// frame (subject to link errors), collisions retry in the next frame. Q
+// adapts by the EPC Gen2 Q-algorithm.
 #pragma once
 
 #include "src/sim/rng.hpp"
 
 namespace mmtag::mac {
 
-/// Frame-size adaptation policy.
-enum class QPolicy {
-  kFixed,     ///< Q never changes.
-  kEpc,       ///< EPC Gen2 Q-algorithm (Qfp +/- 0.5 per collision/empty).
-  kOptimal,   ///< Q = round(log2(remaining tags)) — genie-aided optimum.
-};
+/// Frames after which an inventory gives up on the tags still unread.
+inline constexpr int kAlohaMaxRounds = 64;
 
 struct AlohaConfig {
-  int initial_q = 4;             ///< Frame size 2^Q slots.
-  QPolicy policy = QPolicy::kEpc;
   /// Probability a singleton slot's frame survives the link (CRC passes).
   double slot_success_probability = 0.98;
-  int max_rounds = 64;           ///< Give up after this many frames.
 };
 
 struct AlohaStats {
@@ -38,7 +31,9 @@ struct AlohaStats {
 };
 
 /// Simulate framed slotted Aloha until all `tag_count` tags are read or
-/// `config.max_rounds` frames elapse.
+/// kAlohaMaxRounds frames elapse. Frame-size adaptation follows the EPC
+/// Gen2 Q-algorithm: Qfp starts at 4, moves by 0.5 per collision (up) and
+/// per empty slot (down), and each frame runs with Q = round(Qfp).
 [[nodiscard]] AlohaStats run_framed_aloha(int tag_count,
                                           const AlohaConfig& config,
                                           sim::Rng& rng);

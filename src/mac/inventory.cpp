@@ -10,11 +10,10 @@
 
 namespace mmtag::mac {
 
-double InventoryResult::aggregate_throughput_bps(
-    std::size_t payload_bits) const {
+double InventoryResult::aggregate_throughput_bps() const {
   if (total_time_s <= 0.0) return 0.0;
   return static_cast<double>(tags_read) *
-         static_cast<double>(payload_bits) / total_time_s;
+         static_cast<double>(kTagPayloadBits) / total_time_s;
 }
 
 SdmInventory::SdmInventory(reader::MmWaveReader reader, phy::RateTable rates,
@@ -53,7 +52,7 @@ InventoryResult SdmInventory::run(const std::vector<antenna::Beam>& codebook,
   // Dwell on each occupied beam in codebook order: its Aloha contention,
   // then the switching overhead plus the slots it took.
   const std::size_t frame_bits =
-      phy::TagFrame::frame_bits(config_.payload_bits) * 2;  // Manchester.
+      phy::TagFrame::frame_bits(kTagPayloadBits) * 2;  // Manchester.
   for (std::size_t b = 0; b < codebook.size(); ++b) {
     if (beam_tags[b].empty()) continue;  // Reader sees no response; skip.
     const double rate = beam_rate[b];

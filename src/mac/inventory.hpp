@@ -20,18 +20,18 @@
 #include "src/channel/environment.hpp"
 #include "src/core/tag.hpp"
 #include "src/mac/aloha.hpp"
+#include "src/mac/polling.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::mac {
 
+/// Each successful slot carries one kTagPayloadBits frame.
 struct InventoryConfig {
   AlohaConfig aloha;
   /// Mechanical/electrical beam switching overhead per dwell [s].
-  double beam_switch_overhead_s = 100e-6;
-  /// Tag frame payload carried per successful slot [bits].
-  std::size_t payload_bits = 96;  ///< EPC-96-style identifier.
+  double beam_switch_overhead_s = kBeamSwitchS;
 };
 
 struct BeamInventory {
@@ -48,8 +48,7 @@ struct InventoryResult {
   int tags_read = 0;
   double total_time_s = 0.0;
   /// Identifier bits delivered per second of inventory.
-  [[nodiscard]] double aggregate_throughput_bps(
-      std::size_t payload_bits) const;
+  [[nodiscard]] double aggregate_throughput_bps() const;
 };
 
 class SdmInventory {
@@ -65,8 +64,6 @@ class SdmInventory {
                                     const std::vector<core::MmTag>& tags,
                                     const channel::Environment& env,
                                     sim::Rng& rng);
-
-  [[nodiscard]] const InventoryConfig& config() const { return config_; }
 
  private:
   reader::MmWaveReader reader_;

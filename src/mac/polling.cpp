@@ -58,7 +58,7 @@ PollingResult PollingScheduler::run_round(
     if (record.reachable) {
       // Manchester doubles the on-air chips, matching SdmInventory.
       const double on_air_bits = 2.0 * static_cast<double>(
-          phy::TagFrame::frame_bits(config_.payload_bits) +
+          phy::TagFrame::frame_bits(kTagPayloadBits) +
           kPollOverheadBits);
       record.time_s = on_air_bits / link.achievable_rate_bps;
       // Charge a beam switch when the bearing moved more than ~a degree.

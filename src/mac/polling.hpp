@@ -24,12 +24,16 @@ namespace mmtag::mac {
 /// Addressing overhead per poll: reader query bits at the tag rate. The
 /// fleet's deploy::ReaderCell charges the same preamble.
 inline constexpr std::size_t kPollOverheadBits = 64;
+/// Payload a tag delivers per read, in an inventory slot or a poll: an
+/// EPC-96-style identifier [bits]. The fleet's cells deliver the same.
+inline constexpr std::size_t kTagPayloadBits = 96;
+/// Airtime of one electronic beam switch [s]: the default overhead of the
+/// inventory and polling configs, and what a fleet cell charges.
+inline constexpr double kBeamSwitchS = 100e-6;
 
 struct PollingConfig {
-  /// Payload read from each tag per poll [bits].
-  std::size_t payload_bits = 96;
   /// Beam switching overhead when the next tag is in a new beam [s].
-  double beam_switch_overhead_s = 100e-6;
+  double beam_switch_overhead_s = kBeamSwitchS;
 };
 
 struct PollRecord {
@@ -59,8 +63,6 @@ class PollingScheduler {
   /// unanswered polls live in the fleet's deploy::ReaderCell.
   [[nodiscard]] PollingResult run_round(const std::vector<core::MmTag>& tags,
                                         const channel::Environment& env);
-
-  [[nodiscard]] const PollingConfig& config() const { return config_; }
 
  private:
   reader::MmWaveReader reader_;

@@ -8,6 +8,7 @@
 #include "src/mac/event_queue.hpp"
 #include "src/net/packet.hpp"
 #include "src/obs/stats.hpp"
+#include "src/sim/parallel.hpp"
 
 namespace mmtag::mesh {
 
@@ -62,7 +63,9 @@ BackhaulSimulator::BackhaulSimulator(BackhaulConfig config)
 }
 
 BackhaulReport BackhaulSimulator::run() {
-  deploy::FleetLayout layout = deploy::make_layout(config_.fleet.layout);
+  sim::ThreadPool workers(config_.fleet.threads);
+  deploy::FleetLayout layout =
+      deploy::make_layout(config_.fleet.layout, workers);
   const MeshTopology topology(layout.reader_poses, config_.topology);
   net::PacketPool pool(kPoolPackets, kFramePayloadBytes, kPoolHeadroom);
   MeshNetwork network(&topology, config_.forwarding, &pool);
@@ -107,7 +110,8 @@ BackhaulReport BackhaulSimulator::run() {
       };
 
   BackhaulReport report;
-  report.fleet = deploy::FleetSimulator(fleet_config).run(std::move(layout));
+  report.fleet =
+      deploy::FleetSimulator(fleet_config).run(std::move(layout), workers);
   report.horizon_s =
       static_cast<double>(config_.fleet.epochs) * epoch_s;
   report.mesh = network.finish(report.horizon_s);

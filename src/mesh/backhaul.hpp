@@ -65,8 +65,6 @@ class BackhaulSimulator {
   /// epoch barrier).
   [[nodiscard]] BackhaulReport run();
 
-  [[nodiscard]] const BackhaulConfig& config() const { return config_; }
-
  private:
   BackhaulConfig config_;
 };

@@ -139,15 +139,15 @@ class MeshNetwork {
 
   /// Run the link-state protocol on the current live mask and rebuild the
   /// live nodes' route tables from their databases. Call after the
-  /// epoch's queue has drained. No-op when config().reconverge is false
-  /// (the protocol still floods; tables just stay frozen).
+  /// epoch's queue has drained. No-op when the ForwardingConfig's
+  /// `reconverge` is false (the protocol still floods; tables just stay
+  /// frozen).
   void reconverge();
 
   /// Close out and return totals. `horizon_s` is the wall time link
   /// utilization is normalized by.
   [[nodiscard]] MeshStats finish(double horizon_s);
 
-  [[nodiscard]] const ForwardingConfig& config() const { return config_; }
   [[nodiscard]] const MeshTopology& topology() const { return *topology_; }
   [[nodiscard]] const RouteTable& table(int node) const {
     return tables_[static_cast<std::size_t>(node)];

@@ -70,7 +70,6 @@ class MeshTopology {
                const TopologyConfig& config);
 
   [[nodiscard]] std::size_t nodes() const { return nodes_; }
-  [[nodiscard]] const TopologyConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<int>& gateways() const { return gateways_; }
   [[nodiscard]] bool is_gateway(int node) const;
 

@@ -57,8 +57,6 @@ class TransferSession {
   [[nodiscard]] double transfer_time_s(const reader::LinkReport& link,
                                        std::size_t payload_bits) const;
 
-  [[nodiscard]] const SessionConfig& config() const { return config_; }
-
  private:
   phy::RateTable rates_;
   SessionConfig config_;

@@ -120,7 +120,6 @@ class SrArqSession {
                                 PacketPool* pool = nullptr,
                                 const AdaptFn& adapt = nullptr);
 
-  [[nodiscard]] const SrArqConfig& config() const { return config_; }
   [[nodiscard]] const SrArqTiming& timing() const { return timing_; }
 
  private:

@@ -200,10 +200,9 @@ TrafficReport TrafficEngine::run() {
     fleet_config.epochs = config_.discovery_epochs;
     fleet_config.epoch_duration_s = config_.epoch_duration_s;
     fleet_config.seed = sim::derive_seed(config_.seed, 0x64697363);  // disc
-    fleet_config.threads = config_.threads;
     fleet_config.faults = config_.faults;
     const deploy::FleetResult discovery =
-        deploy::FleetSimulator(fleet_config).run(std::move(layout));
+        deploy::FleetSimulator(fleet_config).run(std::move(layout), pool);
     report.discovery_coverage = discovery.stats.coverage();
     for (std::size_t t = 0; t < n; ++t) {
       eligible_mask[t] = discovery.service[t].read() ? 1 : 0;

@@ -133,8 +133,6 @@ class TrafficEngine {
   /// Deterministic in `config.seed`; independent of `config.threads`.
   [[nodiscard]] TrafficReport run();
 
-  [[nodiscard]] const TrafficConfig& config() const { return config_; }
-
  private:
   TrafficConfig config_;
 };

@@ -4,6 +4,7 @@
 
 #include "src/channel/propagation.hpp"
 #include "src/channel/raytrace.hpp"
+#include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 
 namespace mmtag::reader {
@@ -23,10 +24,10 @@ double cross_reader_interference_dbm(const MmWaveReader& aggressor,
     // the incoming wave; the victim's horn gain applies there.
     const double rx_gain = victim.gain_dbi(path.arrival_rad);
     const double loss = channel::propagation_loss_db(
-                            path.length_m, victim.params().frequency_hz) +
+                            path.length_m, phys::kMmTagCarrierHz) +
                         path.excess_loss_db;
-    total_w += phys::dbm_to_watts(aggressor.params().tx_power_dbm + tx_gain +
-                                  rx_gain - loss);
+    total_w += phys::dbm_to_watts(kReaderTxPowerDbm + tx_gain + rx_gain -
+                                  loss);
   }
   return phys::watts_to_dbm(total_w);
 }

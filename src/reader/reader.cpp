@@ -4,15 +4,25 @@
 #include <cassert>
 
 #include "src/channel/propagation.hpp"
+#include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 
 namespace mmtag::reader {
 
-MmWaveReader::MmWaveReader(core::Pose pose, Params params)
-    : pose_(pose), params_(params), beam_world_rad_(pose.orientation_rad) {}
+namespace {
+
+/// The TX and RX horns: identical, co-steered. Constant-initialized, so
+/// no static initializer elsewhere can see it unbuilt.
+constinit const antenna::HornPattern kReaderHorn =
+    antenna::HornPattern::mmtag_reader_horn();
+
+}  // namespace
+
+MmWaveReader::MmWaveReader(core::Pose pose)
+    : pose_(pose), beam_world_rad_(pose.orientation_rad) {}
 
 MmWaveReader MmWaveReader::prototype_at(core::Pose pose) {
-  return MmWaveReader(pose, Params{});
+  return MmWaveReader(pose);
 }
 
 void MmWaveReader::steer_to_world(double world_rad) {
@@ -20,7 +30,7 @@ void MmWaveReader::steer_to_world(double world_rad) {
 }
 
 double MmWaveReader::gain_dbi(double world_rad) const {
-  return params_.horn.gain_dbi(world_rad - beam_world_rad_);
+  return kReaderHorn.gain_dbi(world_rad - beam_world_rad_);
 }
 
 LinkReport MmWaveReader::evaluate_path(const core::MmTag& tag,
@@ -34,7 +44,7 @@ LinkReport MmWaveReader::evaluate_path(const core::MmTag& tag,
   // reader gains (TX on the way out, RX on the way back — identical horns)
   // and the tag's monostatic reflection gain.
   const double one_way_loss_db =
-      channel::propagation_loss_db(path.length_m, params_.frequency_hz) +
+      channel::propagation_loss_db(path.length_m, phys::kMmTagCarrierHz) +
       path.excess_loss_db;
   const double reader_tx = gain_dbi(path.departure_rad);
   const double reader_rx = gain_dbi(path.departure_rad);
@@ -44,9 +54,9 @@ LinkReport MmWaveReader::evaluate_path(const core::MmTag& tag,
   const core::StateGainsDb tag_db =
       tag.monostatic_state_gains_db(path.arrival_rad);
 
-  report.received_power_dbm = params_.tx_power_dbm + reader_tx + reader_rx +
+  report.received_power_dbm = kReaderTxPowerDbm + reader_tx + reader_rx +
                               tag_db.off_db - 2.0 * one_way_loss_db -
-                              params_.implementation_loss_db;
+                              kReaderImplementationLossDb;
   report.modulation_depth_db = tag_db.off_db - tag_db.on_db;
   report.achievable_rate_bps =
       rates.achievable_rate_bps(report.received_power_dbm);

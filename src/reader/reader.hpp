@@ -26,20 +26,18 @@ struct LinkReport {
   double achievable_rate_bps = 0.0;   ///< Best rate from the rate table.
 };
 
+/// The query source's transmit power: 20 mW (paper Sec. 7) [dBm].
+inline constexpr double kReaderTxPowerDbm = 13.0;
+/// Calibrated losses of the physical prototype beyond the ideal models
+/// (connectors, polarization, alignment) [dB]. See DESIGN.md Sec. 4.
+inline constexpr double kReaderImplementationLossDb = 18.0;
+
+/// The paper's reader: the 20 mW source behind two co-steered
+/// antenna::HornPattern::mmtag_reader_horn() horns at
+/// phys::kMmTagCarrierHz.
 class MmWaveReader {
  public:
-  struct Params {
-    double tx_power_dbm = 13.0;  ///< 20 mW (paper Sec. 7).
-    antenna::HornPattern horn = antenna::HornPattern::mmtag_reader_horn();
-    double frequency_hz = 24.0e9;
-    /// Calibrated losses of the physical prototype beyond the ideal models
-    /// (connectors, polarization, alignment). See DESIGN.md Sec. 4.
-    double implementation_loss_db = 18.0;
-  };
-
-  MmWaveReader(core::Pose pose, Params params);
-
-  /// The paper's reader at `pose` with default parameters.
+  /// The paper's reader at `pose`, steered along the pose's orientation.
   [[nodiscard]] static MmWaveReader prototype_at(core::Pose pose);
 
   /// Steer both horns (they move together) to world bearing `world_rad`.
@@ -66,11 +64,11 @@ class MmWaveReader {
       const phy::RateTable& rates) const;
 
   [[nodiscard]] const core::Pose& pose() const { return pose_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
+  explicit MmWaveReader(core::Pose pose);
+
   core::Pose pose_;
-  Params params_;
   double beam_world_rad_;
 };
 

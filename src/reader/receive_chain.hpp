@@ -43,8 +43,6 @@ class ReceiveChain {
   [[nodiscard]] phy::Waveform encode(const phy::TagFrame& frame,
                                      double modulation_depth_db = 60.0) const;
 
-  [[nodiscard]] const Params& params() const { return params_; }
-
  private:
   Params params_;
 };

@@ -10,15 +10,11 @@ namespace mmtag::reader {
 SelfInterferenceModel::SelfInterferenceModel(Params params)
     : params_(params) {
   assert(params_.antenna_isolation_db >= 0.0);
-  assert(params_.analog_cancellation_db >= 0.0);
-  assert(params_.cancellation_limit_db > 0.0);
 }
 
 double SelfInterferenceModel::residual_dbm(double tx_power_dbm) const {
-  const double total_suppression =
-      std::min(params_.antenna_isolation_db + params_.analog_cancellation_db,
-               params_.cancellation_limit_db);
-  return tx_power_dbm - total_suppression;
+  return tx_power_dbm -
+         std::min(params_.antenna_isolation_db, kSelfInterferenceLimitDb);
 }
 
 double SelfInterferenceModel::sinr_db(double tag_power_dbm,

@@ -1,37 +1,35 @@
 // Reader self-interference (paper Sec. 9, "Self Interference").
 //
 // A backscatter reader transmits while it receives; its own carrier leaks
-// into the receive chain and can bury the tag's reflection. The leakage
-// path has three knobs:
-//
-//   * antenna isolation — separate TX/RX horns plus mmWave directionality
-//     (the paper's suggested research direction);
-//   * analog cancellation — an adjustable tap that subtracts a replica;
-//   * the residual after both, which adds to the thermal floor.
-//
-// The model computes the resulting SINR and the rate the paper's rate table
-// would still support — quantifying exactly when full-duplex tricks become
-// necessary.
+// into the receive chain and can bury the tag's reflection. The model
+// takes the total TX -> RX suppression (separate TX/RX horns plus mmWave
+// directionality, the paper's suggested research direction, and whatever
+// cancellation follows them), caps it at the synthesizer's phase-noise
+// limit, and adds the residual carrier to the thermal floor. It computes
+// the resulting SINR and the rate the paper's rate table would still
+// support — quantifying exactly when full-duplex tricks become necessary.
 #pragma once
 
 #include "src/phy/rate_table.hpp"
 
 namespace mmtag::reader {
 
+/// Phase-noise-limited floor: no suppression pushes the residual below
+/// carrier - this many dB (typical mmWave synthesizer limit).
+inline constexpr double kSelfInterferenceLimitDb = 90.0;
+
 class SelfInterferenceModel {
  public:
   struct Params {
-    double antenna_isolation_db = 40.0;     ///< TX horn -> RX horn coupling.
-    double analog_cancellation_db = 0.0;    ///< Extra cancellation stage.
-    /// Phase-noise-limited floor: cancellation cannot push the residual
-    /// below carrier - this many dB (typical mmWave synthesizer limit).
-    double cancellation_limit_db = 90.0;
+    /// Total TX -> RX suppression, horn coupling and cancellation alike.
+    double antenna_isolation_db = 40.0;
   };
 
   explicit SelfInterferenceModel(Params params);
 
   /// Residual self-interference power at the demodulator input for a reader
-  /// transmitting `tx_power_dbm` [dBm].
+  /// transmitting `tx_power_dbm` [dBm]: the carrier less the isolation,
+  /// capped at kSelfInterferenceLimitDb.
   [[nodiscard]] double residual_dbm(double tx_power_dbm) const;
 
   /// Signal-to-(interference+noise) ratio for a tag signal of
@@ -46,8 +44,6 @@ class SelfInterferenceModel {
   [[nodiscard]] double achievable_rate_bps(double tag_power_dbm,
                                            double tx_power_dbm,
                                            const phy::RateTable& rates) const;
-
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
   Params params_;

@@ -12,17 +12,16 @@ constexpr double kAlpha = 0.6;  ///< Position-correction gain.
 constexpr double kBeta = 0.2;   ///< Rate-correction gain.
 /// Probe spacing around the prediction [rad] (one beamwidth apart).
 constexpr double kProbeOffsetRad = 0.15;
+/// Misses tolerated before re-acquisition: one, so a blocked tag is
+/// re-acquired promptly.
+constexpr int kMissBudget = 1;
 
 }  // namespace
 
 BeamTracker::BeamTracker(BeamScanner scanner,
-                         std::vector<antenna::Beam> full_codebook,
-                         Params params)
-    : scanner_(std::move(scanner)),
-      full_codebook_(std::move(full_codebook)),
-      params_(params) {
+                         std::vector<antenna::Beam> full_codebook)
+    : scanner_(std::move(scanner)), full_codebook_(std::move(full_codebook)) {
   assert(!full_codebook_.empty());
-  assert(params_.miss_budget >= 1);
 }
 
 double BeamTracker::predicted_bearing_rad(double t_s) const {
@@ -57,7 +56,7 @@ LinkReport BeamTracker::step(double t_s, const core::MmTag& tag,
                              const channel::Environment& env,
                              const phy::RateTable& rates,
                              sim::Rng& rng) {
-  if (locked_ && misses_ < params_.miss_budget) {
+  if (locked_ && misses_ < kMissBudget) {
     // Cheap mode: predicted beam and its two neighbours, best wins.
     const double predicted = predicted_bearing_rad(t_s);
     std::optional<LinkReport> best;

@@ -6,7 +6,7 @@
 //
 //   * an alpha-beta filter predicts the tag bearing from past fixes,
 //   * each step probes only the predicted beam and its two neighbours,
-//   * a configurable miss budget triggers re-acquisition by full scan.
+//   * a miss triggers re-acquisition by full scan on the next step.
 //
 // This quantifies the other half of the paper's story: the tag side is
 // alignment-free (Van Atta), and the reader side needs only this much work.
@@ -20,17 +20,12 @@ namespace mmtag::reader {
 
 class BeamTracker {
  public:
-  struct Params {
-    int miss_budget = 3;  ///< Misses tolerated before re-acquisition.
-  };
-
-  BeamTracker(BeamScanner scanner, std::vector<antenna::Beam> full_codebook,
-              Params params);
+  BeamTracker(BeamScanner scanner, std::vector<antenna::Beam> full_codebook);
 
   /// One tracking step at time `t_s`: probe around the prediction (or run
-  /// a full re-acquisition scan if the miss budget is spent), update the
-  /// filter, and return the link through the chosen beam. Returns a report
-  /// with rate 0 when even re-acquisition fails.
+  /// a full re-acquisition scan after a miss), update the filter, and
+  /// return the link through the chosen beam. Returns a report with rate 0
+  /// when even re-acquisition fails.
   LinkReport step(double t_s, const core::MmTag& tag,
                   const channel::Environment& env,
                   const phy::RateTable& rates, sim::Rng& rng);
@@ -54,7 +49,6 @@ class BeamTracker {
 
   BeamScanner scanner_;
   std::vector<antenna::Beam> full_codebook_;
-  Params params_;
 
   bool locked_ = false;
   double bearing_rad_ = 0.0;

@@ -92,8 +92,6 @@ class HealthMonitor {
     return state_[entity].suspected_since;
   }
 
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
-
   /// FNV-1a digest of the full detection state (phi, streaks, EWMA,
   /// serve bits, in entity order) — the bit-identity check bench_r1_resil
   /// compares across thread counts.

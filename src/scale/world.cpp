@@ -437,6 +437,21 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     moves.insert(moves.end(), c.moves.begin(), c.moves.end());
   }
   epoch.rebuckets = index_.rebucket(moves, pool);
+#ifndef NDEBUG
+  // Exactly one owner per tag: one gather over the whole floor returns
+  // every slot exactly once.
+  {
+    std::vector<TagSlot> all;
+    index_.gather_disc(config_.width_m / 2.0, config_.height_m / 2.0,
+                       std::hypot(config_.width_m, config_.height_m), all);
+    std::vector<std::uint8_t> seen(n_slots, 0);
+    for (const TagSlot slot : all) {
+      assert(slot < n_slots && seen[slot] == 0);
+      seen[slot] = 1;
+    }
+    assert(all.size() == n_slots);
+  }
+#endif
 
   ++epochs_run_;
   detected_total_ += epoch.detected;

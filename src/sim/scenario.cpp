@@ -67,7 +67,7 @@ ScenarioResult LinkScenario::run(double duration_s, std::uint64_t seed) {
       -kTrackerSectorRad, kTrackerSectorRad, antenna::kScanBeamwidthDeg);
   reader::BeamTracker tracker(
       reader::BeamScanner(reader_, reader::PowerDetector::mmtag_default()),
-      codebook, config_.tracking);
+      codebook);
   phy::RateController controller(rates_);
 
   ScenarioResult result;

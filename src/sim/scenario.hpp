@@ -55,7 +55,6 @@ class LinkScenario {
   struct Config {
     double step_s = 0.1;
     TagOrientation orientation = TagOrientation::kFaceReader;
-    reader::BeamTracker::Params tracking;
   };
 
   /// `reader` is the fixed observer; the tag follows `tag_trajectory`.

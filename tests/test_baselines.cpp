@@ -99,7 +99,14 @@ TEST(SpecularPlate, PeaksAtNormalIncidence) {
             plate.monostatic_gain_db(phys::deg_to_rad(30.0)) + 20.0);
 }
 
-TEST(ActiveRadios, PhasedArrayRadioBurnsWatts) {
+TEST(ActiveRadios, ArrayDcPowerIsWatts) {
+  // "phased arrays ... have high power consumption (a few watts)" (paper
+  // Sec. 5). The array's share of the active radio must land in that band.
+  EXPECT_GT(kActiveArrayDcPowerW, 0.5);
+  EXPECT_LT(kActiveArrayDcPowerW, 5.0);
+}
+
+TEST(ActiveRadios, MmWaveRadioBurnsWatts) {
   const ActiveRadioModel radio = active_mmwave_radio();
   EXPECT_GT(radio.dc_power_w, 1.0);
   EXPECT_LT(radio.dc_power_w, 10.0);

@@ -153,7 +153,8 @@ TEST(FleetSimulator, RunOverTheConfiguredLayoutMatchesRun) {
   config.mobile_fraction = 0.2;  // The run moves the layout's tags.
   FleetSimulator fleet(config);
   const FleetResult built = fleet.run();
-  const FleetResult given = fleet.run(make_layout(config.layout));
+  sim::ThreadPool pool(3);  // The caller's pool, of another size.
+  const FleetResult given = fleet.run(make_layout(config.layout), pool);
   EXPECT_EQ(fingerprint(given.stats), fingerprint(built.stats));
   EXPECT_EQ(fault::fingerprint(given.fault), fault::fingerprint(built.fault));
 }
@@ -169,8 +170,10 @@ TEST(FleetSimulator, RunRejectsALayoutOfAnotherShape) {
   fewer_readers.readers -= 1;
   LayoutConfig more_tags = config;
   more_tags.tags += 1;
+  sim::ThreadPool pool(1);
   for (const LayoutConfig& other : {wider, deeper, fewer_readers, more_tags}) {
-    EXPECT_THROW((void)fleet.run(make_layout(other)), std::invalid_argument);
+    EXPECT_THROW((void)fleet.run(make_layout(other), pool),
+                 std::invalid_argument);
   }
 }
 

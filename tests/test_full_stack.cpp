@@ -64,7 +64,7 @@ TEST(FullStack, SixtyGHzVanAttaRetune) {
   // Element retuned to 60 GHz with the same switch.
   const em::RfSwitch fet = em::RfSwitch::ce3520k3();
   const em::PatchResonator patch = em::PatchResonator::tuned_against_shunt(
-      60e9, 71.6, 40.0, fet.params().off_capacitance_f);
+      60e9, 71.6, 40.0, em::kFetOffCapacitanceF);
   const em::PatchElement element(patch, fet, 50.0);
   const core::VanAttaArray array(config, element, std::move(lines));
 

@@ -8,37 +8,28 @@
 namespace mmtag::core {
 namespace {
 
-EnergyHarvester::Params base_params() {
-  EnergyHarvester::Params p;
-  p.capacitance_f = 100e-6;
-  p.max_voltage_v = 3.3;
-  p.min_voltage_v = 1.8;
-  p.harvest_power_w = 270e-6;  // Indoor light on the prototype area.
-  p.leakage_power_w = 1e-6;
-  return p;
-}
+/// Indoor light on the prototype area [W].
+constexpr double kIndoorHarvestW = 270e-6;
 
 TEST(Harvester, UsableEnergyFormula) {
-  const EnergyHarvester cap(base_params());
+  const EnergyHarvester cap(kIndoorHarvestW);
   // C (Vmax^2 - Vmin^2)/2 = 1e-4 * (10.89 - 3.24) / 2 = 382.5 uJ.
   EXPECT_NEAR(cap.usable_energy_j(), 382.5e-6, 1e-9);
 }
 
 TEST(Harvester, RechargeTimeMatchesNetHarvest) {
-  const EnergyHarvester cap(base_params());
+  const EnergyHarvester cap(kIndoorHarvestW);
   EXPECT_NEAR(cap.recharge_time_s(), 382.5e-6 / 269e-6, 1e-6);
 }
 
 TEST(Harvester, NoHarvestNeverRecharges) {
-  auto p = base_params();
-  p.harvest_power_w = 0.0;
-  const EnergyHarvester cap(p);
+  const EnergyHarvester cap(0.0);
   EXPECT_TRUE(std::isinf(cap.recharge_time_s()));
   EXPECT_DOUBLE_EQ(cap.duty_cycle(1e-3), 0.0);
 }
 
 TEST(Harvester, LightLoadRunsContinuously) {
-  const EnergyHarvester cap(base_params());
+  const EnergyHarvester cap(kIndoorHarvestW);
   // Load below harvest: infinite burst, duty 1.
   EXPECT_TRUE(std::isinf(cap.max_burst_s(100e-6)));
   EXPECT_DOUBLE_EQ(cap.duty_cycle(100e-6), 1.0);
@@ -46,7 +37,7 @@ TEST(Harvester, LightLoadRunsContinuously) {
 
 TEST(Harvester, GigabitBurstIsMilliseconds) {
   // 9 mW Gbps modulation against a 382 uJ store: ~44 ms bursts.
-  const EnergyHarvester cap(base_params());
+  const EnergyHarvester cap(kIndoorHarvestW);
   const TagEnergyModel energy = TagEnergyModel::mmtag_prototype();
   const double load = energy.modulation_power_w(1e9);
   const double burst = cap.max_burst_s(load);
@@ -80,7 +71,7 @@ class HarvesterDutyTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(HarvesterDutyTest, DutyFallsWithLoad) {
   const double load_w = GetParam();
-  const EnergyHarvester cap(base_params());
+  const EnergyHarvester cap(kIndoorHarvestW);
   EXPECT_GE(cap.duty_cycle(load_w), cap.duty_cycle(load_w * 2.0));
   EXPECT_GE(cap.duty_cycle(load_w), 0.0);
   EXPECT_LE(cap.duty_cycle(load_w), 1.0);

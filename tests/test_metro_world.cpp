@@ -181,6 +181,23 @@ TEST(MetroWorld, ServesTagsAndDutyCyclesEnergy) {
   EXPECT_EQ(new_reads, finite_first_reads);
 }
 
+TEST(MetroWorld, SuccessesMatchTheBinomialPollOracle) {
+  // Each poll is one coin at poll_success_prob, so the successes over
+  // many polls lie within 5 binomial standard deviations of p x polls. A
+  // poll that needed two coins (p^2 = 0.81) would sit far outside.
+  const MetroConfig cfg = small_config();
+  ASSERT_EQ(cfg.poll_success_prob, 0.9);  // The default.
+  MetroWorld world(cfg);
+  sim::ThreadPool pool(2);
+  for (int e = 0; e < 30; ++e) (void)world.run_epoch(pool);
+  const MetroStats stats = world.stats();
+  const double polls = static_cast<double>(stats.polls);
+  const double p = cfg.poll_success_prob;
+  ASSERT_GT(polls, 5000.0);
+  EXPECT_NEAR(static_cast<double>(stats.successes), p * polls,
+              5.0 * std::sqrt(polls * p * (1.0 - p)));
+}
+
 TEST(MetroWorld, RespondCostGatesSecondPoll) {
   // One reader, one tag in range, no mobility: with harvest below the
   // respond cost, the tag answers epoch 1, then browns out until its

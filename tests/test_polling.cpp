@@ -71,7 +71,7 @@ TEST(Polling, PerTagTimeMatchesRate) {
   const PollRecord& record = result.polls[0];
   const double on_air_bits =
       2.0 * static_cast<double>(
-                phy::TagFrame::frame_bits(config.payload_bits) +
+                phy::TagFrame::frame_bits(kTagPayloadBits) +
                 kPollOverheadBits);
   EXPECT_NEAR(record.time_s, on_air_bits / record.rate_bps, 1e-12);
 }

@@ -48,12 +48,9 @@ TEST(Scenario, OrbitingTagTracked) {
 TEST(Scenario, MovingBlockerCausesNlosSteps) {
   // The wall bounce departs ~33 degrees off the LOS — outside the
   // tracker's cheap 3-probe window — so recovery goes through
-  // re-acquisition. A miss budget of 1 makes the tracker re-scan on the
-  // first blocked step; a slow blocker keeps the LOS down long enough for
-  // several NLOS steps.
-  LinkScenario::Config config;
-  config.tracking.miss_budget = 1;
-  LinkScenario scenario = basic_scenario(config);
+  // re-acquisition. The tracker re-scans on the first blocked step; a
+  // slow blocker keeps the LOS down long enough for several NLOS steps.
+  LinkScenario scenario = basic_scenario();
   channel::Environment corridor;
   corridor.add_wall(
       channel::Wall{channel::Segment{{-2.0, 0.3}, {2.0, 0.3}}, 0.1});

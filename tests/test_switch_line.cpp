@@ -37,7 +37,6 @@ TEST(RfSwitch, ToggleEnergyIsPicojoules) {
 TEST(TransmissionLine, QuarterWaveIsNinetyDegrees) {
   TransmissionLine::Params p;
   p.attenuation_db_per_m = 0.0;
-  p.effective_permittivity = 2.9;
   TransmissionLine probe(p);
   const double lambda_g = probe.guided_wavelength_m(24e9);
   p.length_m = lambda_g / 4.0;

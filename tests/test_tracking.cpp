@@ -21,7 +21,7 @@ class TrackerFixture : public ::testing::Test {
         tracker_(BeamScanner(MmWaveReader::prototype_at(
                                  core::Pose{{0.0, 0.0}, 0.0}),
                              PowerDetector::mmtag_default()),
-                 codebook_, BeamTracker::Params{}),
+                 codebook_),
         rates_(phy::RateTable::mmtag_standard()),
         rng_(sim::make_rng(101)) {}
 
@@ -83,8 +83,8 @@ TEST_F(TrackerFixture, ReacquiresAfterDisappearance) {
     tracker_.step(t, orbiting_tag(t), env_, rates_, rng_);
   }
   // ... then the tag teleports to the opposite side of the sector
-  // (e.g. it was carried away). The tracker misses, burns its budget and
-  // re-acquires with a full scan.
+  // (e.g. it was carried away). The tracker misses and re-acquires with a
+  // full scan.
   core::MmTag jumped = core::MmTag::prototype_at(
       core::Pose{{phys::feet_to_m(4.0) * std::cos(-1.0),
                   phys::feet_to_m(4.0) * std::sin(-1.0)},
@@ -123,7 +123,7 @@ TEST_P(TrackerSpeedTest, ConstantCostWhileLocked) {
   BeamTracker tracker(
       BeamScanner(MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0}),
                   PowerDetector::mmtag_default()),
-      codebook, BeamTracker::Params{});
+      codebook);
   const channel::OrbitMobility orbit({0.0, 0.0}, phys::feet_to_m(4.0),
                                      rate_rad_s, -0.5);
   const channel::Environment env;

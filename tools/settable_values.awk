@@ -7,8 +7,8 @@
 #
 # Usage: awk -f tools/settable_values.awk src/*/*.hpp
 #
-# ci.sh counts the lines and fails unless docs/ARCHITECTURE.md states the
-# same number. To find the values only tests set, search each name by
+# ci.sh fails unless the qualified names, sorted (LC_ALL=C), equal
+# tools/settable_values.txt and docs/ARCHITECTURE.md states their number. To find the values only tests set, search each name by
 # member access (`.name`, `->name`) and by brace-init in src/ outside its
 # own module, bench/, examples/ and perfbench/.
 #
