@@ -7,9 +7,10 @@
 //      every thread count (hard failure on mismatch: the mesh runs at the
 //      epoch barrier, so threads must never reach it);
 //   2. failover pays — under a 10% reader-outage schedule, K-shortest
-//      failover with epoch reconvergence must deliver a strictly higher
-//      fraction of offered frames than the frozen-table no-failover
-//      baseline (hard failure otherwise);
+//      failover with epoch reconvergence (ForwardingConfig::failover on)
+//      must deliver a strictly higher fraction of offered frames than the
+//      frozen-table no-failover baseline (failover off; hard failure
+//      otherwise);
 //   3. a 64-reader grid vs random topology sweep quotes goodput, path
 //      stretch, tail latency and reroutes under the same chaos schedule
 //      for EXPERIMENTS.md.
@@ -31,7 +32,6 @@
 #include "src/fault/engine.hpp"
 #include "src/mac/event_queue.hpp"
 #include "src/mesh/backhaul.hpp"
-#include "src/net/packet.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sim/table.hpp"
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
       mesh::BackhaulConfig config =
           backhaul_config(readers, tags, seed, epochs);
       config.forwarding.failover = failover;
-      config.forwarding.reconverge = failover;
       const mesh::BackhaulReport report =
           mesh::BackhaulSimulator(config).run();
       const mesh::MeshStats& m = report.mesh;
@@ -226,8 +225,9 @@ int main(int argc, char** argv) {
         continue;
       }
 
-      net::PacketPool pool(512, payload, 32);
-      mesh::MeshNetwork net(&topo, mesh::ForwardingConfig{}, &pool);
+      // 512 frame buffers: the sweep peaks at 248 frames in flight at the
+      // default 64 readers and at 392 with --readers 100.
+      mesh::MeshNetwork net(&topo, mesh::ForwardingConfig{}, 512);
       fault::FaultSchedule schedule;
       schedule.outages = ten_percent_outages(readers, epoch_s);
       fault::FaultEngine engine(schedule, static_cast<std::size_t>(readers),

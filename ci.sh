@@ -4,7 +4,9 @@
 # (tools/settable_values.awk) match the tree, that the settable values are
 # exactly those tools/settable_values.txt names, that src/ names no engine
 # but sim::Rng and no std::normal_distribution in phy or impair, that
-# every src/*/*.hpp has a user outside tests and its own .cpp, tier-1
+# every src/*/*.hpp has a user outside tests and its own .cpp, that every
+# function defined on its declaration line in src/*/*.hpp is called
+# somewhere (its name appears in call form past its definition), tier-1
 # verify in Release (whose ctest count must equal the total README.md
 # states) and Debug with warnings as errors (test suite run twice:
 # forced-scalar and auto SIMD dispatch), a Release -Werror build with
@@ -151,6 +153,42 @@ if [ -n "${orphans}" ]; then
   exit 1
 fi
 echo "no test-only module OK"
+
+echo "=== No uncalled inline function ==="
+# Each function in src/*/*.hpp whose body opens on its declaration line
+# (operators and constructors excepted) needs a caller: its name must
+# appear in call form, `name(` not preceded by an identifier character, at
+# least twice in the C++ files of src, bench, examples, perfbench and
+# tests, comment lines excepted. The definition is one of them, so a name seen once is
+# an accessor nothing calls.
+defined=$(awk '
+  /^[[:space:]]*(\/\/|#)/ { next }
+  match($0, /[A-Za-z_][A-Za-z0-9_]*\(/) {
+    name = substr($0, RSTART, RLENGTH - 1)
+    prefix = substr($0, 1, RSTART - 1)
+    # Only type and qualifier tokens may precede a declared name.
+    if (prefix !~ /^[][[:space:]A-Za-z0-9_:<>,*&]*$/) next
+    if (prefix ~ /operator/) next
+    # No return type: a constructor.
+    if (prefix ~ /^[[:space:]]*((explicit|constexpr)[[:space:]]+)*$/) next
+    if (name ~ /^(if|for|while|switch|return|catch|sizeof|decltype)$/) next
+    if (name ~ /^(alignas|void)$/) next
+    if (substr($0, RSTART + RLENGTH - 1) !~ /\)[^()]*\{/) next
+    print name
+  }' src/*/*.hpp | LC_ALL=C sort -u)
+called=$(grep -rh --include='*.[ch]pp' '[A-Za-z_][A-Za-z0-9_]*(' \
+  src bench examples perfbench tests | grep -v '^[[:space:]]*//' | grep -o '[A-Za-z_][A-Za-z0-9_]*(' |
+  LC_ALL=C sort | uniq -c | awk '$1 >= 2 { sub(/\($/, "", $2); print $2 }')
+uncalled=$(printf '%s\n--\n%s\n' "${called}" "${defined}" |
+  awk '$0 == "--" { past = 1; next } !past { seen[$0] = 1; next }
+       !($0 in seen)')
+if [ -n "${uncalled}" ]; then
+  echo "FAIL: inline functions in src/*/*.hpp whose name appears in call" \
+    "form only at their definition:" ${uncalled} >&2
+  exit 1
+fi
+echo "no uncalled inline function OK: $(printf '%s\n' "${defined}" |
+  awk 'END { print NR }') names checked"
 
 for config in Release Debug; do
   echo "=== ${config} build (-Wall -Wextra -Werror) ==="
@@ -346,4 +384,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line, edge and kern tables, settable-value names and count, no test-only module, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan (asserts on), bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (asserts on, incl. traffic aggregation and layout fan-out), docs ==="
+echo "=== CI OK: line, edge and kern tables, settable-value names and count, no test-only module, no uncalled inline function, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan (asserts on), bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (asserts on, incl. traffic aggregation and layout fan-out), docs ==="

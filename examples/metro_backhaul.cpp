@@ -5,9 +5,8 @@
 // (opposite corners), everyone else reaching a gateway over multi-hop
 // 24 GHz backhaul links (6 m reader spacing, 10 m backhaul range, so the
 // far half of the hall is two to three hops out). Each fleet epoch the
-// readers inventory their cells, the inventory is framed into zero-copy
-// net::Packet
-// buffers and forwarded hop by hop to the nearest gateway, and a chaos
+// readers inventory their cells, the inventory is framed into mesh frames
+// and forwarded hop by hop to the nearest gateway, and a chaos
 // outage schedule (Poisson reader outages plus one scripted two-epoch
 // incident taking out both of gateway 0's nearest transits) keeps the
 // topology honest: frames shift to precomputed K-shortest alternates the
@@ -15,7 +14,8 @@
 // at the epoch boundary, and orphaned tags re-home only to readers that
 // can still reach a gateway.
 //
-// The run is printed twice — failover on vs the frozen-table baseline —
+// The run is printed twice — failover on vs the frozen-table baseline
+// (ForwardingConfig::failover off: no alternates, no table rebuilds) —
 // so the delivery-ratio margin the mesh buys is visible in one screen.
 //
 // Flags: --threads N (worker threads), --seed S, --epochs E.
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   for (const bool failover : {true, false}) {
     mesh::BackhaulConfig config = base;
     config.forwarding.failover = failover;
-    config.forwarding.reconverge = failover;
     const mesh::BackhaulReport report =
         mesh::BackhaulSimulator(config).run();
 

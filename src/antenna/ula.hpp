@@ -33,7 +33,6 @@ class UniformLinearArray {
 
   [[nodiscard]] int size() const { return elements_; }
   [[nodiscard]] double spacing_m() const { return spacing_m_; }
-  [[nodiscard]] double frequency_hz() const { return frequency_hz_; }
 
   /// Per-element phase K0 * d * sin(theta) [rad] — pi * sin(theta) for
   /// half-wavelength spacing.

@@ -129,9 +129,6 @@ class VanAttaArray {
   /// element boresight gain plus 10*log10(N) on each side [dBi].
   [[nodiscard]] double link_side_gain_dbi() const;
 
-  [[nodiscard]] const em::PatchElement& element_model() const {
-    return element_model_;
-  }
   [[nodiscard]] const antenna::UniformLinearArray& geometry() const {
     return geometry_;
   }

@@ -110,9 +110,6 @@ class ReaderCell {
     return cache_.reader();
   }
   [[nodiscard]] const LinkCache& cache() const { return cache_; }
-  [[nodiscard]] const std::vector<antenna::Beam>& codebook() const {
-    return codebook_;
-  }
 
  private:
   int index_;

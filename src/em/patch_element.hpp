@@ -41,8 +41,6 @@ class PatchElement {
   [[nodiscard]] double modulation_depth_db(double frequency_hz) const;
 
   [[nodiscard]] const PatchResonator& patch() const { return patch_; }
-  [[nodiscard]] const RfSwitch& rf_switch() const { return switch_; }
-  [[nodiscard]] double z0_ohm() const { return z0_ohm_; }
 
  private:
   PatchResonator patch_;

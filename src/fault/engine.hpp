@@ -84,7 +84,6 @@ class FaultEngine {
   /// Must be called with consecutive epochs starting at 0, from one thread.
   const EpochFaults& begin_epoch(int epoch);
 
-  [[nodiscard]] const EpochFaults& current() const { return current_; }
   [[nodiscard]] const std::vector<std::vector<Outage>>& outage_timelines()
       const {
     return timelines_;

@@ -35,8 +35,6 @@ class MimoInventory {
       const std::vector<core::MmTag>& tags,
       const channel::Environment& env, sim::Rng& rng);
 
-  [[nodiscard]] int chains() const { return chains_; }
-
  private:
   reader::MmWaveReader reader_;
   phy::RateTable rates_;

@@ -6,7 +6,6 @@
 
 #include "src/deploy/layout.hpp"
 #include "src/mac/event_queue.hpp"
-#include "src/net/packet.hpp"
 #include "src/obs/stats.hpp"
 #include "src/sim/parallel.hpp"
 
@@ -14,15 +13,12 @@ namespace mmtag::mesh {
 
 namespace {
 
-/// Headroom reserved per pool slot: the mesh header plus slack for any
-/// lower layer a future hop might stack under it.
-constexpr std::size_t kPoolHeadroom = 32;
 /// Payload bytes per mesh frame (one frame carries this much inventory).
 constexpr std::size_t kFramePayloadBytes = 256;
-/// Slots in the shared forwarding pool. Gateway fan-in that exhausts it
-/// drops frames gracefully and counts them (mesh.dropped.pool /
-/// net.pool.exhausted); they never silently diverge.
-constexpr std::size_t kPoolPackets = 256;
+/// Frames in flight at once. Gateway fan-in past it drops frames
+/// gracefully and counts them (mesh.dropped.pool); they never silently
+/// diverge.
+constexpr std::size_t kFrameBuffers = 256;
 /// Frames one cell may offer per epoch (bounds event count per epoch; the
 /// cap is a drop-nothing clamp — inventory bits above it still count as
 /// offered load in the last frame).
@@ -67,8 +63,7 @@ BackhaulReport BackhaulSimulator::run() {
   deploy::FleetLayout layout =
       deploy::make_layout(config_.fleet.layout, workers);
   const MeshTopology topology(layout.reader_poses, config_.topology);
-  net::PacketPool pool(kPoolPackets, kFramePayloadBytes, kPoolHeadroom);
-  MeshNetwork network(&topology, config_.forwarding, &pool);
+  MeshNetwork network(&topology, config_.forwarding, kFrameBuffers);
 
   const double epoch_s = config_.fleet.epoch_duration_s;
   const double frame_bits = static_cast<double>(kFramePayloadBytes) * 8.0;

@@ -3,7 +3,7 @@
 // This is the tentpole's integration layer, the piece ROADMAP item 2 says
 // sharded million-tag cells are pointless without: every epoch, each
 // ReaderCell's freshly merged inventory (delivered bits, discovered tags)
-// is framed into net::Packet buffers and forwarded hop by hop to a
+// is framed into mesh frames and forwarded hop by hop to a
 // gateway reader — on the same coordinating thread, right after the
 // fleet's deterministic merge, so aggregates stay bit-identical at any
 // thread count. The same fault epochs that take readers off the air take

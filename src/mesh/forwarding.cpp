@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <stdexcept>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/stats.hpp"
@@ -13,26 +13,8 @@ namespace {
 
 /// Per-hop processing + MAC overhead [s] on top of serialization.
 constexpr double kPerHopOverheadS = 20e-6;
-
-void store_le16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xFF);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xFF);
-  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
-  p[2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
-  p[3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
-}
-std::uint16_t load_le16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
+/// Mesh header bytes each hop serializes on top of the frame's payload.
+constexpr std::size_t kHeaderBytes = 16;
 
 obs::Counter& mesh_counter(const char* name) {
   return obs::Registry::instance().counter(name);
@@ -60,38 +42,6 @@ obs::Histogram& convergence_rounds_metric() {
 
 }  // namespace
 
-bool MeshHeader::encode_prepend(net::Packet& packet) const {
-  std::uint8_t* p = packet.prepend(kWireBytes);
-  if (p == nullptr) return false;
-  p[0] = version;
-  p[1] = ttl;
-  store_le16(p + 2, src);
-  store_le16(p + 4, dst);
-  store_le16(p + 6, flags);
-  store_le32(p + 8, seq);
-  store_le32(p + 12, epoch);
-  return true;
-}
-
-bool MeshHeader::decode(const net::Packet& packet, MeshHeader* out) {
-  if (packet.size() < kWireBytes) return false;
-  const std::uint8_t* p = packet.data();
-  if (p[0] != kVersion) return false;
-  out->version = p[0];
-  out->ttl = p[1];
-  out->src = load_le16(p + 2);
-  out->dst = load_le16(p + 4);
-  out->flags = load_le16(p + 6);
-  out->seq = load_le32(p + 8);
-  out->epoch = load_le32(p + 12);
-  return true;
-}
-
-bool MeshHeader::strip(net::Packet& packet) {
-  if (packet.size() < kWireBytes) return false;
-  return packet.consume(kWireBytes);
-}
-
 std::uint64_t fingerprint(const MeshStats& stats) {
   obs::Fnv1a hasher;
   hasher.mix_u64(stats.offered);
@@ -118,17 +68,17 @@ std::uint64_t fingerprint(const MeshStats& stats) {
 }
 
 MeshNetwork::MeshNetwork(const MeshTopology* topology, ForwardingConfig config,
-                         net::PacketPool* pool)
+                         std::size_t frame_buffers)
     : topology_(topology),
       config_(config),
-      pool_(pool),
+      frame_buffers_(frame_buffers),
       protocol_(topology),
       tables_(topology->nodes()),
       link_busy_until_s_(topology->links().size(), 0.0),
       link_busy_s_(topology->links().size(), 0.0) {
-  assert(pool_ != nullptr);
-  assert(pool_->headroom() >= MeshHeader::kWireBytes);
-  assert(config_.ttl > 0 && config_.ttl <= 255);
+  if (config_.ttl < 1) {
+    throw std::invalid_argument("ForwardingConfig::ttl must be >= 1");
+  }
   const std::size_t n = topology_->nodes();
   link_offset_.resize(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
@@ -218,45 +168,30 @@ bool MeshNetwork::send(mac::EventQueue& queue, int src,
     mesh_counter("mesh.dropped.no_route").add(1);
     return false;
   }
-  net::Packet packet = pool_->alloc();
-  if (!packet) {
-    // Fan-in exceeded the pool: a counted, graceful drop (the pool itself
-    // bumped net.pool.exhausted), never a crash or a silent divergence.
+  if (in_flight_.size() >= frame_buffers_) {
+    // Fan-in exceeded the frame buffers: a counted, graceful drop, never
+    // a crash or a silent divergence.
     ++stats_.dropped_pool;
     mesh_counter("mesh.dropped.pool").add(1);
     return false;
   }
-  std::uint8_t* payload = packet.append(payload_bytes);
-  assert(payload != nullptr);  // Pool slots are sized for the payload.
-  std::memset(payload, 0, payload_bytes);
-  MeshHeader header;
-  header.ttl = static_cast<std::uint8_t>(config_.ttl);
-  header.src = static_cast<std::uint16_t>(src);
-  header.dst = static_cast<std::uint16_t>(dst);
-  header.seq = next_seq_++;
-  header.epoch = static_cast<std::uint32_t>(protocol_.epoch());
-  if (payload_bytes >= sizeof(header.seq)) {
-    std::memcpy(payload, &header.seq, sizeof(header.seq));
-  }
-  const bool ok = header.encode_prepend(packet);
-  assert(ok);
-  (void)ok;
 
   const std::uint32_t id = next_id_++;
   InFlight flight;
-  flight.packet = std::move(packet);
-  flight.header = header;
+  flight.payload_bytes = payload_bytes;
+  flight.dst = dst;
+  flight.ttl = config_.ttl;
   flight.at_node = src;
   flight.sent_s = at_s;
   flight.oracle_cost = oracle_cost_[static_cast<std::size_t>(src)];
-  in_flight_.emplace(id, std::move(flight));
+  in_flight_.emplace(id, flight);
   ++stats_.offered;
   mesh_counter("mesh.offered").add(1);
   queue.schedule(at_s, [this, &queue, id, at_s] { arrive(queue, id, at_s); });
   return true;
 }
 
-int MeshNetwork::next_hop(int node, int came_from, MeshHeader& header,
+int MeshNetwork::next_hop(int node, int came_from, int* dst,
                           bool* rerouted) const {
   *rerouted = false;
   const RouteTable& table = tables_[static_cast<std::size_t>(node)];
@@ -278,7 +213,7 @@ int MeshNetwork::next_hop(int node, int came_from, MeshHeader& header,
     return -1;
   };
   bool shifted = false;
-  int next = pick(table.routes(header.dst), &shifted);
+  int next = pick(table.routes(*dst), &shifted);
   if (next >= 0) {
     *rerouted = shifted;
     return next;
@@ -287,10 +222,10 @@ int MeshNetwork::next_hop(int node, int came_from, MeshHeader& header,
   // Gateway fallback: the original target (or every path to it) is gone;
   // re-aim at this node's best reachable gateway.
   const int fallback = table.best_gateway();
-  if (fallback >= 0 && fallback != header.dst) {
+  if (fallback >= 0 && fallback != *dst) {
     next = pick(table.routes(fallback), &shifted);
     if (next >= 0) {
-      header.dst = static_cast<std::uint16_t>(fallback);
+      *dst = fallback;
       *rerouted = true;
       return next;
     }
@@ -305,21 +240,10 @@ void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
   InFlight& flight = it->second;
   const int node = flight.at_node;
   if (topology_->is_gateway(node) && node_live(node)) {
-    // Delivered. Verify the wire header survived the trip, then strip it.
-    MeshHeader wire;
-    const bool decoded = MeshHeader::decode(flight.packet, &wire);
-    assert(decoded && wire.src == flight.header.src &&
-           wire.seq == flight.header.seq);
-    (void)decoded;
-    (void)wire;
-    MeshHeader::strip(flight.packet);
     ++stats_.delivered;
-    stats_.hops += static_cast<std::uint64_t>(config_.ttl) -
-                   static_cast<std::uint64_t>(flight.header.ttl);
-    stats_.payload_bytes_delivered += flight.packet.size();
-    if ((flight.header.flags & MeshHeader::kFlagRerouted) != 0) {
-      ++stats_.rerouted_delivered;
-    }
+    stats_.hops += static_cast<std::uint64_t>(config_.ttl - flight.ttl);
+    stats_.payload_bytes_delivered += flight.payload_bytes;
+    if (flight.rerouted) ++stats_.rerouted_delivered;
     const double latency = at_s - flight.sent_s;
     latencies_s_.push_back(latency);
     const double stretch =
@@ -337,28 +261,22 @@ void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
     drop(id, &MeshStats::dropped_no_route);
     return;
   }
-  if (flight.header.ttl == 0) {
+  if (flight.ttl == 0) {
     drop(id, &MeshStats::dropped_ttl);
     return;
   }
   bool rerouted = false;
-  const int next = next_hop(node, flight.came_from, flight.header, &rerouted);
+  const int next = next_hop(node, flight.came_from, &flight.dst, &rerouted);
   if (next < 0) {
     drop(id, &MeshStats::dropped_no_route);
     return;
   }
   if (rerouted) {
-    flight.header.flags |= MeshHeader::kFlagRerouted;
+    flight.rerouted = true;
     ++stats_.reroutes;
     mesh_counter("mesh.reroutes").add(1);
   }
-  --flight.header.ttl;
-  // Keep the wire bytes authoritative: strip the stale header, prepend the
-  // updated one (both are headroom slides, the payload never moves).
-  MeshHeader::strip(flight.packet);
-  const bool ok = flight.header.encode_prepend(flight.packet);
-  assert(ok);
-  (void)ok;
+  --flight.ttl;
   transmit(queue, id, node, next, at_s);
 }
 
@@ -373,7 +291,8 @@ void MeshNetwork::transmit(mac::EventQueue& queue, std::uint32_t id, int from,
       &topology_->links()[index];
   assert(link->from == from && link->to == to);
   const double tx_s =
-      static_cast<double>(flight.packet.size()) * 8.0 / link->capacity_bps +
+      static_cast<double>(flight.payload_bytes + kHeaderBytes) * 8.0 /
+          link->capacity_bps +
       kPerHopOverheadS;
   const double start_s = std::max(at_s, link_busy_until_s_[index]);
   const double done_s = start_s + tx_s;
@@ -393,7 +312,7 @@ void MeshNetwork::drop(std::uint32_t id, std::uint64_t MeshStats::*counter) {
   } else {
     mesh_counter("mesh.dropped.no_route").add(1);
   }
-  in_flight_.erase(id);  // Releases the packet slot back to the pool.
+  in_flight_.erase(id);  // Frees the frame buffer.
 }
 
 void MeshNetwork::reconverge() {
@@ -402,7 +321,7 @@ void MeshNetwork::reconverge() {
   stats_.convergence_rounds += rounds;
   stats_.lsa_transmissions = protocol_.lsa_transmissions();
   convergence_rounds_metric().record(static_cast<std::uint64_t>(rounds));
-  if (config_.reconverge) rebuild_tables(/*only_live=*/true);
+  if (config_.failover) rebuild_tables(/*only_live=*/true);
 }
 
 MeshStats MeshNetwork::finish(double horizon_s) {

@@ -44,9 +44,8 @@ int LinkStateProtocol::converge(const std::vector<std::uint8_t>& live) {
       if (is_live(live, link.to)) now.push_back(link.to);
     }
     Lsa& own = db_[v][v];
-    if (!own.known || own.neighbors != now) {
+    if (own.seq == 0 || own.neighbors != now) {
       ++own.seq;
-      own.known = true;
       own.neighbors = std::move(now);
     }
   }
@@ -68,9 +67,8 @@ int LinkStateProtocol::converge(const std::vector<std::uint8_t>& live) {
         const auto peer = static_cast<std::size_t>(link.to);
         for (std::size_t origin = 0; origin < n; ++origin) {
           const Lsa& theirs = before[v][origin];
-          if (!theirs.known) continue;
           Lsa& mine = db_[peer][origin];
-          if (!mine.known || theirs.seq > mine.seq) {
+          if (theirs.seq > mine.seq) {
             mine = theirs;
             ++lsa_transmissions_;
             changed = true;
@@ -86,9 +84,8 @@ int LinkStateProtocol::converge(const std::vector<std::uint8_t>& live) {
 bool LinkStateProtocol::databases_agree(int a, int b) const {
   const auto& da = db_[static_cast<std::size_t>(a)];
   const auto& dbv = db_[static_cast<std::size_t>(b)];
+  // An origin with no entry has seq 0 and no neighbors on both sides.
   for (std::size_t origin = 0; origin < da.size(); ++origin) {
-    if (da[origin].known != dbv[origin].known) return false;
-    if (!da[origin].known) continue;
     if (da[origin].seq != dbv[origin].seq ||
         da[origin].neighbors != dbv[origin].neighbors) {
       return false;
@@ -103,11 +100,11 @@ std::vector<std::vector<MeshLink>> LinkStateProtocol::believed_topology(
   const auto& db = db_[static_cast<std::size_t>(node)];
   std::vector<std::vector<MeshLink>> adj(n);
   for (std::size_t from = 0; from < n; ++from) {
-    if (!db[from].known) continue;
+    if (db[from].seq == 0) continue;
     for (const int to : db[from].neighbors) {
       const auto t = static_cast<std::size_t>(to);
       // Symmetric-link rule: both endpoints must advertise each other.
-      if (!db[t].known) continue;
+      if (db[t].seq == 0) continue;
       if (!std::binary_search(db[t].neighbors.begin(),
                               db[t].neighbors.end(),
                               static_cast<int>(from))) {

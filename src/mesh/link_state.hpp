@@ -28,8 +28,9 @@ namespace mmtag::mesh {
 
 /// One origin's advertisement: "these are my live symmetric neighbors".
 struct Lsa {
-  std::uint32_t seq = 0;     ///< Freshness; higher wins.
-  bool known = false;        ///< Database holds an entry for this origin.
+  /// Freshness; higher wins. 0 = the database holds no entry for this
+  /// origin (origination starts at 1).
+  std::uint32_t seq = 0;
   std::vector<int> neighbors;  ///< Ascending reader ids.
 };
 
@@ -51,12 +52,6 @@ class LinkStateProtocol {
   /// LSA transmissions across all floods (one per link crossing).
   [[nodiscard]] std::uint64_t lsa_transmissions() const {
     return lsa_transmissions_;
-  }
-
-  /// `node`'s view of `origin`'s advertisement.
-  [[nodiscard]] const Lsa& database(int node, int origin) const {
-    return db_[static_cast<std::size_t>(node)]
-              [static_cast<std::size_t>(origin)];
   }
 
   /// True when `a` and `b` hold identical databases — converged peers in

@@ -78,11 +78,6 @@ class RouteTable {
   /// Routes to `gateway` in route_less order (empty when unreachable).
   [[nodiscard]] const std::vector<Route>& routes(int gateway) const;
 
-  /// Routes to best_gateway() (empty when none reachable).
-  [[nodiscard]] const std::vector<Route>& best_routes() const {
-    return routes(best_gateway_);
-  }
-
  private:
   std::vector<int> gateways_;
   std::vector<std::vector<Route>> routes_;  ///< Parallel to gateways_.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/channel/geometry.hpp"
 
@@ -27,7 +28,14 @@ double capacity_bps(double snr_db) {
 MeshTopology::MeshTopology(const std::vector<core::Pose>& reader_poses,
                            const TopologyConfig& config)
     : nodes_(reader_poses.size()), config_(config) {
-  assert(nodes_ > 0);
+  if (nodes_ == 0) {
+    throw std::invalid_argument("MeshTopology needs at least one reader");
+  }
+  if (!std::isfinite(config_.link.max_range_m) ||
+      config_.link.max_range_m <= 0.0) {
+    throw std::invalid_argument(
+        "MeshLinkModel::max_range_m must be finite and > 0");
+  }
   for (const int g : config_.gateways) {
     if (g >= 0 && static_cast<std::size_t>(g) < nodes_) {
       gateways_.push_back(g);

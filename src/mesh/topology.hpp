@@ -65,7 +65,8 @@ class MeshTopology {
   /// Build the backhaul graph over `reader_poses`. Deterministic: the
   /// same poses and config always produce the same links in the same
   /// order. Gateways outside [0, nodes) are discarded; an empty surviving
-  /// set falls back to reader 0.
+  /// set falls back to reader 0. Throws std::invalid_argument for an
+  /// empty pose list or a `link.max_range_m` that is not finite and > 0.
   MeshTopology(const std::vector<core::Pose>& reader_poses,
                const TopologyConfig& config);
 

@@ -9,12 +9,6 @@ namespace mmtag::net {
 
 namespace {
 
-obs::Counter& pool_exhausted_metric() {
-  static obs::Counter& counter =
-      obs::Registry::instance().counter("net.pool.exhausted");
-  return counter;
-}
-
 obs::Histogram& pool_peak_occupancy_metric() {
   static obs::Histogram& hist =
       obs::Registry::instance().histogram("net.pool.peak_occupancy_pct");
@@ -60,13 +54,6 @@ std::uint8_t* Packet::append(std::size_t bytes) {
   return region;
 }
 
-bool Packet::consume(std::size_t bytes) {
-  if (!valid() || bytes > len_) return false;
-  offset_ += bytes;
-  len_ -= bytes;
-  return true;
-}
-
 void Packet::release() {
   if (pool_ != nullptr) {
     pool_->release_slot(slot_);
@@ -101,11 +88,9 @@ PacketPool::~PacketPool() {
 
 Packet PacketPool::alloc() {
   if (free_.empty()) {
-    // Exhaustion is backpressure for a window-limited sender but a *drop*
-    // for a forwarding fan-in; either way it must be observable, so every
-    // refusal is counted both here and in the process-wide registry.
+    // Exhaustion is backpressure for a window-limited sender, counted here
+    // (SR-ARQ reports its stalls as pool_stalls).
     ++stats_.exhaustions;
-    pool_exhausted_metric().add(1);
     return Packet{};
   }
   const std::uint32_t slot = free_.back();

@@ -7,8 +7,7 @@
 // a PacketPool owns one contiguous slab carved into fixed-size slots, and
 // every Packet handed out starts its payload `headroom` bytes into its
 // slot. Layers *prepend* their headers into that reserved headroom — the
-// payload bytes never move — and strip them on the way back up by sliding
-// the data window forward.
+// payload bytes never move. SR-ARQ (sr_arq.hpp) is the pool's only user.
 //
 // Pool exhaustion is flow control, not an error: a sender whose pool is
 // dry cannot put more packets in flight, which is exactly the
@@ -29,8 +28,8 @@ class PacketPool;
 
 /// Move-only handle to one pool slot. The data window [data, data+size)
 /// floats inside the slot: prepend() grows it backward into headroom,
-/// append() forward into tailroom, consume() shrinks it. The slot
-/// returns to the pool when the handle is destroyed or release()d.
+/// append() forward into tailroom. The slot returns to the pool when the
+/// handle is destroyed or release()d.
 class Packet {
  public:
   Packet() = default;
@@ -66,10 +65,6 @@ class Packet {
   /// new region. Returns nullptr when the tailroom is short.
   [[nodiscard]] std::uint8_t* append(std::size_t bytes);
 
-  /// Drop `bytes` from the front (strip a header); they become headroom
-  /// again. Returns false (unchanged) when bytes > size().
-  bool consume(std::size_t bytes);
-
   /// Return the slot to the pool now; the handle becomes invalid.
   void release();
 
@@ -90,10 +85,7 @@ class Packet {
 
 struct PacketPoolStats {
   std::uint64_t allocs = 0;        ///< Successful alloc() calls.
-  /// alloc() calls refused (pool dry). Also mirrored to the
-  /// `net.pool.exhausted` obs counter so fan-in drops (mesh forwarding)
-  /// show up in bench JSON without plumbing pool pointers around.
-  std::uint64_t exhaustions = 0;
+  std::uint64_t exhaustions = 0;   ///< alloc() calls refused (pool dry).
   std::size_t peak_in_use = 0;     ///< High-water mark of live packets.
 };
 

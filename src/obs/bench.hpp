@@ -100,7 +100,6 @@ class CaseContext {
   CaseContext(const Options& options, bool warmup)
       : options_(options), warmup_(warmup) {}
 
-  [[nodiscard]] int threads() const { return options_.threads; }
   [[nodiscard]] std::uint64_t seed() const { return options_.seed; }
   /// True during untimed warmup repetitions (bodies may skip expensive
   /// result archiving there).

@@ -47,7 +47,6 @@ class JsonValue {
     return v;
   }
 
-  [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
@@ -56,7 +55,6 @@ class JsonValue {
   [[nodiscard]] double as_double() const { return number_; }
   [[nodiscard]] const std::string& as_string() const { return string_; }
   [[nodiscard]] const Array& items() const { return array_; }
-  [[nodiscard]] const Object& members() const { return object_; }
 
   /// Object member lookup (first match); nullptr when absent or not an
   /// object.

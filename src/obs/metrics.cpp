@@ -182,10 +182,4 @@ std::vector<Registry::HistogramView> Registry::histograms() const {
   return views;
 }
 
-void Registry::reset_all() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, metric] : counters_) metric->reset();
-  for (auto& [name, metric] : histograms_) metric->reset();
-}
-
 }  // namespace mmtag::obs

@@ -217,9 +217,6 @@ class Registry {
   [[nodiscard]] std::vector<CounterView> counters() const;
   [[nodiscard]] std::vector<HistogramView> histograms() const;
 
-  /// Zero every metric (bench/test isolation between cases).
-  void reset_all();
-
  private:
   Registry() = default;
 

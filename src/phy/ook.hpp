@@ -30,8 +30,6 @@ class OokModulator {
   /// Map bits to unit-amplitude baseband samples ('0' -> reflect = high).
   [[nodiscard]] Waveform modulate(const BitVector& bits) const;
 
-  [[nodiscard]] int samples_per_symbol() const { return samples_per_symbol_; }
-
  private:
   int samples_per_symbol_;
   double residual_;  ///< Absorb-state amplitude (10^(-depth/20)).
@@ -53,14 +51,11 @@ class OokDemodulator {
                           OokDetection detection = OokDetection::kCoherent);
 
   /// Demodulate `samples` into bits. The decision statistic per symbol is
-  /// the integrate-and-dump output reduced by detection(): its real part
-  /// (kCoherent, the default) or its magnitude (kEnvelope). The threshold
-  /// is the midpoint between the means of the upper and lower halves of
-  /// the statistics (blind two-cluster split).
+  /// the integrate-and-dump output reduced by the detection mode: its real
+  /// part (kCoherent, the default) or its magnitude (kEnvelope). The
+  /// threshold is the midpoint between the means of the upper and lower
+  /// halves of the statistics (blind two-cluster split).
   [[nodiscard]] BitVector demodulate(std::span<const Complex> samples) const;
-
-  [[nodiscard]] int samples_per_symbol() const { return samples_per_symbol_; }
-  [[nodiscard]] OokDetection detection() const { return detection_; }
 
  private:
   /// Integrate-and-dump decision statistics, one per complete symbol.

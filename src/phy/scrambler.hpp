@@ -29,8 +29,6 @@ class Scrambler {
   /// Scrambler with the same seed and state.
   [[nodiscard]] BitVector scramble(const BitVector& bits);
 
-  [[nodiscard]] std::uint16_t state() const { return state_; }
-
   /// Longest run of identical bits in `bits` (the dc-balance metric the
   /// line-code comparison uses; 0 for empty input).
   [[nodiscard]] static std::size_t longest_run(const BitVector& bits);

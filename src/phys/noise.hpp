@@ -32,9 +32,6 @@ class NoiseModel {
   /// Noise power spectral density [dBm/Hz], including the noise figure.
   [[nodiscard]] double density_dbm_per_hz() const;
 
-  [[nodiscard]] double temperature_k() const { return temperature_k_; }
-  [[nodiscard]] double noise_figure_db() const { return noise_figure_db_; }
-
  private:
   double temperature_k_;
   double noise_figure_db_;

@@ -69,9 +69,6 @@ class HealthMonitor {
   /// update the suspicion state.
   void end_epoch(std::span<const std::uint64_t> successes);
 
-  [[nodiscard]] std::size_t entities() const { return state_.size(); }
-  [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
-
   /// Suspicion as of the last end_epoch().
   [[nodiscard]] double phi(std::size_t entity) const {
     return state_[entity].phi;

@@ -1,18 +1,17 @@
-// Forwarding plane (src/mesh/forwarding): zero-copy header encode/decode
-// in packet headroom, delivery along the deterministic primary path,
-// fast-reroute to precomputed alternates when the primary next hop dies,
-// the no-failover baseline, TTL expiry, and pool exhaustion as a counted
-// graceful drop (PacketPoolStats + net.pool.exhausted + mesh.dropped.pool).
+// Forwarding plane (src/mesh/forwarding): delivery along the deterministic
+// primary path, per-hop airtime with the 16 header bytes, fast-reroute to
+// precomputed alternates when the primary next hop dies, the no-failover
+// baseline, TTL expiry and its bound, and a send with every frame buffer
+// in flight as a counted graceful drop (mesh.dropped.pool).
 #include "src/mesh/forwarding.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "src/mac/event_queue.hpp"
 #include "src/mesh/topology.hpp"
-#include "src/net/packet.hpp"
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -32,63 +31,12 @@ MeshTopology square_topology() {
   return MeshTopology(poses, config);
 }
 
-TEST(MeshHeader, RoundtripsThroughHeadroomWithoutMovingPayload) {
-  net::PacketPool pool(1, 64, 32);
-  net::Packet packet = pool.alloc();
-  ASSERT_TRUE(packet);
-  std::uint8_t* payload = packet.append(24);
-  ASSERT_NE(payload, nullptr);
-  for (std::size_t i = 0; i < 24; ++i) {
-    payload[i] = static_cast<std::uint8_t>(0xA0 + i);
-  }
-
-  MeshHeader header;
-  header.ttl = 9;
-  header.src = 3;
-  header.dst = 0;
-  header.flags = MeshHeader::kFlagRerouted;
-  header.seq = 0xDEADBEEF;
-  header.epoch = 42;
-  ASSERT_TRUE(header.encode_prepend(packet));
-  EXPECT_EQ(packet.size(), 24 + MeshHeader::kWireBytes);
-
-  MeshHeader decoded;
-  ASSERT_TRUE(MeshHeader::decode(packet, &decoded));
-  EXPECT_EQ(decoded.version, MeshHeader::kVersion);
-  EXPECT_EQ(decoded.ttl, 9);
-  EXPECT_EQ(decoded.src, 3);
-  EXPECT_EQ(decoded.dst, 0);
-  EXPECT_EQ(decoded.flags, MeshHeader::kFlagRerouted);
-  EXPECT_EQ(decoded.seq, 0xDEADBEEFu);
-  EXPECT_EQ(decoded.epoch, 42u);
-
-  ASSERT_TRUE(MeshHeader::strip(packet));
-  EXPECT_EQ(packet.size(), 24u);
-  // Zero copy: the payload bytes never moved.
-  EXPECT_EQ(packet.data(), payload);
-  for (std::size_t i = 0; i < 24; ++i) {
-    EXPECT_EQ(packet.data()[i], static_cast<std::uint8_t>(0xA0 + i));
-  }
-}
-
-TEST(MeshHeader, RejectsShortPacketsAndVersionMismatch) {
-  net::PacketPool pool(1, 64, 8);  // Headroom too small for a header.
-  net::Packet packet = pool.alloc();
-  ASSERT_TRUE(packet);
-  MeshHeader header;
-  EXPECT_FALSE(header.encode_prepend(packet));
-  EXPECT_EQ(packet.size(), 0u);
-  MeshHeader out;
-  EXPECT_FALSE(MeshHeader::decode(packet, &out));
-  EXPECT_FALSE(MeshHeader::strip(packet));
-}
-
 TEST(MeshForwarding, DeliversAlongTheLexicographicPrimary) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(8, 256, 32);
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
-  ASSERT_FALSE(net.table(3).best_routes().empty());
-  EXPECT_EQ(net.table(3).best_routes().front().hops,
+  MeshNetwork net(&topo, ForwardingConfig{}, 8);
+  const RouteTable& table = net.table(3);
+  ASSERT_FALSE(table.routes(table.best_gateway()).empty());
+  EXPECT_EQ(table.routes(table.best_gateway()).front().hops,
             (std::vector<int>{3, 1, 0}));
 
   mac::EventQueue queue;
@@ -111,8 +59,7 @@ TEST(MeshForwarding, DeliversAlongTheLexicographicPrimary) {
 
 TEST(MeshForwarding, GatewaySourceEgressesLocally) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(2, 256, 32);
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
+  MeshNetwork net(&topo, ForwardingConfig{}, 2);
   mac::EventQueue queue;
   net.begin_epoch({});
   EXPECT_TRUE(net.send(queue, 0, 99, 0.0));
@@ -124,8 +71,7 @@ TEST(MeshForwarding, GatewaySourceEgressesLocally) {
 
 TEST(MeshForwarding, DeadSourceIsACountedDrop) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(2, 256, 32);
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
+  MeshNetwork net(&topo, ForwardingConfig{}, 2);
   mac::EventQueue queue;
   net.begin_epoch({1, 1, 1, 0});
   EXPECT_FALSE(net.send(queue, 3, 128, 0.0));
@@ -136,8 +82,7 @@ TEST(MeshForwarding, DeadSourceIsACountedDrop) {
 
 TEST(MeshForwarding, FailoverShiftsToTheFirstLiveAlternate) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(8, 256, 32);
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
+  MeshNetwork net(&topo, ForwardingConfig{}, 8);
   mac::EventQueue queue;
   // Reader 1 (the primary transit) dies; tables are stale until
   // reconverge(), so delivery relies on the precomputed alternate.
@@ -154,11 +99,9 @@ TEST(MeshForwarding, FailoverShiftsToTheFirstLiveAlternate) {
 
 TEST(MeshForwarding, NoFailoverBaselineDropsWhereThePrimaryDies) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(8, 256, 32);
   ForwardingConfig config;
   config.failover = false;
-  config.reconverge = false;
-  MeshNetwork net(&topo, config, &pool);
+  MeshNetwork net(&topo, config, 8);
   mac::EventQueue queue;
   net.begin_epoch({1, 0, 1, 1});
   EXPECT_TRUE(net.send(queue, 3, 128, 0.0));
@@ -172,15 +115,15 @@ TEST(MeshForwarding, NoFailoverBaselineDropsWhereThePrimaryDies) {
 
 TEST(MeshForwarding, ReconvergeMakesTheDetourThePrimary) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(8, 256, 32);
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
+  MeshNetwork net(&topo, ForwardingConfig{}, 8);
   mac::EventQueue queue;
   net.begin_epoch({1, 0, 1, 1});
   EXPECT_TRUE(net.send(queue, 3, 128, 0.0));
   queue.run();
   net.reconverge();  // Link-state flood catches up; tables rebuilt.
-  ASSERT_FALSE(net.table(3).best_routes().empty());
-  EXPECT_EQ(net.table(3).best_routes().front().hops,
+  const RouteTable& table = net.table(3);
+  ASSERT_FALSE(table.routes(table.best_gateway()).empty());
+  EXPECT_EQ(table.routes(table.best_gateway()).front().hops,
             (std::vector<int>{3, 2, 0}));
 
   net.begin_epoch({1, 0, 1, 1});
@@ -194,10 +137,9 @@ TEST(MeshForwarding, ReconvergeMakesTheDetourThePrimary) {
 
 TEST(MeshForwarding, TtlExpiryIsACountedDrop) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(8, 256, 32);
   ForwardingConfig config;
   config.ttl = 1;  // One link crossing allowed; the path needs two.
-  MeshNetwork net(&topo, config, &pool);
+  MeshNetwork net(&topo, config, 8);
   mac::EventQueue queue;
   net.begin_epoch({});
   EXPECT_TRUE(net.send(queue, 3, 128, 0.0));
@@ -205,42 +147,69 @@ TEST(MeshForwarding, TtlExpiryIsACountedDrop) {
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.delivered, 0u);
   EXPECT_EQ(stats.dropped_ttl, 1u);
-  EXPECT_EQ(net.in_flight(), 0u);  // The slot went back to the pool.
+  EXPECT_EQ(net.in_flight(), 0u);  // The frame buffer was freed.
 }
 
 TEST(MeshForwarding, PoolExhaustionIsACountedGracefulDrop) {
   const MeshTopology topo = square_topology();
-  net::PacketPool pool(1, 256, 32);  // One slot: the second send must drop.
-  MeshNetwork net(&topo, ForwardingConfig{}, &pool);
+  MeshNetwork net(&topo, ForwardingConfig{}, 1);  // The second send drops.
   mac::EventQueue queue;
   net.begin_epoch({});
-  const std::uint64_t exhausted_before =
-      obs::Registry::instance().counter("net.pool.exhausted").value();
+  const std::uint64_t dropped_before =
+      obs::Registry::instance().counter("mesh.dropped.pool").value();
   EXPECT_TRUE(net.send(queue, 3, 128, 0.0));
   EXPECT_FALSE(net.send(queue, 3, 128, 0.0));  // Graceful, counted refusal.
-  EXPECT_EQ(pool.stats().exhaustions, 1u);
   if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(
-        obs::Registry::instance().counter("net.pool.exhausted").value(),
-        exhausted_before + 1);
+    EXPECT_EQ(obs::Registry::instance().counter("mesh.dropped.pool").value(),
+              dropped_before + 1);
   }
   queue.run();
+  EXPECT_EQ(net.in_flight(), 0u);  // The delivered frame freed its buffer.
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.offered, 1u);
   EXPECT_EQ(stats.delivered, 1u);
   EXPECT_EQ(stats.dropped_pool, 1u);
   // The drop counts against delivery: 1 of 2 made it out.
   EXPECT_DOUBLE_EQ(stats.delivery_ratio(), 0.5);
-  EXPECT_EQ(pool.available(), 1u);  // Everything returned to the pool.
+}
+
+TEST(MeshForwarding, OneHopAirtimeCarriesTheHeaderBytes) {
+  // Readers 1 m apart: one link, reader 1 one hop from gateway 0.
+  const std::vector<core::Pose> poses = {core::Pose{{0.0, 0.0}, 0.0},
+                                         core::Pose{{1.0, 0.0}, 0.0}};
+  const MeshTopology topo(poses, TopologyConfig{});
+  const MeshLink* link = topo.find_link(1, 0);
+  ASSERT_NE(link, nullptr);
+  MeshNetwork net(&topo, ForwardingConfig{}, 1);
+  mac::EventQueue queue;
+  net.begin_epoch({});
+  EXPECT_TRUE(net.send(queue, 1, 200, 0.0));
+  queue.run();
+  const MeshStats stats = net.finish(1.0);
+  ASSERT_EQ(stats.delivered, 1u);
+  EXPECT_EQ(stats.hops, 1u);
+  // Serialization of payload + 16 header bytes, plus the 20 us per-hop
+  // overhead.
+  EXPECT_DOUBLE_EQ(stats.latency_p50_s,
+                   (200.0 + 16.0) * 8.0 / link->capacity_bps + 20e-6);
+}
+
+TEST(MeshForwarding, TtlBelowOneIsRejected) {
+  const MeshTopology topo = square_topology();
+  for (const int ttl : {0, -1}) {
+    ForwardingConfig config;
+    config.ttl = ttl;
+    EXPECT_THROW(MeshNetwork(&topo, config, 8), std::invalid_argument)
+        << ttl;
+  }
 }
 
 TEST(MeshForwarding, StatsFingerprintIsBitStable) {
   const auto run_once = [](bool failover) {
     const MeshTopology topo = square_topology();
-    net::PacketPool pool(8, 256, 32);
     ForwardingConfig config;
     config.failover = failover;
-    MeshNetwork net(&topo, config, &pool);
+    MeshNetwork net(&topo, config, 8);
     mac::EventQueue queue;
     net.begin_epoch({1, 0, 1, 1});
     (void)net.send(queue, 3, 128, 0.0);

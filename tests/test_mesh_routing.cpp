@@ -154,8 +154,8 @@ TEST(RouteTable, PicksBestGatewayWithAlternates) {
   EXPECT_EQ(table.best_gateway(), 1);
   ASSERT_FALSE(table.routes(5).empty());
   EXPECT_EQ(table.routes(5).front().hops, (std::vector<int>{0, 2, 3, 5}));
-  ASSERT_FALSE(table.best_routes().empty());
-  EXPECT_DOUBLE_EQ(table.best_routes().front().cost, 3.0);
+  ASSERT_FALSE(table.routes(table.best_gateway()).empty());
+  EXPECT_DOUBLE_EQ(table.routes(table.best_gateway()).front().cost, 3.0);
 }
 
 TEST(RouteTable, GatewayNodeDrainsItself) {
@@ -171,7 +171,7 @@ TEST(RouteTable, NoGatewayReachableReportsNone) {
   sort_edges(adj);
   const RouteTable table(adj, 2, {0});
   EXPECT_EQ(table.best_gateway(), -1);
-  EXPECT_TRUE(table.best_routes().empty());
+  EXPECT_TRUE(table.routes(table.best_gateway()).empty());
 }
 
 }  // namespace

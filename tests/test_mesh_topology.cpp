@@ -1,6 +1,7 @@
 // Mesh topology graph (src/mesh/topology) and OLSR-style link-state
 // dissemination (src/mesh/link_state): deterministic construction from
-// reader poses, gateway reachability under outage masks, flood convergence
+// reader poses, rejection of an empty pose list and a nonsense range,
+// gateway reachability under outage masks, flood convergence
 // bounds, database agreement inside a component, and topology-epoch
 // convergence through simultaneous multi-reader loss/restart driven by
 // test_fault-style scripted schedules.
@@ -9,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "src/deploy/layout.hpp"
@@ -92,6 +96,21 @@ TEST(MeshTopology, OutOfRangeAndSubMinSnrLinksDoNotForm) {
   const MeshTopology topo(square_poses(8.0), config);
   EXPECT_TRUE(topo.links().empty());
   EXPECT_FALSE(topo.fully_connected());
+}
+
+TEST(MeshTopology, EmptyPoseListIsRejected) {
+  EXPECT_THROW(MeshTopology({}, square_config()), std::invalid_argument);
+}
+
+TEST(MeshTopology, RangeThatIsNotFiniteAndPositiveIsRejected) {
+  for (const double range : {std::nan(""), 0.0, -1.0,
+                             std::numeric_limits<double>::infinity()}) {
+    TopologyConfig config;
+    config.link.max_range_m = range;
+    EXPECT_THROW(MeshTopology(square_poses(8.0), config),
+                 std::invalid_argument)
+        << range;
+  }
 }
 
 TEST(MeshTopology, MatchesDeployLayoutPosesDeterministically) {

@@ -8,9 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/gate.hpp"
-#include "src/obs/metrics.hpp"
-
 namespace mmtag::net {
 namespace {
 
@@ -81,22 +78,6 @@ TEST(Packet, PrependDoesNotMovePayloadBytes) {
   EXPECT_EQ(pkt.tailroom(), 0u);
 }
 
-TEST(Packet, ConsumeShrinksTheWindow) {
-  PacketPool pool(1, 32, 8);
-  Packet pkt = pool.alloc();
-  ASSERT_TRUE(pkt.valid());
-  std::uint8_t* payload = pkt.append(10);
-  ASSERT_NE(payload, nullptr);
-
-  EXPECT_TRUE(pkt.consume(4));  // Strip a parsed header.
-  EXPECT_EQ(pkt.data(), payload + 4);
-  EXPECT_EQ(pkt.size(), 6u);
-  EXPECT_EQ(pkt.headroom(), 12u);  // Consumed bytes become headroom.
-
-  EXPECT_FALSE(pkt.consume(7));  // Larger than the window: refused,
-  EXPECT_EQ(pkt.size(), 6u);     // window untouched.
-}
-
 TEST(Packet, MoveTransfersOwnershipExactlyOnce) {
   PacketPool pool(2, 16, 4);
   Packet a = pool.alloc();
@@ -120,26 +101,6 @@ TEST(Packet, MoveTransfersOwnershipExactlyOnce) {
   EXPECT_EQ(pool.available(), 2u);
   c.release();  // Idempotent.
   EXPECT_EQ(pool.available(), 2u);
-}
-
-TEST(PacketPool, ExhaustionIsMirroredToTheObsCounter) {
-  // Every refused alloc must be visible process-wide, not only on the
-  // pool's local stats (mesh fan-in drops are diagnosed from bench JSON).
-  auto& counter = obs::Registry::instance().counter("net.pool.exhausted");
-  const std::uint64_t before = counter.value();
-  PacketPool pool(1, 16, 0);
-  Packet only = pool.alloc();
-  ASSERT_TRUE(only.valid());
-  Packet dry = pool.alloc();
-  EXPECT_FALSE(dry.valid());
-  Packet drier = pool.alloc();
-  EXPECT_FALSE(drier.valid());
-  EXPECT_EQ(pool.stats().exhaustions, 2u);
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(counter.value(), before + 2);
-  } else {
-    EXPECT_EQ(counter.value(), before);
-  }
 }
 
 TEST(PacketPool, OccupancyAndPeakTrackTheHighWaterMark) {
