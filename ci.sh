@@ -10,22 +10,22 @@
 # verify in Release (whose ctest count must equal the total README.md
 # states) and Debug with warnings as errors (test suite run twice:
 # forced-scalar and auto SIMD dispatch), a Release -Werror build with
-# MMTAG_OBS=OFF that runs the pinned digests, the traffic suite and the
-# metric tests, the kernel-backend determinism gate (which must compare
-# scalar with AVX2 on an AVX2 host), an ASan+UBSan pass over the test
-# suite (UBSan with float-cast-overflow, which GCC's -fsanitize=undefined
-# leaves out; assert() kept), a bench-smoke stage whose one table-driven
-# loop writes and self-compares nine BENCH_*.json reports (the fault, net,
-# backhaul, metro, control-plane and impairment benches under the
-# sanitizers, plus a full-size bench_d1_fleet compare gate), a perfbench
-# smoke stage that builds the repository benchmark and runs its three
-# workloads untraced and traced for one second each (their correctness
-# checks must pass and their gate digests must equal the pinned seed-1
-# digests), a TSan pass over the test suite for the sim::ThreadPool,
-# MetroWorld shard, GridIndex rebucket, obs counter, traffic aggregation
-# and layout fan-out paths (assert() kept, so the metro epoch's
-# one-owner-per-tag check runs there too), and a docs stage (skipped with
-# a notice when doxygen is absent).
+# MMTAG_OBS=OFF that runs the pinned digests and every test file that
+# branches on kObsEnabled, the kernel-backend determinism gate (which must
+# compare scalar with AVX2 on an AVX2 host), an ASan+UBSan pass over the
+# test suite (UBSan with float-cast-overflow, which GCC's
+# -fsanitize=undefined leaves out; assert() kept), a bench-smoke stage
+# whose one table-driven loop writes and self-compares nine BENCH_*.json
+# reports (the fault, net, backhaul, metro, control-plane and impairment
+# benches under the sanitizers, plus a full-size bench_d1_fleet compare
+# gate), a perfbench smoke stage that builds the repository benchmark and
+# runs its three workloads untraced and traced for one second each (their
+# correctness checks must pass and their gate digests must equal the
+# pinned seed-1 digests), a TSan pass over the test suite for the
+# sim::ThreadPool, MetroWorld shard, GridIndex rebucket, obs counter,
+# traffic aggregation and layout fan-out paths (assert() kept, so the
+# metro epoch's one-owner-per-tag check runs there too), and a docs stage
+# (skipped with a notice when doxygen is absent).
 # Every build runs nproc jobs.
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
@@ -222,17 +222,23 @@ done
 
 echo "=== MMTAG_OBS=OFF Release build (-Werror) ==="
 # Instrumentation compiled out: no pinned digest or traffic result may
-# depend on the if-constexpr obs branches (the traffic engine publishes its
-# histograms in one); the obs tests skip rather than fail.
+# depend on the if-constexpr obs branches (the traffic engine takes its
+# metric handles and publishes its histograms in them). The stage runs
+# the pinned digests and every test file that branches on kObsEnabled,
+# found by grep so that a new gated test joins it; the obs tests skip
+# rather than fail.
 build_dir="build-ci-noobs"
+obs_tests=$( (grep -l kObsEnabled tests/*.cpp;
+  echo tests/test_pinned_digests.cpp) | sed 's|^tests/||; s|\.cpp$||' |
+  sort -u)
+echo "tests: $(echo ${obs_tests})"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-Werror" \
   -DMMTAG_OBS=OFF
-cmake --build "${build_dir}" -j "$(nproc)" --target test_pinned_digests \
-  test_traffic test_obs_metrics
+cmake --build "${build_dir}" -j "$(nproc)" --target ${obs_tests}
 (cd "${build_dir}" && ctest --output-on-failure \
-  -R '^(test_pinned_digests|test_traffic|test_obs_metrics)$' -j "$@")
+  -R "^($(echo ${obs_tests} | tr ' ' '|'))\$" -j "$@")
 
 echo "=== Kernel-backend determinism gate ==="
 # The gate compares the scalar reference with the auto-dispatched table.
@@ -384,4 +390,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: line, edge and kern tables, settable-value names and count, no test-only module, no uncalled inline function, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF digests, kern gate, ASan+UBSan (asserts on), bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (asserts on, incl. traffic aggregation and layout fan-out), docs ==="
+echo "=== CI OK: line, edge and kern tables, settable-value names and count, no test-only module, no uncalled inline function, README test count, Release + Debug (-Werror, scalar+auto), MMTAG_OBS=OFF (pinned digests and every kObsEnabled test), kern gate, ASan+UBSan (asserts on), bench smoke (9 reports), perfbench smoke (6 runs, pinned gate digests), TSan (asserts on, incl. traffic aggregation and layout fan-out), docs ==="

@@ -21,19 +21,6 @@ class Mobility {
   [[nodiscard]] virtual Vec2 position(double t_s) const = 0;
 };
 
-/// A fixed point.
-class StaticMobility final : public Mobility {
- public:
-  explicit StaticMobility(Vec2 position) : position_(position) {}
-
-  [[nodiscard]] Vec2 position(double /*t_s*/) const override {
-    return position_;
-  }
-
- private:
-  Vec2 position_;
-};
-
 /// Constant-velocity motion from a start point.
 class LinearMobility final : public Mobility {
  public:

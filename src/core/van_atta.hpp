@@ -63,7 +63,6 @@ class VanAttaArray {
   [[nodiscard]] static VanAttaArray with_elements(int elements);
 
   [[nodiscard]] int size() const { return config_.elements; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Mirrored partner of element `n`.
   [[nodiscard]] int pair_of(int n) const;

@@ -18,9 +18,6 @@ namespace mmtag::deploy {
 
 namespace {
 
-/// Walking speed of a mobile tag [m/s].
-constexpr double kMobileSpeedMps = 1.5;
-
 obs::Histogram& cell_epoch_ns_metric() {
   static obs::Histogram& hist =
       obs::Registry::instance().histogram("deploy.cell.epoch_ns");

@@ -26,6 +26,9 @@
 
 namespace mmtag::deploy {
 
+/// Walking speed of a mobile tag [m/s].
+inline constexpr double kMobileSpeedMps = 1.5;
+
 struct FleetConfig {
   LayoutConfig layout;
   CellConfig cell;

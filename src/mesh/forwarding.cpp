@@ -103,7 +103,7 @@ std::size_t MeshNetwork::link_index(int from, int to) const {
 
 void MeshNetwork::begin_epoch(const std::vector<std::uint8_t>& live) {
   assert(live.empty() || live.size() == topology_->nodes());
-  assert(in_flight_.empty());  // The previous epoch's queue must be drained.
+  assert(flights_.empty());  // The previous epoch's queue must be drained.
   live_ = live;
   ++stats_.topology_epochs;
   refresh_oracle();
@@ -168,7 +168,7 @@ bool MeshNetwork::send(mac::EventQueue& queue, int src,
     mesh_counter("mesh.dropped.no_route").add(1);
     return false;
   }
-  if (in_flight_.size() >= frame_buffers_) {
+  if (flights_.size() >= frame_buffers_) {
     // Fan-in exceeded the frame buffers: a counted, graceful drop, never
     // a crash or a silent divergence.
     ++stats_.dropped_pool;
@@ -184,7 +184,7 @@ bool MeshNetwork::send(mac::EventQueue& queue, int src,
   flight.at_node = src;
   flight.sent_s = at_s;
   flight.oracle_cost = oracle_cost_[static_cast<std::size_t>(src)];
-  in_flight_.emplace(id, flight);
+  flights_.emplace(id, flight);
   ++stats_.offered;
   mesh_counter("mesh.offered").add(1);
   queue.schedule(at_s, [this, &queue, id, at_s] { arrive(queue, id, at_s); });
@@ -235,8 +235,8 @@ int MeshNetwork::next_hop(int node, int came_from, int* dst,
 
 void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
                          double at_s) {
-  const auto it = in_flight_.find(id);
-  assert(it != in_flight_.end());
+  const auto it = flights_.find(id);
+  assert(it != flights_.end());
   InFlight& flight = it->second;
   const int node = flight.at_node;
   if (topology_->is_gateway(node) && node_live(node)) {
@@ -254,7 +254,7 @@ void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
     mesh_counter("mesh.delivered").add(1);
     latency_us_metric().record(latency * 1e6);
     stretch_metric().record(stretch * 1e3);
-    in_flight_.erase(it);
+    flights_.erase(it);
     return;
   }
   if (!node_live(node)) {
@@ -282,7 +282,7 @@ void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
 
 void MeshNetwork::transmit(mac::EventQueue& queue, std::uint32_t id, int from,
                            int to, double at_s) {
-  InFlight& flight = in_flight_.at(id);
+  InFlight& flight = flights_.at(id);
   // Locate the directed link and its global index (links() is (from, to)
   // lexicographic; adjacency shares that order within a node, so the
   // precomputed out-degree prefix sum gives the index directly).
@@ -312,11 +312,11 @@ void MeshNetwork::drop(std::uint32_t id, std::uint64_t MeshStats::*counter) {
   } else {
     mesh_counter("mesh.dropped.no_route").add(1);
   }
-  in_flight_.erase(id);  // Frees the frame buffer.
+  flights_.erase(id);  // Frees the frame buffer.
 }
 
 void MeshNetwork::reconverge() {
-  assert(in_flight_.empty());
+  assert(flights_.empty());
   const int rounds = protocol_.converge(live_);
   stats_.convergence_rounds += rounds;
   stats_.lsa_transmissions = protocol_.lsa_transmissions();
@@ -325,7 +325,7 @@ void MeshNetwork::reconverge() {
 }
 
 MeshStats MeshNetwork::finish(double horizon_s) {
-  assert(in_flight_.empty());
+  assert(flights_.empty());
   const std::vector<double> latency =
       latencies_s_.empty()
           ? std::vector<double>(3, 0.0)

@@ -123,8 +123,8 @@ class MeshNetwork {
   [[nodiscard]] const RouteTable& table(int node) const {
     return tables_[static_cast<std::size_t>(node)];
   }
-  /// In-flight frames (0 once the epoch's queue drained).
-  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
+  /// Frame buffers held by frames in flight (0 once the queue drained).
+  [[nodiscard]] std::size_t buffered_frames() const { return flights_.size(); }
 
  private:
   struct InFlight {
@@ -173,7 +173,7 @@ class MeshNetwork {
   /// and cumulative busy seconds.
   std::vector<double> link_busy_until_s_;
   std::vector<double> link_busy_s_;
-  std::unordered_map<std::uint32_t, InFlight> in_flight_;
+  std::unordered_map<std::uint32_t, InFlight> flights_;
   std::uint32_t next_id_ = 0;
   MeshStats stats_;
   std::vector<double> latencies_s_;

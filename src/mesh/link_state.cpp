@@ -23,7 +23,6 @@ LinkStateProtocol::LinkStateProtocol(const MeshTopology* topology)
 int LinkStateProtocol::converge(const std::vector<std::uint8_t>& live) {
   const std::size_t n = topology_->nodes();
   assert(live.empty() || live.size() == n);
-  ++epoch_;
 
   // Restart rule: a node that was down and is back lost its LSA store.
   for (std::size_t v = 0; v < n; ++v) {

@@ -47,8 +47,6 @@ class LinkStateProtocol {
   /// live now) are wiped first.
   int converge(const std::vector<std::uint8_t>& live);
 
-  /// Epochs started so far (== converge() calls).
-  [[nodiscard]] int epoch() const { return epoch_; }
   /// LSA transmissions across all floods (one per link crossing).
   [[nodiscard]] std::uint64_t lsa_transmissions() const {
     return lsa_transmissions_;
@@ -70,7 +68,6 @@ class LinkStateProtocol {
   /// db_[node][origin]: node's copy of origin's LSA.
   std::vector<std::vector<Lsa>> db_;
   std::vector<std::uint8_t> was_live_;
-  int epoch_ = 0;
   std::uint64_t lsa_transmissions_ = 0;
 };
 

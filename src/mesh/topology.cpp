@@ -27,16 +27,16 @@ double capacity_bps(double snr_db) {
 
 MeshTopology::MeshTopology(const std::vector<core::Pose>& reader_poses,
                            const TopologyConfig& config)
-    : nodes_(reader_poses.size()), config_(config) {
+    : nodes_(reader_poses.size()) {
   if (nodes_ == 0) {
     throw std::invalid_argument("MeshTopology needs at least one reader");
   }
-  if (!std::isfinite(config_.link.max_range_m) ||
-      config_.link.max_range_m <= 0.0) {
+  if (!std::isfinite(config.link.max_range_m) ||
+      config.link.max_range_m <= 0.0) {
     throw std::invalid_argument(
         "MeshLinkModel::max_range_m must be finite and > 0");
   }
-  for (const int g : config_.gateways) {
+  for (const int g : config.gateways) {
     if (g >= 0 && static_cast<std::size_t>(g) < nodes_) {
       gateways_.push_back(g);
     }
@@ -52,7 +52,7 @@ MeshTopology::MeshTopology(const std::vector<core::Pose>& reader_poses,
       if (i == j) continue;
       const double d = channel::distance(reader_poses[i].position,
                                          reader_poses[j].position);
-      if (d > config_.link.max_range_m) continue;
+      if (d > config.link.max_range_m) continue;
       // Clamp the near field to the 1 m reference so co-located readers
       // do not produce unbounded SNR.
       const double snr_db =

@@ -97,7 +97,6 @@ class MeshTopology {
 
  private:
   std::size_t nodes_;
-  TopologyConfig config_;
   std::vector<int> gateways_;
   std::vector<MeshLink> links_;
   std::vector<std::vector<MeshLink>> adjacency_;

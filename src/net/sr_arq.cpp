@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/obs/metrics.hpp"
 
@@ -63,15 +61,8 @@ SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
 }
 
 SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
-                              sim::Rng& rng, PacketPool* pool,
-                              const AdaptFn& adapt) {
+                              sim::Rng& rng, const AdaptFn& adapt) {
   if (packet_count < 0) reject("packet_count", "must be >= 0");
-  // The session is the pool's only user while it runs, so the slots it
-  // holds are always a prefix of its open window: the base packet can
-  // take a slot whenever one was free at entry.
-  if (packet_count > 0 && pool != nullptr && pool->available() == 0) {
-    reject("pool", "must have a free slot");
-  }
 
   const int total = packet_count;
   const auto n = static_cast<std::size_t>(total);
@@ -83,7 +74,6 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
   std::vector<std::uint8_t> received(n, 0);  // Receiver: payload present.
   std::vector<int> attempts(n, 0);
   std::vector<double> receive_time_s(n, 0.0);  // Receiver-side instant.
-  std::vector<Packet> in_flight(n);            // Pool slot per sequence.
   std::vector<int> burst;
   burst.reserve(static_cast<std::size_t>(config_.window));
   std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -104,7 +94,6 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
         dropped[u] = 1;
         ++result.packets_dropped;
         arq_exhausted_sr_metric().add(1);
-        in_flight[u].release();  // Slot back to the pool.
       }
     }
     while (base < total && sender_closed(static_cast<std::size_t>(base))) {
@@ -112,35 +101,12 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
     }
     if (base >= total) break;
 
-    // This round's burst: every open sequence in the window, capped by
-    // pool availability (backpressure — never an error).
+    // This round's burst: every open sequence in the window.
     burst.clear();
     const int window_end = std::min(total, base + config_.window);
-    bool stalled = false;
     for (int seq = base; seq < window_end; ++seq) {
-      const auto u = static_cast<std::size_t>(seq);
-      if (sender_closed(u)) continue;
-      if (pool != nullptr && !in_flight[u].valid()) {
-        Packet pkt = pool->alloc();
-        if (!pkt.valid()) {
-          stalled = true;
-          break;  // Window truncated at the pool's high-water mark.
-        }
-        // Zero-copy header path: payload first, header prepended into the
-        // reserved headroom (the payload bytes never move).
-        std::uint8_t* payload = pkt.append(kSrPayloadBytes);
-        std::uint8_t* header = pkt.prepend(kSrHeaderBytes);
-        assert(payload != nullptr && header != nullptr);
-        (void)payload;
-        const auto seq32 = static_cast<std::uint32_t>(seq);
-        std::memcpy(header, &seq32, sizeof(seq32));
-        const auto total32 = static_cast<std::uint32_t>(total);
-        std::memcpy(header + sizeof(seq32), &total32, sizeof(total32));
-        in_flight[u] = std::move(pkt);
-      }
-      burst.push_back(seq);
+      if (!sender_closed(static_cast<std::size_t>(seq))) burst.push_back(seq);
     }
-    if (stalled) ++result.pool_stalls;
     assert(!burst.empty());
 
     // Draw order per round: one channel coin per transmitted packet in
@@ -187,7 +153,6 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
       if (received[u] != 0 && acked[u] == 0) {
         acked[u] = 1;
         ++newly_acked;
-        in_flight[u].release();  // Delivered: slot back to the pool.
       }
     }
     if (adapt) {
@@ -212,7 +177,7 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
 
 SrArqResult SrArqSession::run(int packet_count,
                               double packet_success_probability,
-                              sim::Rng& rng, PacketPool* pool) {
+                              sim::Rng& rng) {
   if (!is_probability(packet_success_probability)) {
     reject("packet_success_probability", "must be in [0, 1]");
   }
@@ -221,7 +186,7 @@ SrArqResult SrArqSession::run(int packet_count,
       [packet_success_probability](double) {
         return packet_success_probability;
       },
-      rng, pool);
+      rng);
 }
 
 }  // namespace mmtag::net

@@ -9,13 +9,9 @@
 // simulates that protocol as a plain loop over burst + feedback rounds
 // with explicit on-air timing, a per-packet retry budget, and a
 // time-varying channel hook so fault schedules (outages, blockage bursts)
-// can gate delivery mid-transfer.
-//
-// Buffers are real: with a PacketPool attached, every in-flight packet
-// holds a pool slot whose header was *prepended* into reserved headroom
-// (zero-copy — see packet.hpp), and pool exhaustion shrinks the effective
-// window. That is the backpressure loop of a production stack, not an
-// error path.
+// can gate delivery mid-transfer. A session keeps only per-sequence state
+// (acked, dropped, received, attempts, receive time): packets carry no
+// bytes, because nothing downstream reads them.
 //
 // Determinism: all coins come from the caller's engine in a fixed order —
 // one per transmitted packet in ascending sequence order per burst, then
@@ -28,14 +24,13 @@
 #include <functional>
 #include <vector>
 
-#include "src/net/packet.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::net {
 
-/// Bytes of sequencing header prepended to each pool-backed packet.
+/// Bytes of sequencing header on each packet (airtime only).
 inline constexpr std::size_t kSrHeaderBytes = 8;
-/// Application payload bytes per packet (pool-backed sessions).
+/// Application payload bytes per packet (airtime and goodput).
 inline constexpr std::size_t kSrPayloadBytes = 32;
 
 struct SrArqConfig {
@@ -67,7 +62,6 @@ struct SrArqResult {
   long acks_lost = 0;
   long rounds = 0;             ///< Burst + feedback cycles.
   long duplicate_receives = 0; ///< Replays of already-received packets.
-  long pool_stalls = 0;        ///< Rounds throttled by pool exhaustion.
   /// Wall-clock consumed. Exact by construction:
   ///   transmissions * packet_time + acks_received * ack_time
   ///   + acks_lost * ack_timeout.
@@ -105,22 +99,17 @@ class SrArqSession {
   SrArqSession(SrArqConfig config, SrArqTiming timing);
 
   /// Run the transfer over a fixed per-packet success probability in
-  /// [0, 1]. `pool` (optional) backs the in-flight window with real
-  /// buffers; pass nullptr to skip.
+  /// [0, 1].
   [[nodiscard]] SrArqResult run(int packet_count,
                                 double packet_success_probability,
-                                sim::Rng& rng,
-                                PacketPool* pool = nullptr);
+                                sim::Rng& rng);
 
   /// Run the transfer over a time-varying channel with an optional rate
   /// adapter. Throws std::invalid_argument when `packet_count` is
-  /// negative or a non-empty transfer gets a `pool` with no free slot.
+  /// negative.
   [[nodiscard]] SrArqResult run(int packet_count, const ChannelFn& channel,
                                 sim::Rng& rng,
-                                PacketPool* pool = nullptr,
                                 const AdaptFn& adapt = nullptr);
-
-  [[nodiscard]] const SrArqTiming& timing() const { return timing_; }
 
  private:
   SrArqConfig config_;

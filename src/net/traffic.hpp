@@ -4,8 +4,8 @@
 // network is judged under load, not per link. This engine composes every
 // layer below it into that experiment: a deploy layout is discovered by
 // the FleetSimulator (flows are only admitted to tags the inventory
-// actually read), each admitted flow runs a pool-backed SR-ARQ session
-// (sr_arq.hpp) over its tag's ray-traced link budget, rate adaptation
+// actually read), each admitted flow runs an SR-ARQ session (sr_arq.hpp)
+// over its tag's ray-traced link budget, rate adaptation
 // (rate_control.hpp) retunes the modulation tier on the block-ACK
 // history, and a fault schedule gates the channel mid-flow (reader
 // outages zero it, Gilbert-Elliott blockage bursts attenuate it). Out
@@ -99,6 +99,9 @@ struct TrafficReport {
   long packets_dropped = 0;
   long transmissions = 0;
   long duplicate_receives = 0;
+  /// Always 0: SR-ARQ keeps no packet buffers, so nothing stalls. Kept
+  /// because perfbench reports it as net.pool_stalls and net::fingerprint
+  /// mixes it.
   long pool_stalls = 0;
   int rate_switches = 0;
   double goodput_total_bps = 0.0;

@@ -66,15 +66,6 @@ std::uint64_t Histogram::quantile(double pct) const noexcept {
   return bucket_lower_bound(kOverflowBucket);
 }
 
-void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-}
-
 std::uint64_t Histogram::Snapshot::fingerprint() const noexcept {
   std::uint64_t hash = 0xCBF29CE484222325ull;
   const auto mix = [&hash](std::uint64_t v) {

@@ -63,12 +63,6 @@ class Counter {
     return total;
   }
 
-  void reset() noexcept {
-    for (Shard& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
  private:
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> value{0};
@@ -141,8 +135,6 @@ class Histogram {
   /// the rank'th recorded value. Deterministic given the recorded multiset.
   /// Empty histogram returns 0.
   [[nodiscard]] std::uint64_t quantile(double pct) const noexcept;
-
-  void reset() noexcept;
 
   /// Plain copy of the bucket state for merging and fingerprinting; also
   /// a thread-local builder that add() publishes in one shot.

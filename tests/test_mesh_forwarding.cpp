@@ -43,7 +43,7 @@ TEST(MeshForwarding, DeliversAlongTheLexicographicPrimary) {
   net.begin_epoch({});
   EXPECT_TRUE(net.send(queue, 3, 128, 0.0));
   queue.run();
-  EXPECT_EQ(net.in_flight(), 0u);
+  EXPECT_EQ(net.buffered_frames(), 0u);
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.offered, 1u);
   EXPECT_EQ(stats.delivered, 1u);
@@ -63,7 +63,7 @@ TEST(MeshForwarding, GatewaySourceEgressesLocally) {
   mac::EventQueue queue;
   net.begin_epoch({});
   EXPECT_TRUE(net.send(queue, 0, 99, 0.0));
-  EXPECT_EQ(net.in_flight(), 0u);  // No mesh frame was needed.
+  EXPECT_EQ(net.buffered_frames(), 0u);  // No mesh frame was needed.
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.delivered_local, 1u);
   EXPECT_EQ(stats.payload_bytes_delivered, 99u);
@@ -147,7 +147,7 @@ TEST(MeshForwarding, TtlExpiryIsACountedDrop) {
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.delivered, 0u);
   EXPECT_EQ(stats.dropped_ttl, 1u);
-  EXPECT_EQ(net.in_flight(), 0u);  // The frame buffer was freed.
+  EXPECT_EQ(net.buffered_frames(), 0u);  // The frame buffer was freed.
 }
 
 TEST(MeshForwarding, PoolExhaustionIsACountedGracefulDrop) {
@@ -164,7 +164,7 @@ TEST(MeshForwarding, PoolExhaustionIsACountedGracefulDrop) {
               dropped_before + 1);
   }
   queue.run();
-  EXPECT_EQ(net.in_flight(), 0u);  // The delivered frame freed its buffer.
+  EXPECT_EQ(net.buffered_frames(), 0u);  // The delivered frame freed its buffer.
   const MeshStats stats = net.finish(1.0);
   EXPECT_EQ(stats.offered, 1u);
   EXPECT_EQ(stats.delivered, 1u);

@@ -154,7 +154,6 @@ TEST(LinkState, InitialFloodConvergesWithinDiameterAndAgrees) {
   const int rounds = protocol.converge({});
   EXPECT_GE(rounds, 1);
   EXPECT_LE(rounds, 2);  // Square diameter.
-  EXPECT_EQ(protocol.epoch(), 1);
   EXPECT_GT(protocol.lsa_transmissions(), 0u);
   for (int a = 0; a < 4; ++a) {
     for (int b = a + 1; b < 4; ++b) {
@@ -235,7 +234,6 @@ TEST(LinkState, ConvergesThroughScriptedMultiReaderLossAndRestart) {
       live[r] = faults.reader_up[r] > 0.0 ? 1 : 0;
     }
     protocol.converge(live);
-    EXPECT_EQ(protocol.epoch(), e + 1);
     const std::vector<std::uint8_t> reachable = topo.gateway_reachable(live);
     for (std::size_t n = 0; n < topo.nodes(); ++n) {
       if (live[n] == 0) continue;

@@ -8,12 +8,6 @@
 namespace mmtag::channel {
 namespace {
 
-TEST(StaticMobility, NeverMoves) {
-  const StaticMobility fixed({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(fixed.position(0.0).x, 1.0);
-  EXPECT_DOUBLE_EQ(fixed.position(100.0).y, 2.0);
-}
-
 TEST(LinearMobility, ConstantVelocity) {
   const LinearMobility walker({0.0, 0.0}, {1.0, -0.5});
   EXPECT_DOUBLE_EQ(walker.position(0.0).x, 0.0);

@@ -23,7 +23,6 @@
 #include "src/mac/inventory.hpp"
 #include "src/mac/mimo_reader.hpp"
 #include "src/mesh/backhaul.hpp"
-#include "src/net/packet.hpp"
 #include "src/net/sr_arq.hpp"
 #include "src/net/traffic.hpp"
 #include "src/obs/stats.hpp"
@@ -171,7 +170,9 @@ std::uint64_t digest(const net::SrArqResult& result) {
   hasher.mix_u64(static_cast<std::uint64_t>(result.acks_lost));
   hasher.mix_u64(static_cast<std::uint64_t>(result.rounds));
   hasher.mix_u64(static_cast<std::uint64_t>(result.duplicate_receives));
-  hasher.mix_u64(static_cast<std::uint64_t>(result.pool_stalls));
+  // SR-ARQ's packet-pool stall count was mixed here. The traffic engine's
+  // pools never stalled, so a literal 0 keeps every flow's digest.
+  hasher.mix_u64(0);
   hasher.mix_double(result.elapsed_s);
   for (const double latency_s : result.delivery_latency_s) {
     hasher.mix_double(latency_s);
@@ -180,16 +181,15 @@ std::uint64_t digest(const net::SrArqResult& result) {
 }
 
 TEST(PinnedDigests, LossySrArqSession) {
-  // Window 16 over an 8-slot pool (stalls), 5% block-ACK loss, a 4-attempt
-  // budget (drops), a channel that sags mid-transfer, and an adapter that
-  // retimes every acknowledged round.
+  // Window 16, 5% block-ACK loss, a 4-attempt budget (drops), a channel
+  // that sags mid-transfer, and an adapter that retimes every
+  // acknowledged round.
   net::SrArqConfig config;
   config.window = 16;
   config.ack_loss_probability = 0.05;
   config.max_attempts_per_packet = 4;
   const net::SrArqTiming timing;
   net::SrArqSession session(config, timing);
-  net::PacketPool pool(8, net::kSrPayloadBytes, net::kSrHeaderBytes);
   sim::Rng rng = sim::make_rng(2024);
   const net::ChannelFn channel = [](double now_s) {
     return now_s < 1e-3 ? 0.8 : 0.5;
@@ -201,13 +201,10 @@ TEST(PinnedDigests, LossySrArqSession) {
     }
     return next;
   };
-  const net::SrArqResult result =
-      session.run(400, channel, rng, &pool, adapt);
+  const net::SrArqResult result = session.run(400, channel, rng, adapt);
   EXPECT_GT(result.packets_dropped, 0);
   EXPECT_GT(result.acks_lost, 0);
-  EXPECT_GT(result.pool_stalls, 0);
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(digest(result), 0x5b6bff244b87c131ull);
+  EXPECT_EQ(digest(result), 0x06e42646c97fcda8ull);
 }
 
 TEST(PinnedDigests, N1PerFlowArqResults) {

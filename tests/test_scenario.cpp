@@ -23,8 +23,8 @@ LinkScenario basic_scenario(LinkScenario::Config config = {}) {
 
 TEST(Scenario, StaticTagStaysConnectedAtGigabit) {
   LinkScenario scenario = basic_scenario();
-  scenario.set_tag_trajectory(std::make_shared<channel::StaticMobility>(
-      channel::Vec2{phys::feet_to_m(4.0), 0.0}));
+  scenario.set_tag_trajectory(std::make_shared<channel::LinearMobility>(
+      channel::Vec2{phys::feet_to_m(4.0), 0.0}, channel::Vec2{0.0, 0.0}));
   const ScenarioResult result = scenario.run(5.0, 1);
   EXPECT_DOUBLE_EQ(result.connectivity, 1.0);
   EXPECT_EQ(result.full_scans, 1);  // Acquisition only.
@@ -55,8 +55,8 @@ TEST(Scenario, MovingBlockerCausesNlosSteps) {
   corridor.add_wall(
       channel::Wall{channel::Segment{{-2.0, 0.3}, {2.0, 0.3}}, 0.1});
   scenario.set_static_environment(corridor);
-  scenario.set_tag_trajectory(std::make_shared<channel::StaticMobility>(
-      channel::Vec2{phys::feet_to_m(3.0), 0.0}));
+  scenario.set_tag_trajectory(std::make_shared<channel::LinearMobility>(
+      channel::Vec2{phys::feet_to_m(3.0), 0.0}, channel::Vec2{0.0, 0.0}));
   scenario.add_moving_blocker(
       std::make_shared<channel::LinearMobility>(
           channel::Vec2{0.45, -0.4}, channel::Vec2{0.0, 0.25}),
@@ -128,7 +128,8 @@ TEST(Scenario, RejectsAStepThatCannotAdvanceTheClock) {
     SCOPED_TRACE(duration_s);
     LinkScenario scenario = basic_scenario();
     scenario.set_tag_trajectory(
-        std::make_shared<channel::StaticMobility>(channel::Vec2{1.0, 0.0}));
+        std::make_shared<channel::LinearMobility>(channel::Vec2{1.0, 0.0},
+                                                  channel::Vec2{0.0, 0.0}));
     expect_rejected([&] { (void)scenario.run(duration_s, 1); },
                     "duration_s");
   }
@@ -137,7 +138,8 @@ TEST(Scenario, RejectsAStepThatCannotAdvanceTheClock) {
   config.step_s = 1e-20;
   LinkScenario scenario = basic_scenario(config);
   scenario.set_tag_trajectory(
-      std::make_shared<channel::StaticMobility>(channel::Vec2{1.0, 0.0}));
+      std::make_shared<channel::LinearMobility>(channel::Vec2{1.0, 0.0},
+                                                channel::Vec2{0.0, 0.0}));
   expect_rejected([&] { (void)scenario.run(1.0, 1); },
                   "LinkScenario::Config::step_s");
 }

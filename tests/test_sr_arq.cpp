@@ -1,6 +1,6 @@
-// Selective-repeat ARQ: window/block-ACK mechanics, retry budgets, pool
-// backpressure, exact timing decomposition, determinism, the window-1
-// analytic oracle, and input validation.
+// Selective-repeat ARQ: window/block-ACK mechanics, retry budgets, exact
+// timing decomposition, determinism, the window-1 analytic oracle, and
+// input validation.
 #include "src/net/sr_arq.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "src/net/arq.hpp"
-#include "src/net/packet.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/rng.hpp"
 
@@ -49,11 +48,11 @@ TEST(SrArq, ElapsedDecompositionIsExact) {
   SrArqConfig config;
   config.window = 16;
   config.ack_loss_probability = 0.1;
-  SrArqSession session(config, {});
+  const SrArqTiming timing;
+  SrArqSession session(config, timing);
   sim::Rng rng = sim::make_rng(7);
   const SrArqResult result = session.run(300, 0.7, rng);
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 300);
-  const SrArqTiming& timing = session.timing();
   const double expected =
       static_cast<double>(result.transmissions) * timing.packet_time_s +
       static_cast<double>(result.acks_received) * timing.ack_time_s +
@@ -101,22 +100,6 @@ TEST(SrArq, RetryBudgetBoundsTransmissionsAndDropsTheRest) {
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 50);
   EXPECT_GT(result.packets_dropped, 0);
   EXPECT_LE(result.transmissions, 50 * 2);
-}
-
-TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
-  SrArqConfig config = clean_config(16);
-  SrArqSession session(config, {});
-  sim::Rng rng = sim::make_rng(5);
-  PacketPool pool(4, kSrPayloadBytes, kSrHeaderBytes);
-  const SrArqResult result = session.run(64, 1.0, rng, &pool);
-  // Four slots cap the effective window at 4 packets in flight; the
-  // transfer completes anyway, just in more rounds.
-  EXPECT_EQ(result.packets_delivered, 64);
-  EXPECT_GT(result.pool_stalls, 0);
-  EXPECT_GE(result.rounds, 16);
-  EXPECT_EQ(pool.stats().peak_in_use, 4u);
-  EXPECT_EQ(pool.in_use(), 0u);  // Every slot released on completion.
-  EXPECT_GT(pool.stats().exhaustions, 0u);
 }
 
 TEST(SrArq, WindowOneDegeneratesToStopAndWait) {
@@ -167,7 +150,7 @@ TEST(SrArq, AdapterRetunesTimingBetweenRounds) {
   sim::Rng rng = sim::make_rng(1);
   int feedback_rounds = 0;
   const SrArqResult result = session.run(
-      4, [](double) { return 1.0; }, rng, nullptr,
+      4, [](double) { return 1.0; }, rng,
       [&](const SrRoundFeedback& feedback) {
         EXPECT_EQ(feedback.round_transmitted, 2);
         EXPECT_EQ(feedback.round_delivered, 2);
@@ -253,20 +236,6 @@ TEST(SrArq, RejectsNegativeTimesAndCounts) {
   SrArqSession session(clean_config(4), {});
   sim::Rng rng = sim::make_rng(1);
   EXPECT_THROW((void)session.run(-1, 1.0, rng), std::invalid_argument);
-}
-
-TEST(SrArq, RejectsAPoolWithNoFreeSlot) {
-  // Nothing can free a slot while the session runs, so a dry pool at
-  // entry could never move the base packet.
-  SrArqSession session(clean_config(4), {});
-  sim::Rng rng = sim::make_rng(1);
-  PacketPool pool(1, 32, kSrHeaderBytes);
-  Packet held = pool.alloc();
-  ASSERT_TRUE(held.valid());
-  EXPECT_THROW((void)session.run(4, 1.0, rng, &pool), std::invalid_argument);
-  EXPECT_EQ(session.run(0, 1.0, rng, &pool).packets_offered, 0);
-  held.release();
-  EXPECT_EQ(session.run(4, 1.0, rng, &pool).packets_delivered, 4);
 }
 
 TEST(SrArq, DropsAreMirroredToTheSrObsCounter) {

@@ -277,6 +277,26 @@ TEST(TrafficEngine, RejectsANonPositiveEpochDuration) {
   }
 }
 
+TEST(TrafficEngine, RejectsAnEpochDurationItsDiscoveryPassWouldReject) {
+  // Finite on its own, but the discovery pass's run length (3 * max / 2)
+  // or a mover's step (1.5 * max / 1.2) overflows; the error names this
+  // config, not the fleet's.
+  const double max = std::numeric_limits<double>::max();
+  for (const auto& [epochs, duration] :
+       {std::pair{3, max / 2.0}, std::pair{1, max / 1.2}}) {
+    TrafficConfig config = small_config();
+    config.discovery_epochs = epochs;
+    config.epoch_duration_s = duration;
+    expect_rejected(config, "TrafficConfig::epoch_duration_s");
+  }
+  // Without discovery no fleet runs, so the duration only has to be
+  // finite and positive.
+  TrafficConfig config = small_config();
+  config.discovery_epochs = 0;
+  config.epoch_duration_s = max;
+  EXPECT_NO_THROW(TrafficEngine{config});
+}
+
 TEST(TrafficEngine, RejectsAnOutOfRangeFaultScheduleByName) {
   const std::vector<
       std::pair<std::string, std::function<void(fault::FaultSchedule&)>>>
