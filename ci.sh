@@ -3,7 +3,8 @@
 # total, dependency-edge table, kern table size and settable-value count
 # (tools/settable_values.awk) match the tree, that the settable values are
 # exactly those tools/settable_values.txt names, that src/ names no engine
-# but sim::Rng and no std::normal_distribution in phy or impair, that
+# but sim::Rng, no std::normal_distribution in phy or impair, and no
+# std::bernoulli_distribution or (0.0, 1.0) uniform_real_distribution, that
 # every src/*/*.hpp has a user outside tests and its own .cpp, that every
 # function defined on its declaration line in src/*/*.hpp is called
 # somewhere (its name appears in call form past its definition), tier-1
@@ -126,15 +127,28 @@ echo "settable values OK: ${listed}, each named in tools/settable_values.txt"
 
 echo "=== One engine in the library ==="
 # sim::Rng is the library's engine (std::mt19937_64 appears only in its
-# header, for the conversion), and phy and impair draw Gaussians through
-# phy::normal_pairs only. Comment lines do not count.
-code_lines() { grep -rn "$1" $2 | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; }
+# header, for the conversion), phy and impair draw Gaussians through
+# phy::normal_pairs only, and every unit-interval coin is
+# phy::canonical_double of one draw (a Bernoulli(p) coin is
+# canonical < p). Comment lines do not count.
+code_lines() { grep -rnE "$1" $2 | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; }
 if code_lines 'std::mt19937_64' src | grep -v '^src/sim/rng\.hpp:'; then
   echo "FAIL: std::mt19937_64 under src/ outside src/sim/rng.hpp" >&2
   exit 1
 fi
 if code_lines 'std::normal_distribution' 'src/phy src/impair'; then
   echo "FAIL: std::normal_distribution under src/phy or src/impair" >&2
+  exit 1
+fi
+if code_lines 'std::bernoulli_distribution' src; then
+  echo "FAIL: std::bernoulli_distribution under src/" \
+    "(use phy::canonical_double(rng()) < p)" >&2
+  exit 1
+fi
+unit='[[:space:]]*[({][[:space:]]*0(\.0*)?[[:space:]]*,[[:space:]]*1(\.0*)?[[:space:]]*[)}]'
+if code_lines "std::uniform_real_distribution<double>[[:space:]]*[A-Za-z0-9_]*${unit}" src; then
+  echo "FAIL: std::uniform_real_distribution<double> over (0.0, 1.0)" \
+    "under src/ (use phy::canonical_double(rng()))" >&2
   exit 1
 fi
 echo "one engine OK"

@@ -10,6 +10,7 @@
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/phy/frame.hpp"
+#include "src/phy/normal.hpp"
 #include "src/phys/constants.hpp"
 #include "src/reader/interference.hpp"
 
@@ -152,8 +153,6 @@ CellEpochResult ReaderCell::run_epoch(
             });
   std::size_t poll_cursor = 0;
   int poll_beam = -1;
-  std::bernoulli_distribution poll_success(
-      config_.aloha.slot_success_probability);
 
   // Per-tag retry state: consecutive failures, earliest next attempt
   // (exponential backoff), and an epoch-local quarantined flag mirroring
@@ -205,8 +204,7 @@ CellEpochResult ReaderCell::run_epoch(
     // answers nothing either. Both consume a timeout.
     bool responded = rate > 0.0;
     if (responded && faults.tag_blocked[gi] != 0) {
-      std::uniform_real_distribution<double> uniform(0.0, 1.0);
-      responded = uniform(rng) >= faults.block_probability;
+      responded = phy::canonical_double(rng()) >= faults.block_probability;
     }
     double cost_s = responded ? poll_bits / rate : kPollTimeoutS;
     if (tag_beam[k] != poll_beam) {
@@ -224,7 +222,8 @@ CellEpochResult ReaderCell::run_epoch(
       ++responded_polls;
       failures[k] = 0;
       retry_at[k] = 0.0;
-      if (poll_success(rng)) {
+      if (phy::canonical_double(rng()) <
+          config_.aloha.slot_success_probability) {
         ++successful_polls;
         service.delivered_bits += static_cast<double>(mac::kTagPayloadBits);
       }

@@ -7,6 +7,7 @@
 
 #include "src/core/harvester.hpp"
 #include "src/obs/stats.hpp"
+#include "src/phy/normal.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::fault {
@@ -68,10 +69,10 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
         std::clamp(1.0 - harvester.duty_cycle(kBrownoutBurstLoadW), 0.0, 1.0);
     sim::Rng rng =
         sim::make_rng(sim::derive_seed(seed_, kBrownPopStream));
-    std::bernoulli_distribution affected(
-        schedule_.brownouts.affected_fraction);
+    const double affected = schedule_.brownouts.affected_fraction;
     for (std::size_t t = 0; t < tags_; ++t) {
-      tag_energy_constrained_[t] = affected(rng) ? 1 : 0;
+      tag_energy_constrained_[t] =
+          phy::canonical_double(rng()) < affected ? 1 : 0;
     }
   }
 
@@ -79,9 +80,9 @@ FaultEngine::FaultEngine(FaultSchedule schedule, std::size_t readers,
   if (schedule_.stuck.active()) {
     stuck_penalty_db_ = schedule_.stuck.penalty_db();
     sim::Rng rng = sim::make_rng(sim::derive_seed(seed_, kStuckStream));
-    std::bernoulli_distribution affected(schedule_.stuck.affected_fraction);
+    const double affected = schedule_.stuck.affected_fraction;
     for (std::size_t t = 0; t < tags_; ++t) {
-      tag_stuck_[t] = affected(rng) ? 1 : 0;
+      tag_stuck_[t] = phy::canonical_double(rng()) < affected ? 1 : 0;
       stuck_tag_count_ += tag_stuck_[t];
     }
   }
@@ -132,10 +133,12 @@ const EpochFaults& FaultEngine::begin_epoch(int epoch) {
     sim::Rng rng = sim::make_rng(sim::derive_seed(
         sim::derive_seed(seed_, kBrownEpochStream),
         static_cast<std::uint64_t>(epoch)));
-    std::bernoulli_distribution browned(brownout_probability_);
     for (std::size_t t = 0; t < tags_; ++t) {
       current_.tag_brownout[t] =
-          (tag_energy_constrained_[t] != 0 && browned(rng)) ? 1 : 0;
+          (tag_energy_constrained_[t] != 0 &&
+           phy::canonical_double(rng()) < brownout_probability_)
+              ? 1
+              : 0;
     }
   }
 
@@ -147,9 +150,8 @@ const EpochFaults& FaultEngine::begin_epoch(int epoch) {
     sim::Rng rng = sim::make_rng(
         sim::derive_seed(sim::derive_seed(seed_, kBlockStream),
                          static_cast<std::uint64_t>(epoch)));
-    std::uniform_real_distribution<double> uniform(0.0, 1.0);
     for (std::size_t t = 0; t < tags_; ++t) {
-      const double u = uniform(rng);
+      const double u = phy::canonical_double(rng());
       ge_bad_[t] = ge_bad_[t] != 0 ? (u < p_exit ? 0 : 1)
                                    : (u < p_enter ? 1 : 0);
     }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/phy/normal.hpp"
+
 namespace mmtag::mac {
 
 namespace {
@@ -28,7 +30,6 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
 
   int remaining = tag_count;
   double qfp = static_cast<double>(kInitialQ);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
 
   while (remaining > 0 && stats.rounds < kAlohaMaxRounds) {
     ++stats.rounds;
@@ -48,7 +49,8 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
         ++stats.slots_empty;
         qfp = std::max(0.0, qfp - kEpcC);
       } else if (occupants == 1) {
-        if (coin(rng) <= config.slot_success_probability) {
+        if (phy::canonical_double(rng()) <=
+            config.slot_success_probability) {
           ++stats.slots_success;
           ++read_this_round;
         } else {

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "src/phy/normal.hpp"
+
 namespace mmtag::net {
 
 namespace {
@@ -19,7 +21,6 @@ ArqStats run_stop_and_wait(int frame_count,
          frame_success_probability <= 1.0);
   ArqStats stats;
   stats.frames_offered = frame_count;
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
 
   for (int f = 0; f < frame_count; ++f) {
     bool delivered = false;
@@ -32,7 +33,7 @@ ArqStats run_stop_and_wait(int frame_count,
         // budget — not a frame attempt — and is retried immediately.
         bool query_through = false;
         while (requery_budget > 0) {
-          if (coin(rng) < config.query_loss_probability) {
+          if (phy::canonical_double(rng()) < config.query_loss_probability) {
             ++stats.query_failures;
             --requery_budget;
             continue;
@@ -46,7 +47,7 @@ ArqStats run_stop_and_wait(int frame_count,
         }
       }
       ++stats.transmissions;
-      if (coin(rng) < frame_success_probability) {
+      if (phy::canonical_double(rng()) < frame_success_probability) {
         delivered = true;
         break;
       }

@@ -1,16 +1,39 @@
 #include "src/net/sr_arq.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "src/obs/metrics.hpp"
+#include "src/phy/normal.hpp"
 
 namespace mmtag::net {
 
 namespace {
+
+/// Widest window: one bit per sequence in flight in a 64-bit mask, and
+/// the slot count of the per-sequence rings.
+constexpr int kMaxWindow = 64;
+static_assert(kMaxWindow == std::numeric_limits<std::uint64_t>::digits);
+
+/// The low `n` bits, n in [0, 64].
+std::uint64_t low_bits(int n) {
+  return n >= kMaxWindow ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/// `mask` with its low `n` bits shifted out, n in [0, 64].
+std::uint64_t shift_out(std::uint64_t mask, int n) {
+  return n >= kMaxWindow ? 0 : mask >> n;
+}
+
+std::size_t ring_slot(int seq) {
+  return static_cast<std::size_t>(seq & (kMaxWindow - 1));
+}
 
 /// Packets dropped with their retry budget spent — distinct from
 /// in-flight loss, which stays in the window and retries.
@@ -35,7 +58,7 @@ void check_time(const char* field, double seconds) {
 }  // namespace
 
 void SrArqConfig::validate() const {
-  if (window < 1 || window > 64) {
+  if (window < 1 || window > kMaxWindow) {
     reject("SrArqConfig::window", "must be in [1, 64]");
   }
   if (max_attempts_per_packet < 1) {
@@ -65,77 +88,93 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
   if (packet_count < 0) reject("packet_count", "must be >= 0");
 
   const int total = packet_count;
-  const auto n = static_cast<std::size_t>(total);
   SrArqTiming timing = timing_;
   SrArqResult result;
   result.packets_offered = total;
-  std::vector<std::uint8_t> acked(n, 0);     // Sender: block-ACK confirmed.
-  std::vector<std::uint8_t> dropped(n, 0);   // Sender: retry budget burned.
-  std::vector<std::uint8_t> received(n, 0);  // Receiver: payload present.
-  std::vector<int> attempts(n, 0);
-  std::vector<double> receive_time_s(n, 0.0);  // Receiver-side instant.
-  std::vector<int> burst;
-  burst.reserve(static_cast<std::size_t>(config_.window));
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  const auto sender_closed = [&](std::size_t u) {
-    return acked[u] != 0 || dropped[u] != 0;
-  };
+  // Receive instants in ascending sequence order, copied into the result
+  // at its exact size at the end.
+  std::vector<double> latencies;
+  latencies.reserve(static_cast<std::size_t>(total));
+  // The window as masks relative to base: bit i is sequence base + i.
+  std::uint64_t acked = 0;     // Sender: block-ACK confirmed.
+  std::uint64_t dropped = 0;   // Sender: retry budget burned.
+  std::uint64_t received = 0;  // Receiver: payload present.
+  // Per-sequence state in rings indexed by ring_slot(seq): the window
+  // spans at most kMaxWindow consecutive sequences, so no two share a slot.
+  std::array<int, kMaxWindow> attempts{};
+  std::array<double, kMaxWindow> receive_time_s{};  // Receiver-side instant.
+  [[maybe_unused]] int left_closed = 0;
 
   double now_s = 0.0;
   int base = 0;  // Lowest sequence the sender still cares about.
+  // Bits of the window's sequences, [base, min(total, base + window)).
+  const auto window_bits = [&] {
+    return low_bits(std::min(config_.window, total - base));
+  };
   while (true) {
     // Drop the window's sequences whose retry budget is gone, then advance
     // base past everything the sender is finished with.
-    const int reap_end = std::min(total, base + config_.window);
-    for (int seq = base; seq < reap_end; ++seq) {
-      const auto u = static_cast<std::size_t>(seq);
-      if (!sender_closed(u) &&
-          attempts[u] >= config_.max_attempts_per_packet) {
-        dropped[u] = 1;
+    for (std::uint64_t open = window_bits() & ~(acked | dropped);
+         open != 0; open &= open - 1) {
+      const int i = std::countr_zero(open);
+      if (attempts[ring_slot(base + i)] >= config_.max_attempts_per_packet) {
+        dropped |= std::uint64_t{1} << i;
         ++result.packets_dropped;
         arq_exhausted_sr_metric().add(1);
       }
     }
-    while (base < total && sender_closed(static_cast<std::size_t>(base))) {
-      ++base;
+    // Each received sequence base passes leaves its receive instant:
+    // latencies come out in ascending sequence order, a fixed,
+    // thread-independent ordering no matter how retransmissions
+    // interleaved.
+    if (const int passed = std::countr_one(acked | dropped); passed > 0) {
+      for (int i = 0; i < passed; ++i) {
+        const std::size_t slot = ring_slot(base + i);
+        if ((received >> i & 1) != 0) {
+          latencies.push_back(receive_time_s[slot]);
+        }
+        attempts[slot] = 0;
+      }
+      left_closed += std::popcount((acked | dropped) & low_bits(passed));
+      acked = shift_out(acked, passed);
+      dropped = shift_out(dropped, passed);
+      received = shift_out(received, passed);
+      base += passed;
     }
     if (base >= total) break;
 
-    // This round's burst: every open sequence in the window.
-    burst.clear();
-    const int window_end = std::min(total, base + config_.window);
-    for (int seq = base; seq < window_end; ++seq) {
-      if (!sender_closed(static_cast<std::size_t>(seq))) burst.push_back(seq);
-    }
-    assert(!burst.empty());
-
-    // Draw order per round: one channel coin per transmitted packet in
-    // ascending sequence order, then one ACK-loss coin.
+    // This round's burst: every open sequence in the window. Draw order
+    // per round: one channel coin per transmitted packet in ascending
+    // sequence order, then one ACK-loss coin.
+    std::uint64_t burst = window_bits() & ~(acked | dropped);
+    assert(burst != 0);
     ++result.rounds;
     int k = 0;
-    for (const int seq : burst) {
-      const auto u = static_cast<std::size_t>(seq);
-      ++attempts[u];
-      ++result.transmissions;
+    for (; burst != 0; burst &= burst - 1) {
+      const int i = std::countr_zero(burst);
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      const std::size_t slot = ring_slot(base + i);
+      ++attempts[slot];
       // The packet finishes its slot (k+1) packet-times into the burst.
       const double arrival_s = now_s + (k + 1) * timing.packet_time_s;
       const double p = channel(arrival_s);
-      if (coin(rng) < p) {
-        if (received[u] != 0) {
+      if (phy::canonical_double(rng()) < p) {
+        if ((received & bit) != 0) {
           // Replay of a packet the receiver already has (lost block-ACK):
           // discarded on arrival, delivered exactly once.
           ++result.duplicate_receives;
         } else {
-          received[u] = 1;
+          received |= bit;
           ++result.packets_delivered;
-          receive_time_s[u] = arrival_s;
+          receive_time_s[slot] = arrival_s;
         }
       }
       ++k;
     }
-    now_s += static_cast<double>(burst.size()) * timing.packet_time_s;
+    result.transmissions += k;
+    now_s += static_cast<double>(k) * timing.packet_time_s;
 
-    if (coin(rng) < config_.ack_loss_probability) {
+    if (phy::canonical_double(rng()) < config_.ack_loss_probability) {
       // Lost block-ACK: the sender waits out its timer and replays the
       // whole outstanding window next round. No adapter feedback either —
       // the sender learned nothing about delivery this round.
@@ -146,32 +185,32 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
     ++result.acks_received;
     // Block-ACK keyed to the burst's base: cumulative semantics fall out
     // of base advancing past closed sequences; the bitmap reports every
-    // received sequence in [base, base + window).
-    int newly_acked = 0;
-    for (int seq = base; seq < window_end; ++seq) {
-      const auto u = static_cast<std::size_t>(seq);
-      if (received[u] != 0 && acked[u] == 0) {
-        acked[u] = 1;
-        ++newly_acked;
-      }
-    }
+    // received sequence in the window.
+    const std::uint64_t newly_acked = received & ~acked;
+    acked |= newly_acked;
     if (adapt) {
       SrRoundFeedback feedback;
-      feedback.round_transmitted = static_cast<int>(burst.size());
-      feedback.round_delivered = newly_acked;
+      feedback.round_transmitted = k;
+      feedback.round_delivered = std::popcount(newly_acked);
       timing = adapt(feedback);
     }
     now_s += timing.ack_time_s;
   }
 
   result.elapsed_s = now_s;
-  // Latencies in ascending sequence order — a fixed, thread-independent
-  // ordering no matter how retransmissions interleaved.
-  result.delivery_latency_s.reserve(
-      static_cast<std::size_t>(result.packets_delivered));
-  for (std::size_t u = 0; u < n; ++u) {
-    if (received[u] != 0) result.delivery_latency_s.push_back(receive_time_s[u]);
-  }
+  result.delivery_latency_s.assign(latencies.begin(), latencies.end());
+  // Conservation (checked in Debug and sanitizer builds): every round
+  // ended in one ACK outcome, one latency per delivery, transmissions
+  // bounded by first arrivals plus replays below and the retry budget
+  // above, and every sequence left the window acked or dropped.
+  assert(result.rounds == result.acks_received + result.acks_lost);
+  assert(result.delivery_latency_s.size() ==
+         static_cast<std::size_t>(result.packets_delivered));
+  assert(result.packets_delivered + result.duplicate_receives <=
+         result.transmissions);
+  assert(result.transmissions <=
+         static_cast<long>(total) * config_.max_attempts_per_packet);
+  assert(left_closed == total);
   return result;
 }
 

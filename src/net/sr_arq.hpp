@@ -9,14 +9,17 @@
 // simulates that protocol as a plain loop over burst + feedback rounds
 // with explicit on-air timing, a per-packet retry budget, and a
 // time-varying channel hook so fault schedules (outages, blockage bursts)
-// can gate delivery mid-transfer. A session keeps only per-sequence state
-// (acked, dropped, received, attempts, receive time): packets carry no
-// bytes, because nothing downstream reads them.
+// can gate delivery mid-transfer. A session keeps only window state: the
+// acked, dropped and received flags as 64-bit masks relative to the
+// window's base (hence the window's 64 cap), and attempts and receive
+// times in 64-slot rings. Packets carry no bytes, because nothing
+// downstream reads them.
 //
 // Determinism: all coins come from the caller's engine in a fixed order —
 // one per transmitted packet in ascending sequence order per burst, then
-// one for the block-ACK — so a seeded run is bit-reproducible and
-// thread-count independent when each session owns a derive_seed stream.
+// one for the block-ACK, each phy::canonical_double of one draw — so a
+// seeded run is bit-reproducible and thread-count independent when each
+// session owns a derive_seed stream.
 #pragma once
 
 #include <cstddef>

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/obs/stats.hpp"
+#include "src/phy/normal.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/sim/rng.hpp"
 
@@ -316,11 +317,10 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     sim::Rng rng = sim::make_rng(sim::derive_seed(
         poll_base_, epochs_run_ * static_cast<std::uint64_t>(n_readers) +
                         static_cast<std::uint64_t>(r)));
-    std::uniform_real_distribution<double> uni(0.0, 1.0);
     for (const auto& [slot, d2] : eligible) {
       ++out.polls;
       ++polls[slot];
-      if (uni(rng) < config_.poll_success_prob) {
+      if (phy::canonical_double(rng()) < config_.poll_success_prob) {
         ++out.successes;
         energy[slot] -= config_.respond_cost_j;
         assert(energy[slot] >= 0.0);

@@ -7,6 +7,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/phy/frame.hpp"
+#include "src/phy/normal.hpp"
 #include "src/phy/waveform.hpp"
 
 namespace mmtag::sim {
@@ -23,6 +24,10 @@ obs::Counter& link_frames_metric() {
       obs::Registry::instance().counter("sim.link.frames");
   return counter;
 }
+
+/// One data bit: what std::bernoulli_distribution(0.5) returns on the
+/// same draw.
+bool fair_bit(Rng& rng) { return phy::canonical_double(rng()) < 0.5; }
 
 }  // namespace
 
@@ -44,7 +49,6 @@ BerMeasurement MonteCarloLink::measure_ber(double snr_db,
   const phy::OokModulator mod(params_.samples_per_symbol,
                               params_.modulation_depth_db);
   const phy::OokDemodulator demod(params_.samples_per_symbol);
-  std::bernoulli_distribution coin(0.5);
   const std::size_t max_bits = effective_max_bits();
 
   BerMeasurement measurement;
@@ -56,7 +60,7 @@ BerMeasurement MonteCarloLink::measure_ber(double snr_db,
          (measurement.bits_sent < params_.min_bits ||
           measurement.bit_errors < params_.target_bit_errors)) {
     phy::BitVector bits(params_.block_bits);
-    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = coin(rng);
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = fair_bit(rng);
 
     phy::Waveform wave = mod.modulate(bits);
     // One impairment seed per block, drawn from the point's stream only
@@ -101,14 +105,13 @@ FerMeasurement MonteCarloLink::run_fer(double snr_db, int frames,
   assert(frames >= 1);
   const reader::ReceiveChain chain(
       reader::ReceiveChain::Params{params_.samples_per_symbol, true});
-  std::bernoulli_distribution coin(0.5);
 
   int failures = 0;
   for (int f = 0; f < frames; ++f) {
     phy::TagFrame frame;
     frame.tag_id = static_cast<std::uint32_t>(f + 1);
     frame.payload.resize(payload_bits);
-    for (std::size_t i = 0; i < payload_bits; ++i) frame.payload[i] = coin(rng);
+    for (std::size_t i = 0; i < payload_bits; ++i) frame.payload[i] = fair_bit(rng);
 
     phy::Waveform wave = chain.encode(frame, params_.modulation_depth_db);
     // Same per-block seeding discipline as measure_ber: one draw per

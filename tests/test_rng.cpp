@@ -142,8 +142,12 @@ class ScriptedEngine {
 
 TEST(NormalPairs, CanonicalDoubleMatchesGenerateCanonical) {
   // Rounding ties of the 64-to-53-bit conversion, the top of the range
-  // (which rounds to 2^64 and is clamped below 1) and the bottom.
+  // (which rounds to 2^64 and is clamped below 1), the bottom, and the
+  // draws that land on 0.8 and one double below it (a Bernoulli edge).
+  const auto eight_tenths = static_cast<std::uint64_t>(0.8 * 0x1p64);
   const std::vector<std::uint64_t> words = {
+      eight_tenths,
+      eight_tenths - (1ull << 11),
       0,
       1,
       (1ull << 53) + 1,
@@ -157,10 +161,22 @@ TEST(NormalPairs, CanonicalDoubleMatchesGenerateCanonical) {
       kMax64 - (1ull << 10) + 1,
       kMax64};
   ScriptedEngine engine(words);
+  ScriptedEngine uniform_engine(words);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
   for (const std::uint64_t word : words) {
     EXPECT_EQ(phy::canonical_double(word),
               (std::generate_canonical<double, 53>(engine)))
         << word;
+    EXPECT_EQ(phy::canonical_double(word), uniform(uniform_engine)) << word;
+  }
+  // The library's coins: libstdc++'s Bernoulli draw is canonical < p.
+  for (const double p : {0.0, 0.5, 0.8, 1.0}) {
+    ScriptedEngine bernoulli_engine(words);
+    std::bernoulli_distribution bernoulli(p);
+    for (const std::uint64_t word : words) {
+      EXPECT_EQ(phy::canonical_double(word) < p, bernoulli(bernoulli_engine))
+          << "p = " << p << ", word " << word;
+    }
   }
 }
 

@@ -1,14 +1,18 @@
 // Selective-repeat ARQ: window/block-ACK mechanics, retry budgets, exact
-// timing decomposition, determinism, the window-1 analytic oracle, and
-// input validation.
+// timing decomposition, determinism, the window-1 analytic oracle, input
+// validation, and a differential check of the mask-window session against
+// a per-sequence reference loop.
 #include "src/net/sr_arq.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "src/net/arq.hpp"
 #include "src/obs/metrics.hpp"
@@ -257,6 +261,212 @@ TEST(SrArq, DropsAreMirroredToTheSrObsCounter) {
   } else {
     EXPECT_EQ(counter.value(), before);
   }
+}
+
+/// The session as a per-sequence loop: a byte flag, attempt count and
+/// receive time for every sequence, byte-flag scans across the window and
+/// std::uniform_real_distribution coins. SrArqSession::run must return
+/// what this returns, bit for bit, and leave the engine where it leaves it.
+SrArqResult reference_run(const SrArqConfig& config, SrArqTiming timing,
+                          int total, const ChannelFn& channel,
+                          sim::Rng& rng, const AdaptFn& adapt) {
+  const auto n = static_cast<std::size_t>(total);
+  SrArqResult result;
+  result.packets_offered = total;
+  std::vector<std::uint8_t> acked(n, 0);
+  std::vector<std::uint8_t> dropped(n, 0);
+  std::vector<std::uint8_t> received(n, 0);
+  std::vector<int> attempts(n, 0);
+  std::vector<double> receive_time_s(n, 0.0);
+  std::vector<int> burst;
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const auto sender_closed = [&](std::size_t u) {
+    return acked[u] != 0 || dropped[u] != 0;
+  };
+
+  double now_s = 0.0;
+  int base = 0;
+  while (true) {
+    const int reap_end = std::min(total, base + config.window);
+    for (int seq = base; seq < reap_end; ++seq) {
+      const auto u = static_cast<std::size_t>(seq);
+      if (!sender_closed(u) && attempts[u] >= config.max_attempts_per_packet) {
+        dropped[u] = 1;
+        ++result.packets_dropped;
+      }
+    }
+    while (base < total && sender_closed(static_cast<std::size_t>(base))) {
+      ++base;
+    }
+    if (base >= total) break;
+
+    burst.clear();
+    const int window_end = std::min(total, base + config.window);
+    for (int seq = base; seq < window_end; ++seq) {
+      if (!sender_closed(static_cast<std::size_t>(seq))) burst.push_back(seq);
+    }
+    ++result.rounds;
+    int k = 0;
+    for (const int seq : burst) {
+      const auto u = static_cast<std::size_t>(seq);
+      ++attempts[u];
+      ++result.transmissions;
+      const double arrival_s = now_s + (k + 1) * timing.packet_time_s;
+      const double p = channel(arrival_s);
+      if (coin(rng) < p) {
+        if (received[u] != 0) {
+          ++result.duplicate_receives;
+        } else {
+          received[u] = 1;
+          ++result.packets_delivered;
+          receive_time_s[u] = arrival_s;
+        }
+      }
+      ++k;
+    }
+    now_s += static_cast<double>(burst.size()) * timing.packet_time_s;
+
+    if (coin(rng) < config.ack_loss_probability) {
+      ++result.acks_lost;
+      now_s += timing.ack_timeout_s;
+      continue;
+    }
+    ++result.acks_received;
+    int newly_acked = 0;
+    for (int seq = base; seq < window_end; ++seq) {
+      const auto u = static_cast<std::size_t>(seq);
+      if (received[u] != 0 && acked[u] == 0) {
+        acked[u] = 1;
+        ++newly_acked;
+      }
+    }
+    if (adapt) {
+      SrRoundFeedback feedback;
+      feedback.round_transmitted = static_cast<int>(burst.size());
+      feedback.round_delivered = newly_acked;
+      timing = adapt(feedback);
+    }
+    now_s += timing.ack_time_s;
+  }
+
+  result.elapsed_s = now_s;
+  result.delivery_latency_s.reserve(
+      static_cast<std::size_t>(result.packets_delivered));
+  for (std::size_t u = 0; u < n; ++u) {
+    if (received[u] != 0) result.delivery_latency_s.push_back(receive_time_s[u]);
+  }
+  return result;
+}
+
+/// How the differential configs' channels behave over session time.
+enum class ChannelShape { kConstant, kStep, kOutage, kDead };
+
+TEST(SrArq, MatchesThePerSequenceReference) {
+  // A seeded table: every window at and around the mask edges (no digest
+  // runs a window above 32), ACK loss from none to total (with a budget
+  // of at most three attempts at total loss, so the run ends), budgets
+  // 1-20, 0-300 packets (below the window and off its multiples), a
+  // channel that changes level or goes out mid-transfer, and an adapter
+  // that retimes every acknowledged round. Every field must match, the
+  // doubles by ==, and so must the engine's next draw, the channel's
+  // arrival instants and the adapter's feedback.
+  const SrArqTiming timing{1e-5, 2e-6, 1.2e-5};
+  sim::Rng table = sim::make_rng(0x5EA5);
+  int configs = 0;
+  for (const int window : {1, 2, 31, 32, 33, 63, 64}) {
+    const std::vector<int> packet_counts = {
+        0, 1, window - 1, window, window + 1, 2 * window + 3, 97, 300};
+    for (const double ack_loss : {0.0, 0.01, 0.5, 1.0}) {
+      for (const ChannelShape shape :
+           {ChannelShape::kConstant, ChannelShape::kStep,
+            ChannelShape::kOutage, ChannelShape::kDead}) {
+        for (const bool adapting : {false, true}) {
+          for (const int packets : packet_counts) {
+            SrArqConfig config;
+            config.window = window;
+            config.ack_loss_probability = ack_loss;
+            config.max_attempts_per_packet =
+                ack_loss == 1.0 ? 1 + static_cast<int>(table() % 3)
+                                : 1 + static_cast<int>(table() % 20);
+            const double level = 0.05 + 0.95 * std::ldexp(
+                static_cast<double>(table() >> 11), -53);
+            // The level changes a few bursts into the transfer.
+            const double switch_s =
+                (1 + static_cast<int>(table() % 4)) * window *
+                timing.packet_time_s;
+            const std::uint64_t seed = table();
+            const auto make_channel = [&](std::vector<double>& calls) {
+              return [&calls, shape, level, switch_s](double now_s) {
+                calls.push_back(now_s);
+                switch (shape) {
+                  case ChannelShape::kConstant: return level;
+                  case ChannelShape::kStep:
+                    return now_s < switch_s ? level : 1.0 - level;
+                  case ChannelShape::kOutage:
+                    return now_s >= switch_s && now_s < 3.0 * switch_s
+                               ? 0.0
+                               : level;
+                  case ChannelShape::kDead: return 0.0;
+                }
+                return 0.0;
+              };
+            };
+            const auto make_adapt = [&](std::vector<SrRoundFeedback>& log)
+                -> AdaptFn {
+              if (!adapting) return nullptr;
+              return [&log, timing](const SrRoundFeedback& feedback) {
+                log.push_back(feedback);
+                SrArqTiming next = timing;
+                next.packet_time_s *= 1.0 + 0.25 * (feedback.round_delivered % 4);
+                next.ack_time_s *= feedback.round_transmitted % 2 == 0 ? 1.5 : 1.0;
+                return next;
+              };
+            };
+            std::vector<double> calls_a;
+            std::vector<double> calls_b;
+            std::vector<SrRoundFeedback> log_a;
+            std::vector<SrRoundFeedback> log_b;
+            sim::Rng rng_a = sim::make_rng(seed);
+            sim::Rng rng_b = sim::make_rng(seed);
+            const SrArqResult a = SrArqSession(config, timing).run(
+                packets, make_channel(calls_a), rng_a, make_adapt(log_a));
+            const SrArqResult b =
+                reference_run(config, timing, packets, make_channel(calls_b),
+                              rng_b, make_adapt(log_b));
+            ++configs;
+            SCOPED_TRACE(::testing::Message()
+                         << "window " << window << ", ack loss " << ack_loss
+                         << ", shape " << static_cast<int>(shape)
+                         << ", adapting " << adapting << ", packets "
+                         << packets << ", attempts "
+                         << config.max_attempts_per_packet);
+            EXPECT_EQ(a.packets_offered, b.packets_offered);
+            EXPECT_EQ(a.packets_delivered, b.packets_delivered);
+            EXPECT_EQ(a.packets_dropped, b.packets_dropped);
+            EXPECT_EQ(a.transmissions, b.transmissions);
+            EXPECT_EQ(a.acks_received, b.acks_received);
+            EXPECT_EQ(a.acks_lost, b.acks_lost);
+            EXPECT_EQ(a.rounds, b.rounds);
+            EXPECT_EQ(a.duplicate_receives, b.duplicate_receives);
+            EXPECT_EQ(a.elapsed_s, b.elapsed_s);
+            EXPECT_EQ(a.delivery_latency_s, b.delivery_latency_s);
+            EXPECT_EQ(a.delivery_latency_s.capacity(),
+                      a.delivery_latency_s.size());
+            EXPECT_EQ(calls_a, calls_b);
+            ASSERT_EQ(log_a.size(), log_b.size());
+            for (std::size_t r = 0; r < log_a.size(); ++r) {
+              EXPECT_EQ(log_a[r].round_transmitted,
+                        log_b[r].round_transmitted);
+              EXPECT_EQ(log_a[r].round_delivered, log_b[r].round_delivered);
+            }
+            EXPECT_EQ(rng_a(), rng_b());
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 7 * 8 * 4 * 4 * 2);
 }
 
 }  // namespace
