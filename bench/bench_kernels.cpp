@@ -14,6 +14,7 @@
 
 #include "bench/bench_main.hpp"
 #include "src/antenna/ula.hpp"
+#include "src/channel/environment.hpp"
 #include "src/channel/geometry.hpp"
 #include "src/channel/raytrace.hpp"
 #include "src/core/tag.hpp"
@@ -99,6 +100,26 @@ void add_link_cases(bench::Harness& harness) {
           tag, paths[static_cast<std::size_t>(i) % paths.size()], rates));
     }
     ctx.set_units(kIters, "paths");
+  });
+  harness.add("reader_evaluate_link", [](bench::CaseContext& ctx) {
+    // One tag's whole link evaluation, trace included: the office room's
+    // paths from a prototype reader steered at a prototype tag that faces
+    // it, the strongest of them kept (reflections that cannot win are
+    // skipped on their power bound).
+    constexpr int kIters = 2'000;
+    const channel::Vec2 reader_at{1.0, 1.0};
+    const channel::Vec2 tag_at{4.0, 3.0};
+    auto reader =
+        reader::MmWaveReader::prototype_at(core::Pose{reader_at, 0.0});
+    reader.steer_to_world(channel::bearing_rad(reader_at, tag_at));
+    const auto tag = core::MmTag::prototype_at(
+        core::Pose{tag_at, channel::bearing_rad(tag_at, reader_at)});
+    const auto rates = phy::RateTable::mmtag_standard();
+    const channel::Environment office = channel::Environment::office_room();
+    for (int i = 0; i < kIters; ++i) {
+      bench::do_not_optimize(reader.evaluate_link(tag, office, rates));
+    }
+    ctx.set_units(kIters, "links");
   });
 }
 

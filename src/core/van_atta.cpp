@@ -3,6 +3,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "src/phys/constants.hpp"
@@ -125,11 +126,36 @@ std::size_t state_index(em::SwitchState state) {
   return state == em::SwitchState::kOn ? 1 : 0;
 }
 
+/// Margin on the off-state gain bound for the rounding of the flow the
+/// triangle inequality bounds [dB]; that rounding is ~1e-15 relative.
+constexpr double kOffGainBoundMarginDb = 1e-6;
+
+/// The triangle inequality on the uncoupled all-off signal flow toward
+/// any theta: every steering phasor has unit magnitude, element n's route
+/// through the array has magnitude |feed_off|^2 |line(pair of n)|, and
+/// the pattern amplitude peaks at boresight, so |field| <= |feed_off|^2 *
+/// sum_n |line(pair of n)| * a(0)^2. As a power gain, floored like
+/// power_gain_db, plus the margin.
+double compute_off_gain_bound_db(const std::array<Complex, 2>& feed,
+                                 const std::vector<Complex>& line,
+                                 std::size_t size,
+                                 double boresight_amplitude) {
+  double line_sum = 0.0;
+  for (std::size_t n = 0; n < size; ++n) {
+    const std::size_t mirror = size - 1 - n;
+    line_sum += std::abs(line[n < mirror ? n : mirror]);
+  }
+  const double field = std::norm(feed[state_index(em::SwitchState::kOff)]) *
+                       line_sum * boresight_amplitude * boresight_amplitude;
+  return power_gain_db(field * field) + kOffGainBoundMarginDb;
+}
+
 }  // namespace
 
 struct VanAttaArray::CarrierTerms {
   std::array<Complex, 2> feed;  ///< Indexed by state_index.
   std::vector<Complex> line;    ///< One per pair line.
+  double off_gain_bound_db = 0.0;  ///< Uncoupled off_gain_bound_db().
 };
 
 VanAttaArray::VanAttaArray(Config config, em::PatchElement element_model,
@@ -152,6 +178,9 @@ VanAttaArray::VanAttaArray(Config config, em::PatchElement element_model,
   terms->line.resize(pair_lines_.size());
   compute_terms(element_model_, pair_lines_, config_.frequency_hz,
                 terms->feed.data(), terms->line.data());
+  terms->off_gain_bound_db = compute_off_gain_bound_db(
+      terms->feed, terms->line, switch_states_.size(),
+      element_pattern_.amplitude(0.0));
   carrier_ = std::move(terms);
 }
 
@@ -259,6 +288,12 @@ StateGainsDb VanAttaArray::monostatic_state_gains_db(double theta_rad) const {
   gains.off_db = gain_db(em::SwitchState::kOff);
   gains.on_db = gain_db(em::SwitchState::kOn);
   return gains;
+}
+
+double VanAttaArray::off_gain_bound_db() const {
+  // A coupling matrix mixes the elements, which the bound does not cover.
+  return coupling_ ? std::numeric_limits<double>::infinity()
+                   : carrier_->off_gain_bound_db;
 }
 
 double VanAttaArray::bistatic_gain_db(double theta_in_rad,

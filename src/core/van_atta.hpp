@@ -109,6 +109,11 @@ class VanAttaArray {
   /// monostatic_gain_db, from one set of steering phasors.
   [[nodiscard]] StateGainsDb monostatic_state_gains_db(double theta_rad) const;
 
+  /// Upper bound on monostatic_state_gains_db(theta).off_db over every
+  /// theta [dB]; +inf while a coupling matrix is installed. Computed at
+  /// construction, beside the carrier factors (DESIGN.md Sec. 8).
+  [[nodiscard]] double off_gain_bound_db() const;
+
   /// Bistatic power gain [dB] for arbitrary in/out directions.
   [[nodiscard]] double bistatic_gain_db(double theta_in_rad,
                                         double theta_out_rad) const;

@@ -69,13 +69,8 @@ const reader::LinkReport& LinkCache::link(const core::MmTag& tag,
   }
 
   reader_.steer_to_world(boresight_rad);
-  reader::LinkReport best;
-  for (const channel::Path& path : entry.paths) {
-    reader::LinkReport report = reader_.evaluate_path(tag, path, *rates_);
-    if (report.received_power_dbm > best.received_power_dbm) {
-      best = report;
-    }
-  }
+  const reader::LinkReport best =
+      reader_.evaluate_best_path(tag, entry.paths, *rates_);
   if (!enabled_) {
     scratch_ = best;
     return scratch_;

@@ -51,9 +51,9 @@ class LinkCache {
 
   /// Link report for `tag` with the reader steered to `boresight_rad`.
   /// `beam_key` must identify the steering uniquely (codebook index) —
-  /// reports are memoized per (tag id, beam_key). The strongest of the
-  /// ray-traced paths (by received power) is reported, matching
-  /// MmWaveReader::evaluate_link.
+  /// reports are memoized per (tag id, beam_key). The first strongest of
+  /// the ray-traced paths (by received power) is reported, by the routine
+  /// MmWaveReader::evaluate_link runs (evaluate_best_path).
   [[nodiscard]] const reader::LinkReport& link(const core::MmTag& tag,
                                                int beam_key,
                                                double boresight_rad);

@@ -19,7 +19,7 @@ AckRateController::AckRateController(const phy::RateTable* table,
   const std::size_t tiers = table_->tiers().size();
   tier_ = tiers - 1;
   for (std::size_t i = 0; i < tiers; ++i) {
-    if (power_dbm_ >= table_->required_power_dbm(table_->tiers()[i])) {
+    if (power_dbm_ >= table_->levels(i).required_power_dbm) {
       tier_ = i;
       break;
     }
@@ -50,10 +50,9 @@ bool AckRateController::on_ack_round(int delivered, int transmitted) {
   }
 
   if (ewma_ >= kUpshiftDeliveryRatio && tier_ > 0) {
-    const phy::RateTier& faster = table_->tiers()[tier_ - 1];
     const bool snr_clears =
-        power_dbm_ >=
-        table_->required_power_dbm(faster) + kUpshiftSnrMarginDb;
+        power_dbm_ >= table_->levels(tier_ - 1).required_power_dbm +
+                          kUpshiftSnrMarginDb;
     if (snr_clears) {
       if (++dwell_ >= kUpshiftDwellRounds) {
         --tier_;
@@ -72,11 +71,11 @@ bool AckRateController::on_ack_round(int delivered, int transmitted) {
 }
 
 double packet_success_probability(const phy::RateTable& table,
-                                  const phy::RateTier& tier,
+                                  std::size_t tier_index,
                                   double received_power_dbm,
                                   std::size_t on_air_chips) {
   const double snr_db =
-      received_power_dbm - table.noise().power_dbm(tier.bandwidth_hz);
+      received_power_dbm - table.levels(tier_index).noise_dbm;
   const double chip_error = phy::ook_coherent_ber(snr_db);
   return std::pow(1.0 - chip_error, static_cast<double>(on_air_chips));
 }

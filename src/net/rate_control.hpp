@@ -61,12 +61,12 @@ class AckRateController {
 };
 
 /// P(one packet of `on_air_chips` chips survives) for a tag received at
-/// `received_power_dbm` in `tier`'s bandwidth: SNR against the table's
-/// noise model through the coherent-OOK BER closed form, chip
-/// independence across the packet. The per-packet coin every net-layer
-/// simulation flips.
+/// `received_power_dbm` in the bandwidth of `table.tiers()[tier_index]`:
+/// SNR against the table's noise model through the coherent-OOK BER
+/// closed form, chip independence across the packet. The per-packet coin
+/// every net-layer simulation flips.
 [[nodiscard]] double packet_success_probability(const phy::RateTable& table,
-                                                const phy::RateTier& tier,
+                                                std::size_t tier_index,
                                                 double received_power_dbm,
                                                 std::size_t on_air_chips);
 

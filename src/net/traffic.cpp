@@ -318,7 +318,7 @@ TrafficReport TrafficEngine::run() {
               scale = 1.0 - config_.faults.blockage.block_probability;
             }
             success = scale * packet_success_probability(
-                                  rates, controller.tier(), rx_dbm,
+                                  rates, controller.tier_index(), rx_dbm,
                                   packet_chips);
           }
           return success;

@@ -26,6 +26,14 @@ RateTable::RateTable(std::vector<RateTier> tiers, phys::NoiseModel noise,
             [](const RateTier& a, const RateTier& b) {
               return a.bit_rate_bps > b.bit_rate_bps;
             });
+  levels_.reserve(tiers_.size());
+  for (const RateTier& tier : tiers_) {
+    TierLevels levels;
+    levels.noise_w = noise_.power_w(tier.bandwidth_hz);
+    levels.noise_dbm = noise_.power_dbm(tier.bandwidth_hz);
+    levels.required_power_dbm = required_power_dbm(tier);
+    levels_.push_back(levels);
+  }
 }
 
 RateTable RateTable::mmtag_standard() {
@@ -44,8 +52,10 @@ double RateTable::required_power_dbm(const RateTier& tier) const {
 
 std::optional<RateTier> RateTable::best_tier(
     double received_power_dbm) const {
-  for (const RateTier& tier : tiers_) {
-    if (received_power_dbm >= required_power_dbm(tier)) return tier;
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    if (received_power_dbm >= levels_[i].required_power_dbm) {
+      return tiers_[i];
+    }
   }
   return std::nullopt;
 }

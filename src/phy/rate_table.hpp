@@ -7,6 +7,7 @@
 // Fig. 7 plots: 2 GHz -> 1 Gbps, 200 MHz -> 100 Mbps, 20 MHz -> 10 Mbps.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -23,6 +24,14 @@ struct RateTier {
   [[nodiscard]] static RateTier from_bandwidth(double bandwidth_hz);
 };
 
+/// A tier's noise floor and detection threshold under a table's noise
+/// model and SNR requirement.
+struct TierLevels {
+  double noise_w = 0.0;             ///< noise().power_w(bandwidth) [W].
+  double noise_dbm = 0.0;           ///< noise().power_dbm(bandwidth) [dBm].
+  double required_power_dbm = 0.0;  ///< noise_dbm + required_snr_db().
+};
+
 class RateTable {
  public:
   /// `tiers` sorted by descending bit rate after construction.
@@ -36,6 +45,12 @@ class RateTable {
 
   /// Minimum received power needed to run `tier` [dBm].
   [[nodiscard]] double required_power_dbm(const RateTier& tier) const;
+
+  /// The levels of tiers()[index], computed once at construction: the
+  /// same values noise() and required_power_dbm give for that tier.
+  [[nodiscard]] const TierLevels& levels(std::size_t index) const {
+    return levels_[index];
+  }
 
   /// Fastest tier whose threshold `received_power_dbm` clears, if any.
   [[nodiscard]] std::optional<RateTier> best_tier(
@@ -53,6 +68,7 @@ class RateTable {
   std::vector<RateTier> tiers_;
   phys::NoiseModel noise_;
   double required_snr_db_;
+  std::vector<TierLevels> levels_;  ///< One per tier, in tiers_ order.
 };
 
 }  // namespace mmtag::phy

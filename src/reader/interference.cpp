@@ -50,11 +50,13 @@ double sinr_limited_rate_bps(double tag_power_dbm, double interference_dbm,
                              const phy::RateTable& rates) {
   const double interference_w = phys::dbm_to_watts(interference_dbm);
   const double tag_w = phys::dbm_to_watts(tag_power_dbm);
-  for (const phy::RateTier& tier : rates.tiers()) {
-    const double noise_w = rates.noise().power_w(tier.bandwidth_hz);
+  for (std::size_t i = 0; i < rates.tiers().size(); ++i) {
+    const double noise_w = rates.levels(i).noise_w;
     const double sinr_db =
         phys::ratio_to_db(tag_w / (noise_w + interference_w));
-    if (sinr_db >= rates.required_snr_db()) return tier.bit_rate_bps;
+    if (sinr_db >= rates.required_snr_db()) {
+      return rates.tiers()[i].bit_rate_bps;
+    }
   }
   return 0.0;
 }

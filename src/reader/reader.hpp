@@ -8,7 +8,7 @@
 // ray-traced channel.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "src/antenna/pattern.hpp"
 #include "src/channel/environment.hpp"
@@ -52,16 +52,27 @@ class MmWaveReader {
                                          const channel::Path& path,
                                          const phy::RateTable& rates) const;
 
+  /// Upper bound on evaluate_path(tag, path, rates).received_power_dbm
+  /// under any steering [dBm]: evaluate_path's budget, rounded in the same
+  /// order, with the horn's boresight gain for both horns and the tag's
+  /// VanAttaArray::off_gain_bound_db() for its gain.
+  [[nodiscard]] double power_bound_dbm(const core::MmTag& tag,
+                                       const channel::Path& path) const;
+
+  /// The report of the first strongest of `paths` (non-empty, in trace
+  /// order). A path whose power_bound_dbm falls strictly below the best
+  /// power so far cannot win and is not evaluated; a later path replaces
+  /// the best only on strictly greater power (DESIGN.md Sec. 8).
+  [[nodiscard]] LinkReport evaluate_best_path(
+      const core::MmTag& tag, std::span<const channel::Path> paths,
+      const phy::RateTable& rates) const;
+
   /// Evaluate the link over the best available path in `env` (LOS when
-  /// clear, else the strongest wall reflection — paper Sec. 4).
+  /// clear, else the strongest wall reflection — paper Sec. 4):
+  /// evaluate_best_path over trace_paths.
   [[nodiscard]] LinkReport evaluate_link(const core::MmTag& tag,
                                          const channel::Environment& env,
                                          const phy::RateTable& rates) const;
-
-  /// All usable paths, each evaluated. Sorted by descending received power.
-  [[nodiscard]] std::vector<LinkReport> evaluate_all_paths(
-      const core::MmTag& tag, const channel::Environment& env,
-      const phy::RateTable& rates) const;
 
   [[nodiscard]] const core::Pose& pose() const { return pose_; }
 

@@ -61,12 +61,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::drain_items() {
   std::uint64_t executed = 0;
   while (true) {
-    std::size_t index;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (next_ >= count_) break;
-      index = next_++;
-    }
+    // Relaxed suffices: the handshake under mutex_ orders the batch's
+    // setup before any claim, and the cursor only has to hand each index
+    // to one thread.
+    const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
+    if (index >= count_) break;
     try {
       (*body_)(index);
     } catch (...) {
@@ -79,7 +78,7 @@ void ThreadPool::drain_items() {
         error_ = std::current_exception();
         error_index_ = index;
       }
-      next_ = count_;
+      next_.store(count_, std::memory_order_relaxed);
     }
     ++executed;
   }
@@ -112,7 +111,7 @@ void ThreadPool::parallel_for(
   if (count == 0) return;
   body_ = &body;
   count_ = count;
-  next_ = 0;
+  next_.store(0, std::memory_order_relaxed);
   error_ = nullptr;
   error_index_ = std::numeric_limits<std::size_t>::max();
   std::uint64_t batch_start_ns = 0;

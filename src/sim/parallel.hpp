@@ -16,6 +16,7 @@
 // DESIGN.md Sec. 7).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -39,11 +40,12 @@ namespace mmtag::sim {
 /// A fixed-size pool of std::thread workers executing index ranges.
 ///
 /// There is deliberately no work stealing and no futures: sweep items are
-/// claimed one index at a time from a shared cursor, each claim under the
-/// pool mutex, which balances load across points of unequal cost (low-SNR
-/// points terminate early, clean points run to max_bits) without any
-/// ordering dependence. The calling thread participates, so ThreadPool(1)
-/// runs the body inline with zero synchronisation overhead.
+/// claimed one index at a time from a shared atomic cursor (one relaxed
+/// fetch_add per claim, no lock), which balances load across points of
+/// unequal cost (low-SNR points terminate early, clean points run to
+/// max_bits) without any ordering dependence. The calling thread
+/// participates, so ThreadPool(1) runs the body inline with zero
+/// synchronisation overhead.
 class ThreadPool {
  public:
   /// `threads <= 0` selects default_thread_count().
@@ -82,7 +84,9 @@ class ThreadPool {
   std::condition_variable done_cv_;
   const std::function<void(std::size_t)>* body_ = nullptr;
   std::size_t count_ = 0;
-  std::size_t next_ = 0;
+  /// Next unclaimed index. Set before the generation handshake publishes
+  /// the batch; a failure abandons the batch by storing count_.
+  std::atomic<std::size_t> next_{0};
   std::uint64_t generation_ = 0;
   int running_workers_ = 0;
   bool stop_ = false;

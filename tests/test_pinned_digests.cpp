@@ -13,11 +13,14 @@
 
 #include "src/antenna/codebook.hpp"
 #include "src/antenna/mutual_coupling.hpp"
+#include "src/channel/environment.hpp"
 #include "src/channel/geometry.hpp"
+#include "src/channel/raytrace.hpp"
 #include "src/core/van_atta.hpp"
 #include "src/deploy/coordinator.hpp"
 #include "src/deploy/fleet.hpp"
 #include "src/deploy/layout.hpp"
+#include "src/deploy/link_cache.hpp"
 #include "src/fault/engine.hpp"
 #include "src/impair/chain.hpp"
 #include "src/mac/inventory.hpp"
@@ -27,6 +30,7 @@
 #include "src/net/traffic.hpp"
 #include "src/obs/stats.hpp"
 #include "src/phy/rate_table.hpp"
+#include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 #include "src/reader/reader.hpp"
 #include "src/resil/domain.hpp"
@@ -543,6 +547,61 @@ TEST(PinnedDigests, FleetTrafficLinkReports) {
     hasher.mix_double(link.path.length_m);
   }
   EXPECT_EQ(hasher.digest(), 0xa63fa638a3b9f0e8ull);
+}
+
+TEST(PinnedDigests, NlosLinkReports) {
+  // bench_e1_nlos's corridor with its walker on the line of sight, so
+  // the wall bounce wins most links: tags on a grid around the bench's
+  // tag in three orientations, the reader steered at the tag, along each
+  // traced path and off both, through evaluate_link and LinkCache::link.
+  channel::Environment env;
+  env.add_wall(channel::Wall{channel::Segment{{-2, 0.3}, {2, 0.3}}, 0.15});
+  env.add_obstacle(
+      channel::Obstacle{channel::Segment{{0.45, -0.1}, {0.45, 0.1}}});
+  const phy::RateTable rates = phy::RateTable::mmtag_standard();
+  const channel::Vec2 reader_at{phys::feet_to_m(3.0), 0.0};
+  auto reader =
+      reader::MmWaveReader::prototype_at(core::Pose{reader_at, phys::kPi});
+  deploy::LinkCache cache(reader, &env, &rates);
+  obs::Fnv1a hasher;
+  const auto mix = [&](const reader::LinkReport& link) {
+    hasher.mix_u64(static_cast<std::uint64_t>(link.path.kind));
+    hasher.mix_double(link.path.length_m);
+    hasher.mix_double(link.path.departure_rad);
+    hasher.mix_double(link.path.arrival_rad);
+    hasher.mix_double(link.path.excess_loss_db);
+    hasher.mix_u64(static_cast<std::uint64_t>(link.path.wall_index));
+    hasher.mix_double(link.received_power_dbm);
+    hasher.mix_double(link.modulation_depth_db);
+    hasher.mix_double(link.achievable_rate_bps);
+  };
+  std::uint32_t id = 0;
+  int wins[2] = {0, 0};  // By channel::PathKind.
+  for (int ix = -4; ix <= 4; ++ix) {
+    for (int iy = -3; iy <= 3; ++iy) {
+      const channel::Vec2 tag_at{0.05 * ix, 0.04 * iy};
+      std::vector<double> steerings = {phys::kPi + 0.4, phys::kPi - 0.7};
+      for (const channel::Path& path :
+           channel::trace_paths(env, reader_at, tag_at)) {
+        steerings.push_back(path.departure_rad);
+      }
+      for (const double facing : {0.0, 0.35, -0.6}) {
+        const core::MmTag tag =
+            core::MmTag::prototype_at(core::Pose{tag_at, facing}, id++);
+        for (std::size_t s = 0; s < steerings.size(); ++s) {
+          reader.steer_to_world(steerings[s]);
+          const reader::LinkReport link =
+              reader.evaluate_link(tag, env, rates);
+          ++wins[static_cast<int>(link.path.kind)];
+          mix(link);
+          mix(cache.link(tag, static_cast<int>(s), steerings[s]));
+        }
+      }
+    }
+  }
+  EXPECT_GT(wins[static_cast<int>(channel::PathKind::kLineOfSight)], 50);
+  EXPECT_GT(wins[static_cast<int>(channel::PathKind::kReflected)], 500);
+  EXPECT_EQ(hasher.digest(), 0xc08dba3ffff10591ull);
 }
 
 TEST(PinnedDigests, VanAttaFieldGrid) {

@@ -61,6 +61,29 @@ TEST(RateTable, BestTierReportsBandwidth) {
   EXPECT_FALSE(table.best_tier(-120.0).has_value());
 }
 
+TEST(RateTable, LevelsEqualTheExpressionsTheyCache) {
+  // Bit for bit: each level is the expression it replaced, evaluated at
+  // construction. An unsorted custom table checks they follow the sort.
+  const RateTable custom(
+      {RateTier::from_bandwidth(phys::mhz(50.0)),
+       RateTier::from_bandwidth(phys::ghz(1.0)),
+       RateTier::from_bandwidth(phys::mhz(5.0))},
+      phys::NoiseModel(290.0, 7.5), 9.25);
+  for (const RateTable& table : {RateTable::mmtag_standard(), custom}) {
+    for (std::size_t i = 0; i < table.tiers().size(); ++i) {
+      const double bandwidth = table.tiers()[i].bandwidth_hz;
+      EXPECT_EQ(table.levels(i).noise_w, table.noise().power_w(bandwidth));
+      EXPECT_EQ(table.levels(i).noise_dbm,
+                table.noise().power_dbm(bandwidth));
+      EXPECT_EQ(table.levels(i).required_power_dbm,
+                table.noise().power_dbm(bandwidth) + table.required_snr_db());
+      EXPECT_EQ(table.levels(i).required_power_dbm,
+                table.required_power_dbm(table.tiers()[i]));
+    }
+  }
+  EXPECT_DOUBLE_EQ(custom.tiers()[0].bandwidth_hz, phys::ghz(1.0));
+}
+
 // Property: achievable rate is monotone nondecreasing in received power.
 class RateMonotoneTest : public ::testing::TestWithParam<double> {};
 

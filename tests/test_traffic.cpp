@@ -93,15 +93,14 @@ TEST(AckRateController, RejectsAMissingRateTable) {
 
 TEST(AckRateController, PacketSuccessProbabilityTracksPowerAndLength) {
   const phy::RateTable table = phy::RateTable::mmtag_standard();
-  const phy::RateTier& tier = table.tiers()[0];
-  const double threshold = table.required_power_dbm(tier);
-  const double strong = packet_success_probability(table, tier,
+  const double threshold = table.required_power_dbm(table.tiers()[0]);
+  const double strong = packet_success_probability(table, 0,
                                                    threshold + 10.0, 640);
-  const double weak = packet_success_probability(table, tier,
+  const double weak = packet_success_probability(table, 0,
                                                  threshold - 10.0, 640);
   EXPECT_GT(strong, weak);
   EXPECT_GT(strong, 0.99);
-  const double longer = packet_success_probability(table, tier,
+  const double longer = packet_success_probability(table, 0,
                                                    threshold + 10.0, 6400);
   EXPECT_LT(longer, strong);  // More chips, more ways to die.
 }

@@ -5,6 +5,8 @@
 #include "src/core/van_atta.hpp"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,61 @@ TEST(VanAtta, CommonExtraLinePhaseIsHarmless) {
     EXPECT_NEAR(a.monostatic_gain_db(theta), b.monostatic_gain_db(theta),
                 1e-6);
   }
+}
+
+// off_gain_bound_db must cover the off-state gain toward every angle:
+// a link evaluation skips a path on it.
+void expect_bound_covers_off_gain(const VanAttaArray& array) {
+  const double bound = array.off_gain_bound_db();
+  ASSERT_TRUE(std::isfinite(bound));
+  constexpr int kSteps = 3600;
+  for (int i = 0; i <= kSteps; ++i) {
+    const double theta = -phys::kPi + 2.0 * phys::kPi * i / kSteps;
+    EXPECT_GE(bound, array.monostatic_state_gains_db(theta).off_db) << theta;
+  }
+  for (const double edge : {-phys::kPi / 2.0, phys::kPi / 2.0}) {
+    for (const double theta : {std::nextafter(edge, 0.0), edge,
+                               std::nextafter(edge, 2.0 * edge)}) {
+      EXPECT_GE(bound, array.monostatic_state_gains_db(theta).off_db)
+          << theta;
+    }
+  }
+}
+
+TEST(VanAtta, OffGainBoundCoversEveryAngle) {
+  for (const int n : {1, 2, 5, 6, 24, 40}) {
+    SCOPED_TRACE(n);
+    const VanAttaArray array = VanAttaArray::with_elements(n);
+    expect_bound_covers_off_gain(array);
+    // Equal lines add in phase at boresight, where the triangle
+    // inequality is an equality: only the margin is left.
+    EXPECT_LT(array.off_gain_bound_db() -
+                  array.monostatic_state_gains_db(0.0).off_db,
+              1e-5);
+  }
+  // Unequal pair lines: their losses and phases differ, and the gain
+  // falls well below the bound.
+  VanAttaArray::Config config;
+  config.elements = 6;
+  config.frequency_hz = phys::kMmTagCarrierHz;
+  const double lambda_g = em::TransmissionLine::mmtag_interconnect(0.0)
+                              .guided_wavelength_m(config.frequency_hz);
+  std::vector<em::TransmissionLine> lines;
+  for (const double scale : {1.0, 1.33, 2.9}) {
+    lines.push_back(em::TransmissionLine::mmtag_interconnect(lambda_g * scale));
+  }
+  expect_bound_covers_off_gain(
+      VanAttaArray(config, em::PatchElement::mmtag(), std::move(lines)));
+}
+
+TEST(VanAtta, OffGainBoundIsInfiniteWhileCoupled) {
+  VanAttaArray array = VanAttaArray::with_elements(6);
+  const double uncoupled = array.off_gain_bound_db();
+  array.set_mutual_coupling(antenna::CouplingMatrix::typical_patch(6));
+  EXPECT_EQ(array.off_gain_bound_db(),
+            std::numeric_limits<double>::infinity());
+  array.clear_mutual_coupling();
+  EXPECT_EQ(array.off_gain_bound_db(), uncoupled);
 }
 
 // monostatic_state_gains_db must be exactly the copy-and-toggle it
